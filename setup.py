@@ -1,7 +1,8 @@
 """Build the optional compiled search kernel.
 
-The package works without it: rep132.kernels falls back to the pure-Python
-kernel when the extension is missing or fails to build.
+The package works without it: when the extension module is missing at
+import time, rep132.kernels falls back to the pure-Python kernel. A build
+that tries to compile it and fails is an error, not a fallback.
 
 With Cython installed the extension is cythonized from _kernel.pyx. Without
 it, the Cython-generated _kernel.c that ships with the sources is compiled

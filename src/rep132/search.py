@@ -15,8 +15,11 @@ so the two operations answer genuinely different questions.
 
 Determinism: labelings run in lexicographic order; within a labeling the
 kernel visits words in lexicographic order; the node budget is a per-graph
-total consumed in labeling order. Parallel runs speculate on labelings but
-reports are assembled by replaying the serial order, so serial and parallel
+total consumed in labeling order. A parallel scan_order decides whole
+classes in one process pool and keeps them in scan order; since each class
+has its own budget, every report is the serial one. A parallel
+search_all_labelings speculates on the labelings of one graph and assembles
+its report by replaying the serial order. Either way serial and parallel
 outputs are identical (wall time excluded).
 """
 
@@ -132,6 +135,11 @@ def _run_labeling_task(task):
     return kernels.run_search(
         g.n, g.adjacency_masks(), 1, max_copies, True, find_all, budget, pp, pe, px
     )
+
+
+def _scan_class_task(task) -> SearchReport:
+    h, cfg = task
+    return search_all_labelings(h, cfg, workers=1)
 
 
 def all_labelings(n: int) -> list[Labeling]:
@@ -289,7 +297,7 @@ def search_all_labelings(
             )
             for sig in sigmas
         ]
-        chunk = max(1, len(sigmas) // (nworkers * 8))
+        chunk = max(1, len(sigmas) // (nworkers * 32))
         with ProcessPoolExecutor(max_workers=nworkers) as pool:
             results = pool.map(_run_labeling_task, tasks, chunksize=chunk)
 
@@ -302,7 +310,9 @@ def search_all_labelings(
                 return res
 
             walk = _drive(sigmas, run, cfg.node_budget, cfg.find_all)
-            pool.shutdown(wait=False, cancel_futures=True)
+            # drop the speculative chunks not yet started and wait for the
+            # running ones, so no worker outlives the call
+            pool.shutdown(cancel_futures=True)
     else:
 
         def run(i: int, remaining: Optional[int]):
@@ -327,7 +337,9 @@ def scan_order(
     prefix construction adds them to any representant), so only isolate-free
     classes are scanned. Each graph gets its own node budget (default 10^9
     nodes); budget exhaustion marks that graph and the scan continues.
-    Classes are ordered by edge count, then edge list.
+    Classes are ordered by edge count, then edge list. With workers > 1
+    whole classes are decided in parallel, in one process pool for the
+    scan; the reports are the serial ones.
     """
     budget = cfg.node_budget if cfg.node_budget is not None else DEFAULT_SCAN_NODE_BUDGET
     cfg = replace(cfg, node_budget=budget)
@@ -335,4 +347,9 @@ def scan_order(
         enumerate_graphs(n, isolate_free=True),
         key=lambda h: (len(h.edges), h.edge_list()),
     )
-    return [(h, search_all_labelings(h, cfg, workers=workers)) for h in graphs]
+    nworkers = _resolve_workers(workers)
+    if nworkers > 1 and len(graphs) > 1:
+        with ProcessPoolExecutor(max_workers=min(nworkers, len(graphs))) as pool:
+            reports = pool.map(_scan_class_task, [(h, cfg) for h in graphs], chunksize=1)
+            return list(zip(graphs, reports))
+    return [(h, search_all_labelings(h, cfg, workers=1)) for h in graphs]

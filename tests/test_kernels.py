@@ -1,6 +1,10 @@
 """DFS kernel: backend parity, oracle equivalence, pruning safety, budgets."""
 
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -190,3 +194,62 @@ def test_input_validation():
     big = LabeledGraph(kernels.MAX_N + 1, [])
     with pytest.raises(ValueError):
         run(kernels, big)
+
+
+@pytest.mark.parametrize("adj", [
+    [0, 0, 0],                      # one mask short
+    [0, 0, 0, 0, 0],                # one mask too many
+    [1 << 1, 0, 0, 0],              # mask 0 is not a vertex
+    [0, 1 << 4, 0, 0],              # bit outside 1..n
+    [0, -1, 0, 0],                  # negative: every bit set
+    [0, (1 << 1) | (1 << 2), 1 << 1, 0],  # self-loop on 1
+    [0, 1 << 2, 0, 0],              # 1-2 but not 2-1
+])
+def test_malformed_masks_are_rejected(adj):
+    with pytest.raises(ValueError):
+        kernels.run_search(3, adj, 1, 2, True, False, None)
+
+
+def test_word_longer_than_kernel_depth_is_rejected():
+    assert kernels.MAX_DEPTH == 64
+    with pytest.raises(ValueError):
+        kernels.run_search(13, [0] * 14, 5, 5, False, False, 10)
+    # 8 letters of 8 copies fill the depth exactly
+    witnesses, _, _, _ = kernels.run_search(8, [0] * 9, 8, 8, False, False, 1)
+    assert witnesses == []
+
+
+# Called with 15 letters of 5 copies, the compiled kernel used to write past
+# its 64-letter word and die with SIGSEGV; run it in a child process so a
+# regression fails this test instead of killing pytest. The child loads the
+# package with the compiled kernel's directory on its search path, so the
+# REP132_BACKEND choice made at import time can find it.
+OVERFLOW_CALL = """
+import importlib.util, sys
+package, kernel_dir = sys.argv[1:]
+spec = importlib.util.spec_from_file_location(
+    "rep132", package + "/__init__.py",
+    submodule_search_locations=[package, kernel_dir])
+rep132 = sys.modules["rep132"] = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(rep132)
+from rep132 import kernels
+try:
+    kernels.run_search(15, [0] * 16, 5, 5, False, False, 10**6)
+except ValueError as e:
+    print(kernels.backend_name(), "ValueError:", e)
+"""
+
+
+@pytest.mark.parametrize("backend", ["python", "c"])
+def test_overlong_word_raises_instead_of_crashing(backend, request):
+    package = Path(kernels.__file__).parent
+    kernel_dir = package
+    if backend == "c":
+        kernel_dir = Path(request.getfixturevalue("compiled_kernel").__file__).parent
+    done = subprocess.run(
+        [sys.executable, "-c", OVERFLOW_CALL, str(package), str(kernel_dir)],
+        env=dict(os.environ, REP132_BACKEND=backend),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, (done.returncode, done.stderr)
+    assert done.stdout.startswith(f"{backend} ValueError: n * max_copies"), done.stdout

@@ -1,11 +1,13 @@
 """Fixed- and all-labelings search, reduction safety, determinism, scans."""
 
 import itertools
+import multiprocessing
 
 import pytest
 
 from conftest import brute_representants
-from rep132.formats import dumps, report_to_json
+from rep132 import search
+from rep132.formats import catalog_to_json, dumps, report_to_json
 from rep132.graphs import (
     LabeledGraph,
     complete,
@@ -221,6 +223,11 @@ def test_parallel_reports_are_byte_identical(workers):
         assert serial == parallel
 
 
+def test_parallel_search_leaves_no_workers():
+    search_all_labelings(cycle(6), workers=2)
+    assert multiprocessing.active_children() == []
+
+
 def test_workers_env_sets_default(monkeypatch):
     monkeypatch.setenv("REP132_WORKERS", "2")
     a = dumps(report_to_json(search_all_labelings(cycle(5))))
@@ -252,6 +259,37 @@ def test_scan_applies_default_budget():
     entries = scan_order(3)
     for _, rep in entries:
         assert rep.config.node_budget == DEFAULT_SCAN_NODE_BUDGET
+
+
+@pytest.mark.parametrize("cfg", [
+    SearchConfig(),
+    SearchConfig(node_budget=1000),
+    SearchConfig(use_automorphism_reduction=True),
+])
+def test_parallel_scan_reports_are_byte_identical(cfg):
+    serial = scan_order(5, cfg, workers=1)
+    parallel = scan_order(5, cfg, workers=2)
+    if cfg.node_budget is not None:
+        assert any(rep.outcome == BUDGET_EXCEEDED for _, rep in serial)
+    assert dumps(catalog_to_json(5, parallel)) == dumps(catalog_to_json(5, serial))
+
+
+def test_parallel_scan_creates_one_pool(monkeypatch):
+    created = []
+
+    class CountingPool(search.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            created.append(kwargs.get("max_workers"))
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(search, "ProcessPoolExecutor", CountingPool)
+    assert len(scan_order(5, workers=2)) == 23
+    assert created == [2]
+    scan_order(5, workers=1)
+    assert created == [2]
+    monkeypatch.setenv("REP132_WORKERS", "3")
+    scan_order(4)
+    assert created == [2, 3]
 
 
 def test_scan_order_six_summary():
