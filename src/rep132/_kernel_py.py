@@ -1,8 +1,9 @@
 """Pure-Python DFS kernel for word searches.
 
-This is the reference implementation; rep132._kernel is a compiled twin
-with the same traversal order and statistics, byte for byte. Any change
-here must be mirrored there (tests enforce equivalence).
+This is the reference implementation; rep132._kernel (_kernel.c) is a
+compiled twin with the same traversal order and statistics, byte for byte.
+Any change here must be mirrored there (tests enforce equivalence), and so
+must check_arguments, whose checks the twin makes with the same messages.
 
 The search walks words over {1..n}, each letter used min_copies..max_copies
 times, children in ascending letter order. A node is a successfully
@@ -33,6 +34,35 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 MAX_N = 15
+MAX_DEPTH = 64  # longest word, n * max_copies: the compiled twin's prefix array
+
+
+def check_arguments(
+    n: int,
+    adj: Sequence[int],
+    min_copies: int,
+    max_copies: int,
+    node_budget: Optional[int],
+) -> None:
+    """Raise ValueError for arguments the search cannot run on.
+
+    These are the checks the compiled twin's fixed-size arrays rely on; it
+    makes them by itself, in this order and with these messages.
+    """
+    if not (1 <= n <= MAX_N):
+        raise ValueError(f"n must be in 1..{MAX_N}")
+    if not (1 <= min_copies <= max_copies):
+        raise ValueError("need 1 <= min_copies <= max_copies")
+    if n * max_copies > MAX_DEPTH:
+        raise ValueError(f"n * max_copies must be at most {MAX_DEPTH}")
+    if node_budget is not None and node_budget < 0:
+        raise ValueError("node_budget must not be negative")
+    if len(adj) != n + 1:
+        raise ValueError(f"need n + 1 = {n + 1} adjacency masks, got {len(adj)}")
+    full = (1 << (n + 1)) - 2  # bits 1..n
+    for v in range(1, n + 1):
+        if adj[v] & ~full:
+            raise ValueError(f"adjacency mask {v} has bits outside 1..{n}")
 
 
 def run_search(
@@ -51,12 +81,10 @@ def run_search(
 
     Witnesses appear in DFS order, which is lexicographic with prefixes
     first, so the head of the list is the lexicographically least witness.
-    With find_all false the search stops at the first witness.
+    With find_all false the search stops at the first witness. A
+    node_budget of None or 0 means unlimited.
     """
-    if not (1 <= n <= MAX_N):
-        raise ValueError(f"n must be in 1..{MAX_N}")
-    if not (1 <= min_copies <= max_copies):
-        raise ValueError("need 1 <= min_copies <= max_copies")
+    check_arguments(n, adj, min_copies, max_copies, node_budget)
     full = (1 << (n + 1)) - 2  # bits 1..n
     nonedge = [0] * (n + 1)
     for c in range(1, n + 1):

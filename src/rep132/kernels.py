@@ -8,9 +8,13 @@ imported successfully; set REP132_BACKEND=python or REP132_BACKEND=c to
 force a choice (forcing c raises if the extension is missing instead of
 falling back silently).
 
-run_search checks its arguments before either backend sees them, so both
-reject the same calls with the same ValueError; the compiled kernel keeps
-the word in a fixed array of MAX_DEPTH letters and trusts its masks.
+Argument checks are split by what relies on them. Each backend checks, by
+itself and with the same messages, what its own memory relies on: n in
+1..MAX_N, 1 <= min_copies <= max_copies, a word of at most MAX_DEPTH
+letters (n * max_copies), a node budget that is None or at least 0, and
+n + 1 masks with bits in 1..n (see _kernel_py.check_arguments). run_search
+here checks that contract in front of either backend and adds what makes
+the masks a graph: mask 0 empty, no self-loop, every edge in both masks.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from __future__ import annotations
 import os
 from typing import Optional, Sequence
 
-MAX_DEPTH = 64
+from ._kernel_py import MAX_DEPTH, check_arguments
 
 
 def load_backend(name: str):
@@ -49,20 +53,18 @@ _impl, BACKEND = _select()
 MAX_N = _impl.MAX_N
 
 
-def _check_arguments(n: int, adj: Sequence[int], max_copies: int) -> None:
-    if not (1 <= n <= MAX_N):
-        raise ValueError(f"n must be in 1..{MAX_N}")
-    if n * max_copies > MAX_DEPTH:
-        raise ValueError(f"n * max_copies must be at most {MAX_DEPTH}")
-    if len(adj) != n + 1:
-        raise ValueError(f"need n + 1 = {n + 1} adjacency masks, got {len(adj)}")
-    full = (1 << (n + 1)) - 2  # bits 1..n
+def _check_arguments(
+    n: int,
+    adj: Sequence[int],
+    min_copies: int,
+    max_copies: int,
+    node_budget: Optional[int],
+) -> None:
+    check_arguments(n, adj, min_copies, max_copies, node_budget)
     if adj[0] != 0:
         raise ValueError("adjacency mask 0 must be empty")
     for v in range(1, n + 1):
         mask = adj[v]
-        if mask & ~full:
-            raise ValueError(f"adjacency mask {v} has bits outside 1..{n}")
         if mask >> v & 1:
             raise ValueError(f"adjacency mask {v} has a self-loop")
         for u in range(v + 1, n + 1):
@@ -87,7 +89,7 @@ def run_search(
     Returns (witnesses, nodes, words_tested, budget_exceeded); see
     rep132._kernel_py.run_search for the search itself.
     """
-    _check_arguments(n, adj, max_copies)
+    _check_arguments(n, adj, min_copies, max_copies, node_budget)
     return _impl.run_search(
         n, adj, min_copies, max_copies, forbid_132, find_all, node_budget,
         prune_pattern, prune_edges, prune_exhausted,

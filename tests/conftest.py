@@ -82,6 +82,18 @@ def write_graph(tmp_path):
     return _write
 
 
+def c_compiler():
+    """The compiler command sysconfig names as CC, and Python's include dir.
+
+    Skips the calling test when the compiler or Python.h is missing.
+    """
+    cc = shlex.split(sysconfig.get_config_var("CC"))
+    include = Path(sysconfig.get_paths()["include"])
+    if shutil.which(cc[0]) is None or not (include / "Python.h").exists():
+        pytest.skip(f"building rep132._kernel needs a C compiler and {include / 'Python.h'}")
+    return cc, include
+
+
 @pytest.fixture(scope="session")
 def compiled_kernel(tmp_path_factory):
     """The compiled kernel module, built into a temporary directory if needed.
@@ -98,10 +110,7 @@ def compiled_kernel(tmp_path_factory):
         return kernels.load_backend("c")
     except ImportError:
         pass
-    compiler = shutil.which(shlex.split(sysconfig.get_config_var("CC"))[0])
-    header = Path(sysconfig.get_paths()["include"]) / "Python.h"
-    if compiler is None or not header.exists():
-        pytest.skip(f"building rep132._kernel needs a C compiler and {header}")
+    c_compiler()
     out = tmp_path_factory.mktemp("kernel-build")
     build = subprocess.run(
         [sys.executable, "setup.py", "build_ext",

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import brute_representants
+from conftest import brute_representants, c_compiler
 from rep132 import kernels
 from rep132.graphs import (
     LabeledGraph,
@@ -73,15 +73,44 @@ def test_load_backend_by_name():
 def test_backends_agree_exactly():
     py = kernels.load_backend("python")
     c = kernels.load_backend("c")
+
+    def agree(g, **kw):
+        a = run(py, g, **kw)
+        assert a == run(c, g, **kw), (g.edge_list(), kw)
+        return a
+
     for g in BATTERY:
         for maxc in (1, 2, 3):
             for find_all in (False, True):
-                for budget in (None, 400):
-                    a = run(py, g, max_copies=maxc, find_all=find_all,
-                            node_budget=budget)
-                    b = run(c, g, max_copies=maxc, find_all=find_all,
-                            node_budget=budget)
-                    assert a == b, (g.edge_list(), maxc, find_all, budget)
+                nodes = agree(g, max_copies=maxc, find_all=find_all)[1]
+                for budget in (1, 400, nodes):
+                    agree(g, max_copies=maxc, find_all=find_all,
+                          node_budget=budget)
+        # circle_witness's call: chord diagrams, no pattern
+        agree(g, min_copies=2, max_copies=2, forbid_132=False)
+        for off in ("prune_pattern", "prune_edges", "prune_exhausted"):
+            agree(g, **{off: False})
+
+    # called directly, each backend rejects what its memory relies on
+    invalid = [
+        (0, [0], 1, 2, None),
+        (16, [0] * 17, 1, 2, None),
+        (3, [0] * 4, 0, 2, None),
+        (3, [0] * 4, 3, 2, None),
+        (13, [0] * 14, 5, 5, None),     # n * max_copies = 65
+        (3, [0] * 4, 1, 2, -5),
+        (3, [0] * 3, 1, 2, None),
+        (3, [0, 1 << 4, 0, 0], 1, 2, None),
+        (3, [0, -1, 0, 0], 1, 2, None),
+    ]
+    for n, adj, min_copies, max_copies, budget in invalid:
+        messages = []
+        for backend in (py, c):
+            with pytest.raises(ValueError) as raised:
+                backend.run_search(n, adj, min_copies, max_copies, True, False,
+                                   budget)
+            messages.append(str(raised.value))
+        assert messages[0] == messages[1], messages
 
 
 # ------------------------------------------------------------------- oracle
@@ -210,6 +239,11 @@ def test_malformed_masks_are_rejected(adj):
         kernels.run_search(3, adj, 1, 2, True, False, None)
 
 
+def test_negative_budget_is_rejected():
+    with pytest.raises(ValueError, match="node_budget"):
+        kernels.run_search(3, complete(3).adjacency_masks(), 1, 2, True, False, -5)
+
+
 def test_word_longer_than_kernel_depth_is_rejected():
     assert kernels.MAX_DEPTH == 64
     with pytest.raises(ValueError):
@@ -223,7 +257,9 @@ def test_word_longer_than_kernel_depth_is_rejected():
 # its 64-letter word and die with SIGSEGV; run it in a child process so a
 # regression fails this test instead of killing pytest. The child loads the
 # package with the compiled kernel's directory on its search path, so the
-# REP132_BACKEND choice made at import time can find it.
+# REP132_BACKEND choice made at import time can find it. It makes the call
+# through kernels.run_search and then on the backend module itself, which
+# must guard its own memory.
 OVERFLOW_CALL = """
 import importlib.util, sys
 package, kernel_dir = sys.argv[1:]
@@ -233,10 +269,11 @@ spec = importlib.util.spec_from_file_location(
 rep132 = sys.modules["rep132"] = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(rep132)
 from rep132 import kernels
-try:
-    kernels.run_search(15, [0] * 16, 5, 5, False, False, 10**6)
-except ValueError as e:
-    print(kernels.backend_name(), "ValueError:", e)
+for run_search in (kernels.run_search, kernels.load_backend(kernels.backend_name()).run_search):
+    try:
+        run_search(15, [0] * 16, 5, 5, False, False, 10**6)
+    except ValueError as e:
+        print(kernels.backend_name(), "ValueError:", e)
 """
 
 
@@ -252,4 +289,20 @@ def test_overlong_word_raises_instead_of_crashing(backend, request):
         capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, (done.returncode, done.stderr)
-    assert done.stdout.startswith(f"{backend} ValueError: n * max_copies"), done.stdout
+    lines = done.stdout.splitlines()
+    assert len(lines) == 2, done.stdout
+    for line in lines:
+        assert line.startswith(f"{backend} ValueError: n * max_copies"), done.stdout
+
+
+def test_kernel_source_compiles_without_warnings(tmp_path):
+    # The user build adds no warning flags; this keeps the hand-written
+    # kernel clean under the strict ones.
+    cc, include = c_compiler()
+    source = Path(__file__).resolve().parent.parent / "src" / "rep132" / "_kernel.c"
+    done = subprocess.run(
+        [*cc, "-Wall", "-Wextra", "-Werror", "-O3", f"-I{include}",
+         "-c", str(source), "-o", str(tmp_path / "_kernel.o")],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
