@@ -1,9 +1,11 @@
 /* Compiled DFS kernel: exact twin of rep132._kernel_py (see its docstring).
 
-   rec() follows the Python reference's rec() statement by statement: the
-   same child order, prunes, node and word counts, budget rule and witness
-   order. Tests compare the two backends call by call, so any change here
-   must be mirrored there.
+   rec() has the same traversal and results as the Python reference's
+   rec(), checked call by call: the same child order, prunes, node and word
+   counts, budget rule and witness order. The Python kernel packs
+   seen_since and nonalt into two ints; here they stay arrays copied per
+   node, since a memcpy of 16 words costs next to nothing in C. Any change
+   to the traversal must be mirrored there.
 
    The module can be imported and called directly, so run_search checks by
    itself every argument that its fixed-size arrays rely on, in the order of

@@ -2,8 +2,9 @@
 
 This is the reference implementation; rep132._kernel (_kernel.c) is a
 compiled twin with the same traversal order and statistics, byte for byte.
-Any change here must be mirrored there (tests enforce equivalence), and so
-must check_arguments, whose checks the twin makes with the same messages.
+Any change to the traversal here must be mirrored there (tests compare the
+two call by call), and so must check_arguments, whose checks the twin makes
+with the same messages.
 
 The search walks words over {1..n}, each letter used min_copies..max_copies
 times, children in ascending letter order. A node is a successfully
@@ -15,12 +16,30 @@ appended letter. State per prefix:
                  in the 2-letter projection (the pair can never alternate)
   forbidden      mask of letters that would complete a 132 if appended
                  (union of open intervals (prefix-min-before-b, b))
-  cur_min        minimum letter so far (0 for the empty prefix)
+  cur_min        minimum letter so far (n + 1 for the empty prefix)
+  exhausted      mask of letters whose max_copies are all used
 
 Appending c puts a repeat on exactly the pairs {c,y} whose last projection
 letter was c, i.e. every y (occurred or not) outside seen_since[c] — when c
 has occurred at all. A finished word represents the graph iff nonalt[c]
 equals the non-neighbor mask of c for every c.
+
+Packed state. seen_since and nonalt are each one int, with a 16-bit lane
+per letter: lane c (bits 16c..16c+15) holds the mask for letter c, and
+MAX_N < 16 keeps every mask inside its lane. Each node passes the two ints
+down to its children as arguments, so nothing is copied or restored on the
+way back. Appending c costs two expressions over per-letter constants:
+
+  seen_since   ss = (ss & clear[c]) | repeat[c]
+               (empty lane c, bit c into every other letter's lane)
+  nonalt       na |= (bad << 16c) | (lanes[bad] << c)
+               (bad into lane c, bit c into the lane of each letter of bad)
+
+where bad is the set of letters outside seen_since[c] and lanes[mask] has
+bit 16y set for every bit y of mask. A word containing a 132, when 132s are
+forbidden but not pruned, sets bit 0 of na, in lane 0, which no letter
+uses. So the leaf test is one comparison, na == target, with target the
+packed non-neighbor masks and lane 0 empty.
 
 Optional prunes (each sound: disabling changes statistics, never verdicts):
   prune_pattern   skip c when it would complete a 132 (only if forbid_132)
@@ -31,10 +50,12 @@ Optional prunes (each sound: disabling changes statistics, never verdicts):
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Optional, Sequence
 
 MAX_N = 15
 MAX_DEPTH = 64  # longest word, n * max_copies: the compiled twin's prefix array
+LANE = 16  # bits per letter in the packed seen_since and nonalt; MAX_N < LANE
 
 
 def check_arguments(
@@ -65,6 +86,41 @@ def check_arguments(
             raise ValueError(f"adjacency mask {v} has bits outside 1..{n}")
 
 
+@lru_cache(maxsize=None)
+def _tables(n: int):
+    """Constants of the search over {1..n} that do not depend on the graph.
+
+    Lists are indexed by letter, by a minimum letter (between) or by a mask
+    over bits 0..n (lanes, letters); at n = 15 the mask tables have 65,536
+    entries each.
+    """
+    full = (1 << (n + 1)) - 2  # bits 1..n
+    bit = [1 << c for c in range(n + 1)]
+    shift = [LANE * c for c in range(n + 1)]
+    not_bit = [full & ~b for b in bit]
+    clear = [~(((1 << LANE) - 1) << s) for s in shift]
+    repeat = [0] * (n + 1)
+    for c in range(1, n + 1):
+        for y in range(1, n + 1):
+            if y != c:
+                repeat[c] |= bit[c] << shift[y]
+    # between[m][c]: the letters strictly between m and c, which become
+    # forbidden once c follows a prefix whose minimum is m < c
+    between = [
+        [((1 << c) - 1) & ~((1 << (m + 1)) - 1) if m < c else 0 for c in range(n + 1)]
+        for m in range(n + 2)
+    ]
+    lanes = [0] * (1 << (n + 1))
+    letters = [()] * (1 << (n + 1))  # letters[mask]: a mask's letters, ascending
+    for mask in range(1, 1 << (n + 1)):
+        low = mask & -mask
+        rest = mask ^ low
+        lanes[mask] = lanes[rest] | 1 << (shift[low.bit_length() - 1])
+        if not mask & 1:
+            letters[mask] = (low.bit_length() - 1,) + letters[rest]
+    return full, bit, shift, not_bit, clear, repeat, between, lanes, letters
+
+
 def run_search(
     n: int,
     adj: Sequence[int],
@@ -85,93 +141,92 @@ def run_search(
     node_budget of None or 0 means unlimited.
     """
     check_arguments(n, adj, min_copies, max_copies, node_budget)
-    full = (1 << (n + 1)) - 2  # bits 1..n
-    nonedge = [0] * (n + 1)
+    return run_search_unchecked(
+        n, adj, min_copies, max_copies, forbid_132, find_all, node_budget,
+        prune_pattern, prune_edges, prune_exhausted,
+    )
+
+
+def run_search_unchecked(
+    n: int,
+    adj: Sequence[int],
+    min_copies: int,
+    max_copies: int,
+    forbid_132: bool,
+    find_all: bool,
+    node_budget: Optional[int] = None,
+    prune_pattern: bool = True,
+    prune_edges: bool = True,
+    prune_exhausted: bool = True,
+) -> tuple[list[tuple[int, ...]], int, int, bool]:
+    """run_search for arguments that already passed check_arguments.
+
+    rep132.kernels.run_search makes those checks before it calls this.
+    """
+    full, bit, shift, not_bit, clear, repeat, between, lanes, letters = _tables(n)
+    nonedge = [full & ~adj[c] & ~bit[c] for c in range(n + 1)]
+    target = 0
     for c in range(1, n + 1):
-        nonedge[c] = full & ~adj[c] & ~(1 << c)
-    budget = node_budget if node_budget is not None else 0
+        target |= nonedge[c] << shift[c]
+    # A prune that is off becomes a test that never holds.
+    edges = list(adj) if prune_edges else [0] * (n + 1)
+    last_copy = max_copies - 1  # counts[c] before c's last copy
+    exhaust_check = last_copy if prune_exhausted else -1
+    skip_132 = -1 if prune_pattern and forbid_132 else 0
+    poison_132 = 1 if forbid_132 else 0
+    limit = node_budget or -1  # nodes never reaches -1
 
     counts = [0] * (n + 1)
-    seen_since = [0] * (n + 1)
-    nonalt = [0] * (n + 1)
     prefix: list[int] = []
     witnesses: list[tuple[int, ...]] = []
     nodes = 0
     tested = 0
     exceeded = False
 
-    def rec(forbidden: int, cur_min: int, has132: bool, exhausted: int, deficient: int) -> bool:
+    def rec(forbidden: int, cur_min: int, exhausted: int, deficient: int,
+            ss: int, na: int) -> bool:
         nonlocal nodes, tested, exceeded
-        for c in range(1, n + 1):
-            if counts[c] == max_copies:
+        between_min = between[cur_min]
+        for c in letters[full & ~(exhausted | forbidden & skip_132)]:
+            bitc = bit[c]
+            ch_na = na
+            if forbidden & bitc:
+                ch_na |= poison_132
+            k = counts[c]
+            sh = shift[c]
+            bad = not_bit[c] & ~(ss >> sh) if k else 0
+            if bad & edges[c]:
                 continue
-            bitc = 1 << c
-            creates132 = bool(forbidden & bitc)
-            if prune_pattern and forbid_132 and creates132:
+            if k == exhaust_check and exhausted & nonedge[c] & ~((na >> sh) | bad):
                 continue
-            bad = full & ~bitc & ~seen_since[c] if counts[c] else 0
-            if prune_edges and bad & adj[c]:
-                continue
-            if (
-                prune_exhausted
-                and counts[c] + 1 == max_copies
-                and exhausted & nonedge[c] & ~(nonalt[c] | bad)
-            ):
-                continue
-            if budget and nodes >= budget:
+            if nodes == limit:
                 exceeded = True
                 return True
             nodes += 1
-
-            counts[c] += 1
-            prefix.append(c)
-            old_ss = seen_since.copy()
-            seen_since[c] = 0
-            for y in range(1, n + 1):
-                if y != c:
-                    seen_since[y] |= bitc
-            old_na = None
             if bad:
-                old_na = nonalt.copy()
-                nonalt[c] |= bad
-                t = bad
-                while t:
-                    low = t & -t
-                    t ^= low
-                    nonalt[low.bit_length() - 1] |= bitc
+                ch_na |= (bad << sh) | (lanes[bad] << c)
 
-            ch_has132 = has132 or creates132
-            ch_forb = forbidden
-            if 0 < cur_min < c:
-                ch_forb |= ((1 << c) - 1) & ~((1 << (cur_min + 1)) - 1)
-            ch_min = c if (cur_min == 0 or c < cur_min) else cur_min
-            ch_exh = exhausted | (bitc if counts[c] == max_copies else 0)
-            ch_def = deficient - 1 if counts[c] == min_copies else deficient
-
-            stop = False
+            counts[c] = k + 1
+            prefix.append(c)
+            ch_def = deficient - 1 if k + 1 == min_copies else deficient
             if ch_def == 0:
                 tested += 1
-                ok = not (forbid_132 and ch_has132)
-                if ok:
-                    for x in range(1, n + 1):
-                        if nonalt[x] != nonedge[x]:
-                            ok = False
-                            break
-                if ok:
+                if ch_na == target:
                     witnesses.append(tuple(prefix))
                     if not find_all:
-                        stop = True
-            if not stop:
-                stop = rec(ch_forb, ch_min, ch_has132, ch_exh, ch_def)
-
-            counts[c] -= 1
-            prefix.pop()
-            seen_since[:] = old_ss
-            if old_na is not None:
-                nonalt[:] = old_na
-            if stop:
+                        return True
+            if rec(
+                forbidden | between_min[c],
+                c if c < cur_min else cur_min,
+                exhausted | bitc if k == last_copy else exhausted,
+                ch_def,
+                (ss & clear[c]) | repeat[c],
+                ch_na,
+            ):
                 return True
+            counts[c] = k
+            prefix.pop()
         return False
 
-    rec(0, 0, False, 0, n)
+    rec(0, n + 1, 0, n, 0, 0)
     return witnesses, nodes, tested, exceeded

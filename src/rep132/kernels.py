@@ -15,6 +15,9 @@ letters (n * max_copies), a node budget that is None or at least 0, and
 n + 1 masks with bits in 1..n (see _kernel_py.check_arguments). run_search
 here checks that contract in front of either backend and adds what makes
 the masks a graph: mask 0 empty, no self-loop, every edge in both masks.
+It then enters the pure-Python kernel past its own checks, so each check
+runs once per call; the compiled kernel's checks cost nothing next to a
+search and stay in place.
 """
 
 from __future__ import annotations
@@ -49,6 +52,7 @@ def _select():
 
 
 _impl, BACKEND = _select()
+_search = _impl.run_search_unchecked if BACKEND == "python" else _impl.run_search
 
 MAX_N = _impl.MAX_N
 
@@ -90,7 +94,7 @@ def run_search(
     rep132._kernel_py.run_search for the search itself.
     """
     _check_arguments(n, adj, min_copies, max_copies, node_budget)
-    return _impl.run_search(
+    return _search(
         n, adj, min_copies, max_copies, forbid_132, find_all, node_budget,
         prune_pattern, prune_edges, prune_exhausted,
     )

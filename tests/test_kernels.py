@@ -37,6 +37,14 @@ BATTERY = [
     wheel(5),
 ]
 
+# 15 letters, the most a kernel takes (MAX_N)
+TOP_LANE = [
+    LabeledGraph(15, []),
+    LabeledGraph(15, [(14, 15)]),
+    complete(15),
+    wheel(14),
+]
+
 
 def run(backend, g, **kw):
     args = dict(min_copies=1, max_copies=2, forbid_132=True,
@@ -91,6 +99,17 @@ def test_backends_agree_exactly():
         for off in ("prune_pattern", "prune_edges", "prune_exhausted"):
             agree(g, **{off: False})
 
+    # letter 15 is the top bit of the Python kernel's 16-bit lanes
+    for g in TOP_LANE:
+        for maxc in (1, 2, 4):
+            for find_all in (False, True):
+                agree(g, max_copies=maxc, find_all=find_all,
+                      node_budget=5000 if maxc == 4 else 20000)
+        # without the 132 prune, letter 15 repeats within the budget
+        agree(g, min_copies=2, max_copies=2, forbid_132=False,
+              node_budget=20000)
+        agree(g, prune_pattern=False, node_budget=20000)
+
     # called directly, each backend rejects what its memory relies on
     invalid = [
         (0, [0], 1, 2, None),
@@ -111,6 +130,64 @@ def test_backends_agree_exactly():
                                    budget)
             messages.append(str(raised.value))
         assert messages[0] == messages[1], messages
+
+
+def test_python_kernel_at_the_top_lane():
+    # Pinned from the array kernel that the packed one replaced, so this
+    # holds without a compiler: 15 letters of 4 copies (lanes 1..15).
+    py = kernels.load_backend("python")
+    witnesses, nodes, tested, exceeded = run(
+        py, LabeledGraph(15, [(14, 15)]), max_copies=4, find_all=True,
+        node_budget=5000)
+    assert (len(witnesses), nodes, tested, exceeded) == (162, 5000, 512, True)
+    four_each = [c for c in range(1, 9) for _ in range(4)]
+    assert witnesses[0] == tuple(four_each + [9, 9, 9, 9, 10, 10, 10, 10,
+                                              11, 11, 11, 11, 12, 12, 12, 12,
+                                              13, 13, 13, 13, 14, 15])
+    assert witnesses[-1] == tuple(four_each + [9, 9, 9, 10, 10, 11, 11,
+                                               12, 12, 13, 13, 14, 15])
+    # chord diagrams, where 15 also comes back after other letters
+    witnesses, nodes, tested, exceeded = run(
+        py, LabeledGraph(15, [(14, 15)]), min_copies=2, max_copies=2,
+        forbid_132=False, node_budget=20000)
+    assert (len(witnesses), nodes, tested, exceeded) == (1205, 20000, 1205, True)
+    two_each = [c for c in range(1, 11) for _ in range(2)]
+    assert witnesses[0] == tuple(two_each + [11, 11, 12, 12, 13, 13,
+                                             14, 15, 14, 15])
+    assert witnesses[-1] == tuple(two_each + [15, 12, 12, 13, 13, 11, 11,
+                                              14, 15, 14])
+
+
+# Counts check_arguments calls, in a child process whose kernels module
+# selected the pure-Python backend: kernels.run_search checks once and then
+# enters the kernel past its own checks; a direct call still checks.
+COUNT_CHECKS = """
+from rep132 import _kernel_py, kernels
+from rep132.graphs import complete
+calls = []
+check_arguments = _kernel_py.check_arguments
+def counting(*args):
+    calls.append(args)
+    check_arguments(*args)
+kernels.check_arguments = _kernel_py.check_arguments = counting
+g = complete(4)
+for find_all in (False, True):
+    kernels.run_search(g.n, g.adjacency_masks(), 1, 2, True, find_all, None)
+print(kernels.backend_name(), len(calls))
+_kernel_py.run_search(g.n, g.adjacency_masks(), 1, 2, True, False, None)
+print(len(calls))
+"""
+
+
+def test_python_backend_checks_arguments_once_per_call():
+    done = subprocess.run(
+        [sys.executable, "-c", COUNT_CHECKS],
+        env=dict(os.environ, REP132_BACKEND="python",
+                 PYTHONPATH=str(Path(kernels.__file__).parent.parent)),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["python", "2", "3"]
 
 
 # ------------------------------------------------------------------- oracle
