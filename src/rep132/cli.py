@@ -286,7 +286,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=int, default=None)
     p.add_argument("--node-budget", type=int, default=None)
     p.add_argument("--reduce", action="store_true",
-                   help="search one labeling per automorphism coset")
+                   help="walk one labeling per automorphism coset; this only "
+                        "lowers labelings_tried, since kernel work is already "
+                        "shared across automorphic labelings")
     p.set_defaults(func=_cmd_scan)
 
     p = sub.add_parser("circle-witness", help="2-uniform representant / chord diagram")

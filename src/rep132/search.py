@@ -15,12 +15,17 @@ so the two operations answer genuinely different questions.
 
 Determinism: labelings run in lexicographic order; within a labeling the
 kernel visits words in lexicographic order; the node budget is a per-graph
-total consumed in labeling order. A parallel scan_order decides whole
-classes in one process pool and keeps them in scan order; since each class
-has its own budget, every report is the serial one. A parallel
-search_all_labelings speculates on the labelings of one graph and assembles
-its report by replaying the serial order. Either way serial and parallel
-outputs are identical (wall time excluded).
+total consumed in labeling order. Labelings that differ by an automorphism
+give the same labeled graph, and the kernel is deterministic in that graph,
+so search_all_labelings runs the kernel once per distinct labeled graph and
+replays the stored result for each repeat. Stats still count the serial
+walk: a repeated graph's nodes and words count again, and every labeling
+walked counts as tried. A parallel scan_order decides whole classes in one
+process pool and keeps them in scan order; since each class has its own
+budget, every report is the serial one. A parallel search_all_labelings
+speculates on the distinct labeled graphs of one graph and assembles its
+report by replaying the serial order. Either way serial and parallel outputs
+are identical (wall time excluded).
 """
 
 from __future__ import annotations
@@ -73,6 +78,13 @@ class SearchConfig:
 
 @dataclass(frozen=True)
 class SearchStats:
+    """Counts of the serial labeling walk.
+
+    nodes and words_tested add up the kernel's counts for every labeling
+    walked, a labeling whose labeled graph repeats an earlier one included,
+    although the kernel ran once for that graph.
+    """
+
     nodes: int
     words_tested: int
     labelings_tried: int
@@ -129,12 +141,9 @@ def _kernel_run(g: LabeledGraph, cfg: SearchConfig, budget: Optional[int]):
     )
 
 
-def _run_labeling_task(task):
-    (n, edges, sigma, max_copies, find_all, budget, pp, pe, px) = task
-    g = relabel(LabeledGraph(n, edges), sigma)
-    return kernels.run_search(
-        g.n, g.adjacency_masks(), 1, max_copies, True, find_all, budget, pp, pe, px
-    )
+def _kernel_task(task):
+    h, cfg = task
+    return _kernel_run(h, cfg, cfg.node_budget)
 
 
 def _scan_class_task(task) -> SearchReport:
@@ -271,9 +280,10 @@ def search_all_labelings(
 
     Labelings run in lexicographic order (optionally one per automorphism
     coset); stops at the first witness unless find_all. The node budget is
-    a per-graph total. With workers > 1 labelings are searched in parallel
-    speculatively; the report replays the serial order, so it is identical
-    to a serial run's.
+    a per-graph total. The kernel runs once per distinct relabeled graph.
+    With workers > 1 those graphs are searched in parallel speculatively;
+    the report replays the serial order, so it is identical to a serial
+    run's.
     """
     cfg = replace(cfg, fixed_labeling=False)
     t0 = time.perf_counter()
@@ -281,46 +291,45 @@ def search_all_labelings(
         reduced_labelings(g) if cfg.use_automorphism_reduction else all_labelings(g.n)
     )
     nworkers = _resolve_workers(workers)
+    memo: dict = {}  # relabeled edge set -> kernel result
+
+    def walk(graph_at: Callable[[int], LabeledGraph], speculative=None):
+        def run(i: int, remaining: Optional[int]):
+            h = graph_at(i)
+            res = memo.get(h.edges)
+            if res is None and speculative is not None:
+                res = next(speculative)
+            # A stored or speculative result came from a budget of at least
+            # 'remaining', which only shrinks along the walk. If that budget
+            # did not cut it, it is the unbudgeted result and stands while
+            # its nodes fit; a cut one has nodes == its budget, so it fits
+            # only at that same budget. When it does not fit, the serial
+            # walk cuts this labeling short: rerun it for exact stats.
+            if res is None or (remaining is not None and res[1] > remaining):
+                res = _kernel_run(h, cfg, remaining)
+            memo[h.edges] = res
+            return res
+
+        return _drive(sigmas, run, cfg.node_budget, cfg.find_all)
 
     if nworkers > 1 and len(sigmas) > 1:
-        tasks = [
-            (
-                g.n,
-                tuple(g.edge_list()),
-                sig,
-                cfg.max_copies,
-                cfg.find_all,
-                cfg.node_budget,
-                cfg.prune_pattern,
-                cfg.prune_edges,
-                cfg.prune_exhausted,
-            )
-            for sig in sigmas
-        ]
-        chunk = max(1, len(sigmas) // (nworkers * 32))
+        relabeled = [relabel(g, sig) for sig in sigmas]
+        # one task per distinct graph, in walk order of first occurrence,
+        # so the walk meets each graph's result when it first needs it
+        distinct = list({h.edges: h for h in relabeled}.values())
+        chunk = max(1, len(distinct) // (nworkers * 32))
         with ProcessPoolExecutor(max_workers=nworkers) as pool:
-            results = pool.map(_run_labeling_task, tasks, chunksize=chunk)
-
-            def run(i: int, remaining: Optional[int]):
-                res = next(results)
-                if remaining is not None and res[1] > remaining:
-                    # the serial walk would have cut this labeling short;
-                    # rerun it with the remaining budget for exact stats
-                    res = _kernel_run(relabel(g, sigmas[i]), cfg, remaining)
-                return res
-
-            walk = _drive(sigmas, run, cfg.node_budget, cfg.find_all)
+            results = pool.map(
+                _kernel_task, [(h, cfg) for h in distinct], chunksize=chunk
+            )
+            result = walk(relabeled.__getitem__, results)
             # drop the speculative chunks not yet started and wait for the
             # running ones, so no worker outlives the call
             pool.shutdown(cancel_futures=True)
     else:
+        result = walk(lambda i: relabel(g, sigmas[i]))
 
-        def run(i: int, remaining: Optional[int]):
-            return _kernel_run(relabel(g, sigmas[i]), cfg, remaining)
-
-        walk = _drive(sigmas, run, cfg.node_budget, cfg.find_all)
-
-    winner, entries, nodes, tested, tried, exhausted = walk
+    winner, entries, nodes, tested, tried, exhausted = result
     return _assemble(
         g, cfg, winner, entries, nodes, tested, tried, exhausted, time.perf_counter() - t0
     )

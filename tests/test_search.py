@@ -2,14 +2,16 @@
 
 import itertools
 import multiprocessing
+from dataclasses import replace
 
 import pytest
 
 from conftest import brute_representants
-from rep132 import search
+from rep132 import kernels, search
 from rep132.formats import catalog_to_json, dumps, report_to_json
 from rep132.graphs import (
     LabeledGraph,
+    automorphisms,
     complete,
     cycle,
     enumerate_graphs,
@@ -204,6 +206,95 @@ def test_budget_never_blocks_a_found_witness():
     assert rep.outcome in (REPRESENTABLE, BUDGET_EXCEEDED)
     if rep.outcome == REPRESENTABLE:
         assert is_132_representant(rep.witness, relabel(cycle(5), rep.labeling))
+
+
+# --------------------------------------------- kernel results shared by labelings
+
+
+def reference_report(g, cfg):
+    """search_all_labelings without sharing: one kernel call per labeling."""
+    cfg = replace(cfg, fixed_labeling=False)
+    sigmas = all_labelings(g.n)
+
+    def run(i, remaining):
+        return search._kernel_run(relabel(g, sigmas[i]), cfg, remaining)
+
+    walk = search._drive(sigmas, run, cfg.node_budget, cfg.find_all)
+    return search._assemble(g, cfg, *walk, 0.0)
+
+
+def repeat_budgets(g, cfg):
+    """Budgets that run out on a labeling whose labeled graph came earlier.
+
+    For the first such labeling that needs more than one node: one node
+    short of the walk's total up to it (its stored result would overshoot
+    the remaining budget), exactly that total, and one node over.
+    """
+    seen = set()
+    spent = 0
+    for sig in all_labelings(g.n):
+        h = relabel(g, sig)
+        nodes = search._kernel_run(h, cfg, None)[1]
+        if h.edges in seen and nodes > 1:
+            total = spent + nodes
+            return [total - 1, total, total + 1]
+        seen.add(h.edges)
+        spent += nodes
+    raise AssertionError("no repeated labeled graph")
+
+
+def test_kernel_runs_once_per_distinct_labeled_graph(monkeypatch):
+    calls = []
+    run_search = kernels.run_search
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return run_search(*args, **kwargs)
+
+    monkeypatch.setattr(kernels, "run_search", counting)
+    rep = search_all_labelings(wheel(5), workers=1)
+    assert len(calls) == 720 // len(automorphisms(wheel(5))) == 72
+    assert rep.stats.nodes == 691310
+    assert rep.stats.labelings_tried == 720
+
+
+def test_parallel_search_submits_one_task_per_distinct_graph(monkeypatch):
+    submitted = []
+
+    class CountingPool(search.ProcessPoolExecutor):
+        def map(self, fn, tasks, **kwargs):
+            tasks = list(tasks)
+            submitted.append(len(tasks))
+            return super().map(fn, tasks, **kwargs)
+
+    monkeypatch.setattr(search, "ProcessPoolExecutor", CountingPool)
+    search_all_labelings(wheel(5), workers=2)
+    assert submitted == [72]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("g", [wheel(5), prism(3)], ids=["wheel5", "prism3"])
+def test_shared_results_match_a_walk_without_sharing(g, workers):
+    cfgs = [SearchConfig(), SearchConfig(node_budget=1000), SearchConfig(node_budget=250000)]
+    cfgs += [SearchConfig(node_budget=b) for b in repeat_budgets(g, SearchConfig())]
+    for cfg in cfgs:
+        expected = dumps(report_to_json(reference_report(g, cfg)))
+        got = dumps(report_to_json(search_all_labelings(g, cfg, workers=workers)))
+        assert got == expected, cfg
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_shared_results_match_with_find_all(workers):
+    g = cycle(5)
+    base = SearchConfig(find_all=True)
+    cfgs = [base] + [replace(base, node_budget=b) for b in repeat_budgets(g, base)]
+    for cfg in cfgs:
+        ref = reference_report(g, cfg)
+        if cfg.node_budget is None:
+            assert len(ref.all_witnesses) > ref.stats.labelings_tried
+        expected = dumps(report_to_json(ref))
+        got = dumps(report_to_json(search_all_labelings(g, cfg, workers=workers)))
+        assert got == expected, cfg
 
 
 # ------------------------------------------------------------ determinism
