@@ -46,6 +46,11 @@ Optional prunes (each sound: disabling changes statistics, never verdicts):
   prune_edges     skip c when it puts a repeat on an edge pair
   prune_exhausted skip c when, c's copies now spent, some non-edge pair
                   {c,y} with y also spent still alternates — unfixable
+
+run_batch answers run_search for several graphs on the same letters in one
+DFS over the union of their search trees (run_batch_unchecked). The
+compiled twin has no run_batch; rep132.kernels.run_batch loops over its
+run_search instead.
 """
 
 from __future__ import annotations
@@ -230,3 +235,231 @@ def run_search_unchecked(
 
     rec(0, n + 1, 0, n, 0, 0)
     return witnesses, nodes, tested, exceeded
+
+
+def run_batch(
+    n: int,
+    masks_list: Sequence[Sequence[int]],
+    min_copies: int,
+    max_copies: int,
+    forbid_132: bool,
+    find_all: bool,
+    node_budgets: Sequence[Optional[int]],
+    prune_pattern: bool = True,
+    prune_edges: bool = True,
+    prune_exhausted: bool = True,
+) -> list[tuple[list[tuple[int, ...]], int, int, bool]]:
+    """run_search over several graphs on {1..n}, entry for entry.
+
+    The result is [run_search(n, adj, ..., budget) for adj, budget in
+    zip(masks_list, node_budgets)], with the same checks on every entry;
+    see run_batch_unchecked for how one DFS serves them all.
+    """
+    masks_list, node_budgets = batch_lists(masks_list, node_budgets)
+    for adj, budget in zip(masks_list, node_budgets):
+        check_arguments(n, adj, min_copies, max_copies, budget)
+    return run_batch_unchecked(
+        n, masks_list, min_copies, max_copies, forbid_132, find_all, node_budgets,
+        prune_pattern, prune_edges, prune_exhausted,
+    )
+
+
+def batch_lists(masks_list, node_budgets):
+    """The two sequences of a run_batch call as lists of equal length."""
+    masks_list, node_budgets = list(masks_list), list(node_budgets)
+    if len(masks_list) != len(node_budgets):
+        raise ValueError(
+            f"need one node budget per graph: {len(masks_list)} graphs, "
+            f"{len(node_budgets)} budgets"
+        )
+    return masks_list, node_budgets
+
+
+def run_batch_unchecked(
+    n: int,
+    masks_list: Sequence[Sequence[int]],
+    min_copies: int,
+    max_copies: int,
+    forbid_132: bool,
+    find_all: bool,
+    node_budgets: Sequence[Optional[int]],
+    prune_pattern: bool = True,
+    prune_edges: bool = True,
+    prune_exhausted: bool = True,
+) -> list[tuple[list[tuple[int, ...]], int, int, bool]]:
+    """run_batch for entries that already passed check_arguments.
+
+    A prefix's state does not depend on the graph; only the edges prune,
+    the exhausted prune and the leaf test do. So one DFS walks the union of
+    the graphs' search trees, in the same child order, and each node
+    carries the set of graphs whose own search visits it, as an int with
+    bit i for entry i. A child's set is its parent's, less the graphs the
+    two prunes cut there (per-letter tables of graphs by edge and by
+    non-edge), less those that found their witness when find_all is false;
+    a child whose set is empty is no node. The leaf test looks up the
+    packed nonalt in a dict from packed target to the graphs that have it.
+    Each graph's nodes and words tested are the number of union nodes and
+    leaves whose set holds it, so each graph sees exactly its own search.
+
+    Budgets: a graph's search stays under its budget while the union's
+    node count does. When the union would pass the smallest budget, the
+    batch is searched again one graph at a time, each with its own budget.
+    """
+    common = (min_copies, max_copies, forbid_132, find_all)
+    prunes = (prune_pattern, prune_edges, prune_exhausted)
+    if len(masks_list) > 1:
+        limit = min((b for b in node_budgets if b), default=-1)
+        out = _union_search(n, masks_list, *common, limit, *prunes)
+        if out is not None:
+            return out
+    return [
+        run_search_unchecked(n, adj, *common, budget, *prunes)
+        for adj, budget in zip(masks_list, node_budgets)
+    ]
+
+
+def _union_search(
+    n, masks_list, min_copies, max_copies, forbid_132, find_all, limit,
+    prune_pattern, prune_edges, prune_exhausted,
+):
+    """The batch's results from one DFS, or None if the union would pass limit."""
+    full, bit, shift, not_bit, clear, repeat, between, lanes, letters = _tables(n)
+    count = len(masks_list)
+    # with_edge[c][y] / without_edge[c][y]: the graphs that have / lack {c, y}
+    with_edge = [[0] * (n + 1) for _ in range(n + 1)]
+    without_edge = [[0] * (n + 1) for _ in range(n + 1)]
+    any_edge = [0] * (n + 1)
+    any_nonedge = [0] * (n + 1)
+    targets: dict[int, int] = {}
+    for i, adj in enumerate(masks_list):
+        me = 1 << i
+        target = 0
+        for c in range(1, n + 1):
+            nonedge = full & ~adj[c] & ~bit[c]
+            target |= nonedge << shift[c]
+            for y in letters[adj[c]]:
+                with_edge[c][y] |= me
+            for y in letters[nonedge]:
+                without_edge[c][y] |= me
+            any_edge[c] |= adj[c]
+            any_nonedge[c] |= nonedge
+        targets[target] = targets.get(target, 0) | me
+    # A prune that is off cuts no graph.
+    if not prune_edges:
+        any_edge = [0] * (n + 1)
+    if not prune_exhausted:
+        any_nonedge = [0] * (n + 1)
+    # cut_by_edge[c][mask]: the graphs with an edge from c into mask
+    cut_by_edge = [{} for _ in range(n + 1)]
+    cut_by_nonedge = [{} for _ in range(n + 1)]
+
+    def graphs_cut(cache, by_letter, mask):
+        out = 0
+        for y in letters[mask]:
+            out |= by_letter[y]
+        cache[mask] = out
+        return out
+
+    last_copy = max_copies - 1
+    exhaust_check = last_copy if prune_exhausted else -1
+    skip_132 = -1 if prune_pattern and forbid_132 else 0
+    poison_132 = 1 if forbid_132 else 0
+
+    counts = [0] * (n + 1)
+    prefix: list[int] = []
+    witnesses: list[list[tuple[int, ...]]] = [[] for _ in range(count)]
+    node_sets: dict[int, int] = {}  # graph set -> union nodes with that set
+    leaf_sets: dict[int, int] = {}  # graph set -> words tested with that set
+    nodes = 0
+    live = (1 << count) - 1  # graphs still searching
+    aborted = False
+
+    def rec(forbidden: int, cur_min: int, exhausted: int, deficient: int,
+            ss: int, na: int, alive: int) -> bool:
+        nonlocal nodes, live, aborted
+        between_min = between[cur_min]
+        for c in letters[full & ~(exhausted | forbidden & skip_132)]:
+            bitc = bit[c]
+            ch_na = na
+            if forbidden & bitc:
+                ch_na |= poison_132
+            k = counts[c]
+            sh = shift[c]
+            bad = not_bit[c] & ~(ss >> sh) if k else 0
+            sub = alive
+            cut = bad & any_edge[c]
+            if cut:
+                cache = cut_by_edge[c]
+                sub &= ~(cache.get(cut) or graphs_cut(cache, with_edge[c], cut))
+                if not sub:
+                    continue
+            if k == exhaust_check:
+                cut = exhausted & any_nonedge[c] & ~((na >> sh) | bad)
+                if cut:
+                    cache = cut_by_nonedge[c]
+                    sub &= ~(cache.get(cut) or graphs_cut(cache, without_edge[c], cut))
+                    if not sub:
+                        continue
+            if nodes == limit:
+                aborted = True
+                return True
+            nodes += 1
+            node_sets[sub] = node_sets.get(sub, 0) + 1
+            if bad:
+                ch_na |= (bad << sh) | (lanes[bad] << c)
+
+            counts[c] = k + 1
+            prefix.append(c)
+            ch_def = deficient - 1 if k + 1 == min_copies else deficient
+            if ch_def == 0:
+                leaf_sets[sub] = leaf_sets.get(sub, 0) + 1
+                hit = targets.get(ch_na, 0) & sub
+                if hit:
+                    word = tuple(prefix)
+                    for i in _members(hit):
+                        witnesses[i].append(word)
+                    if not find_all:
+                        live &= ~hit
+                        sub &= ~hit
+            if sub and rec(
+                forbidden | between_min[c],
+                c if c < cur_min else cur_min,
+                exhausted | bitc if k == last_copy else exhausted,
+                ch_def,
+                (ss & clear[c]) | repeat[c],
+                ch_na,
+                sub,
+            ):
+                return True
+            counts[c] = k
+            prefix.pop()
+            alive &= live
+            if not alive:
+                break
+        return False
+
+    rec(0, n + 1, 0, n, 0, 0, live)
+    if aborted:
+        return None
+    node_counts = _per_member(node_sets, count)
+    leaf_counts = _per_member(leaf_sets, count)
+    return [
+        (witnesses[i], node_counts[i], leaf_counts[i], False) for i in range(count)
+    ]
+
+
+def _members(graphs: int):
+    """The indices of a graph set's bits, ascending."""
+    while graphs:
+        low = graphs & -graphs
+        yield low.bit_length() - 1
+        graphs ^= low
+
+
+def _per_member(tally: dict[int, int], count: int) -> list[int]:
+    """Per index, the total of the tallies of the sets that hold it."""
+    out = [0] * count
+    for graphs, times in tally.items():
+        for i in _members(graphs):
+            out[i] += times
+    return out

@@ -142,6 +142,9 @@ def _cmd_represent(args) -> int:
         return 0
     # complete
     n = args.n
+    if n < 1:
+        print("error: n must be >= 1", file=sys.stderr)
+        return 2
     if not args.enumerate:
         print(Word(range(1, n + 1)))
         return 0

@@ -18,6 +18,14 @@ the masks a graph: mask 0 empty, no self-loop, every edge in both masks.
 It then enters the pure-Python kernel past its own checks, so each check
 runs once per call; the compiled kernel's checks cost nothing next to a
 search and stay in place.
+
+run_batch is the contract's second call: run_search over several graphs on
+the same n, entry for entry, with the same checks and messages for every
+entry. The compiled backend runs exactly that per-graph loop. The
+pure-Python backend makes one DFS over the union of the graphs' searches,
+which share every prefix up to the first prune or leaf that tells them
+apart (see _kernel_py.run_batch_unchecked); a scan decides its classes in
+rounds of one run_batch call each.
 """
 
 from __future__ import annotations
@@ -25,7 +33,7 @@ from __future__ import annotations
 import os
 from typing import Optional, Sequence
 
-from ._kernel_py import MAX_DEPTH, check_arguments
+from ._kernel_py import MAX_DEPTH, batch_lists, check_arguments
 
 
 def load_backend(name: str):
@@ -98,6 +106,41 @@ def run_search(
         n, adj, min_copies, max_copies, forbid_132, find_all, node_budget,
         prune_pattern, prune_edges, prune_exhausted,
     )
+
+
+def run_batch(
+    n: int,
+    masks_list: Sequence[Sequence[int]],
+    min_copies: int,
+    max_copies: int,
+    forbid_132: bool,
+    find_all: bool,
+    node_budgets: Sequence[Optional[int]],
+    prune_pattern: bool = True,
+    prune_edges: bool = True,
+    prune_exhausted: bool = True,
+):
+    """run_search over several graphs on {1..n}, after checking every entry.
+
+    Returns [run_search(n, adj, ..., budget) for adj, budget in
+    zip(masks_list, node_budgets)], entry for entry. The pure-Python
+    backend answers in one DFS over the union of the graphs' searches
+    (rep132._kernel_py.run_batch_unchecked); the compiled one runs that
+    per-graph loop.
+    """
+    masks_list, node_budgets = batch_lists(masks_list, node_budgets)
+    for adj, budget in zip(masks_list, node_budgets):
+        _check_arguments(n, adj, min_copies, max_copies, budget)
+    flags = (forbid_132, find_all)
+    prunes = (prune_pattern, prune_edges, prune_exhausted)
+    if BACKEND == "python":
+        return _impl.run_batch_unchecked(
+            n, masks_list, min_copies, max_copies, *flags, node_budgets, *prunes
+        )
+    return [
+        _search(n, adj, min_copies, max_copies, *flags, budget, *prunes)
+        for adj, budget in zip(masks_list, node_budgets)
+    ]
 
 
 def backend_name() -> str:

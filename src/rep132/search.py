@@ -20,12 +20,21 @@ give the same labeled graph, and the kernel is deterministic in that graph,
 so search_all_labelings runs the kernel once per distinct labeled graph and
 replays the stored result for each repeat. Stats still count the serial
 walk: a repeated graph's nodes and words count again, and every labeling
-walked counts as tried. A parallel scan_order decides whole classes in one
-process pool and keeps them in scan order; since each class has its own
-budget, every report is the serial one. A parallel search_all_labelings
-speculates on the distinct labeled graphs of one graph and assembles its
-report by replaying the serial order. Either way serial and parallel outputs
-are identical (wall time excluded).
+walked counts as tried.
+
+The walk is a generator (_walk) that yields each labeled graph it needs the
+kernel for, with its remaining budget. search_fixed and
+search_all_labelings serve it with one kernels.run_search call per request.
+scan_order runs one walk per class and serves them all in rounds: each
+round is one kernels.run_batch call over the next request of every
+undecided class, so the pure-Python kernel shares word prefixes across
+classes. A walk requests only what its serial walk runs, with the same
+budget, so every scan report is the per-class serial one. A parallel
+scan_order gives each of its k workers the interleaved group
+classes[i::k] to decide in rounds, and keeps the reports in scan order. A
+parallel search_all_labelings speculates on the distinct labeled graphs of
+one graph and assembles its report by replaying the serial order. Either
+way serial and parallel outputs are identical (wall time excluded).
 """
 
 from __future__ import annotations
@@ -35,7 +44,7 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from . import kernels
 from .graphs import (
@@ -126,10 +135,10 @@ def _resolve_workers(workers: Optional[int]) -> int:
     return workers
 
 
-def _kernel_run(g: LabeledGraph, cfg: SearchConfig, budget: Optional[int]):
+def _kernel_run(n: int, masks: Sequence[int], cfg: SearchConfig, budget: Optional[int]):
     return kernels.run_search(
-        g.n,
-        g.adjacency_masks(),
+        n,
+        masks,
         1,
         cfg.max_copies,
         True,
@@ -143,12 +152,12 @@ def _kernel_run(g: LabeledGraph, cfg: SearchConfig, budget: Optional[int]):
 
 def _kernel_task(task):
     h, cfg = task
-    return _kernel_run(h, cfg, cfg.node_budget)
+    return _kernel_run(h.n, h.adjacency_masks(), cfg, cfg.node_budget)
 
 
-def _scan_class_task(task) -> SearchReport:
-    h, cfg = task
-    return search_all_labelings(h, cfg, workers=1)
+def _scan_group_task(task) -> list[SearchReport]:
+    n, group, cfg = task
+    return _decide_classes(n, group, cfg)
 
 
 def all_labelings(n: int) -> list[Labeling]:
@@ -173,19 +182,37 @@ def reduced_labelings(g: LabeledGraph) -> list[Labeling]:
     return out
 
 
-def _drive(
-    sigmas: Sequence[Labeling],
-    run: Callable[[int, Optional[int]], tuple],
-    budget: Optional[int],
-    find_all: bool,
-):
-    """Replay the serial labeling walk over per-labeling kernel results.
+def _packed(masks: Sequence[int]) -> int:
+    """Adjacency masks as one int, 16 bits per vertex: a small memo key."""
+    key = 0
+    for mask in reversed(masks):
+        key = key << 16 | mask
+    return key
 
-    run(i, remaining) must behave exactly like the kernel on labeling i with
-    node budget 'remaining'. Returns (winner, entries, nodes, tested,
-    labelings_tried, exhausted); winner is (labeling, first witness tuple).
+
+def _walk(
+    g: LabeledGraph,
+    cfg: SearchConfig,
+    sigmas: Sequence[Labeling],
+    relabeled: Optional[Sequence[LabeledGraph]] = None,
+    speculative: Optional[Iterator[tuple]] = None,
+):
+    """The serial labeling walk over sigmas, as a generator.
+
+    Yields (masks, remaining) each time it needs the kernel's result for
+    the labeled graph with adjacency masks 'masks' under node budget
+    'remaining'; the caller sends that result back. Returns (winner,
+    entries, nodes, tested, labelings_tried, exhausted); winner is
+    (labeling, first witness tuple).
+
+    The kernel is deterministic in (masks, flags, budget), so one memo,
+    keyed by the packed masks, serves every labeling whose labeled graph
+    repeats an earlier one. relabeled, when given, holds relabel(g, sigma)
+    for each sigma; speculative yields a result, computed under the full
+    budget, for each distinct labeled graph in order of first occurrence.
     """
-    remaining = budget
+    remaining = cfg.node_budget
+    memo: dict[int, tuple] = {}
     nodes_sum = 0
     tested_sum = 0
     tried = 0
@@ -196,7 +223,21 @@ def _drive(
         if remaining is not None and remaining <= 0:
             exhausted = True
             break
-        wit, nodes, tested, exc = run(i, remaining)
+        masks = (relabel(g, sig) if relabeled is None else relabeled[i]).adjacency_masks()
+        key = _packed(masks)
+        res = memo.get(key)
+        if res is None and speculative is not None:
+            res = next(speculative)
+        # A stored or speculative result came from a budget of at least
+        # 'remaining', which only shrinks along the walk. If that budget
+        # did not cut it, it is the unbudgeted result and stands while its
+        # nodes fit; a cut one has nodes == its budget, so it fits only at
+        # that same budget. When it does not fit, the serial walk cuts this
+        # labeling short: rerun it for exact stats.
+        if res is None or (remaining is not None and res[1] > remaining):
+            res = yield masks, remaining
+        memo[key] = res
+        wit, nodes, tested, exc = res
         nodes_sum += nodes
         tested_sum += tested
         tried += 1
@@ -209,9 +250,70 @@ def _drive(
             break
         if remaining is not None:
             remaining -= nodes
-        if winner is not None and not find_all:
+        if winner is not None and not cfg.find_all:
             break
     return winner, entries, nodes_sum, tested_sum, tried, exhausted
+
+
+def _serve(n: int, cfg: SearchConfig, walk):
+    """Run a walk to its end with one kernel call per request."""
+    try:
+        request = next(walk)
+        while True:
+            masks, remaining = request
+            request = walk.send(_kernel_run(n, masks, cfg, remaining))
+    except StopIteration as done:
+        return done.value
+
+
+def _decide_classes(
+    n: int, classes: Sequence[LabeledGraph], cfg: SearchConfig
+) -> list[SearchReport]:
+    """[search_all_labelings(h, cfg, workers=1) for h in classes], in rounds.
+
+    Every class walks its labelings as search_all_labelings does, and the
+    walks advance together: each round makes one kernels.run_batch call
+    over the next request of every undecided class, in class order. A walk
+    requests only what its serial walk runs, so the kernel searches the
+    same graphs under the same budgets and every report is the serial one.
+    A report's wall time runs from the start of the rounds to its class's
+    decision.
+    """
+    cfg = replace(cfg, fixed_labeling=False)
+    t0 = time.perf_counter()
+    shared = None if cfg.use_automorphism_reduction else all_labelings(n)
+    walks = [_walk(h, cfg, shared or reduced_labelings(h)) for h in classes]
+    reports: list[Optional[SearchReport]] = [None] * len(classes)
+    requests: dict[int, tuple] = {}  # class index -> (masks, remaining)
+
+    def advance(i: int, result) -> None:
+        try:
+            requests[i] = walks[i].send(result)
+        except StopIteration as done:
+            requests.pop(i, None)
+            reports[i] = _assemble(
+                classes[i], cfg, *done.value, time.perf_counter() - t0
+            )
+
+    for i in range(len(classes)):
+        advance(i, None)
+    while requests:
+        order = list(requests)
+        results = kernels.run_batch(
+            n,
+            [requests[i][0] for i in order],
+            1,
+            cfg.max_copies,
+            True,
+            cfg.find_all,
+            [requests[i][1] for i in order],
+            cfg.prune_pattern,
+            cfg.prune_edges,
+            cfg.prune_exhausted,
+        )
+        for i, result in zip(order, results):
+            advance(i, result)
+    return reports
 
 
 def _assemble(
@@ -258,17 +360,8 @@ def search_fixed(g: LabeledGraph, cfg: SearchConfig = SearchConfig()) -> SearchR
     """
     cfg = replace(cfg, fixed_labeling=True)
     t0 = time.perf_counter()
-    ident = identity_labeling(g.n)
-
-    def run(i: int, remaining: Optional[int]):
-        return _kernel_run(g, cfg, remaining)
-
-    winner, entries, nodes, tested, tried, exhausted = _drive(
-        [ident], run, cfg.node_budget, cfg.find_all
-    )
-    return _assemble(
-        g, cfg, winner, entries, nodes, tested, tried, exhausted, time.perf_counter() - t0
-    )
+    walk = _walk(g, cfg, [identity_labeling(g.n)], relabeled=[g])
+    return _assemble(g, cfg, *_serve(g.n, cfg, walk), time.perf_counter() - t0)
 
 
 def search_all_labelings(
@@ -291,27 +384,6 @@ def search_all_labelings(
         reduced_labelings(g) if cfg.use_automorphism_reduction else all_labelings(g.n)
     )
     nworkers = _resolve_workers(workers)
-    memo: dict = {}  # relabeled edge set -> kernel result
-
-    def walk(graph_at: Callable[[int], LabeledGraph], speculative=None):
-        def run(i: int, remaining: Optional[int]):
-            h = graph_at(i)
-            res = memo.get(h.edges)
-            if res is None and speculative is not None:
-                res = next(speculative)
-            # A stored or speculative result came from a budget of at least
-            # 'remaining', which only shrinks along the walk. If that budget
-            # did not cut it, it is the unbudgeted result and stands while
-            # its nodes fit; a cut one has nodes == its budget, so it fits
-            # only at that same budget. When it does not fit, the serial
-            # walk cuts this labeling short: rerun it for exact stats.
-            if res is None or (remaining is not None and res[1] > remaining):
-                res = _kernel_run(h, cfg, remaining)
-            memo[h.edges] = res
-            return res
-
-        return _drive(sigmas, run, cfg.node_budget, cfg.find_all)
-
     if nworkers > 1 and len(sigmas) > 1:
         relabeled = [relabel(g, sig) for sig in sigmas]
         # one task per distinct graph, in walk order of first occurrence,
@@ -322,17 +394,13 @@ def search_all_labelings(
             results = pool.map(
                 _kernel_task, [(h, cfg) for h in distinct], chunksize=chunk
             )
-            result = walk(relabeled.__getitem__, results)
+            result = _serve(g.n, cfg, _walk(g, cfg, sigmas, relabeled, results))
             # drop the speculative chunks not yet started and wait for the
             # running ones, so no worker outlives the call
             pool.shutdown(cancel_futures=True)
     else:
-        result = walk(lambda i: relabel(g, sigmas[i]))
-
-    winner, entries, nodes, tested, tried, exhausted = result
-    return _assemble(
-        g, cfg, winner, entries, nodes, tested, tried, exhausted, time.perf_counter() - t0
-    )
+        result = _serve(g.n, cfg, _walk(g, cfg, sigmas))
+    return _assemble(g, cfg, *result, time.perf_counter() - t0)
 
 
 def scan_order(
@@ -346,9 +414,11 @@ def scan_order(
     prefix construction adds them to any representant), so only isolate-free
     classes are scanned. Each graph gets its own node budget (default 10^9
     nodes); budget exhaustion marks that graph and the scan continues.
-    Classes are ordered by edge count, then edge list. With workers > 1
-    whole classes are decided in parallel, in one process pool for the
-    scan; the reports are the serial ones.
+    Classes are ordered by edge count, then edge list. The classes are
+    decided together in rounds of one batched kernel call (see
+    _decide_classes). With workers = k > 1 one process pool for the scan
+    takes k interleaved groups, classes[i::k], each decided in rounds of
+    its own; the reports are the serial ones.
     """
     budget = cfg.node_budget if cfg.node_budget is not None else DEFAULT_SCAN_NODE_BUDGET
     cfg = replace(cfg, node_budget=budget)
@@ -356,9 +426,12 @@ def scan_order(
         enumerate_graphs(n, isolate_free=True),
         key=lambda h: (len(h.edges), h.edge_list()),
     )
-    nworkers = _resolve_workers(workers)
-    if nworkers > 1 and len(graphs) > 1:
-        with ProcessPoolExecutor(max_workers=min(nworkers, len(graphs))) as pool:
-            reports = pool.map(_scan_class_task, [(h, cfg) for h in graphs], chunksize=1)
-            return list(zip(graphs, reports))
-    return [(h, search_all_labelings(h, cfg, workers=1)) for h in graphs]
+    groups = min(_resolve_workers(workers), len(graphs))
+    if groups > 1:
+        reports: list = [None] * len(graphs)
+        with ProcessPoolExecutor(max_workers=groups) as pool:
+            tasks = [(n, graphs[i::groups], cfg) for i in range(groups)]
+            for i, group in enumerate(pool.map(_scan_group_task, tasks)):
+                reports[i::groups] = group
+        return list(zip(graphs, reports))
+    return list(zip(graphs, _decide_classes(n, graphs, cfg)))

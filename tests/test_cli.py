@@ -94,6 +94,13 @@ def test_represent_complete_shortest(cli):
     assert cli("represent", "complete", "2")[:2] == (0, "12\n")
 
 
+@pytest.mark.parametrize("n", ["0", "-1"])
+@pytest.mark.parametrize("enumerate_flag", [[], ["--enumerate"]], ids=["shortest", "enumerate"])
+def test_represent_complete_rejects_fewer_than_one_vertex(cli, n, enumerate_flag):
+    assert cli("represent", "complete", n, *enumerate_flag) == (
+        2, "", "error: n must be >= 1\n")
+
+
 def test_represent_complete_enumerate(cli):
     code, out, _ = cli("represent", "complete", "3", "--enumerate")
     assert code == 0

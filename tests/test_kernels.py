@@ -132,6 +132,179 @@ def test_backends_agree_exactly():
         assert messages[0] == messages[1], messages
 
 
+# ------------------------------------------------------------------ batches
+
+
+def batch(backend, n, graphs, budgets, **kw):
+    args = dict(min_copies=1, max_copies=2, forbid_132=True, find_all=True)
+    args.update(kw)
+    return backend.run_batch(
+        n, [g.adjacency_masks() for g in graphs], args["min_copies"],
+        args["max_copies"], args["forbid_132"], args["find_all"], budgets,
+        prune_pattern=args.get("prune_pattern", True),
+        prune_edges=args.get("prune_edges", True),
+        prune_exhausted=args.get("prune_exhausted", True),
+    )
+
+
+def by_order(graphs):
+    out = {}
+    for g in graphs:
+        out.setdefault(g.n, []).append(g)
+    return out
+
+
+# BATTERY by order, each batch with every labeled graph of its order up to
+# 4 vertices, so batches share prefixes and hold graphs both with and
+# without each edge
+BATCHES = by_order(BATTERY + [g for n in (2, 3, 4) for g in enumerate_graphs(n)])
+
+
+@pytest.fixture
+def batch_agrees(compiled_kernel):
+    """Check Python run_batch against per-graph run_search on both backends."""
+    py = kernels.load_backend("python")
+
+    def agree(n, graphs, budgets, **kw):
+        got = batch(py, n, graphs, budgets, **kw)
+        for backend in (py, compiled_kernel):
+            expected = [run(backend, g, node_budget=b, **kw)
+                        for g, b in zip(graphs, budgets)]
+            assert got == expected, (backend.__name__, n, budgets, kw)
+        return got
+
+    return agree
+
+
+def test_batch_matches_per_graph_searches(batch_agrees):
+    for n, graphs in BATCHES.items():
+        unlimited = [None] * len(graphs)
+        for maxc in (1, 2, 3):
+            for find_all in (False, True):
+                kw = dict(max_copies=maxc, find_all=find_all)
+                needs = [nodes for _, nodes, _, _ in batch_agrees(n, graphs, unlimited, **kw)]
+                # at or over the union's size: one DFS; below it: per graph
+                batch_agrees(n, graphs, [sum(needs)] * len(graphs), **kw)
+                batch_agrees(n, graphs, [max(needs) - 1 or None] * len(graphs), **kw)
+                for budget in (1, 400):
+                    batch_agrees(n, graphs, [budget] * len(graphs), **kw)
+                # budgets that cut some graphs and not others
+                mixed = [need if i % 2 else max(need - 1, 1)
+                         for i, need in enumerate(needs)]
+                batch_agrees(n, graphs, mixed, **kw)
+                batch_agrees(n, graphs, [None] * (len(graphs) - 1) + [sum(needs)], **kw)
+        batch_agrees(n, graphs, unlimited, min_copies=2, max_copies=2, forbid_132=False)
+        batch_agrees(n, graphs, unlimited, min_copies=2, find_all=False)
+        for off in ("prune_pattern", "prune_edges", "prune_exhausted"):
+            batch_agrees(n, graphs, unlimited, **{off: False})
+            batch_agrees(n, graphs, unlimited, find_all=False, **{off: False})
+
+
+def test_batch_of_every_order_six_class(batch_agrees):
+    # 122 graphs, more than one 64-bit word of graph bits
+    graphs = list(enumerate_graphs(6, isolate_free=True))
+    assert len(graphs) == 122
+    got = batch_agrees(6, graphs, [None] * 122, find_all=False)
+    assert sum(bool(w) for w, _, _, _ in got) < 122
+    batch_agrees(6, graphs, [None] * 122, max_copies=1)
+
+
+def test_batch_at_the_top_lane(batch_agrees):
+    for maxc in (1, 2, 4):
+        for find_all in (False, True):
+            kw = dict(max_copies=maxc, find_all=find_all)
+            budget = 5000 if maxc == 4 else 20000
+            done = batch_agrees(15, TOP_LANE, [budget] * 4, **kw)
+            # the graphs searched to the end, again with no budget at all
+            ended = [g for g, res in zip(TOP_LANE, done) if not res[3]]
+            batch_agrees(15, ended, [None] * len(ended), **kw)
+    batch_agrees(15, TOP_LANE, [20000] * 4, min_copies=2, max_copies=2,
+                 forbid_132=False)
+    batch_agrees(15, TOP_LANE, [20000] * 4, prune_pattern=False)
+
+
+def test_batch_takes_one_dfs_under_the_budget_and_falls_back_over_it(monkeypatch):
+    py = kernels.load_backend("python")
+    graphs = BATCHES[5]
+    each = [run(py, g, find_all=False) for g in graphs]
+    calls = []
+    run_search_unchecked = py.run_search_unchecked
+
+    def counting(*args):
+        calls.append(args)
+        return run_search_unchecked(*args)
+
+    monkeypatch.setattr(py, "run_search_unchecked", counting)
+    total = sum(nodes for _, nodes, _, _ in each)
+    assert batch(py, 5, graphs, [total] * len(graphs), find_all=False) == each
+    assert calls == []
+    smallest = max(nodes for _, nodes, _, _ in each) - 1
+    budgets = [None] * (len(graphs) - 1) + [smallest]
+    expected = [run(py, g, find_all=False, node_budget=b) for g, b in zip(graphs, budgets)]
+    del calls[:]
+    assert batch(py, 5, graphs, budgets, find_all=False) == expected
+    assert len(calls) == len(graphs)
+
+
+def test_batch_answers_duplicates_entry_by_entry():
+    py = kernels.load_backend("python")
+    for find_all in (False, True):
+        got = batch(py, 5, [cycle(5)] * 3, [None] * 3, find_all=find_all)
+        assert got == [run(py, cycle(5), find_all=find_all)] * 3
+    graphs = [wheel(5), prism(3), wheel(5), prism(3)]
+    budgets = [None, None, None, 10**6]
+    got = batch(py, 6, graphs, budgets, find_all=False)
+    assert got == [run(py, g, find_all=False, node_budget=b)
+                   for g, b in zip(graphs, budgets)]
+
+
+def test_empty_batch():
+    for backend in (kernels, kernels.load_backend("python")):
+        assert batch(backend, 3, [], []) == []
+
+
+def test_batch_on_the_compiled_backend_runs_each_graph(compiled_kernel, monkeypatch):
+    monkeypatch.setattr(kernels, "BACKEND", "c")
+    monkeypatch.setattr(kernels, "_search", compiled_kernel.run_search)
+    graphs = BATCHES[4]
+    budgets = [None, 10] * (len(graphs) // 2) + [None] * (len(graphs) % 2)
+    assert batch(kernels, 4, graphs, budgets) == [
+        run(compiled_kernel, g, node_budget=b) for g, b in zip(graphs, budgets)]
+
+
+def test_batch_rejects_what_run_search_rejects():
+    py = kernels.load_backend("python")
+    good = complete(3).adjacency_masks()
+    # what each backend rejects, then what kernels adds for a graph
+    invalid = [
+        (0, [0], 1, 2, None),
+        (16, [0] * 17, 1, 2, None),
+        (3, [0] * 4, 0, 2, None),
+        (13, [0] * 14, 5, 5, None),
+        (3, [0] * 4, 1, 2, -5),
+        (3, [0] * 3, 1, 2, None),
+        (3, [0, 1 << 4, 0, 0], 1, 2, None),
+    ]
+    not_graphs = [
+        (3, [1 << 1, 0, 0, 0], 1, 2, None),       # mask 0 is not a vertex
+        (3, [0, 1 << 1, 0, 0], 1, 2, None),       # self-loop
+        (3, [0, 1 << 2, 0, 0], 1, 2, None),       # 1-2 but not 2-1
+    ]
+    cases = [(py, case) for case in invalid] + [
+        (kernels, case) for case in invalid + not_graphs]
+    for backend, (n, adj, min_copies, max_copies, budget) in cases:
+        with pytest.raises(ValueError) as single:
+            backend.run_search(n, adj, min_copies, max_copies, True, False, budget)
+        masks = [good, adj] if n == 3 else [adj]
+        with pytest.raises(ValueError) as batched:
+            backend.run_batch(n, masks, min_copies, max_copies, True, False,
+                              [None] + [budget] if n == 3 else [budget])
+        assert str(batched.value) == str(single.value)
+    for backend in (kernels, py):
+        with pytest.raises(ValueError, match="one node budget per graph"):
+            backend.run_batch(3, [good, good], 1, 2, True, False, [None])
+
+
 def test_python_kernel_at_the_top_lane():
     # Pinned from the array kernel that the packed one replaced, so this
     # holds without a compiler: 15 letters of 4 copies (lanes 1..15).

@@ -211,16 +211,43 @@ def test_budget_never_blocks_a_found_witness():
 # --------------------------------------------- kernel results shared by labelings
 
 
+def kernel_result(h, cfg, budget):
+    return kernels.run_search(
+        h.n, h.adjacency_masks(), 1, cfg.max_copies, True, cfg.find_all, budget,
+        cfg.prune_pattern, cfg.prune_edges, cfg.prune_exhausted)
+
+
 def reference_report(g, cfg):
-    """search_all_labelings without sharing: one kernel call per labeling."""
+    """search_all_labelings without sharing: one kernel call per labeling.
+
+    The serial walk written out: labelings in lexicographic order, the node
+    budget spent in that order, stop at the first witness unless find_all.
+    """
     cfg = replace(cfg, fixed_labeling=False)
-    sigmas = all_labelings(g.n)
-
-    def run(i, remaining):
-        return search._kernel_run(relabel(g, sigmas[i]), cfg, remaining)
-
-    walk = search._drive(sigmas, run, cfg.node_budget, cfg.find_all)
-    return search._assemble(g, cfg, *walk, 0.0)
+    remaining = cfg.node_budget
+    nodes = tested = tried = 0
+    entries = []
+    winner = None
+    exhausted = False
+    for sig in all_labelings(g.n):
+        if remaining is not None and remaining <= 0:
+            exhausted = True
+            break
+        wit, used, words, cut = kernel_result(relabel(g, sig), cfg, remaining)
+        nodes += used
+        tested += words
+        tried += 1
+        if wit:
+            winner = winner or (sig, wit[0])
+            entries.extend((sig, w) for w in wit)
+        if cut:
+            exhausted = True
+            break
+        if remaining is not None:
+            remaining -= used
+        if winner is not None and not cfg.find_all:
+            break
+    return search._assemble(g, cfg, winner, entries, nodes, tested, tried, exhausted, 0.0)
 
 
 def repeat_budgets(g, cfg):
@@ -234,7 +261,7 @@ def repeat_budgets(g, cfg):
     spent = 0
     for sig in all_labelings(g.n):
         h = relabel(g, sig)
-        nodes = search._kernel_run(h, cfg, None)[1]
+        nodes = kernel_result(h, cfg, None)[1]
         if h.edges in seen and nodes > 1:
             total = spent + nodes
             return [total - 1, total, total + 1]
@@ -381,6 +408,60 @@ def test_parallel_scan_creates_one_pool(monkeypatch):
     monkeypatch.setenv("REP132_WORKERS", "3")
     scan_order(4)
     assert created == [2, 3]
+
+
+SCAN_CONFIGS = [
+    SearchConfig(),
+    SearchConfig(node_budget=1000),
+    SearchConfig(use_automorphism_reduction=True),
+]
+SCAN_IDS = ["default", "budget1000", "reduce"]
+
+
+def per_class_reports(n, cfg):
+    """What scan_order(n, cfg) reports, class by class through search_all_labelings."""
+    cfg = replace(cfg, node_budget=cfg.node_budget or DEFAULT_SCAN_NODE_BUDGET)
+    classes = sorted(enumerate_graphs(n, isolate_free=True),
+                     key=lambda h: (len(h.edges), h.edge_list()))
+    return [(h, search_all_labelings(h, cfg, workers=1)) for h in classes]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("cfg", SCAN_CONFIGS, ids=SCAN_IDS)
+def test_scan_rounds_report_what_per_class_searches_do(cfg, workers):
+    expected = per_class_reports(5, cfg)
+    got = scan_order(5, cfg, workers=workers)
+    assert [g for g, _ in got] == [g for g, _ in expected]
+    for (_, a), (_, b) in zip(got, expected):
+        assert a.config == b.config
+        assert dumps(report_to_json(a)) == dumps(report_to_json(b))
+    if cfg.node_budget == 1000:
+        assert sum(rep.outcome == BUDGET_EXCEEDED for _, rep in got) == 3
+
+
+@pytest.mark.parametrize("cfg", SCAN_CONFIGS, ids=SCAN_IDS)
+def test_scan_batches_exactly_the_per_class_kernel_calls(cfg, monkeypatch):
+    # Rounds search nothing speculatively: the graphs and budgets passed to
+    # run_batch are the run_search calls of the per-class loop, no more.
+    searched, batched, rounds = [], [], []
+    run_search, run_batch = kernels.run_search, kernels.run_batch
+
+    def counting_search(n, adj, *args):
+        searched.append((tuple(adj), args[4]))
+        return run_search(n, adj, *args)
+
+    def counting_batch(n, masks_list, *args):
+        rounds.append(len(masks_list))
+        batched.extend((tuple(adj), b) for adj, b in zip(masks_list, args[4]))
+        return run_batch(n, masks_list, *args)
+
+    monkeypatch.setattr(kernels, "run_search", counting_search)
+    per_class_reports(5, cfg)
+    monkeypatch.setattr(kernels, "run_batch", counting_batch)
+    scan_order(5, cfg, workers=1)
+    assert len(batched) == len(searched)
+    assert sorted(batched) == sorted(searched)
+    assert rounds[0] == 23 and rounds == sorted(rounds, reverse=True)
 
 
 def test_scan_order_six_summary():
