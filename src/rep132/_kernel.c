@@ -7,9 +7,16 @@
    node, since a memcpy of 16 words costs next to nothing in C. Any change
    to the traversal must be mirrored there.
 
-   The module can be imported and called directly, so run_search checks by
-   itself every argument that its fixed-size arrays rely on, in the order of
-   _kernel_py.check_arguments and with the same ValueError messages. */
+   run_batch walks the union of several graphs' searches as
+   _kernel_py.run_batch_unchecked does (batch_rec() below), with graph sets
+   of several 64-bit words, and falls back to one rec() per graph when the
+   union would pass the smallest budget. Its results equal the per-graph
+   ones, entry for entry.
+
+   The module can be imported and called directly, so run_search and
+   run_batch check by themselves every argument that their arrays rely on,
+   in the order of _kernel_py.check_arguments (run_batch: _kernel_py.run_batch)
+   and with the same ValueError messages. */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -182,6 +189,68 @@ read_masks(State *st, PyObject *adj)
     return 0;
 }
 
+/* Checks n, min_copies and max_copies as _kernel_py.check_arguments does
+   and sets them, with full, in st; -1 with an error set. */
+static int
+read_letters(State *st, long long n, long long min_copies, long long max_copies)
+{
+    if (n < 1 || n > MAX_N) {
+        PyErr_Format(PyExc_ValueError, "n must be in 1..%d", MAX_N);
+        return -1;
+    }
+    if (min_copies < 1 || min_copies > max_copies) {
+        PyErr_Format(PyExc_ValueError, "need 1 <= min_copies <= max_copies");
+        return -1;
+    }
+    if (max_copies > MAX_DEPTH / n) {  /* n * max_copies > MAX_DEPTH, unoverflowed */
+        PyErr_Format(PyExc_ValueError, "n * max_copies must be at most %d", MAX_DEPTH);
+        return -1;
+    }
+    st->n = (int)n;
+    st->min_copies = (int)min_copies;
+    st->max_copies = (int)max_copies;
+    st->full = ((mask_t)1 << (n + 1)) - 2;  /* bits 1..n */
+    return 0;
+}
+
+/* Reads a node budget, None or at least 0, into *budget (0 means
+   unlimited); -1 with an error set. */
+static int
+read_budget(PyObject *obj, unsigned long long *budget)
+{
+    long long value = 0;
+    if (obj != Py_None && !clamped(obj, &value))
+        return -1;
+    if (value < 0) {
+        PyErr_Format(PyExc_ValueError, "node_budget must not be negative");
+        return -1;
+    }
+    *budget = (unsigned long long)value;
+    return 0;
+}
+
+/* Runs the search that st is set up for, from the empty prefix; returns
+   (witnesses, nodes, words_tested, budget_exceeded) or NULL on error. */
+static PyObject *
+search(State *st)
+{
+    st->nodes = st->tested = 0;
+    st->exceeded = 0;
+    st->depth = 0;
+    memset(st->counts, 0, sizeof st->counts);
+    memset(st->seen_since, 0, sizeof st->seen_since);
+    memset(st->nonalt, 0, sizeof st->nonalt);
+    st->witnesses = PyList_New(0);
+    if (st->witnesses == NULL)
+        return NULL;
+    if (rec(st, 0, 0, 0, 0, st->n) < 0) {
+        Py_DECREF(st->witnesses);
+        return NULL;
+    }
+    return Py_BuildValue("(NKKO)", st->witnesses, st->nodes, st->tested,
+                         st->exceeded ? Py_True : Py_False);
+}
+
 PyDoc_STRVAR(run_search_doc,
 "run_search(n, adj, min_copies, max_copies, forbid_132, find_all,\n"
 "           node_budget=None, prune_pattern=True, prune_edges=True,\n"
@@ -196,7 +265,7 @@ run_search(PyObject *self, PyObject *args, PyObject *kwds)
     static char *kwlist[] = {"n", "adj", "min_copies", "max_copies", "forbid_132",
                              "find_all", "node_budget", "prune_pattern",
                              "prune_edges", "prune_exhausted", NULL};
-    long long n, min_copies, max_copies, budget = 0;
+    long long n, min_copies, max_copies;
     PyObject *adj, *budget_obj = Py_None;
     State st;
     (void)self;
@@ -209,39 +278,507 @@ run_search(PyObject *self, PyObject *args, PyObject *kwds)
                                      &st.find_all, &budget_obj, &st.prune_pattern,
                                      &st.prune_edges, &st.prune_exhausted))
         return NULL;
-    if (n < 1 || n > MAX_N)
-        return PyErr_Format(PyExc_ValueError, "n must be in 1..%d", MAX_N);
-    if (min_copies < 1 || min_copies > max_copies)
-        return PyErr_Format(PyExc_ValueError, "need 1 <= min_copies <= max_copies");
-    if (max_copies > MAX_DEPTH / n)  /* n * max_copies > MAX_DEPTH, unoverflowed */
-        return PyErr_Format(PyExc_ValueError, "n * max_copies must be at most %d",
-                            MAX_DEPTH);
-    if (budget_obj != Py_None && !clamped(budget_obj, &budget))
+    if (read_letters(&st, n, min_copies, max_copies) < 0
+        || read_budget(budget_obj, &st.budget) < 0 || read_masks(&st, adj) < 0)
         return NULL;
-    if (budget < 0)
-        return PyErr_Format(PyExc_ValueError, "node_budget must not be negative");
-    st.n = (int)n;
-    st.min_copies = (int)min_copies;
-    st.max_copies = (int)max_copies;
-    st.budget = (unsigned long long)budget;  /* 0 means unlimited */
-    st.full = ((mask_t)1 << (n + 1)) - 2;  /* bits 1..n */
-    if (read_masks(&st, adj) < 0)
-        return NULL;
+    return search(&st);
+}
 
-    st.witnesses = PyList_New(0);
-    if (st.witnesses == NULL)
-        return NULL;
-    if (rec(&st, 0, 0, 0, 0, st.n) < 0) {
-        Py_DECREF(st.witnesses);
-        return NULL;
+/* ------------------------------------------------------------ run_batch
+
+   One DFS over the union of several graphs' search trees, as
+   _kernel_py.run_batch_unchecked makes it. A graph set is a bitset over
+   the batch's entries, in 64-bit words; a node keeps only its nonzero
+   words, as (word index, bits) parts in ascending index order, so a node
+   costs what its own graphs cost rather than what the batch does. The
+   parts of the nodes on the path sit on one stack, each node's right
+   after its parent's, which they never outnumber. */
+
+typedef unsigned long long word_t;
+#define WORD_BITS 64
+#define PLANES 64  /* bits of a per-graph tally: never overflows */
+
+typedef struct {
+    Py_ssize_t idx;  /* word index: graphs WORD_BITS * idx .. + WORD_BITS - 1 */
+    word_t bits;
+} Part;
+
+typedef struct {
+    State st;  /* the search's flags and its per-prefix state */
+    Py_ssize_t count, words;
+    unsigned long long limit;  /* the smallest nonzero budget; 0: none */
+    int aborted;
+    mask_t any_edge[MAX_N + 1];     /* per letter, the union of the graphs' */
+    mask_t any_nonedge[MAX_N + 1];  /* (non-)neighbour masks; 0 if unpruned */
+    mask_t *adjs;        /* adjs[i * (MAX_N + 1) + c]: graph i's neighbours of c */
+    mask_t *nonedges;    /* likewise its non-neighbours */
+    word_t *with_edge;   /* with_edge[(c * (MAX_N + 1) + y) * words + j] */
+    Py_ssize_t *table;   /* open addressing by target; a graph index or -1 */
+    size_t table_mask;
+    Py_ssize_t *next_same;  /* the next graph with the same target, or -1 */
+    word_t *live;        /* graphs still searching */
+    unsigned long long kills;  /* graphs taken out of live so far */
+    word_t *node_planes;  /* bit-sliced tallies: planes[j * PLANES + q] holds */
+    word_t *leaf_planes;  /* bit q of the totals of word j's graphs */
+    Part *stack;
+    PyObject *lists;  /* the graphs' witness lists */
+} Batch;
+
+static size_t
+target_hash(const mask_t *masks, int n)
+{
+    unsigned long long h = 0xcbf29ce484222325ULL;
+    for (int c = 1; c <= n; c++)
+        h = (h ^ masks[c]) * 0x100000001b3ULL;
+    return (size_t)(h ^ h >> 29);
+}
+
+/* The first graph whose non-neighbour masks equal masks, or -1. */
+static Py_ssize_t
+find_target(const Batch *b, const mask_t *masks)
+{
+    const int n = b->st.n;
+    for (size_t slot = target_hash(masks, n) & b->table_mask;;
+         slot = (slot + 1) & b->table_mask) {
+        Py_ssize_t i = b->table[slot];
+        if (i < 0 || memcmp(b->nonedges + i * (MAX_N + 1) + 1, masks + 1,
+                            n * sizeof(mask_t)) == 0)
+            return i;
     }
-    return Py_BuildValue("(NKKO)", st.witnesses, st.nodes, st.tested,
-                         st.exceeded ? Py_True : Py_False);
+}
+
+/* Adds 1 to the tally of every graph in set. */
+static void
+tally(word_t *planes, const Part *set, Py_ssize_t len)
+{
+    for (Py_ssize_t i = 0; i < len; i++) {
+        word_t *p = planes + set[i].idx * PLANES;
+        word_t carry = set[i].bits;
+        for (int q = 0; carry; q++) {
+            word_t t = p[q];
+            p[q] = t ^ carry;
+            carry &= t;
+        }
+    }
+}
+
+/* Writes the graphs of alive that the edges prune (cut_edge) and the
+   exhausted prune (cut_nonedge) keep for letter c to out; returns their
+   number of parts. */
+static Py_ssize_t
+narrow(const Batch *b, int c, const Part *alive, Py_ssize_t len, Part *out,
+       mask_t cut_edge, mask_t cut_nonedge)
+{
+    const word_t *rows[2 * MAX_N];
+    int all = 0;
+    const word_t *row = b->with_edge + (size_t)c * (MAX_N + 1) * b->words;
+    for (int y = 1; y <= b->st.n; y++)
+        if (cut_edge >> y & 1)
+            rows[all++] = row + y * b->words;
+    const int edges = all;
+    for (int y = 1; y <= b->st.n; y++)
+        if (cut_nonedge >> y & 1)
+            rows[all++] = row + y * b->words;
+    Py_ssize_t m = 0;
+    for (Py_ssize_t i = 0; i < len; i++) {
+        Py_ssize_t j = alive[i].idx;
+        word_t w = alive[i].bits;
+        for (int r = 0; r < edges; r++)  /* graphs with an edge {c, y} */
+            w &= ~rows[r][j];
+        for (int r = edges; r < all; r++)  /* graphs without one */
+            w &= rows[r][j];
+        if (w) {
+            out[m].idx = j;
+            out[m].bits = w;
+            m++;
+        }
+    }
+    return m;
+}
+
+/* Whether graph i is in set. */
+static int
+holds(const Part *set, Py_ssize_t len, Py_ssize_t i)
+{
+    Py_ssize_t j = i / WORD_BITS, lo = 0, hi = len;
+    while (lo < hi) {
+        Py_ssize_t mid = (lo + hi) / 2;
+        if (set[mid].idx < j)
+            lo = mid + 1;
+        else
+            hi = mid;
+    }
+    return lo < len && set[lo].idx == j && (set[lo].bits >> (i % WORD_BITS) & 1);
+}
+
+/* Drops the graphs outside live and the parts left empty; returns the
+   new number of parts. */
+static Py_ssize_t
+keep_live(const Batch *b, Part *set, Py_ssize_t len)
+{
+    Py_ssize_t m = 0;
+    for (Py_ssize_t i = 0; i < len; i++) {
+        word_t w = set[i].bits & b->live[set[i].idx];
+        if (w) {
+            set[m].idx = set[i].idx;
+            set[m].bits = w;
+            m++;
+        }
+    }
+    return m;
+}
+
+/* Gives the current prefix, a finished word, to every graph of set whose
+   target it hits. Without find_all, those graphs leave live and set.
+   Returns the new number of parts of set, or -1 on a Python error. */
+static Py_ssize_t
+leaf(Batch *b, Part *set, Py_ssize_t len)
+{
+    State *st = &b->st;
+    Py_ssize_t i = find_target(b, st->nonalt);
+    if (i < 0)
+        return len;
+    PyObject *word = NULL;
+    for (; i >= 0; i = b->next_same[i]) {
+        if (!holds(set, len, i))
+            continue;
+        if (word == NULL) {
+            word = PyTuple_New(st->depth);
+            if (word == NULL)
+                return -1;
+            for (int k = 0; k < st->depth; k++) {
+                PyObject *letter = PyLong_FromLong(st->prefix[k]);
+                if (letter == NULL) {
+                    Py_DECREF(word);
+                    return -1;
+                }
+                PyTuple_SET_ITEM(word, k, letter);
+            }
+        }
+        if (PyList_Append(PyList_GET_ITEM(b->lists, i), word) < 0) {
+            Py_DECREF(word);
+            return -1;
+        }
+        if (!st->find_all) {
+            b->live[i / WORD_BITS] &= ~((word_t)1 << (i % WORD_BITS));
+            b->kills++;
+        }
+    }
+    Py_XDECREF(word);
+    return st->find_all ? len : keep_live(b, set, len);
+}
+
+/* rec() over the union: alive holds the graphs whose own search visits
+   the current prefix. Returns 1 to stop the whole search (budget), 0 to go
+   on, -1 on a Python error. */
+static int
+batch_rec(Batch *b, Part *alive, Py_ssize_t len, mask_t forbidden, int cur_min,
+          int has132, mask_t exhausted, int deficient)
+{
+    State *st = &b->st;
+    const int n = st->n;
+    mask_t old_ss[MAX_N + 1], old_na[MAX_N + 1];
+    Part *sub = alive + len;
+    unsigned long long kills = b->kills;
+
+    for (int c = 1; c <= n; c++) {
+        if (st->counts[c] == st->max_copies)
+            continue;
+        mask_t bitc = (mask_t)1 << c;
+        int creates132 = (forbidden & bitc) != 0;
+        if (st->prune_pattern && st->forbid_132 && creates132)
+            continue;
+        mask_t bad = st->counts[c] ? st->full & ~bitc & ~st->seen_since[c] : 0;
+        mask_t cut_nonedge = 0;
+        if (st->counts[c] + 1 == st->max_copies)
+            cut_nonedge = exhausted & b->any_nonedge[c] & ~(st->nonalt[c] | bad);
+        Py_ssize_t sublen = narrow(b, c, alive, len, sub, bad & b->any_edge[c],
+                                   cut_nonedge);
+        if (sublen == 0)
+            continue;
+        if (b->limit && st->nodes == b->limit) {
+            b->aborted = 1;
+            return 1;
+        }
+        st->nodes++;
+        tally(b->node_planes, sub, sublen);
+
+        st->counts[c]++;
+        st->prefix[st->depth++] = c;
+        memcpy(old_ss, st->seen_since, sizeof old_ss);
+        st->seen_since[c] = 0;
+        for (int y = 1; y <= n; y++)
+            if (y != c)
+                st->seen_since[y] |= bitc;
+        if (bad) {
+            memcpy(old_na, st->nonalt, sizeof old_na);
+            st->nonalt[c] |= bad;
+            for (int y = 1; y <= n; y++)
+                if (bad >> y & 1)
+                    st->nonalt[y] |= bitc;
+        }
+
+        int ch_has132 = has132 || creates132;
+        mask_t ch_forb = forbidden;
+        if (0 < cur_min && cur_min < c)
+            ch_forb |= (bitc - 1) & ~(((mask_t)1 << (cur_min + 1)) - 1);
+        int ch_min = (cur_min == 0 || c < cur_min) ? c : cur_min;
+        mask_t ch_exh = exhausted | (st->counts[c] == st->max_copies ? bitc : 0);
+        int ch_def = st->counts[c] == st->min_copies ? deficient - 1 : deficient;
+
+        int stop = 0;
+        if (ch_def == 0) {
+            tally(b->leaf_planes, sub, sublen);
+            if (!(st->forbid_132 && ch_has132)) {
+                sublen = leaf(b, sub, sublen);
+                if (sublen < 0)
+                    return -1;
+            }
+        }
+        if (sublen)
+            stop = batch_rec(b, sub, sublen, ch_forb, ch_min, ch_has132, ch_exh,
+                             ch_def);
+
+        st->counts[c]--;
+        st->depth--;
+        memcpy(st->seen_since, old_ss, sizeof old_ss);
+        if (bad)
+            memcpy(st->nonalt, old_na, sizeof old_na);
+        if (stop)
+            return stop;
+        if (b->kills != kills) {
+            kills = b->kills;
+            len = keep_live(b, alive, len);
+            if (len == 0)
+                break;
+        }
+    }
+    return 0;
+}
+
+/* Per graph, the total that the bit-sliced planes hold. */
+static void
+totals(const Batch *b, const word_t *planes, unsigned long long *out)
+{
+    for (Py_ssize_t j = 0; j < b->words; j++)
+        for (int q = 0; q < PLANES; q++)
+            for (word_t w = planes[j * PLANES + q]; w; w &= w - 1)
+                out[j * WORD_BITS + __builtin_ctzll(w)] += 1ULL << q;
+}
+
+/* Fills the batch's tables from b->adjs; -1 with an error set. */
+static int
+batch_tables(Batch *b)
+{
+    const int n = b->st.n;
+    const Py_ssize_t words = b->words;
+    size_t size = 2;
+    while (size < 2 * (size_t)b->count)
+        size *= 2;
+    b->table_mask = size - 1;
+    b->nonedges = PyMem_Calloc((size_t)b->count * (MAX_N + 1), sizeof(mask_t));
+    b->with_edge = PyMem_Calloc((size_t)(MAX_N + 1) * (MAX_N + 1) * words,
+                                sizeof(word_t));
+    b->table = PyMem_Malloc(size * sizeof(Py_ssize_t));
+    b->next_same = PyMem_Malloc((size_t)b->count * sizeof(Py_ssize_t));
+    b->live = PyMem_Calloc((size_t)words, sizeof(word_t));
+    b->node_planes = PyMem_Calloc((size_t)words * PLANES, sizeof(word_t));
+    b->leaf_planes = PyMem_Calloc((size_t)words * PLANES, sizeof(word_t));
+    b->stack = PyMem_Malloc((size_t)(n * b->st.max_copies + 1) * words * sizeof(Part));
+    if (!b->nonedges || !b->with_edge || !b->table || !b->next_same || !b->live
+        || !b->node_planes || !b->leaf_planes || !b->stack) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    for (size_t slot = 0; slot < size; slot++)
+        b->table[slot] = -1;
+    /* in descending order, so each chain of equal targets ascends */
+    for (Py_ssize_t i = b->count - 1; i >= 0; i--) {
+        const mask_t *adj = b->adjs + i * (MAX_N + 1);
+        mask_t *nonedge = b->nonedges + i * (MAX_N + 1);
+        word_t bit = (word_t)1 << (i % WORD_BITS);
+        for (int c = 1; c <= n; c++) {
+            nonedge[c] = b->st.full & ~adj[c] & ~((mask_t)1 << c);
+            b->any_edge[c] |= adj[c];
+            b->any_nonedge[c] |= nonedge[c];
+            for (int y = 1; y <= n; y++)
+                if (adj[c] >> y & 1)
+                    b->with_edge[((size_t)c * (MAX_N + 1) + y) * words + i / WORD_BITS]
+                        |= bit;
+        }
+        b->live[i / WORD_BITS] |= bit;
+        size_t slot = target_hash(nonedge, n) & b->table_mask;
+        while (b->table[slot] >= 0 && memcmp(b->nonedges + b->table[slot] * (MAX_N + 1)
+                                             + 1, nonedge + 1, n * sizeof(mask_t)))
+            slot = (slot + 1) & b->table_mask;
+        b->next_same[i] = b->table[slot];
+        b->table[slot] = i;
+    }
+    /* a prune that is off cuts no graph */
+    if (!b->st.prune_edges)
+        memset(b->any_edge, 0, sizeof b->any_edge);
+    if (!b->st.prune_exhausted)
+        memset(b->any_nonedge, 0, sizeof b->any_nonedge);
+    return 0;
+}
+
+/* The batch's results from one DFS over the union; Py_None if the union
+   would pass the smallest budget; NULL on error. */
+static PyObject *
+union_search(Batch *b)
+{
+    if (batch_tables(b) < 0)
+        return NULL;
+    b->lists = PyList_New(b->count);
+    if (b->lists == NULL)
+        return NULL;
+    for (Py_ssize_t i = 0; i < b->count; i++) {
+        PyObject *list = PyList_New(0);
+        if (list == NULL)
+            return NULL;
+        PyList_SET_ITEM(b->lists, i, list);
+    }
+    Part *root = b->stack;
+    for (Py_ssize_t j = 0; j < b->words; j++) {
+        root[j].idx = j;
+        root[j].bits = b->live[j];
+    }
+    if (batch_rec(b, root, b->words, 0, 0, 0, 0, b->st.n) < 0)
+        return NULL;
+    if (b->aborted)
+        Py_RETURN_NONE;
+    unsigned long long *nodes = PyMem_Calloc((size_t)b->words * WORD_BITS,
+                                             sizeof *nodes);
+    unsigned long long *tested = PyMem_Calloc((size_t)b->words * WORD_BITS,
+                                              sizeof *tested);
+    PyObject *out = NULL;
+    if (nodes == NULL || tested == NULL) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    totals(b, b->node_planes, nodes);
+    totals(b, b->leaf_planes, tested);
+    out = PyList_New(b->count);
+    for (Py_ssize_t i = 0; out != NULL && i < b->count; i++) {
+        PyObject *res = Py_BuildValue("(OKKO)", PyList_GET_ITEM(b->lists, i),
+                                      nodes[i], tested[i], Py_False);
+        if (res == NULL)
+            Py_CLEAR(out);
+        else
+            PyList_SET_ITEM(out, i, res);
+    }
+done:
+    PyMem_Free(nodes);
+    PyMem_Free(tested);
+    return out;
+}
+
+static void
+batch_free(Batch *b)
+{
+    PyMem_Free(b->adjs);
+    PyMem_Free(b->nonedges);
+    PyMem_Free(b->with_edge);
+    PyMem_Free(b->table);
+    PyMem_Free(b->next_same);
+    PyMem_Free(b->live);
+    PyMem_Free(b->node_planes);
+    PyMem_Free(b->leaf_planes);
+    PyMem_Free(b->stack);
+    Py_XDECREF(b->lists);
+}
+
+PyDoc_STRVAR(run_batch_doc,
+"run_batch(n, masks_list, min_copies, max_copies, forbid_132, find_all,\n"
+"          node_budgets, prune_pattern=True, prune_edges=True,\n"
+"          prune_exhausted=True)\n"
+"--\n\n"
+"[run_search(n, adj, ..., budget) for adj, budget in zip(masks_list,\n"
+"node_budgets)], from one DFS over the union of the graphs' searches.\n\n"
+"Same contract as rep132._kernel_py.run_batch.");
+
+static PyObject *
+run_batch(PyObject *self, PyObject *args, PyObject *kwds)
+{
+    static char *kwlist[] = {"n", "masks_list", "min_copies", "max_copies",
+                             "forbid_132", "find_all", "node_budgets",
+                             "prune_pattern", "prune_edges", "prune_exhausted", NULL};
+    long long n, min_copies, max_copies;
+    PyObject *masks_obj, *budgets_obj, *masks_list = NULL, *budgets = NULL;
+    PyObject *out = NULL;
+    unsigned long long *limits = NULL;
+    Batch b;
+    (void)self;
+
+    memset(&b, 0, sizeof b);
+    b.st.prune_pattern = b.st.prune_edges = b.st.prune_exhausted = 1;
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "O&OO&O&ppO|ppp:run_batch", kwlist,
+                                     clamped, &n, &masks_obj, clamped, &min_copies,
+                                     clamped, &max_copies, &b.st.forbid_132,
+                                     &b.st.find_all, &budgets_obj, &b.st.prune_pattern,
+                                     &b.st.prune_edges, &b.st.prune_exhausted))
+        return NULL;
+    masks_list = PySequence_List(masks_obj);
+    budgets = masks_list ? PySequence_List(budgets_obj) : NULL;
+    if (budgets == NULL)
+        goto done;
+    b.count = PyList_GET_SIZE(masks_list);
+    if (PyList_GET_SIZE(budgets) != b.count) {
+        PyErr_Format(PyExc_ValueError,
+                     "need one node budget per graph: %zd graphs, %zd budgets",
+                     b.count, PyList_GET_SIZE(budgets));
+        goto done;
+    }
+    b.words = (b.count + WORD_BITS - 1) / WORD_BITS;
+    b.adjs = PyMem_Calloc((size_t)b.count * (MAX_N + 1) + 1, sizeof(mask_t));
+    limits = PyMem_Calloc((size_t)b.count + 1, sizeof *limits);
+    if (b.adjs == NULL || limits == NULL) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    /* every entry's checks, in _kernel_py.check_arguments's order */
+    for (Py_ssize_t i = 0; i < b.count; i++) {
+        if ((i == 0 && read_letters(&b.st, n, min_copies, max_copies) < 0)
+            || read_budget(PyList_GET_ITEM(budgets, i), &limits[i]) < 0
+            || read_masks(&b.st, PyList_GET_ITEM(masks_list, i)) < 0)
+            goto done;
+        memcpy(b.adjs + i * (MAX_N + 1), b.st.adj, sizeof b.st.adj);
+        if (limits[i] && (!b.limit || limits[i] < b.limit))
+            b.limit = limits[i];
+    }
+    if (b.count > 1) {
+        out = union_search(&b);
+        if (out != Py_None)
+            goto done;
+        Py_CLEAR(out);
+    }
+    /* one graph, or a union past the smallest budget: each graph alone */
+    out = PyList_New(b.count);
+    for (Py_ssize_t i = 0; out != NULL && i < b.count; i++) {
+        State st = b.st;
+        memcpy(st.adj, b.adjs + i * (MAX_N + 1), sizeof st.adj);
+        for (int c = 1; c <= st.n; c++)
+            st.nonedge[c] = st.full & ~st.adj[c] & ~((mask_t)1 << c);
+        st.budget = limits[i];
+        PyObject *res = search(&st);
+        if (res == NULL)
+            Py_CLEAR(out);
+        else
+            PyList_SET_ITEM(out, i, res);
+    }
+done:
+    batch_free(&b);
+    PyMem_Free(limits);
+    Py_XDECREF(masks_list);
+    Py_XDECREF(budgets);
+    return out;
 }
 
 static PyMethodDef kernel_methods[] = {
     {"run_search", (PyCFunction)(void (*)(void))run_search,
      METH_VARARGS | METH_KEYWORDS, run_search_doc},
+    {"run_batch", (PyCFunction)(void (*)(void))run_batch,
+     METH_VARARGS | METH_KEYWORDS, run_batch_doc},
     {NULL, NULL, 0, NULL},
 };
 

@@ -49,8 +49,8 @@ Optional prunes (each sound: disabling changes statistics, never verdicts):
 
 run_batch answers run_search for several graphs on the same letters in one
 DFS over the union of their search trees (run_batch_unchecked). The
-compiled twin has no run_batch; rep132.kernels.run_batch loops over its
-run_search instead.
+compiled twin's run_batch walks the same union with the same child order,
+prunes, budget rule and per-graph fallback, and gives the same results.
 """
 
 from __future__ import annotations
@@ -234,6 +234,7 @@ def run_search_unchecked(
         return False
 
     rec(0, n + 1, 0, n, 0, 0)
+    rec = None  # rec refers to itself: break the cycle, so the tables go now
     return witnesses, nodes, tested, exceeded
 
 
@@ -299,7 +300,9 @@ def run_batch_unchecked(
     a child whose set is empty is no node. The leaf test looks up the
     packed nonalt in a dict from packed target to the graphs that have it.
     Each graph's nodes and words tested are the number of union nodes and
-    leaves whose set holds it, so each graph sees exactly its own search.
+    leaves whose set holds it, so each graph sees exactly its own search;
+    the union tallies each distinct set and adds the tallies up per graph
+    at the end (_per_member).
 
     Budgets: a graph's search stays under its budget while the union's
     node count does. When the union would pass the smallest budget, the
@@ -439,6 +442,7 @@ def _union_search(
         return False
 
     rec(0, n + 1, 0, n, 0, 0, live)
+    rec = None  # as in run_search_unchecked
     if aborted:
         return None
     node_counts = _per_member(node_sets, count)
@@ -457,9 +461,29 @@ def _members(graphs: int):
 
 
 def _per_member(tally: dict[int, int], count: int) -> list[int]:
-    """Per index, the total of the tallies of the sets that hold it."""
-    out = [0] * count
+    """Per index, the total of the tallies of the sets that hold it.
+
+    The totals are bit-sliced: planes[p] is the set of indices whose total
+    has bit p. Adding t to every member of a set is then one binary
+    addition per bit of t, with the set as the carry, over whole sets at a
+    time instead of member by member.
+    """
+    # no total exceeds the sum of the tallies
+    planes = [0] * sum(tally.values()).bit_length()
     for graphs, times in tally.items():
-        for i in _members(graphs):
-            out[i] += times
+        p = 0
+        while times:
+            if times & 1:
+                carry, q = graphs, p
+                while carry:
+                    plane = planes[q]
+                    planes[q] = plane ^ carry
+                    carry &= plane
+                    q += 1
+            times >>= 1
+            p += 1
+    out = [0] * count
+    for p, plane in enumerate(planes):
+        for i in _members(plane):
+            out[i] += 1 << p
     return out

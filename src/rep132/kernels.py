@@ -21,11 +21,12 @@ search and stay in place.
 
 run_batch is the contract's second call: run_search over several graphs on
 the same n, entry for entry, with the same checks and messages for every
-entry. The compiled backend runs exactly that per-graph loop. The
-pure-Python backend makes one DFS over the union of the graphs' searches,
-which share every prefix up to the first prune or leaf that tells them
-apart (see _kernel_py.run_batch_unchecked); a scan decides its classes in
-rounds of one run_batch call each.
+entry. Both backends answer it with one DFS over the union of the graphs'
+searches, which share every prefix up to the first prune or leaf that
+tells them apart (see _kernel_py.run_batch_unchecked), and search graph by
+graph only when the union would pass the smallest budget. A scan decides
+its classes in rounds of run_batch calls, over the graphs each class's
+walk needs and the ones it is likely to need next.
 """
 
 from __future__ import annotations
@@ -60,7 +61,10 @@ def _select():
 
 
 _impl, BACKEND = _select()
-_search = _impl.run_search_unchecked if BACKEND == "python" else _impl.run_search
+if BACKEND == "python":
+    _search, _batch = _impl.run_search_unchecked, _impl.run_batch_unchecked
+else:
+    _search, _batch = _impl.run_search, _impl.run_batch
 
 MAX_N = _impl.MAX_N
 
@@ -123,24 +127,17 @@ def run_batch(
     """run_search over several graphs on {1..n}, after checking every entry.
 
     Returns [run_search(n, adj, ..., budget) for adj, budget in
-    zip(masks_list, node_budgets)], entry for entry. The pure-Python
-    backend answers in one DFS over the union of the graphs' searches
-    (rep132._kernel_py.run_batch_unchecked); the compiled one runs that
-    per-graph loop.
+    zip(masks_list, node_budgets)], entry for entry. Either backend answers
+    in one DFS over the union of the graphs' searches; see
+    rep132._kernel_py.run_batch_unchecked.
     """
     masks_list, node_budgets = batch_lists(masks_list, node_budgets)
     for adj, budget in zip(masks_list, node_budgets):
         _check_arguments(n, adj, min_copies, max_copies, budget)
-    flags = (forbid_132, find_all)
-    prunes = (prune_pattern, prune_edges, prune_exhausted)
-    if BACKEND == "python":
-        return _impl.run_batch_unchecked(
-            n, masks_list, min_copies, max_copies, *flags, node_budgets, *prunes
-        )
-    return [
-        _search(n, adj, min_copies, max_copies, *flags, budget, *prunes)
-        for adj, budget in zip(masks_list, node_budgets)
-    ]
+    return _batch(
+        n, masks_list, min_copies, max_copies, forbid_132, find_all, node_budgets,
+        prune_pattern, prune_edges, prune_exhausted,
+    )
 
 
 def backend_name() -> str:

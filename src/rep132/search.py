@@ -22,18 +22,22 @@ replays the stored result for each repeat. Stats still count the serial
 walk: a repeated graph's nodes and words count again, and every labeling
 walked counts as tried.
 
-The walk is a generator (_walk) that yields each labeled graph it needs the
-kernel for, with its remaining budget. search_fixed and
-search_all_labelings serve it with one kernels.run_search call per request.
-scan_order runs one walk per class and serves them all in rounds: each
-round is one kernels.run_batch call over the next request of every
-undecided class, so the pure-Python kernel shares word prefixes across
-classes. A walk requests only what its serial walk runs, with the same
-budget, so every scan report is the per-class serial one. A parallel
-scan_order gives each of its k workers the interleaved group
-classes[i::k] to decide in rounds, and keeps the reports in scan order. A
-parallel search_all_labelings speculates on the distinct labeled graphs of
-one graph and assembles its report by replaying the serial order. Either
+The walk is a generator (_walk) over one dict of kernel results, keyed by
+each labeled graph's packed adjacency masks; it yields each labeled graph
+that the dict holds no usable result for, with its remaining budget, and
+its caller stores one. search_fixed and search_all_labelings serve it with
+one kernels.run_search call per request. scan_order runs one walk per class
+and serves them all in rounds of kernels.run_batch calls: in round r every
+undecided class asks for the graph its walk needs plus its next distinct
+labeled graphs not yet searched, 2**r graphs in all, under its remaining
+budget, so the kernel shares word prefixes across many graphs and classes.
+A walk uses a result searched ahead of it only where the serial walk would
+get the same result (see _walk), so every scan report is the per-class
+serial one. A parallel scan_order gives each of its k workers the
+interleaved group classes[i::k] to decide in rounds, and keeps the reports
+in scan order. A parallel search_all_labelings searches the distinct
+labeled graphs of one graph in a pool, fills the walk's dict as results
+arrive, and assembles its report by replaying the serial order. Either
 way serial and parallel outputs are identical (wall time excluded).
 """
 
@@ -44,6 +48,7 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Iterator, Optional, Sequence
 
 from . import kernels
@@ -63,6 +68,11 @@ NOT_REPRESENTABLE = "not-representable"
 BUDGET_EXCEEDED = "budget-exceeded"
 
 DEFAULT_SCAN_NODE_BUDGET = 10**9
+
+# Most graphs in one kernels.run_batch call of a scan round. A round asks
+# for up to 2**r graphs per class; past a few thousand graphs a batch shares
+# little more, while its requests and results take memory per graph.
+BATCH_GRAPHS = 4096
 
 WORKERS_ENV = "REP132_WORKERS"
 
@@ -151,8 +161,8 @@ def _kernel_run(n: int, masks: Sequence[int], cfg: SearchConfig, budget: Optiona
 
 
 def _kernel_task(task):
-    h, cfg = task
-    return _kernel_run(h.n, h.adjacency_masks(), cfg, cfg.node_budget)
+    n, key, cfg = task
+    return _kernel_run(n, _unpacked(key, n), cfg, cfg.node_budget)
 
 
 def _scan_group_task(task) -> list[SearchReport]:
@@ -182,61 +192,73 @@ def reduced_labelings(g: LabeledGraph) -> list[Labeling]:
     return out
 
 
-def _packed(masks: Sequence[int]) -> int:
-    """Adjacency masks as one int, 16 bits per vertex: a small memo key."""
-    key = 0
-    for mask in reversed(masks):
-        key = key << 16 | mask
-    return key
+def _unpacked(key: int, n: int) -> tuple[int, ...]:
+    """The adjacency masks packed in key, 16 bits per vertex (see _keys)."""
+    return tuple(key >> (16 * v) & 0xFFFF for v in range(n + 1))
 
 
-def _walk(
-    g: LabeledGraph,
-    cfg: SearchConfig,
-    sigmas: Sequence[Labeling],
-    relabeled: Optional[Sequence[LabeledGraph]] = None,
-    speculative: Optional[Iterator[tuple]] = None,
-):
+@lru_cache(maxsize=None)
+def _pair_keys(n: int) -> list[list[int]]:
+    """pair[a][b]: the packed masks of the one edge {a+1, b+1}."""
+    return [
+        [(1 << (16 * a + b)) | (1 << (16 * b + a)) for b in range(1, n + 1)]
+        for a in range(1, n + 1)
+    ]
+
+
+def _keys(adj: Sequence[int], sigmas: Sequence[Labeling]) -> Iterator[int]:
+    """The key of relabel(g, sigma) for each sigma, in order.
+
+    adj is g's adjacency masks. A labeled graph's key is its adjacency
+    masks packed into one int, mask v in bits 16v..16v+15: a small memo
+    key. It is the sum of its edges' keys, so no relabeled graph is built.
+    """
+    n = len(adj) - 1
+    pair = _pair_keys(n)
+    edges = [(u - 1, v - 1) for u in range(1, n + 1) for v in range(u + 1, n + 1)
+             if adj[u] >> v & 1]
+    for sig in sigmas:
+        yield sum([pair[sig[u] - 1][sig[v] - 1] for u, v in edges])
+
+
+def _walk(adj: Sequence[int], cfg: SearchConfig, sigmas: Sequence[Labeling],
+          results: dict):
     """The serial labeling walk over sigmas, as a generator.
 
-    Yields (masks, remaining) each time it needs the kernel's result for
-    the labeled graph with adjacency masks 'masks' under node budget
-    'remaining'; the caller sends that result back. Returns (winner,
-    entries, nodes, tested, labelings_tried, exhausted); winner is
-    (labeling, first witness tuple).
+    adj is the graph's adjacency masks. results maps a labeled graph's key
+    (see _keys) to a kernel result for it. Each time results
+    holds none that serves the labeled graph 'key' under node budget
+    'remaining', the walk yields (key, remaining); the caller stores a
+    result for key, computed under a budget of at least 'remaining', and
+    resumes the walk. Returns (winner, entries, nodes, tested,
+    labelings_tried, exhausted); winner is (labeling, first witness tuple).
 
-    The kernel is deterministic in (masks, flags, budget), so one memo,
-    keyed by the packed masks, serves every labeling whose labeled graph
-    repeats an earlier one. relabeled, when given, holds relabel(g, sigma)
-    for each sigma; speculative yields a result, computed under the full
-    budget, for each distinct labeled graph in order of first occurrence.
+    The kernel is deterministic in (masks, flags, budget), so one result
+    serves every labeling whose labeled graph repeats an earlier one, and a
+    caller may store results ahead of the walk: speculative ones, searched
+    before the walk reaches them.
     """
     remaining = cfg.node_budget
-    memo: dict[int, tuple] = {}
     nodes_sum = 0
     tested_sum = 0
     tried = 0
     entries: list[tuple[Labeling, tuple[int, ...]]] = []
     winner = None
     exhausted = False
-    for i, sig in enumerate(sigmas):
+    for sig, key in zip(sigmas, _keys(adj, sigmas)):
         if remaining is not None and remaining <= 0:
             exhausted = True
             break
-        masks = (relabel(g, sig) if relabeled is None else relabeled[i]).adjacency_masks()
-        key = _packed(masks)
-        res = memo.get(key)
-        if res is None and speculative is not None:
-            res = next(speculative)
-        # A stored or speculative result came from a budget of at least
-        # 'remaining', which only shrinks along the walk. If that budget
-        # did not cut it, it is the unbudgeted result and stands while its
-        # nodes fit; a cut one has nodes == its budget, so it fits only at
-        # that same budget. When it does not fit, the serial walk cuts this
-        # labeling short: rerun it for exact stats.
-        if res is None or (remaining is not None and res[1] > remaining):
-            res = yield masks, remaining
-        memo[key] = res
+        res = results.get(key)
+        # A stored result came from a budget of at least 'remaining', which
+        # only shrinks along the walk. If that budget did not cut it, it is
+        # the unbudgeted result and stands while its nodes fit; a cut one
+        # has nodes == its budget, so it fits only at that same budget.
+        # When it does not fit, the serial walk cuts this labeling short:
+        # ask again, for exact stats.
+        while res is None or (remaining is not None and res[1] > remaining):
+            yield key, remaining
+            res = results[key]
         wit, nodes, tested, exc = res
         nodes_sum += nodes
         tested_sum += tested
@@ -255,13 +277,24 @@ def _walk(
     return winner, entries, nodes_sum, tested_sum, tried, exhausted
 
 
-def _serve(n: int, cfg: SearchConfig, walk):
-    """Run a walk to its end with one kernel call per request."""
+def _serve(n: int, cfg: SearchConfig, walk, results: dict, arriving=None):
+    """Run a walk to its end, storing one kernel result per request.
+
+    arriving, when given, yields (key, result) pairs searched under the
+    full budget, in the walk's order of first occurrence; they go into
+    results as they arrive, up to the key requested. A key that is in
+    results and requested again did not fit: it is searched here.
+    """
     try:
-        request = next(walk)
         while True:
-            masks, remaining = request
-            request = walk.send(_kernel_run(n, masks, cfg, remaining))
+            key, remaining = next(walk)
+            if arriving is not None and key not in results:
+                for done, res in arriving:
+                    results[done] = res
+                    if done == key:
+                        break
+            else:
+                results[key] = _kernel_run(n, _unpacked(key, n), cfg, remaining)
     except StopIteration as done:
         return done.value
 
@@ -272,47 +305,86 @@ def _decide_classes(
     """[search_all_labelings(h, cfg, workers=1) for h in classes], in rounds.
 
     Every class walks its labelings as search_all_labelings does, and the
-    walks advance together: each round makes one kernels.run_batch call
-    over the next request of every undecided class, in class order. A walk
-    requests only what its serial walk runs, so the kernel searches the
-    same graphs under the same budgets and every report is the serial one.
-    A report's wall time runs from the start of the rounds to its class's
-    decision.
+    walks advance together in rounds. In round r (from 0), every undecided
+    class asks for up to 2**r graphs under its remaining budget: the one
+    its walk needs, then its next distinct labeled graphs, in walk order,
+    that it has not searched yet. A round goes to kernels.run_batch in
+    slices of whole classes, of about BATCH_GRAPHS graphs each. Each class
+    keeps its results in one dict, the walk's memo, and the walk uses a
+    speculative result only where the serial walk would get the same one
+    (see _walk), so every report is the serial one. A class's walk goes on
+    as soon as its slice is back, and its walk and dict are dropped when it
+    is decided. A report's wall time runs from the start of the rounds to
+    its class's decision.
     """
     cfg = replace(cfg, fixed_labeling=False)
     t0 = time.perf_counter()
     shared = None if cfg.use_automorphism_reduction else all_labelings(n)
-    walks = [_walk(h, cfg, shared or reduced_labelings(h)) for h in classes]
+    # class index -> (walk, results, lookahead over the walk's keys)
+    undecided: dict[int, tuple] = {}
+    for i, h in enumerate(classes):
+        sigmas = shared or reduced_labelings(h)
+        adj = h.adjacency_masks()
+        results: dict[int, tuple] = {}
+        undecided[i] = (_walk(adj, cfg, sigmas, results), results, _keys(adj, sigmas))
     reports: list[Optional[SearchReport]] = [None] * len(classes)
-    requests: dict[int, tuple] = {}  # class index -> (masks, remaining)
+    requests: dict[int, tuple] = {}  # class index -> (key, remaining)
 
-    def advance(i: int, result) -> None:
+    asked: list[tuple] = []  # (class results, key, budget)
+    asking: list[int] = []  # the classes in asked
+
+    def advance(i: int) -> None:
         try:
-            requests[i] = walks[i].send(result)
+            requests[i] = next(undecided[i][0])
         except StopIteration as done:
+            del undecided[i]
             requests.pop(i, None)
             reports[i] = _assemble(
                 classes[i], cfg, *done.value, time.perf_counter() - t0
             )
 
-    for i in range(len(classes)):
-        advance(i, None)
-    while requests:
-        order = list(requests)
-        results = kernels.run_batch(
+    def flush() -> None:
+        found = kernels.run_batch(
             n,
-            [requests[i][0] for i in order],
+            [_unpacked(key, n) for _, key, _ in asked],
             1,
             cfg.max_copies,
             True,
             cfg.find_all,
-            [requests[i][1] for i in order],
+            [budget for _, _, budget in asked],
             cfg.prune_pattern,
             cfg.prune_edges,
             cfg.prune_exhausted,
         )
-        for i, result in zip(order, results):
-            advance(i, result)
+        for (results, key, _), result in zip(asked, found):
+            results[key] = result
+        asked.clear()
+        # a class decided here drops its results before the next batch
+        for i in asking:
+            advance(i)
+        asking.clear()
+
+    for i in range(len(classes)):
+        advance(i)
+    width = 1
+    while requests:
+        for i in list(requests):
+            key, remaining = requests[i]
+            _, results, ahead = undecided[i]
+            asked.append((results, key, remaining))
+            asking.append(i)
+            taken = {key}
+            while len(taken) < width:
+                extra = next(ahead, None)
+                if extra is None:
+                    break
+                if extra not in results and extra not in taken:
+                    taken.add(extra)
+                    asked.append((results, extra, remaining))
+            if len(asked) >= BATCH_GRAPHS:
+                flush()
+        flush()
+        width *= 2
     return reports
 
 
@@ -360,8 +432,9 @@ def search_fixed(g: LabeledGraph, cfg: SearchConfig = SearchConfig()) -> SearchR
     """
     cfg = replace(cfg, fixed_labeling=True)
     t0 = time.perf_counter()
-    walk = _walk(g, cfg, [identity_labeling(g.n)], relabeled=[g])
-    return _assemble(g, cfg, *_serve(g.n, cfg, walk), time.perf_counter() - t0)
+    results: dict[int, tuple] = {}
+    walk = _walk(g.adjacency_masks(), cfg, [identity_labeling(g.n)], results)
+    return _assemble(g, cfg, *_serve(g.n, cfg, walk, results), time.perf_counter() - t0)
 
 
 def search_all_labelings(
@@ -384,22 +457,24 @@ def search_all_labelings(
         reduced_labelings(g) if cfg.use_automorphism_reduction else all_labelings(g.n)
     )
     nworkers = _resolve_workers(workers)
+    adj = g.adjacency_masks()
+    results: dict[int, tuple] = {}
+    walk = _walk(adj, cfg, sigmas, results)
     if nworkers > 1 and len(sigmas) > 1:
-        relabeled = [relabel(g, sig) for sig in sigmas]
         # one task per distinct graph, in walk order of first occurrence,
         # so the walk meets each graph's result when it first needs it
-        distinct = list({h.edges: h for h in relabeled}.values())
+        distinct = list(dict.fromkeys(_keys(adj, sigmas)))
         chunk = max(1, len(distinct) // (nworkers * 32))
         with ProcessPoolExecutor(max_workers=nworkers) as pool:
-            results = pool.map(
-                _kernel_task, [(h, cfg) for h in distinct], chunksize=chunk
-            )
-            result = _serve(g.n, cfg, _walk(g, cfg, sigmas, relabeled, results))
+            arriving = zip(distinct, pool.map(
+                _kernel_task, [(g.n, key, cfg) for key in distinct], chunksize=chunk
+            ))
+            result = _serve(g.n, cfg, walk, results, arriving)
             # drop the speculative chunks not yet started and wait for the
             # running ones, so no worker outlives the call
             pool.shutdown(cancel_futures=True)
     else:
-        result = _serve(g.n, cfg, _walk(g, cfg, sigmas))
+        result = _serve(g.n, cfg, walk, results)
     return _assemble(g, cfg, *result, time.perf_counter() - t0)
 
 

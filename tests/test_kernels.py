@@ -1,5 +1,6 @@
 """DFS kernel: backend parity, oracle equivalence, pruning safety, budgets."""
 
+import gc
 import itertools
 import os
 import subprocess
@@ -162,11 +163,12 @@ BATCHES = by_order(BATTERY + [g for n in (2, 3, 4) for g in enumerate_graphs(n)]
 
 @pytest.fixture
 def batch_agrees(compiled_kernel):
-    """Check Python run_batch against per-graph run_search on both backends."""
+    """Check both backends' run_batch against per-graph run_search on both."""
     py = kernels.load_backend("python")
 
     def agree(n, graphs, budgets, **kw):
         got = batch(py, n, graphs, budgets, **kw)
+        assert batch(compiled_kernel, n, graphs, budgets, **kw) == got, (n, budgets, kw)
         for backend in (py, compiled_kernel):
             expected = [run(backend, g, node_budget=b, **kw)
                         for g, b in zip(graphs, budgets)]
@@ -223,7 +225,18 @@ def test_batch_at_the_top_lane(batch_agrees):
     batch_agrees(15, TOP_LANE, [20000] * 4, prune_pattern=False)
 
 
-def test_batch_takes_one_dfs_under_the_budget_and_falls_back_over_it(monkeypatch):
+def python_then_compiled(request):
+    """The Python kernel, then the compiled one.
+
+    A test that loops over these makes its Python checks first and skips
+    only after them when the compiled kernel cannot be built.
+    """
+    yield kernels.load_backend("python")
+    yield request.getfixturevalue("compiled_kernel")
+
+
+def test_batch_takes_one_dfs_under_the_budget_and_falls_back_over_it(
+        monkeypatch, request):
     py = kernels.load_backend("python")
     graphs = BATCHES[5]
     each = [run(py, g, find_all=False) for g in graphs]
@@ -244,36 +257,32 @@ def test_batch_takes_one_dfs_under_the_budget_and_falls_back_over_it(monkeypatch
     del calls[:]
     assert batch(py, 5, graphs, budgets, find_all=False) == expected
     assert len(calls) == len(graphs)
+    # the compiled run_batch falls back at the same budget, with the same results
+    compiled = request.getfixturevalue("compiled_kernel")
+    assert batch(compiled, 5, graphs, budgets, find_all=False) == expected
+    assert batch(compiled, 5, graphs, [total] * len(graphs), find_all=False) == each
 
 
-def test_batch_answers_duplicates_entry_by_entry():
+def test_batch_answers_duplicates_entry_by_entry(request):
     py = kernels.load_backend("python")
-    for find_all in (False, True):
-        got = batch(py, 5, [cycle(5)] * 3, [None] * 3, find_all=find_all)
-        assert got == [run(py, cycle(5), find_all=find_all)] * 3
-    graphs = [wheel(5), prism(3), wheel(5), prism(3)]
-    budgets = [None, None, None, 10**6]
-    got = batch(py, 6, graphs, budgets, find_all=False)
-    assert got == [run(py, g, find_all=False, node_budget=b)
-                   for g, b in zip(graphs, budgets)]
+    for backend in python_then_compiled(request):
+        for find_all in (False, True):
+            got = batch(backend, 5, [cycle(5)] * 3, [None] * 3, find_all=find_all)
+            assert got == [run(py, cycle(5), find_all=find_all)] * 3
+        graphs = [wheel(5), prism(3), wheel(5), prism(3)]
+        budgets = [None, None, None, 10**6]
+        got = batch(backend, 6, graphs, budgets, find_all=False)
+        assert got == [run(py, g, find_all=False, node_budget=b)
+                       for g, b in zip(graphs, budgets)]
 
 
-def test_empty_batch():
-    for backend in (kernels, kernels.load_backend("python")):
+def test_empty_batch(request):
+    assert batch(kernels, 3, [], []) == []
+    for backend in python_then_compiled(request):
         assert batch(backend, 3, [], []) == []
 
 
-def test_batch_on_the_compiled_backend_runs_each_graph(compiled_kernel, monkeypatch):
-    monkeypatch.setattr(kernels, "BACKEND", "c")
-    monkeypatch.setattr(kernels, "_search", compiled_kernel.run_search)
-    graphs = BATCHES[4]
-    budgets = [None, 10] * (len(graphs) // 2) + [None] * (len(graphs) % 2)
-    assert batch(kernels, 4, graphs, budgets) == [
-        run(compiled_kernel, g, node_budget=b) for g, b in zip(graphs, budgets)]
-
-
-def test_batch_rejects_what_run_search_rejects():
-    py = kernels.load_backend("python")
+def test_batch_rejects_what_run_search_rejects(request):
     good = complete(3).adjacency_masks()
     # what each backend rejects, then what kernels adds for a graph
     invalid = [
@@ -290,19 +299,24 @@ def test_batch_rejects_what_run_search_rejects():
         (3, [0, 1 << 1, 0, 0], 1, 2, None),       # self-loop
         (3, [0, 1 << 2, 0, 0], 1, 2, None),       # 1-2 but not 2-1
     ]
-    cases = [(py, case) for case in invalid] + [
-        (kernels, case) for case in invalid + not_graphs]
-    for backend, (n, adj, min_copies, max_copies, budget) in cases:
-        with pytest.raises(ValueError) as single:
-            backend.run_search(n, adj, min_copies, max_copies, True, False, budget)
-        masks = [good, adj] if n == 3 else [adj]
-        with pytest.raises(ValueError) as batched:
-            backend.run_batch(n, masks, min_copies, max_copies, True, False,
-                              [None] + [budget] if n == 3 else [budget])
-        assert str(batched.value) == str(single.value)
-    for backend in (kernels, py):
-        with pytest.raises(ValueError, match="one node budget per graph"):
+
+    def rejects_alike(backend, cases):
+        for n, adj, min_copies, max_copies, budget in cases:
+            with pytest.raises(ValueError) as single:
+                backend.run_search(n, adj, min_copies, max_copies, True, False, budget)
+            masks = [good, adj] if n == 3 else [adj]
+            with pytest.raises(ValueError) as batched:
+                backend.run_batch(n, masks, min_copies, max_copies, True, False,
+                                  [None] + [budget] if n == 3 else [budget])
+            assert str(batched.value) == str(single.value)
+        with pytest.raises(ValueError, match="one node budget per graph") as raised:
             backend.run_batch(3, [good, good], 1, 2, True, False, [None])
+        return str(raised.value)
+
+    messages = {rejects_alike(kernels, invalid + not_graphs)}
+    for backend in python_then_compiled(request):
+        messages.add(rejects_alike(backend, invalid))
+    assert len(messages) == 1, messages
 
 
 def test_python_kernel_at_the_top_lane():
@@ -510,7 +524,7 @@ def test_word_longer_than_kernel_depth_is_rejected():
 # REP132_BACKEND choice made at import time can find it. It makes the call
 # through kernels.run_search and then on the backend module itself, which
 # must guard its own memory.
-OVERFLOW_CALL = """
+LOAD_PACKAGE = """
 import importlib.util, sys
 package, kernel_dir = sys.argv[1:]
 spec = importlib.util.spec_from_file_location(
@@ -519,6 +533,8 @@ spec = importlib.util.spec_from_file_location(
 rep132 = sys.modules["rep132"] = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(rep132)
 from rep132 import kernels
+"""
+OVERFLOW_CALL = LOAD_PACKAGE + """
 for run_search in (kernels.run_search, kernels.load_backend(kernels.backend_name()).run_search):
     try:
         run_search(15, [0] * 16, 5, 5, False, False, 10**6)
@@ -527,22 +543,74 @@ for run_search in (kernels.run_search, kernels.load_backend(kernels.backend_name
 """
 
 
-@pytest.mark.parametrize("backend", ["python", "c"])
-def test_overlong_word_raises_instead_of_crashing(backend, request):
+def run_child(code, backend, request):
+    """Run code in a child process whose kernels module selects backend."""
     package = Path(kernels.__file__).parent
     kernel_dir = package
     if backend == "c":
         kernel_dir = Path(request.getfixturevalue("compiled_kernel").__file__).parent
-    done = subprocess.run(
-        [sys.executable, "-c", OVERFLOW_CALL, str(package), str(kernel_dir)],
+    return subprocess.run(
+        [sys.executable, "-c", code, str(package), str(kernel_dir)],
         env=dict(os.environ, REP132_BACKEND=backend),
         capture_output=True, text=True, timeout=120,
     )
+
+
+@pytest.mark.parametrize("backend", ["python", "c"])
+def test_overlong_word_raises_instead_of_crashing(backend, request):
+    done = run_child(OVERFLOW_CALL, backend, request)
     assert done.returncode == 0, (done.returncode, done.stderr)
     lines = done.stdout.splitlines()
     assert len(lines) == 2, done.stdout
     for line in lines:
         assert line.startswith(f"{backend} ValueError: n * max_copies"), done.stdout
+
+
+# 70 graphs on 15 letters, one edge each, the last 70 pairs up to {14, 15}:
+# graph bitsets of two words, and letter 15 in every table of the compiled
+# run_batch. Each first witness takes at most 29 nodes, so the union search
+# ends under the budgets; with find_all, every graph passes 3000 nodes, with
+# witnesses, and the batch falls back to one search per graph. In a child process, as
+# above, so that a memory fault fails this test instead of killing pytest.
+WIDE_BATCH = LOAD_PACKAGE + """
+from rep132.graphs import LabeledGraph
+pairs = [(u, v) for u in range(1, 16) for v in range(u + 1, 16)]
+masks = [LabeledGraph(15, [p]).adjacency_masks() for p in pairs[-70:]]
+for find_all, budgets in ((False, [None] * 69 + [10**6]), (True, [3000] * 70)):
+    got = kernels.run_batch(15, masks, 1, 2, True, find_all, budgets)
+    want = [kernels.run_search(15, m, 1, 2, True, find_all, b)
+            for m, b in zip(masks, budgets)]
+    print(kernels.backend_name(), len(got), got == want,
+          sum(bool(w) for w, _, _, _ in got), sum(cut for _, _, _, cut in got))
+"""
+
+
+def test_compiled_batch_of_more_than_64_graphs_on_15_letters(request):
+    done = run_child(WIDE_BATCH, "c", request)
+    assert done.returncode == 0, (done.returncode, done.stderr)
+    assert done.stdout.split() == ["c", "70", "True", "70", "0",
+                                   "c", "70", "True", "70", "70"], done.stdout
+
+
+def test_kernel_calls_leave_no_cyclic_garbage():
+    # A kernel call's tables go when it returns, not at the next collection.
+    py = kernels.load_backend("python")
+    graphs = [wheel(5), prism(3), cycle(6)]
+    masks = [g.adjacency_masks() for g in graphs]
+    calls = [
+        lambda: py.run_search(6, masks[0], 1, 2, True, False, None),
+        lambda: py.run_batch(6, masks, 1, 2, True, False, [None] * 3),
+        lambda: kernels.run_search(6, masks[2], 1, 2, True, True, None),
+        lambda: kernels.run_batch(6, masks, 1, 2, True, True, [None] * 3),
+    ]
+    gc.collect()
+    gc.disable()
+    try:
+        for call in calls:
+            call()
+            assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_kernel_source_compiles_without_warnings(tmp_path):

@@ -2,6 +2,7 @@
 
 import itertools
 import multiprocessing
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -441,9 +442,13 @@ def test_scan_rounds_report_what_per_class_searches_do(cfg, workers):
 
 @pytest.mark.parametrize("cfg", SCAN_CONFIGS, ids=SCAN_IDS)
 def test_scan_batches_exactly_the_per_class_kernel_calls(cfg, monkeypatch):
-    # Rounds search nothing speculatively: the graphs and budgets passed to
-    # run_batch are the run_search calls of the per-class loop, no more.
-    searched, batched, rounds = [], [], []
+    # Rounds batch every graph that the per-class loop passes to run_search,
+    # under at least its budget: a result searched ahead of the walk under
+    # a larger budget serves where it fits. Beyond them come only
+    # speculative entries: in each round, a class's other entries are
+    # distinct labeled graphs of that class not searched before, under the
+    # budget of the entry its walk needs.
+    searched, rounds = [], []
     run_search, run_batch = kernels.run_search, kernels.run_batch
 
     def counting_search(n, adj, *args):
@@ -451,17 +456,44 @@ def test_scan_batches_exactly_the_per_class_kernel_calls(cfg, monkeypatch):
         return run_search(n, adj, *args)
 
     def counting_batch(n, masks_list, *args):
-        rounds.append(len(masks_list))
-        batched.extend((tuple(adj), b) for adj, b in zip(masks_list, args[4]))
+        rounds.append([(tuple(adj), b) for adj, b in zip(masks_list, args[4])])
         return run_batch(n, masks_list, *args)
 
     monkeypatch.setattr(kernels, "run_search", counting_search)
     per_class_reports(5, cfg)
     monkeypatch.setattr(kernels, "run_batch", counting_batch)
     scan_order(5, cfg, workers=1)
-    assert len(batched) == len(searched)
-    assert sorted(batched) == sorted(searched)
-    assert rounds[0] == 23 and rounds == sorted(rounds, reverse=True)
+    batched = [pair for batch in rounds for pair in batch]
+    assert not Counter(m for m, _ in searched) - Counter(m for m, _ in batched)
+    for masks, budget in searched:
+        assert any(m == masks and b >= budget for m, b in batched)
+    assert len(rounds[0]) == 23
+
+    classes = sorted(enumerate_graphs(5, isolate_free=True),
+                     key=lambda h: (len(h.edges), h.edge_list()))
+    class_of = {relabel(h, sig).adjacency_masks(): i
+                for i, h in enumerate(classes) for sig in all_labelings(5)}
+    searched = set(searched)
+    done = {}  # (class, masks) -> budget it was last searched under
+    for batch in rounds:
+        by_class = {}
+        for masks, budget in batch:
+            by_class.setdefault(class_of[masks], []).append((masks, budget))
+        for i, entries in by_class.items():
+            budgets = {b for _, b in entries}
+            assert len(budgets) == 1, entries
+            (budget,) = budgets
+            masks = [m for m, _ in entries]
+            assert len(set(masks)) == len(masks)
+            # the entry the walk needs is one of the per-class calls
+            assert any(pair in searched for pair in entries)
+            again = [m for m in masks if (i, m) in done]
+            # only the walk's own entry may repeat a graph: a rerun under
+            # a smaller budget, which the earlier result did not fit
+            assert len(again) <= 1
+            for m in again:
+                assert (m, budget) in searched and done[i, m] > budget
+            done.update({(i, m): budget for m in masks})
 
 
 def test_scan_order_six_summary():
