@@ -8,14 +8,15 @@ explicitly (canonical_form / enumerate_graphs) rather than baked in.
 A Labeling is a tuple sigma of length n, sigma[v-1] = new label of old
 vertex v; it must be a permutation of 1..n.
 
-Canonical forms are computed by brute force over labelings (with a
-max-degree / neighborhood prune), good enough for n <= 10. Isomorphism-free
-enumeration walks permutation orbits of edge bitsets, good for n <= 7.
+Canonical forms are found by one pruned search over labelings, good enough
+for n <= 10. Isomorphism-free enumeration is orderly generation over that
+search, one canonicity test per candidate; scans stop at n = 7.
 """
 
 from __future__ import annotations
 
 import itertools
+from functools import lru_cache
 from typing import Iterable, Iterator, Optional, Sequence
 
 Labeling = tuple[int, ...]
@@ -197,73 +198,86 @@ def edge_bitset(g: LabeledGraph) -> int:
 
 def graph_from_bitset(n: int, bits: int) -> LabeledGraph:
     top = n * (n - 1) // 2 - 1
-    edges = [
-        (a, b)
-        for a, b in itertools.combinations(range(1, n + 1), 2)
-        if bits >> (top - _pair_rank(a, b, n)) & 1
-    ]
+    pairs = itertools.combinations(range(1, n + 1), 2)
+    edges = [(a, b) for a, b in pairs if bits >> (top - _pair_rank(a, b, n)) & 1]
     return LabeledGraph(n, edges)
+
+
+@lru_cache(maxsize=None)
+def _pair_tables(n: int):
+    """bit[b][a]: the edge bitset's bit of pair (a, b), a < b; low[d]: the
+    pairs (a, b) with d < a; head[d][i][r]: the pairs (i, d+1..d+r)."""
+    top = n * (n - 1) // 2 - 1
+    bit = [[0] * (n + 1) for _ in range(n + 1)]
+    for a, b in itertools.combinations(range(1, n + 1), 2):
+        bit[b][a] = 1 << (top - _pair_rank(a, b, n))
+    low = [sum(bit[b][a] for a, b in itertools.combinations(range(d + 1, n + 1), 2))
+           for d in range(n + 1)]
+    head = [[[0] * (n + 1) for _ in range(n + 1)] for _ in range(n + 1)]
+    for d, i, r in itertools.product(range(n), range(1, n), range(1, n + 1)):
+        if i <= d and d + r <= n:
+            head[d][i][r] = head[d][i][r - 1] | bit[d + r][i]
+    return bit, low, head
+
+
+def _best_relabeling(n: int, adj: Sequence[int], best: int, first: bool) -> int:
+    """The largest edge bitset of a relabeling of adj (adjacency masks), or
+    best if none beats it; with first, the first one found that beats it.
+
+    Labels go to vertices in order: label 1 to a max-degree vertex, labels
+    2..d+1 to its neighborhood (the largest first row is 1^d 0^...). A
+    partial labeling is cut when it cannot beat best even if each labeled
+    vertex's unlabeled neighbors take the next labels and all else is edges.
+    """
+    bit, low, head = _pair_tables(n)
+    degs = [m.bit_count() for m in adj]
+    maxdeg = max(degs)
+    if maxdeg == 0:
+        return max(best, 0)
+    # old vertex -> new label (0 while unplaced), new label -> old vertex
+    label, order = [0] * (n + 1), [0] * (n + 1)
+    nbrs = [[u for u in range(1, n + 1) if m >> u & 1] for m in adj]
+    tops = [v for v in range(1, n + 1) if degs[v] == maxdeg]
+
+    def extend(d: int, placed: int, bits: int) -> bool:
+        nonlocal best
+        bound = bits | low[d]
+        for i in range(1, d + 1):
+            bound |= head[d][i][(adj[order[i]] & ~placed).bit_count()]
+        if bound <= best:
+            return False
+        if d == n:
+            best = bits
+            return first
+        col = bit[d + 1]
+        for v in tops if d == 0 else nbrs[order[1]] if d <= maxdeg else range(1, n + 1):
+            if label[v]:
+                continue
+            nb, m = bits, adj[v] & placed
+            while m:
+                one = m & -m
+                m ^= one
+                nb |= col[label[one.bit_length() - 1]]
+            label[v], order[d + 1] = d + 1, v
+            if extend(d + 1, placed | 1 << v, nb):
+                return True
+            label[v] = 0
+        return False
+
+    extend(0, 0, 0)
+    return best
 
 
 def canonical_form(g: LabeledGraph) -> LabeledGraph:
     """The relabeling of g whose sorted edge list is lexicographically least.
 
-    Two graphs are isomorphic iff their canonical forms are equal. Brute
-    force over labelings, pruned: label 1 must go to a max-degree vertex and
-    labels 2..d+1 to its neighborhood (the optimal first row is 1^d 0^...),
-    and branches that cannot beat the incumbent even with every undecided
-    pair present are cut.
+    Two graphs are isomorphic iff their canonical forms are equal. It is the
+    relabeling with the largest edge bitset (see edge_bitset).
     """
     n = g.n
     if n > _MAX_CANON_N:
         raise ValueError(f"canonical_form supports n <= {_MAX_CANON_N}, got {n}")
-    if not g.edges:
-        return LabeledGraph(n)
-
-    npairs = n * (n - 1) // 2
-    top = npairs - 1
-    full = (1 << npairs) - 1
-    degs = [0] + [degree(g, v) for v in g.vertices()]
-    maxdeg = max(degs)
-    nbr = [frozenset()] + [frozenset(g.neighbors(v)) for v in g.vertices()]
-
-    # decided[d] = pairs with both endpoints among new labels 1..d
-    decided = [0] * (n + 1)
-    for d in range(2, n + 1):
-        decided[d] = decided[d - 1]
-        for i in range(1, d):
-            decided[d] |= 1 << (top - _pair_rank(i, d, n))
-
-    best = -1
-
-    def extend(assigned: list[int], bits: int) -> None:
-        nonlocal best
-        d = len(assigned)
-        if d == n:
-            if bits > best:
-                best = bits
-            return
-        if best >= 0 and (bits | (full ^ decided[d])) <= best:
-            return
-        if d == 0:
-            cands = [v for v in g.vertices() if degs[v] == maxdeg]
-        else:
-            unused = [v for v in g.vertices() if v not in assigned]
-            if d <= maxdeg:
-                cands = [v for v in unused if v in nbr[assigned[0]]]
-            else:
-                cands = unused
-        for v in cands:
-            nb = bits
-            for j, u in enumerate(assigned, start=1):
-                if v in nbr[u]:
-                    nb |= 1 << (top - _pair_rank(j, d + 1, n))
-            assigned.append(v)
-            extend(assigned, nb)
-            assigned.pop()
-
-    extend([], 0)
-    return graph_from_bitset(n, best)
+    return graph_from_bitset(n, _best_relabeling(n, g.adjacency_masks(), -1, False))
 
 
 def automorphisms(g: LabeledGraph) -> list[Labeling]:
@@ -299,9 +313,12 @@ def automorphisms(g: LabeledGraph) -> list[Labeling]:
 def enumerate_graphs(n: int, isolate_free: bool = False) -> Iterator[LabeledGraph]:
     """One canonically labeled graph per isomorphism class on n vertices.
 
-    Walks all 2^(n choose 2) edge bitsets; when an unseen one is met, its
-    whole permutation orbit is marked and the orbit's canonical member is
-    yielded. Memory is one byte per bitset, so n is capped at 7.
+    Yields canonical forms ordered by edge count, then edge list, by
+    orderly generation (Read, 1978): clearing the lowest set bit of a
+    canonical edge bitset leaves a canonical one, so each class is found
+    once, as a canonical graph plus an edge below its lowest set bit that
+    no relabeling beats. n is capped at 7, the largest order a scan can
+    finish; memory is one level of classes of equal edge count.
     """
     if not (1 <= n <= _MAX_ENUM_N):
         raise ValueError(f"enumerate_graphs supports 1 <= n <= {_MAX_ENUM_N}, got {n}")
@@ -309,40 +326,21 @@ def enumerate_graphs(n: int, isolate_free: bool = False) -> Iterator[LabeledGrap
 
 
 def _enumerate_graphs(n: int, isolate_free: bool) -> Iterator[LabeledGraph]:
-    npairs = n * (n - 1) // 2
-    top = npairs - 1
-    pairs = list(itertools.combinations(range(1, n + 1), 2))
-
-    # bit-position remap for every permutation of the labels
-    bitmaps: list[tuple[int, ...]] = []
-    for sigma in itertools.permutations(range(1, n + 1)):
-        m = [0] * npairs
-        for a, b in pairs:
-            u, v = sigma[a - 1], sigma[b - 1]
-            if u > v:
-                u, v = v, u
-            m[top - _pair_rank(a, b, n)] = top - _pair_rank(u, v, n)
-        bitmaps.append(tuple(m))
-
-    seen = bytearray(1 << npairs) if npairs else bytearray(1)
-    for bits in range(1 << npairs):
-        if seen[bits]:
-            continue
-        canon = -1
-        for m in bitmaps:
-            img = 0
-            t = bits
-            while t:
-                low = t & -t
-                t ^= low
-                img |= 1 << m[low.bit_length() - 1]
-            seen[img] = 1
-            if img > canon:
-                canon = img
-        rep = graph_from_bitset(n, canon)
-        if isolate_free and any(degree(rep, v) == 0 for v in rep.vertices()):
-            continue
-        yield rep
+    pairs = list(itertools.combinations(range(1, n + 1), 2))[::-1]  # by bit
+    level = [(0, [0] * (n + 1))]  # canonical (bitset, adjacency masks)
+    while level:
+        for bits, adj in sorted(level, reverse=True):
+            if not isolate_free or all(adj[1:]):
+                yield graph_from_bitset(n, bits)
+        children = []
+        for bits, adj in level:
+            for pos in range((bits & -bits).bit_length() - 1 if bits else len(pairs)):
+                (a, b), child, masks = pairs[pos], bits | 1 << pos, adj[:]
+                masks[a] |= 1 << b
+                masks[b] |= 1 << a
+                if _best_relabeling(n, masks, child, True) == child:
+                    children.append((child, masks))
+        level = children
 
 
 def components(g: LabeledGraph) -> list[tuple[int, ...]]:

@@ -21,10 +21,13 @@ search and stay in place.
 
 run_batch is the contract's second call: run_search over several graphs on
 the same n, entry for entry, with the same checks and messages for every
-entry. Both backends answer it with one DFS over the union of the graphs'
-searches, which share every prefix up to the first prune or leaf that
-tells them apart (see _kernel_py.run_batch_unchecked), and search graph by
-graph only when the union would pass the smallest budget. A scan decides
+entry. It tests every entry's masks at once, as one packed bit matrix per
+graph compared with its transpose, and checks entry by entry only a batch
+that fails that test, so it raises the error run_search would for the
+first faulty entry. Both backends answer it with one DFS over the union
+of the graphs' searches, which share every prefix up to the first prune
+or leaf that tells them apart (see _kernel_py.run_batch_unchecked), and
+search graph by graph only when the union would pass the smallest budget. A scan decides
 its classes in rounds of run_batch calls, over the graphs each class's
 walk needs and the ones it is likely to need next.
 """
@@ -32,6 +35,8 @@ walk needs and the ones it is likely to need next.
 from __future__ import annotations
 
 import os
+import struct
+from functools import lru_cache
 from typing import Optional, Sequence
 
 from ._kernel_py import MAX_DEPTH, batch_lists, check_arguments
@@ -88,6 +93,45 @@ def _check_arguments(
                 raise ValueError(f"adjacency masks {v} and {u} disagree")
 
 
+@lru_cache(maxsize=None)
+def _block_masks(n: int) -> tuple[bytes, ...]:
+    """Masks over one graph's masks packed as a 16 x 16 bit matrix, mask v in
+    bits 16v..16v+15, as 32 little-endian bytes: the bits a graph on 1..n may
+    set (rows and columns 1..n, off the diagonal), then the lower bits of the
+    pairs that the four delta swaps of a transpose exchange, for j = 8, 4, 2,
+    1: (r, c) with bit j clear in r and set in c, whose partner is (r+j, c-j),
+    15j bits higher.
+    """
+    def block(keep) -> bytes:
+        bits = sum(1 << (16 * r + c) for r in range(16) for c in range(16) if keep(r, c))
+        return bits.to_bytes(32, "little")
+
+    return (block(lambda r, c: r != c and 1 <= min(r, c) and max(r, c) <= n),
+            *(block(lambda r, c, j=j: not r & j and c & j) for j in (8, 4, 2, 1)))
+
+
+def _batch_passes(n: int, masks_list: Sequence[Sequence[int]], node_budgets) -> bool:
+    """Whether every entry passes _check_arguments, given that the first passes
+    check_arguments: budgets None or at least 0, and n + 1 masks of a graph
+    on 1..n, tested for the whole batch at once.
+    """
+    if not all(b is None or (type(b) is int and b >= 0) for b in node_budgets):
+        return False
+    try:
+        row = struct.Struct(f"<{n + 1}H{2 * (15 - n)}x")
+        packed = int.from_bytes(b"".join(row.pack(*adj) for adj in masks_list), "little")
+    except struct.error:
+        return False
+    valid, *swaps = (int.from_bytes(b * len(masks_list), "little") for b in _block_masks(n))
+    if packed & ~valid:
+        return False
+    flipped = packed
+    for j, swap in zip((8, 4, 2, 1), swaps):
+        t = ((flipped >> 15 * j) ^ flipped) & swap
+        flipped ^= t ^ (t << 15 * j)
+    return flipped == packed
+
+
 def run_search(
     n: int,
     adj: Sequence[int],
@@ -132,8 +176,13 @@ def run_batch(
     rep132._kernel_py.run_batch_unchecked.
     """
     masks_list, node_budgets = batch_lists(masks_list, node_budgets)
-    for adj, budget in zip(masks_list, node_budgets):
-        _check_arguments(n, adj, min_copies, max_copies, budget)
+    if masks_list:
+        # n and the copy counts hold for every entry, or this raises first
+        check_arguments(n, masks_list[0], min_copies, max_copies, node_budgets[0])
+    if not _batch_passes(n, masks_list, node_budgets):
+        # find and raise the first faulty entry's error, as run_search would
+        for adj, budget in zip(masks_list, node_budgets):
+            _check_arguments(n, adj, min_copies, max_copies, budget)
     return _batch(
         n, masks_list, min_copies, max_copies, forbid_132, find_all, node_budgets,
         prune_pattern, prune_edges, prune_exhausted,

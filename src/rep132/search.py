@@ -46,6 +46,7 @@ from __future__ import annotations
 import itertools
 import os
 import time
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import lru_cache
@@ -221,14 +222,25 @@ def _keys(adj: Sequence[int], sigmas: Sequence[Labeling]) -> Iterator[int]:
         yield sum([pair[sig[u] - 1][sig[v] - 1] for u, v in edges])
 
 
-def _walk(adj: Sequence[int], cfg: SearchConfig, sigmas: Sequence[Labeling],
+def _led(lead: deque, keys: Iterator[int]) -> Iterator[int]:
+    """keys, reading first the ones a lookahead took from keys into lead."""
+    while True:
+        while lead:
+            yield lead.popleft()
+        key = next(keys, None)
+        if key is None:
+            return
+        yield key
+
+
+def _walk(cfg: SearchConfig, sigmas: Sequence[Labeling], keys: Iterator[int],
           results: dict):
     """The serial labeling walk over sigmas, as a generator.
 
-    adj is the graph's adjacency masks. results maps a labeled graph's key
-    (see _keys) to a kernel result for it. Each time results
-    holds none that serves the labeled graph 'key' under node budget
-    'remaining', the walk yields (key, remaining); the caller stores a
+    keys yields the key of each labeling's labeled graph (see _keys), in
+    the order of sigmas. results maps a key to a kernel result. Each time
+    results holds none that serves the labeled graph 'key' under node
+    budget 'remaining', the walk yields (key, remaining); the caller stores a
     result for key, computed under a budget of at least 'remaining', and
     resumes the walk. Returns (winner, entries, nodes, tested,
     labelings_tried, exhausted); winner is (labeling, first witness tuple).
@@ -245,7 +257,7 @@ def _walk(adj: Sequence[int], cfg: SearchConfig, sigmas: Sequence[Labeling],
     entries: list[tuple[Labeling, tuple[int, ...]]] = []
     winner = None
     exhausted = False
-    for sig, key in zip(sigmas, _keys(adj, sigmas)):
+    for sig, key in zip(sigmas, keys):
         if remaining is not None and remaining <= 0:
             exhausted = True
             break
@@ -312,21 +324,25 @@ def _decide_classes(
     slices of whole classes, of about BATCH_GRAPHS graphs each. Each class
     keeps its results in one dict, the walk's memo, and the walk uses a
     speculative result only where the serial walk would get the same one
-    (see _walk), so every report is the serial one. A class's walk goes on
-    as soon as its slice is back, and its walk and dict are dropped when it
-    is decided. A report's wall time runs from the start of the rounds to
-    its class's decision.
+    (see _walk), so every report is the serial one. The walk and the
+    lookahead read one stream of keys; the walk reads first the keys the
+    lookahead has taken ahead of it, so each key is computed once and only
+    the lookahead's lead is held. A class's walk goes on as soon as its
+    slice is back, and its walk and dict are dropped when it is decided. A
+    report's wall time runs from the start of the rounds to its class's
+    decision.
     """
     cfg = replace(cfg, fixed_labeling=False)
     t0 = time.perf_counter()
     shared = None if cfg.use_automorphism_reduction else all_labelings(n)
-    # class index -> (walk, results, lookahead over the walk's keys)
+    # class index -> (walk, results, keys not yet read, keys read ahead)
     undecided: dict[int, tuple] = {}
     for i, h in enumerate(classes):
         sigmas = shared or reduced_labelings(h)
-        adj = h.adjacency_masks()
+        keys, lead = _keys(h.adjacency_masks(), sigmas), deque()
         results: dict[int, tuple] = {}
-        undecided[i] = (_walk(adj, cfg, sigmas, results), results, _keys(adj, sigmas))
+        walk = _walk(cfg, sigmas, _led(lead, keys), results)
+        undecided[i] = (walk, results, keys, lead)
     reports: list[Optional[SearchReport]] = [None] * len(classes)
     requests: dict[int, tuple] = {}  # class index -> (key, remaining)
 
@@ -370,14 +386,15 @@ def _decide_classes(
     while requests:
         for i in list(requests):
             key, remaining = requests[i]
-            _, results, ahead = undecided[i]
+            _, results, keys, lead = undecided[i]
             asked.append((results, key, remaining))
             asking.append(i)
             taken = {key}
             while len(taken) < width:
-                extra = next(ahead, None)
+                extra = next(keys, None)
                 if extra is None:
                     break
+                lead.append(extra)
                 if extra not in results and extra not in taken:
                     taken.add(extra)
                     asked.append((results, extra, remaining))
@@ -433,7 +450,8 @@ def search_fixed(g: LabeledGraph, cfg: SearchConfig = SearchConfig()) -> SearchR
     cfg = replace(cfg, fixed_labeling=True)
     t0 = time.perf_counter()
     results: dict[int, tuple] = {}
-    walk = _walk(g.adjacency_masks(), cfg, [identity_labeling(g.n)], results)
+    sigmas = [identity_labeling(g.n)]
+    walk = _walk(cfg, sigmas, _keys(g.adjacency_masks(), sigmas), results)
     return _assemble(g, cfg, *_serve(g.n, cfg, walk, results), time.perf_counter() - t0)
 
 
@@ -459,7 +477,7 @@ def search_all_labelings(
     nworkers = _resolve_workers(workers)
     adj = g.adjacency_masks()
     results: dict[int, tuple] = {}
-    walk = _walk(adj, cfg, sigmas, results)
+    walk = _walk(cfg, sigmas, _keys(adj, sigmas), results)
     if nworkers > 1 and len(sigmas) > 1:
         # one task per distinct graph, in walk order of first occurrence,
         # so the walk meets each graph's result when it first needs it
@@ -489,18 +507,15 @@ def scan_order(
     prefix construction adds them to any representant), so only isolate-free
     classes are scanned. Each graph gets its own node budget (default 10^9
     nodes); budget exhaustion marks that graph and the scan continues.
-    Classes are ordered by edge count, then edge list. The classes are
-    decided together in rounds of one batched kernel call (see
-    _decide_classes). With workers = k > 1 one process pool for the scan
-    takes k interleaved groups, classes[i::k], each decided in rounds of
-    its own; the reports are the serial ones.
+    Classes come in enumerate_graphs' order: by edge count, then edge
+    list. The classes are decided together in rounds of one batched kernel
+    call (see _decide_classes). With workers = k > 1 one process pool for
+    the scan takes k interleaved groups, classes[i::k], each decided in
+    rounds of its own; the reports are the serial ones.
     """
     budget = cfg.node_budget if cfg.node_budget is not None else DEFAULT_SCAN_NODE_BUDGET
     cfg = replace(cfg, node_budget=budget)
-    graphs = sorted(
-        enumerate_graphs(n, isolate_free=True),
-        key=lambda h: (len(h.edges), h.edge_list()),
-    )
+    graphs = list(enumerate_graphs(n, isolate_free=True))
     groups = min(_resolve_workers(workers), len(graphs))
     if groups > 1:
         reports: list = [None] * len(graphs)

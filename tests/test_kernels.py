@@ -489,6 +489,31 @@ def test_input_validation():
         run(kernels, big)
 
 
+def test_batch_raises_the_first_faulty_entrys_error():
+    # kernels.run_batch tests all entries at once and checks entry by entry
+    # only a batch that fails, so the error is run_search's on the first
+    # faulty entry, wherever it sits in a batch of any length
+    good = complete(4).adjacency_masks()
+    faults = [
+        ([0, 1 << 2, 0, 0, 0], None),             # 1-2 but not 2-1
+        ([0, (1 << 1) | (1 << 2), 1 << 1, 0, 0], None),  # self-loop on 1
+        ([0, 1 << 5, 0, 0, 0], None),             # bit outside 1..n
+        ([1 << 1, 1, 0, 0, 0], None),             # mask 0 is not a vertex
+        ([0, 0, 0, 0], None),                     # one mask short
+        ([0, 0, 0, 0, 1 << 16], None),            # wider than a mask lane
+        (good, -1),                               # negative budget
+    ]
+    for (adj, budget), (later, later_budget) in itertools.product(faults, repeat=2):
+        with pytest.raises(ValueError) as single:
+            kernels.run_search(4, adj, 1, 2, True, False, budget)
+        for at in (0, 1, 70):
+            masks = [good] * at + [adj] + [good] * 3 + [later] + [good]
+            budgets = [None] * at + [budget] + [None] * 3 + [later_budget, None]
+            with pytest.raises(ValueError) as batched:
+                kernels.run_batch(4, masks, 1, 2, True, False, budgets)
+            assert str(batched.value) == str(single.value)
+
+
 @pytest.mark.parametrize("adj", [
     [0, 0, 0],                      # one mask short
     [0, 0, 0, 0, 0],                # one mask too many
