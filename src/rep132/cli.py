@@ -4,7 +4,7 @@ Exit codes: 0 success (and: graph representable / circle witness found),
 2 usage or parse errors, 3 not representable / not a circle graph,
 4 node budget exceeded before a decision.
 
-REP132_WORKERS sets the default worker count for search and scan;
+REP132_WORKERS sets the default worker count for scan;
 REP132_BACKEND picks the kernel (see rep132.kernels).
 """
 
@@ -55,6 +55,7 @@ def _read_graph(path: str) -> LabeledGraph:
 def _print_report(report, fixed: bool) -> None:
     print(f"graph: n={report.graph.n} edges {_edges_str(report.graph)}")
     print(f"outcome: {report.outcome}")
+    print(f"complete decision: {'yes' if report.is_complete_decision else 'no'}")
     if report.witness is not None:
         print(f"witness: {report.witness}")
         if not fixed:
@@ -181,7 +182,7 @@ def _cmd_search(args) -> int:
     if args.fixed:
         report = search_fixed(g, cfg)
     else:
-        report = search_all_labelings(g, cfg, workers=args.workers)
+        report = search_all_labelings(g, cfg)
     _print_report(report, fixed=args.fixed)
     if args.json:
         Path(args.json).write_text(formats.dumps(formats.report_to_json(report)))
@@ -277,7 +278,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fixed", action="store_true", help="keep the file's labeling")
     p.add_argument("--all", action="store_true", help="enumerate every witness")
     p.add_argument("--max-copies", type=int, default=2, choices=(1, 2, 3))
-    p.add_argument("--workers", type=int, default=None)
     p.add_argument("--node-budget", type=int, default=None)
     p.add_argument("--json", metavar="OUT")
     p.set_defaults(func=_cmd_search)

@@ -135,8 +135,11 @@ def graph_from_json(obj: dict) -> LabeledGraph:
 
 
 def report_to_json(report: SearchReport) -> dict:
-    """Schema: {graph, outcome, witness?, labeling?, witnesses?, stats, budget_exhausted}.
+    """Schema: {graph, outcome, witness?, labeling?, witnesses?, stats,
+    budget_exhausted, complete_decision}.
 
+    complete_decision is SearchReport.is_complete_decision: true only for a
+    not-representable outcome that covers every labeling at max_copies >= 2.
     wall_time is omitted on purpose: reports must not depend on how the
     search was scheduled.
     """
@@ -157,6 +160,7 @@ def report_to_json(report: SearchReport) -> dict:
         "labelings_tried": report.stats.labelings_tried,
     }
     out["budget_exhausted"] = report.budget_exhausted
+    out["complete_decision"] = report.is_complete_decision
     return out
 
 

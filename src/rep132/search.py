@@ -17,40 +17,41 @@ Determinism: labelings run in lexicographic order; within a labeling the
 kernel visits words in lexicographic order; the node budget is a per-graph
 total consumed in labeling order. Labelings that differ by an automorphism
 give the same labeled graph, and the kernel is deterministic in that graph,
-so search_all_labelings runs the kernel once per distinct labeled graph and
-replays the stored result for each repeat. Stats still count the serial
-walk: a repeated graph's nodes and words count again, and every labeling
-walked counts as tried.
+so the kernel runs once per distinct labeled graph and the stored result
+is replayed for each repeat. Stats still count the serial walk: a repeated
+graph's nodes and words count again, and every labeling walked counts as
+tried.
 
-The walk is a generator (_walk) over one dict of kernel results, keyed by
-each labeled graph's packed adjacency masks; it yields each labeled graph
-that the dict holds no usable result for, with its remaining budget, and
-its caller stores one. search_fixed and search_all_labelings serve it with
-one kernels.run_search call per request. scan_order runs one walk per class
-and serves them all in rounds of kernels.run_batch calls: in round r every
-undecided class asks for the graph its walk needs plus its next distinct
-labeled graphs not yet searched, 2**r graphs in all, under its remaining
-budget, so the kernel shares word prefixes across many graphs and classes.
-A walk uses a result searched ahead of it only where the serial walk would
-get the same result (see _walk), so every scan report is the per-class
-serial one. A parallel scan_order gives each of its k workers the
-interleaved group classes[i::k] to decide in rounds, and keeps the reports
-in scan order. A parallel search_all_labelings searches the distinct
-labeled graphs of one graph in a pool, fills the walk's dict as results
-arrive, and assembles its report by replaying the serial order. Either
-way serial and parallel outputs are identical (wall time excluded).
+One driver decides every search (_decide_classes). Each graph has a walk
+(_walk), a generator over one dict of kernel results keyed by each labeled
+graph's packed adjacency masks; it yields each labeled graph that the dict
+holds no usable result for, with its remaining budget. The labelings are
+drawn lazily, so no list of n! labelings is built. The driver serves the
+walks of all its graphs in rounds of kernels.run_batch calls: in each round
+every undecided graph asks for the labeled graph its walk needs plus its
+next distinct labeled graphs not yet searched, twice as many as in the
+round before (see _decide_classes), under its remaining budget, so the
+kernel shares word prefixes across many graphs. A walk uses a result searched ahead of it only
+where the serial walk would get the same result (see _walk), so every
+report is the serial one. search_fixed walks the identity labeling only,
+search_all_labelings every labeling of one graph, and scan_order every
+labeling of every class of an order. A parallel scan_order gives each of
+its k workers the interleaved group classes[i::k] to decide in rounds, and
+keeps the reports in scan order, so serial and parallel outputs are
+identical (wall time excluded).
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import os
 import time
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from . import kernels
 from .graphs import (
@@ -70,10 +71,17 @@ BUDGET_EXCEEDED = "budget-exceeded"
 
 DEFAULT_SCAN_NODE_BUDGET = 10**9
 
-# Most graphs in one kernels.run_batch call of a scan round. A round asks
-# for up to 2**r graphs per class; past a few thousand graphs a batch shares
-# little more, while its requests and results take memory per graph.
+# Most graphs one class asks for in a round, and about the most in one
+# kernels.run_batch call. A round asks for up to 2**r graphs per class; past
+# a few thousand graphs a batch shares little more, while its requests and
+# results take memory per graph.
 BATCH_GRAPHS = 4096
+
+# Fewest graphs a round must ask for in all before it searches any ahead of
+# the walks. On the compiled kernel a union search of a few graphs costs
+# more than their searches apart (2 graphs about 2.5 times as much, 8 about
+# the same, 29 about half), so a single search starts as the serial walk.
+ROUND_GRAPHS = 16
 
 WORKERS_ENV = "REP132_WORKERS"
 
@@ -146,26 +154,6 @@ def _resolve_workers(workers: Optional[int]) -> int:
     return workers
 
 
-def _kernel_run(n: int, masks: Sequence[int], cfg: SearchConfig, budget: Optional[int]):
-    return kernels.run_search(
-        n,
-        masks,
-        1,
-        cfg.max_copies,
-        True,
-        cfg.find_all,
-        budget,
-        cfg.prune_pattern,
-        cfg.prune_edges,
-        cfg.prune_exhausted,
-    )
-
-
-def _kernel_task(task):
-    n, key, cfg = task
-    return _kernel_run(n, _unpacked(key, n), cfg, cfg.node_budget)
-
-
 def _scan_group_task(task) -> list[SearchReport]:
     n, group, cfg = task
     return _decide_classes(n, group, cfg)
@@ -193,6 +181,20 @@ def reduced_labelings(g: LabeledGraph) -> list[Labeling]:
     return out
 
 
+def _labelings(g: LabeledGraph, cfg: SearchConfig) -> Iterable[Labeling]:
+    """The labelings a search of g under cfg walks, in order.
+
+    Without automorphism reduction they are drawn lazily from
+    itertools.permutations, so a search that stops early never builds n!
+    labelings; reduced_labelings builds its list up front.
+    """
+    if cfg.fixed_labeling:
+        return [identity_labeling(g.n)]
+    if cfg.use_automorphism_reduction:
+        return reduced_labelings(g)
+    return itertools.permutations(range(1, g.n + 1))
+
+
 def _unpacked(key: int, n: int) -> tuple[int, ...]:
     """The adjacency masks packed in key, 16 bits per vertex (see _keys)."""
     return tuple(key >> (16 * v) & 0xFFFF for v in range(n + 1))
@@ -207,8 +209,10 @@ def _pair_keys(n: int) -> list[list[int]]:
     ]
 
 
-def _keys(adj: Sequence[int], sigmas: Sequence[Labeling]) -> Iterator[int]:
-    """The key of relabel(g, sigma) for each sigma, in order.
+def _keys(
+    adj: Sequence[int], sigmas: Iterable[Labeling]
+) -> Iterator[tuple[Labeling, int]]:
+    """(sigma, the key of relabel(g, sigma)) for each sigma, in order.
 
     adj is g's adjacency masks. A labeled graph's key is its adjacency
     masks packed into one int, mask v in bits 16v..16v+15: a small memo
@@ -219,31 +223,31 @@ def _keys(adj: Sequence[int], sigmas: Sequence[Labeling]) -> Iterator[int]:
     edges = [(u - 1, v - 1) for u in range(1, n + 1) for v in range(u + 1, n + 1)
              if adj[u] >> v & 1]
     for sig in sigmas:
-        yield sum([pair[sig[u] - 1][sig[v] - 1] for u, v in edges])
+        yield sig, sum([pair[sig[u] - 1][sig[v] - 1] for u, v in edges])
 
 
-def _led(lead: deque, keys: Iterator[int]) -> Iterator[int]:
+def _led(lead: deque, keys: Iterator[tuple]) -> Iterator[tuple]:
     """keys, reading first the ones a lookahead took from keys into lead."""
     while True:
         while lead:
             yield lead.popleft()
-        key = next(keys, None)
-        if key is None:
+        item = next(keys, None)
+        if item is None:
             return
-        yield key
+        yield item
 
 
-def _walk(cfg: SearchConfig, sigmas: Sequence[Labeling], keys: Iterator[int],
-          results: dict):
-    """The serial labeling walk over sigmas, as a generator.
+def _walk(cfg: SearchConfig, keys: Iterator[tuple[Labeling, int]], results: dict):
+    """The serial labeling walk, as a generator.
 
-    keys yields the key of each labeling's labeled graph (see _keys), in
-    the order of sigmas. results maps a key to a kernel result. Each time
+    keys yields each labeling in walk order with the key of its labeled
+    graph (see _keys). results maps a key to a kernel result. Each time
     results holds none that serves the labeled graph 'key' under node
-    budget 'remaining', the walk yields (key, remaining); the caller stores a
-    result for key, computed under a budget of at least 'remaining', and
-    resumes the walk. Returns (winner, entries, nodes, tested,
-    labelings_tried, exhausted); winner is (labeling, first witness tuple).
+    budget 'remaining', the walk yields (key, remaining, tried), tried being
+    the labelings walked before; the caller stores a result for key,
+    computed under a budget of at least 'remaining', and resumes the walk.
+    Returns (winner, entries, nodes, tested, labelings_tried, exhausted);
+    winner is (labeling, first witness tuple).
 
     The kernel is deterministic in (masks, flags, budget), so one result
     serves every labeling whose labeled graph repeats an earlier one, and a
@@ -257,7 +261,7 @@ def _walk(cfg: SearchConfig, sigmas: Sequence[Labeling], keys: Iterator[int],
     entries: list[tuple[Labeling, tuple[int, ...]]] = []
     winner = None
     exhausted = False
-    for sig, key in zip(sigmas, keys):
+    for sig, key in keys:
         if remaining is not None and remaining <= 0:
             exhausted = True
             break
@@ -269,7 +273,7 @@ def _walk(cfg: SearchConfig, sigmas: Sequence[Labeling], keys: Iterator[int],
         # When it does not fit, the serial walk cuts this labeling short:
         # ask again, for exact stats.
         while res is None or (remaining is not None and res[1] > remaining):
-            yield key, remaining
+            yield key, remaining, tried
             res = results[key]
         wit, nodes, tested, exc = res
         nodes_sum += nodes
@@ -289,38 +293,20 @@ def _walk(cfg: SearchConfig, sigmas: Sequence[Labeling], keys: Iterator[int],
     return winner, entries, nodes_sum, tested_sum, tried, exhausted
 
 
-def _serve(n: int, cfg: SearchConfig, walk, results: dict, arriving=None):
-    """Run a walk to its end, storing one kernel result per request.
-
-    arriving, when given, yields (key, result) pairs searched under the
-    full budget, in the walk's order of first occurrence; they go into
-    results as they arrive, up to the key requested. A key that is in
-    results and requested again did not fit: it is searched here.
-    """
-    try:
-        while True:
-            key, remaining = next(walk)
-            if arriving is not None and key not in results:
-                for done, res in arriving:
-                    results[done] = res
-                    if done == key:
-                        break
-            else:
-                results[key] = _kernel_run(n, _unpacked(key, n), cfg, remaining)
-    except StopIteration as done:
-        return done.value
-
-
 def _decide_classes(
     n: int, classes: Sequence[LabeledGraph], cfg: SearchConfig
 ) -> list[SearchReport]:
-    """[search_all_labelings(h, cfg, workers=1) for h in classes], in rounds.
+    """The search report of every graph in classes under cfg, in rounds.
 
-    Every class walks its labelings as search_all_labelings does, and the
-    walks advance together in rounds. In round r (from 0), every undecided
-    class asks for up to 2**r graphs under its remaining budget: the one
-    its walk needs, then its next distinct labeled graphs, in walk order,
-    that it has not searched yet. A round goes to kernels.run_batch in
+    Every class walks the labelings _labelings(h, cfg) gives (see _walk),
+    and the walks advance together in rounds. In round r (from 0), every
+    undecided class asks for up to 2**r graphs under its remaining budget:
+    the one its walk needs, then its next distinct labeled graphs, in walk
+    order, that it has not searched yet, and never more than BATCH_GRAPHS.
+    A round that would ask for fewer than ROUND_GRAPHS graphs in all asks
+    only for the ones the walks need. Under a node budget it asks for none
+    past the labelings that its remaining budget pays for at the walk's
+    mean nodes per labeling so far. A round goes to kernels.run_batch in
     slices of whole classes, of about BATCH_GRAPHS graphs each. Each class
     keeps its results in one dict, the walk's memo, and the walk uses a
     speculative result only where the serial walk would get the same one
@@ -332,19 +318,16 @@ def _decide_classes(
     report's wall time runs from the start of the rounds to its class's
     decision.
     """
-    cfg = replace(cfg, fixed_labeling=False)
     t0 = time.perf_counter()
-    shared = None if cfg.use_automorphism_reduction else all_labelings(n)
     # class index -> (walk, results, keys not yet read, keys read ahead)
     undecided: dict[int, tuple] = {}
     for i, h in enumerate(classes):
-        sigmas = shared or reduced_labelings(h)
-        keys, lead = _keys(h.adjacency_masks(), sigmas), deque()
+        keys, lead = _keys(h.adjacency_masks(), _labelings(h, cfg)), deque()
         results: dict[int, tuple] = {}
-        walk = _walk(cfg, sigmas, _led(lead, keys), results)
+        walk = _walk(cfg, _led(lead, keys), results)
         undecided[i] = (walk, results, keys, lead)
     reports: list[Optional[SearchReport]] = [None] * len(classes)
-    requests: dict[int, tuple] = {}  # class index -> (key, remaining)
+    requests: dict[int, tuple] = {}  # class index -> (key, remaining, tried)
 
     asked: list[tuple] = []  # (class results, key, budget)
     asking: list[int] = []  # the classes in asked
@@ -384,24 +367,28 @@ def _decide_classes(
         advance(i)
     width = 1
     while requests:
+        asks = width if width * len(requests) >= ROUND_GRAPHS else 1
         for i in list(requests):
-            key, remaining = requests[i]
+            key, remaining, tried = requests[i]
             _, results, keys, lead = undecided[i]
             asked.append((results, key, remaining))
             asking.append(i)
             taken = {key}
-            while len(taken) < width:
-                extra = next(keys, None)
-                if extra is None:
+            spent = 0 if remaining is None else cfg.node_budget - remaining
+            ahead = remaining * tried // spent - 1 if spent else math.inf
+            while len(taken) < asks and len(lead) < ahead:
+                item = next(keys, None)
+                if item is None:
                     break
-                lead.append(extra)
+                lead.append(item)
+                extra = item[1]
                 if extra not in results and extra not in taken:
                     taken.add(extra)
                     asked.append((results, extra, remaining))
             if len(asked) >= BATCH_GRAPHS:
                 flush()
         flush()
-        width *= 2
+        width = min(2 * width, BATCH_GRAPHS)
     return reports
 
 
@@ -447,53 +434,21 @@ def search_fixed(g: LabeledGraph, cfg: SearchConfig = SearchConfig()) -> SearchR
     the lexicographically least one; with find_all, all_witnesses lists
     every 132-representant with letter multiplicities <= max_copies.
     """
-    cfg = replace(cfg, fixed_labeling=True)
-    t0 = time.perf_counter()
-    results: dict[int, tuple] = {}
-    sigmas = [identity_labeling(g.n)]
-    walk = _walk(cfg, sigmas, _keys(g.adjacency_masks(), sigmas), results)
-    return _assemble(g, cfg, *_serve(g.n, cfg, walk, results), time.perf_counter() - t0)
+    return _decide_classes(g.n, [g], replace(cfg, fixed_labeling=True))[0]
 
 
 def search_all_labelings(
-    g: LabeledGraph,
-    cfg: SearchConfig = SearchConfig(),
-    workers: Optional[int] = None,
+    g: LabeledGraph, cfg: SearchConfig = SearchConfig()
 ) -> SearchReport:
     """Decide 132-representability of g over every labeling.
 
     Labelings run in lexicographic order (optionally one per automorphism
     coset); stops at the first witness unless find_all. The node budget is
-    a per-graph total. The kernel runs once per distinct relabeled graph.
-    With workers > 1 those graphs are searched in parallel speculatively;
-    the report replays the serial order, so it is identical to a serial
-    run's.
+    a per-graph total. The kernel runs once per distinct relabeled graph,
+    in rounds that search ahead of the walk (see _decide_classes); the
+    report is the serial walk's.
     """
-    cfg = replace(cfg, fixed_labeling=False)
-    t0 = time.perf_counter()
-    sigmas = (
-        reduced_labelings(g) if cfg.use_automorphism_reduction else all_labelings(g.n)
-    )
-    nworkers = _resolve_workers(workers)
-    adj = g.adjacency_masks()
-    results: dict[int, tuple] = {}
-    walk = _walk(cfg, sigmas, _keys(adj, sigmas), results)
-    if nworkers > 1 and len(sigmas) > 1:
-        # one task per distinct graph, in walk order of first occurrence,
-        # so the walk meets each graph's result when it first needs it
-        distinct = list(dict.fromkeys(_keys(adj, sigmas)))
-        chunk = max(1, len(distinct) // (nworkers * 32))
-        with ProcessPoolExecutor(max_workers=nworkers) as pool:
-            arriving = zip(distinct, pool.map(
-                _kernel_task, [(g.n, key, cfg) for key in distinct], chunksize=chunk
-            ))
-            result = _serve(g.n, cfg, walk, results, arriving)
-            # drop the speculative chunks not yet started and wait for the
-            # running ones, so no worker outlives the call
-            pool.shutdown(cancel_futures=True)
-    else:
-        result = _serve(g.n, cfg, walk, results)
-    return _assemble(g, cfg, *result, time.perf_counter() - t0)
+    return _decide_classes(g.n, [g], replace(cfg, fixed_labeling=False))[0]
 
 
 def scan_order(
@@ -514,7 +469,7 @@ def scan_order(
     rounds of its own; the reports are the serial ones.
     """
     budget = cfg.node_budget if cfg.node_budget is not None else DEFAULT_SCAN_NODE_BUDGET
-    cfg = replace(cfg, node_budget=budget)
+    cfg = replace(cfg, node_budget=budget, fixed_labeling=False)
     graphs = list(enumerate_graphs(n, isolate_free=True))
     groups = min(_resolve_workers(workers), len(graphs))
     if groups > 1:

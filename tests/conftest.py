@@ -6,12 +6,14 @@ permutations via itertools) so that library results can be checked against
 code that shares no logic with the implementation under test.
 
 The fixtures write graph files and provide the compiled kernel, built from
-the repository's own setup.py when it is not already importable.
+the repository's own setup.py when it is not already importable; run_child
+runs code in a child process on a chosen kernel backend.
 """
 
 from __future__ import annotations
 
 import itertools
+import os
 import shlex
 import shutil
 import subprocess
@@ -120,3 +122,33 @@ def compiled_kernel(tmp_path_factory):
     assert build.returncode == 0, build.stdout + build.stderr
     rep132.__path__.append(str(out / "lib" / "rep132"))
     return kernels.load_backend("c")
+
+
+# Code that loads the package in a child process started by run_child, with
+# the compiled kernel's directory on its search path, so the REP132_BACKEND
+# choice made at import time can find it.
+LOAD_PACKAGE = """
+import importlib.util, sys
+package, kernel_dir = sys.argv[1:]
+spec = importlib.util.spec_from_file_location(
+    "rep132", package + "/__init__.py",
+    submodule_search_locations=[package, kernel_dir])
+rep132 = sys.modules["rep132"] = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(rep132)
+from rep132 import kernels
+"""
+
+
+def run_child(code, backend, request):
+    """Run code in a child process whose kernels module selects backend."""
+    from rep132 import kernels
+
+    package = Path(kernels.__file__).parent
+    kernel_dir = package
+    if backend == "c":
+        kernel_dir = Path(request.getfixturevalue("compiled_kernel").__file__).parent
+    return subprocess.run(
+        [sys.executable, "-c", code, str(package), str(kernel_dir)],
+        env=dict(os.environ, REP132_BACKEND=backend),
+        capture_output=True, text=True, timeout=120,
+    )

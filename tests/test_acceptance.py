@@ -138,7 +138,7 @@ def test_05_wheel_and_prism_are_not_representable():
         assert full.stats.labelings_tried == 720
 
         cfg = SearchConfig(use_automorphism_reduction=True)
-        reduced = search_all_labelings(g, cfg, workers=4)
+        reduced = search_all_labelings(g, cfg)
         assert reduced.outcome == "not-representable"
         assert reduced.is_complete_decision
         assert reduced.stats.labelings_tried == reduced_labelings

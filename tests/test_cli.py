@@ -191,9 +191,23 @@ def test_search_all_labelings(cli, graph_file):
 def test_search_not_representable(cli, graph_file):
     code, out, _ = cli("search", graph_file(WHEEL5_TEXT))
     assert code == 3
-    assert "outcome: not-representable" in out
+    assert "outcome: not-representable\ncomplete decision: yes\n" in out
     assert "witness" not in out
     assert "labelings_tried=720" in out
+
+
+def test_search_fixed_negative_is_marked_bounded(cli, graph_file, tmp_path):
+    # Not representable under this labeling with at most two copies of each
+    # letter, yet 45235125 represents it: the fixed verdict is bounded.
+    text = "n 5\n1 2\n1 3\n1 4\n2 3\n2 5\n3 4\n"
+    report = tmp_path / "report.json"
+    code, out, _ = cli("search", graph_file(text), "--fixed", "--json", str(report))
+    assert code == 3
+    assert "outcome: not-representable\ncomplete decision: no\n" in out
+    assert json.loads(report.read_text())["complete_decision"] is False
+    code, out, _ = cli("search", graph_file(text), "--fixed", "--max-copies", "3")
+    assert code == 0
+    assert "witness: 45235125" in out
 
 
 def test_search_budget_exceeded(cli, graph_file):

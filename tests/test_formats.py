@@ -125,8 +125,9 @@ def test_graph_json_round_trip(g):
 def test_report_json_representable():
     obj = report_to_json(search_all_labelings(cycle(5)))
     assert set(obj) == {"graph", "outcome", "witness", "labeling",
-                        "stats", "budget_exhausted"}
+                        "stats", "budget_exhausted", "complete_decision"}
     assert obj["outcome"] == "representable"
+    assert obj["complete_decision"] is False
     assert set(obj["stats"]) == {"nodes", "words_tested", "labelings_tried"}
     assert "wall_time" not in obj["stats"]
 
@@ -136,6 +137,7 @@ def test_report_json_not_representable():
     assert obj["outcome"] == "not-representable"
     assert "witness" not in obj and "labeling" not in obj
     assert obj["budget_exhausted"] is False
+    assert obj["complete_decision"] is True
 
 
 def test_report_json_budget_exceeded():
@@ -143,6 +145,7 @@ def test_report_json_budget_exceeded():
         search_all_labelings(wheel(5), SearchConfig(node_budget=500)))
     assert obj["outcome"] == "budget-exceeded"
     assert obj["budget_exhausted"] is True
+    assert obj["complete_decision"] is False
 
 
 def test_report_json_find_all():

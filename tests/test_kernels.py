@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import brute_representants, c_compiler
+from conftest import LOAD_PACKAGE, brute_representants, c_compiler, run_child
 from rep132 import kernels
 from rep132.graphs import (
     LabeledGraph,
@@ -544,21 +544,9 @@ def test_word_longer_than_kernel_depth_is_rejected():
 
 # Called with 15 letters of 5 copies, the compiled kernel used to write past
 # its 64-letter word and die with SIGSEGV; run it in a child process so a
-# regression fails this test instead of killing pytest. The child loads the
-# package with the compiled kernel's directory on its search path, so the
-# REP132_BACKEND choice made at import time can find it. It makes the call
+# regression fails this test instead of killing pytest. It makes the call
 # through kernels.run_search and then on the backend module itself, which
 # must guard its own memory.
-LOAD_PACKAGE = """
-import importlib.util, sys
-package, kernel_dir = sys.argv[1:]
-spec = importlib.util.spec_from_file_location(
-    "rep132", package + "/__init__.py",
-    submodule_search_locations=[package, kernel_dir])
-rep132 = sys.modules["rep132"] = importlib.util.module_from_spec(spec)
-spec.loader.exec_module(rep132)
-from rep132 import kernels
-"""
 OVERFLOW_CALL = LOAD_PACKAGE + """
 for run_search in (kernels.run_search, kernels.load_backend(kernels.backend_name()).run_search):
     try:
@@ -566,19 +554,6 @@ for run_search in (kernels.run_search, kernels.load_backend(kernels.backend_name
     except ValueError as e:
         print(kernels.backend_name(), "ValueError:", e)
 """
-
-
-def run_child(code, backend, request):
-    """Run code in a child process whose kernels module selects backend."""
-    package = Path(kernels.__file__).parent
-    kernel_dir = package
-    if backend == "c":
-        kernel_dir = Path(request.getfixturevalue("compiled_kernel").__file__).parent
-    return subprocess.run(
-        [sys.executable, "-c", code, str(package), str(kernel_dir)],
-        env=dict(os.environ, REP132_BACKEND=backend),
-        capture_output=True, text=True, timeout=120,
-    )
 
 
 @pytest.mark.parametrize("backend", ["python", "c"])

@@ -1,13 +1,12 @@
 """Fixed- and all-labelings search, reduction safety, determinism, scans."""
 
 import itertools
-import multiprocessing
 from collections import Counter
 from dataclasses import replace
 
 import pytest
 
-from conftest import brute_representants
+from conftest import LOAD_PACKAGE, brute_representants, run_child
 from rep132 import kernels, search
 from rep132.formats import catalog_to_json, dumps, report_to_json
 from rep132.graphs import (
@@ -221,8 +220,9 @@ def kernel_result(h, cfg, budget):
 def reference_report(g, cfg):
     """search_all_labelings without sharing: one kernel call per labeling.
 
-    The serial walk written out: labelings in lexicographic order, the node
-    budget spent in that order, stop at the first witness unless find_all.
+    The serial walk written out: labelings in lexicographic order (one per
+    automorphism coset under reduction), the node budget spent in that
+    order, stop at the first witness unless find_all.
     """
     cfg = replace(cfg, fixed_labeling=False)
     remaining = cfg.node_budget
@@ -230,7 +230,7 @@ def reference_report(g, cfg):
     entries = []
     winner = None
     exhausted = False
-    for sig in all_labelings(g.n):
+    for sig in walked_labelings(g, cfg):
         if remaining is not None and remaining <= 0:
             exhausted = True
             break
@@ -249,6 +249,39 @@ def reference_report(g, cfg):
         if winner is not None and not cfg.find_all:
             break
     return search._assemble(g, cfg, winner, entries, nodes, tested, tried, exhausted, 0.0)
+
+
+def walked_labelings(g, cfg):
+    if cfg.use_automorphism_reduction:
+        return reduced_labelings(g)
+    return all_labelings(g.n)
+
+
+def memoized_walk_calls(g, cfg):
+    """The run_search calls of a serial walk that stores one result per graph.
+
+    Labelings in walk order; a stored result serves a repeated labeled graph
+    while its nodes fit the remaining budget, and the graph is searched
+    again under that budget when they do not.
+    """
+    memo, calls = {}, []
+    remaining = cfg.node_budget
+    for sig in walked_labelings(g, cfg):
+        if remaining is not None and remaining <= 0:
+            break
+        h = relabel(g, sig)
+        res = memo.get(h.adjacency_masks())
+        if res is None or (remaining is not None and res[1] > remaining):
+            calls.append((h.adjacency_masks(), remaining))
+            res = memo[h.adjacency_masks()] = kernel_result(h, cfg, remaining)
+        wit, used, _, cut = res
+        if cut:
+            break
+        if remaining is not None:
+            remaining -= used
+        if wit and not cfg.find_all:
+            break
+    return calls
 
 
 def repeat_budgets(g, cfg):
@@ -272,47 +305,37 @@ def repeat_budgets(g, cfg):
 
 
 def test_kernel_runs_once_per_distinct_labeled_graph(monkeypatch):
-    calls = []
-    run_search = kernels.run_search
+    batched = []
+    run_batch = kernels.run_batch
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return run_search(*args, **kwargs)
+    def counting(n, masks_list, *args):
+        batched.extend(tuple(adj) for adj in masks_list)
+        return run_batch(n, masks_list, *args)
 
-    monkeypatch.setattr(kernels, "run_search", counting)
-    rep = search_all_labelings(wheel(5), workers=1)
-    assert len(calls) == 720 // len(automorphisms(wheel(5))) == 72
+    def no_search(*args):
+        raise AssertionError("a search called kernels.run_search")
+
+    monkeypatch.setattr(kernels, "run_batch", counting)
+    monkeypatch.setattr(kernels, "run_search", no_search)
+    rep = search_all_labelings(wheel(5))
+    assert len(batched) == len(set(batched)) == 720 // len(automorphisms(wheel(5))) == 72
+    assert set(batched) == {relabel(wheel(5), sig).adjacency_masks()
+                            for sig in all_labelings(6)}
     assert rep.stats.nodes == 691310
     assert rep.stats.labelings_tried == 720
 
 
-def test_parallel_search_submits_one_task_per_distinct_graph(monkeypatch):
-    submitted = []
-
-    class CountingPool(search.ProcessPoolExecutor):
-        def map(self, fn, tasks, **kwargs):
-            tasks = list(tasks)
-            submitted.append(len(tasks))
-            return super().map(fn, tasks, **kwargs)
-
-    monkeypatch.setattr(search, "ProcessPoolExecutor", CountingPool)
-    search_all_labelings(wheel(5), workers=2)
-    assert submitted == [72]
-
-
-@pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("g", [wheel(5), prism(3)], ids=["wheel5", "prism3"])
-def test_shared_results_match_a_walk_without_sharing(g, workers):
+def test_shared_results_match_a_walk_without_sharing(g):
     cfgs = [SearchConfig(), SearchConfig(node_budget=1000), SearchConfig(node_budget=250000)]
     cfgs += [SearchConfig(node_budget=b) for b in repeat_budgets(g, SearchConfig())]
     for cfg in cfgs:
         expected = dumps(report_to_json(reference_report(g, cfg)))
-        got = dumps(report_to_json(search_all_labelings(g, cfg, workers=workers)))
+        got = dumps(report_to_json(search_all_labelings(g, cfg)))
         assert got == expected, cfg
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_shared_results_match_with_find_all(workers):
+def test_shared_results_match_with_find_all():
     g = cycle(5)
     base = SearchConfig(find_all=True)
     cfgs = [base] + [replace(base, node_budget=b) for b in repeat_budgets(g, base)]
@@ -321,38 +344,60 @@ def test_shared_results_match_with_find_all(workers):
         if cfg.node_budget is None:
             assert len(ref.all_witnesses) > ref.stats.labelings_tried
         expected = dumps(report_to_json(ref))
-        got = dumps(report_to_json(search_all_labelings(g, cfg, workers=workers)))
+        got = dumps(report_to_json(search_all_labelings(g, cfg)))
         assert got == expected, cfg
 
 
-# ------------------------------------------------------------ determinism
+# --------------------------------------------------- one driver, both kernels
 
 
-@pytest.mark.parametrize("workers", [1, 2, 4])
-def test_parallel_reports_are_byte_identical(workers):
-    cases = [
-        (wheel(5), SearchConfig()),
-        (wheel(5), SearchConfig(node_budget=1000)),
-        (cycle(6), SearchConfig()),
-        (complete(4), SearchConfig(find_all=True)),
-    ]
-    for g, cfg in cases:
-        serial = dumps(report_to_json(search_all_labelings(g, cfg, workers=1)))
-        parallel = dumps(report_to_json(search_all_labelings(g, cfg, workers=workers)))
-        assert serial == parallel
+# A search at n = 12 under RLIMIT_AS of 1 GiB, in a child process: a list
+# of the 12! labelings would take gigabytes, and the walk needs one.
+LAZY_LABELINGS = LOAD_PACKAGE + """
+import resource
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from rep132.graphs import LabeledGraph
+from rep132.search import SearchConfig, search_all_labelings
+rep = search_all_labelings(LabeledGraph(12, [(1, 2)]), SearchConfig(node_budget=10))
+print(rep.outcome, rep.stats.labelings_tried)
+"""
 
 
-def test_parallel_search_leaves_no_workers():
-    search_all_labelings(cycle(6), workers=2)
-    assert multiprocessing.active_children() == []
+def test_budgeted_search_draws_labelings_lazily(request):
+    done = run_child(LAZY_LABELINGS, "python", request)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == [BUDGET_EXCEEDED, "1"]
 
 
-def test_workers_env_sets_default(monkeypatch):
-    monkeypatch.setenv("REP132_WORKERS", "2")
-    a = dumps(report_to_json(search_all_labelings(cycle(5))))
-    monkeypatch.delenv("REP132_WORKERS")
-    b = dumps(report_to_json(search_all_labelings(cycle(5), workers=2)))
-    assert a == b
+# The JSON report of every single-graph search below, on the backend the
+# child process selects: unbudgeted, at 1,000 nodes, and one node short of
+# what the unbudgeted search takes.
+SINGLE_GRAPH_REPORTS = LOAD_PACKAGE + """
+from dataclasses import replace
+from rep132.formats import dumps, report_to_json
+from rep132.graphs import cycle, prism, wheel
+from rep132.search import SearchConfig, search_all_labelings, search_fixed
+print(kernels.backend_name())
+for g, base in ((wheel(5), SearchConfig()), (prism(3), SearchConfig()),
+                (cycle(5), SearchConfig(find_all=True))):
+    for search in (search_all_labelings, search_fixed):
+        needed = search(g, base).stats.nodes
+        for budget in (None, 1000, needed - 1):
+            print(dumps(report_to_json(search(g, replace(base, node_budget=budget)))))
+"""
+
+
+def test_single_graph_reports_match_across_backends(request):
+    py = run_child(SINGLE_GRAPH_REPORTS, "python", request)
+    c = run_child(SINGLE_GRAPH_REPORTS, "c", request)
+    assert py.returncode == 0, py.stderr
+    assert c.returncode == 0, c.stderr
+    backend_py, reports_py = py.stdout.split("\n", 1)
+    backend_c, reports_c = c.stdout.split("\n", 1)
+    assert (backend_py, backend_c) == ("python", "c")
+    assert reports_c == reports_py
+    assert reports_py.count('"outcome"') == 18
+    assert reports_py.count('"budget-exceeded"') >= 6
 
 
 # ------------------------------------------------------------------- scans
@@ -419,12 +464,19 @@ SCAN_CONFIGS = [
 SCAN_IDS = ["default", "budget1000", "reduce"]
 
 
+def scan_classes(n):
+    return sorted(enumerate_graphs(n, isolate_free=True),
+                  key=lambda h: (len(h.edges), h.edge_list()))
+
+
+def scan_config(cfg):
+    return replace(cfg, node_budget=cfg.node_budget or DEFAULT_SCAN_NODE_BUDGET)
+
+
 def per_class_reports(n, cfg):
-    """What scan_order(n, cfg) reports, class by class through search_all_labelings."""
-    cfg = replace(cfg, node_budget=cfg.node_budget or DEFAULT_SCAN_NODE_BUDGET)
-    classes = sorted(enumerate_graphs(n, isolate_free=True),
-                     key=lambda h: (len(h.edges), h.edge_list()))
-    return [(h, search_all_labelings(h, cfg, workers=1)) for h in classes]
+    """What scan_order(n, cfg) reports, class by class by reference_report."""
+    cfg = scan_config(cfg)
+    return [(h, reference_report(h, cfg)) for h in scan_classes(n)]
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -448,19 +500,15 @@ def test_scan_batches_exactly_the_per_class_kernel_calls(cfg, monkeypatch):
     # speculative entries: in each round, a class's other entries are
     # distinct labeled graphs of that class not searched before, under the
     # budget of the entry its walk needs.
-    searched, rounds = [], []
-    run_search, run_batch = kernels.run_search, kernels.run_batch
-
-    def counting_search(n, adj, *args):
-        searched.append((tuple(adj), args[4]))
-        return run_search(n, adj, *args)
+    searched = [call for h in scan_classes(5)
+                for call in memoized_walk_calls(h, scan_config(cfg))]
+    rounds = []
+    run_batch = kernels.run_batch
 
     def counting_batch(n, masks_list, *args):
         rounds.append([(tuple(adj), b) for adj, b in zip(masks_list, args[4])])
         return run_batch(n, masks_list, *args)
 
-    monkeypatch.setattr(kernels, "run_search", counting_search)
-    per_class_reports(5, cfg)
     monkeypatch.setattr(kernels, "run_batch", counting_batch)
     scan_order(5, cfg, workers=1)
     batched = [pair for batch in rounds for pair in batch]
@@ -469,10 +517,8 @@ def test_scan_batches_exactly_the_per_class_kernel_calls(cfg, monkeypatch):
         assert any(m == masks and b >= budget for m, b in batched)
     assert len(rounds[0]) == 23
 
-    classes = sorted(enumerate_graphs(5, isolate_free=True),
-                     key=lambda h: (len(h.edges), h.edge_list()))
     class_of = {relabel(h, sig).adjacency_masks(): i
-                for i, h in enumerate(classes) for sig in all_labelings(5)}
+                for i, h in enumerate(scan_classes(5)) for sig in all_labelings(5)}
     searched = set(searched)
     done = {}  # (class, masks) -> budget it was last searched under
     for batch in rounds:
