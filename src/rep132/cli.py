@@ -1,8 +1,10 @@
 """Command-line interface.
 
 Exit codes: 0 success (and: graph representable / circle witness found),
-2 usage or parse errors, 3 not representable / not a circle graph,
-4 node budget exceeded before a decision.
+2 usage or parse errors, 3 not representable as a complete decision / not a
+circle graph, 4 node budget exceeded before a decision, 5 not representable
+under a bounded search only (search --fixed or --max-copies 1), which does
+not settle the graph.
 
 REP132_WORKERS sets the default worker count for scan;
 REP132_BACKEND picks the kernel (see rep132.kernels).
@@ -40,6 +42,7 @@ from .search import (
 from .words import BUILTIN_PATTERNS, Word, contains_pattern, occurrences, reduce_word
 
 _EXIT_BY_OUTCOME = {REPRESENTABLE: 0, NOT_REPRESENTABLE: 3, BUDGET_EXCEEDED: 4}
+EXIT_BOUNDED_NEGATIVE = 5
 
 
 def _edges_str(g: LabeledGraph) -> str:
@@ -186,15 +189,15 @@ def _cmd_search(args) -> int:
     _print_report(report, fixed=args.fixed)
     if args.json:
         Path(args.json).write_text(formats.dumps(formats.report_to_json(report)))
+    if report.outcome == NOT_REPRESENTABLE and not report.is_complete_decision:
+        return EXIT_BOUNDED_NEGATIVE
     return _EXIT_BY_OUTCOME[report.outcome]
 
 
 def _cmd_scan(args) -> int:
     n = args.order
-    cfg = SearchConfig(
-        node_budget=args.node_budget, use_automorphism_reduction=args.reduce
-    )
-    results = scan_order(n, cfg, workers=args.workers)
+    results = scan_order(n, SearchConfig(node_budget=args.node_budget),
+                         workers=args.workers)
     for i, (g, report) in enumerate(results, start=1):
         line = f"class {i}/{len(results)}: edges {_edges_str(g)} -> {report.outcome}"
         if report.witness is not None:
@@ -288,10 +291,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dot-dir", metavar="DIR")
     p.add_argument("--workers", type=int, default=None)
     p.add_argument("--node-budget", type=int, default=None)
-    p.add_argument("--reduce", action="store_true",
-                   help="walk one labeling per automorphism coset; this only "
-                        "lowers labelings_tried, since kernel work is already "
-                        "shared across automorphic labelings")
     p.set_defaults(func=_cmd_scan)
 
     p = sub.add_parser("circle-witness", help="2-uniform representant / chord diagram")

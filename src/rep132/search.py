@@ -2,13 +2,17 @@
 
 Why this decides the question: if a graph has any 132-avoiding
 word-representant under some labeling, it has one in which every letter
-occurs at most twice (letters of degree >= 2 can never repeat more than
-twice in a 132-avoiding representant, and a normalization argument handles
-the rest), and reducing that word keeps avoidance and the represented graph
-up to consistent relabeling. So an exhaustive search over all labelings,
-with per-letter multiplicity capped at 2, is a complete decision procedure;
-max_copies is configurable to 1 (permutation words only) or 3 (for
-experiments) but 2 is the decision default.
+occurs at most twice. Letters of degree >= 2 can never repeat more than
+twice in a 132-avoiding representant. For the other letters the bound is
+machine-checked, not proven, through order 6: on 4, 5 and 6 vertices, words
+with up to three copies of each letter leave exactly the same isomorphism
+classes not representable as words with up to two (tests/test_search.py).
+Reducing a word keeps avoidance and the represented graph up to consistent
+relabeling. So an exhaustive search over all labelings, with per-letter
+multiplicity capped at 2, decides the question through order 6; beyond
+that its negatives rest on the unproven bound. max_copies is configurable
+to 1 (permutation words only) or 3 (for experiments) but 2 is the decision
+default.
 
 search_fixed asks the question for the given labeling only; labels matter,
 so the two operations answer genuinely different questions.
@@ -57,7 +61,6 @@ from . import kernels
 from .graphs import (
     LabeledGraph,
     Labeling,
-    automorphisms,
     enumerate_graphs,
     identity_labeling,
     relabel,
@@ -91,11 +94,7 @@ class SearchConfig:
     max_copies: int = 2
     fixed_labeling: bool = False
     find_all: bool = False
-    use_automorphism_reduction: bool = False
     node_budget: Optional[int] = None
-    prune_pattern: bool = True
-    prune_edges: bool = True
-    prune_exhausted: bool = True
 
     def __post_init__(self):
         if self.max_copies not in (1, 2, 3):
@@ -159,39 +158,14 @@ def _scan_group_task(task) -> list[SearchReport]:
     return _decide_classes(n, group, cfg)
 
 
-def all_labelings(n: int) -> list[Labeling]:
-    return [tuple(p) for p in itertools.permutations(range(1, n + 1))]
-
-
-def reduced_labelings(g: LabeledGraph) -> list[Labeling]:
-    """One labeling per class producing a distinct relabeled graph.
-
-    relabel(g, sigma . alpha) = relabel(g, sigma) for every automorphism
-    alpha, so labelings sharing a right coset of the automorphism group are
-    redundant; keep the lexicographically least member of each coset.
-    """
-    auts = automorphisms(g)
-    if len(auts) == 1:
-        return all_labelings(g.n)
-    out = []
-    for p in itertools.permutations(range(1, g.n + 1)):
-        sig = tuple(p)
-        if all(sig <= tuple(sig[a[v] - 1] for v in range(g.n)) for a in auts):
-            out.append(sig)
-    return out
-
-
 def _labelings(g: LabeledGraph, cfg: SearchConfig) -> Iterable[Labeling]:
     """The labelings a search of g under cfg walks, in order.
 
-    Without automorphism reduction they are drawn lazily from
-    itertools.permutations, so a search that stops early never builds n!
-    labelings; reduced_labelings builds its list up front.
+    They are drawn lazily from itertools.permutations, so a search that
+    stops early never builds n! labelings.
     """
     if cfg.fixed_labeling:
         return [identity_labeling(g.n)]
-    if cfg.use_automorphism_reduction:
-        return reduced_labelings(g)
     return itertools.permutations(range(1, g.n + 1))
 
 
@@ -351,9 +325,6 @@ def _decide_classes(
             True,
             cfg.find_all,
             [budget for _, _, budget in asked],
-            cfg.prune_pattern,
-            cfg.prune_edges,
-            cfg.prune_exhausted,
         )
         for (results, key, _), result in zip(asked, found):
             results[key] = result
@@ -442,11 +413,10 @@ def search_all_labelings(
 ) -> SearchReport:
     """Decide 132-representability of g over every labeling.
 
-    Labelings run in lexicographic order (optionally one per automorphism
-    coset); stops at the first witness unless find_all. The node budget is
-    a per-graph total. The kernel runs once per distinct relabeled graph,
-    in rounds that search ahead of the walk (see _decide_classes); the
-    report is the serial walk's.
+    Labelings run in lexicographic order; stops at the first witness
+    unless find_all. The node budget is a per-graph total. The kernel runs
+    once per distinct relabeled graph, in rounds that search ahead of the
+    walk (see _decide_classes); the report is the serial walk's.
     """
     return _decide_classes(g.n, [g], replace(cfg, fixed_labeling=False))[0]
 

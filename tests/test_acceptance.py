@@ -131,17 +131,11 @@ def test_04_star_labeling_sensitivity():
 
 def test_05_wheel_and_prism_are_not_representable():
     start = time.perf_counter()
-    for g, reduced_labelings in ((wheel(5), 72), (prism(3), 60)):
+    for g in (wheel(5), prism(3)):
         full = search_all_labelings(g)
         assert full.outcome == "not-representable"
         assert full.is_complete_decision
         assert full.stats.labelings_tried == 720
-
-        cfg = SearchConfig(use_automorphism_reduction=True)
-        reduced = search_all_labelings(g, cfg)
-        assert reduced.outcome == "not-representable"
-        assert reduced.is_complete_decision
-        assert reduced.stats.labelings_tried == reduced_labelings
     assert time.perf_counter() - start < 600.0
 
 

@@ -194,6 +194,12 @@ def test_search_not_representable(cli, graph_file):
     assert "outcome: not-representable\ncomplete decision: yes\n" in out
     assert "witness" not in out
     assert "labelings_tried=720" in out
+    # under its own labeling only, or with one copy per letter, the same
+    # verdict is bounded and exits 5
+    for bounded in (["--fixed"], ["--max-copies", "1"]):
+        code, out, _ = cli("search", graph_file(WHEEL5_TEXT), *bounded)
+        assert code == 5
+        assert "outcome: not-representable\ncomplete decision: no\n" in out
 
 
 def test_search_fixed_negative_is_marked_bounded(cli, graph_file, tmp_path):
@@ -202,7 +208,7 @@ def test_search_fixed_negative_is_marked_bounded(cli, graph_file, tmp_path):
     text = "n 5\n1 2\n1 3\n1 4\n2 3\n2 5\n3 4\n"
     report = tmp_path / "report.json"
     code, out, _ = cli("search", graph_file(text), "--fixed", "--json", str(report))
-    assert code == 3
+    assert code == 5
     assert "outcome: not-representable\ncomplete decision: no\n" in out
     assert json.loads(report.read_text())["complete_decision"] is False
     code, out, _ = cli("search", graph_file(text), "--fixed", "--max-copies", "3")
@@ -280,6 +286,12 @@ def test_scan_order_four(cli):
     assert lines[0] == "class 1/7: edges 1-2 3-4 -> representable (witness 121234)"
     assert lines[-1] == ("summary: 7 classes, 7 representable, "
                          "0 not representable, 0 budget-exceeded")
+
+
+def test_scan_has_no_reduce_option(cli):
+    code, _, err = cli("scan", "--order", "4", "--reduce")
+    assert code == 2
+    assert "unrecognized arguments: --reduce" in err
 
 
 def test_scan_artifacts(cli, tmp_path):

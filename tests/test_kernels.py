@@ -1,6 +1,7 @@
 """DFS kernel: backend parity, oracle equivalence, pruning safety, budgets."""
 
 import gc
+import importlib.util
 import itertools
 import os
 import subprocess
@@ -624,3 +625,27 @@ def test_kernel_source_compiles_without_warnings(tmp_path):
         capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr
+
+
+def test_compare_backends_runs_the_python_kernel_it_times(monkeypatch, capsys):
+    # benchmarks/compare_backends.py times each backend in turn. Every
+    # search calls kernels.run_batch, so the script must swap that too, or
+    # its "python" column runs the backend chosen at import.
+    script = Path(__file__).resolve().parent.parent / "benchmarks" / "compare_backends.py"
+    spec = importlib.util.spec_from_file_location("compare_backends", script)
+    compare = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(compare)
+    py = kernels.load_backend("python")
+    calls = []
+    run_batch = py.run_batch
+
+    def counting(*args, **kwargs):
+        calls.append(len(args[1]))
+        return run_batch(*args, **kwargs)
+
+    monkeypatch.setattr(py, "run_batch", counting)
+    original = kernels.run_search, kernels.run_batch
+    assert compare.main(["--cases", "wheel5", "--repeat", "1"]) == 0
+    assert len(calls) > 0
+    assert (kernels.run_search, kernels.run_batch) == original
+    assert capsys.readouterr().out.startswith("case")

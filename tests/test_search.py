@@ -1,4 +1,4 @@
-"""Fixed- and all-labelings search, reduction safety, determinism, scans."""
+"""Fixed- and all-labelings search, determinism, the copy bound, scans."""
 
 import itertools
 from collections import Counter
@@ -28,8 +28,6 @@ from rep132.search import (
     REPRESENTABLE,
     SearchConfig,
     SearchReport,
-    all_labelings,
-    reduced_labelings,
     scan_order,
     search_all_labelings,
     search_fixed,
@@ -40,6 +38,11 @@ GOOD_STAR = LabeledGraph(4, [(1, 2), (1, 3), (1, 4)])   # hub lowest
 ODD_STAR = LabeledGraph(4, [(1, 4), (2, 4), (3, 4)])    # hub highest
 # C_5 drawn 1-2-4-5-3-1: same abstract cycle, different labels
 TWISTED_C5 = LabeledGraph(5, [(1, 2), (1, 3), (2, 4), (3, 5), (4, 5)])
+
+
+def walked_labelings(n):
+    """Every labeling of 1..n, in the lexicographic order a search walks."""
+    return list(itertools.permutations(range(1, n + 1)))
 
 
 # ------------------------------------------------------------------- config
@@ -135,39 +138,15 @@ def test_all_labelings_negative_certificates():
         assert rep.stats.labelings_tried == 720
         assert rep.witness is None and rep.labeling is None
         assert rep.is_complete_decision
-        reduced = search_all_labelings(
-            g, SearchConfig(use_automorphism_reduction=True))
-        assert reduced.outcome == NOT_REPRESENTABLE
-        assert reduced.stats.labelings_tried == 720 // len_aut(g)
-        assert reduced.is_complete_decision
-
-
-def len_aut(g):
-    from rep132.graphs import automorphisms
-    return len(automorphisms(g))
 
 
 def test_labeling_generators():
-    assert list(all_labelings(3)) == [
+    # every labeling, in lexicographic order; a fixed search walks only
+    # the identity
+    assert list(search._labelings(complete(3), SearchConfig())) == [
         (1, 2, 3), (1, 3, 2), (2, 1, 3), (2, 3, 1), (3, 1, 2), (3, 2, 1)]
-    # one representative per coset, always the lexicographically least
-    reps = list(reduced_labelings(complete(3)))
-    assert reps == [(1, 2, 3)]
-    reps_c4 = list(reduced_labelings(cycle(4)))
-    assert len(reps_c4) == 24 // 8
-    assert all(r in set(all_labelings(4)) for r in reps_c4)
-
-
-def test_reduction_is_safe_and_finds_identical_results():
-    for n in (3, 4, 5):
-        for g in enumerate_graphs(n, isolate_free=True):
-            full = search_all_labelings(g)
-            red = search_all_labelings(
-                g, SearchConfig(use_automorphism_reduction=True))
-            assert full.outcome == red.outcome
-            assert full.witness == red.witness
-            assert full.labeling == red.labeling
-            assert red.stats.labelings_tried <= full.stats.labelings_tried
+    fixed = SearchConfig(fixed_labeling=True)
+    assert list(search._labelings(cycle(4), fixed)) == [(1, 2, 3, 4)]
 
 
 def test_fixed_flag_is_recorded():
@@ -213,16 +192,14 @@ def test_budget_never_blocks_a_found_witness():
 
 def kernel_result(h, cfg, budget):
     return kernels.run_search(
-        h.n, h.adjacency_masks(), 1, cfg.max_copies, True, cfg.find_all, budget,
-        cfg.prune_pattern, cfg.prune_edges, cfg.prune_exhausted)
+        h.n, h.adjacency_masks(), 1, cfg.max_copies, True, cfg.find_all, budget)
 
 
 def reference_report(g, cfg):
     """search_all_labelings without sharing: one kernel call per labeling.
 
-    The serial walk written out: labelings in lexicographic order (one per
-    automorphism coset under reduction), the node budget spent in that
-    order, stop at the first witness unless find_all.
+    The serial walk written out: labelings in lexicographic order, the node
+    budget spent in that order, stop at the first witness unless find_all.
     """
     cfg = replace(cfg, fixed_labeling=False)
     remaining = cfg.node_budget
@@ -230,7 +207,7 @@ def reference_report(g, cfg):
     entries = []
     winner = None
     exhausted = False
-    for sig in walked_labelings(g, cfg):
+    for sig in walked_labelings(g.n):
         if remaining is not None and remaining <= 0:
             exhausted = True
             break
@@ -251,12 +228,6 @@ def reference_report(g, cfg):
     return search._assemble(g, cfg, winner, entries, nodes, tested, tried, exhausted, 0.0)
 
 
-def walked_labelings(g, cfg):
-    if cfg.use_automorphism_reduction:
-        return reduced_labelings(g)
-    return all_labelings(g.n)
-
-
 def memoized_walk_calls(g, cfg):
     """The run_search calls of a serial walk that stores one result per graph.
 
@@ -266,7 +237,7 @@ def memoized_walk_calls(g, cfg):
     """
     memo, calls = {}, []
     remaining = cfg.node_budget
-    for sig in walked_labelings(g, cfg):
+    for sig in walked_labelings(g.n):
         if remaining is not None and remaining <= 0:
             break
         h = relabel(g, sig)
@@ -293,7 +264,7 @@ def repeat_budgets(g, cfg):
     """
     seen = set()
     spent = 0
-    for sig in all_labelings(g.n):
+    for sig in walked_labelings(g.n):
         h = relabel(g, sig)
         nodes = kernel_result(h, cfg, None)[1]
         if h.edges in seen and nodes > 1:
@@ -305,24 +276,29 @@ def repeat_budgets(g, cfg):
 
 
 def test_kernel_runs_once_per_distinct_labeled_graph(monkeypatch):
-    batched = []
+    # 720 labelings fall into 720 / |Aut| automorphism cosets, one distinct
+    # labeled graph each: 72 for wheel(5), 60 for prism(3)
     run_batch = kernels.run_batch
-
-    def counting(n, masks_list, *args):
-        batched.extend(tuple(adj) for adj in masks_list)
-        return run_batch(n, masks_list, *args)
 
     def no_search(*args):
         raise AssertionError("a search called kernels.run_search")
 
-    monkeypatch.setattr(kernels, "run_batch", counting)
     monkeypatch.setattr(kernels, "run_search", no_search)
-    rep = search_all_labelings(wheel(5))
-    assert len(batched) == len(set(batched)) == 720 // len(automorphisms(wheel(5))) == 72
-    assert set(batched) == {relabel(wheel(5), sig).adjacency_masks()
-                            for sig in all_labelings(6)}
-    assert rep.stats.nodes == 691310
-    assert rep.stats.labelings_tried == 720
+    for g, distinct, nodes in ((wheel(5), 72, 691310), (prism(3), 60, 715488)):
+        batched = []
+
+        def counting(n, masks_list, *args):
+            batched.extend(tuple(adj) for adj in masks_list)
+            return run_batch(n, masks_list, *args)
+
+        monkeypatch.setattr(kernels, "run_batch", counting)
+        rep = search_all_labelings(g)
+        assert len(batched) == len(set(batched)) == 720 // len(automorphisms(g))
+        assert len(batched) == distinct
+        assert set(batched) == {relabel(g, sig).adjacency_masks()
+                                for sig in walked_labelings(6)}
+        assert rep.stats.nodes == nodes
+        assert rep.stats.labelings_tried == 720
 
 
 @pytest.mark.parametrize("g", [wheel(5), prism(3)], ids=["wheel5", "prism3"])
@@ -428,7 +404,6 @@ def test_scan_applies_default_budget():
 @pytest.mark.parametrize("cfg", [
     SearchConfig(),
     SearchConfig(node_budget=1000),
-    SearchConfig(use_automorphism_reduction=True),
 ])
 def test_parallel_scan_reports_are_byte_identical(cfg):
     serial = scan_order(5, cfg, workers=1)
@@ -459,9 +434,8 @@ def test_parallel_scan_creates_one_pool(monkeypatch):
 SCAN_CONFIGS = [
     SearchConfig(),
     SearchConfig(node_budget=1000),
-    SearchConfig(use_automorphism_reduction=True),
 ]
-SCAN_IDS = ["default", "budget1000", "reduce"]
+SCAN_IDS = ["default", "budget1000"]
 
 
 def scan_classes(n):
@@ -518,7 +492,7 @@ def test_scan_batches_exactly_the_per_class_kernel_calls(cfg, monkeypatch):
     assert len(rounds[0]) == 23
 
     class_of = {relabel(h, sig).adjacency_masks(): i
-                for i, h in enumerate(scan_classes(5)) for sig in all_labelings(5)}
+                for i, h in enumerate(scan_classes(5)) for sig in walked_labelings(5)}
     searched = set(searched)
     done = {}  # (class, masks) -> budget it was last searched under
     for batch in rounds:
@@ -558,6 +532,21 @@ def test_scan_order_six_summary():
                             if p not in ((1, 2), (3, 4), (5, 6))])
     assert canonical_form(k33) in nonrep
     assert canonical_form(octa) in nonrep
+
+
+@pytest.mark.parametrize("n, not_representable", [(4, 0), (5, 0), (6, 4)])
+def test_copy_bound_holds_at_class_level(n, not_representable):
+    # The decision rests on two copies per letter being enough (see the
+    # rep132.search docstring): three copies leave the same classes
+    # not representable.
+    def negatives(cfg):
+        entries = scan_order(n, cfg)
+        assert all(rep.outcome != BUDGET_EXCEEDED for _, rep in entries)
+        return [g for g, rep in entries if rep.outcome == NOT_REPRESENTABLE]
+
+    two = negatives(SearchConfig())
+    assert len(two) == not_representable
+    assert negatives(SearchConfig(max_copies=3)) == two
 
 
 # ------------------------------------------------------------------ reports
