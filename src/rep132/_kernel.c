@@ -10,8 +10,11 @@
    run_batch walks the union of several graphs' searches as
    _kernel_py.run_batch_unchecked does (batch_rec() below), with graph sets
    of several 64-bit words, and falls back to one rec() per graph when the
-   union would pass the smallest budget. Its results equal the per-graph
-   ones, entry for entry.
+   union would pass the smallest budget. It reads the graphs as packed rows
+   through the buffer protocol, ROW_BYTES bytes each. Its results equal the
+   per-graph ones, entry for entry, except that without find_all a hit
+   drops the later entries of its group that have not found a witness,
+   which come back as None.
 
    The module can be imported and called directly, so run_search and
    run_batch check by themselves every argument that their arrays rely on,
@@ -26,6 +29,7 @@
 
 #define MAX_N 15      /* letters 1..MAX_N; bit c of a mask is letter c */
 #define MAX_DEPTH 64  /* longest word: n * max_copies */
+#define ROW_BYTES (2 * (MAX_N + 1))  /* a run_batch row: masks 0..MAX_N */
 
 typedef unsigned int mask_t;
 
@@ -189,6 +193,31 @@ read_masks(State *st, PyObject *adj)
     return 0;
 }
 
+/* Reads one run_batch row, masks 0..MAX_N of 16 bits each, little-endian,
+   into st->adj and st->nonedge, as _kernel_py.check_row checks it; -1 with
+   an error set. */
+static int
+read_row(State *st, const unsigned char *row)
+{
+    for (int v = 1; v <= MAX_N; v++) {
+        mask_t mask = row[2 * v] | (mask_t)row[2 * v + 1] << 8;
+        if (v <= st->n && (mask & ~st->full)) {
+            PyErr_Format(PyExc_ValueError, "adjacency mask %d has bits outside 1..%d",
+                         v, st->n);
+            return -1;
+        }
+        if (v > st->n && mask) {
+            PyErr_Format(PyExc_ValueError, "adjacency mask %d is past n = %d", v, st->n);
+            return -1;
+        }
+        if (v <= st->n) {
+            st->adj[v] = mask;
+            st->nonedge[v] = st->full & ~mask & ~((mask_t)1 << v);
+        }
+    }
+    return 0;
+}
+
 /* Checks n, min_copies and max_copies as _kernel_py.check_arguments does
    and sets them, with full, in st; -1 with an error set. */
 static int
@@ -312,12 +341,14 @@ typedef struct {
     mask_t any_nonedge[MAX_N + 1];  /* (non-)neighbour masks; 0 if unpruned */
     mask_t *adjs;        /* adjs[i * (MAX_N + 1) + c]: graph i's neighbours of c */
     mask_t *nonedges;    /* likewise its non-neighbours */
+    Py_ssize_t *group_end;  /* group_end[i]: one past the last entry of i's group */
     word_t *with_edge;   /* with_edge[(c * (MAX_N + 1) + y) * words + j] */
     Py_ssize_t *table;   /* open addressing by target; a graph index or -1 */
     size_t table_mask;
     Py_ssize_t *next_same;  /* the next graph with the same target, or -1 */
     word_t *live;        /* graphs still searching */
-    unsigned long long kills;  /* graphs taken out of live so far */
+    word_t *dropped;     /* graphs dropped by an earlier hit in their group */
+    unsigned long long kills;  /* times graphs were taken out of live */
     word_t *node_planes;  /* bit-sliced tallies: planes[j * PLANES + q] holds */
     word_t *leaf_planes;  /* bit q of the totals of word j's graphs */
     Part *stack;
@@ -428,18 +459,40 @@ keep_live(const Batch *b, Part *set, Py_ssize_t len)
     return m;
 }
 
+/* Moves the graphs from .. to - 1 that are still live to dropped. */
+static void
+drop_range(Batch *b, Py_ssize_t from, Py_ssize_t to)
+{
+    for (Py_ssize_t j = from / WORD_BITS; j * WORD_BITS < to; j++) {
+        Py_ssize_t lo = from - j * WORD_BITS, hi = to - j * WORD_BITS;
+        word_t range = ~(word_t)0;
+        if (lo > 0)
+            range <<= lo;
+        if (hi < WORD_BITS)
+            range &= ~(word_t)0 >> (WORD_BITS - hi);
+        word_t w = b->live[j] & range;
+        if (w) {
+            b->live[j] &= ~w;
+            b->dropped[j] |= w;
+            b->kills++;
+        }
+    }
+}
+
 /* Gives the current prefix, a finished word, to every graph of set whose
-   target it hits. Without find_all, those graphs leave live and set.
-   Returns the new number of parts of set, or -1 on a Python error. */
+   target it hits. Without find_all, those graphs leave live and set, and
+   so do the later graphs of their groups that are still live, which are
+   dropped. Returns the new number of parts of set, or -1 on a Python
+   error. */
 static Py_ssize_t
 leaf(Batch *b, Part *set, Py_ssize_t len)
 {
     State *st = &b->st;
-    Py_ssize_t i = find_target(b, st->nonalt);
-    if (i < 0)
+    Py_ssize_t first = find_target(b, st->nonalt);
+    if (first < 0)
         return len;
     PyObject *word = NULL;
-    for (; i >= 0; i = b->next_same[i]) {
+    for (Py_ssize_t i = first; i >= 0; i = b->next_same[i]) {
         if (!holds(set, len, i))
             continue;
         if (word == NULL) {
@@ -465,7 +518,13 @@ leaf(Batch *b, Part *set, Py_ssize_t len)
         }
     }
     Py_XDECREF(word);
-    return st->find_all ? len : keep_live(b, set, len);
+    if (st->find_all)
+        return len;
+    /* every hit has left live first, so a hit here is never dropped */
+    for (Py_ssize_t i = first; i >= 0; i = b->next_same[i])
+        if (holds(set, len, i))
+            drop_range(b, i + 1, b->group_end[i]);
+    return keep_live(b, set, len);
 }
 
 /* rec() over the union: alive holds the graphs whose own search visits
@@ -582,11 +641,12 @@ batch_tables(Batch *b)
     b->table = PyMem_Malloc(size * sizeof(Py_ssize_t));
     b->next_same = PyMem_Malloc((size_t)b->count * sizeof(Py_ssize_t));
     b->live = PyMem_Calloc((size_t)words, sizeof(word_t));
+    b->dropped = PyMem_Calloc((size_t)words, sizeof(word_t));
     b->node_planes = PyMem_Calloc((size_t)words * PLANES, sizeof(word_t));
     b->leaf_planes = PyMem_Calloc((size_t)words * PLANES, sizeof(word_t));
     b->stack = PyMem_Malloc((size_t)(n * b->st.max_copies + 1) * words * sizeof(Part));
     if (!b->nonedges || !b->with_edge || !b->table || !b->next_same || !b->live
-        || !b->node_planes || !b->leaf_planes || !b->stack) {
+        || !b->dropped || !b->node_planes || !b->leaf_planes || !b->stack) {
         PyErr_NoMemory();
         return -1;
     }
@@ -660,8 +720,14 @@ union_search(Batch *b)
     totals(b, b->leaf_planes, tested);
     out = PyList_New(b->count);
     for (Py_ssize_t i = 0; out != NULL && i < b->count; i++) {
-        PyObject *res = Py_BuildValue("(OKKO)", PyList_GET_ITEM(b->lists, i),
-                                      nodes[i], tested[i], Py_False);
+        PyObject *res;
+        if (b->dropped[i / WORD_BITS] >> (i % WORD_BITS) & 1) {
+            Py_INCREF(Py_None);
+            res = Py_None;
+        }
+        else
+            res = Py_BuildValue("(OKKO)", PyList_GET_ITEM(b->lists, i), nodes[i],
+                                tested[i], Py_False);
         if (res == NULL)
             Py_CLEAR(out);
         else
@@ -677,11 +743,13 @@ static void
 batch_free(Batch *b)
 {
     PyMem_Free(b->adjs);
+    PyMem_Free(b->group_end);
     PyMem_Free(b->nonedges);
     PyMem_Free(b->with_edge);
     PyMem_Free(b->table);
     PyMem_Free(b->next_same);
     PyMem_Free(b->live);
+    PyMem_Free(b->dropped);
     PyMem_Free(b->node_planes);
     PyMem_Free(b->leaf_planes);
     PyMem_Free(b->stack);
@@ -689,22 +757,66 @@ batch_free(Batch *b)
 }
 
 PyDoc_STRVAR(run_batch_doc,
-"run_batch(n, masks_list, min_copies, max_copies, forbid_132, find_all,\n"
-"          node_budgets, prune_pattern=True, prune_edges=True,\n"
-"          prune_exhausted=True)\n"
+"run_batch(n, rows, min_copies, max_copies, forbid_132, find_all,\n"
+"          node_budgets, group_sizes=None, prune_pattern=True,\n"
+"          prune_edges=True, prune_exhausted=True)\n"
 "--\n\n"
-"[run_search(n, adj, ..., budget) for adj, budget in zip(masks_list,\n"
-"node_budgets)], from one DFS over the union of the graphs' searches.\n\n"
+"run_search for each graph of rows (32 bytes each, masks 0..15 of 16 bits,\n"
+"little-endian) under its node budget, from one DFS over the union of the\n"
+"graphs' searches. Without find_all, an entry that has not found a witness\n"
+"when an earlier entry of its group finds one is dropped, and is None.\n\n"
 "Same contract as rep132._kernel_py.run_batch.");
+
+/* Reads group_sizes, None or sizes of at least 1 that add up to b->count,
+   into b->group_end, as _kernel_py.batch_shape checks them; -1 with an
+   error set. */
+static int
+read_groups(Batch *b, PyObject *sizes_obj)
+{
+    b->group_end = PyMem_Malloc((size_t)(b->count + 1) * sizeof(Py_ssize_t));
+    if (b->group_end == NULL) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    if (sizes_obj == Py_None) {
+        for (Py_ssize_t i = 0; i < b->count; i++)
+            b->group_end[i] = i + 1;
+        return 0;
+    }
+    PyObject *sizes = PySequence_List(sizes_obj);
+    if (sizes == NULL)
+        return -1;
+    Py_ssize_t groups = PyList_GET_SIZE(sizes);
+    long long *size = PyMem_Malloc((size_t)(groups + 1) * sizeof *size);
+    int err = size == NULL ? (PyErr_NoMemory(), -1) : 0;
+    /* every size is an int before any is checked, as in batch_shape */
+    for (Py_ssize_t g = 0; !err && g < groups; g++)
+        err = clamped(PyList_GET_ITEM(sizes, g), &size[g]) ? 0 : -1;
+    Py_ssize_t start = 0, g = 0;
+    for (; !err && g < groups && 1 <= size[g] && size[g] <= b->count - start; g++) {
+        for (Py_ssize_t i = start; i < start + size[g]; i++)
+            b->group_end[i] = start + size[g];
+        start += size[g];
+    }
+    if (!err && (g < groups || start != b->count)) {
+        PyErr_Format(PyExc_ValueError,
+                     "need group sizes of at least 1 that add up to %zd graphs", b->count);
+        err = -1;
+    }
+    PyMem_Free(size);
+    Py_DECREF(sizes);
+    return err;
+}
 
 static PyObject *
 run_batch(PyObject *self, PyObject *args, PyObject *kwds)
 {
-    static char *kwlist[] = {"n", "masks_list", "min_copies", "max_copies",
-                             "forbid_132", "find_all", "node_budgets",
+    static char *kwlist[] = {"n", "rows", "min_copies", "max_copies",
+                             "forbid_132", "find_all", "node_budgets", "group_sizes",
                              "prune_pattern", "prune_edges", "prune_exhausted", NULL};
     long long n, min_copies, max_copies;
-    PyObject *masks_obj, *budgets_obj, *masks_list = NULL, *budgets = NULL;
+    Py_buffer rows;
+    PyObject *budgets_obj, *sizes_obj = Py_None, *budgets = NULL;
     PyObject *out = NULL;
     unsigned long long *limits = NULL;
     Batch b;
@@ -712,23 +824,31 @@ run_batch(PyObject *self, PyObject *args, PyObject *kwds)
 
     memset(&b, 0, sizeof b);
     b.st.prune_pattern = b.st.prune_edges = b.st.prune_exhausted = 1;
-    if (!PyArg_ParseTupleAndKeywords(args, kwds, "O&OO&O&ppO|ppp:run_batch", kwlist,
-                                     clamped, &n, &masks_obj, clamped, &min_copies,
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "O&y*O&O&ppO|Oppp:run_batch", kwlist,
+                                     clamped, &n, &rows, clamped, &min_copies,
                                      clamped, &max_copies, &b.st.forbid_132,
-                                     &b.st.find_all, &budgets_obj, &b.st.prune_pattern,
-                                     &b.st.prune_edges, &b.st.prune_exhausted))
+                                     &b.st.find_all, &budgets_obj, &sizes_obj,
+                                     &b.st.prune_pattern, &b.st.prune_edges,
+                                     &b.st.prune_exhausted))
         return NULL;
-    masks_list = PySequence_List(masks_obj);
-    budgets = masks_list ? PySequence_List(budgets_obj) : NULL;
+    const unsigned char *bytes = rows.buf;
+    if (rows.len % ROW_BYTES) {
+        PyErr_Format(PyExc_ValueError, "need %d bytes per graph, got %zd bytes",
+                     ROW_BYTES, rows.len);
+        goto done;
+    }
+    b.count = rows.len / ROW_BYTES;
+    budgets = PySequence_List(budgets_obj);
     if (budgets == NULL)
         goto done;
-    b.count = PyList_GET_SIZE(masks_list);
     if (PyList_GET_SIZE(budgets) != b.count) {
         PyErr_Format(PyExc_ValueError,
                      "need one node budget per graph: %zd graphs, %zd budgets",
                      b.count, PyList_GET_SIZE(budgets));
         goto done;
     }
+    if (read_groups(&b, sizes_obj) < 0)
+        goto done;
     b.words = (b.count + WORD_BITS - 1) / WORD_BITS;
     b.adjs = PyMem_Calloc((size_t)b.count * (MAX_N + 1) + 1, sizeof(mask_t));
     limits = PyMem_Calloc((size_t)b.count + 1, sizeof *limits);
@@ -736,11 +856,11 @@ run_batch(PyObject *self, PyObject *args, PyObject *kwds)
         PyErr_NoMemory();
         goto done;
     }
-    /* every entry's checks, in _kernel_py.check_arguments's order */
+    /* every entry's checks, in _kernel_py.run_batch's order */
     for (Py_ssize_t i = 0; i < b.count; i++) {
         if ((i == 0 && read_letters(&b.st, n, min_copies, max_copies) < 0)
             || read_budget(PyList_GET_ITEM(budgets, i), &limits[i]) < 0
-            || read_masks(&b.st, PyList_GET_ITEM(masks_list, i)) < 0)
+            || read_row(&b.st, bytes + i * ROW_BYTES) < 0)
             goto done;
         memcpy(b.adjs + i * (MAX_N + 1), b.st.adj, sizeof b.st.adj);
         if (limits[i] && (!b.limit || limits[i] < b.limit))
@@ -769,8 +889,8 @@ run_batch(PyObject *self, PyObject *args, PyObject *kwds)
 done:
     batch_free(&b);
     PyMem_Free(limits);
-    Py_XDECREF(masks_list);
     Py_XDECREF(budgets);
+    PyBuffer_Release(&rows);
     return out;
 }
 

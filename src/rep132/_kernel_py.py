@@ -3,8 +3,8 @@
 This is the reference implementation; rep132._kernel (_kernel.c) is a
 compiled twin with the same traversal order and statistics, byte for byte.
 Any change to the traversal here must be mirrored there (tests compare the
-two call by call), and so must check_arguments, whose checks the twin makes
-with the same messages.
+two call by call), and so must check_arguments, check_row and batch_shape,
+whose checks the twin makes with the same messages.
 
 The search walks words over {1..n}, each letter used min_copies..max_copies
 times, children in ascending letter order. A node is a successfully
@@ -48,19 +48,28 @@ Optional prunes (each sound: disabling changes statistics, never verdicts):
                   {c,y} with y also spent still alternates — unfixable
 
 run_batch answers run_search for several graphs on the same letters in one
-DFS over the union of their search trees (run_batch_unchecked). The
-compiled twin's run_batch walks the same union with the same child order,
-prunes, budget rule and per-graph fallback, and gives the same results.
+DFS over the union of their search trees (run_batch_unchecked). Its graphs
+come as packed rows, ROW_BYTES bytes each: mask v in bits 16v..16v+15 of
+the row read as a little-endian int, the lanes of target above with edges
+in place of non-edges. They form groups of consecutive entries; without
+find_all, a hit drops the later entries of its group that have not found a
+witness, and those come back as None. The compiled twin's run_batch walks
+the same union with the same child order, prunes, budget rule, drops and
+per-graph fallback, and gives the same results.
 """
 
 from __future__ import annotations
 
+import bisect
+import itertools
+import operator
 from functools import lru_cache
 from typing import Optional, Sequence
 
 MAX_N = 15
 MAX_DEPTH = 64  # longest word, n * max_copies: the compiled twin's prefix array
 LANE = 16  # bits per letter in the packed seen_since and nonalt; MAX_N < LANE
+ROW_BYTES = 2 * (MAX_N + 1)  # a run_batch row: masks 0..MAX_N, one lane each
 
 
 def check_arguments(
@@ -75,6 +84,38 @@ def check_arguments(
     These are the checks the compiled twin's fixed-size arrays rely on; it
     makes them by itself, in this order and with these messages.
     """
+    _check_search(n, min_copies, max_copies, node_budget)
+    if len(adj) != n + 1:
+        raise ValueError(f"need n + 1 = {n + 1} adjacency masks, got {len(adj)}")
+    full = (1 << (n + 1)) - 2  # bits 1..n
+    for v in range(1, n + 1):
+        if adj[v] & ~full:
+            raise ValueError(f"adjacency mask {v} has bits outside 1..{n}")
+
+
+def check_row(
+    n: int,
+    key: int,
+    min_copies: int,
+    max_copies: int,
+    node_budget: Optional[int],
+) -> None:
+    """check_arguments for one run_batch entry, its row read as the int key.
+
+    Mask v sits in bits 16v..16v+15 of key. Masks 1..n must hold no bits
+    outside 1..n, and masks n+1..MAX_N must be empty.
+    """
+    _check_search(n, min_copies, max_copies, node_budget)
+    full = (1 << (n + 1)) - 2
+    for v in range(1, MAX_N + 1):
+        mask = key >> (LANE * v) & 0xFFFF
+        if v <= n and mask & ~full:
+            raise ValueError(f"adjacency mask {v} has bits outside 1..{n}")
+        if v > n and mask:
+            raise ValueError(f"adjacency mask {v} is past n = {n}")
+
+
+def _check_search(n, min_copies, max_copies, node_budget) -> None:
     if not (1 <= n <= MAX_N):
         raise ValueError(f"n must be in 1..{MAX_N}")
     if not (1 <= min_copies <= max_copies):
@@ -83,12 +124,16 @@ def check_arguments(
         raise ValueError(f"n * max_copies must be at most {MAX_DEPTH}")
     if node_budget is not None and node_budget < 0:
         raise ValueError("node_budget must not be negative")
-    if len(adj) != n + 1:
-        raise ValueError(f"need n + 1 = {n + 1} adjacency masks, got {len(adj)}")
-    full = (1 << (n + 1)) - 2  # bits 1..n
-    for v in range(1, n + 1):
-        if adj[v] & ~full:
-            raise ValueError(f"adjacency mask {v} has bits outside 1..{n}")
+
+
+def row_key(rows: bytes, i: int) -> int:
+    """Row i of a run_batch's rows, read as one int: mask v in bits 16v..16v+15."""
+    return int.from_bytes(rows[ROW_BYTES * i:ROW_BYTES * (i + 1)], "little")
+
+
+def row_masks(key: int, n: int) -> tuple[int, ...]:
+    """The adjacency masks 0..n of the row read as the int key."""
+    return tuple(key >> (LANE * v) & 0xFFFF for v in range(n + 1))
 
 
 @lru_cache(maxsize=None)
@@ -240,113 +285,155 @@ def run_search_unchecked(
 
 def run_batch(
     n: int,
-    masks_list: Sequence[Sequence[int]],
+    rows,
     min_copies: int,
     max_copies: int,
     forbid_132: bool,
     find_all: bool,
     node_budgets: Sequence[Optional[int]],
+    group_sizes: Optional[Sequence[int]] = None,
     prune_pattern: bool = True,
     prune_edges: bool = True,
     prune_exhausted: bool = True,
-) -> list[tuple[list[tuple[int, ...]], int, int, bool]]:
+) -> list[Optional[tuple[list[tuple[int, ...]], int, int, bool]]]:
     """run_search over several graphs on {1..n}, entry for entry.
 
-    The result is [run_search(n, adj, ..., budget) for adj, budget in
-    zip(masks_list, node_budgets)], with the same checks on every entry;
-    see run_batch_unchecked for how one DFS serves them all.
+    rows is a bytes-like object of ROW_BYTES bytes per graph: its masks
+    0..MAX_N, 16 bits each, little-endian (masks n+1..MAX_N empty). The
+    graphs form groups of group_sizes consecutive entries (default: each
+    entry alone). Entry i is run_search(n, masks of row i, ..., budget i),
+    with the same checks on every entry, except that without find_all an
+    entry that has not found a witness when an earlier entry of its group
+    finds one is dropped, and is None. See run_batch_unchecked for how one
+    DFS serves them all.
     """
-    masks_list, node_budgets = batch_lists(masks_list, node_budgets)
-    for adj, budget in zip(masks_list, node_budgets):
-        check_arguments(n, adj, min_copies, max_copies, budget)
+    rows, node_budgets, group_sizes = batch_shape(rows, node_budgets, group_sizes)
+    for i, budget in enumerate(node_budgets):
+        check_row(n, row_key(rows, i), min_copies, max_copies, budget)
     return run_batch_unchecked(
-        n, masks_list, min_copies, max_copies, forbid_132, find_all, node_budgets,
-        prune_pattern, prune_edges, prune_exhausted,
+        n, rows, min_copies, max_copies, forbid_132, find_all, node_budgets,
+        group_sizes, prune_pattern, prune_edges, prune_exhausted,
     )
 
 
-def batch_lists(masks_list, node_budgets):
-    """The two sequences of a run_batch call as lists of equal length."""
-    masks_list, node_budgets = list(masks_list), list(node_budgets)
-    if len(masks_list) != len(node_budgets):
+def batch_shape(rows, node_budgets, group_sizes):
+    """A run_batch call's rows as bytes, its budgets and its group sizes as
+    lists, after checking that they describe the same graphs.
+    """
+    rows = memoryview(rows).cast("B").tobytes()
+    if len(rows) % ROW_BYTES:
+        raise ValueError(f"need {ROW_BYTES} bytes per graph, got {len(rows)} bytes")
+    count = len(rows) // ROW_BYTES
+    node_budgets = list(node_budgets)
+    if len(node_budgets) != count:
         raise ValueError(
-            f"need one node budget per graph: {len(masks_list)} graphs, "
+            f"need one node budget per graph: {count} graphs, "
             f"{len(node_budgets)} budgets"
         )
-    return masks_list, node_budgets
+    if group_sizes is None:
+        return rows, node_budgets, [1] * count
+    sizes = [operator.index(size) for size in group_sizes]
+    if min(sizes, default=1) < 1 or sum(sizes) != count:
+        raise ValueError(f"need group sizes of at least 1 that add up to {count} graphs")
+    return rows, node_budgets, sizes
 
 
 def run_batch_unchecked(
     n: int,
-    masks_list: Sequence[Sequence[int]],
+    rows: bytes,
     min_copies: int,
     max_copies: int,
     forbid_132: bool,
     find_all: bool,
     node_budgets: Sequence[Optional[int]],
+    group_sizes: Sequence[int],
     prune_pattern: bool = True,
     prune_edges: bool = True,
     prune_exhausted: bool = True,
-) -> list[tuple[list[tuple[int, ...]], int, int, bool]]:
-    """run_batch for entries that already passed check_arguments.
+) -> list[Optional[tuple[list[tuple[int, ...]], int, int, bool]]]:
+    """run_batch for arguments that already passed batch_shape and check_row.
 
     A prefix's state does not depend on the graph; only the edges prune,
     the exhausted prune and the leaf test do. So one DFS walks the union of
     the graphs' search trees, in the same child order, and each node
     carries the set of graphs whose own search visits it, as an int with
     bit i for entry i. A child's set is its parent's, less the graphs the
-    two prunes cut there (per-letter tables of graphs by edge and by
-    non-edge), less those that found their witness when find_all is false;
-    a child whose set is empty is no node. The leaf test looks up the
-    packed nonalt in a dict from packed target to the graphs that have it.
-    Each graph's nodes and words tested are the number of union nodes and
-    leaves whose set holds it, so each graph sees exactly its own search;
-    the union tallies each distinct set and adds the tallies up per graph
-    at the end (_per_member).
+    two prunes cut there (per-pair sets of the graphs with and without the
+    edge, read off the rows in bulk), less those that found their witness
+    or were dropped when find_all is false; a child whose set is empty is
+    no node. The leaf test looks up the packed nonalt in a dict from packed
+    target to the graphs that have it. Each graph's nodes and words tested
+    are the number of union nodes and leaves whose set holds it, so each
+    graph sees exactly its own search; the union tallies each distinct set
+    and adds the tallies up per graph at the end (_per_member).
+
+    Without find_all, the graphs of one group drop out together: when
+    entries hit at a leaf, every later entry of a hit's group that has not
+    found a witness leaves the union, and its result is None. Entries that
+    hit at that same leaf keep theirs. Taking graphs out of the union
+    changes no other graph's search.
 
     Budgets: a graph's search stays under its budget while the union's
     node count does. When the union would pass the smallest budget, the
-    batch is searched again one graph at a time, each with its own budget.
+    batch is searched again one graph at a time, each with its own budget,
+    and no entry is dropped.
     """
     common = (min_copies, max_copies, forbid_132, find_all)
     prunes = (prune_pattern, prune_edges, prune_exhausted)
-    if len(masks_list) > 1:
+    if len(node_budgets) > 1:
         limit = min((b for b in node_budgets if b), default=-1)
-        out = _union_search(n, masks_list, *common, limit, *prunes)
+        out = _union_search(n, rows, group_sizes, *common, limit, *prunes)
         if out is not None:
             return out
     return [
-        run_search_unchecked(n, adj, *common, budget, *prunes)
-        for adj, budget in zip(masks_list, node_budgets)
+        run_search_unchecked(n, row_masks(row_key(rows, i), n), *common, budget, *prunes)
+        for i, budget in enumerate(node_budgets)
     ]
 
 
+@lru_cache(maxsize=None)
+def _bit_digits() -> tuple[bytes, ...]:
+    """digits[t]: a bytes.translate table taking each byte to b"1" if its bit
+    t is set, else b"0"."""
+    return tuple(bytes(b"01"[b >> t & 1] for b in range(256)) for t in range(8))
+
+
 def _union_search(
-    n, masks_list, min_copies, max_copies, forbid_132, find_all, limit,
+    n, rows, group_sizes, min_copies, max_copies, forbid_132, find_all, limit,
     prune_pattern, prune_edges, prune_exhausted,
 ):
     """The batch's results from one DFS, or None if the union would pass limit."""
     full, bit, shift, not_bit, clear, repeat, between, lanes, letters = _tables(n)
-    count = len(masks_list)
-    # with_edge[c][y] / without_edge[c][y]: the graphs that have / lack {c, y}
+    count = len(rows) // ROW_BYTES
+    everyone = (1 << count) - 1
+    digits = _bit_digits()
+    # with_edge[c][y] / without_edge[c][y]: the graphs that have / lack {c, y}.
+    # Bit y of mask c is bit 16c + y of a row: its byte, one per graph, read
+    # as binary digits, graph 0 last.
     with_edge = [[0] * (n + 1) for _ in range(n + 1)]
     without_edge = [[0] * (n + 1) for _ in range(n + 1)]
     any_edge = [0] * (n + 1)
     any_nonedge = [0] * (n + 1)
+    for c in range(1, n + 1):
+        for y in range(1, n + 1):
+            if y == c:
+                continue
+            b = LANE * c + y
+            graphs = int(rows[b >> 3::ROW_BYTES].translate(digits[b & 7])[::-1], 2)
+            with_edge[c][y] = graphs
+            without_edge[c][y] = everyone & ~graphs
+            if graphs:
+                any_edge[c] |= bit[y]
+            if graphs != everyone:
+                any_nonedge[c] |= bit[y]
+    # a row's target: its non-neighbour masks, packed as nonalt is
+    valid = sum(not_bit[c] << shift[c] for c in range(1, n + 1))
     targets: dict[int, int] = {}
-    for i, adj in enumerate(masks_list):
-        me = 1 << i
-        target = 0
-        for c in range(1, n + 1):
-            nonedge = full & ~adj[c] & ~bit[c]
-            target |= nonedge << shift[c]
-            for y in letters[adj[c]]:
-                with_edge[c][y] |= me
-            for y in letters[nonedge]:
-                without_edge[c][y] |= me
-            any_edge[c] |= adj[c]
-            any_nonedge[c] |= nonedge
-        targets[target] = targets.get(target, 0) | me
+    for i in range(count):
+        target = valid & ~row_key(rows, i)
+        targets[target] = targets.get(target, 0) | 1 << i
+    # group_end[g]: one past the last entry of group g, in entry order
+    group_end = list(itertools.accumulate(group_sizes))
     # A prune that is off cuts no graph.
     if not prune_edges:
         any_edge = [0] * (n + 1)
@@ -374,12 +461,13 @@ def _union_search(
     node_sets: dict[int, int] = {}  # graph set -> union nodes with that set
     leaf_sets: dict[int, int] = {}  # graph set -> words tested with that set
     nodes = 0
-    live = (1 << count) - 1  # graphs still searching
+    live = everyone  # graphs still searching
+    dropped = 0  # graphs dropped by an earlier hit in their group
     aborted = False
 
     def rec(forbidden: int, cur_min: int, exhausted: int, deficient: int,
             ss: int, na: int, alive: int) -> bool:
-        nonlocal nodes, live, aborted
+        nonlocal nodes, live, dropped, aborted
         between_min = between[cur_min]
         for c in letters[full & ~(exhausted | forbidden & skip_132)]:
             bitc = bit[c]
@@ -423,7 +511,12 @@ def _union_search(
                         witnesses[i].append(word)
                     if not find_all:
                         live &= ~hit
-                        sub &= ~hit
+                        # drop the entries after each hit in its group
+                        for i in _members(hit):
+                            end = group_end[bisect.bisect_right(group_end, i)]
+                            dropped |= live & ((1 << end) - (2 << i))
+                        live &= ~dropped
+                        sub &= live
             if sub and rec(
                 forbidden | between_min[c],
                 c if c < cur_min else cur_min,
@@ -448,7 +541,8 @@ def _union_search(
     node_counts = _per_member(node_sets, count)
     leaf_counts = _per_member(leaf_sets, count)
     return [
-        (witnesses[i], node_counts[i], leaf_counts[i], False) for i in range(count)
+        None if dropped >> i & 1 else (witnesses[i], node_counts[i], leaf_counts[i], False)
+        for i in range(count)
     ]
 
 
@@ -482,8 +576,9 @@ def _per_member(tally: dict[int, int], count: int) -> list[int]:
                     q += 1
             times >>= 1
             p += 1
-    out = [0] * count
-    for p, plane in enumerate(planes):
-        for i in _members(plane):
-            out[i] += 1 << p
-    return out
+    if not planes:
+        return [0] * count
+    # graph i's total in binary is bit i of each plane, the top plane first;
+    # a plane written out in binary has graph i at column count - 1 - i
+    columns = zip(*[format(plane, f"0{count}b") for plane in reversed(planes)])
+    return [int("".join(bits), 2) for bits in columns][::-1]

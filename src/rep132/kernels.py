@@ -21,25 +21,39 @@ search and stay in place.
 
 run_batch is the contract's second call: run_search over several graphs on
 the same n, entry for entry, with the same checks and messages for every
-entry. It tests every entry's masks at once, as one packed bit matrix per
-graph compared with its transpose, and checks entry by entry only a batch
-that fails that test, so it raises the error run_search would for the
-first faulty entry. Both backends answer it with one DFS over the union
-of the graphs' searches, which share every prefix up to the first prune
-or leaf that tells them apart (see _kernel_py.run_batch_unchecked), and
-search graph by graph only when the union would pass the smallest budget. A scan decides
-its classes in rounds of run_batch calls, over the graphs each class's
-walk needs and the ones it is likely to need next.
+entry. The graphs come packed, as ROW_BYTES bytes per graph (masks 0..MAX_N
+of 16 bits, little-endian), the layout of the scan's memo keys, so no mask
+list is built per graph. A row holds no wrong number of masks; instead each
+backend rejects bits in a mask past n. run_batch tests every row at once,
+as a bit matrix compared with its transpose, and checks entry by entry only
+a batch that fails that test, so it raises the error run_search would for
+the first faulty entry. Both backends answer it with one DFS over the union
+of the graphs' searches, which share every prefix up to the first prune or
+leaf that tells them apart (see _kernel_py.run_batch_unchecked), and search
+graph by graph only when the union would pass the smallest budget. The
+entries form groups of consecutive graphs: without find_all, an entry that
+has not found a witness when an earlier entry of its group finds one is
+dropped from the union and returned as None. A scan decides its classes in
+rounds of run_batch calls, one group per class, over the labeled graphs
+each class's walk needs and the ones it is likely to need next, in walk
+order; so a class stops searching its later labelings at its first hit.
 """
 
 from __future__ import annotations
 
 import os
-import struct
 from functools import lru_cache
 from typing import Optional, Sequence
 
-from ._kernel_py import MAX_DEPTH, batch_lists, check_arguments
+from ._kernel_py import (
+    MAX_DEPTH,
+    ROW_BYTES,
+    batch_shape,
+    check_arguments,
+    check_row,
+    row_key,
+    row_masks,
+)
 
 
 def load_backend(name: str):
@@ -82,6 +96,10 @@ def _check_arguments(
     node_budget: Optional[int],
 ) -> None:
     check_arguments(n, adj, min_copies, max_copies, node_budget)
+    _check_graph(n, adj)
+
+
+def _check_graph(n: int, adj: Sequence[int]) -> None:
     if adj[0] != 0:
         raise ValueError("adjacency mask 0 must be empty")
     for v in range(1, n + 1):
@@ -95,34 +113,30 @@ def _check_arguments(
 
 @lru_cache(maxsize=None)
 def _block_masks(n: int) -> tuple[bytes, ...]:
-    """Masks over one graph's masks packed as a 16 x 16 bit matrix, mask v in
-    bits 16v..16v+15, as 32 little-endian bytes: the bits a graph on 1..n may
-    set (rows and columns 1..n, off the diagonal), then the lower bits of the
-    pairs that the four delta swaps of a transpose exchange, for j = 8, 4, 2,
-    1: (r, c) with bit j clear in r and set in c, whose partner is (r+j, c-j),
-    15j bits higher.
+    """Masks over one row, a 16 x 16 bit matrix with mask v in bits
+    16v..16v+15, as ROW_BYTES little-endian bytes: the bits a graph on 1..n
+    may set (rows and columns 1..n, off the diagonal), then the lower bits
+    of the pairs that the four delta swaps of a transpose exchange, for
+    j = 8, 4, 2, 1: (r, c) with bit j clear in r and set in c, whose partner
+    is (r+j, c-j), 15j bits higher.
     """
     def block(keep) -> bytes:
         bits = sum(1 << (16 * r + c) for r in range(16) for c in range(16) if keep(r, c))
-        return bits.to_bytes(32, "little")
+        return bits.to_bytes(ROW_BYTES, "little")
 
     return (block(lambda r, c: r != c and 1 <= min(r, c) and max(r, c) <= n),
             *(block(lambda r, c, j=j: not r & j and c & j) for j in (8, 4, 2, 1)))
 
 
-def _batch_passes(n: int, masks_list: Sequence[Sequence[int]], node_budgets) -> bool:
-    """Whether every entry passes _check_arguments, given that the first passes
-    check_arguments: budgets None or at least 0, and n + 1 masks of a graph
-    on 1..n, tested for the whole batch at once.
+def _batch_passes(n: int, rows: bytes, node_budgets) -> bool:
+    """Whether every entry passes check_row and _check_graph, given that
+    the first passes check_row: budgets None or at least 0, and rows that
+    are graphs on 1..n, tested for the whole batch at once.
     """
     if not all(b is None or (type(b) is int and b >= 0) for b in node_budgets):
         return False
-    try:
-        row = struct.Struct(f"<{n + 1}H{2 * (15 - n)}x")
-        packed = int.from_bytes(b"".join(row.pack(*adj) for adj in masks_list), "little")
-    except struct.error:
-        return False
-    valid, *swaps = (int.from_bytes(b * len(masks_list), "little") for b in _block_masks(n))
+    packed = int.from_bytes(rows, "little")
+    valid, *swaps = (int.from_bytes(b * len(node_budgets), "little") for b in _block_masks(n))
     if packed & ~valid:
         return False
     flipped = packed
@@ -158,34 +172,40 @@ def run_search(
 
 def run_batch(
     n: int,
-    masks_list: Sequence[Sequence[int]],
+    rows,
     min_copies: int,
     max_copies: int,
     forbid_132: bool,
     find_all: bool,
     node_budgets: Sequence[Optional[int]],
+    group_sizes: Optional[Sequence[int]] = None,
     prune_pattern: bool = True,
     prune_edges: bool = True,
     prune_exhausted: bool = True,
 ):
     """run_search over several graphs on {1..n}, after checking every entry.
 
-    Returns [run_search(n, adj, ..., budget) for adj, budget in
-    zip(masks_list, node_budgets)], entry for entry. Either backend answers
-    in one DFS over the union of the graphs' searches; see
-    rep132._kernel_py.run_batch_unchecked.
+    rows holds ROW_BYTES bytes per graph, its masks packed 16 bits each,
+    little-endian; the graphs form groups of group_sizes consecutive
+    entries (default: each alone). Returns, entry for entry,
+    run_search(n, masks, ..., budget); without find_all, an entry still
+    searching when an earlier entry of its group finds a witness is
+    dropped, and is None. Either backend answers in one DFS over the union
+    of the graphs' searches; see rep132._kernel_py.run_batch_unchecked.
     """
-    masks_list, node_budgets = batch_lists(masks_list, node_budgets)
-    if masks_list:
+    rows, node_budgets, group_sizes = batch_shape(rows, node_budgets, group_sizes)
+    if node_budgets:
         # n and the copy counts hold for every entry, or this raises first
-        check_arguments(n, masks_list[0], min_copies, max_copies, node_budgets[0])
-    if not _batch_passes(n, masks_list, node_budgets):
+        check_row(n, row_key(rows, 0), min_copies, max_copies, node_budgets[0])
+    if not _batch_passes(n, rows, node_budgets):
         # find and raise the first faulty entry's error, as run_search would
-        for adj, budget in zip(masks_list, node_budgets):
-            _check_arguments(n, adj, min_copies, max_copies, budget)
+        for i, budget in enumerate(node_budgets):
+            key = row_key(rows, i)
+            check_row(n, key, min_copies, max_copies, budget)
+            _check_graph(n, row_masks(key, n))
     return _batch(
-        n, masks_list, min_copies, max_copies, forbid_132, find_all, node_budgets,
-        prune_pattern, prune_edges, prune_exhausted,
+        n, rows, min_copies, max_copies, forbid_132, find_all, node_budgets,
+        group_sizes, prune_pattern, prune_edges, prune_exhausted,
     )
 
 

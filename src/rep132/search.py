@@ -24,7 +24,8 @@ give the same labeled graph, and the kernel is deterministic in that graph,
 so the kernel runs once per distinct labeled graph and the stored result
 is replayed for each repeat. Stats still count the serial walk: a repeated
 graph's nodes and words count again, and every labeling walked counts as
-tried.
+tried. Labeled graphs searched ahead of the walk after the first one with
+a witness are cut short and never reported: the walk stops at that one.
 
 One driver decides every search (_decide_classes). Each graph has a walk
 (_walk), a generator over one dict of kernel results keyed by each labeled
@@ -35,9 +36,11 @@ walks of all its graphs in rounds of kernels.run_batch calls: in each round
 every undecided graph asks for the labeled graph its walk needs plus its
 next distinct labeled graphs not yet searched, twice as many as in the
 round before (see _decide_classes), under its remaining budget, so the
-kernel shares word prefixes across many graphs. A walk uses a result searched ahead of it only
-where the serial walk would get the same result (see _walk), so every
-report is the serial one. search_fixed walks the identity labeling only,
+kernel shares word prefixes across many graphs. Each graph's asks form one
+group of the batch, in walk order, so the kernel stops searching them once
+one has a witness. A walk uses a result searched ahead of it only where the
+serial walk would get the same result (see _walk), so every report is the
+serial one. search_fixed walks the identity labeling only,
 search_all_labelings every labeling of one graph, and scan_order every
 labeling of every class of an order. A parallel scan_order gives each of
 its k workers the interleaved group classes[i::k] to decide in rounds, and
@@ -169,11 +172,6 @@ def _labelings(g: LabeledGraph, cfg: SearchConfig) -> Iterable[Labeling]:
     return itertools.permutations(range(1, g.n + 1))
 
 
-def _unpacked(key: int, n: int) -> tuple[int, ...]:
-    """The adjacency masks packed in key, 16 bits per vertex (see _keys)."""
-    return tuple(key >> (16 * v) & 0xFFFF for v in range(n + 1))
-
-
 @lru_cache(maxsize=None)
 def _pair_keys(n: int) -> list[list[int]]:
     """pair[a][b]: the packed masks of the one edge {a+1, b+1}."""
@@ -281,16 +279,20 @@ def _decide_classes(
     only for the ones the walks need. Under a node budget it asks for none
     past the labelings that its remaining budget pays for at the walk's
     mean nodes per labeling so far. A round goes to kernels.run_batch in
-    slices of whole classes, of about BATCH_GRAPHS graphs each. Each class
-    keeps its results in one dict, the walk's memo, and the walk uses a
+    slices of whole classes, of about BATCH_GRAPHS graphs each, as packed
+    rows (the keys themselves) with one group per class. Each class keeps
+    its results in one dict, the walk's memo, and the walk uses a
     speculative result only where the serial walk would get the same one
-    (see _walk), so every report is the serial one. The walk and the
-    lookahead read one stream of keys; the walk reads first the keys the
-    lookahead has taken ahead of it, so each key is computed once and only
-    the lookahead's lead is held. A class's walk goes on as soon as its
-    slice is back, and its walk and dict are dropped when it is decided. A
-    report's wall time runs from the start of the rounds to its class's
-    decision.
+    (see _walk), so every report is the serial one. Without find_all, the
+    kernel drops a class's entries after its first hit, and returns None
+    for them; the walk stops at or before that hit, having every result
+    before it, so it never reads a dropped key and None is not stored. The
+    walk and the lookahead read one stream of keys; the walk reads first
+    the keys the lookahead has taken ahead of it, so each key is computed
+    once and only the lookahead's lead is held. A class's walk goes on as
+    soon as its slice is back, and its walk and dict are dropped when it is
+    decided. A report's wall time runs from the start of the rounds to its
+    class's decision.
     """
     t0 = time.perf_counter()
     # class index -> (walk, results, keys not yet read, keys read ahead)
@@ -305,6 +307,7 @@ def _decide_classes(
 
     asked: list[tuple] = []  # (class results, key, budget)
     asking: list[int] = []  # the classes in asked
+    sizes: list[int] = []  # per class in asking, its number of entries in asked
 
     def advance(i: int) -> None:
         try:
@@ -319,16 +322,21 @@ def _decide_classes(
     def flush() -> None:
         found = kernels.run_batch(
             n,
-            [_unpacked(key, n) for _, key, _ in asked],
+            b"".join([key.to_bytes(kernels.ROW_BYTES, "little") for _, key, _ in asked]),
             1,
             cfg.max_copies,
             True,
             cfg.find_all,
             [budget for _, _, budget in asked],
+            sizes,
         )
+        # an entry dropped by an earlier hit of its class is None; the walk
+        # stops at or before that hit, so it never reads the dropped key
         for (results, key, _), result in zip(asked, found):
-            results[key] = result
+            if result is not None:
+                results[key] = result
         asked.clear()
+        sizes.clear()
         # a class decided here drops its results before the next batch
         for i in asking:
             advance(i)
@@ -344,6 +352,7 @@ def _decide_classes(
             _, results, keys, lead = undecided[i]
             asked.append((results, key, remaining))
             asking.append(i)
+            sizes.append(1)
             taken = {key}
             spent = 0 if remaining is None else cfg.node_budget - remaining
             ahead = remaining * tried // spent - 1 if spent else math.inf
@@ -356,6 +365,7 @@ def _decide_classes(
                 if extra not in results and extra not in taken:
                     taken.add(extra)
                     asked.append((results, extra, remaining))
+                    sizes[-1] += 1
             if len(asked) >= BATCH_GRAPHS:
                 flush()
         flush()

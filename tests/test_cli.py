@@ -1,9 +1,11 @@
 """End-to-end command-line tests driven through ``rep132.cli.main``."""
 
 import json
+from pathlib import Path
 
 import pytest
 
+from conftest import LOAD_PACKAGE, run_child
 from rep132.cli import main
 
 GOOD_STAR_TEXT = "n 4\n1 2\n1 3\n1 4\n"
@@ -321,6 +323,37 @@ def test_scan_order_six_flags_wheel(cli):
             "0 budget-exceeded") in lines
     assert lines[-1] == ("wheel(5) is non-representable but not the only "
                          "such class found")
+
+
+# The order-6 scan's report bytes, on the backend the child process selects:
+# the sha256 of stdout without and with --json, then of the JSON file.
+SCAN6_DIGESTS = LOAD_PACKAGE + """
+import contextlib, hashlib, io, os, tempfile
+from rep132 import cli
+with tempfile.TemporaryDirectory() as tmp:
+    catalog = os.path.join(tmp, "scan6.json")
+    for extra in ([], ["--json", catalog]):
+        text = io.StringIO()
+        with contextlib.redirect_stdout(text):
+            code = cli.main(["scan", "--order", "6", "--workers", "1", *extra])
+        assert code == 0, code
+        print(kernels.backend_name(), hashlib.sha256(text.getvalue().encode()).hexdigest())
+    with open(catalog, "rb") as f:
+        print(hashlib.sha256(f.read()).hexdigest())
+"""
+
+
+@pytest.mark.parametrize("backend", ["python", "c"])
+def test_scan_order_six_reports_are_the_pinned_bytes(backend, request):
+    # perfbench pins these digests of the serial scan; any change to the
+    # search machinery must leave the reports byte-identical
+    reference = Path(__file__).resolve().parent.parent / "perfbench" / "reference.json"
+    pinned = json.loads(reference.read_text())["scan6"]
+    done = run_child(SCAN6_DIGESTS, backend, request)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == [backend, pinned["text_sha256"],
+                                   backend, pinned["text_sha256"],
+                                   pinned["json_sha256"]]
 
 
 # -------------------------------------------------------------------- usage

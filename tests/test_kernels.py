@@ -10,7 +10,13 @@ from pathlib import Path
 
 import pytest
 
-from conftest import LOAD_PACKAGE, brute_representants, c_compiler, run_child
+from conftest import (
+    LOAD_PACKAGE,
+    brute_representants,
+    c_compiler,
+    pack_rows,
+    run_child,
+)
 from rep132 import kernels
 from rep132.graphs import (
     LabeledGraph,
@@ -137,12 +143,12 @@ def test_backends_agree_exactly():
 # ------------------------------------------------------------------ batches
 
 
-def batch(backend, n, graphs, budgets, **kw):
+def batch(backend, n, graphs, budgets, groups=None, **kw):
     args = dict(min_copies=1, max_copies=2, forbid_132=True, find_all=True)
     args.update(kw)
     return backend.run_batch(
-        n, [g.adjacency_masks() for g in graphs], args["min_copies"],
-        args["max_copies"], args["forbid_132"], args["find_all"], budgets,
+        n, pack_rows(g.adjacency_masks() for g in graphs), args["min_copies"],
+        args["max_copies"], args["forbid_132"], args["find_all"], budgets, groups,
         prune_pattern=args.get("prune_pattern", True),
         prune_edges=args.get("prune_edges", True),
         prune_exhausted=args.get("prune_exhausted", True),
@@ -162,18 +168,55 @@ def by_order(graphs):
 BATCHES = by_order(BATTERY + [g for n in (2, 3, 4) for g in enumerate_graphs(n)])
 
 
+def dropped_entries(results, groups):
+    """The entries a run_batch without find_all drops, given each entry's
+    run_search result: those with no first witness before, in DFS order,
+    the earliest first witness of the entries before them in their group.
+    DFS order is tuple order: lexicographic, a prefix first.
+    """
+    out = set()
+    start = 0
+    for size in groups:
+        earliest = None
+        for i in range(start, start + size):
+            witnesses = results[i][0]
+            mine = witnesses[0] if witnesses else None
+            if earliest is not None and (mine is None or earliest < mine):
+                out.add(i)
+            if mine is not None and (earliest is None or mine < earliest):
+                earliest = mine
+        start += size
+    return out
+
+
 @pytest.fixture
 def batch_agrees(compiled_kernel):
-    """Check both backends' run_batch against per-graph run_search on both."""
+    """Check both backends' run_batch against per-graph run_search on both.
+
+    Every entry that is not None equals run_search's result. Only a batch
+    in groups without find_all drops entries: exactly dropped_entries when
+    the union search ends under the budgets, as it does with none, and
+    none when the batch falls back to one search per graph.
+    """
     py = kernels.load_backend("python")
 
-    def agree(n, graphs, budgets, **kw):
-        got = batch(py, n, graphs, budgets, **kw)
-        assert batch(compiled_kernel, n, graphs, budgets, **kw) == got, (n, budgets, kw)
+    def agree(n, graphs, budgets, groups=None, **kw):
+        got = batch(py, n, graphs, budgets, groups, **kw)
+        assert batch(compiled_kernel, n, graphs, budgets, groups, **kw) == got, (
+            n, budgets, groups, kw)
         for backend in (py, compiled_kernel):
             expected = [run(backend, g, node_budget=b, **kw)
                         for g, b in zip(graphs, budgets)]
-            assert got == expected, (backend.__name__, n, budgets, kw)
+            assert [res for res in got if res is not None] == \
+                [want for want, res in zip(expected, got) if res is not None], (
+                    backend.__name__, n, budgets, groups, kw)
+        dropped = {i for i, res in enumerate(got) if res is None}
+        if groups is None or kw.get("find_all", True):
+            assert not dropped
+        elif all(b is None for b in budgets):
+            assert dropped == dropped_entries(expected, groups)
+        else:
+            assert dropped in (set(), dropped_entries(expected, groups))
         return got
 
     return agree
@@ -203,6 +246,34 @@ def test_batch_matches_per_graph_searches(batch_agrees):
             batch_agrees(n, graphs, unlimited, find_all=False, **{off: False})
 
 
+def cycled_groups(count, sizes):
+    """Group sizes taken in turn from sizes, the last one cut to add up to count."""
+    out = []
+    for size in itertools.cycle(sizes):
+        if not count:
+            return out
+        out.append(min(size, count))
+        count -= out[-1]
+
+
+def test_batch_drops_the_later_entries_of_a_group_after_a_hit(batch_agrees):
+    drops = 0
+    for n, graphs in BATCHES.items():
+        count = len(graphs)
+        for groups in ([count], cycled_groups(count, (2, 3, 1, 4)), [1] * count):
+            for maxc in (1, 2):
+                for find_all in (False, True):
+                    kw = dict(max_copies=maxc, find_all=find_all)
+                    got = batch_agrees(n, graphs, [None] * count, groups, **kw)
+                    drops += got.count(None)
+                    # over the smallest budget, one search per graph drops nothing
+                    budgets = [None] * (count - 1) + [1]
+                    assert None not in batch_agrees(n, graphs, budgets, groups, **kw)
+            batch_agrees(n, graphs, [None] * count, groups, min_copies=2,
+                         max_copies=2, forbid_132=False, find_all=False)
+    assert drops > 0
+
+
 def test_batch_of_every_order_six_class(batch_agrees):
     # 122 graphs, more than one 64-bit word of graph bits
     graphs = list(enumerate_graphs(6, isolate_free=True))
@@ -210,6 +281,9 @@ def test_batch_of_every_order_six_class(batch_agrees):
     got = batch_agrees(6, graphs, [None] * 122, find_all=False)
     assert sum(bool(w) for w, _, _, _ in got) < 122
     batch_agrees(6, graphs, [None] * 122, max_copies=1)
+    # groups across the 64-bit words of graph bits
+    got = batch_agrees(6, graphs, [None] * 122, [60, 10, 52], find_all=False)
+    assert got[:60].count(None) > 0 and got[60:70].count(None) > 0
 
 
 def test_batch_at_the_top_lane(batch_agrees):
@@ -258,8 +332,24 @@ def test_batch_takes_one_dfs_under_the_budget_and_falls_back_over_it(
     del calls[:]
     assert batch(py, 5, graphs, budgets, find_all=False) == expected
     assert len(calls) == len(graphs)
+    # in one group, the union drops the entries after the first hit; the
+    # fallback drops none
+    one_group = [len(graphs)]
+    del calls[:]
+    got = batch(py, 5, graphs, [total] * len(graphs), one_group, find_all=False)
+    assert calls == [] and None in got
+    budgets = [None] * (len(graphs) - 1) + [1]
+    expected = [run(py, g, find_all=False, node_budget=b) for g, b in zip(graphs, budgets)]
+    del calls[:]
+    assert batch(py, 5, graphs, budgets, one_group, find_all=False) == expected
+    assert len(calls) == len(graphs)
     # the compiled run_batch falls back at the same budget, with the same results
     compiled = request.getfixturevalue("compiled_kernel")
+    assert batch(compiled, 5, graphs, budgets, one_group, find_all=False) == expected
+    assert batch(compiled, 5, graphs, [total] * len(graphs), one_group,
+                 find_all=False) == got
+    budgets = [None] * (len(graphs) - 1) + [smallest]
+    expected = [run(py, g, find_all=False, node_budget=b) for g, b in zip(graphs, budgets)]
     assert batch(compiled, 5, graphs, budgets, find_all=False) == expected
     assert batch(compiled, 5, graphs, [total] * len(graphs), find_all=False) == each
 
@@ -270,6 +360,15 @@ def test_batch_answers_duplicates_entry_by_entry(request):
         for find_all in (False, True):
             got = batch(backend, 5, [cycle(5)] * 3, [None] * 3, find_all=find_all)
             assert got == [run(py, cycle(5), find_all=find_all)] * 3
+        # equal graphs in one group hit at the same leaf, and all keep their
+        # results: no entry drops another that hits with it
+        got = batch(backend, 5, [cycle(5)] * 3, [None] * 3, [3], find_all=False)
+        assert got == [run(py, cycle(5), find_all=False)] * 3
+        got = batch(backend, 5, [path(5), cycle(5), path(5)], [None] * 3, [3],
+                    find_all=False)
+        first = [run(py, g, find_all=False) for g in (path(5), cycle(5))]
+        assert first[0][0][0] < first[1][0][0]
+        assert got == [first[0], None, first[0]]
         graphs = [wheel(5), prism(3), wheel(5), prism(3)]
         budgets = [None, None, None, 10**6]
         got = batch(backend, 6, graphs, budgets, find_all=False)
@@ -281,18 +380,19 @@ def test_empty_batch(request):
     assert batch(kernels, 3, [], []) == []
     for backend in python_then_compiled(request):
         assert batch(backend, 3, [], []) == []
+        assert batch(backend, 3, [], [], []) == []
 
 
 def test_batch_rejects_what_run_search_rejects(request):
     good = complete(3).adjacency_masks()
-    # what each backend rejects, then what kernels adds for a graph
+    # what each backend rejects, then what kernels adds for a graph; a row
+    # holds 16 masks, so a batch cannot have the wrong number of masks
     invalid = [
         (0, [0], 1, 2, None),
-        (16, [0] * 17, 1, 2, None),
+        (16, [0] * 16, 1, 2, None),
         (3, [0] * 4, 0, 2, None),
         (13, [0] * 14, 5, 5, None),
         (3, [0] * 4, 1, 2, -5),
-        (3, [0] * 3, 1, 2, None),
         (3, [0, 1 << 4, 0, 0], 1, 2, None),
     ]
     not_graphs = [
@@ -307,17 +407,43 @@ def test_batch_rejects_what_run_search_rejects(request):
                 backend.run_search(n, adj, min_copies, max_copies, True, False, budget)
             masks = [good, adj] if n == 3 else [adj]
             with pytest.raises(ValueError) as batched:
-                backend.run_batch(n, masks, min_copies, max_copies, True, False,
-                                  [None] + [budget] if n == 3 else [budget])
+                backend.run_batch(n, pack_rows(masks), min_copies, max_copies, True,
+                                  False, [None] + [budget] if n == 3 else [budget])
             assert str(batched.value) == str(single.value)
-        with pytest.raises(ValueError, match="one node budget per graph") as raised:
-            backend.run_batch(3, [good, good], 1, 2, True, False, [None])
-        return str(raised.value)
+        # what only a batch can get wrong: its shape, a mask past n, groups
+        rows = pack_rows([good, good])
+        faults = [
+            (rows, [None]),
+            (rows[:-1], [None, None]),
+            (rows + pack_rows([[0, 0, 0, 0, 1 << 1]]), [None] * 3),
+            (rows + pack_rows([[0] * 15 + [1 << 1]]), [None] * 3),
+        ]
+        messages = []
+        for fault_rows, budgets in faults:
+            with pytest.raises(ValueError) as raised:
+                backend.run_batch(3, fault_rows, 1, 2, True, False, budgets)
+            messages.append(str(raised.value))
+        for groups in ([1], [3], [2, 0], [0, 2], [1, 1, 1], [-1, 3]):
+            with pytest.raises(ValueError) as raised:
+                backend.run_batch(3, rows, 1, 2, True, False, [None] * 2, groups)
+            messages.append(str(raised.value))
+        with pytest.raises(TypeError):
+            backend.run_batch(3, [good, good], 1, 2, True, False, [None] * 2)
+        with pytest.raises(TypeError):
+            backend.run_batch(3, rows, 1, 2, True, False, [None] * 2, [1.0, 1])
+        return tuple(messages)
 
     messages = {rejects_alike(kernels, invalid + not_graphs)}
     for backend in python_then_compiled(request):
         messages.add(rejects_alike(backend, invalid))
     assert len(messages) == 1, messages
+    assert messages.pop() == (
+        "need one node budget per graph: 2 graphs, 1 budgets",
+        "need 32 bytes per graph, got 63 bytes",
+        "adjacency mask 4 is past n = 3",
+        "adjacency mask 15 is past n = 3",
+        *["need group sizes of at least 1 that add up to 2 graphs"] * 6,
+    )
 
 
 def test_python_kernel_at_the_top_lane():
@@ -500,19 +626,25 @@ def test_batch_raises_the_first_faulty_entrys_error():
         ([0, (1 << 1) | (1 << 2), 1 << 1, 0, 0], None),  # self-loop on 1
         ([0, 1 << 5, 0, 0, 0], None),             # bit outside 1..n
         ([1 << 1, 1, 0, 0, 0], None),             # mask 0 is not a vertex
-        ([0, 0, 0, 0], None),                     # one mask short
-        ([0, 0, 0, 0, 1 << 16], None),            # wider than a mask lane
+        ([0, 0, 0, 0, 0, 1 << 1], None),          # a mask past n
+        ([0] * 15 + [1 << 15], None),             # the top lane of a row
         (good, -1),                               # negative budget
     ]
-    for (adj, budget), (later, later_budget) in itertools.product(faults, repeat=2):
+
+    def message(adj, budget):
+        if len(adj) > 5:
+            return f"adjacency mask {len(adj) - 1} is past n = 4"
         with pytest.raises(ValueError) as single:
             kernels.run_search(4, adj, 1, 2, True, False, budget)
+        return str(single.value)
+
+    for (adj, budget), (later, later_budget) in itertools.product(faults, repeat=2):
         for at in (0, 1, 70):
             masks = [good] * at + [adj] + [good] * 3 + [later] + [good]
             budgets = [None] * at + [budget] + [None] * 3 + [later_budget, None]
             with pytest.raises(ValueError) as batched:
-                kernels.run_batch(4, masks, 1, 2, True, False, budgets)
-            assert str(batched.value) == str(single.value)
+                kernels.run_batch(4, pack_rows(masks), 1, 2, True, False, budgets)
+            assert str(batched.value) == message(adj, budget)
 
 
 @pytest.mark.parametrize("adj", [
@@ -571,26 +703,39 @@ def test_overlong_word_raises_instead_of_crashing(backend, request):
 # graph bitsets of two words, and letter 15 in every table of the compiled
 # run_batch. Each first witness takes at most 29 nodes, so the union search
 # ends under the budgets; with find_all, every graph passes 3000 nodes, with
-# witnesses, and the batch falls back to one search per graph. In a child process, as
-# above, so that a memory fault fails this test instead of killing pytest.
+# witnesses, and the batch falls back to one search per graph. In groups of
+# 60 and 10, across the two words, the union drops entries of both groups,
+# as the Python kernel does. In a child process, as above, so that a memory
+# fault fails this test instead of killing pytest.
 WIDE_BATCH = LOAD_PACKAGE + """
 from rep132.graphs import LabeledGraph
 pairs = [(u, v) for u in range(1, 16) for v in range(u + 1, 16)]
 masks = [LabeledGraph(15, [p]).adjacency_masks() for p in pairs[-70:]]
+rows = b"".join(sum(m << 16 * v for v, m in enumerate(adj)).to_bytes(32, "little")
+                for adj in masks)
 for find_all, budgets in ((False, [None] * 69 + [10**6]), (True, [3000] * 70)):
-    got = kernels.run_batch(15, masks, 1, 2, True, find_all, budgets)
+    got = kernels.run_batch(15, rows, 1, 2, True, find_all, budgets)
     want = [kernels.run_search(15, m, 1, 2, True, find_all, b)
             for m, b in zip(masks, budgets)]
     print(kernels.backend_name(), len(got), got == want,
           sum(bool(w) for w, _, _, _ in got), sum(cut for _, _, _, cut in got))
+# reversed, each group's first entry has its earliest witness
+rows = b"".join(rows[i:i + 32] for i in range(len(rows) - 32, -1, -32))
+want = [kernels.run_search(15, m, 1, 2, True, False, None) for m in masks[::-1]]
+got = kernels.run_batch(15, rows, 1, 2, True, False, [None] * 70, [60, 10])
+py = kernels.load_backend("python").run_batch(15, rows, 1, 2, True, False, [None] * 70,
+                                              [60, 10])
+print(got == py, got[0] == want[0], got[60] == want[60], got.count(None))
 """
 
 
 def test_compiled_batch_of_more_than_64_graphs_on_15_letters(request):
     done = run_child(WIDE_BATCH, "c", request)
     assert done.returncode == 0, (done.returncode, done.stderr)
-    assert done.stdout.split() == ["c", "70", "True", "70", "0",
-                                   "c", "70", "True", "70", "70"], done.stdout
+    out = done.stdout.split()
+    assert out[:10] == ["c", "70", "True", "70", "0",
+                        "c", "70", "True", "70", "70"], done.stdout
+    assert out[10:] == ["True", "True", "True", "68"], done.stdout
 
 
 def test_kernel_calls_leave_no_cyclic_garbage():
@@ -598,11 +743,12 @@ def test_kernel_calls_leave_no_cyclic_garbage():
     py = kernels.load_backend("python")
     graphs = [wheel(5), prism(3), cycle(6)]
     masks = [g.adjacency_masks() for g in graphs]
+    rows = pack_rows(masks)
     calls = [
         lambda: py.run_search(6, masks[0], 1, 2, True, False, None),
-        lambda: py.run_batch(6, masks, 1, 2, True, False, [None] * 3),
+        lambda: py.run_batch(6, rows, 1, 2, True, False, [None] * 3, [3]),
         lambda: kernels.run_search(6, masks[2], 1, 2, True, True, None),
-        lambda: kernels.run_batch(6, masks, 1, 2, True, True, [None] * 3),
+        lambda: kernels.run_batch(6, rows, 1, 2, True, True, [None] * 3),
     ]
     gc.collect()
     gc.disable()

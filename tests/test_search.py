@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import pytest
 
-from conftest import LOAD_PACKAGE, brute_representants, run_child
+from conftest import LOAD_PACKAGE, brute_representants, run_child, unpack_rows
 from rep132 import kernels, search
 from rep132.formats import catalog_to_json, dumps, report_to_json
 from rep132.graphs import (
@@ -287,9 +287,9 @@ def test_kernel_runs_once_per_distinct_labeled_graph(monkeypatch):
     for g, distinct, nodes in ((wheel(5), 72, 691310), (prism(3), 60, 715488)):
         batched = []
 
-        def counting(n, masks_list, *args):
-            batched.extend(tuple(adj) for adj in masks_list)
-            return run_batch(n, masks_list, *args)
+        def counting(n, rows, *args):
+            batched.extend(unpack_rows(rows, n))
+            return run_batch(n, rows, *args)
 
         monkeypatch.setattr(kernels, "run_batch", counting)
         rep = search_all_labelings(g)
@@ -479,9 +479,9 @@ def test_scan_batches_exactly_the_per_class_kernel_calls(cfg, monkeypatch):
     rounds = []
     run_batch = kernels.run_batch
 
-    def counting_batch(n, masks_list, *args):
-        rounds.append([(tuple(adj), b) for adj, b in zip(masks_list, args[4])])
-        return run_batch(n, masks_list, *args)
+    def counting_batch(n, rows, *args):
+        rounds.append(list(zip(unpack_rows(rows, n), args[4])))
+        return run_batch(n, rows, *args)
 
     monkeypatch.setattr(kernels, "run_batch", counting_batch)
     scan_order(5, cfg, workers=1)
@@ -491,8 +491,7 @@ def test_scan_batches_exactly_the_per_class_kernel_calls(cfg, monkeypatch):
         assert any(m == masks and b >= budget for m, b in batched)
     assert len(rounds[0]) == 23
 
-    class_of = {relabel(h, sig).adjacency_masks(): i
-                for i, h in enumerate(scan_classes(5)) for sig in walked_labelings(5)}
+    class_of = scan_class_of(5)
     searched = set(searched)
     done = {}  # (class, masks) -> budget it was last searched under
     for batch in rounds:
@@ -514,6 +513,42 @@ def test_scan_batches_exactly_the_per_class_kernel_calls(cfg, monkeypatch):
             for m in again:
                 assert (m, budget) in searched and done[i, m] > budget
             done.update({(i, m): budget for m in masks})
+
+
+def scan_class_of(n):
+    """The index in scan order of the class of each labeled graph on n vertices."""
+    return {relabel(h, sig).adjacency_masks(): i
+            for i, h in enumerate(scan_classes(n)) for sig in walked_labelings(n)}
+
+
+@pytest.mark.parametrize("cfg", SCAN_CONFIGS, ids=SCAN_IDS)
+def test_scan_drops_only_graphs_its_walks_never_read(cfg, monkeypatch):
+    # Each batch groups a class's entries, consecutive in walk order. A
+    # class's entry after its first hit comes back None, and nothing asks
+    # for that labeled graph of that class again. Under a budget of 1000
+    # nodes, 3 of the 4 union searches pass the budget and fall back to one
+    # search per graph, and none of the 4 drops an entry.
+    class_of = scan_class_of(5)
+    dropped = set()  # (class, masks)
+    run_batch = kernels.run_batch
+
+    def counting_batch(n, rows, *args):
+        entries = unpack_rows(rows, n)
+        classes = [class_of[m] for m in entries]
+        runs = [(i, len(list(run))) for i, run in itertools.groupby(classes)]
+        assert len({i for i, _ in runs}) == len(runs)
+        assert list(args[5]) == [size for _, size in runs]
+        assert not dropped & set(zip(classes, entries))
+        found = run_batch(n, rows, *args)
+        dropped.update((i, m) for i, m, res in zip(classes, entries, found) if res is None)
+        return found
+
+    monkeypatch.setattr(kernels, "run_batch", counting_batch)
+    got = scan_order(5, cfg, workers=1)
+    assert bool(dropped) == (cfg.node_budget is None)
+    expected = per_class_reports(5, cfg)
+    assert [dumps(report_to_json(rep)) for _, rep in got] == \
+        [dumps(report_to_json(rep)) for _, rep in expected]
 
 
 def test_scan_order_six_summary():
