@@ -76,7 +76,7 @@ def main(argv=None):
         print("only one backend available; timing it alone", file=sys.stderr)
 
     # Every search decides through kernels.run_batch; run_search is swapped
-    # too, so that no kernel call is left on the backend chosen at import.
+    # too, so that no kernel call is left on the backend kernels chose.
     original = kernels.run_search, kernels.run_batch
     times = {name: {} for name in backends}
     try:

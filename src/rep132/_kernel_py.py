@@ -439,21 +439,25 @@ def _union_search(
         any_edge = [0] * (n + 1)
     if not prune_exhausted:
         any_nonedge = [0] * (n + 1)
-    # cut_by_edge[c][mask]: the graphs with an edge from c into mask
-    cut_by_edge = [{} for _ in range(n + 1)]
-    cut_by_nonedge = [{} for _ in range(n + 1)]
+    # kept_by_edge[c][mask]: the graphs with no edge from c into mask, which
+    # the edges prune keeps; kept_by_nonedge[c][mask]: those with no
+    # non-edge from c into mask, which the exhausted prune keeps
+    kept_by_edge = [{} for _ in range(n + 1)]
+    kept_by_nonedge = [{} for _ in range(n + 1)]
 
-    def graphs_cut(cache, by_letter, mask):
-        out = 0
+    def graphs_kept(cache, by_letter, mask):
+        cut = 0
         for y in letters[mask]:
-            out |= by_letter[y]
-        cache[mask] = out
-        return out
+            cut |= by_letter[y]
+        cache[mask] = kept = everyone & ~cut
+        return kept
 
     last_copy = max_copies - 1
     exhaust_check = last_copy if prune_exhausted else -1
     skip_132 = -1 if prune_pattern and forbid_132 else 0
-    poison_132 = 1 if forbid_132 else 0
+    # a forbidden letter is tried, and poisons the word, only when 132s
+    # are forbidden but not pruned
+    poison_132 = forbid_132 and not prune_pattern
 
     counts = [0] * (n + 1)
     prefix: list[int] = []
@@ -472,23 +476,25 @@ def _union_search(
         for c in letters[full & ~(exhausted | forbidden & skip_132)]:
             bitc = bit[c]
             ch_na = na
-            if forbidden & bitc:
-                ch_na |= poison_132
+            if poison_132 and forbidden & bitc:
+                ch_na |= 1
             k = counts[c]
             sh = shift[c]
             bad = not_bit[c] & ~(ss >> sh) if k else 0
             sub = alive
             cut = bad & any_edge[c]
             if cut:
-                cache = cut_by_edge[c]
-                sub &= ~(cache.get(cut) or graphs_cut(cache, with_edge[c], cut))
+                cache = kept_by_edge[c]
+                kept = cache.get(cut)
+                sub &= graphs_kept(cache, with_edge[c], cut) if kept is None else kept
                 if not sub:
                     continue
             if k == exhaust_check:
                 cut = exhausted & any_nonedge[c] & ~((na >> sh) | bad)
                 if cut:
-                    cache = cut_by_nonedge[c]
-                    sub &= ~(cache.get(cut) or graphs_cut(cache, without_edge[c], cut))
+                    cache = kept_by_nonedge[c]
+                    kept = cache.get(cut)
+                    sub &= graphs_kept(cache, without_edge[c], cut) if kept is None else kept
                     if not sub:
                         continue
             if nodes == limit:

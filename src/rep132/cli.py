@@ -7,7 +7,8 @@ under a bounded search only (search --fixed or --max-copies 1), which does
 not settle the graph.
 
 REP132_WORKERS sets the default worker count for scan;
-REP132_BACKEND picks the kernel (see rep132.kernels).
+REP132_BACKEND picks the kernel (see rep132.kernels); an unknown value, or
+c without the compiled extension, exits 2 before any command runs.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import sys
 from pathlib import Path
 from typing import Optional
 
-from . import formats
+from . import formats, kernels
 from .circle import circle_witness
 from .constructions import (
     CASE_TAGS,
@@ -303,6 +304,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
+    try:
+        # choose the kernel before any command, so that a bad REP132_BACKEND
+        # is a usage error for every command alike
+        kernels.backend_name()
+    except (ImportError, ValueError) as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 2
     try:
         return args.func(args)
     except (OSError, ValueError) as e:

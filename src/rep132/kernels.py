@@ -4,9 +4,13 @@ The package ships two interchangeable DFS kernels: rep132._kernel (compiled
 extension) and rep132._kernel_py (pure-Python reference). They implement
 the identical traversal — same witnesses, same node/test counts — so which
 one runs is purely a speed question. The compiled one is preferred when it
-imported successfully; set REP132_BACKEND=python or REP132_BACKEND=c to
-force a choice (forcing c raises if the extension is missing instead of
-falling back silently).
+imports; set REP132_BACKEND=python or REP132_BACKEND=c to force a choice
+(forcing c raises ImportError if the extension is missing instead of
+falling back silently; another value raises ValueError). The backend is
+chosen at the process's first run_search, run_batch or backend_name call,
+not at import, so importing this module never fails on REP132_BACKEND; the
+CLI calls backend_name before any command, so a bad value fails every
+command alike. Both backends take letters 1..MAX_N.
 
 Argument checks are split by what relies on them. Each backend checks, by
 itself and with the same messages, what its own memory relies on: n in
@@ -47,6 +51,7 @@ from typing import Optional, Sequence
 
 from ._kernel_py import (
     MAX_DEPTH,
+    MAX_N,
     ROW_BYTES,
     batch_shape,
     check_arguments,
@@ -63,29 +68,39 @@ def load_backend(name: str):
 
         return _kernel_py
     if name == "c":
-        from . import _kernel  # type: ignore[attr-defined]
-
+        try:
+            from . import _kernel  # type: ignore[attr-defined]
+        except ImportError as e:
+            raise ImportError(
+                f"cannot load the compiled kernel rep132._kernel ({e}); build it "
+                "with `python setup.py build_ext --inplace`"
+            ) from e
         return _kernel
     raise ValueError(f"unknown backend {name!r} (expected 'c' or 'python')")
 
 
-def _select():
+@lru_cache(maxsize=None)
+def _backend():
+    """(name, run_search, run_batch) of the backend this process uses.
+
+    Chosen at the first call; a call that raises chooses nothing, so the
+    next one raises the same error.
+    """
     forced = os.environ.get("REP132_BACKEND", "").strip().lower()
     if forced:
-        return load_backend(forced), forced
-    try:
-        return load_backend("c"), "c"
-    except ImportError:
-        return load_backend("python"), "python"
-
-
-_impl, BACKEND = _select()
-if BACKEND == "python":
-    _search, _batch = _impl.run_search_unchecked, _impl.run_batch_unchecked
-else:
-    _search, _batch = _impl.run_search, _impl.run_batch
-
-MAX_N = _impl.MAX_N
+        try:
+            impl, name = load_backend(forced), forced
+        except (ImportError, ValueError) as e:
+            raise type(e)(f"REP132_BACKEND={forced}: {e}") from e
+    else:
+        try:
+            impl, name = load_backend("c"), "c"
+        except ImportError:
+            impl, name = load_backend("python"), "python"
+    if name == "python":
+        # kernels checks the arguments, so enter past the kernel's own checks
+        return name, impl.run_search_unchecked, impl.run_batch_unchecked
+    return name, impl.run_search, impl.run_batch
 
 
 def _check_arguments(
@@ -164,7 +179,7 @@ def run_search(
     rep132._kernel_py.run_search for the search itself.
     """
     _check_arguments(n, adj, min_copies, max_copies, node_budget)
-    return _search(
+    return _backend()[1](
         n, adj, min_copies, max_copies, forbid_132, find_all, node_budget,
         prune_pattern, prune_edges, prune_exhausted,
     )
@@ -203,12 +218,13 @@ def run_batch(
             key = row_key(rows, i)
             check_row(n, key, min_copies, max_copies, budget)
             _check_graph(n, row_masks(key, n))
-    return _batch(
+    return _backend()[2](
         n, rows, min_copies, max_copies, forbid_132, find_all, node_budgets,
         group_sizes, prune_pattern, prune_edges, prune_exhausted,
     )
 
 
 def backend_name() -> str:
-    """Which kernel this process is using: 'c' or 'python'."""
-    return BACKEND
+    """Which kernel this process is using: 'c' or 'python'; the first call
+    chooses it, if no kernel call has."""
+    return _backend()[0]

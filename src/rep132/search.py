@@ -53,9 +53,9 @@ from __future__ import annotations
 import itertools
 import math
 import os
+import sys
 import time
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Iterable, Iterator, Optional, Sequence
@@ -90,6 +90,17 @@ BATCH_GRAPHS = 4096
 ROUND_GRAPHS = 16
 
 WORKERS_ENV = "REP132_WORKERS"
+
+
+def __getattr__(name: str):
+    # ProcessPoolExecutor is imported on first use: concurrent.futures
+    # loads multiprocessing, which only a parallel scan_order needs.
+    if name == "ProcessPoolExecutor":
+        from concurrent.futures import ProcessPoolExecutor
+
+        globals()[name] = ProcessPoolExecutor
+        return ProcessPoolExecutor
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True)
@@ -454,7 +465,9 @@ def scan_order(
     groups = min(_resolve_workers(workers), len(graphs))
     if groups > 1:
         reports: list = [None] * len(graphs)
-        with ProcessPoolExecutor(max_workers=groups) as pool:
+        # looked up on the module, where it is loaded lazily and may be replaced
+        pool_class = sys.modules[__name__].ProcessPoolExecutor
+        with pool_class(max_workers=groups) as pool:
             tasks = [(n, graphs[i::groups], cfg) for i in range(groups)]
             for i, group in enumerate(pool.map(_scan_group_task, tasks)):
                 reports[i::groups] = group

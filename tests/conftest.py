@@ -144,7 +144,7 @@ def compiled_kernel(tmp_path_factory):
 
 # Code that loads the package in a child process started by run_child, with
 # the compiled kernel's directory on its search path, so the REP132_BACKEND
-# choice made at import time can find it.
+# choice made at the first kernel call can find it.
 LOAD_PACKAGE = """
 import importlib.util, sys
 package, kernel_dir = sys.argv[1:]

@@ -1,10 +1,15 @@
 """End-to-end command-line tests driven through ``rep132.cli.main``."""
 
 import json
+import os
+import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import rep132
 from conftest import LOAD_PACKAGE, run_child
 from rep132.cli import main
 
@@ -369,3 +374,48 @@ def test_no_arguments_prints_usage(cli):
     code, _, err = cli()
     assert code == 2
     assert "usage:" in err
+
+
+# Every command, in one process, with the graph file argv[1]: the exit codes
+# and the last line of standard error.
+EVERY_COMMAND = """
+import contextlib, io, sys
+from rep132 import cli
+graph = sys.argv[1]
+for argv in (["check-word", "12"], ["represent", "path", "3"], ["search", graph],
+             ["scan", "--order", "2"], ["circle-witness", graph]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    print(code, repr(out.getvalue()), err.getvalue().strip())
+"""
+
+
+@pytest.mark.parametrize("backend, message", [
+    ("bogus", "error: REP132_BACKEND=bogus: unknown backend 'bogus'"),
+    ("c", "error: REP132_BACKEND=c: cannot load the compiled kernel rep132._kernel"),
+], ids=["bogus", "c"])
+def test_bad_backend_is_a_usage_error_for_every_command(backend, message, tmp_path,
+                                                        graph_file):
+    # a copy of the package's sources, so no built extension is on the path
+    package = tmp_path / "rep132"
+    package.mkdir()
+    for source in Path(rep132.__file__).parent.glob("*.py"):
+        shutil.copy(source, package)
+    env = dict(os.environ, REP132_BACKEND=backend, PYTHONPATH=str(tmp_path))
+    done = subprocess.run([sys.executable, "-m", "rep132.cli", "check-word", "12"],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr.startswith(message), done.stderr
+    assert "Traceback" not in done.stderr
+    if backend == "c":
+        assert "python setup.py build_ext --inplace" in done.stderr
+    done = subprocess.run([sys.executable, "-c", EVERY_COMMAND, graph_file(GOOD_STAR_TEXT)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert len(lines) == 5
+    for line in lines:
+        code, out, err = line.split(" ", 2)
+        assert (code, out) == ("2", "''"), line
+        assert err.startswith(message), line

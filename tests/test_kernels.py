@@ -81,6 +81,7 @@ def test_load_backend_by_name():
     assert py.__name__.endswith("_kernel_py")
     c = kernels.load_backend("c")
     assert c.__name__.endswith("_kernel")
+    assert c.MAX_N == py.MAX_N == kernels.MAX_N
     with pytest.raises(ValueError):
         kernels.load_backend("fortran")
 
@@ -776,7 +777,7 @@ def test_kernel_source_compiles_without_warnings(tmp_path):
 def test_compare_backends_runs_the_python_kernel_it_times(monkeypatch, capsys):
     # benchmarks/compare_backends.py times each backend in turn. Every
     # search calls kernels.run_batch, so the script must swap that too, or
-    # its "python" column runs the backend chosen at import.
+    # its "python" column runs the backend kernels chose.
     script = Path(__file__).resolve().parent.parent / "benchmarks" / "compare_backends.py"
     spec = importlib.util.spec_from_file_location("compare_backends", script)
     compare = importlib.util.module_from_spec(spec)
