@@ -70,6 +70,10 @@ MAX_N = 15
 MAX_DEPTH = 64  # longest word, n * max_copies: the compiled twin's prefix array
 LANE = 16  # bits per letter in the packed seen_since and nonalt; MAX_N < LANE
 ROW_BYTES = 2 * (MAX_N + 1)  # a run_batch row: masks 0..MAX_N, one lane each
+# Most distinct graph sets a union search tallies before it adds their
+# tallies into the per-graph totals: each set is an int of one bit per graph
+# of the batch, so this bounds the tallies' memory.
+TALLY_SETS = 128
 
 
 def check_arguments(
@@ -320,7 +324,8 @@ def batch_shape(rows, node_budgets, group_sizes):
     """A run_batch call's rows as bytes, its budgets and its group sizes as
     lists, after checking that they describe the same graphs.
     """
-    rows = memoryview(rows).cast("B").tobytes()
+    if not isinstance(rows, bytes):
+        rows = memoryview(rows).cast("B").tobytes()
     if len(rows) % ROW_BYTES:
         raise ValueError(f"need {ROW_BYTES} bytes per graph, got {len(rows)} bytes")
     count = len(rows) // ROW_BYTES
@@ -362,10 +367,14 @@ def run_batch_unchecked(
     edge, read off the rows in bulk), less those that found their witness
     or were dropped when find_all is false; a child whose set is empty is
     no node. The leaf test looks up the packed nonalt in a dict from packed
-    target to the graphs that have it. Each graph's nodes and words tested
-    are the number of union nodes and leaves whose set holds it, so each
-    graph sees exactly its own search; the union tallies each distinct set
-    and adds the tallies up per graph at the end (_per_member).
+    target to the first entry that has it, and to the set of all entries
+    that have it for a target that several share. Each graph's nodes and
+    words tested are the number of union nodes and leaves whose set holds
+    it, so each graph sees exactly its own search. The union tallies each
+    distinct set, and adds the tallies into bit-sliced per-graph totals
+    (_add_tallies) whenever more than TALLY_SETS sets are tallied, and at
+    the end, so the tallies' memory stays bounded. Witness lists are kept
+    only for the entries that hit.
 
     Without find_all, the graphs of one group drop out together: when
     entries hit at a leaf, every later entry of a hit's group that has not
@@ -426,12 +435,17 @@ def _union_search(
                 any_edge[c] |= bit[y]
             if graphs != everyone:
                 any_nonedge[c] |= bit[y]
-    # a row's target: its non-neighbour masks, packed as nonalt is
+    # a row's target: its non-neighbour masks, packed as nonalt is.
+    # targets[t]: the first entry whose target is t; twins[t]: the set of
+    # all entries with target t, for the targets that more than one has.
     valid = sum(not_bit[c] << shift[c] for c in range(1, n + 1))
     targets: dict[int, int] = {}
+    twins: dict[int, int] = {}
     for i in range(count):
         target = valid & ~row_key(rows, i)
-        targets[target] = targets.get(target, 0) | 1 << i
+        first = targets.setdefault(target, i)
+        if first != i:
+            twins[target] = twins.get(target, 1 << first) | 1 << i
     # group_end[g]: one past the last entry of group g, in entry order
     group_end = list(itertools.accumulate(group_sizes))
     # A prune that is off cuts no graph.
@@ -461,9 +475,13 @@ def _union_search(
 
     counts = [0] * (n + 1)
     prefix: list[int] = []
-    witnesses: list[list[tuple[int, ...]]] = [[] for _ in range(count)]
-    node_sets: dict[int, int] = {}  # graph set -> union nodes with that set
-    leaf_sets: dict[int, int] = {}  # graph set -> words tested with that set
+    witnesses: dict[int, list[tuple[int, ...]]] = {}  # entry -> its witnesses
+    # graph set -> union nodes / words tested with that set, since the last
+    # time the set tallies were added into the per-entry totals
+    node_sets: dict[int, int] = {}
+    leaf_sets: dict[int, int] = {}
+    node_planes: list[int] = []  # per-entry totals, bit-sliced (see _add_tallies)
+    leaf_planes: list[int] = []
     nodes = 0
     live = everyone  # graphs still searching
     dropped = 0  # graphs dropped by an earlier hit in their group
@@ -502,6 +520,8 @@ def _union_search(
                 return True
             nodes += 1
             node_sets[sub] = node_sets.get(sub, 0) + 1
+            if len(node_sets) > TALLY_SETS:
+                _add_tallies(node_planes, node_sets, nodes)
             if bad:
                 ch_na |= (bad << sh) | (lanes[bad] << c)
 
@@ -510,11 +530,16 @@ def _union_search(
             ch_def = deficient - 1 if k + 1 == min_copies else deficient
             if ch_def == 0:
                 leaf_sets[sub] = leaf_sets.get(sub, 0) + 1
-                hit = targets.get(ch_na, 0) & sub
+                if len(leaf_sets) > TALLY_SETS:
+                    _add_tallies(leaf_planes, leaf_sets, nodes)
+                hit = 0
+                first = targets.get(ch_na)
+                if first is not None:
+                    hit = sub & (twins[ch_na] if ch_na in twins else 1 << first)
                 if hit:
                     word = tuple(prefix)
                     for i in _members(hit):
-                        witnesses[i].append(word)
+                        witnesses.setdefault(i, []).append(word)
                     if not find_all:
                         live &= ~hit
                         # drop the entries after each hit in its group
@@ -542,12 +567,18 @@ def _union_search(
 
     rec(0, n + 1, 0, n, 0, 0, live)
     rec = None  # as in run_search_unchecked
+    # free the search's tables before the results are built, which is when
+    # a round's memory peaks
+    del targets, twins, with_edge, without_edge, kept_by_edge, kept_by_nonedge
     if aborted:
         return None
-    node_counts = _per_member(node_sets, count)
-    leaf_counts = _per_member(leaf_sets, count)
+    _add_tallies(node_planes, node_sets, nodes)
+    _add_tallies(leaf_planes, leaf_sets, nodes)
+    node_counts = _totals(node_planes, count)
+    leaf_counts = _totals(leaf_planes, count)
     return [
-        None if dropped >> i & 1 else (witnesses[i], node_counts[i], leaf_counts[i], False)
+        None if dropped >> i & 1
+        else (witnesses.get(i, []), node_counts[i], leaf_counts[i], False)
         for i in range(count)
     ]
 
@@ -560,16 +591,16 @@ def _members(graphs: int):
         graphs ^= low
 
 
-def _per_member(tally: dict[int, int], count: int) -> list[int]:
-    """Per index, the total of the tallies of the sets that hold it.
+def _add_tallies(planes: list[int], tally: dict[int, int], most: int) -> None:
+    """Add each set's tally in tally to the per-index totals, then empty tally.
 
     The totals are bit-sliced: planes[p] is the set of indices whose total
     has bit p. Adding t to every member of a set is then one binary
     addition per bit of t, with the set as the carry, over whole sets at a
-    time instead of member by member.
+    time instead of member by member. most bounds every total after the
+    addition.
     """
-    # no total exceeds the sum of the tallies
-    planes = [0] * sum(tally.values()).bit_length()
+    planes.extend([0] * (most.bit_length() - len(planes)))
     for graphs, times in tally.items():
         p = 0
         while times:
@@ -582,9 +613,14 @@ def _per_member(tally: dict[int, int], count: int) -> list[int]:
                     q += 1
             times >>= 1
             p += 1
+    tally.clear()
+
+
+def _totals(planes: list[int], count: int) -> list[int]:
+    """Per index 0..count-1, its total in the bit-sliced planes."""
     if not planes:
         return [0] * count
-    # graph i's total in binary is bit i of each plane, the top plane first;
-    # a plane written out in binary has graph i at column count - 1 - i
+    # index i's total in binary is bit i of each plane, the top plane first;
+    # a plane written out in binary has index i at column count - 1 - i
     columns = zip(*[format(plane, f"0{count}b") for plane in reversed(planes)])
     return [int("".join(bits), 2) for bits in columns][::-1]

@@ -28,13 +28,14 @@ the same n, entry for entry, with the same checks and messages for every
 entry. The graphs come packed, as ROW_BYTES bytes per graph (masks 0..MAX_N
 of 16 bits, little-endian), the layout of the scan's memo keys, so no mask
 list is built per graph. A row holds no wrong number of masks; instead each
-backend rejects bits in a mask past n. run_batch tests every row at once,
-as a bit matrix compared with its transpose, and checks entry by entry only
-a batch that fails that test, so it raises the error run_search would for
-the first faulty entry. Both backends answer it with one DFS over the union
-of the graphs' searches, which share every prefix up to the first prune or
-leaf that tells them apart (see _kernel_py.run_batch_unchecked), and search
-graph by graph only when the union would pass the smallest budget. The
+backend rejects bits in a mask past n. run_batch tests CHECK_ROWS rows at
+a time, each as a bit matrix compared with its transpose, and checks entry
+by entry only a batch that fails that test, so it raises the error
+run_search would for the first faulty entry. Both backends answer it with
+one DFS over the union of the graphs' searches, which share every prefix up
+to the first prune or leaf that tells them apart (see
+_kernel_py.run_batch_unchecked), and search graph by graph only when the
+union would pass the smallest budget. The
 entries form groups of consecutive graphs: without find_all, an entry that
 has not found a witness when an earlier entry of its group finds one is
 dropped from the union and returned as None. A scan decides its classes in
@@ -59,6 +60,11 @@ from ._kernel_py import (
     row_key,
     row_masks,
 )
+
+# Rows that _batch_passes checks in one go: enough to spread the cost of the
+# interpreter over many rows, few enough that its big-int temporaries stay
+# at 8 KB each, where a whole batch's would grow with the batch.
+CHECK_ROWS = 256
 
 
 def load_backend(name: str):
@@ -146,19 +152,24 @@ def _block_masks(n: int) -> tuple[bytes, ...]:
 def _batch_passes(n: int, rows: bytes, node_budgets) -> bool:
     """Whether every entry passes check_row and _check_graph, given that
     the first passes check_row: budgets None or at least 0, and rows that
-    are graphs on 1..n, tested for the whole batch at once.
+    are graphs on 1..n, tested CHECK_ROWS rows at a time.
     """
     if not all(b is None or (type(b) is int and b >= 0) for b in node_budgets):
         return False
-    packed = int.from_bytes(rows, "little")
-    valid, *swaps = (int.from_bytes(b * len(node_budgets), "little") for b in _block_masks(n))
-    if packed & ~valid:
-        return False
-    flipped = packed
-    for j, swap in zip((8, 4, 2, 1), swaps):
-        t = ((flipped >> 15 * j) ^ flipped) & swap
-        flipped ^= t ^ (t << 15 * j)
-    return flipped == packed
+    valid, *swaps = (int.from_bytes(b * CHECK_ROWS, "little") for b in _block_masks(n))
+    step = CHECK_ROWS * ROW_BYTES
+    for start in range(0, len(rows), step):
+        # a shorter last chunk sees only the masks' low rows
+        packed = int.from_bytes(rows[start:start + step], "little")
+        if packed & ~valid:
+            return False
+        flipped = packed
+        for j, swap in zip((8, 4, 2, 1), swaps):
+            t = ((flipped >> 15 * j) ^ flipped) & swap
+            flipped ^= t ^ (t << 15 * j)
+        if flipped != packed:
+            return False
+    return True
 
 
 def run_search(

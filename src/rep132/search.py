@@ -31,11 +31,13 @@ One driver decides every search (_decide_classes). Each graph has a walk
 (_walk), a generator over one dict of kernel results keyed by each labeled
 graph's packed adjacency masks; it yields each labeled graph that the dict
 holds no usable result for, with its remaining budget. The labelings are
-drawn lazily, so no list of n! labelings is built. The driver serves the
-walks of all its graphs in rounds of kernels.run_batch calls: in each round
-every undecided graph asks for the labeled graph its walk needs plus its
-next distinct labeled graphs not yet searched, twice as many as in the
-round before (see _decide_classes), under its remaining budget, so the
+drawn lazily, so no list of n! labelings is built per graph; through order
+7 their keys are read off per-order tables of the edges' keys under every
+labeling (_walk_keys). The driver serves the walks of all its graphs in
+rounds of kernels.run_batch calls: in each round every undecided graph asks
+for the labeled graph its walk needs plus its next distinct labeled graphs
+not yet searched, 8 in all in its first round and 4 times as many in each
+round after (see _decide_classes), under its remaining budget, so the
 kernel shares word prefixes across many graphs. Each graph's asks form one
 group of the batch, in walk order, so the kernel stops searching them once
 one has a witness. A walk uses a result searched ahead of it only where the
@@ -55,7 +57,6 @@ import math
 import os
 import sys
 import time
-from collections import deque
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Iterable, Iterator, Optional, Sequence
@@ -77,17 +78,31 @@ BUDGET_EXCEEDED = "budget-exceeded"
 
 DEFAULT_SCAN_NODE_BUDGET = 10**9
 
+# Graphs a class asks for in its first round, and their growth from one
+# round to the next: 8, 32, 128, ... Each round walks the shared top of the
+# word tree again, so fewer, wider rounds walk fewer union nodes; an order-6
+# scan takes 3 rounds. Wider still saves little more and holds more results
+# searched ahead in memory.
+FIRST_ASKS = 8
+GROWTH = 4
+
 # Most graphs one class asks for in a round, and about the most in one
-# kernels.run_batch call. A round asks for up to 2**r graphs per class; past
-# a few thousand graphs a batch shares little more, while its requests and
-# results take memory per graph.
+# kernels.run_batch call. Past a few thousand graphs a batch shares little
+# more, while its requests and results take memory per graph.
 BATCH_GRAPHS = 4096
 
 # Fewest graphs a round must ask for in all before it searches any ahead of
 # the walks. On the compiled kernel a union search of a few graphs costs
 # more than their searches apart (2 graphs about 2.5 times as much, 8 about
-# the same, 29 about half), so a single search starts as the serial walk.
+# the same, 29 about half), so a single search asks only for the graph its
+# walk needs in its first round, and speculates from its second.
 ROUND_GRAPHS = 16
+
+# Largest order whose labelings read their keys off per-pair columns (see
+# _columns), built at the first search of that order: n! * C(n, 2) entries,
+# 105,840 at n = 7, the largest order scan_order runs. Above it only single
+# searches run, where the kernel dwarfs the cost of the keys.
+COLUMNS_MAX_N = 7
 
 WORKERS_ENV = "REP132_WORKERS"
 
@@ -192,10 +207,8 @@ def _pair_keys(n: int) -> list[list[int]]:
     ]
 
 
-def _keys(
-    adj: Sequence[int], sigmas: Iterable[Labeling]
-) -> Iterator[tuple[Labeling, int]]:
-    """(sigma, the key of relabel(g, sigma)) for each sigma, in order.
+def _keys(adj: Sequence[int], sigmas: Iterable[Labeling]) -> Iterator[int]:
+    """The key of relabel(g, sigma) for each sigma, in order.
 
     adj is g's adjacency masks. A labeled graph's key is its adjacency
     masks packed into one int, mask v in bits 16v..16v+15: a small memo
@@ -206,18 +219,41 @@ def _keys(
     edges = [(u - 1, v - 1) for u in range(1, n + 1) for v in range(u + 1, n + 1)
              if adj[u] >> v & 1]
     for sig in sigmas:
-        yield sig, sum([pair[sig[u] - 1][sig[v] - 1] for u, v in edges])
+        yield sum([pair[sig[u] - 1][sig[v] - 1] for u, v in edges])
 
 
-def _led(lead: deque, keys: Iterator[tuple]) -> Iterator[tuple]:
-    """keys, reading first the ones a lookahead took from keys into lead."""
-    while True:
-        while lead:
-            yield lead.popleft()
-        item = next(keys, None)
-        if item is None:
-            return
-        yield item
+@lru_cache(maxsize=None)
+def _columns(n: int) -> list[list[int]]:
+    """Per vertex pair {u, v}, u < v, in itertools.combinations order: the
+    key of the edge {sigma[u], sigma[v]} under each labeling sigma of 1..n,
+    in walk order.
+
+    A labeled graph's key is the sum of its edges' keys, so the keys of
+    every labeling of g are the sums, position by position, of the columns
+    of g's edges (_walk_keys). At n = 7 the columns hold 21 * 5040 entries.
+    """
+    pair = _pair_keys(n)
+    sigmas = list(itertools.permutations(range(n)))
+    return [[pair[s[u]][s[v]] for s in sigmas]
+            for u, v in itertools.combinations(range(n), 2)]
+
+
+def _walk_keys(g: LabeledGraph, cfg: SearchConfig) -> Iterator[int]:
+    """A new cursor over the keys (see _keys) of the labeled graphs that a
+    search of g under cfg walks, one per labeling of _labelings(g, cfg).
+
+    Up to COLUMNS_MAX_N, all labelings of g read their keys off the columns
+    of g's edges; beyond it, and for the one labeling of a fixed search,
+    each key is summed from its edges.
+    """
+    adj = g.adjacency_masks()
+    if cfg.fixed_labeling or g.n > COLUMNS_MAX_N:
+        return _keys(adj, _labelings(g, cfg))
+    pairs = itertools.combinations(range(1, g.n + 1), 2)
+    columns = [col for (u, v), col in zip(pairs, _columns(g.n)) if adj[u] >> v & 1]
+    if not columns:  # zip() of no columns is empty, not n! empty sums
+        return itertools.repeat(0, math.factorial(g.n))
+    return map(sum, zip(*columns))
 
 
 def _walk(cfg: SearchConfig, keys: Iterator[tuple[Labeling, int]], results: dict):
@@ -283,40 +319,44 @@ def _decide_classes(
 
     Every class walks the labelings _labelings(h, cfg) gives (see _walk),
     and the walks advance together in rounds. In round r (from 0), every
-    undecided class asks for up to 2**r graphs under its remaining budget:
-    the one its walk needs, then its next distinct labeled graphs, in walk
-    order, that it has not searched yet, and never more than BATCH_GRAPHS.
-    A round that would ask for fewer than ROUND_GRAPHS graphs in all asks
-    only for the ones the walks need. Under a node budget it asks for none
-    past the labelings that its remaining budget pays for at the walk's
-    mean nodes per labeling so far. A round goes to kernels.run_batch in
-    slices of whole classes, of about BATCH_GRAPHS graphs each, as packed
-    rows (the keys themselves) with one group per class. Each class keeps
-    its results in one dict, the walk's memo, and the walk uses a
-    speculative result only where the serial walk would get the same one
-    (see _walk), so every report is the serial one. Without find_all, the
-    kernel drops a class's entries after its first hit, and returns None
-    for them; the walk stops at or before that hit, having every result
-    before it, so it never reads a dropped key and None is not stored. The
-    walk and the lookahead read one stream of keys; the walk reads first
-    the keys the lookahead has taken ahead of it, so each key is computed
-    once and only the lookahead's lead is held. A class's walk goes on as
-    soon as its slice is back, and its walk and dict are dropped when it is
-    decided. A report's wall time runs from the start of the rounds to its
-    class's decision.
+    undecided class asks for up to FIRST_ASKS * GROWTH**r graphs under its
+    remaining budget: the one its walk needs, then its next distinct
+    labeled graphs, in walk order, that it has not searched yet, and never
+    more than BATCH_GRAPHS. A round that would ask for fewer than
+    ROUND_GRAPHS graphs in all asks only for the ones the walks need, so a
+    single search speculates from its second round. Under a node budget it
+    asks for none past the labelings that its remaining budget pays for at
+    the walk's mean nodes per labeling so far. A round goes to
+    kernels.run_batch in slices of whole classes, of about BATCH_GRAPHS
+    graphs each, as packed rows (the keys themselves) with one group per
+    class. Each class keeps its results in one dict, the walk's memo, and
+    the walk uses a speculative result only where the serial walk would get
+    the same one (see _walk), so every report is the serial one. Without
+    find_all, the kernel drops a class's entries after its first hit, and
+    returns None for them; the walk stops at or before that hit, having
+    every result before it, so it never reads a dropped key and None is not
+    stored. The walk and the lookahead are two cursors over the class's
+    keys (_walk_keys); before it reads, the lookahead's cursor skips to the
+    labeling after the walk's, so no key read ahead is held. A class's walk
+    goes on as soon as its slice is back, and its walk and dict are dropped
+    when it is decided. A report's wall time runs from the start of the
+    rounds to its class's decision.
     """
     t0 = time.perf_counter()
-    # class index -> (walk, results, keys not yet read, keys read ahead)
-    undecided: dict[int, tuple] = {}
+    # class index -> (walk, results, lookahead cursor, keys the cursor has read)
+    undecided: dict[int, list] = {}
     for i, h in enumerate(classes):
-        keys, lead = _keys(h.adjacency_masks(), _labelings(h, cfg)), deque()
         results: dict[int, tuple] = {}
-        walk = _walk(cfg, _led(lead, keys), results)
-        undecided[i] = (walk, results, keys, lead)
+        walk = _walk(cfg, zip(_labelings(h, cfg), _walk_keys(h, cfg)), results)
+        undecided[i] = [walk, results, _walk_keys(h, cfg), 0]
     reports: list[Optional[SearchReport]] = [None] * len(classes)
     requests: dict[int, tuple] = {}  # class index -> (key, remaining, tried)
 
-    asked: list[tuple] = []  # (class results, key, budget)
+    # the entries of the next batch, one per list index: its key, its
+    # class's results and its budget
+    asked: list[int] = []
+    owners: list[dict] = []
+    budgets: list = []
     asking: list[int] = []  # the classes in asked
     sizes: list[int] = []  # per class in asking, its number of entries in asked
 
@@ -333,21 +373,21 @@ def _decide_classes(
     def flush() -> None:
         found = kernels.run_batch(
             n,
-            b"".join([key.to_bytes(kernels.ROW_BYTES, "little") for _, key, _ in asked]),
+            b"".join([key.to_bytes(kernels.ROW_BYTES, "little") for key in asked]),
             1,
             cfg.max_copies,
             True,
             cfg.find_all,
-            [budget for _, _, budget in asked],
+            budgets,
             sizes,
         )
         # an entry dropped by an earlier hit of its class is None; the walk
         # stops at or before that hit, so it never reads the dropped key
-        for (results, key, _), result in zip(asked, found):
+        for results, key, result in zip(owners, asked, found):
             if result is not None:
                 results[key] = result
-        asked.clear()
-        sizes.clear()
+        for entries in (asked, owners, budgets, sizes):
+            entries.clear()
         # a class decided here drops its results before the next batch
         for i in asking:
             advance(i)
@@ -355,32 +395,43 @@ def _decide_classes(
 
     for i in range(len(classes)):
         advance(i)
-    width = 1
+    width = FIRST_ASKS
     while requests:
         asks = width if width * len(requests) >= ROUND_GRAPHS else 1
         for i in list(requests):
             key, remaining, tried = requests[i]
-            _, results, keys, lead = undecided[i]
-            asked.append((results, key, remaining))
+            state = undecided[i]
+            _, results, cursor, read = state
+            asked.append(key)
+            owners.append(results)
+            budgets.append(remaining)
             asking.append(i)
             sizes.append(1)
+            # the walk has read the keys of labelings 0..tried; the lookahead
+            # reads on from labeling tried + 1
+            if read <= tried:
+                skip = tried + 1 - read
+                next(itertools.islice(cursor, skip, skip), None)
+                read = tried + 1
             taken = {key}
             spent = 0 if remaining is None else cfg.node_budget - remaining
             ahead = remaining * tried // spent - 1 if spent else math.inf
-            while len(taken) < asks and len(lead) < ahead:
-                item = next(keys, None)
-                if item is None:
+            while len(taken) < asks and read - tried - 1 < ahead:
+                extra = next(cursor, None)
+                if extra is None:
                     break
-                lead.append(item)
-                extra = item[1]
+                read += 1
                 if extra not in results and extra not in taken:
                     taken.add(extra)
-                    asked.append((results, extra, remaining))
+                    asked.append(extra)
+                    owners.append(results)
+                    budgets.append(remaining)
                     sizes[-1] += 1
+            state[3] = read
             if len(asked) >= BATCH_GRAPHS:
                 flush()
         flush()
-        width = min(2 * width, BATCH_GRAPHS)
+        width = min(GROWTH * width, BATCH_GRAPHS)
     return reports
 
 

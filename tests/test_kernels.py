@@ -377,6 +377,27 @@ def test_batch_answers_duplicates_entry_by_entry(request):
                        for g, b in zip(graphs, budgets)]
 
 
+@pytest.mark.parametrize("bound", [1, 2, 7])
+def test_union_tallies_fold_into_the_same_totals(bound, monkeypatch):
+    # The Python union search adds its per-set tallies into the per-graph
+    # totals whenever it holds more than TALLY_SETS sets; the totals must
+    # not depend on when.
+    py = kernels.load_backend("python")
+    graphs = list(enumerate_graphs(5))
+    monkeypatch.setattr(py, "TALLY_SETS", bound)
+    for find_all in (False, True):
+        got = batch(py, 5, graphs, [None] * len(graphs), find_all=find_all)
+        assert got == [run(py, g, find_all=find_all) for g in graphs]
+
+
+def test_batch_shape_keeps_bytes_rows():
+    # rows that are bytes already go to the kernel as they are, not copied
+    rows = pack_rows([complete(3).adjacency_masks()])
+    assert kernels.batch_shape(rows, [None], None)[0] is rows
+    copied = kernels.batch_shape(bytearray(rows), [None], None)[0]
+    assert type(copied) is bytes and copied == rows
+
+
 def test_empty_batch(request):
     assert batch(kernels, 3, [], []) == []
     for backend in python_then_compiled(request):
@@ -618,9 +639,9 @@ def test_input_validation():
 
 
 def test_batch_raises_the_first_faulty_entrys_error():
-    # kernels.run_batch tests all entries at once and checks entry by entry
-    # only a batch that fails, so the error is run_search's on the first
-    # faulty entry, wherever it sits in a batch of any length
+    # kernels.run_batch tests CHECK_ROWS entries at once and checks entry
+    # by entry only a batch that fails, so the error is run_search's on the
+    # first faulty entry, wherever it sits in a batch of any length
     good = complete(4).adjacency_masks()
     faults = [
         ([0, 1 << 2, 0, 0, 0], None),             # 1-2 but not 2-1
@@ -640,7 +661,7 @@ def test_batch_raises_the_first_faulty_entrys_error():
         return str(single.value)
 
     for (adj, budget), (later, later_budget) in itertools.product(faults, repeat=2):
-        for at in (0, 1, 70):
+        for at in (0, 1, 70, kernels.CHECK_ROWS - 1, kernels.CHECK_ROWS + 5):
             masks = [good] * at + [adj] + [good] * 3 + [later] + [good]
             budgets = [None] * at + [budget] + [None] * 3 + [later_budget, None]
             with pytest.raises(ValueError) as batched:

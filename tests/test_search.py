@@ -149,6 +149,48 @@ def test_labeling_generators():
     assert list(search._labelings(cycle(4), fixed)) == [(1, 2, 3, 4)]
 
 
+def packed(masks):
+    """A labeled graph's key: its adjacency masks, mask v in bits 16v..16v+15."""
+    return sum(mask << (16 * v) for v, mask in enumerate(masks))
+
+
+def test_column_keys_equal_per_labeling_keys(monkeypatch):
+    # Through order 7 a search reads its keys off per-order columns; they
+    # must be the keys _keys sums labeling by labeling, in walk order.
+    cfg = SearchConfig()
+    for n in range(1, 7):
+        for h in enumerate_graphs(n):
+            expected = list(search._keys(h.adjacency_masks(), walked_labelings(n)))
+            assert list(search._walk_keys(h, cfg)) == expected, h
+            if n <= 4:
+                assert expected == [packed(relabel(h, sig).adjacency_masks())
+                                    for sig in walked_labelings(n)]
+    # an edgeless graph has no column to sum, and still n! keys
+    assert list(search._walk_keys(LabeledGraph(4, []), cfg)) == [0] * 24
+    assert list(search._walk_keys(LabeledGraph(1, []), cfg)) == [0]
+    g = wheel(6)
+    assert list(search._walk_keys(g, cfg)) == \
+        list(search._keys(g.adjacency_masks(), walked_labelings(7)))
+    # past the columns' largest order, each key is summed from the edges
+    g = LabeledGraph(search.COLUMNS_MAX_N + 1, [(1, 2), (2, 3), (3, 8)])
+    assert list(itertools.islice(search._walk_keys(g, cfg), 50)) == \
+        list(search._keys(g.adjacency_masks(),
+                          itertools.islice(walked_labelings(g.n), 50)))
+    # a fixed search asks for the graph as given, and only for it
+    fixed = SearchConfig(fixed_labeling=True)
+    assert list(search._walk_keys(ODD_STAR, fixed)) == [packed(ODD_STAR.adjacency_masks())]
+    rows = []
+    run_batch = kernels.run_batch
+
+    def counting(n, batch, *args):
+        rows.extend(unpack_rows(batch, n))
+        return run_batch(n, batch, *args)
+
+    monkeypatch.setattr(kernels, "run_batch", counting)
+    search_fixed(ODD_STAR)
+    assert rows == [ODD_STAR.adjacency_masks()]
+
+
 def test_fixed_flag_is_recorded():
     rep = search_fixed(GOOD_STAR)
     assert rep.config.fixed_labeling is True
@@ -489,7 +531,9 @@ def test_scan_batches_exactly_the_per_class_kernel_calls(cfg, monkeypatch):
     assert not Counter(m for m, _ in searched) - Counter(m for m, _ in batched)
     for masks, budget in searched:
         assert any(m == masks and b >= budget for m, b in batched)
-    assert len(rounds[0]) == 23
+    # the first round asks for 8 distinct labeled graphs of each of the 23
+    # classes, or for all that a class has
+    assert len(rounds[0]) == 174
 
     class_of = scan_class_of(5)
     searched = set(searched)
@@ -526,8 +570,8 @@ def test_scan_drops_only_graphs_its_walks_never_read(cfg, monkeypatch):
     # Each batch groups a class's entries, consecutive in walk order. A
     # class's entry after its first hit comes back None, and nothing asks
     # for that labeled graph of that class again. Under a budget of 1000
-    # nodes, 3 of the 4 union searches pass the budget and fall back to one
-    # search per graph, and none of the 4 drops an entry.
+    # nodes, both union searches pass the budget and fall back to one
+    # search per graph, and neither drops an entry.
     class_of = scan_class_of(5)
     dropped = set()  # (class, masks)
     run_batch = kernels.run_batch
@@ -567,6 +611,45 @@ def test_scan_order_six_summary():
                             if p not in ((1, 2), (3, 4), (5, 6))])
     assert canonical_form(k33) in nonrep
     assert canonical_form(octa) in nonrep
+
+
+def test_order_six_scan_takes_at_most_three_rounds(monkeypatch):
+    # 8 graphs per class in the first round and 4 times as many in each
+    # round after: 967, 1,833 and 2,100 graphs
+    calls = []
+    run_batch = kernels.run_batch
+
+    def counting(n, rows, *args):
+        calls.append(len(rows) // kernels.ROW_BYTES)
+        return run_batch(n, rows, *args)
+
+    monkeypatch.setattr(kernels, "run_batch", counting)
+    assert len(scan_order(6)) == 122
+    assert len(calls) <= 3
+
+
+# The tracemalloc peak of the rounds of an order-6 scan on the Python
+# kernel, in a child process: a second _decide_classes over the 122
+# classes, after a first has built the tables both use.
+SCAN_MEMORY = LOAD_PACKAGE + """
+import tracemalloc
+from rep132.graphs import enumerate_graphs
+from rep132.search import DEFAULT_SCAN_NODE_BUDGET, SearchConfig, _decide_classes
+classes = list(enumerate_graphs(6, isolate_free=True))
+cfg = SearchConfig(node_budget=DEFAULT_SCAN_NODE_BUDGET)
+_decide_classes(6, classes, cfg)
+tracemalloc.start()
+_decide_classes(6, classes, cfg)
+print(kernels.backend_name(), tracemalloc.get_traced_memory()[1])
+"""
+
+
+def test_order_six_rounds_peak_under_a_megabyte(request):
+    done = run_child(SCAN_MEMORY, "python", request)
+    assert done.returncode == 0, done.stderr
+    backend, peak = done.stdout.split()
+    assert backend == "python"
+    assert int(peak) <= 1_000_000
 
 
 @pytest.mark.parametrize("n, not_representable", [(4, 0), (5, 0), (6, 4)])
