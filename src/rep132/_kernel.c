@@ -1,11 +1,13 @@
 /* Compiled DFS kernel: exact twin of rep132._kernel_py (see its docstring).
 
    rec() has the same traversal and results as the Python reference's
-   rec(), checked call by call: the same child order, prunes, node and word
-   counts, budget rule and witness order. The Python kernel packs
-   seen_since and nonalt into two ints; here they stay arrays copied per
-   node, since a memcpy of 16 words costs next to nothing in C. Any change
-   to the traversal must be mirrored there.
+   rec(), checked call by call: the same child order, the same three
+   prunes, always on, the same node and word counts, budget rule and
+   witness order. With the pattern prune on, no word that contains a 132
+   is ever built, so a finished word needs no test for one. The Python
+   kernel packs seen_since and nonalt into two ints; here they stay arrays
+   copied per node, since a memcpy of 16 words costs next to nothing in C.
+   Any change to the traversal must be mirrored there.
 
    run_batch walks the union of several graphs' searches as
    _kernel_py.run_batch_unchecked does (batch_rec() below), with graph sets
@@ -35,7 +37,7 @@ typedef unsigned int mask_t;
 
 typedef struct {
     int n, min_copies, max_copies;
-    int forbid_132, find_all, prune_pattern, prune_edges, prune_exhausted;
+    int forbid_132, find_all;
     unsigned long long budget, nodes, tested;
     int exceeded;
     mask_t full;
@@ -71,8 +73,7 @@ add_witness(State *st)
 
 /* Returns 1 to stop the whole search, 0 to go on, -1 on a Python error. */
 static int
-rec(State *st, mask_t forbidden, int cur_min, int has132, mask_t exhausted,
-    int deficient)
+rec(State *st, mask_t forbidden, int cur_min, mask_t exhausted, int deficient)
 {
     const int n = st->n;
     mask_t old_ss[MAX_N + 1], old_na[MAX_N + 1];
@@ -81,13 +82,12 @@ rec(State *st, mask_t forbidden, int cur_min, int has132, mask_t exhausted,
         if (st->counts[c] == st->max_copies)
             continue;
         mask_t bitc = (mask_t)1 << c;
-        int creates132 = (forbidden & bitc) != 0;
-        if (st->prune_pattern && st->forbid_132 && creates132)
+        if (st->forbid_132 && (forbidden & bitc))
             continue;
         mask_t bad = st->counts[c] ? st->full & ~bitc & ~st->seen_since[c] : 0;
-        if (st->prune_edges && (bad & st->adj[c]))
+        if (bad & st->adj[c])
             continue;
-        if (st->prune_exhausted && st->counts[c] + 1 == st->max_copies
+        if (st->counts[c] + 1 == st->max_copies
             && (exhausted & st->nonedge[c] & ~(st->nonalt[c] | bad)))
             continue;
         if (st->budget && st->nodes >= st->budget) {
@@ -111,7 +111,6 @@ rec(State *st, mask_t forbidden, int cur_min, int has132, mask_t exhausted,
                     st->nonalt[y] |= bitc;
         }
 
-        int ch_has132 = has132 || creates132;
         mask_t ch_forb = forbidden;
         if (0 < cur_min && cur_min < c)
             ch_forb |= (bitc - 1) & ~(((mask_t)1 << (cur_min + 1)) - 1);
@@ -122,7 +121,7 @@ rec(State *st, mask_t forbidden, int cur_min, int has132, mask_t exhausted,
         int stop = 0;
         if (ch_def == 0) {
             st->tested++;
-            int ok = !(st->forbid_132 && ch_has132);
+            int ok = 1;
             for (int x = 1; ok && x <= n; x++)
                 ok = st->nonalt[x] == st->nonedge[x];
             if (ok) {
@@ -132,7 +131,7 @@ rec(State *st, mask_t forbidden, int cur_min, int has132, mask_t exhausted,
             }
         }
         if (!stop)
-            stop = rec(st, ch_forb, ch_min, ch_has132, ch_exh, ch_def);
+            stop = rec(st, ch_forb, ch_min, ch_exh, ch_def);
 
         st->counts[c]--;
         st->depth--;
@@ -272,7 +271,7 @@ search(State *st)
     st->witnesses = PyList_New(0);
     if (st->witnesses == NULL)
         return NULL;
-    if (rec(st, 0, 0, 0, 0, st->n) < 0) {
+    if (rec(st, 0, 0, 0, st->n) < 0) {
         Py_DECREF(st->witnesses);
         return NULL;
     }
@@ -282,8 +281,7 @@ search(State *st)
 
 PyDoc_STRVAR(run_search_doc,
 "run_search(n, adj, min_copies, max_copies, forbid_132, find_all,\n"
-"           node_budget=None, prune_pattern=True, prune_edges=True,\n"
-"           prune_exhausted=True)\n"
+"           node_budget=None)\n"
 "--\n\n"
 "Returns (witnesses, nodes, words_tested, budget_exceeded).\n\n"
 "Same contract as rep132._kernel_py.run_search.");
@@ -292,20 +290,17 @@ static PyObject *
 run_search(PyObject *self, PyObject *args, PyObject *kwds)
 {
     static char *kwlist[] = {"n", "adj", "min_copies", "max_copies", "forbid_132",
-                             "find_all", "node_budget", "prune_pattern",
-                             "prune_edges", "prune_exhausted", NULL};
+                             "find_all", "node_budget", NULL};
     long long n, min_copies, max_copies;
     PyObject *adj, *budget_obj = Py_None;
     State st;
     (void)self;
 
     memset(&st, 0, sizeof st);
-    st.prune_pattern = st.prune_edges = st.prune_exhausted = 1;
-    if (!PyArg_ParseTupleAndKeywords(args, kwds, "O&OO&O&pp|Oppp:run_search", kwlist,
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "O&OO&O&pp|O:run_search", kwlist,
                                      clamped, &n, &adj, clamped, &min_copies,
                                      clamped, &max_copies, &st.forbid_132,
-                                     &st.find_all, &budget_obj, &st.prune_pattern,
-                                     &st.prune_edges, &st.prune_exhausted))
+                                     &st.find_all, &budget_obj))
         return NULL;
     if (read_letters(&st, n, min_copies, max_copies) < 0
         || read_budget(budget_obj, &st.budget) < 0 || read_masks(&st, adj) < 0)
@@ -338,7 +333,7 @@ typedef struct {
     unsigned long long limit;  /* the smallest nonzero budget; 0: none */
     int aborted;
     mask_t any_edge[MAX_N + 1];     /* per letter, the union of the graphs' */
-    mask_t any_nonedge[MAX_N + 1];  /* (non-)neighbour masks; 0 if unpruned */
+    mask_t any_nonedge[MAX_N + 1];  /* (non-)neighbour masks */
     mask_t *adjs;        /* adjs[i * (MAX_N + 1) + c]: graph i's neighbours of c */
     mask_t *nonedges;    /* likewise its non-neighbours */
     Py_ssize_t *group_end;  /* group_end[i]: one past the last entry of i's group */
@@ -532,7 +527,7 @@ leaf(Batch *b, Part *set, Py_ssize_t len)
    on, -1 on a Python error. */
 static int
 batch_rec(Batch *b, Part *alive, Py_ssize_t len, mask_t forbidden, int cur_min,
-          int has132, mask_t exhausted, int deficient)
+          mask_t exhausted, int deficient)
 {
     State *st = &b->st;
     const int n = st->n;
@@ -544,8 +539,7 @@ batch_rec(Batch *b, Part *alive, Py_ssize_t len, mask_t forbidden, int cur_min,
         if (st->counts[c] == st->max_copies)
             continue;
         mask_t bitc = (mask_t)1 << c;
-        int creates132 = (forbidden & bitc) != 0;
-        if (st->prune_pattern && st->forbid_132 && creates132)
+        if (st->forbid_132 && (forbidden & bitc))
             continue;
         mask_t bad = st->counts[c] ? st->full & ~bitc & ~st->seen_since[c] : 0;
         mask_t cut_nonedge = 0;
@@ -577,7 +571,6 @@ batch_rec(Batch *b, Part *alive, Py_ssize_t len, mask_t forbidden, int cur_min,
                     st->nonalt[y] |= bitc;
         }
 
-        int ch_has132 = has132 || creates132;
         mask_t ch_forb = forbidden;
         if (0 < cur_min && cur_min < c)
             ch_forb |= (bitc - 1) & ~(((mask_t)1 << (cur_min + 1)) - 1);
@@ -588,15 +581,12 @@ batch_rec(Batch *b, Part *alive, Py_ssize_t len, mask_t forbidden, int cur_min,
         int stop = 0;
         if (ch_def == 0) {
             tally(b->leaf_planes, sub, sublen);
-            if (!(st->forbid_132 && ch_has132)) {
-                sublen = leaf(b, sub, sublen);
-                if (sublen < 0)
-                    return -1;
-            }
+            sublen = leaf(b, sub, sublen);
+            if (sublen < 0)
+                return -1;
         }
         if (sublen)
-            stop = batch_rec(b, sub, sublen, ch_forb, ch_min, ch_has132, ch_exh,
-                             ch_def);
+            stop = batch_rec(b, sub, sublen, ch_forb, ch_min, ch_exh, ch_def);
 
         st->counts[c]--;
         st->depth--;
@@ -674,11 +664,6 @@ batch_tables(Batch *b)
         b->next_same[i] = b->table[slot];
         b->table[slot] = i;
     }
-    /* a prune that is off cuts no graph */
-    if (!b->st.prune_edges)
-        memset(b->any_edge, 0, sizeof b->any_edge);
-    if (!b->st.prune_exhausted)
-        memset(b->any_nonedge, 0, sizeof b->any_nonedge);
     return 0;
 }
 
@@ -703,7 +688,7 @@ union_search(Batch *b)
         root[j].idx = j;
         root[j].bits = b->live[j];
     }
-    if (batch_rec(b, root, b->words, 0, 0, 0, 0, b->st.n) < 0)
+    if (batch_rec(b, root, b->words, 0, 0, 0, b->st.n) < 0)
         return NULL;
     if (b->aborted)
         Py_RETURN_NONE;
@@ -758,8 +743,7 @@ batch_free(Batch *b)
 
 PyDoc_STRVAR(run_batch_doc,
 "run_batch(n, rows, min_copies, max_copies, forbid_132, find_all,\n"
-"          node_budgets, group_sizes=None, prune_pattern=True,\n"
-"          prune_edges=True, prune_exhausted=True)\n"
+"          node_budgets, group_sizes=None)\n"
 "--\n\n"
 "run_search for each graph of rows (32 bytes each, masks 0..15 of 16 bits,\n"
 "little-endian) under its node budget, from one DFS over the union of the\n"
@@ -813,7 +797,7 @@ run_batch(PyObject *self, PyObject *args, PyObject *kwds)
 {
     static char *kwlist[] = {"n", "rows", "min_copies", "max_copies",
                              "forbid_132", "find_all", "node_budgets", "group_sizes",
-                             "prune_pattern", "prune_edges", "prune_exhausted", NULL};
+                             NULL};
     long long n, min_copies, max_copies;
     Py_buffer rows;
     PyObject *budgets_obj, *sizes_obj = Py_None, *budgets = NULL;
@@ -823,13 +807,10 @@ run_batch(PyObject *self, PyObject *args, PyObject *kwds)
     (void)self;
 
     memset(&b, 0, sizeof b);
-    b.st.prune_pattern = b.st.prune_edges = b.st.prune_exhausted = 1;
-    if (!PyArg_ParseTupleAndKeywords(args, kwds, "O&y*O&O&ppO|Oppp:run_batch", kwlist,
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "O&y*O&O&ppO|O:run_batch", kwlist,
                                      clamped, &n, &rows, clamped, &min_copies,
                                      clamped, &max_copies, &b.st.forbid_132,
-                                     &b.st.find_all, &budgets_obj, &sizes_obj,
-                                     &b.st.prune_pattern, &b.st.prune_edges,
-                                     &b.st.prune_exhausted))
+                                     &b.st.find_all, &budgets_obj, &sizes_obj))
         return NULL;
     const unsigned char *bytes = rows.buf;
     if (rows.len % ROW_BYTES) {

@@ -36,16 +36,16 @@ way back. Appending c costs two expressions over per-letter constants:
                (bad into lane c, bit c into the lane of each letter of bad)
 
 where bad is the set of letters outside seen_since[c] and lanes[mask] has
-bit 16y set for every bit y of mask. A word containing a 132, when 132s are
-forbidden but not pruned, sets bit 0 of na, in lane 0, which no letter
-uses. So the leaf test is one comparison, na == target, with target the
-packed non-neighbor masks and lane 0 empty.
+bit 16y set for every bit y of mask. So the leaf test is one comparison,
+na == target, with target the non-neighbor masks packed the same way.
 
-Optional prunes (each sound: disabling changes statistics, never verdicts):
-  prune_pattern   skip c when it would complete a 132 (only if forbid_132)
-  prune_edges     skip c when it puts a repeat on an edge pair
-  prune_exhausted skip c when, c's copies now spent, some non-edge pair
-                  {c,y} with y also spent still alternates — unfixable
+Prunes, always on, each cutting only subtrees that hold no witness:
+  pattern    skip c when it would complete a 132 (only if forbid_132)
+  edges      skip c when it puts a repeat on an edge pair
+  exhausted  skip c when, c's copies now spent, some non-edge pair
+             {c,y} with y also spent still alternates — unfixable
+With forbid_132, the pattern prune builds no word that contains a 132, so
+the leaf test needs no check for one.
 
 run_batch answers run_search for several graphs on the same letters in one
 DFS over the union of their search trees (run_batch_unchecked). Its graphs
@@ -120,13 +120,15 @@ def check_row(
 
 
 def _check_search(n, min_copies, max_copies, node_budget) -> None:
+    # TypeError for a non-int, as the compiled twin's argument parsing gives
+    n, min_copies, max_copies = map(operator.index, (n, min_copies, max_copies))
     if not (1 <= n <= MAX_N):
         raise ValueError(f"n must be in 1..{MAX_N}")
     if not (1 <= min_copies <= max_copies):
         raise ValueError("need 1 <= min_copies <= max_copies")
     if n * max_copies > MAX_DEPTH:
         raise ValueError(f"n * max_copies must be at most {MAX_DEPTH}")
-    if node_budget is not None and node_budget < 0:
+    if node_budget is not None and operator.index(node_budget) < 0:
         raise ValueError("node_budget must not be negative")
 
 
@@ -183,9 +185,6 @@ def run_search(
     forbid_132: bool,
     find_all: bool,
     node_budget: Optional[int] = None,
-    prune_pattern: bool = True,
-    prune_edges: bool = True,
-    prune_exhausted: bool = True,
 ) -> tuple[list[tuple[int, ...]], int, int, bool]:
     """Returns (witnesses, nodes, words_tested, budget_exceeded).
 
@@ -196,8 +195,7 @@ def run_search(
     """
     check_arguments(n, adj, min_copies, max_copies, node_budget)
     return run_search_unchecked(
-        n, adj, min_copies, max_copies, forbid_132, find_all, node_budget,
-        prune_pattern, prune_edges, prune_exhausted,
+        n, adj, min_copies, max_copies, forbid_132, find_all, node_budget
     )
 
 
@@ -209,9 +207,6 @@ def run_search_unchecked(
     forbid_132: bool,
     find_all: bool,
     node_budget: Optional[int] = None,
-    prune_pattern: bool = True,
-    prune_edges: bool = True,
-    prune_exhausted: bool = True,
 ) -> tuple[list[tuple[int, ...]], int, int, bool]:
     """run_search for arguments that already passed check_arguments.
 
@@ -222,12 +217,8 @@ def run_search_unchecked(
     target = 0
     for c in range(1, n + 1):
         target |= nonedge[c] << shift[c]
-    # A prune that is off becomes a test that never holds.
-    edges = list(adj) if prune_edges else [0] * (n + 1)
     last_copy = max_copies - 1  # counts[c] before c's last copy
-    exhaust_check = last_copy if prune_exhausted else -1
-    skip_132 = -1 if prune_pattern and forbid_132 else 0
-    poison_132 = 1 if forbid_132 else 0
+    skip_132 = -1 if forbid_132 else 0
     limit = node_budget or -1  # nodes never reaches -1
 
     counts = [0] * (n + 1)
@@ -242,23 +233,18 @@ def run_search_unchecked(
         nonlocal nodes, tested, exceeded
         between_min = between[cur_min]
         for c in letters[full & ~(exhausted | forbidden & skip_132)]:
-            bitc = bit[c]
-            ch_na = na
-            if forbidden & bitc:
-                ch_na |= poison_132
             k = counts[c]
             sh = shift[c]
             bad = not_bit[c] & ~(ss >> sh) if k else 0
-            if bad & edges[c]:
+            if bad & adj[c]:
                 continue
-            if k == exhaust_check and exhausted & nonedge[c] & ~((na >> sh) | bad):
+            if k == last_copy and exhausted & nonedge[c] & ~((na >> sh) | bad):
                 continue
             if nodes == limit:
                 exceeded = True
                 return True
             nodes += 1
-            if bad:
-                ch_na |= (bad << sh) | (lanes[bad] << c)
+            ch_na = na | (bad << sh) | (lanes[bad] << c) if bad else na
 
             counts[c] = k + 1
             prefix.append(c)
@@ -272,7 +258,7 @@ def run_search_unchecked(
             if rec(
                 forbidden | between_min[c],
                 c if c < cur_min else cur_min,
-                exhausted | bitc if k == last_copy else exhausted,
+                exhausted | bit[c] if k == last_copy else exhausted,
                 ch_def,
                 (ss & clear[c]) | repeat[c],
                 ch_na,
@@ -296,9 +282,6 @@ def run_batch(
     find_all: bool,
     node_budgets: Sequence[Optional[int]],
     group_sizes: Optional[Sequence[int]] = None,
-    prune_pattern: bool = True,
-    prune_edges: bool = True,
-    prune_exhausted: bool = True,
 ) -> list[Optional[tuple[list[tuple[int, ...]], int, int, bool]]]:
     """run_search over several graphs on {1..n}, entry for entry.
 
@@ -316,7 +299,7 @@ def run_batch(
         check_row(n, row_key(rows, i), min_copies, max_copies, budget)
     return run_batch_unchecked(
         n, rows, min_copies, max_copies, forbid_132, find_all, node_budgets,
-        group_sizes, prune_pattern, prune_edges, prune_exhausted,
+        group_sizes,
     )
 
 
@@ -352,9 +335,6 @@ def run_batch_unchecked(
     find_all: bool,
     node_budgets: Sequence[Optional[int]],
     group_sizes: Sequence[int],
-    prune_pattern: bool = True,
-    prune_edges: bool = True,
-    prune_exhausted: bool = True,
 ) -> list[Optional[tuple[list[tuple[int, ...]], int, int, bool]]]:
     """run_batch for arguments that already passed batch_shape and check_row.
 
@@ -388,14 +368,13 @@ def run_batch_unchecked(
     and no entry is dropped.
     """
     common = (min_copies, max_copies, forbid_132, find_all)
-    prunes = (prune_pattern, prune_edges, prune_exhausted)
     if len(node_budgets) > 1:
         limit = min((b for b in node_budgets if b), default=-1)
-        out = _union_search(n, rows, group_sizes, *common, limit, *prunes)
+        out = _union_search(n, rows, group_sizes, *common, limit)
         if out is not None:
             return out
     return [
-        run_search_unchecked(n, row_masks(row_key(rows, i), n), *common, budget, *prunes)
+        run_search_unchecked(n, row_masks(row_key(rows, i), n), *common, budget)
         for i, budget in enumerate(node_budgets)
     ]
 
@@ -408,8 +387,7 @@ def _bit_digits() -> tuple[bytes, ...]:
 
 
 def _union_search(
-    n, rows, group_sizes, min_copies, max_copies, forbid_132, find_all, limit,
-    prune_pattern, prune_edges, prune_exhausted,
+    n, rows, group_sizes, min_copies, max_copies, forbid_132, find_all, limit
 ):
     """The batch's results from one DFS, or None if the union would pass limit."""
     full, bit, shift, not_bit, clear, repeat, between, lanes, letters = _tables(n)
@@ -448,11 +426,6 @@ def _union_search(
             twins[target] = twins.get(target, 1 << first) | 1 << i
     # group_end[g]: one past the last entry of group g, in entry order
     group_end = list(itertools.accumulate(group_sizes))
-    # A prune that is off cuts no graph.
-    if not prune_edges:
-        any_edge = [0] * (n + 1)
-    if not prune_exhausted:
-        any_nonedge = [0] * (n + 1)
     # kept_by_edge[c][mask]: the graphs with no edge from c into mask, which
     # the edges prune keeps; kept_by_nonedge[c][mask]: those with no
     # non-edge from c into mask, which the exhausted prune keeps
@@ -467,11 +440,7 @@ def _union_search(
         return kept
 
     last_copy = max_copies - 1
-    exhaust_check = last_copy if prune_exhausted else -1
-    skip_132 = -1 if prune_pattern and forbid_132 else 0
-    # a forbidden letter is tried, and poisons the word, only when 132s
-    # are forbidden but not pruned
-    poison_132 = forbid_132 and not prune_pattern
+    skip_132 = -1 if forbid_132 else 0
 
     counts = [0] * (n + 1)
     prefix: list[int] = []
@@ -492,10 +461,6 @@ def _union_search(
         nonlocal nodes, live, dropped, aborted
         between_min = between[cur_min]
         for c in letters[full & ~(exhausted | forbidden & skip_132)]:
-            bitc = bit[c]
-            ch_na = na
-            if poison_132 and forbidden & bitc:
-                ch_na |= 1
             k = counts[c]
             sh = shift[c]
             bad = not_bit[c] & ~(ss >> sh) if k else 0
@@ -507,7 +472,7 @@ def _union_search(
                 sub &= graphs_kept(cache, with_edge[c], cut) if kept is None else kept
                 if not sub:
                     continue
-            if k == exhaust_check:
+            if k == last_copy:
                 cut = exhausted & any_nonedge[c] & ~((na >> sh) | bad)
                 if cut:
                     cache = kept_by_nonedge[c]
@@ -522,8 +487,7 @@ def _union_search(
             node_sets[sub] = node_sets.get(sub, 0) + 1
             if len(node_sets) > TALLY_SETS:
                 _add_tallies(node_planes, node_sets, nodes)
-            if bad:
-                ch_na |= (bad << sh) | (lanes[bad] << c)
+            ch_na = na | (bad << sh) | (lanes[bad] << c) if bad else na
 
             counts[c] = k + 1
             prefix.append(c)
@@ -551,7 +515,7 @@ def _union_search(
             if sub and rec(
                 forbidden | between_min[c],
                 c if c < cur_min else cur_min,
-                exhausted | bitc if k == last_copy else exhausted,
+                exhausted | bit[c] if k == last_copy else exhausted,
                 ch_def,
                 (ss & clear[c]) | repeat[c],
                 ch_na,

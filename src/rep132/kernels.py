@@ -3,20 +3,25 @@
 The package ships two interchangeable DFS kernels: rep132._kernel (compiled
 extension) and rep132._kernel_py (pure-Python reference). They implement
 the identical traversal — same witnesses, same node/test counts — so which
-one runs is purely a speed question. The compiled one is preferred when it
-imports; set REP132_BACKEND=python or REP132_BACKEND=c to force a choice
-(forcing c raises ImportError if the extension is missing instead of
-falling back silently; another value raises ValueError). The backend is
-chosen at the process's first run_search, run_batch or backend_name call,
-not at import, so importing this module never fails on REP132_BACKEND; the
-CLI calls backend_name before any command, so a bad value fails every
-command alike. Both backends take letters 1..MAX_N.
+one runs is purely a speed question. There is one traversal per call, with
+every prune on: run_search and run_batch take the same parameters here and
+on both backends, and no option changes how they search.
+
+The compiled kernel is preferred when it imports; set REP132_BACKEND=python
+or REP132_BACKEND=c to force a choice (forcing c raises ImportError if the
+extension is missing instead of falling back silently; another value raises
+ValueError). The backend is chosen at the process's first run_search,
+run_batch or backend_name call, not at import, so importing this module
+never fails on REP132_BACKEND; the CLI calls backend_name before any
+command, so a bad value fails every command alike. Both backends take
+letters 1..MAX_N.
 
 Argument checks are split by what relies on them. Each backend checks, by
-itself and with the same messages, what its own memory relies on: n in
-1..MAX_N, 1 <= min_copies <= max_copies, a word of at most MAX_DEPTH
-letters (n * max_copies), a node budget that is None or at least 0, and
-n + 1 masks with bits in 1..n (see _kernel_py.check_arguments). run_search
+itself and with the same messages, what its own memory relies on: ints
+for n, the copy counts and a budget (TypeError otherwise), n in 1..MAX_N,
+1 <= min_copies <= max_copies, a word of at most MAX_DEPTH letters
+(n * max_copies), a node budget that is None or at least 0, and n + 1
+masks with bits in 1..n (see _kernel_py.check_arguments). run_search
 here checks that contract in front of either backend and adds what makes
 the masks a graph: mask 0 empty, no self-loop, every edge in both masks.
 It then enters the pure-Python kernel past its own checks, so each check
@@ -180,9 +185,6 @@ def run_search(
     forbid_132: bool,
     find_all: bool,
     node_budget: Optional[int] = None,
-    prune_pattern: bool = True,
-    prune_edges: bool = True,
-    prune_exhausted: bool = True,
 ):
     """The active backend's run_search, after checking the arguments.
 
@@ -191,8 +193,7 @@ def run_search(
     """
     _check_arguments(n, adj, min_copies, max_copies, node_budget)
     return _backend()[1](
-        n, adj, min_copies, max_copies, forbid_132, find_all, node_budget,
-        prune_pattern, prune_edges, prune_exhausted,
+        n, adj, min_copies, max_copies, forbid_132, find_all, node_budget
     )
 
 
@@ -205,9 +206,6 @@ def run_batch(
     find_all: bool,
     node_budgets: Sequence[Optional[int]],
     group_sizes: Optional[Sequence[int]] = None,
-    prune_pattern: bool = True,
-    prune_edges: bool = True,
-    prune_exhausted: bool = True,
 ):
     """run_search over several graphs on {1..n}, after checking every entry.
 
@@ -231,7 +229,7 @@ def run_batch(
             _check_graph(n, row_masks(key, n))
     return _backend()[2](
         n, rows, min_copies, max_copies, forbid_132, find_all, node_budgets,
-        group_sizes, prune_pattern, prune_edges, prune_exhausted,
+        group_sizes,
     )
 
 

@@ -12,6 +12,7 @@ runs code in a child process on a chosen kernel backend.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import os
 import shlex
@@ -59,16 +60,27 @@ def words_with_copy_counts(n, min_copies, max_copies):
         yield from set(itertools.permutations(letters))
 
 
-def brute_representants(g, min_copies=1, max_copies=2, forbid_132=True):
-    """All (132-avoiding) word-representants of g, fixed labeling, sorted."""
-    target = {tuple(e) for e in g.edge_list()}
-    hits = []
-    for w in words_with_copy_counts(g.n, min_copies, max_copies):
+@functools.lru_cache(maxsize=None)
+def brute_buckets(n, min_copies=1, max_copies=2, forbid_132=True):
+    """Every word over {1..n} with min..max copies of each letter, 132-avoiding
+    if forbid_132, bucketed by the graph it represents: a dict from the
+    graph's edge set, a frozenset of (x, y) pairs with x < y, to its words,
+    sorted. An edge set with no bucket has no such representant.
+    """
+    buckets = {}
+    for w in words_with_copy_counts(n, min_copies, max_copies):
         if forbid_132 and brute_has_132(w):
             continue
-        if brute_edges(w) == target:
-            hits.append(w)
-    return sorted(hits)
+        buckets.setdefault(frozenset(brute_edges(w)), []).append(w)
+    for words in buckets.values():
+        words.sort()
+    return buckets
+
+
+def brute_representants(g, min_copies=1, max_copies=2, forbid_132=True):
+    """All (132-avoiding) word-representants of g, fixed labeling, sorted."""
+    buckets = brute_buckets(g.n, min_copies, max_copies, forbid_132)
+    return list(buckets.get(frozenset(map(tuple, g.edge_list())), []))
 
 
 def pack_rows(masks_list):

@@ -376,6 +376,15 @@ def test_no_arguments_prints_usage(cli):
     assert "usage:" in err
 
 
+@pytest.mark.parametrize("value, message", [
+    ("x", "error: REP132_WORKERS=x: invalid literal for int() with base 10: 'x'\n"),
+    ("0", "error: REP132_WORKERS=0: workers must be >= 1\n"),
+], ids=["text", "zero"])
+def test_bad_workers_variable_is_named_in_the_error(value, message, cli, monkeypatch):
+    monkeypatch.setenv("REP132_WORKERS", value)
+    assert cli("scan", "--order", "3") == (2, "", message)
+
+
 # Every command, in one process, with the graph file argv[1]: the exit codes
 # and the last line of standard error.
 EVERY_COMMAND = """

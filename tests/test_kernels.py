@@ -1,7 +1,9 @@
-"""DFS kernel: backend parity, oracle equivalence, pruning safety, budgets."""
+"""DFS kernel: backend parity, one contract, budgets, and the brute-force
+oracle, which shows on both backends that each prune cuts no witness."""
 
 import gc
 import importlib.util
+import inspect
 import itertools
 import os
 import subprocess
@@ -12,7 +14,7 @@ import pytest
 
 from conftest import (
     LOAD_PACKAGE,
-    brute_representants,
+    brute_buckets,
     c_compiler,
     pack_rows,
     run_child,
@@ -61,9 +63,6 @@ def run(backend, g, **kw):
     return backend.run_search(
         g.n, g.adjacency_masks(), args["min_copies"], args["max_copies"],
         args["forbid_132"], args["find_all"], args["node_budget"],
-        prune_pattern=args.get("prune_pattern", True),
-        prune_edges=args.get("prune_edges", True),
-        prune_exhausted=args.get("prune_exhausted", True),
     )
 
 
@@ -86,6 +85,23 @@ def test_load_backend_by_name():
         kernels.load_backend("fortran")
 
 
+def test_every_kernel_entry_point_has_one_signature(request):
+    # One contract: the same parameter names and defaults on kernels and on
+    # both backends, so an option that one of them alone takes fails here.
+    # The compiled ones are read from their docstrings' text signatures.
+    def shape(f):
+        return [(p.name, p.default) for p in inspect.signature(f).parameters.values()]
+
+    py = kernels.load_backend("python")
+    for name in ("run_search", "run_batch"):
+        assert shape(getattr(kernels, name)) == shape(getattr(py, name)), name
+        assert [p for p, _ in shape(getattr(py, name + "_unchecked"))] == \
+            [p for p, _ in shape(getattr(py, name))], name
+    compiled = request.getfixturevalue("compiled_kernel")
+    for name in ("run_search", "run_batch"):
+        assert shape(getattr(compiled, name)) == shape(getattr(py, name)), name
+
+
 @pytest.mark.usefixtures("compiled_kernel")
 def test_backends_agree_exactly():
     py = kernels.load_backend("python")
@@ -105,8 +121,6 @@ def test_backends_agree_exactly():
                           node_budget=budget)
         # circle_witness's call: chord diagrams, no pattern
         agree(g, min_copies=2, max_copies=2, forbid_132=False)
-        for off in ("prune_pattern", "prune_edges", "prune_exhausted"):
-            agree(g, **{off: False})
 
     # letter 15 is the top bit of the Python kernel's 16-bit lanes
     for g in TOP_LANE:
@@ -114,10 +128,9 @@ def test_backends_agree_exactly():
             for find_all in (False, True):
                 agree(g, max_copies=maxc, find_all=find_all,
                       node_budget=5000 if maxc == 4 else 20000)
-        # without the 132 prune, letter 15 repeats within the budget
+        # with 132s allowed, letter 15 repeats within the budget
         agree(g, min_copies=2, max_copies=2, forbid_132=False,
               node_budget=20000)
-        agree(g, prune_pattern=False, node_budget=20000)
 
     # called directly, each backend rejects what its memory relies on
     invalid = [
@@ -150,9 +163,6 @@ def batch(backend, n, graphs, budgets, groups=None, **kw):
     return backend.run_batch(
         n, pack_rows(g.adjacency_masks() for g in graphs), args["min_copies"],
         args["max_copies"], args["forbid_132"], args["find_all"], budgets, groups,
-        prune_pattern=args.get("prune_pattern", True),
-        prune_edges=args.get("prune_edges", True),
-        prune_exhausted=args.get("prune_exhausted", True),
     )
 
 
@@ -163,8 +173,8 @@ def by_order(graphs):
     return out
 
 
-# BATTERY by order, each batch with every labeled graph of its order up to
-# 4 vertices, so batches share prefixes and hold graphs both with and
+# BATTERY by order, each batch with a graph of every class of its order up
+# to 4 vertices, so batches share prefixes and hold graphs both with and
 # without each edge
 BATCHES = by_order(BATTERY + [g for n in (2, 3, 4) for g in enumerate_graphs(n)])
 
@@ -242,9 +252,6 @@ def test_batch_matches_per_graph_searches(batch_agrees):
                 batch_agrees(n, graphs, [None] * (len(graphs) - 1) + [sum(needs)], **kw)
         batch_agrees(n, graphs, unlimited, min_copies=2, max_copies=2, forbid_132=False)
         batch_agrees(n, graphs, unlimited, min_copies=2, find_all=False)
-        for off in ("prune_pattern", "prune_edges", "prune_exhausted"):
-            batch_agrees(n, graphs, unlimited, **{off: False})
-            batch_agrees(n, graphs, unlimited, find_all=False, **{off: False})
 
 
 def cycled_groups(count, sizes):
@@ -298,7 +305,6 @@ def test_batch_at_the_top_lane(batch_agrees):
             batch_agrees(15, ended, [None] * len(ended), **kw)
     batch_agrees(15, TOP_LANE, [20000] * 4, min_copies=2, max_copies=2,
                  forbid_132=False)
-    batch_agrees(15, TOP_LANE, [20000] * 4, prune_pattern=False)
 
 
 def python_then_compiled(request):
@@ -468,6 +474,27 @@ def test_batch_rejects_what_run_search_rejects(request):
     )
 
 
+def test_non_int_counts_and_budgets_raise_one_type_error(request):
+    # The Python kernel used to run with a float budget and ignore it, so a
+    # search with one never ended; every entry point now raises the
+    # compiled kernel's TypeError for a float n, copy count or budget.
+    masks = complete(3).adjacency_masks()
+    rows = pack_rows([masks, masks])
+    cases = [(3.0, 1, 2, None), (3, 1.0, 2, None), (3, 1, 2.0, None), (3, 1, 2, 1.5)]
+    messages = set()
+    for backend in itertools.chain([kernels], python_then_compiled(request)):
+        for n, min_copies, max_copies, budget in cases:
+            with pytest.raises(TypeError) as single:
+                backend.run_search(n, masks, min_copies, max_copies, True, False, budget)
+            messages.add(str(single.value))
+            for budgets in ([budget, None], [None, budget]):
+                with pytest.raises(TypeError) as batched:
+                    backend.run_batch(n, rows, min_copies, max_copies, True, False,
+                                      budgets)
+                messages.add(str(batched.value))
+    assert messages == {"'float' object cannot be interpreted as an integer"}
+
+
 def test_python_kernel_at_the_top_lane():
     # Pinned from the array kernel that the packed one replaced, so this
     # holds without a compiler: 15 letters of 4 copies (lanes 1..15).
@@ -529,23 +556,50 @@ def test_python_backend_checks_arguments_once_per_call():
 # ------------------------------------------------------------------- oracle
 
 
-def test_kernel_matches_brute_force_on_all_small_graphs():
+def labeled_graphs(n):
+    """Every labeled graph on 1..n."""
+    pairs = list(itertools.combinations(range(1, n + 1), 2))
+    for k in range(len(pairs) + 1):
+        for edges in itertools.combinations(pairs, k):
+            yield LabeledGraph(n, list(edges))
+
+
+def matches_brute_force(request, n, **kw):
+    """Check every labeled graph on 1..n against conftest.brute_buckets, on
+    each backend, graph by graph and in one run_batch over them all: with
+    find_all, the witnesses are the graph's bucket, in order; without, its
+    head. The buckets share no logic with the kernels, so a prune that cut
+    a witness, alone or in the union search's narrowing, fails here.
+    """
+    buckets = brute_buckets(n, kw["min_copies"], kw["max_copies"], kw["forbid_132"])
+    graphs = list(labeled_graphs(n))
+    expected = [buckets.get(frozenset(g.edge_list()), []) for g in graphs]
+    assert any(expected)
+    for backend in python_then_compiled(request):
+        for find_all in (True, False):
+            want = expected if find_all else [words[:1] for words in expected]
+            got = [run(backend, g, find_all=find_all, **kw) for g in graphs]
+            assert [res[0] for res in got] == want, (backend.__name__, n, kw)
+            assert not any(res[3] for res in got)
+            batched = batch(backend, n, graphs, [None] * len(graphs),
+                            find_all=find_all, **kw)
+            assert [res[0] for res in batched] == want, (backend.__name__, n, kw)
+
+
+def test_kernel_matches_brute_force_on_all_small_graphs(request):
+    # listing the words of up to 3 copies of 4 letters takes minutes, so the
+    # third copy is checked through 3 letters
+    for max_copies, orders in ((1, (1, 2, 3, 4)), (2, (1, 2, 3, 4)), (3, (1, 2, 3))):
+        for n in orders:
+            matches_brute_force(request, n, min_copies=1, max_copies=max_copies,
+                                forbid_132=True)
+
+
+def test_kernel_matches_brute_force_uniform_no_pattern(request):
+    # circle_witness's call: 2-uniform words without the avoidance
+    # constraint (chord diagrams)
     for n in (1, 2, 3, 4):
-        for g in enumerate_graphs(n):
-            expected = brute_representants(g)
-            witnesses, nodes, tested, exceeded = run(kernels, g)
-            assert not exceeded
-            assert sorted(witnesses) == expected, g.edge_list()
-
-
-def test_kernel_matches_brute_force_uniform_no_pattern():
-    # 2-uniform witnesses without the avoidance constraint (chord diagrams)
-    for g in [complete(3), path(3), cycle(4), star(3)]:
-        expected = brute_representants(
-            g, min_copies=2, max_copies=2, forbid_132=False)
-        witnesses, _, _, _ = run(
-            kernels, g, min_copies=2, max_copies=2, forbid_132=False)
-        assert sorted(witnesses) == expected
+        matches_brute_force(request, n, min_copies=2, max_copies=2, forbid_132=False)
 
 
 def test_kernel_respects_min_and_max_copies():
@@ -554,26 +608,6 @@ def test_kernel_respects_min_and_max_copies():
         assert all(w.count(c) == 2 for c in set(w))
     witnesses1, _, _, _ = run(kernels, complete(3), max_copies=1)
     assert witnesses1 == [(1, 2, 3), (2, 1, 3), (2, 3, 1), (3, 1, 2), (3, 2, 1)]
-
-
-# ---------------------------------------------------------- pruning safety
-
-
-@pytest.mark.parametrize("off", ["prune_pattern", "prune_edges", "prune_exhausted"])
-def test_disabling_one_prune_changes_nothing(off):
-    for g in BATTERY[:11]:
-        base = run(kernels, g)
-        relaxed = run(kernels, g, **{off: False})
-        assert relaxed[0] == base[0], (g.edge_list(), off)
-        assert relaxed[1] >= base[1]        # never fewer nodes
-
-
-def test_disabling_all_prunes_changes_nothing():
-    for g in BATTERY[:10]:
-        base = run(kernels, g)
-        relaxed = run(kernels, g, prune_pattern=False, prune_edges=False,
-                      prune_exhausted=False)
-        assert relaxed[0] == base[0]
 
 
 # ------------------------------------------------------------------ budgets

@@ -55,6 +55,11 @@ def test_config_validation():
         SearchConfig(max_copies=4)
     with pytest.raises(ValueError):
         SearchConfig(node_budget=-1)
+    # a float budget used to reach the Python kernel, which ignored it, and
+    # the labeling walk then asked again for the same graph forever
+    for bad in (dict(max_copies=2.0), dict(node_budget=1.5), dict(node_budget=1000.0)):
+        with pytest.raises(ValueError):
+            SearchConfig(**bad)
     assert SearchConfig().max_copies == 2
 
 
