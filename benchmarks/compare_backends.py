@@ -75,20 +75,20 @@ def main(argv=None):
     if len(backends) < 2:
         print("only one backend available; timing it alone", file=sys.stderr)
 
-    # Every search decides through kernels.run_batch; run_search is swapped
-    # too, so that no kernel call is left on the backend kernels chose.
-    original = kernels.run_search, kernels.run_batch
+    # Every search decides through kernels.run_batch, and kernels.run_search
+    # is a one-row run_batch, so swapping run_batch times each backend.
+    original = kernels.run_batch
     times = {name: {} for name in backends}
     try:
         for case in cases:
             results = {}
             for name, module in backends.items():
-                kernels.run_search, kernels.run_batch = module.run_search, module.run_batch
+                kernels.run_batch = module.run_batch
                 times[name][case], results[name] = time_case(case, args.repeat)
             if len(set(results.values())) > 1:
                 raise SystemExit(f"backends disagree on {case}: {results}")
     finally:
-        kernels.run_search, kernels.run_batch = original
+        kernels.run_batch = original
 
     width = max(len(c) for c in cases)
     header = f"{'case':<{width}}  " + "".join(f"{n:>12}" for n in backends)

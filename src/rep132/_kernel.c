@@ -18,10 +18,12 @@
    drops the later entries of its group that have not found a witness,
    which come back as None.
 
-   The module can be imported and called directly, so run_search and
-   run_batch check by themselves every argument that their arrays rely on,
-   in the order of _kernel_py.check_arguments (run_batch: _kernel_py.run_batch)
-   and with the same ValueError messages. */
+   run_search is run_batch over one row: it checks only what a row cannot
+   express, in the order of _kernel_py.pack_row, packs the row and returns
+   run_batch's one entry. The module can be imported and called directly,
+   so run_batch checks by itself every argument that its arrays rely on, in
+   the order of _kernel_py.run_batch (its own argument parsing, then each
+   entry) and with the same messages. */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -51,24 +53,19 @@ typedef struct {
     PyObject *witnesses;
 } State;
 
-/* Appends the current prefix to st->witnesses as a tuple; -1 on error. */
-static int
-add_witness(State *st)
+/* The current prefix as a tuple of letters; NULL on error. */
+static PyObject *
+prefix_word(const State *st)
 {
     PyObject *word = PyTuple_New(st->depth);
-    if (word == NULL)
-        return -1;
-    for (int i = 0; i < st->depth; i++) {
+    for (int i = 0; word != NULL && i < st->depth; i++) {
         PyObject *letter = PyLong_FromLong(st->prefix[i]);
-        if (letter == NULL) {
-            Py_DECREF(word);
-            return -1;
-        }
-        PyTuple_SET_ITEM(word, i, letter);
+        if (letter == NULL)
+            Py_CLEAR(word);
+        else
+            PyTuple_SET_ITEM(word, i, letter);
     }
-    int err = PyList_Append(st->witnesses, word);
-    Py_DECREF(word);
-    return err;
+    return word;
 }
 
 /* Returns 1 to stop the whole search, 0 to go on, -1 on a Python error. */
@@ -125,7 +122,10 @@ rec(State *st, mask_t forbidden, int cur_min, mask_t exhausted, int deficient)
             for (int x = 1; ok && x <= n; x++)
                 ok = st->nonalt[x] == st->nonedge[x];
             if (ok) {
-                if (add_witness(st) < 0)
+                PyObject *word = prefix_word(st);
+                int err = word == NULL ? -1 : PyList_Append(st->witnesses, word);
+                Py_XDECREF(word);
+                if (err < 0)
                     return -1;
                 stop = !st->find_all;
             }
@@ -159,39 +159,6 @@ clamped(PyObject *obj, void *out)
     return 1;
 }
 
-/* Reads adj[1..n] into st->adj and st->nonedge; -1 with an error set. */
-static int
-read_masks(State *st, PyObject *adj)
-{
-    Py_ssize_t len = PySequence_Size(adj);
-    if (len < 0)
-        return -1;
-    if (len != st->n + 1) {
-        PyErr_Format(PyExc_ValueError, "need n + 1 = %d adjacency masks, got %zd",
-                     st->n + 1, len);
-        return -1;
-    }
-    for (int v = 1; v <= st->n; v++) {
-        PyObject *item = PySequence_GetItem(adj, v);
-        if (item == NULL)
-            return -1;
-        long long mask;
-        int ok = clamped(item, &mask);
-        Py_DECREF(item);
-        if (!ok)
-            return -1;
-        /* a negative mask has every high bit set, as in Python */
-        if (mask & ~(long long)st->full) {
-            PyErr_Format(PyExc_ValueError, "adjacency mask %d has bits outside 1..%d",
-                         v, st->n);
-            return -1;
-        }
-        st->adj[v] = (mask_t)mask;
-        st->nonedge[v] = st->full & ~st->adj[v] & ~((mask_t)1 << v);
-    }
-    return 0;
-}
-
 /* Reads one run_batch row, masks 0..MAX_N of 16 bits each, little-endian,
    into st->adj and st->nonedge, as _kernel_py.check_row checks it; -1 with
    an error set. */
@@ -217,8 +184,8 @@ read_row(State *st, const unsigned char *row)
     return 0;
 }
 
-/* Checks n, min_copies and max_copies as _kernel_py.check_arguments does
-   and sets them, with full, in st; -1 with an error set. */
+/* Checks n, min_copies and max_copies as _kernel_py.check_row does and
+   sets them, with full, in st; -1 with an error set. */
 static int
 read_letters(State *st, long long n, long long min_copies, long long max_copies)
 {
@@ -277,35 +244,6 @@ search(State *st)
     }
     return Py_BuildValue("(NKKO)", st->witnesses, st->nodes, st->tested,
                          st->exceeded ? Py_True : Py_False);
-}
-
-PyDoc_STRVAR(run_search_doc,
-"run_search(n, adj, min_copies, max_copies, forbid_132, find_all,\n"
-"           node_budget=None)\n"
-"--\n\n"
-"Returns (witnesses, nodes, words_tested, budget_exceeded).\n\n"
-"Same contract as rep132._kernel_py.run_search.");
-
-static PyObject *
-run_search(PyObject *self, PyObject *args, PyObject *kwds)
-{
-    static char *kwlist[] = {"n", "adj", "min_copies", "max_copies", "forbid_132",
-                             "find_all", "node_budget", NULL};
-    long long n, min_copies, max_copies;
-    PyObject *adj, *budget_obj = Py_None;
-    State st;
-    (void)self;
-
-    memset(&st, 0, sizeof st);
-    if (!PyArg_ParseTupleAndKeywords(args, kwds, "O&OO&O&pp|O:run_search", kwlist,
-                                     clamped, &n, &adj, clamped, &min_copies,
-                                     clamped, &max_copies, &st.forbid_132,
-                                     &st.find_all, &budget_obj))
-        return NULL;
-    if (read_letters(&st, n, min_copies, max_copies) < 0
-        || read_budget(budget_obj, &st.budget) < 0 || read_masks(&st, adj) < 0)
-        return NULL;
-    return search(&st);
 }
 
 /* ------------------------------------------------------------ run_batch
@@ -490,19 +428,8 @@ leaf(Batch *b, Part *set, Py_ssize_t len)
     for (Py_ssize_t i = first; i >= 0; i = b->next_same[i]) {
         if (!holds(set, len, i))
             continue;
-        if (word == NULL) {
-            word = PyTuple_New(st->depth);
-            if (word == NULL)
-                return -1;
-            for (int k = 0; k < st->depth; k++) {
-                PyObject *letter = PyLong_FromLong(st->prefix[k]);
-                if (letter == NULL) {
-                    Py_DECREF(word);
-                    return -1;
-                }
-                PyTuple_SET_ITEM(word, k, letter);
-            }
-        }
+        if (word == NULL && (word = prefix_word(st)) == NULL)
+            return -1;
         if (PyList_Append(PyList_GET_ITEM(b->lists, i), word) < 0) {
             Py_DECREF(word);
             return -1;
@@ -873,6 +800,78 @@ done:
     Py_XDECREF(budgets);
     PyBuffer_Release(&rows);
     return out;
+}
+
+/* Packs run_search's masks 1..n into a run_batch row, after the checks of
+   _kernel_py.pack_row: n + 1 masks, each an int with bits in 1..n. Mask 0
+   stays empty. -1 with an error set. */
+static int
+pack_masks(const State *st, PyObject *adj, unsigned char *row)
+{
+    Py_ssize_t len = PySequence_Size(adj);
+    if (len < 0)
+        return -1;
+    if (len != st->n + 1) {
+        PyErr_Format(PyExc_ValueError, "need n + 1 = %d adjacency masks, got %zd",
+                     st->n + 1, len);
+        return -1;
+    }
+    for (int v = 1; v <= st->n; v++) {
+        PyObject *item = PySequence_GetItem(adj, v);
+        if (item == NULL)
+            return -1;
+        long long mask;
+        int ok = clamped(item, &mask);
+        Py_DECREF(item);
+        if (!ok)
+            return -1;
+        /* a negative mask has every high bit set, as in Python */
+        if (mask & ~(long long)st->full) {
+            PyErr_Format(PyExc_ValueError, "adjacency mask %d has bits outside 1..%d",
+                         v, st->n);
+            return -1;
+        }
+        row[2 * v] = (unsigned char)mask;
+        row[2 * v + 1] = (unsigned char)(mask >> 8);
+    }
+    return 0;
+}
+
+PyDoc_STRVAR(run_search_doc,
+"run_search(n, adj, min_copies, max_copies, forbid_132, find_all,\n"
+"           node_budget=None)\n"
+"--\n\n"
+"Returns (witnesses, nodes, words_tested, budget_exceeded): run_batch over\n"
+"the one row of adj's masks. Same contract as rep132._kernel_py.run_search.");
+
+static PyObject *
+run_search(PyObject *self, PyObject *args, PyObject *kwds)
+{
+    static char *kwlist[] = {"n", "adj", "min_copies", "max_copies", "forbid_132",
+                             "find_all", "node_budget", NULL};
+    long long n, min_copies, max_copies;
+    int forbid_132, find_all;
+    PyObject *adj, *budget_obj = Py_None, *batch_args, *out, *res = NULL;
+    unsigned long long budget;
+    unsigned char row[ROW_BYTES] = {0};
+    State st;
+
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "O&OO&O&pp|O:run_search", kwlist,
+                                     clamped, &n, &adj, clamped, &min_copies,
+                                     clamped, &max_copies, &forbid_132, &find_all,
+                                     &budget_obj)
+        || read_letters(&st, n, min_copies, max_copies) < 0
+        || read_budget(budget_obj, &budget) < 0 || pack_masks(&st, adj, row) < 0)
+        return NULL;
+    batch_args = Py_BuildValue("(iy#iiNN[O])", st.n, row, (Py_ssize_t)ROW_BYTES,
+                               st.min_copies, st.max_copies, PyBool_FromLong(forbid_132),
+                               PyBool_FromLong(find_all), budget_obj);
+    out = batch_args == NULL ? NULL : run_batch(self, batch_args, NULL);
+    if (out != NULL)
+        res = PySequence_GetItem(out, 0);
+    Py_XDECREF(batch_args);
+    Py_XDECREF(out);
+    return res;
 }
 
 static PyMethodDef kernel_methods[] = {

@@ -3,8 +3,8 @@
 This is the reference implementation; rep132._kernel (_kernel.c) is a
 compiled twin with the same traversal order and statistics, byte for byte.
 Any change to the traversal here must be mirrored there (tests compare the
-two call by call), and so must check_arguments, check_row and batch_shape,
-whose checks the twin makes with the same messages.
+two call by call), and so must pack_row, batch_shape and check_row, whose
+checks the twin makes in the same order and with the same messages.
 
 The search walks words over {1..n}, each letter used min_copies..max_copies
 times, children in ascending letter order. A node is a successfully
@@ -47,15 +47,16 @@ Prunes, always on, each cutting only subtrees that hold no witness:
 With forbid_132, the pattern prune builds no word that contains a 132, so
 the leaf test needs no check for one.
 
-run_batch answers run_search for several graphs on the same letters in one
-DFS over the union of their search trees (run_batch_unchecked). Its graphs
-come as packed rows, ROW_BYTES bytes each: mask v in bits 16v..16v+15 of
-the row read as a little-endian int, the lanes of target above with edges
-in place of non-edges. They form groups of consecutive entries; without
-find_all, a hit drops the later entries of its group that have not found a
-witness, and those come back as None. The compiled twin's run_batch walks
-the same union with the same child order, prunes, budget rule, drops and
-per-graph fallback, and gives the same results.
+run_batch answers for several graphs on the same letters in one DFS over
+the union of their search trees (run_batch_unchecked); run_search is
+run_batch over one graph. The graphs come as packed rows, ROW_BYTES bytes
+each: mask v in bits 16v..16v+15 of the row read as a little-endian int,
+the lanes of target above with edges in place of non-edges. They form
+groups of consecutive entries; without find_all, a hit drops the later
+entries of its group that have not found a witness, and those come back
+as None. The compiled twin's run_batch walks the same union with the same
+child order, prunes, budget rule, drops and per-graph fallback, and gives
+the same results.
 """
 
 from __future__ import annotations
@@ -76,35 +77,27 @@ ROW_BYTES = 2 * (MAX_N + 1)  # a run_batch row: masks 0..MAX_N, one lane each
 TALLY_SETS = 128
 
 
-def check_arguments(
-    n: int,
-    adj: Sequence[int],
-    min_copies: int,
-    max_copies: int,
-    node_budget: Optional[int],
-) -> None:
-    """Raise ValueError for arguments the search cannot run on.
-
-    These are the checks the compiled twin's fixed-size arrays rely on; it
-    makes them by itself, in this order and with these messages.
+def pack_row(n, adj, min_copies, max_copies, node_budget) -> bytes:
+    """run_search's masks as one run_batch row, after the checks that a row
+    cannot express, in the compiled twin's order and with its messages: n
+    and the copy counts, the budget, n + 1 masks, and int masks with bits in
+    1..n. Mask 0 stays empty, since no search reads it.
     """
     _check_search(n, min_copies, max_copies, node_budget)
     if len(adj) != n + 1:
         raise ValueError(f"need n + 1 = {n + 1} adjacency masks, got {len(adj)}")
     full = (1 << (n + 1)) - 2  # bits 1..n
+    key = 0
     for v in range(1, n + 1):
-        if adj[v] & ~full:
+        mask = operator.index(adj[v])
+        if mask & ~full:
             raise ValueError(f"adjacency mask {v} has bits outside 1..{n}")
+        key |= mask << (LANE * v)
+    return key.to_bytes(ROW_BYTES, "little")
 
 
-def check_row(
-    n: int,
-    key: int,
-    min_copies: int,
-    max_copies: int,
-    node_budget: Optional[int],
-) -> None:
-    """check_arguments for one run_batch entry, its row read as the int key.
+def check_row(n, key, min_copies, max_copies, node_budget) -> None:
+    """The checks of one run_batch entry, its row read as the int key.
 
     Mask v sits in bits 16v..16v+15 of key. Masks 1..n must hold no bits
     outside 1..n, and masks n+1..MAX_N must be empty.
@@ -192,26 +185,16 @@ def run_search(
     first, so the head of the list is the lexicographically least witness.
     With find_all false the search stops at the first witness. A
     node_budget of None or 0 means unlimited.
+
+    This is run_batch over the one row of adj's masks (see pack_row).
     """
-    check_arguments(n, adj, min_copies, max_copies, node_budget)
-    return run_search_unchecked(
-        n, adj, min_copies, max_copies, forbid_132, find_all, node_budget
-    )
+    row = pack_row(n, adj, min_copies, max_copies, node_budget)
+    return run_batch(n, row, min_copies, max_copies, forbid_132, find_all, [node_budget])[0]
 
 
-def run_search_unchecked(
-    n: int,
-    adj: Sequence[int],
-    min_copies: int,
-    max_copies: int,
-    forbid_132: bool,
-    find_all: bool,
-    node_budget: Optional[int] = None,
-) -> tuple[list[tuple[int, ...]], int, int, bool]:
-    """run_search for arguments that already passed check_arguments.
-
-    rep132.kernels.run_search makes those checks before it calls this.
-    """
+def _search_graph(n, adj, min_copies, max_copies, forbid_132, find_all, node_budget):
+    """One graph's search, from its checked masks: run_batch_unchecked's
+    path for a batch of one and its fallback past a budget."""
     full, bit, shift, not_bit, clear, repeat, between, lanes, letters = _tables(n)
     nonedge = [full & ~adj[c] & ~bit[c] for c in range(n + 1)]
     target = 0
@@ -292,9 +275,10 @@ def run_batch(
     with the same checks on every entry, except that without find_all an
     entry that has not found a witness when an earlier entry of its group
     finds one is dropped, and is None. See run_batch_unchecked for how one
-    DFS serves them all.
+    DFS serves them all. The checks are batch_shape's, then each entry's.
     """
-    rows, node_budgets, group_sizes = batch_shape(rows, node_budgets, group_sizes)
+    rows, node_budgets, group_sizes = batch_shape(n, rows, min_copies, max_copies,
+                                                  node_budgets, group_sizes)
     for i, budget in enumerate(node_budgets):
         check_row(n, row_key(rows, i), min_copies, max_copies, budget)
     return run_batch_unchecked(
@@ -303,21 +287,25 @@ def run_batch(
     )
 
 
-def batch_shape(rows, node_budgets, group_sizes):
+def batch_shape(n, rows, min_copies, max_copies, node_budgets, group_sizes):
     """A run_batch call's rows as bytes, its budgets and its group sizes as
-    lists, after checking that they describe the same graphs.
+    lists, after the checks that come before its entries', in the compiled
+    twin's order (its argument parsing): n, the rows object and the copy
+    counts, each of the right type (TypeError); then the rows' length, one
+    budget per row, and the group sizes.
     """
+    operator.index(n)
     if not isinstance(rows, bytes):
         rows = memoryview(rows).cast("B").tobytes()
+    operator.index(min_copies)
+    operator.index(max_copies)
     if len(rows) % ROW_BYTES:
         raise ValueError(f"need {ROW_BYTES} bytes per graph, got {len(rows)} bytes")
     count = len(rows) // ROW_BYTES
     node_budgets = list(node_budgets)
     if len(node_budgets) != count:
-        raise ValueError(
-            f"need one node budget per graph: {count} graphs, "
-            f"{len(node_budgets)} budgets"
-        )
+        raise ValueError(f"need one node budget per graph: {count} graphs, "
+                         f"{len(node_budgets)} budgets")
     if group_sizes is None:
         return rows, node_budgets, [1] * count
     sizes = [operator.index(size) for size in group_sizes]
@@ -374,7 +362,7 @@ def run_batch_unchecked(
         if out is not None:
             return out
     return [
-        run_search_unchecked(n, row_masks(row_key(rows, i), n), *common, budget)
+        _search_graph(n, row_masks(row_key(rows, i), n), *common, budget)
         for i, budget in enumerate(node_budgets)
     ]
 
@@ -530,7 +518,7 @@ def _union_search(
         return False
 
     rec(0, n + 1, 0, n, 0, 0, live)
-    rec = None  # as in run_search_unchecked
+    rec = None  # as in _search_graph
     # free the search's tables before the results are built, which is when
     # a round's memory peaks
     del targets, twins, with_edge, without_edge, kept_by_edge, kept_by_nonedge
@@ -559,24 +547,30 @@ def _add_tallies(planes: list[int], tally: dict[int, int], most: int) -> None:
     """Add each set's tally in tally to the per-index totals, then empty tally.
 
     The totals are bit-sliced: planes[p] is the set of indices whose total
-    has bit p. Adding t to every member of a set is then one binary
-    addition per bit of t, with the set as the carry, over whole sets at a
-    time instead of member by member. most bounds every total after the
-    addition.
+    has bit p. Adding t to every member of a set puts the set among plane
+    p's addends for each bit p of t, whole sets at a time instead of member
+    by member. Each plane's addends are then summed carry-save: a running
+    sum takes them two at a time through a full adder, whose carry joins
+    the next plane's addends. most bounds every total after the addition.
     """
     planes.extend([0] * (most.bit_length() - len(planes)))
+    addends = [[plane] for plane in planes]
     for graphs, times in tally.items():
-        p = 0
-        while times:
-            if times & 1:
-                carry, q = graphs, p
-                while carry:
-                    plane = planes[q]
-                    planes[q] = plane ^ carry
-                    carry &= plane
-                    q += 1
-            times >>= 1
-            p += 1
+        for p in range(times.bit_length()):
+            if times >> p & 1:
+                addends[p].append(graphs)
+    for p, column in enumerate(addends):
+        if not len(column) & 1:
+            column.append(0)  # the addends after the first go in pairs
+        pairs = iter(column)
+        total = next(pairs)
+        for a, b in zip(pairs, pairs):
+            half = total ^ a
+            carry = (total & a) | (half & b)
+            if carry:
+                addends[p + 1].append(carry)
+            total = half ^ b
+        planes[p] = total
     tally.clear()
 
 

@@ -228,6 +228,9 @@ def _best_relabeling(n: int, adj: Sequence[int], best: int, first: bool) -> int:
     2..d+1 to its neighborhood (the largest first row is 1^d 0^...). A
     partial labeling is cut when it cannot beat best even if each labeled
     vertex's unlabeled neighbors take the next labels and all else is edges.
+    A label skips a vertex that is a twin of one it was tried on (the same
+    neighbors, apart from each other): swapping the two is an automorphism
+    that fixes every placed label, so both give the same bitsets.
     """
     bit, low, head = _pair_tables(n)
     degs = [m.bit_count() for m in adj]
@@ -238,6 +241,11 @@ def _best_relabeling(n: int, adj: Sequence[int], best: int, first: bool) -> int:
     label, order = [0] * (n + 1), [0] * (n + 1)
     nbrs = [[u for u in range(1, n + 1) if m >> u & 1] for m in adj]
     tops = [v for v in range(1, n + 1) if degs[v] == maxdeg]
+    twins = [0] * (n + 1)  # twins[v]: the vertices with v's neighbors, v aside
+    for u, v in itertools.combinations(range(1, n + 1), 2):
+        if adj[u] & ~(1 << v) == adj[v] & ~(1 << u):
+            twins[u] |= 1 << v
+            twins[v] |= 1 << u
 
     def extend(d: int, placed: int, bits: int) -> bool:
         nonlocal best
@@ -250,9 +258,11 @@ def _best_relabeling(n: int, adj: Sequence[int], best: int, first: bool) -> int:
             best = bits
             return first
         col = bit[d + 1]
+        tried = 0
         for v in tops if d == 0 else nbrs[order[1]] if d <= maxdeg else range(1, n + 1):
-            if label[v]:
+            if label[v] or twins[v] & tried:
                 continue
+            tried |= 1 << v
             nb, m = bits, adj[v] & placed
             while m:
                 one = m & -m

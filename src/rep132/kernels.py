@@ -16,37 +16,33 @@ never fails on REP132_BACKEND; the CLI calls backend_name before any
 command, so a bad value fails every command alike. Both backends take
 letters 1..MAX_N.
 
-Argument checks are split by what relies on them. Each backend checks, by
-itself and with the same messages, what its own memory relies on: ints
-for n, the copy counts and a budget (TypeError otherwise), n in 1..MAX_N,
-1 <= min_copies <= max_copies, a word of at most MAX_DEPTH letters
-(n * max_copies), a node budget that is None or at least 0, and n + 1
-masks with bits in 1..n (see _kernel_py.check_arguments). run_search
-here checks that contract in front of either backend and adds what makes
-the masks a graph: mask 0 empty, no self-loop, every edge in both masks.
-It then enters the pure-Python kernel past its own checks, so each check
-runs once per call; the compiled kernel's checks cost nothing next to a
-search and stay in place.
+run_batch is the one call: it answers for several graphs on the same n,
+entry for entry, from rows of ROW_BYTES bytes per graph (masks 0..MAX_N of
+16 bits, little-endian), the layout of the scan's memo keys. run_search is
+run_batch over one row, here and on both backends: it checks what a row
+cannot express (see _kernel_py.pack_row), and here also that mask 0 is
+empty, then returns run_batch's one entry, so the two calls cannot
+disagree on an argument.
 
-run_batch is the contract's second call: run_search over several graphs on
-the same n, entry for entry, with the same checks and messages for every
-entry. The graphs come packed, as ROW_BYTES bytes per graph (masks 0..MAX_N
-of 16 bits, little-endian), the layout of the scan's memo keys, so no mask
-list is built per graph. A row holds no wrong number of masks; instead each
-backend rejects bits in a mask past n. run_batch tests CHECK_ROWS rows at
-a time, each as a bit matrix compared with its transpose, and checks entry
-by entry only a batch that fails that test, so it raises the error
-run_search would for the first faulty entry. Both backends answer it with
-one DFS over the union of the graphs' searches, which share every prefix up
-to the first prune or leaf that tells them apart (see
-_kernel_py.run_batch_unchecked), and search graph by graph only when the
-union would pass the smallest budget. The
+run_batch checks in the compiled kernel's order on every layer: its
+argument parsing (n, the rows object and the copy counts as ints), the
+rows' length, budgets and groups (_kernel_py.batch_shape), then each entry
+(_kernel_py.check_row). Here it also checks that each row is a graph: mask
+0 empty, no self-loop, every edge in both masks. It tests CHECK_ROWS rows
+at a time, each as a bit matrix compared with its transpose, and checks
+entry by entry only a batch that fails, so it raises the first faulty
+entry's error. It then enters the pure-Python kernel past its own checks,
+so each check runs once per call; the compiled kernel's checks cost
+nothing next to a search and stay in place.
+
+Both backends answer with one DFS over the union of the graphs' searches
+(see _kernel_py.run_batch_unchecked), and search graph by graph when the
+batch holds one graph or the union would pass the smallest budget. The
 entries form groups of consecutive graphs: without find_all, an entry that
 has not found a witness when an earlier entry of its group finds one is
-dropped from the union and returned as None. A scan decides its classes in
-rounds of run_batch calls, one group per class, over the labeled graphs
-each class's walk needs and the ones it is likely to need next, in walk
-order; so a class stops searching its later labelings at its first hit.
+dropped and returned as None. A scan decides its classes in rounds of
+run_batch calls, one group per class, so a class stops searching its
+later labelings at its first hit.
 """
 
 from __future__ import annotations
@@ -60,8 +56,8 @@ from ._kernel_py import (
     MAX_N,
     ROW_BYTES,
     batch_shape,
-    check_arguments,
     check_row,
+    pack_row,
     row_key,
     row_masks,
 )
@@ -92,7 +88,7 @@ def load_backend(name: str):
 
 @lru_cache(maxsize=None)
 def _backend():
-    """(name, run_search, run_batch) of the backend this process uses.
+    """(name, run_batch) of the backend this process uses.
 
     Chosen at the first call; a call that raises chooses nothing, so the
     next one raises the same error.
@@ -110,19 +106,8 @@ def _backend():
             impl, name = load_backend("python"), "python"
     if name == "python":
         # kernels checks the arguments, so enter past the kernel's own checks
-        return name, impl.run_search_unchecked, impl.run_batch_unchecked
-    return name, impl.run_search, impl.run_batch
-
-
-def _check_arguments(
-    n: int,
-    adj: Sequence[int],
-    min_copies: int,
-    max_copies: int,
-    node_budget: Optional[int],
-) -> None:
-    check_arguments(n, adj, min_copies, max_copies, node_budget)
-    _check_graph(n, adj)
+        return name, impl.run_batch_unchecked
+    return name, impl.run_batch
 
 
 def _check_graph(n: int, adj: Sequence[int]) -> None:
@@ -146,12 +131,12 @@ def _block_masks(n: int) -> tuple[bytes, ...]:
     j = 8, 4, 2, 1: (r, c) with bit j clear in r and set in c, whose partner
     is (r+j, c-j), 15j bits higher.
     """
-    def block(keep) -> bytes:
-        bits = sum(1 << (16 * r + c) for r in range(16) for c in range(16) if keep(r, c))
-        return bits.to_bytes(ROW_BYTES, "little")
-
-    return (block(lambda r, c: r != c and 1 <= min(r, c) and max(r, c) <= n),
-            *(block(lambda r, c, j=j: not r & j and c & j) for j in (8, 4, 2, 1)))
+    full = (1 << (n + 1)) - 2  # columns 1..n
+    blocks = [sum((full & ~(1 << r)) << 16 * r for r in range(1, n + 1))]
+    for j in (8, 4, 2, 1):
+        high = sum(1 << c for c in range(16) if c & j)  # columns with bit j set
+        blocks.append(sum(high << 16 * r for r in range(16) if not r & j))
+    return tuple(bits.to_bytes(ROW_BYTES, "little") for bits in blocks)
 
 
 def _batch_passes(n: int, rows: bytes, node_budgets) -> bool:
@@ -161,8 +146,10 @@ def _batch_passes(n: int, rows: bytes, node_budgets) -> bool:
     """
     if not all(b is None or (type(b) is int and b >= 0) for b in node_budgets):
         return False
-    valid, *swaps = (int.from_bytes(b * CHECK_ROWS, "little") for b in _block_masks(n))
-    step = CHECK_ROWS * ROW_BYTES
+    # masks for as many rows as a chunk holds: a one-row call builds no more
+    chunk = min(len(node_budgets), CHECK_ROWS) or 1
+    valid, *swaps = (int.from_bytes(b * chunk, "little") for b in _block_masks(n))
+    step = chunk * ROW_BYTES
     for start in range(0, len(rows), step):
         # a shorter last chunk sees only the masks' low rows
         packed = int.from_bytes(rows[start:start + step], "little")
@@ -186,15 +173,15 @@ def run_search(
     find_all: bool,
     node_budget: Optional[int] = None,
 ):
-    """The active backend's run_search, after checking the arguments.
+    """run_batch over the one graph of adj's masks.
 
     Returns (witnesses, nodes, words_tested, budget_exceeded); see
     rep132._kernel_py.run_search for the search itself.
     """
-    _check_arguments(n, adj, min_copies, max_copies, node_budget)
-    return _backend()[1](
-        n, adj, min_copies, max_copies, forbid_132, find_all, node_budget
-    )
+    row = pack_row(n, adj, min_copies, max_copies, node_budget)
+    if adj[0] != 0:
+        raise ValueError("adjacency mask 0 must be empty")
+    return run_batch(n, row, min_copies, max_copies, forbid_132, find_all, [node_budget])[0]
 
 
 def run_batch(
@@ -207,7 +194,7 @@ def run_batch(
     node_budgets: Sequence[Optional[int]],
     group_sizes: Optional[Sequence[int]] = None,
 ):
-    """run_search over several graphs on {1..n}, after checking every entry.
+    """The active backend's run_batch, after checking every entry.
 
     rows holds ROW_BYTES bytes per graph, its masks packed 16 bits each,
     little-endian; the graphs form groups of group_sizes consecutive
@@ -217,17 +204,18 @@ def run_batch(
     dropped, and is None. Either backend answers in one DFS over the union
     of the graphs' searches; see rep132._kernel_py.run_batch_unchecked.
     """
-    rows, node_budgets, group_sizes = batch_shape(rows, node_budgets, group_sizes)
+    rows, node_budgets, group_sizes = batch_shape(n, rows, min_copies, max_copies,
+                                                  node_budgets, group_sizes)
     if node_budgets:
         # n and the copy counts hold for every entry, or this raises first
         check_row(n, row_key(rows, 0), min_copies, max_copies, node_budgets[0])
     if not _batch_passes(n, rows, node_budgets):
-        # find and raise the first faulty entry's error, as run_search would
+        # find and raise the first faulty entry's error
         for i, budget in enumerate(node_budgets):
             key = row_key(rows, i)
             check_row(n, key, min_copies, max_copies, budget)
             _check_graph(n, row_masks(key, n))
-    return _backend()[2](
+    return _backend()[1](
         n, rows, min_copies, max_copies, forbid_132, find_all, node_budgets,
         group_sizes,
     )

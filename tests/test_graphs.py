@@ -150,6 +150,22 @@ def test_canonical_form_fixed_points():
     assert canonical_form(complete(4)) == complete(4)
 
 
+def test_canonical_forms_of_graphs_full_of_twins():
+    # A star's leaves, each side of K_{2,7} and the isolated vertices of a
+    # one-edge graph are twins, of which the labeling search tries one per
+    # label; the forms must not depend on which one, or on the input labels
+    k27 = LabeledGraph(9, [(i, j) for i in (1, 2) for j in range(3, 10)])
+    cases = [
+        (star(9), [(1, v) for v in range(2, 11)]),
+        (k27, [(1, v) for v in range(2, 9)] + [(v, 9) for v in range(2, 9)]),
+        (LabeledGraph(10, [(1, 2)]), [(1, 2)]),
+    ]
+    for g, edges in cases:
+        assert canonical_form(g).edge_list() == edges
+        reverse = tuple(range(g.n, 0, -1))
+        assert canonical_form(relabel(g, reverse)).edge_list() == edges
+
+
 @settings(max_examples=80)
 @given(graphs, st.randoms())
 def test_canonical_form_is_relabeling_invariant(g, rnd):

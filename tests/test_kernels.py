@@ -6,6 +6,7 @@ import importlib.util
 import inspect
 import itertools
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -95,8 +96,8 @@ def test_every_kernel_entry_point_has_one_signature(request):
     py = kernels.load_backend("python")
     for name in ("run_search", "run_batch"):
         assert shape(getattr(kernels, name)) == shape(getattr(py, name)), name
-        assert [p for p, _ in shape(getattr(py, name + "_unchecked"))] == \
-            [p for p, _ in shape(getattr(py, name))], name
+    assert [p for p, _ in shape(py.run_batch_unchecked)] == \
+        [p for p, _ in shape(py.run_batch)]
     compiled = request.getfixturevalue("compiled_kernel")
     for name in ("run_search", "run_batch"):
         assert shape(getattr(compiled, name)) == shape(getattr(py, name)), name
@@ -323,13 +324,13 @@ def test_batch_takes_one_dfs_under_the_budget_and_falls_back_over_it(
     graphs = BATCHES[5]
     each = [run(py, g, find_all=False) for g in graphs]
     calls = []
-    run_search_unchecked = py.run_search_unchecked
+    search_graph = py._search_graph
 
     def counting(*args):
         calls.append(args)
-        return run_search_unchecked(*args)
+        return search_graph(*args)
 
-    monkeypatch.setattr(py, "run_search_unchecked", counting)
+    monkeypatch.setattr(py, "_search_graph", counting)
     total = sum(nodes for _, nodes, _, _ in each)
     assert batch(py, 5, graphs, [total] * len(graphs), find_all=False) == each
     assert calls == []
@@ -394,13 +395,31 @@ def test_union_tallies_fold_into_the_same_totals(bound, monkeypatch):
     for find_all in (False, True):
         got = batch(py, 5, graphs, [None] * len(graphs), find_all=find_all)
         assert got == [run(py, g, find_all=find_all) for g in graphs]
+    # _add_tallies itself, over random sets and weights in rounds of up to
+    # 50 sets, so a plane takes many addends, against per-member sums
+    rnd = random.Random(bound)
+    for count in (1, 7, 64, 130):
+        planes, sums, most = [], [0] * count, 0
+        for _ in range(5):
+            tally = {}
+            for _ in range(rnd.randint(0, 50)):
+                graphs_set = rnd.getrandbits(count)
+                tally[graphs_set] = tally.get(graphs_set, 0) + rnd.choice(
+                    (1, 2, 3, rnd.randint(1, 10**6)))
+            for graphs_set, times in tally.items():
+                for i in range(count):
+                    sums[i] += times * (graphs_set >> i & 1)
+            most += sum(tally.values())
+            py._add_tallies(planes, tally, most)
+            assert tally == {}
+            assert py._totals(planes, count) == sums
 
 
 def test_batch_shape_keeps_bytes_rows():
     # rows that are bytes already go to the kernel as they are, not copied
     rows = pack_rows([complete(3).adjacency_masks()])
-    assert kernels.batch_shape(rows, [None], None)[0] is rows
-    copied = kernels.batch_shape(bytearray(rows), [None], None)[0]
+    assert kernels.batch_shape(3, rows, 1, 2, [None], None)[0] is rows
+    copied = kernels.batch_shape(3, bytearray(rows), 1, 2, [None], None)[0]
     assert type(copied) is bytes and copied == rows
 
 
@@ -495,6 +514,81 @@ def test_non_int_counts_and_budgets_raise_one_type_error(request):
     assert messages == {"'float' object cannot be interpreted as an integer"}
 
 
+# A float mask, and a float n with no rows or with rows of the wrong
+# length: the compiled kernel's argument parsing raises its TypeError before
+# any other check, and so must every layer, through run_search and run_batch
+# alike.
+FLOAT_CALLS = [
+    ("run_search", (3, [0, 1.0, 0, 0], 1, 2, True, False, None)),
+    ("run_batch", (3.0, b"", 1, 2, True, False, [])),
+    ("run_batch", (3.0, b"x", 1, 2, True, False, [None])),
+]
+FLOAT_MESSAGE = "'float' object cannot be interpreted as an integer"
+FLOAT_THROUGH_KERNELS = LOAD_PACKAGE + f"""
+for name, args in {FLOAT_CALLS!r}:
+    try:
+        print(getattr(kernels, name)(*args))
+    except TypeError as e:
+        print(kernels.backend_name(), e)
+"""
+
+
+@pytest.mark.parametrize("backend", ["python", "c"])
+def test_float_masks_and_n_raise_the_compiled_kernels_type_error(backend, request):
+    done = run_child(FLOAT_THROUGH_KERNELS, backend, request)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == [f"{backend} {FLOAT_MESSAGE}"] * 3
+    module = kernels.load_backend("python")
+    if backend == "c":
+        module = request.getfixturevalue("compiled_kernel")
+    for name, args in FLOAT_CALLS:
+        with pytest.raises(TypeError) as raised:
+            getattr(module, name)(*args)
+        assert str(raised.value) == FLOAT_MESSAGE, (name, args)
+
+
+def test_run_search_is_a_one_row_run_batch(request):
+    # The contract on every layer: run_search(n, adj, ..., b) is
+    # run_batch(n, adj's row, ..., [b])[0], searches and errors alike.
+    rnd = random.Random(18)
+    small = [g for n in range(1, 5) for g in labeled_graphs(n)]
+    pairs = {n: list(itertools.combinations(range(1, n + 1), 2)) for n in (5, 6, 7)}
+    larger = [LabeledGraph(n, [p for p in pairs[n] if rnd.random() < 0.5])
+              for n in (5, 6, 7) for _ in range(3)]
+    cutting = 7
+    every = [(b, forbid, find_all) for b in (None, 0, cutting)
+             for forbid in (True, False) for find_all in (True, False)]
+    # unbudgeted searches of 5..7 letters stay short with the pattern prune
+    # and the first witness
+    cheap = [(None, True, False), (0, True, False)] + [
+        (cutting, forbid, find_all) for forbid in (True, False)
+        for find_all in (True, False)]
+    bad = [(complete(3), 0, 2), (complete(3), 3, 2),
+           (LabeledGraph(kernels.MAX_N + 1, []), 1, 2)]
+    first = {}  # each search's result on the first layer
+    for layer in itertools.chain([kernels], python_then_compiled(request)):
+        for graphs, cases in ((small, every), (larger, cheap)):
+            for g in graphs:
+                adj = g.adjacency_masks()
+                for budget, forbid, find_all in cases:
+                    single = layer.run_search(g.n, adj, 1, 2, forbid, find_all, budget)
+                    assert layer.run_batch(g.n, pack_rows([adj]), 1, 2, forbid,
+                                           find_all, [budget]) == [single], (
+                        layer.__name__, g.n, g.edge_list(), budget, forbid, find_all)
+                    key = (g.n, adj, budget, forbid, find_all)
+                    assert first.setdefault(key, single) == single, layer.__name__
+        # test_input_validation's bad inputs, with the same error from both calls
+        for g, min_copies, max_copies in bad:
+            adj = g.adjacency_masks()
+            with pytest.raises(ValueError) as single:
+                layer.run_search(g.n, adj, min_copies, max_copies, True, True, None)
+            with pytest.raises(ValueError) as batched:
+                layer.run_batch(g.n, pack_rows([adj]), min_copies, max_copies, True,
+                                True, [None])
+            assert str(batched.value) == str(single.value), (layer.__name__, g.n)
+    assert any(res[3] for res in first.values())
+
+
 def test_python_kernel_at_the_top_lane():
     # Pinned from the array kernel that the packed one replaced, so this
     # holds without a compiler: 15 letters of 4 copies (lanes 1..15).
@@ -521,24 +615,35 @@ def test_python_kernel_at_the_top_lane():
                                               14, 15, 14])
 
 
-# Counts check_arguments calls, in a child process whose kernels module
-# selected the pure-Python backend: kernels.run_search checks once and then
-# enters the kernel past its own checks; a direct call still checks.
+# Counts the calls of the two check helpers, pack_row (run_search's checks
+# of what a row cannot express) and batch_shape (run_batch's checks before
+# its entries), in a child process whose kernels module selected the
+# pure-Python backend: kernels.run_search makes each once, as
+# kernels.run_batch does, and then enters the kernel past its own checks; a
+# direct call on the kernel still makes each.
 COUNT_CHECKS = """
+from collections import Counter
 from rep132 import _kernel_py, kernels
 from rep132.graphs import complete
-calls = []
-check_arguments = _kernel_py.check_arguments
-def counting(*args):
-    calls.append(args)
-    check_arguments(*args)
-kernels.check_arguments = _kernel_py.check_arguments = counting
+calls = Counter()
+def counting(name):
+    check = getattr(_kernel_py, name)
+    def counted(*args):
+        calls[name] += 1
+        return check(*args)
+    setattr(kernels, name, counted)
+    setattr(_kernel_py, name, counted)
+counting("pack_row")
+counting("batch_shape")
 g = complete(4)
 for find_all in (False, True):
     kernels.run_search(g.n, g.adjacency_masks(), 1, 2, True, find_all, None)
-print(kernels.backend_name(), len(calls))
+print(kernels.backend_name(), calls["pack_row"], calls["batch_shape"])
+row = sum(m << 16 * v for v, m in enumerate(g.adjacency_masks())).to_bytes(32, "little")
+kernels.run_batch(g.n, row, 1, 2, True, False, [None])
+print(calls["pack_row"], calls["batch_shape"])
 _kernel_py.run_search(g.n, g.adjacency_masks(), 1, 2, True, False, None)
-print(len(calls))
+print(calls["pack_row"], calls["batch_shape"])
 """
 
 
@@ -550,7 +655,7 @@ def test_python_backend_checks_arguments_once_per_call():
         capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == ["python", "2", "3"]
+    assert done.stdout.split() == ["python", "2", "2", "2", "3", "3", "4"]
 
 
 # ------------------------------------------------------------------- oracle

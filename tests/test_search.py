@@ -576,7 +576,9 @@ def test_scan_drops_only_graphs_its_walks_never_read(cfg, monkeypatch):
     # class's entry after its first hit comes back None, and nothing asks
     # for that labeled graph of that class again. Under a budget of 1000
     # nodes, both union searches pass the budget and fall back to one
-    # search per graph, and neither drops an entry.
+    # search per graph, and neither drops an entry. The expected reports
+    # come first: their run_search calls are one-row run_batch calls too.
+    expected = per_class_reports(5, cfg)
     class_of = scan_class_of(5)
     dropped = set()  # (class, masks)
     run_batch = kernels.run_batch
@@ -595,7 +597,6 @@ def test_scan_drops_only_graphs_its_walks_never_read(cfg, monkeypatch):
     monkeypatch.setattr(kernels, "run_batch", counting_batch)
     got = scan_order(5, cfg, workers=1)
     assert bool(dropped) == (cfg.node_budget is None)
-    expected = per_class_reports(5, cfg)
     assert [dumps(report_to_json(rep)) for _, rep in got] == \
         [dumps(report_to_json(rep)) for _, rep in expected]
 
