@@ -62,6 +62,7 @@ the same results.
 from __future__ import annotations
 
 import bisect
+import collections
 import itertools
 import operator
 from functools import lru_cache
@@ -71,10 +72,11 @@ MAX_N = 15
 MAX_DEPTH = 64  # longest word, n * max_copies: the compiled twin's prefix array
 LANE = 16  # bits per letter in the packed seen_since and nonalt; MAX_N < LANE
 ROW_BYTES = 2 * (MAX_N + 1)  # a run_batch row: masks 0..MAX_N, one lane each
-# Most distinct graph sets a union search tallies before it adds their
-# tallies into the per-graph totals: each set is an int of one bit per graph
-# of the batch, so this bounds the tallies' memory.
-TALLY_SETS = 128
+# Union nodes between two folds of a union search's tallies into the
+# per-graph totals: each node's graph set, an int of one bit per graph of
+# the batch, is held until the next fold, so this bounds the tallies'
+# memory (at 1,024 an order-6 scan peaks past a megabyte).
+TALLY_NODES = 256
 
 
 def pack_row(n, adj, min_copies, max_copies, node_budget) -> bytes:
@@ -338,11 +340,14 @@ def run_batch_unchecked(
     target to the first entry that has it, and to the set of all entries
     that have it for a target that several share. Each graph's nodes and
     words tested are the number of union nodes and leaves whose set holds
-    it, so each graph sees exactly its own search. The union tallies each
-    distinct set, and adds the tallies into bit-sliced per-graph totals
-    (_add_tallies) whenever more than TALLY_SETS sets are tallied, and at
-    the end, so the tallies' memory stays bounded. Witness lists are kept
-    only for the entries that hit.
+    it, so each graph sees exactly its own search. A node is a leaf iff
+    every letter has its min_copies, so the union files each node's set
+    once, as an interior node's or as a leaf's; a graph's words tested are
+    its leaf total, and its nodes its interior total plus its leaf total.
+    Every TALLY_NODES nodes, and at the end, each list of sets is counted
+    (collections.Counter) and the counts are added into bit-sliced
+    per-graph totals (_add_tallies), so the tallies' memory stays bounded.
+    Witness lists are kept only for the entries that hit.
 
     Without find_all, the graphs of one group drop out together: when
     entries hit at a leaf, every later entry of a hit's group that has not
@@ -433,21 +438,33 @@ def _union_search(
     counts = [0] * (n + 1)
     prefix: list[int] = []
     witnesses: dict[int, list[tuple[int, ...]]] = {}  # entry -> its witnesses
-    # graph set -> union nodes / words tested with that set, since the last
-    # time the set tallies were added into the per-entry totals
-    node_sets: dict[int, int] = {}
-    leaf_sets: dict[int, int] = {}
-    node_planes: list[int] = []  # per-entry totals, bit-sliced (see _add_tallies)
+    # the graph sets of the interior nodes and of the leaves since the last
+    # fold, and the per-entry totals they fold into, bit-sliced (see
+    # _add_tallies)
+    inner_sets: list[int] = []
+    leaf_sets: list[int] = []
+    inner_planes: list[int] = []
     leaf_planes: list[int] = []
     nodes = 0
+
+    def fold():
+        for sets, planes in ((inner_sets, inner_planes), (leaf_sets, leaf_planes)):
+            _add_tallies(planes, collections.Counter(sets), nodes)
+            sets.clear()
+
+    # the node count at which the next node folds the tallies or, if it is
+    # limit, aborts the union
+    stop = TALLY_NODES if limit < 0 or TALLY_NODES < limit else limit
     live = everyone  # graphs still searching
+    drops = 0  # hits that have changed live so far
     dropped = 0  # graphs dropped by an earlier hit in their group
     aborted = False
 
     def rec(forbidden: int, cur_min: int, exhausted: int, deficient: int,
             ss: int, na: int, alive: int) -> bool:
-        nonlocal nodes, live, dropped, aborted
+        nonlocal nodes, stop, live, drops, dropped, aborted
         between_min = between[cur_min]
+        seen = drops  # alive is up to date with live as of this many drops
         for c in letters[full & ~(exhausted | forbidden & skip_132)]:
             k = counts[c]
             sh = shift[c]
@@ -468,22 +485,24 @@ def _union_search(
                     sub &= graphs_kept(cache, without_edge[c], cut) if kept is None else kept
                     if not sub:
                         continue
-            if nodes == limit:
-                aborted = True
-                return True
+            if nodes == stop:
+                if nodes == limit:
+                    aborted = True
+                    return True
+                fold()
+                stop = nodes + TALLY_NODES
+                if 0 < limit < stop:
+                    stop = limit
             nodes += 1
-            node_sets[sub] = node_sets.get(sub, 0) + 1
-            if len(node_sets) > TALLY_SETS:
-                _add_tallies(node_planes, node_sets, nodes)
             ch_na = na | (bad << sh) | (lanes[bad] << c) if bad else na
 
             counts[c] = k + 1
             prefix.append(c)
             ch_def = deficient - 1 if k + 1 == min_copies else deficient
-            if ch_def == 0:
-                leaf_sets[sub] = leaf_sets.get(sub, 0) + 1
-                if len(leaf_sets) > TALLY_SETS:
-                    _add_tallies(leaf_planes, leaf_sets, nodes)
+            if ch_def:
+                inner_sets.append(sub)
+            else:
+                leaf_sets.append(sub)
                 hit = 0
                 first = targets.get(ch_na)
                 if first is not None:
@@ -493,6 +512,7 @@ def _union_search(
                     for i in _members(hit):
                         witnesses.setdefault(i, []).append(word)
                     if not find_all:
+                        drops += 1
                         live &= ~hit
                         # drop the entries after each hit in its group
                         for i in _members(hit):
@@ -512,9 +532,11 @@ def _union_search(
                 return True
             counts[c] = k
             prefix.pop()
-            alive &= live
-            if not alive:
-                break
+            if drops != seen:
+                seen = drops
+                alive &= live
+                if not alive:
+                    break
         return False
 
     rec(0, n + 1, 0, n, 0, 0, live)
@@ -524,13 +546,13 @@ def _union_search(
     del targets, twins, with_edge, without_edge, kept_by_edge, kept_by_nonedge
     if aborted:
         return None
-    _add_tallies(node_planes, node_sets, nodes)
-    _add_tallies(leaf_planes, leaf_sets, nodes)
-    node_counts = _totals(node_planes, count)
+    fold()
+    inner_counts = _totals(inner_planes, count)
     leaf_counts = _totals(leaf_planes, count)
     return [
         None if dropped >> i & 1
-        else (witnesses.get(i, []), node_counts[i], leaf_counts[i], False)
+        else (witnesses.get(i, []), inner_counts[i] + leaf_counts[i], leaf_counts[i],
+              False)
         for i in range(count)
     ]
 

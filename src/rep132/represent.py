@@ -4,6 +4,12 @@ A word w over alphabet {1..n} represents the graph on vertices 1..n whose
 edges are exactly the alternating pairs of w. A 132-representant is a
 word-representant that additionally avoids the pattern 132. Labels are
 significant: these functions never relabel on their own.
+
+words.alternates defines alternation one pair at a time. graph_from_word,
+represents and is_132_representant instead read every pair off one pass
+over the word (_nonalternating), as the search kernels do: a pair {x, y}
+fails to alternate iff some letter of it recurs with no copy of the other
+in between.
 """
 
 from __future__ import annotations
@@ -12,7 +18,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .graphs import LabeledGraph
-from .words import Word, WordLike, alternates, has_132, is_k_uniform, reduce_word
+from .words import Word, WordLike, has_132, is_k_uniform, reduce_word
 
 EDGE_NOT_ALTERNATING = "edge-not-alternating"
 NONEDGE_ALTERNATING = "nonedge-alternating"
@@ -37,6 +43,37 @@ def _as_word(w: WordLike) -> Word:
     return w if isinstance(w, Word) else Word(w)
 
 
+def _nonalternating(letters: Sequence[int], n: int) -> list[int]:
+    """Per letter x in 1..n, the mask of the letters that do not alternate
+    with x in the word letters, a word over {1..n}: for two letters x != y
+    that both occur, bit y of masks[x] is set iff
+    words.alternates(letters, x, y) is false.
+
+    One pass: since holds n + 1 lanes of n + 1 bits, lane c the letters
+    seen since c's last copy. A copy of c after its first puts two c's next
+    to each other in the projection onto {c, y} for every y outside lane c.
+    """
+    width = n + 1
+    lane = (1 << width) - 1
+    every = sum(1 << (width * y) for y in range(1, n + 1))  # bit 0 of lanes 1..n
+    since = 0
+    occurred = 0
+    masks = [0] * (n + 1)
+    for c in letters:
+        bit = 1 << c
+        sh = width * c
+        if occurred & bit:
+            masks[c] |= lane & ~(since >> sh | bit | 1)
+        occurred |= bit
+        since = (since | every << c) & ~(lane << sh)
+    for x in range(1, n + 1):  # a repeat of either letter breaks the pair
+        for y in range(x + 1, n + 1):
+            if (masks[x] >> y | masks[y] >> x) & 1:
+                masks[x] |= 1 << y
+                masks[y] |= 1 << x
+    return masks
+
+
 def graph_from_word(w: WordLike) -> LabeledGraph:
     """The graph represented by w: edge {x,y} iff x and y alternate in w.
 
@@ -50,11 +87,12 @@ def graph_from_word(w: WordLike) -> LabeledGraph:
     if alpha != frozenset(range(1, n + 1)):
         missing = sorted(set(range(1, n + 1)) - alpha)
         raise ValueError(f"alphabet has gaps (missing {missing}); reduce the word first")
+    nonalt = _nonalternating(word.letters, n)
     edges = [
         (x, y)
         for x in range(1, n + 1)
         for y in range(x + 1, n + 1)
-        if alternates(word, x, y)
+        if not nonalt[x] >> y & 1
     ]
     return LabeledGraph(n, edges)
 
@@ -67,19 +105,20 @@ def represents(w: WordLike, g: LabeledGraph) -> RepresentationCheck:
     reported as a violation with no pair.
     """
     word = _as_word(w)
-    alpha = word.alphabet()
-    if alpha != frozenset(range(1, g.n + 1)):
+    n = g.n
+    if word.alphabet() != frozenset(range(1, n + 1)):
         v = Violation(None, ALPHABET_MISMATCH)
         return RepresentationCheck(word, g, False, v)
-    for x in range(1, g.n + 1):
-        for y in range(x + 1, g.n + 1):
-            alt = alternates(word, x, y)
-            if g.has_edge(x, y) and not alt:
-                v = Violation((x, y), EDGE_NOT_ALTERNATING)
-                return RepresentationCheck(word, g, False, v)
-            if not g.has_edge(x, y) and alt:
-                v = Violation((x, y), NONEDGE_ALTERNATING)
-                return RepresentationCheck(word, g, False, v)
+    nonalt = _nonalternating(word.letters, n)
+    adj = g.adjacency_masks()
+    full = (1 << (n + 1)) - 2  # bits 1..n
+    for x in range(1, n):
+        wrong = ((full & ~nonalt[x]) ^ adj[x]) >> (x + 1) << (x + 1)  # pairs {x, y > x}
+        if wrong:
+            y = (wrong & -wrong).bit_length() - 1
+            reason = EDGE_NOT_ALTERNATING if adj[x] >> y & 1 else NONEDGE_ALTERNATING
+            v = Violation((x, y), reason)
+            return RepresentationCheck(word, g, False, v)
     return RepresentationCheck(word, g, True, None)
 
 

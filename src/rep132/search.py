@@ -377,6 +377,8 @@ def _decide_classes(
             )
 
     def flush() -> None:
+        if not asked:  # the slice ended exactly at the round's end
+            return
         found = kernels.run_batch(
             n,
             b"".join([key.to_bytes(kernels.ROW_BYTES, "little") for key in asked]),

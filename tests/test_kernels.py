@@ -386,15 +386,23 @@ def test_batch_answers_duplicates_entry_by_entry(request):
 
 @pytest.mark.parametrize("bound", [1, 2, 7])
 def test_union_tallies_fold_into_the_same_totals(bound, monkeypatch):
-    # The Python union search adds its per-set tallies into the per-graph
-    # totals whenever it holds more than TALLY_SETS sets; the totals must
-    # not depend on when.
+    # The Python union search folds its nodes' graph sets into the per-graph
+    # totals every TALLY_NODES nodes; the totals must not depend on when.
     py = kernels.load_backend("python")
     graphs = list(enumerate_graphs(5))
-    monkeypatch.setattr(py, "TALLY_SETS", bound)
+    monkeypatch.setattr(py, "TALLY_NODES", bound)
     for find_all in (False, True):
         got = batch(py, 5, graphs, [None] * len(graphs), find_all=find_all)
         assert got == [run(py, g, find_all=find_all) for g in graphs]
+    # in groups without find_all, hits drop entries and take the hit ones
+    # out of the union; each entry left must still see exactly its own
+    # search, stopped at its first witness
+    groups = cycled_groups(len(graphs), (2, 3, 1, 4))
+    expected = [run(py, g, find_all=False) for g in graphs]
+    dropped = dropped_entries(expected, groups)
+    assert len(dropped) > 5
+    got = batch(py, 5, graphs, [None] * len(graphs), groups, find_all=False)
+    assert got == [None if i in dropped else want for i, want in enumerate(expected)]
     # _add_tallies itself, over random sets and weights in rounds of up to
     # 50 sets, so a plane takes many addends, against per-member sums
     rnd = random.Random(bound)

@@ -1,6 +1,7 @@
 """Word <-> graph representation checks and the word surgery helpers."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,6 +12,8 @@ from rep132.represent import (
     ALPHABET_MISMATCH,
     EDGE_NOT_ALTERNATING,
     NONEDGE_ALTERNATING,
+    Violation,
+    _nonalternating,
     add_isolated,
     combine_components,
     graph_from_word,
@@ -18,7 +21,7 @@ from rep132.represent import (
     remove_vertex_word,
     represents,
 )
-from rep132.words import Word, has_132
+from rep132.words import Word, alternates, has_132
 
 short_words = st.lists(st.integers(min_value=1, max_value=5), min_size=1, max_size=10)
 
@@ -98,6 +101,56 @@ def test_is_132_representant():
     # represents the star but contains 132
     w = Word("2341214")
     assert represents(w, g).verdict is False or has_132(w)
+
+
+# ------------------------------------------------------ one-pass alternation
+
+
+def test_nonalternating_agrees_with_alternates():
+    # every pair of letters that occur, in every word of length <= 7 over
+    # {1..4}
+    for length in range(1, 8):
+        for letters in itertools.product(range(1, 5), repeat=length):
+            nonalt = _nonalternating(letters, 4)
+            for x, y in itertools.permutations(sorted(set(letters)), 2):
+                assert (not nonalt[x] >> y & 1) == alternates(letters, x, y), (letters, x, y)
+
+
+def pairwise_represents(letters, g):
+    """represents(letters, g)'s verdict and first violation, from
+    words.alternates one pair at a time, pairs in lexicographic order."""
+    if set(letters) != set(range(1, g.n + 1)):
+        return False, Violation(None, ALPHABET_MISMATCH)
+    for x, y in itertools.combinations(range(1, g.n + 1), 2):
+        alt = alternates(letters, x, y)
+        if g.has_edge(x, y) and not alt:
+            return False, Violation((x, y), EDGE_NOT_ALTERNATING)
+        if not g.has_edge(x, y) and alt:
+            return False, Violation((x, y), NONEDGE_ALTERNATING)
+    return True, None
+
+
+def test_represents_matches_the_pairwise_reference():
+    # seeded random words, some with gapped alphabets, each against a random
+    # graph on 1..n - 1, 1..n or 1..n + 1 and, when its alphabet is {1..n},
+    # against its own graph
+    rnd = random.Random(132)
+    seen = set()
+    for _ in range(20_000):
+        n = rnd.randint(1, 6)
+        letters = tuple(rnd.randint(1, n) for _ in range(rnd.randint(1, 2 * n + 2)))
+        m = max(1, n + rnd.choice((-1, 0, 0, 1)))
+        graphs = [LabeledGraph(m, [e for e in itertools.combinations(range(1, m + 1), 2)
+                                   if rnd.random() < 0.5])]
+        if set(letters) == set(range(1, max(letters) + 1)):
+            graphs.append(LabeledGraph(max(letters), brute_edges(letters)))
+        for g in graphs:
+            verdict, violation = pairwise_represents(letters, g)
+            chk = represents(letters, g)
+            assert (chk.verdict, chk.first_violation) == (verdict, violation), (letters, g)
+            assert is_132_representant(letters, g) == (verdict and not brute_has_132(letters))
+            seen.add(violation.reason if violation else verdict)
+    assert seen == {True, ALPHABET_MISMATCH, EDGE_NOT_ALTERNATING, NONEDGE_ALTERNATING}
 
 
 # ---------------------------------------------------------------- components

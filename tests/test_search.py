@@ -601,6 +601,25 @@ def test_scan_drops_only_graphs_its_walks_never_read(cfg, monkeypatch):
         [dumps(report_to_json(rep)) for _, rep in expected]
 
 
+def test_scan_sends_no_empty_kernel_call(monkeypatch):
+    # At order 5 with 174 graphs a slice, a slice ends exactly where its
+    # round does; the round's closing flush must then send nothing.
+    expected = scan_order(5, workers=1)
+    run_batch = kernels.run_batch
+    sizes = []
+
+    def counting_batch(n, rows, *args):
+        sizes.append(len(rows) // kernels.ROW_BYTES)
+        return run_batch(n, rows, *args)
+
+    monkeypatch.setattr(search, "BATCH_GRAPHS", 174)
+    monkeypatch.setattr(kernels, "run_batch", counting_batch)
+    got = scan_order(5, workers=1)
+    assert 174 in sizes and 0 not in sizes
+    assert [dumps(report_to_json(rep)) for _, rep in got] == \
+        [dumps(report_to_json(rep)) for _, rep in expected]
+
+
 def test_scan_order_six_summary():
     entries = scan_order(6)
     assert len(entries) == 122
