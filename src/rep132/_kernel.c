@@ -10,7 +10,7 @@
    Any change to the traversal must be mirrored there.
 
    run_batch walks the union of several graphs' searches as
-   _kernel_py.run_batch_unchecked does (batch_rec() below), with graph sets
+   _kernel_py.run_batch does (batch_rec() below), with graph sets
    of several 64-bit words, and falls back to one rec() per graph when the
    union would pass the smallest budget. It reads the graphs as packed rows
    through the buffer protocol, ROW_BYTES bytes each. Its results equal the
@@ -21,9 +21,10 @@
    run_search is run_batch over one row: it checks only what a row cannot
    express, in the order of _kernel_py.pack_row, packs the row and returns
    run_batch's one entry. The module can be imported and called directly,
-   so run_batch checks by itself every argument that its arrays rely on, in
-   the order of _kernel_py.run_batch (its own argument parsing, then each
-   entry) and with the same messages. */
+   so run_batch checks by itself every argument, in the order of
+   _kernel_py.run_batch (its own argument parsing, then each entry as
+   _kernel_py.check_row does, down to rejecting a row that is not a graph)
+   and with the same messages. */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -160,8 +161,9 @@ clamped(PyObject *obj, void *out)
 }
 
 /* Reads one run_batch row, masks 0..MAX_N of 16 bits each, little-endian,
-   into st->adj and st->nonedge, as _kernel_py.check_row checks it; -1 with
-   an error set. */
+   into st->adj and st->nonedge, as _kernel_py.check_row checks it: masks
+   in range, then a graph (mask 0 empty; per v, no self-loop, then each
+   u > v in v's mask iff v is in u's); -1 with an error set. */
 static int
 read_row(State *st, const unsigned char *row)
 {
@@ -180,6 +182,22 @@ read_row(State *st, const unsigned char *row)
             st->adj[v] = mask;
             st->nonedge[v] = st->full & ~mask & ~((mask_t)1 << v);
         }
+    }
+    if (row[0] | row[1]) {
+        PyErr_SetString(PyExc_ValueError, "adjacency mask 0 must be empty");
+        return -1;
+    }
+    for (int v = 1; v <= st->n; v++) {
+        if (st->adj[v] >> v & 1) {
+            PyErr_Format(PyExc_ValueError, "adjacency mask %d has a self-loop", v);
+            return -1;
+        }
+        for (int u = v + 1; u <= st->n; u++)
+            if ((st->adj[v] >> u & 1) != (st->adj[u] >> v & 1)) {
+                PyErr_Format(PyExc_ValueError, "adjacency masks %d and %d disagree",
+                             v, u);
+                return -1;
+            }
     }
     return 0;
 }
@@ -249,7 +267,7 @@ search(State *st)
 /* ------------------------------------------------------------ run_batch
 
    One DFS over the union of several graphs' search trees, as
-   _kernel_py.run_batch_unchecked makes it. A graph set is a bitset over
+   _kernel_py.run_batch makes it. A graph set is a bitset over
    the batch's entries, in 64-bit words; a node keeps only its nonzero
    words, as (word index, bits) parts in ascending index order, so a node
    costs what its own graphs cost rather than what the batch does. The
@@ -802,9 +820,21 @@ done:
     return out;
 }
 
+/* Reads mask v of adj into *mask, clamped; -1 with an error set. */
+static int
+read_mask(PyObject *adj, int v, long long *mask)
+{
+    PyObject *item = PySequence_GetItem(adj, v);
+    if (item == NULL)
+        return -1;
+    int ok = clamped(item, mask);
+    Py_DECREF(item);
+    return ok ? 0 : -1;
+}
+
 /* Packs run_search's masks 1..n into a run_batch row, after the checks of
-   _kernel_py.pack_row: n + 1 masks, each an int with bits in 1..n. Mask 0
-   stays empty. -1 with an error set. */
+   _kernel_py.pack_row: n + 1 masks, ints 1..n with bits in 1..n, then an
+   int mask 0 that is empty. -1 with an error set. */
 static int
 pack_masks(const State *st, PyObject *adj, unsigned char *row)
 {
@@ -816,14 +846,9 @@ pack_masks(const State *st, PyObject *adj, unsigned char *row)
                      st->n + 1, len);
         return -1;
     }
+    long long mask;
     for (int v = 1; v <= st->n; v++) {
-        PyObject *item = PySequence_GetItem(adj, v);
-        if (item == NULL)
-            return -1;
-        long long mask;
-        int ok = clamped(item, &mask);
-        Py_DECREF(item);
-        if (!ok)
+        if (read_mask(adj, v, &mask) < 0)
             return -1;
         /* a negative mask has every high bit set, as in Python */
         if (mask & ~(long long)st->full) {
@@ -833,6 +858,12 @@ pack_masks(const State *st, PyObject *adj, unsigned char *row)
         }
         row[2 * v] = (unsigned char)mask;
         row[2 * v + 1] = (unsigned char)(mask >> 8);
+    }
+    if (read_mask(adj, 0, &mask) < 0)
+        return -1;
+    if (mask) {
+        PyErr_SetString(PyExc_ValueError, "adjacency mask 0 must be empty");
+        return -1;
     }
     return 0;
 }

@@ -4,7 +4,10 @@ This is the reference implementation; rep132._kernel (_kernel.c) is a
 compiled twin with the same traversal order and statistics, byte for byte.
 Any change to the traversal here must be mirrored there (tests compare the
 two call by call), and so must pack_row, batch_shape and check_row, whose
-checks the twin makes in the same order and with the same messages.
+checks the twin makes in the same order and with the same messages. Both
+kernels, and rep132.kernels, which only picks one of them, reject what is
+not a graph: mask 0 not empty, a self-loop, or an edge in only one of its
+two masks.
 
 The search walks words over {1..n}, each letter used min_copies..max_copies
 times, children in ascending letter order. A node is a successfully
@@ -48,15 +51,14 @@ With forbid_132, the pattern prune builds no word that contains a 132, so
 the leaf test needs no check for one.
 
 run_batch answers for several graphs on the same letters in one DFS over
-the union of their search trees (run_batch_unchecked); run_search is
-run_batch over one graph. The graphs come as packed rows, ROW_BYTES bytes
-each: mask v in bits 16v..16v+15 of the row read as a little-endian int,
-the lanes of target above with edges in place of non-edges. They form
-groups of consecutive entries; without find_all, a hit drops the later
-entries of its group that have not found a witness, and those come back
-as None. The compiled twin's run_batch walks the same union with the same
-child order, prunes, budget rule, drops and per-graph fallback, and gives
-the same results.
+the union of their search trees; run_search is run_batch over one graph.
+The graphs come as packed rows, ROW_BYTES bytes each: mask v in bits
+16v..16v+15 of the row read as a little-endian int, the lanes of target
+above with edges in place of non-edges. They form groups of consecutive
+entries; without find_all, a hit drops the later entries of its group that
+have not found a witness, and those come back as None. The compiled twin's
+run_batch walks the same union with the same child order, prunes, budget
+rule, drops and per-graph fallback, and gives the same results.
 """
 
 from __future__ import annotations
@@ -77,13 +79,17 @@ ROW_BYTES = 2 * (MAX_N + 1)  # a run_batch row: masks 0..MAX_N, one lane each
 # the batch, is held until the next fold, so this bounds the tallies'
 # memory (at 1,024 an order-6 scan peaks past a megabyte).
 TALLY_NODES = 256
+# Rows that _batch_passes checks in one go: enough to spread the cost of the
+# interpreter over many rows, few enough that its big-int temporaries stay
+# at 8 KB each, where a whole batch's would grow with the batch.
+CHECK_ROWS = 256
 
 
 def pack_row(n, adj, min_copies, max_copies, node_budget) -> bytes:
     """run_search's masks as one run_batch row, after the checks that a row
     cannot express, in the compiled twin's order and with its messages: n
-    and the copy counts, the budget, n + 1 masks, and int masks with bits in
-    1..n. Mask 0 stays empty, since no search reads it.
+    and the copy counts, the budget, n + 1 masks, int masks 1..n with bits
+    in 1..n, then an int mask 0 that is empty. run_batch checks the rest.
     """
     _check_search(n, min_copies, max_copies, node_budget)
     if len(adj) != n + 1:
@@ -95,6 +101,8 @@ def pack_row(n, adj, min_copies, max_copies, node_budget) -> bytes:
         if mask & ~full:
             raise ValueError(f"adjacency mask {v} has bits outside 1..{n}")
         key |= mask << (LANE * v)
+    if operator.index(adj[0]):
+        raise ValueError("adjacency mask 0 must be empty")
     return key.to_bytes(ROW_BYTES, "little")
 
 
@@ -102,16 +110,26 @@ def check_row(n, key, min_copies, max_copies, node_budget) -> None:
     """The checks of one run_batch entry, its row read as the int key.
 
     Mask v sits in bits 16v..16v+15 of key. Masks 1..n must hold no bits
-    outside 1..n, and masks n+1..MAX_N must be empty.
+    outside 1..n, and masks n+1..MAX_N must be empty. Then the row must be
+    a graph: mask 0 empty, then for each v no self-loop and, for each u > v,
+    edge {v, u} in both masks or in neither.
     """
     _check_search(n, min_copies, max_copies, node_budget)
     full = (1 << (n + 1)) - 2
+    masks = row_masks(key, MAX_N)
     for v in range(1, MAX_N + 1):
-        mask = key >> (LANE * v) & 0xFFFF
-        if v <= n and mask & ~full:
+        if v <= n and masks[v] & ~full:
             raise ValueError(f"adjacency mask {v} has bits outside 1..{n}")
-        if v > n and mask:
+        if v > n and masks[v]:
             raise ValueError(f"adjacency mask {v} is past n = {n}")
+    if masks[0]:
+        raise ValueError("adjacency mask 0 must be empty")
+    for v in range(1, n + 1):
+        if masks[v] >> v & 1:
+            raise ValueError(f"adjacency mask {v} has a self-loop")
+        for u in range(v + 1, n + 1):
+            if (masks[v] >> u & 1) != (masks[u] >> v & 1):
+                raise ValueError(f"adjacency masks {v} and {u} disagree")
 
 
 def _check_search(n, min_copies, max_copies, node_budget) -> None:
@@ -195,8 +213,8 @@ def run_search(
 
 
 def _search_graph(n, adj, min_copies, max_copies, forbid_132, find_all, node_budget):
-    """One graph's search, from its checked masks: run_batch_unchecked's
-    path for a batch of one and its fallback past a budget."""
+    """One graph's search, from its checked masks: run_batch's path for a
+    batch of one and its fallback past a budget."""
     full, bit, shift, not_bit, clear, repeat, between, lanes, letters = _tables(n)
     nonedge = [full & ~adj[c] & ~bit[c] for c in range(n + 1)]
     target = 0
@@ -258,37 +276,6 @@ def _search_graph(n, adj, min_copies, max_copies, forbid_132, find_all, node_bud
     return witnesses, nodes, tested, exceeded
 
 
-def run_batch(
-    n: int,
-    rows,
-    min_copies: int,
-    max_copies: int,
-    forbid_132: bool,
-    find_all: bool,
-    node_budgets: Sequence[Optional[int]],
-    group_sizes: Optional[Sequence[int]] = None,
-) -> list[Optional[tuple[list[tuple[int, ...]], int, int, bool]]]:
-    """run_search over several graphs on {1..n}, entry for entry.
-
-    rows is a bytes-like object of ROW_BYTES bytes per graph: its masks
-    0..MAX_N, 16 bits each, little-endian (masks n+1..MAX_N empty). The
-    graphs form groups of group_sizes consecutive entries (default: each
-    entry alone). Entry i is run_search(n, masks of row i, ..., budget i),
-    with the same checks on every entry, except that without find_all an
-    entry that has not found a witness when an earlier entry of its group
-    finds one is dropped, and is None. See run_batch_unchecked for how one
-    DFS serves them all. The checks are batch_shape's, then each entry's.
-    """
-    rows, node_budgets, group_sizes = batch_shape(n, rows, min_copies, max_copies,
-                                                  node_budgets, group_sizes)
-    for i, budget in enumerate(node_budgets):
-        check_row(n, row_key(rows, i), min_copies, max_copies, budget)
-    return run_batch_unchecked(
-        n, rows, min_copies, max_copies, forbid_132, find_all, node_budgets,
-        group_sizes,
-    )
-
-
 def batch_shape(n, rows, min_copies, max_copies, node_budgets, group_sizes):
     """A run_batch call's rows as bytes, its budgets and its group sizes as
     lists, after the checks that come before its entries', in the compiled
@@ -316,17 +303,31 @@ def batch_shape(n, rows, min_copies, max_copies, node_budgets, group_sizes):
     return rows, node_budgets, sizes
 
 
-def run_batch_unchecked(
+def run_batch(
     n: int,
-    rows: bytes,
+    rows,
     min_copies: int,
     max_copies: int,
     forbid_132: bool,
     find_all: bool,
     node_budgets: Sequence[Optional[int]],
-    group_sizes: Sequence[int],
+    group_sizes: Optional[Sequence[int]] = None,
 ) -> list[Optional[tuple[list[tuple[int, ...]], int, int, bool]]]:
-    """run_batch for arguments that already passed batch_shape and check_row.
+    """run_search over several graphs on {1..n}, entry for entry.
+
+    rows is a bytes-like object of ROW_BYTES bytes per graph: its masks
+    0..MAX_N, 16 bits each, little-endian (masks n+1..MAX_N empty). The
+    graphs form groups of group_sizes consecutive entries (default: each
+    entry alone). Entry i is run_search(n, masks of row i, ..., budget i),
+    with the same checks on every entry, except that without find_all an
+    entry that has not found a witness when an earlier entry of its group
+    finds one is dropped, and is None.
+
+    The checks are batch_shape's, then check_row's on each entry, in the
+    compiled twin's order. Past entry 0, which fixes n and the copy counts
+    for all, _batch_passes tests CHECK_ROWS rows at a time; only a batch
+    that fails is checked entry by entry, so the error raised is the first
+    faulty entry's.
 
     A prefix's state does not depend on the graph; only the edges prune,
     the exhausted prune and the leaf test do. So one DFS walks the union of
@@ -360,6 +361,15 @@ def run_batch_unchecked(
     batch is searched again one graph at a time, each with its own budget,
     and no entry is dropped.
     """
+    rows, node_budgets, group_sizes = batch_shape(n, rows, min_copies, max_copies,
+                                                  node_budgets, group_sizes)
+    if node_budgets:
+        # n and the copy counts hold for every entry, or this raises first
+        check_row(n, row_key(rows, 0), min_copies, max_copies, node_budgets[0])
+        if not _batch_passes(n, rows, node_budgets):
+            # find and raise the first faulty entry's error
+            for i, budget in enumerate(node_budgets):
+                check_row(n, row_key(rows, i), min_copies, max_copies, budget)
     common = (min_copies, max_copies, forbid_132, find_all)
     if len(node_budgets) > 1:
         limit = min((b for b in node_budgets if b), default=-1)
@@ -370,6 +380,48 @@ def run_batch_unchecked(
         _search_graph(n, row_masks(row_key(rows, i), n), *common, budget)
         for i, budget in enumerate(node_budgets)
     ]
+
+
+@lru_cache(maxsize=None)
+def _block_masks(n: int) -> tuple[bytes, ...]:
+    """Masks over one row, a 16 x 16 bit matrix with mask v in bits
+    16v..16v+15, as ROW_BYTES little-endian bytes: the bits a graph on 1..n
+    may set (rows and columns 1..n, off the diagonal), then the lower bits
+    of the pairs that the four delta swaps of a transpose exchange, for
+    j = 8, 4, 2, 1: (r, c) with bit j clear in r and set in c, whose partner
+    is (r+j, c-j), 15j bits higher.
+    """
+    full = (1 << (n + 1)) - 2  # columns 1..n
+    blocks = [sum((full & ~(1 << r)) << LANE * r for r in range(1, n + 1))]
+    for j in (8, 4, 2, 1):
+        high = sum(1 << c for c in range(LANE) if c & j)  # columns with bit j set
+        blocks.append(sum(high << LANE * r for r in range(LANE) if not r & j))
+    return tuple(bits.to_bytes(ROW_BYTES, "little") for bits in blocks)
+
+
+def _batch_passes(n: int, rows: bytes, node_budgets) -> bool:
+    """Whether every entry passes check_row, given that the first does:
+    budgets None or at least 0, and rows that are graphs on 1..n, each
+    tested as a bit matrix against its transpose, CHECK_ROWS rows at a time.
+    """
+    if not all(b is None or (type(b) is int and b >= 0) for b in node_budgets):
+        return False
+    # masks for as many rows as a chunk holds: a one-row call builds no more
+    chunk = min(len(node_budgets), CHECK_ROWS)
+    valid, *swaps = (int.from_bytes(b * chunk, "little") for b in _block_masks(n))
+    step = chunk * ROW_BYTES
+    for start in range(0, len(rows), step):
+        # a shorter last chunk sees only the masks' low rows
+        packed = int.from_bytes(rows[start:start + step], "little")
+        if packed & ~valid:
+            return False
+        flipped = packed
+        for j, swap in zip((8, 4, 2, 1), swaps):
+            t = ((flipped >> 15 * j) ^ flipped) & swap
+            flipped ^= t ^ (t << 15 * j)
+        if flipped != packed:
+            return False
+    return True
 
 
 @lru_cache(maxsize=None)

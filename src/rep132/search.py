@@ -346,8 +346,11 @@ def _decide_classes(
     labeling after the walk's, so no key read ahead is held. A class's walk
     goes on as soon as its slice is back, and its walk and dict are dropped
     when it is decided. A report's wall time runs from the start of the
-    rounds to its class's decision.
+    rounds to its class's decision. n must be in 1..kernels.MAX_N, as the
+    kernels' is: past it a key would not fit in a row.
     """
+    if not 1 <= n <= kernels.MAX_N:
+        raise ValueError(f"n must be in 1..{kernels.MAX_N}")
     t0 = time.perf_counter()
     # class index -> (walk, results, lookahead cursor, keys the cursor has read)
     undecided: dict[int, list] = {}

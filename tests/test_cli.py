@@ -251,6 +251,14 @@ def test_search_rejects_bad_graph_file(cli, graph_file):
     assert "must satisfy u < v" in err
 
 
+@pytest.mark.parametrize("text", ["n 16\n15 16\n", "n 20\n1 20\n"])
+@pytest.mark.parametrize("fixed", [[], ["--fixed"]])
+def test_search_rejects_more_letters_than_the_kernel_has(cli, graph_file, text, fixed):
+    # an edge past vertex 15 used to crash packing its row (OverflowError)
+    code, out, err = cli("search", graph_file(text), *fixed)
+    assert (code, out, err) == (2, "", "error: n must be in 1..15\n")
+
+
 # ----------------------------------------------------------- circle-witness
 
 

@@ -2,7 +2,6 @@
 oracle, which shows on both backends that each prune cuts no witness."""
 
 import gc
-import importlib.util
 import inspect
 import itertools
 import os
@@ -96,8 +95,6 @@ def test_every_kernel_entry_point_has_one_signature(request):
     py = kernels.load_backend("python")
     for name in ("run_search", "run_batch"):
         assert shape(getattr(kernels, name)) == shape(getattr(py, name)), name
-    assert [p for p, _ in shape(py.run_batch_unchecked)] == \
-        [p for p, _ in shape(py.run_batch)]
     compiled = request.getfixturevalue("compiled_kernel")
     for name in ("run_search", "run_batch"):
         assert shape(getattr(compiled, name)) == shape(getattr(py, name)), name
@@ -425,23 +422,27 @@ def test_union_tallies_fold_into_the_same_totals(bound, monkeypatch):
 
 def test_batch_shape_keeps_bytes_rows():
     # rows that are bytes already go to the kernel as they are, not copied
+    py = kernels.load_backend("python")
     rows = pack_rows([complete(3).adjacency_masks()])
-    assert kernels.batch_shape(3, rows, 1, 2, [None], None)[0] is rows
-    copied = kernels.batch_shape(3, bytearray(rows), 1, 2, [None], None)[0]
+    assert py.batch_shape(3, rows, 1, 2, [None], None)[0] is rows
+    copied = py.batch_shape(3, bytearray(rows), 1, 2, [None], None)[0]
     assert type(copied) is bytes and copied == rows
 
 
 def test_empty_batch(request):
-    assert batch(kernels, 3, [], []) == []
-    for backend in python_then_compiled(request):
-        assert batch(backend, 3, [], []) == []
-        assert batch(backend, 3, [], [], []) == []
+    # n and the copy counts are checked with the first entry, so an empty
+    # batch checks only their types, on every layer, whatever n is
+    for layer in itertools.chain([kernels], python_then_compiled(request)):
+        assert batch(layer, 3, [], []) == []
+        assert batch(layer, 3, [], [], []) == []
+        assert batch(layer, 20000, [], []) == []
 
 
 def test_batch_rejects_what_run_search_rejects(request):
     good = complete(3).adjacency_masks()
-    # what each backend rejects, then what kernels adds for a graph; a row
-    # holds 16 masks, so a batch cannot have the wrong number of masks
+    # what every layer rejects, kernels and both backends alike, arguments
+    # and then rows that are not graphs; a row holds 16 masks, so a batch
+    # cannot have the wrong number of masks
     invalid = [
         (0, [0], 1, 2, None),
         (16, [0] * 16, 1, 2, None),
@@ -488,9 +489,9 @@ def test_batch_rejects_what_run_search_rejects(request):
             backend.run_batch(3, rows, 1, 2, True, False, [None] * 2, [1.0, 1])
         return tuple(messages)
 
-    messages = {rejects_alike(kernels, invalid + not_graphs)}
-    for backend in python_then_compiled(request):
-        messages.add(rejects_alike(backend, invalid))
+    messages = set()
+    for layer in itertools.chain([kernels], python_then_compiled(request)):
+        messages.add(rejects_alike(layer, invalid + not_graphs))
     assert len(messages) == 1, messages
     assert messages.pop() == (
         "need one node budget per graph: 2 graphs, 1 budgets",
@@ -522,12 +523,13 @@ def test_non_int_counts_and_budgets_raise_one_type_error(request):
     assert messages == {"'float' object cannot be interpreted as an integer"}
 
 
-# A float mask, and a float n with no rows or with rows of the wrong
-# length: the compiled kernel's argument parsing raises its TypeError before
-# any other check, and so must every layer, through run_search and run_batch
-# alike.
+# A float mask, mask 0 included, and a float n with no rows or with rows of
+# the wrong length: the compiled kernel's argument parsing raises its
+# TypeError before any other check, and so must every layer, through
+# run_search and run_batch alike.
 FLOAT_CALLS = [
     ("run_search", (3, [0, 1.0, 0, 0], 1, 2, True, False, None)),
+    ("run_search", (3, [0.0, 0, 0, 0], 1, 2, True, False, None)),
     ("run_batch", (3.0, b"", 1, 2, True, False, [])),
     ("run_batch", (3.0, b"x", 1, 2, True, False, [None])),
 ]
@@ -545,7 +547,7 @@ for name, args in {FLOAT_CALLS!r}:
 def test_float_masks_and_n_raise_the_compiled_kernels_type_error(backend, request):
     done = run_child(FLOAT_THROUGH_KERNELS, backend, request)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines() == [f"{backend} {FLOAT_MESSAGE}"] * 3
+    assert done.stdout.splitlines() == [f"{backend} {FLOAT_MESSAGE}"] * len(FLOAT_CALLS)
     module = kernels.load_backend("python")
     if backend == "c":
         module = request.getfixturevalue("compiled_kernel")
@@ -626,9 +628,9 @@ def test_python_kernel_at_the_top_lane():
 # Counts the calls of the two check helpers, pack_row (run_search's checks
 # of what a row cannot express) and batch_shape (run_batch's checks before
 # its entries), in a child process whose kernels module selected the
-# pure-Python backend: kernels.run_search makes each once, as
-# kernels.run_batch does, and then enters the kernel past its own checks; a
-# direct call on the kernel still makes each.
+# pure-Python backend: kernels only forwards to the kernel, so a call
+# through kernels makes each check once, as a direct call on the kernel
+# does.
 COUNT_CHECKS = """
 from collections import Counter
 from rep132 import _kernel_py, kernels
@@ -785,14 +787,17 @@ def test_input_validation():
         run(kernels, big)
 
 
-def test_batch_raises_the_first_faulty_entrys_error():
-    # kernels.run_batch tests CHECK_ROWS entries at once and checks entry
-    # by entry only a batch that fails, so the error is run_search's on the
-    # first faulty entry, wherever it sits in a batch of any length
+def test_batch_raises_the_first_faulty_entrys_error(request):
+    # Every layer tests CHECK_ROWS entries at once (the compiled kernel
+    # checks entry by entry) and checks entry by entry only a batch that
+    # fails, so the error is the Python run_search's on the first faulty
+    # entry, wherever it sits in a batch of any length
+    py = kernels.load_backend("python")
     good = complete(4).adjacency_masks()
     faults = [
         ([0, 1 << 2, 0, 0, 0], None),             # 1-2 but not 2-1
         ([0, (1 << 1) | (1 << 2), 1 << 1, 0, 0], None),  # self-loop on 1
+        ([0, 1 << 2, 1 << 2, 0, 0], None),        # 1-2 but not 2-1, self-loop on 2
         ([0, 1 << 5, 0, 0, 0], None),             # bit outside 1..n
         ([1 << 1, 1, 0, 0, 0], None),             # mask 0 is not a vertex
         ([0, 0, 0, 0, 0, 1 << 1], None),          # a mask past n
@@ -804,16 +809,22 @@ def test_batch_raises_the_first_faulty_entrys_error():
         if len(adj) > 5:
             return f"adjacency mask {len(adj) - 1} is past n = 4"
         with pytest.raises(ValueError) as single:
-            kernels.run_search(4, adj, 1, 2, True, False, budget)
+            py.run_search(4, adj, 1, 2, True, False, budget)
         return str(single.value)
 
-    for (adj, budget), (later, later_budget) in itertools.product(faults, repeat=2):
-        for at in (0, 1, 70, kernels.CHECK_ROWS - 1, kernels.CHECK_ROWS + 5):
-            masks = [good] * at + [adj] + [good] * 3 + [later] + [good]
-            budgets = [None] * at + [budget] + [None] * 3 + [later_budget, None]
-            with pytest.raises(ValueError) as batched:
-                kernels.run_batch(4, pack_rows(masks), 1, 2, True, False, budgets)
-            assert str(batched.value) == message(adj, budget)
+    # a row with two faults gets the first in check_row's order, which
+    # checks each pair as it reaches it: 1-2 disagrees before 2's self-loop
+    assert message(*faults[2]) == "adjacency masks 1 and 2 disagree"
+    expected = {i: message(*fault) for i, fault in enumerate(faults)}
+    for layer in itertools.chain([kernels], python_then_compiled(request)):
+        for (i, (adj, budget)), (later, later_budget) in itertools.product(
+                enumerate(faults), faults):
+            for at in (0, 1, 70, py.CHECK_ROWS - 1, py.CHECK_ROWS + 5):
+                masks = [good] * at + [adj] + [good] * 3 + [later] + [good]
+                budgets = [None] * at + [budget] + [None] * 3 + [later_budget, None]
+                with pytest.raises(ValueError) as batched:
+                    layer.run_batch(4, pack_rows(masks), 1, 2, True, False, budgets)
+                assert str(batched.value) == expected[i], (layer.__name__, i, at)
 
 
 @pytest.mark.parametrize("adj", [
@@ -940,27 +951,3 @@ def test_kernel_source_compiles_without_warnings(tmp_path):
         capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr
-
-
-def test_compare_backends_runs_the_python_kernel_it_times(monkeypatch, capsys):
-    # benchmarks/compare_backends.py times each backend in turn. Every
-    # search calls kernels.run_batch, so the script must swap that too, or
-    # its "python" column runs the backend kernels chose.
-    script = Path(__file__).resolve().parent.parent / "benchmarks" / "compare_backends.py"
-    spec = importlib.util.spec_from_file_location("compare_backends", script)
-    compare = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(compare)
-    py = kernels.load_backend("python")
-    calls = []
-    run_batch = py.run_batch
-
-    def counting(*args, **kwargs):
-        calls.append(len(args[1]))
-        return run_batch(*args, **kwargs)
-
-    monkeypatch.setattr(py, "run_batch", counting)
-    original = kernels.run_search, kernels.run_batch
-    assert compare.main(["--cases", "wheel5", "--repeat", "1"]) == 0
-    assert len(calls) > 0
-    assert (kernels.run_search, kernels.run_batch) == original
-    assert capsys.readouterr().out.startswith("case")

@@ -196,6 +196,19 @@ def test_column_keys_equal_per_labeling_keys(monkeypatch):
     assert rows == [ODD_STAR.adjacency_masks()]
 
 
+@pytest.mark.parametrize("g", [LabeledGraph(16, [(15, 16)]), LabeledGraph(20, [(1, 20)])])
+def test_search_rejects_more_letters_than_the_kernel_has(g, monkeypatch):
+    # an edge past vertex 15 used to crash packing its row (OverflowError);
+    # the check comes before any key is built or any kernel call is made
+    def no_kernel(*args):
+        raise AssertionError("the kernel was called")
+
+    monkeypatch.setattr(kernels, "run_batch", no_kernel)
+    for decide in (search_fixed, search_all_labelings):
+        with pytest.raises(ValueError, match=r"^n must be in 1\.\.15$"):
+            decide(g)
+
+
 def test_fixed_flag_is_recorded():
     rep = search_fixed(GOOD_STAR)
     assert rep.config.fixed_labeling is True
