@@ -6,7 +6,7 @@ circle graph, 4 node budget exceeded before a decision, 5 not representable
 under a bounded search only (search --fixed or --max-copies 1), which does
 not settle the graph.
 
-REP132_WORKERS sets the default worker count for scan;
+scan --workers defaults to 1, which decides every class in this process.
 REP132_BACKEND picks the kernel (see rep132.kernels); an unknown value, or
 c without the compiled extension, exits 2 before any command runs.
 """
@@ -56,18 +56,18 @@ def _read_graph(path: str) -> LabeledGraph:
     return formats.parse_graph_text(Path(path).read_text())
 
 
-def _print_report(report, fixed: bool) -> None:
+def _print_report(report) -> None:
     print(f"graph: n={report.graph.n} edges {_edges_str(report.graph)}")
     print(f"outcome: {report.outcome}")
     print(f"complete decision: {'yes' if report.is_complete_decision else 'no'}")
     if report.witness is not None:
         print(f"witness: {report.witness}")
-        if not fixed:
+        if not report.fixed_labeling:
             print(f"labeling: {' '.join(map(str, report.labeling))}")
     if report.all_witnesses is not None:
         print(f"all witnesses ({len(report.all_witnesses)}):")
         for sig, word in report.all_witnesses:
-            if fixed:
+            if report.fixed_labeling:
                 print(f"  {word}")
             else:
                 print(f"  {word}  labeling {' '.join(map(str, sig))}")
@@ -151,6 +151,9 @@ def _cmd_represent(args) -> int:
         print("error: n must be >= 1", file=sys.stderr)
         return 2
     if not args.enumerate:
+        if args.length_bound is not None:
+            print("error: --length-bound needs --enumerate", file=sys.stderr)
+            return 2
         print(Word(range(1, n + 1)))
         return 0
     try:
@@ -187,7 +190,7 @@ def _cmd_search(args) -> int:
         report = search_fixed(g, cfg)
     else:
         report = search_all_labelings(g, cfg)
-    _print_report(report, fixed=args.fixed)
+    _print_report(report)
     if args.json:
         Path(args.json).write_text(formats.dumps(formats.report_to_json(report)))
     if report.outcome == NOT_REPRESENTABLE and not report.is_complete_decision:
@@ -290,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order", type=int, required=True)
     p.add_argument("--json", metavar="OUT")
     p.add_argument("--dot-dir", metavar="DIR")
-    p.add_argument("--workers", type=int, default=None)
+    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--node-budget", type=int, default=None)
     p.set_defaults(func=_cmd_scan)
 

@@ -201,6 +201,8 @@ def kn_enumerate(n: int, length_bound: Optional[int] = None) -> KnRepertoire:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    if length_bound is not None and length_bound < 0:
+        raise ValueError("length_bound must be >= 0")
     if n <= 2:
         if length_bound is None:
             raise ValueError(f"length_bound is required for n = {n} (infinite family)")

@@ -8,8 +8,8 @@ Graph file:            Tree file:
 
 Edge lines require u < v and no duplicates. DOT output lists every vertex
 (so isolated vertices survive a round trip) and carries the witness word in
-a comment. JSON reports deliberately omit wall time so that serial and
-parallel runs of the same search are byte-identical.
+a comment. Reports carry no timing at all, so serial and parallel runs
+of the same search are byte-identical.
 """
 
 from __future__ import annotations
@@ -140,8 +140,8 @@ def report_to_json(report: SearchReport) -> dict:
 
     complete_decision is SearchReport.is_complete_decision: true only for a
     not-representable outcome that covers every labeling at max_copies >= 2.
-    wall_time is omitted on purpose: reports must not depend on how the
-    search was scheduled.
+    A report holds no timing: it must not depend on how the search was
+    scheduled.
     """
     out: dict = {
         "graph": graph_to_json(report.graph),

@@ -49,16 +49,14 @@ search_all_labelings every labeling of one graph, and scan_order every
 labeling of every class of an order. A parallel scan_order gives each of
 its k workers the interleaved group classes[i::k] to decide in rounds, and
 keeps the reports in scan order, so serial and parallel outputs are
-identical (wall time excluded).
+identical.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import os
 import sys
-import time
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Iterable, Iterator, Optional, Sequence
@@ -106,8 +104,6 @@ ROUND_GRAPHS = 16
 # searches run, where the kernel dwarfs the cost of the keys.
 COLUMNS_MAX_N = 7
 
-WORKERS_ENV = "REP132_WORKERS"
-
 
 def __getattr__(name: str):
     # ProcessPoolExecutor is imported on first use: concurrent.futures
@@ -123,7 +119,6 @@ def __getattr__(name: str):
 @dataclass(frozen=True)
 class SearchConfig:
     max_copies: int = 2
-    fixed_labeling: bool = False
     find_all: bool = False
     node_budget: Optional[int] = None
 
@@ -147,13 +142,16 @@ class SearchStats:
     nodes: int
     words_tested: int
     labelings_tried: int
-    wall_time: float
 
 
 @dataclass(frozen=True)
 class SearchReport:
+    """fixed_labeling: whether only g's own labeling was searched
+    (search_fixed), rather than every labeling."""
+
     graph: LabeledGraph
     config: SearchConfig
+    fixed_labeling: bool
     outcome: str
     witness: Optional[Word]
     labeling: Optional[Labeling]
@@ -172,34 +170,18 @@ class SearchReport:
         return (
             self.outcome == NOT_REPRESENTABLE
             and self.config.max_copies >= 2
-            and not self.config.fixed_labeling
+            and not self.fixed_labeling
         )
 
 
-def _resolve_workers(workers: Optional[int]) -> int:
-    if workers is None:
-        raw = os.environ.get(WORKERS_ENV, "").strip()
-        try:
-            return _resolve_workers(int(raw)) if raw else 1
-        except ValueError as e:
-            raise ValueError(f"{WORKERS_ENV}={raw}: {e}") from e
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
-    return workers
-
-
-def _scan_group_task(task) -> list[SearchReport]:
-    n, group, cfg = task
-    return _decide_classes(n, group, cfg)
-
-
-def _labelings(g: LabeledGraph, cfg: SearchConfig) -> Iterable[Labeling]:
-    """The labelings a search of g under cfg walks, in order.
+def _labelings(g: LabeledGraph, fixed: bool) -> Iterable[Labeling]:
+    """The labelings a search of g walks, in order: the identity only if
+    fixed, else every labeling.
 
     They are drawn lazily from itertools.permutations, so a search that
     stops early never builds n! labelings.
     """
-    if cfg.fixed_labeling:
+    if fixed:
         return [identity_labeling(g.n)]
     return itertools.permutations(range(1, g.n + 1))
 
@@ -244,17 +226,17 @@ def _columns(n: int) -> list[list[int]]:
             for u, v in itertools.combinations(range(n), 2)]
 
 
-def _walk_keys(g: LabeledGraph, cfg: SearchConfig) -> Iterator[int]:
+def _walk_keys(g: LabeledGraph, fixed: bool) -> Iterator[int]:
     """A new cursor over the keys (see _keys) of the labeled graphs that a
-    search of g under cfg walks, one per labeling of _labelings(g, cfg).
+    search of g walks, one per labeling of _labelings(g, fixed).
 
     Up to COLUMNS_MAX_N, all labelings of g read their keys off the columns
     of g's edges; beyond it, and for the one labeling of a fixed search,
     each key is summed from its edges.
     """
     adj = g.adjacency_masks()
-    if cfg.fixed_labeling or g.n > COLUMNS_MAX_N:
-        return _keys(adj, _labelings(g, cfg))
+    if fixed or g.n > COLUMNS_MAX_N:
+        return _keys(adj, _labelings(g, fixed))
     pairs = itertools.combinations(range(1, g.n + 1), 2)
     columns = [col for (u, v), col in zip(pairs, _columns(g.n)) if adj[u] >> v & 1]
     if not columns:  # zip() of no columns is empty, not n! empty sums
@@ -319,11 +301,11 @@ def _walk(cfg: SearchConfig, keys: Iterator[tuple[Labeling, int]], results: dict
 
 
 def _decide_classes(
-    n: int, classes: Sequence[LabeledGraph], cfg: SearchConfig
+    n: int, classes: Sequence[LabeledGraph], cfg: SearchConfig, fixed: bool = False
 ) -> list[SearchReport]:
     """The search report of every graph in classes under cfg, in rounds.
 
-    Every class walks the labelings _labelings(h, cfg) gives (see _walk),
+    Every class walks the labelings _labelings(h, fixed) gives (see _walk),
     and the walks advance together in rounds. In round r (from 0), every
     undecided class asks for up to FIRST_ASKS * GROWTH**r graphs under its
     remaining budget: the one its walk needs, then its next distinct
@@ -345,19 +327,17 @@ def _decide_classes(
     keys (_walk_keys); before it reads, the lookahead's cursor skips to the
     labeling after the walk's, so no key read ahead is held. A class's walk
     goes on as soon as its slice is back, and its walk and dict are dropped
-    when it is decided. A report's wall time runs from the start of the
-    rounds to its class's decision. n must be in 1..kernels.MAX_N, as the
-    kernels' is: past it a key would not fit in a row.
+    when it is decided. n must be in 1..kernels.MAX_N, as the kernels' is:
+    past it a key would not fit in a row.
     """
     if not 1 <= n <= kernels.MAX_N:
         raise ValueError(f"n must be in 1..{kernels.MAX_N}")
-    t0 = time.perf_counter()
     # class index -> (walk, results, lookahead cursor, keys the cursor has read)
     undecided: dict[int, list] = {}
     for i, h in enumerate(classes):
         results: dict[int, tuple] = {}
-        walk = _walk(cfg, zip(_labelings(h, cfg), _walk_keys(h, cfg)), results)
-        undecided[i] = [walk, results, _walk_keys(h, cfg), 0]
+        walk = _walk(cfg, zip(_labelings(h, fixed), _walk_keys(h, fixed)), results)
+        undecided[i] = [walk, results, _walk_keys(h, fixed), 0]
     reports: list[Optional[SearchReport]] = [None] * len(classes)
     requests: dict[int, tuple] = {}  # class index -> (key, remaining, tried)
 
@@ -375,9 +355,7 @@ def _decide_classes(
         except StopIteration as done:
             del undecided[i]
             requests.pop(i, None)
-            reports[i] = _assemble(
-                classes[i], cfg, *done.value, time.perf_counter() - t0
-            )
+            reports[i] = _assemble(classes[i], cfg, fixed, *done.value)
 
     def flush() -> None:
         if not asked:  # the slice ended exactly at the round's end
@@ -449,15 +427,15 @@ def _decide_classes(
 def _assemble(
     g: LabeledGraph,
     cfg: SearchConfig,
+    fixed: bool,
     winner,
     entries,
     nodes: int,
     tested: int,
     tried: int,
     exhausted: bool,
-    wall: float,
 ) -> SearchReport:
-    stats = SearchStats(nodes, tested, tried, wall)
+    stats = SearchStats(nodes, tested, tried)
     witness = None
     labeling = None
     if winner is not None:
@@ -478,7 +456,9 @@ def _assemble(
             assert is_132_representant(word, relabel(g, sig)), (
                 f"unsound witness {word} for labeling {sig}"
             )
-    return SearchReport(g, cfg, outcome, witness, labeling, all_w, stats, exhausted)
+    return SearchReport(
+        g, cfg, fixed, outcome, witness, labeling, all_w, stats, exhausted
+    )
 
 
 def search_fixed(g: LabeledGraph, cfg: SearchConfig = SearchConfig()) -> SearchReport:
@@ -488,7 +468,7 @@ def search_fixed(g: LabeledGraph, cfg: SearchConfig = SearchConfig()) -> SearchR
     the lexicographically least one; with find_all, all_witnesses lists
     every 132-representant with letter multiplicities <= max_copies.
     """
-    return _decide_classes(g.n, [g], replace(cfg, fixed_labeling=True))[0]
+    return _decide_classes(g.n, [g], cfg, fixed=True)[0]
 
 
 def search_all_labelings(
@@ -501,13 +481,13 @@ def search_all_labelings(
     once per distinct relabeled graph, in rounds that search ahead of the
     walk (see _decide_classes); the report is the serial walk's.
     """
-    return _decide_classes(g.n, [g], replace(cfg, fixed_labeling=False))[0]
+    return _decide_classes(g.n, [g], cfg)[0]
 
 
 def scan_order(
     n: int,
     cfg: SearchConfig = SearchConfig(),
-    workers: Optional[int] = None,
+    workers: int = 1,
 ) -> list[tuple[LabeledGraph, SearchReport]]:
     """Decide every isolate-free isomorphism class on n vertices.
 
@@ -521,17 +501,20 @@ def scan_order(
     the scan takes k interleaved groups, classes[i::k], each decided in
     rounds of its own; the reports are the serial ones.
     """
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
     budget = cfg.node_budget if cfg.node_budget is not None else DEFAULT_SCAN_NODE_BUDGET
-    cfg = replace(cfg, node_budget=budget, fixed_labeling=False)
+    cfg = replace(cfg, node_budget=budget)
     graphs = list(enumerate_graphs(n, isolate_free=True))
-    groups = min(_resolve_workers(workers), len(graphs))
+    groups = min(workers, len(graphs))
     if groups > 1:
         reports: list = [None] * len(graphs)
         # looked up on the module, where it is loaded lazily and may be replaced
         pool_class = sys.modules[__name__].ProcessPoolExecutor
         with pool_class(max_workers=groups) as pool:
-            tasks = [(n, graphs[i::groups], cfg) for i in range(groups)]
-            for i, group in enumerate(pool.map(_scan_group_task, tasks)):
+            parts = [graphs[i::groups] for i in range(groups)]
+            for i, group in enumerate(
+                    pool.map(_decide_classes, [n] * groups, parts, [cfg] * groups)):
                 reports[i::groups] = group
         return list(zip(graphs, reports))
     return list(zip(graphs, _decide_classes(n, graphs, cfg)))

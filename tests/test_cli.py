@@ -146,6 +146,17 @@ def test_represent_complete_small_needs_bound(cli):
                                 "total: 6 (length bound 4)"]
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["2", "--enumerate", "--length-bound", "-3"], "error: length_bound must be >= 0\n"),
+    (["4", "--length-bound", "3"], "error: --length-bound needs --enumerate\n"),
+    (["2", "--length-bound", "3"], "error: --length-bound needs --enumerate\n"),
+], ids=["negative", "no-enumerate-k4", "no-enumerate-k2"])
+def test_represent_complete_rejects_a_bound_it_cannot_use(argv, message, cli):
+    # a negative bound used to print an empty family, and a bound without
+    # --enumerate was ignored; both exited 0
+    assert cli("represent", "complete", *argv) == (2, "", message)
+
+
 def test_represent_tree(cli, tmp_path):
     path = tmp_path / "t.tree"
     path.write_text("n 3\nroot 1\n1 2\n2 3\n")
@@ -384,13 +395,9 @@ def test_no_arguments_prints_usage(cli):
     assert "usage:" in err
 
 
-@pytest.mark.parametrize("value, message", [
-    ("x", "error: REP132_WORKERS=x: invalid literal for int() with base 10: 'x'\n"),
-    ("0", "error: REP132_WORKERS=0: workers must be >= 1\n"),
-], ids=["text", "zero"])
-def test_bad_workers_variable_is_named_in_the_error(value, message, cli, monkeypatch):
-    monkeypatch.setenv("REP132_WORKERS", value)
-    assert cli("scan", "--order", "3") == (2, "", message)
+def test_scan_workers_below_one_is_a_usage_error(cli):
+    assert cli("scan", "--order", "3", "--workers", "0") == (
+        2, "", "error: workers must be >= 1\n")
 
 
 # Every command, in one process, with the graph file argv[1]: the exit codes

@@ -194,3 +194,10 @@ def test_kn_enumerate_small_n_needs_length_bound():
     assert {str(w) for w in rep1.words} == {"1", "11", "111", "1111"}
     with pytest.raises(ValueError):
         kn_enumerate(3, length_bound=9)   # bound only applies to n <= 2
+    assert kn_enumerate(2, length_bound=0).words == ()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_kn_enumerate_rejects_a_negative_length_bound(n):
+    with pytest.raises(ValueError, match=r"^length_bound must be >= 0$"):
+        kn_enumerate(n, length_bound=-3)

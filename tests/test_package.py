@@ -1,8 +1,10 @@
-"""The package namespace: what `import rep132` binds, and what it loads."""
+"""The package namespace: what `import rep132` binds, what it loads, and the
+environment it reads."""
 
 import importlib
 import importlib.util
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -103,3 +105,18 @@ def test_cold_start_loads_only_what_the_probe_runs():
     assert heavy == "-"
     # the pool still loads on demand, and a parallel scan is the serial one
     assert same == "True 7"
+
+
+# -------------------------------------------------------------- environment
+
+ENV_NAME = re.compile(r"REP132_[A-Z_]+")
+
+
+def test_the_package_reads_one_documented_environment_variable():
+    # every setting but the backend is an argument or a flag, so the
+    # sources name one variable and README documents exactly that one
+    package = Path(rep132.__file__).resolve().parent
+    sources = sorted(package.glob("*.py")) + [package / "_kernel.c"]
+    used = {name for path in sources for name in ENV_NAME.findall(path.read_text())}
+    documented = set(ENV_NAME.findall((SRC.parent / "README.md").read_text()))
+    assert used == documented == {"REP132_BACKEND"}

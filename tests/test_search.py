@@ -1,5 +1,6 @@
 """Fixed- and all-labelings search, determinism, the copy bound, scans."""
 
+import dataclasses
 import itertools
 from collections import Counter
 from dataclasses import replace
@@ -28,6 +29,7 @@ from rep132.search import (
     REPRESENTABLE,
     SearchConfig,
     SearchReport,
+    SearchStats,
     scan_order,
     search_all_labelings,
     search_fixed,
@@ -148,10 +150,9 @@ def test_all_labelings_negative_certificates():
 def test_labeling_generators():
     # every labeling, in lexicographic order; a fixed search walks only
     # the identity
-    assert list(search._labelings(complete(3), SearchConfig())) == [
+    assert list(search._labelings(complete(3), False)) == [
         (1, 2, 3), (1, 3, 2), (2, 1, 3), (2, 3, 1), (3, 1, 2), (3, 2, 1)]
-    fixed = SearchConfig(fixed_labeling=True)
-    assert list(search._labelings(cycle(4), fixed)) == [(1, 2, 3, 4)]
+    assert list(search._labelings(cycle(4), True)) == [(1, 2, 3, 4)]
 
 
 def packed(masks):
@@ -162,28 +163,26 @@ def packed(masks):
 def test_column_keys_equal_per_labeling_keys(monkeypatch):
     # Through order 7 a search reads its keys off per-order columns; they
     # must be the keys _keys sums labeling by labeling, in walk order.
-    cfg = SearchConfig()
     for n in range(1, 7):
         for h in enumerate_graphs(n):
             expected = list(search._keys(h.adjacency_masks(), walked_labelings(n)))
-            assert list(search._walk_keys(h, cfg)) == expected, h
+            assert list(search._walk_keys(h, False)) == expected, h
             if n <= 4:
                 assert expected == [packed(relabel(h, sig).adjacency_masks())
                                     for sig in walked_labelings(n)]
     # an edgeless graph has no column to sum, and still n! keys
-    assert list(search._walk_keys(LabeledGraph(4, []), cfg)) == [0] * 24
-    assert list(search._walk_keys(LabeledGraph(1, []), cfg)) == [0]
+    assert list(search._walk_keys(LabeledGraph(4, []), False)) == [0] * 24
+    assert list(search._walk_keys(LabeledGraph(1, []), False)) == [0]
     g = wheel(6)
-    assert list(search._walk_keys(g, cfg)) == \
+    assert list(search._walk_keys(g, False)) == \
         list(search._keys(g.adjacency_masks(), walked_labelings(7)))
     # past the columns' largest order, each key is summed from the edges
     g = LabeledGraph(search.COLUMNS_MAX_N + 1, [(1, 2), (2, 3), (3, 8)])
-    assert list(itertools.islice(search._walk_keys(g, cfg), 50)) == \
+    assert list(itertools.islice(search._walk_keys(g, False), 50)) == \
         list(search._keys(g.adjacency_masks(),
                           itertools.islice(walked_labelings(g.n), 50)))
     # a fixed search asks for the graph as given, and only for it
-    fixed = SearchConfig(fixed_labeling=True)
-    assert list(search._walk_keys(ODD_STAR, fixed)) == [packed(ODD_STAR.adjacency_masks())]
+    assert list(search._walk_keys(ODD_STAR, True)) == [packed(ODD_STAR.adjacency_masks())]
     rows = []
     run_batch = kernels.run_batch
 
@@ -210,11 +209,23 @@ def test_search_rejects_more_letters_than_the_kernel_has(g, monkeypatch):
 
 
 def test_fixed_flag_is_recorded():
+    # the function called sets the question, and the report records it
     rep = search_fixed(GOOD_STAR)
-    assert rep.config.fixed_labeling is True
+    assert rep.fixed_labeling is True
     assert not rep.is_complete_decision       # fixed verdicts do not transfer
     neg = search_all_labelings(wheel(5))
-    assert neg.config.fixed_labeling is False
+    assert neg.fixed_labeling is False
+    assert neg.is_complete_decision
+    assert {r.fixed_labeling for _, r in scan_order(4)} == {False}
+
+
+def test_search_settings_are_the_ones_that_take_effect():
+    # no setting that an entry point overwrites, and no timing, which a
+    # batched round cannot give per class
+    assert [f.name for f in dataclasses.fields(SearchConfig)] == [
+        "max_copies", "find_all", "node_budget"]
+    assert [f.name for f in dataclasses.fields(SearchStats)] == [
+        "nodes", "words_tested", "labelings_tried"]
 
 
 # ---------------------------------------------------------------- budgets
@@ -261,7 +272,6 @@ def reference_report(g, cfg):
     The serial walk written out: labelings in lexicographic order, the node
     budget spent in that order, stop at the first witness unless find_all.
     """
-    cfg = replace(cfg, fixed_labeling=False)
     remaining = cfg.node_budget
     nodes = tested = tried = 0
     entries = []
@@ -285,7 +295,7 @@ def reference_report(g, cfg):
             remaining -= used
         if winner is not None and not cfg.find_all:
             break
-    return search._assemble(g, cfg, winner, entries, nodes, tested, tried, exhausted, 0.0)
+    return search._assemble(g, cfg, False, winner, entries, nodes, tested, tried, exhausted)
 
 
 def memoized_walk_calls(g, cfg):
@@ -486,9 +496,13 @@ def test_parallel_scan_creates_one_pool(monkeypatch):
     assert created == [2]
     scan_order(5, workers=1)
     assert created == [2]
+    # the worker count has one source, the argument, which defaults to 1
     monkeypatch.setenv("REP132_WORKERS", "3")
     scan_order(4)
-    assert created == [2, 3]
+    assert created == [2]
+    with pytest.raises(ValueError, match=r"^workers must be >= 1$"):
+        scan_order(4, workers=0)
+    assert created == [2]
 
 
 SCAN_CONFIGS = [
