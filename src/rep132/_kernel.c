@@ -10,8 +10,10 @@
    Any change to the traversal must be mirrored there.
 
    run_batch walks the union of several graphs' searches as
-   _kernel_py.run_batch does (batch_rec() below), with graph sets
-   of several 64-bit words, and falls back to one rec() per graph when the
+   _kernel_py.run_batch does (batch_rec() below). rec() and batch_rec()
+   share one prefix step (blocked, repeats, push, child, pop) and differ
+   only in their prunes, tallies and leaf tests. Its graph sets span
+   several 64-bit words, and it falls back to one rec() per graph when the
    union would pass the smallest budget. It reads the graphs as packed rows
    through the buffer protocol, ROW_BYTES bytes each. Its results equal the
    per-graph ones, entry for entry, except that without find_all a hit
@@ -69,20 +71,100 @@ prefix_word(const State *st)
     return word;
 }
 
+/* The prefix step that rec() and batch_rec() share, in the order they take
+   it: blocked() and repeats() gate a letter c, push() appends it, child()
+   gives the new node's arguments, and pop() takes c off again. A node's
+   arguments are the letters that would complete a 132, the prefix's
+   minimum (0 for the empty prefix), the letters whose copies are spent,
+   and the number of letters short of min_copies. */
+typedef struct {
+    mask_t forbidden;
+    int cur_min;
+    mask_t exhausted;
+    int deficient;
+} Frame;
+
+/* What push() changes and pop() restores. */
+typedef struct {
+    mask_t seen_since[MAX_N + 1], nonalt[MAX_N + 1];
+} Undo;
+
+/* Whether c cannot follow the prefix: its copies are spent or, under the
+   pattern prune, it would complete a 132. */
+static inline int
+blocked(const State *st, int c, mask_t forbidden)
+{
+    return st->counts[c] == st->max_copies
+        || (st->forbid_132 && (forbidden >> c & 1));
+}
+
+/* bad: the letters y whose pair {c, y} appending c puts a repeat on. */
+static inline mask_t
+repeats(const State *st, int c)
+{
+    return st->counts[c] ? st->full & ~((mask_t)1 << c) & ~st->seen_since[c] : 0;
+}
+
+/* Appends c, with bad = repeats(st, c), saving in old what pop() restores. */
+static inline void
+push(State *st, int c, mask_t bad, Undo *old)
+{
+    const int n = st->n;
+    mask_t bitc = (mask_t)1 << c;
+    st->counts[c]++;
+    st->prefix[st->depth++] = c;
+    memcpy(old->seen_since, st->seen_since, sizeof old->seen_since);
+    st->seen_since[c] = 0;
+    for (int y = 1; y <= n; y++)
+        if (y != c)
+            st->seen_since[y] |= bitc;
+    if (bad) {
+        memcpy(old->nonalt, st->nonalt, sizeof old->nonalt);
+        st->nonalt[c] |= bad;
+        for (int y = 1; y <= n; y++)
+            if (bad >> y & 1)
+                st->nonalt[y] |= bitc;
+    }
+}
+
+/* The arguments of the node that push() made by appending c to the prefix
+   whose arguments these are. */
+static inline Frame
+child(const State *st, int c, mask_t forbidden, int cur_min, mask_t exhausted,
+      int deficient)
+{
+    mask_t bitc = (mask_t)1 << c;
+    mask_t ch_forb = forbidden;
+    if (0 < cur_min && cur_min < c)
+        ch_forb |= (bitc - 1) & ~(((mask_t)1 << (cur_min + 1)) - 1);
+    Frame ch = {ch_forb, (cur_min == 0 || c < cur_min) ? c : cur_min,
+                exhausted | (st->counts[c] == st->max_copies ? bitc : 0),
+                st->counts[c] == st->min_copies ? deficient - 1 : deficient};
+    return ch;
+}
+
+/* Takes c, which push() appended with bad, off the prefix again. */
+static inline void
+pop(State *st, int c, mask_t bad, const Undo *old)
+{
+    st->counts[c]--;
+    st->depth--;
+    memcpy(st->seen_since, old->seen_since, sizeof st->seen_since);
+    if (bad)
+        memcpy(st->nonalt, old->nonalt, sizeof st->nonalt);
+}
+
 /* Returns 1 to stop the whole search, 0 to go on, -1 on a Python error. */
 static int
 rec(State *st, mask_t forbidden, int cur_min, mask_t exhausted, int deficient)
 {
     const int n = st->n;
-    mask_t old_ss[MAX_N + 1], old_na[MAX_N + 1];
+    Undo old;
 
     for (int c = 1; c <= n; c++) {
-        if (st->counts[c] == st->max_copies)
+        if (blocked(st, c, forbidden))
             continue;
-        mask_t bitc = (mask_t)1 << c;
-        if (st->forbid_132 && (forbidden & bitc))
-            continue;
-        mask_t bad = st->counts[c] ? st->full & ~bitc & ~st->seen_since[c] : 0;
+        mask_t bad = repeats(st, c);
         if (bad & st->adj[c])
             continue;
         if (st->counts[c] + 1 == st->max_copies
@@ -94,30 +176,10 @@ rec(State *st, mask_t forbidden, int cur_min, mask_t exhausted, int deficient)
         }
         st->nodes++;
 
-        st->counts[c]++;
-        st->prefix[st->depth++] = c;
-        memcpy(old_ss, st->seen_since, sizeof old_ss);
-        st->seen_since[c] = 0;
-        for (int y = 1; y <= n; y++)
-            if (y != c)
-                st->seen_since[y] |= bitc;
-        if (bad) {
-            memcpy(old_na, st->nonalt, sizeof old_na);
-            st->nonalt[c] |= bad;
-            for (int y = 1; y <= n; y++)
-                if (bad >> y & 1)
-                    st->nonalt[y] |= bitc;
-        }
-
-        mask_t ch_forb = forbidden;
-        if (0 < cur_min && cur_min < c)
-            ch_forb |= (bitc - 1) & ~(((mask_t)1 << (cur_min + 1)) - 1);
-        int ch_min = (cur_min == 0 || c < cur_min) ? c : cur_min;
-        mask_t ch_exh = exhausted | (st->counts[c] == st->max_copies ? bitc : 0);
-        int ch_def = st->counts[c] == st->min_copies ? deficient - 1 : deficient;
-
+        push(st, c, bad, &old);
+        Frame ch = child(st, c, forbidden, cur_min, exhausted, deficient);
         int stop = 0;
-        if (ch_def == 0) {
+        if (ch.deficient == 0) {
             st->tested++;
             int ok = 1;
             for (int x = 1; ok && x <= n; x++)
@@ -132,13 +194,8 @@ rec(State *st, mask_t forbidden, int cur_min, mask_t exhausted, int deficient)
             }
         }
         if (!stop)
-            stop = rec(st, ch_forb, ch_min, ch_exh, ch_def);
-
-        st->counts[c]--;
-        st->depth--;
-        memcpy(st->seen_since, old_ss, sizeof old_ss);
-        if (bad)
-            memcpy(st->nonalt, old_na, sizeof old_na);
+            stop = rec(st, ch.forbidden, ch.cur_min, ch.exhausted, ch.deficient);
+        pop(st, c, bad, &old);
         if (stop)
             return stop;
     }
@@ -476,17 +533,14 @@ batch_rec(Batch *b, Part *alive, Py_ssize_t len, mask_t forbidden, int cur_min,
 {
     State *st = &b->st;
     const int n = st->n;
-    mask_t old_ss[MAX_N + 1], old_na[MAX_N + 1];
+    Undo old;
     Part *sub = alive + len;
     unsigned long long kills = b->kills;
 
     for (int c = 1; c <= n; c++) {
-        if (st->counts[c] == st->max_copies)
+        if (blocked(st, c, forbidden))
             continue;
-        mask_t bitc = (mask_t)1 << c;
-        if (st->forbid_132 && (forbidden & bitc))
-            continue;
-        mask_t bad = st->counts[c] ? st->full & ~bitc & ~st->seen_since[c] : 0;
+        mask_t bad = repeats(st, c);
         mask_t cut_nonedge = 0;
         if (st->counts[c] + 1 == st->max_copies)
             cut_nonedge = exhausted & b->any_nonedge[c] & ~(st->nonalt[c] | bad);
@@ -501,43 +555,19 @@ batch_rec(Batch *b, Part *alive, Py_ssize_t len, mask_t forbidden, int cur_min,
         st->nodes++;
         tally(b->node_planes, sub, sublen);
 
-        st->counts[c]++;
-        st->prefix[st->depth++] = c;
-        memcpy(old_ss, st->seen_since, sizeof old_ss);
-        st->seen_since[c] = 0;
-        for (int y = 1; y <= n; y++)
-            if (y != c)
-                st->seen_since[y] |= bitc;
-        if (bad) {
-            memcpy(old_na, st->nonalt, sizeof old_na);
-            st->nonalt[c] |= bad;
-            for (int y = 1; y <= n; y++)
-                if (bad >> y & 1)
-                    st->nonalt[y] |= bitc;
-        }
-
-        mask_t ch_forb = forbidden;
-        if (0 < cur_min && cur_min < c)
-            ch_forb |= (bitc - 1) & ~(((mask_t)1 << (cur_min + 1)) - 1);
-        int ch_min = (cur_min == 0 || c < cur_min) ? c : cur_min;
-        mask_t ch_exh = exhausted | (st->counts[c] == st->max_copies ? bitc : 0);
-        int ch_def = st->counts[c] == st->min_copies ? deficient - 1 : deficient;
-
+        push(st, c, bad, &old);
+        Frame ch = child(st, c, forbidden, cur_min, exhausted, deficient);
         int stop = 0;
-        if (ch_def == 0) {
+        if (ch.deficient == 0) {
             tally(b->leaf_planes, sub, sublen);
             sublen = leaf(b, sub, sublen);
             if (sublen < 0)
                 return -1;
         }
         if (sublen)
-            stop = batch_rec(b, sub, sublen, ch_forb, ch_min, ch_exh, ch_def);
-
-        st->counts[c]--;
-        st->depth--;
-        memcpy(st->seen_since, old_ss, sizeof old_ss);
-        if (bad)
-            memcpy(st->nonalt, old_na, sizeof old_na);
+            stop = batch_rec(b, sub, sublen, ch.forbidden, ch.cur_min, ch.exhausted,
+                             ch.deficient);
+        pop(st, c, bad, &old);
         if (stop)
             return stop;
         if (b->kills != kills) {

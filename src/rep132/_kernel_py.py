@@ -77,12 +77,9 @@ ROW_BYTES = 2 * (MAX_N + 1)  # a run_batch row: masks 0..MAX_N, one lane each
 # Union nodes between two folds of a union search's tallies into the
 # per-graph totals: each node's graph set, an int of one bit per graph of
 # the batch, is held until the next fold, so this bounds the tallies'
-# memory (at 1,024 an order-6 scan peaks past a megabyte).
-TALLY_NODES = 256
-# Rows that _batch_passes checks in one go: enough to spread the cost of the
-# interpreter over many rows, few enough that its big-int temporaries stay
-# at 8 KB each, where a whole batch's would grow with the batch.
-CHECK_ROWS = 256
+# memory: the rounds of an order-6 scan peak at 0.92 MB with 512, and past
+# a megabyte with 1,024.
+TALLY_NODES = 512
 
 
 def pack_row(n, adj, min_copies, max_copies, node_budget) -> bytes:
@@ -324,9 +321,10 @@ def run_batch(
     finds one is dropped, and is None.
 
     The checks are batch_shape's, then check_row's on each entry, in the
-    compiled twin's order. Past entry 0, which fixes n and the copy counts
-    for all, _batch_passes tests CHECK_ROWS rows at a time; only a batch
-    that fails is checked entry by entry, so the error raised is the first
+    compiled twin's order. Entry 0's checks cover n and the copy counts for
+    every entry, and a batch of one needs no more. A larger batch is checked
+    once, in bulk, by its union search (_union_search); only a batch that
+    fails there is checked entry by entry, so the error raised is the first
     faulty entry's.
 
     A prefix's state does not depend on the graph; only the edges prune,
@@ -363,65 +361,19 @@ def run_batch(
     """
     rows, node_budgets, group_sizes = batch_shape(n, rows, min_copies, max_copies,
                                                   node_budgets, group_sizes)
-    if node_budgets:
-        # n and the copy counts hold for every entry, or this raises first
-        check_row(n, row_key(rows, 0), min_copies, max_copies, node_budgets[0])
-        if not _batch_passes(n, rows, node_budgets):
-            # find and raise the first faulty entry's error
-            for i, budget in enumerate(node_budgets):
-                check_row(n, row_key(rows, i), min_copies, max_copies, budget)
+    if not node_budgets:
+        return []
+    # n and the copy counts hold for every entry, or this raises first
+    check_row(n, row_key(rows, 0), min_copies, max_copies, node_budgets[0])
     common = (min_copies, max_copies, forbid_132, find_all)
     if len(node_budgets) > 1:
-        limit = min((b for b in node_budgets if b), default=-1)
-        out = _union_search(n, rows, group_sizes, *common, limit)
+        out = _union_search(n, rows, node_budgets, group_sizes, *common)
         if out is not None:
             return out
     return [
         _search_graph(n, row_masks(row_key(rows, i), n), *common, budget)
         for i, budget in enumerate(node_budgets)
     ]
-
-
-@lru_cache(maxsize=None)
-def _block_masks(n: int) -> tuple[bytes, ...]:
-    """Masks over one row, a 16 x 16 bit matrix with mask v in bits
-    16v..16v+15, as ROW_BYTES little-endian bytes: the bits a graph on 1..n
-    may set (rows and columns 1..n, off the diagonal), then the lower bits
-    of the pairs that the four delta swaps of a transpose exchange, for
-    j = 8, 4, 2, 1: (r, c) with bit j clear in r and set in c, whose partner
-    is (r+j, c-j), 15j bits higher.
-    """
-    full = (1 << (n + 1)) - 2  # columns 1..n
-    blocks = [sum((full & ~(1 << r)) << LANE * r for r in range(1, n + 1))]
-    for j in (8, 4, 2, 1):
-        high = sum(1 << c for c in range(LANE) if c & j)  # columns with bit j set
-        blocks.append(sum(high << LANE * r for r in range(LANE) if not r & j))
-    return tuple(bits.to_bytes(ROW_BYTES, "little") for bits in blocks)
-
-
-def _batch_passes(n: int, rows: bytes, node_budgets) -> bool:
-    """Whether every entry passes check_row, given that the first does:
-    budgets None or at least 0, and rows that are graphs on 1..n, each
-    tested as a bit matrix against its transpose, CHECK_ROWS rows at a time.
-    """
-    if not all(b is None or (type(b) is int and b >= 0) for b in node_budgets):
-        return False
-    # masks for as many rows as a chunk holds: a one-row call builds no more
-    chunk = min(len(node_budgets), CHECK_ROWS)
-    valid, *swaps = (int.from_bytes(b * chunk, "little") for b in _block_masks(n))
-    step = chunk * ROW_BYTES
-    for start in range(0, len(rows), step):
-        # a shorter last chunk sees only the masks' low rows
-        packed = int.from_bytes(rows[start:start + step], "little")
-        if packed & ~valid:
-            return False
-        flipped = packed
-        for j, swap in zip((8, 4, 2, 1), swaps):
-            t = ((flipped >> 15 * j) ^ flipped) & swap
-            flipped ^= t ^ (t << 15 * j)
-        if flipped != packed:
-            return False
-    return True
 
 
 @lru_cache(maxsize=None)
@@ -432,9 +384,11 @@ def _bit_digits() -> tuple[bytes, ...]:
 
 
 def _union_search(
-    n, rows, group_sizes, min_copies, max_copies, forbid_132, find_all, limit
+    n, rows, node_budgets, group_sizes, min_copies, max_copies, forbid_132, find_all
 ):
-    """The batch's results from one DFS, or None if the union would pass limit."""
+    """The batch's results from one DFS, or None if the union would pass the
+    smallest budget. Raises the first faulty entry's error if an entry past
+    entry 0, which run_batch has checked, fails check_row."""
     full, bit, shift, not_bit, clear, repeat, between, lanes, letters = _tables(n)
     count = len(rows) // ROW_BYTES
     everyone = (1 << count) - 1
@@ -458,10 +412,25 @@ def _union_search(
                 any_edge[c] |= bit[y]
             if graphs != everyone:
                 any_nonedge[c] |= bit[y]
+    # valid: the bits a graph on 1..n may set, in masks 1..n, bits 1..n, off
+    # the diagonal. Every entry passes check_row if every budget is None or
+    # an int of at least 0, no row sets a bit outside valid, and each pair's
+    # two bits agree in every row.
+    valid = sum(not_bit[c] << shift[c] for c in range(1, n + 1))
+    if not (
+        all(b is None or (type(b) is int and b >= 0) for b in node_budgets)
+        and not int.from_bytes(rows, "little")
+        & ~int.from_bytes(valid.to_bytes(ROW_BYTES, "little") * count, "little")
+        and all(with_edge[c][y] == with_edge[y][c]
+                for c in range(1, n + 1) for y in range(c + 1, n + 1))
+    ):
+        # find and raise the first faulty entry's error
+        for i, budget in enumerate(node_budgets):
+            check_row(n, row_key(rows, i), min_copies, max_copies, budget)
+    limit = min((b for b in node_budgets if b), default=-1)
     # a row's target: its non-neighbour masks, packed as nonalt is.
     # targets[t]: the first entry whose target is t; twins[t]: the set of
     # all entries with target t, for the targets that more than one has.
-    valid = sum(not_bit[c] << shift[c] for c in range(1, n + 1))
     targets: dict[int, int] = {}
     twins: dict[int, int] = {}
     for i in range(count):

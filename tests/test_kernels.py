@@ -788,10 +788,10 @@ def test_input_validation():
 
 
 def test_batch_raises_the_first_faulty_entrys_error(request):
-    # Every layer tests CHECK_ROWS entries at once (the compiled kernel
-    # checks entry by entry) and checks entry by entry only a batch that
-    # fails, so the error is the Python run_search's on the first faulty
-    # entry, wherever it sits in a batch of any length
+    # The Python kernel checks a batch in bulk (the compiled kernel checks
+    # entry by entry) and checks entry by entry only a batch that fails, so
+    # on every layer the error is the Python run_search's on the first
+    # faulty entry, wherever it sits in a batch of any length
     py = kernels.load_backend("python")
     good = complete(4).adjacency_masks()
     faults = [
@@ -819,12 +819,77 @@ def test_batch_raises_the_first_faulty_entrys_error(request):
     for layer in itertools.chain([kernels], python_then_compiled(request)):
         for (i, (adj, budget)), (later, later_budget) in itertools.product(
                 enumerate(faults), faults):
-            for at in (0, 1, 70, py.CHECK_ROWS - 1, py.CHECK_ROWS + 5):
+            for at in (0, 1, 70, 255, 261):
                 masks = [good] * at + [adj] + [good] * 3 + [later] + [good]
                 budgets = [None] * at + [budget] + [None] * 3 + [later_budget, None]
                 with pytest.raises(ValueError) as batched:
                     layer.run_batch(4, pack_rows(masks), 1, 2, True, False, budgets)
                 assert str(batched.value) == expected[i], (layer.__name__, i, at)
+
+
+def random_fault_batch(rnd):
+    """A random batch of graphs on 1..n for n in 2..7, 2 to 300 rows, with
+    at most one fault at a random entry: an asymmetric pair, a self-loop, a
+    bit outside 1..n, a bit in a mask past n, or a nonzero mask 0. Returns
+    n, masks 0..15 of each row, the fault and its entry."""
+    n = rnd.randint(2, 7)
+    batch_masks = []
+    for _ in range(rnd.randint(2, 300)):
+        masks = [0] * 16
+        for u, v in itertools.combinations(range(1, n + 1), 2):
+            if rnd.random() < 0.5:
+                masks[u] |= 1 << v
+                masks[v] |= 1 << u
+        batch_masks.append(masks)
+    fault = rnd.choice(["none", "asymmetric", "self-loop", "outside", "past n", "mask 0"])
+    at = rnd.randrange(len(batch_masks))
+    masks = batch_masks[at]
+    v = rnd.randint(1, n)
+    if fault == "asymmetric":
+        masks[v] ^= 1 << rnd.choice([u for u in range(1, n + 1) if u != v])
+    elif fault == "self-loop":
+        masks[v] |= 1 << v
+    elif fault == "outside":
+        masks[v] |= 1 << rnd.choice([0, *range(n + 1, 16)])
+    elif fault == "past n":
+        masks[rnd.randint(n + 1, 15)] |= 1 << rnd.randint(0, 15)
+    elif fault == "mask 0":
+        masks[0] |= 1 << rnd.randint(0, 15)
+    return n, batch_masks, fault, at
+
+
+def test_bulk_batch_check_agrees_with_check_row(request):
+    # The Python kernel checks a batch of two or more rows in bulk, from its
+    # union search's per-pair graph sets and one AND of all rows; a batch
+    # must raise iff some entry fails check_row, with the first one's error.
+    # Budgets of 1 node keep the searches of the batches that pass short.
+    py = kernels.load_backend("python")
+    rnd = random.Random(26)
+    cases = [random_fault_batch(rnd) for _ in range(100)]
+    # each kind of fault sits past entry 0, which is checked before the
+    # bulk check, in some batch
+    assert len({fault for _, _, fault, at in cases if at > 0 and fault != "none"}) == 5
+
+    def first_error(n, batch_masks):
+        for masks in batch_masks:
+            try:
+                py.check_row(n, sum(m << 16 * v for v, m in enumerate(masks)), 1, 2, 1)
+            except ValueError as e:
+                return str(e)
+        return None
+
+    expected = [first_error(n, batch_masks) for n, batch_masks, _, _ in cases]
+    for layer in itertools.chain([kernels], python_then_compiled(request)):
+        for (n, batch_masks, _, _), error in zip(cases, expected):
+            rows = pack_rows(batch_masks)
+            budgets = [1] * len(batch_masks)
+            if error is None:
+                got = layer.run_batch(n, rows, 1, 2, True, False, budgets)
+                assert len(got) == len(batch_masks), (layer.__name__, n)
+                continue
+            with pytest.raises(ValueError) as raised:
+                layer.run_batch(n, rows, 1, 2, True, False, budgets)
+            assert str(raised.value) == error, (layer.__name__, n)
 
 
 @pytest.mark.parametrize("adj", [
