@@ -46,17 +46,18 @@ one has a witness. A walk uses a result searched ahead of it only where the
 serial walk would get the same result (see _walk), so every report is the
 serial one. search_fixed walks the identity labeling only,
 search_all_labelings every labeling of one graph, and scan_order every
-labeling of every class of an order. A parallel scan_order gives each of
-its k workers the interleaved group classes[i::k] to decide in rounds, and
-keeps the reports in scan order, so serial and parallel outputs are
-identical.
+labeling of every class of an order. A parallel scan_order splits the
+classes into k interleaved groups, classes[i::k], and decides group 0 in
+its own process while k - 1 child processes decide the others, each in
+rounds of its own and each sending its reports back over a pipe; the
+reports stay in scan order, so serial and parallel outputs are identical.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import sys
+import os
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Iterable, Iterator, Optional, Sequence
@@ -103,17 +104,6 @@ ROUND_GRAPHS = 16
 # 105,840 at n = 7, the largest order scan_order runs. Above it only single
 # searches run, where the kernel dwarfs the cost of the keys.
 COLUMNS_MAX_N = 7
-
-
-def __getattr__(name: str):
-    # ProcessPoolExecutor is imported on first use: concurrent.futures
-    # loads multiprocessing, which only a parallel scan_order needs.
-    if name == "ProcessPoolExecutor":
-        from concurrent.futures import ProcessPoolExecutor
-
-        globals()[name] = ProcessPoolExecutor
-        return ProcessPoolExecutor
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True)
@@ -484,6 +474,75 @@ def search_all_labelings(
     return _decide_classes(g.n, [g], cfg)[0]
 
 
+def _decide_group(writer, n: int, group: Sequence[LabeledGraph],
+                  cfg: SearchConfig) -> None:
+    """A child process's part of a parallel scan: send the reports of group
+    over writer, or the exception that deciding it raised."""
+    try:
+        writer.send(_decide_classes(n, group, cfg))
+    except Exception as e:
+        writer.send(e)
+
+
+def _start_group(ctx, n: int, group: Sequence[LabeledGraph], cfg: SearchConfig):
+    """Start a child process of the multiprocessing context ctx that
+    decides group (see _decide_group); return it and its pipe's read end."""
+    reader, writer = ctx.Pipe(duplex=False)
+    child = ctx.Process(target=_decide_group, args=(writer, n, group, cfg))
+    try:
+        child.start()
+    except BaseException:
+        reader.close()
+        raise
+    finally:
+        writer.close()  # the child holds its own end; EOF means it is gone
+    return child, reader
+
+
+def _decide_groups(n: int, graphs: list[LabeledGraph], cfg: SearchConfig,
+                   k: int) -> list[SearchReport]:
+    """The reports of graphs, decided in the k interleaved groups
+    graphs[i::k]: group 0 in this process, each other group in a child
+    process of its own, started first.
+
+    A child's exception is raised here; a child that ends without sending
+    its reports raises RuntimeError. No child outlives the call: on any
+    exception here, the children still running are terminated, and every
+    child is joined.
+    """
+    import multiprocessing  # loaded by a parallel scan only
+
+    # fork where there is one: a child then shares the parent's tables and
+    # caches. multiprocessing flushes sys.stdout and sys.stderr before it
+    # forks, so no child writes out output the parent had buffered.
+    ctx = multiprocessing.get_context("fork" if hasattr(os, "fork") else None)
+    reports: list = [None] * len(graphs)
+    children = []
+    try:
+        for i in range(1, k):
+            children.append(_start_group(ctx, n, graphs[i::k], cfg))
+        reports[0::k] = _decide_classes(n, graphs[0::k], cfg)
+        for i, (child, reader) in enumerate(children, 1):
+            try:
+                part = reader.recv()
+            except EOFError:
+                child.join()
+                raise RuntimeError(
+                    f"scan group {i} ended with exit code {child.exitcode} "
+                    "before sending its reports") from None
+            child.join()
+            if isinstance(part, BaseException):
+                raise part
+            reports[i::k] = part
+    finally:
+        for child, reader in children:
+            if child.exitcode is None:
+                child.terminate()
+            child.join()
+            reader.close()
+    return reports
+
+
 def scan_order(
     n: int,
     cfg: SearchConfig = SearchConfig(),
@@ -497,24 +556,22 @@ def scan_order(
     nodes); budget exhaustion marks that graph and the scan continues.
     Classes come in enumerate_graphs' order: by edge count, then edge
     list. The classes are decided together in rounds of one batched kernel
-    call (see _decide_classes). With workers = k > 1 one process pool for
-    the scan takes k interleaved groups, classes[i::k], each decided in
-    rounds of its own; the reports are the serial ones.
+    call (see _decide_classes). With workers > 1 the scan runs in k groups,
+    k being the least of workers, the number of classes and the CPUs this
+    process may use: k interleaved groups, classes[i::k], each decided in
+    rounds of its own, group 0 in this process and the others in k - 1
+    child processes (see _decide_groups). The reports are the serial ones.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
     budget = cfg.node_budget if cfg.node_budget is not None else DEFAULT_SCAN_NODE_BUDGET
     cfg = replace(cfg, node_budget=budget)
     graphs = list(enumerate_graphs(n, isolate_free=True))
-    groups = min(workers, len(graphs))
-    if groups > 1:
-        reports: list = [None] * len(graphs)
-        # looked up on the module, where it is loaded lazily and may be replaced
-        pool_class = sys.modules[__name__].ProcessPoolExecutor
-        with pool_class(max_workers=groups) as pool:
-            parts = [graphs[i::groups] for i in range(groups)]
-            for i, group in enumerate(
-                    pool.map(_decide_classes, [n] * groups, parts, [cfg] * groups)):
-                reports[i::groups] = group
-        return list(zip(graphs, reports))
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    k = min(workers, len(graphs), cpus)
+    if k > 1:
+        return list(zip(graphs, _decide_groups(n, graphs, cfg, k)))
     return list(zip(graphs, _decide_classes(n, graphs, cfg)))

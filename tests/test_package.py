@@ -87,24 +87,30 @@ import sys
 print(" ".join(sorted(m for m in sys.modules if m.split(".")[0] == "rep132")))
 print(" ".join(m for m in ("concurrent.futures", "multiprocessing", "dataclasses")
                if m in sys.modules) or "-")
+import os
+os.sched_getaffinity = lambda pid: {0, 1}  # two groups on any machine
 from rep132 import formats, search
 serial = search.scan_order(4, workers=1)
 parallel = search.scan_order(4, workers=2)
 print(formats.dumps(formats.catalog_to_json(4, parallel))
       == formats.dumps(formats.catalog_to_json(4, serial)), len(serial))
+print(" ".join(m for m in ("concurrent.futures", "multiprocessing")
+               if m in sys.modules) or "-")
 """
 
 
 def test_cold_start_loads_only_what_the_probe_runs():
     done = run_fresh(setup_probe_code() + COLD_START_CHECK)
     assert done.returncode == 0, done.stderr
-    loaded, heavy, same = done.stdout.splitlines()
+    loaded, heavy, same, after_scans = done.stdout.splitlines()
     allowed = {"rep132", "rep132.graphs", "rep132.kernels", "rep132._kernel_py"}
     assert {"rep132", "rep132.kernels"} <= set(loaded.split())
     assert set(loaded.split()) - {"rep132._kernel"} <= allowed, loaded
     assert heavy == "-"
-    # the pool still loads on demand, and a parallel scan is the serial one
+    # a parallel scan is the serial one, and it loads multiprocessing for
+    # its child processes but no executor
     assert same == "True 7"
+    assert after_scans == "multiprocessing"
 
 
 # -------------------------------------------------------------- environment

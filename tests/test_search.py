@@ -2,8 +2,13 @@
 
 import dataclasses
 import itertools
+import os
+import subprocess
+import sys
+import time
 from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -471,38 +476,166 @@ def test_scan_applies_default_budget():
         assert rep.config.node_budget == DEFAULT_SCAN_NODE_BUDGET
 
 
+def patch_cpus(monkeypatch, count):
+    """Make scan_order see count usable CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)),
+                        raising=False)
+
+
+def count_starts(monkeypatch):
+    """The groups scan_order hands to child processes, one list per start;
+    each child still starts and decides its group."""
+    started = []
+    start_group = search._start_group
+
+    def counting(ctx, n, group, cfg):
+        started.append(list(group))
+        return start_group(ctx, n, group, cfg)
+
+    monkeypatch.setattr(search, "_start_group", counting)
+    return started
+
+
+def assert_no_children():
+    # every child process has been joined: none left running or unreaped
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 @pytest.mark.parametrize("cfg", [
     SearchConfig(),
     SearchConfig(node_budget=1000),
 ])
-def test_parallel_scan_reports_are_byte_identical(cfg):
+def test_parallel_scan_reports_are_byte_identical(cfg, monkeypatch):
+    patch_cpus(monkeypatch, 3)
+    started = count_starts(monkeypatch)
     serial = scan_order(5, cfg, workers=1)
-    parallel = scan_order(5, cfg, workers=2)
     if cfg.node_budget is not None:
         assert any(rep.outcome == BUDGET_EXCEEDED for _, rep in serial)
-    assert dumps(catalog_to_json(5, parallel)) == dumps(catalog_to_json(5, serial))
+    for workers in (2, 3):
+        parallel = scan_order(5, cfg, workers=workers)
+        assert dumps(catalog_to_json(5, parallel)) == dumps(catalog_to_json(5, serial))
+    classes = scan_classes(5)
+    assert started == [classes[1::2], classes[1::3], classes[2::3]]
+    assert_no_children()
 
 
-def test_parallel_scan_creates_one_pool(monkeypatch):
-    created = []
-
-    class CountingPool(search.ProcessPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            created.append(kwargs.get("max_workers"))
-            super().__init__(*args, **kwargs)
-
-    monkeypatch.setattr(search, "ProcessPoolExecutor", CountingPool)
+def test_parallel_scan_starts_one_child_per_extra_group(monkeypatch):
+    patch_cpus(monkeypatch, 3)
+    started = count_starts(monkeypatch)
     assert len(scan_order(5, workers=2)) == 23
-    assert created == [2]
+    assert len(started) == 1
+    assert len(scan_order(5, workers=3)) == 23
+    assert len(started) == 3
     scan_order(5, workers=1)
-    assert created == [2]
+    assert len(started) == 3
     # the worker count has one source, the argument, which defaults to 1
     monkeypatch.setenv("REP132_WORKERS", "3")
     scan_order(4)
-    assert created == [2]
+    assert len(started) == 3
     with pytest.raises(ValueError, match=r"^workers must be >= 1$"):
         scan_order(4, workers=0)
-    assert created == [2]
+    assert len(started) == 3
+    assert_no_children()
+
+
+def test_parallel_scan_starts_at_most_one_process_per_cpu_and_class(monkeypatch):
+    started = count_starts(monkeypatch)
+    patch_cpus(monkeypatch, 3)
+    scan_order(5, workers=1000)  # 23 classes, 3 CPUs: 3 groups
+    assert len(started) == 2
+    scan_order(2, workers=1000)  # one class: no child
+    assert len(started) == 2
+    assert [len(g) for g in started] == [8, 7]
+    # without sched_getaffinity the CPU count is os.cpu_count(), or 1
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    scan_order(4, workers=1000)
+    assert len(started) == 3
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    scan_order(4, workers=1000)
+    assert len(started) == 3
+    assert_no_children()
+
+
+def decide_or(parent_does, child_does):
+    """A stand-in for search._decide_classes: in this process parent_does
+    (None: the real decision), in any child child_does."""
+    decide = search._decide_classes
+    parent = os.getpid()
+
+    def stand_in(n, group, cfg, fixed=False):
+        act = parent_does if os.getpid() == parent else child_does
+        if act is None:
+            return decide(n, group, cfg, fixed)
+        return act()
+
+    return stand_in
+
+
+def fail(error):
+    def act():
+        raise error
+    return act
+
+
+# decide_or reaches a child through the fork that copies the patched module
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+
+
+@needs_fork
+def test_a_childs_exception_is_raised_in_the_parent(monkeypatch):
+    patch_cpus(monkeypatch, 2)
+    monkeypatch.setattr(search, "_decide_classes", decide_or(
+        None, fail(LookupError("no such labeling 7"))))
+    with pytest.raises(LookupError, match=r"^no such labeling 7$"):
+        scan_order(5, workers=2)
+    assert_no_children()
+
+
+@needs_fork
+def test_a_child_that_ends_without_reports_is_an_error(monkeypatch):
+    patch_cpus(monkeypatch, 2)
+    monkeypatch.setattr(search, "_decide_classes", decide_or(
+        None, lambda: os._exit(3)))
+    with pytest.raises(RuntimeError, match=r"exit code 3\b"):
+        scan_order(5, workers=2)
+    assert_no_children()
+
+
+@needs_fork
+def test_the_parents_exception_stops_every_child(monkeypatch):
+    # the children would take a minute; the parent's error ends them at once
+    patch_cpus(monkeypatch, 3)
+    monkeypatch.setattr(search, "_decide_classes", decide_or(
+        fail(ArithmeticError("parent group failed")), lambda: time.sleep(60)))
+    t0 = time.monotonic()
+    with pytest.raises(ArithmeticError, match=r"^parent group failed$"):
+        scan_order(5, workers=3)
+    assert time.monotonic() - t0 < 30
+    assert_no_children()
+
+
+PARALLEL_AFTER_BUFFERED_OUTPUT = """
+import os, sys
+os.sched_getaffinity = lambda pid: {0, 1}
+from rep132 import search
+sys.stdout.write("before the scan;")  # held in the buffer: stdout is a pipe
+search.scan_order(4, workers=2)
+sys.stdout.write(" after it\\n")
+"""
+
+
+def test_buffered_output_is_written_once_by_a_parallel_scan():
+    # a forked child holds a copy of the parent's stdout buffer; were it
+    # flushed there too, the text before the scan would appear twice
+    env = {k: v for k, v in os.environ.items()
+           if k != "PYTHONUNBUFFERED" and not k.startswith("REP132_")}
+    env["PYTHONPATH"] = str(Path(search.__file__).resolve().parent.parent)
+    done = subprocess.run([sys.executable, "-c", PARALLEL_AFTER_BUFFERED_OUTPUT],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "before the scan; after it\n"
 
 
 SCAN_CONFIGS = [
