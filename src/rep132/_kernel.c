@@ -16,9 +16,9 @@
    several 64-bit words, and it falls back to one rec() per graph when the
    union would pass the smallest budget. It reads the graphs as packed rows
    through the buffer protocol, ROW_BYTES bytes each. Its results equal the
-   per-graph ones, entry for entry, except that without find_all a hit
-   drops the later entries of its group that have not found a witness,
-   which come back as None.
+   per-graph ones, entry for entry, except that without find_all the
+   entries of a group after its first entry with a witness come back as
+   None, on the union and on the fallback alike.
 
    run_search is run_batch over one row: it checks only what a row cannot
    express, in the order of _kernel_py.pack_row, packs the row and returns
@@ -467,7 +467,7 @@ keep_live(const Batch *b, Part *set, Py_ssize_t len)
     return m;
 }
 
-/* Moves the graphs from .. to - 1 that are still live to dropped. */
+/* Marks the graphs from .. to - 1 dropped and takes them out of live. */
 static void
 drop_range(Batch *b, Py_ssize_t from, Py_ssize_t to)
 {
@@ -478,20 +478,15 @@ drop_range(Batch *b, Py_ssize_t from, Py_ssize_t to)
             range <<= lo;
         if (hi < WORD_BITS)
             range &= ~(word_t)0 >> (WORD_BITS - hi);
-        word_t w = b->live[j] & range;
-        if (w) {
-            b->live[j] &= ~w;
-            b->dropped[j] |= w;
-            b->kills++;
-        }
+        b->live[j] &= ~range;
+        b->dropped[j] |= range;
     }
 }
 
 /* Gives the current prefix, a finished word, to every graph of set whose
-   target it hits. Without find_all, those graphs leave live and set, and
-   so do the later graphs of their groups that are still live, which are
-   dropped. Returns the new number of parts of set, or -1 on a Python
-   error. */
+   target it hits. Without find_all, each of those graphs leaves live and
+   drops every later graph of its group, hit or not; then they all leave
+   set. Returns the new number of parts of set, or -1 on a Python error. */
 static Py_ssize_t
 leaf(Batch *b, Part *set, Py_ssize_t len)
 {
@@ -511,17 +506,12 @@ leaf(Batch *b, Part *set, Py_ssize_t len)
         }
         if (!st->find_all) {
             b->live[i / WORD_BITS] &= ~((word_t)1 << (i % WORD_BITS));
+            drop_range(b, i + 1, b->group_end[i]);
             b->kills++;
         }
     }
     Py_XDECREF(word);
-    if (st->find_all)
-        return len;
-    /* every hit has left live first, so a hit here is never dropped */
-    for (Py_ssize_t i = first; i >= 0; i = b->next_same[i])
-        if (holds(set, len, i))
-            drop_range(b, i + 1, b->group_end[i]);
-    return keep_live(b, set, len);
+    return st->find_all ? len : keep_live(b, set, len);
 }
 
 /* rec() over the union: alive holds the graphs whose own search visits
@@ -680,14 +670,10 @@ union_search(Batch *b)
     totals(b, b->leaf_planes, tested);
     out = PyList_New(b->count);
     for (Py_ssize_t i = 0; out != NULL && i < b->count; i++) {
-        PyObject *res;
-        if (b->dropped[i / WORD_BITS] >> (i % WORD_BITS) & 1) {
-            Py_INCREF(Py_None);
-            res = Py_None;
-        }
-        else
-            res = Py_BuildValue("(OKKO)", PyList_GET_ITEM(b->lists, i), nodes[i],
-                                tested[i], Py_False);
+        PyObject *res = b->dropped[i / WORD_BITS] >> (i % WORD_BITS) & 1
+            ? Py_NewRef(Py_None)
+            : Py_BuildValue("(OKKO)", PyList_GET_ITEM(b->lists, i), nodes[i],
+                            tested[i], Py_False);
         if (res == NULL)
             Py_CLEAR(out);
         else
@@ -722,8 +708,8 @@ PyDoc_STRVAR(run_batch_doc,
 "--\n\n"
 "run_search for each graph of rows (32 bytes each, masks 0..15 of 16 bits,\n"
 "little-endian) under its node budget, from one DFS over the union of the\n"
-"graphs' searches. Without find_all, an entry that has not found a witness\n"
-"when an earlier entry of its group finds one is dropped, and is None.\n\n"
+"graphs' searches. Without find_all, the entries of a group after its first\n"
+"entry with a witness are dropped, and are None.\n\n"
 "Same contract as rep132._kernel_py.run_batch.");
 
 /* Reads group_sizes, None or sizes of at least 1 that add up to b->count,
@@ -841,6 +827,10 @@ run_batch(PyObject *self, PyObject *args, PyObject *kwds)
             Py_CLEAR(out);
         else
             PyList_SET_ITEM(out, i, res);
+        /* without find_all, the entries of the group after a witness are None */
+        while (out != NULL && !st.find_all && PyList_GET_SIZE(st.witnesses)
+               && i + 1 < b.group_end[i])
+            PyList_SET_ITEM(out, ++i, Py_NewRef(Py_None));
     }
 done:
     batch_free(&b);

@@ -55,8 +55,8 @@ the union of their search trees; run_search is run_batch over one graph.
 The graphs come as packed rows, ROW_BYTES bytes each: mask v in bits
 16v..16v+15 of the row read as a little-endian int, the lanes of target
 above with edges in place of non-edges. They form groups of consecutive
-entries; without find_all, a hit drops the later entries of its group that
-have not found a witness, and those come back as None. The compiled twin's
+entries; without find_all, the entries of a group after its first entry
+with a witness come back as None, on every path. The compiled twin's
 run_batch walks the same union with the same child order, prunes, budget
 rule, drops and per-graph fallback, and gives the same results.
 """
@@ -316,9 +316,10 @@ def run_batch(
     0..MAX_N, 16 bits each, little-endian (masks n+1..MAX_N empty). The
     graphs form groups of group_sizes consecutive entries (default: each
     entry alone). Entry i is run_search(n, masks of row i, ..., budget i),
-    with the same checks on every entry, except that without find_all an
-    entry that has not found a witness when an earlier entry of its group
-    finds one is dropped, and is None.
+    with the same checks on every entry, except that without find_all the
+    entries of a group after its first entry with a witness are dropped,
+    and are None. So the results depend only on the per-graph searches,
+    never on the union, the search order or the budgets.
 
     The checks are batch_shape's, then check_row's on each entry, in the
     compiled twin's order. Entry 0's checks cover n and the copy counts for
@@ -348,16 +349,16 @@ def run_batch(
     per-graph totals (_add_tallies), so the tallies' memory stays bounded.
     Witness lists are kept only for the entries that hit.
 
-    Without find_all, the graphs of one group drop out together: when
-    entries hit at a leaf, every later entry of a hit's group that has not
-    found a witness leaves the union, and its result is None. Entries that
-    hit at that same leaf keep theirs. Taking graphs out of the union
-    changes no other graph's search.
+    Without find_all, a hit takes its entry out of the union and drops
+    every later entry of its group, hit already or not, as None. A group's
+    first entry with a witness is never dropped, so it drops all the
+    others after it. Taking graphs out of the union changes no other
+    graph's search.
 
     Budgets: a graph's search stays under its budget while the union's
     node count does. When the union would pass the smallest budget, the
     batch is searched again one graph at a time, each with its own budget,
-    and no entry is dropped.
+    up to each group's first witness without find_all.
     """
     rows, node_budgets, group_sizes = batch_shape(n, rows, min_copies, max_copies,
                                                   node_budgets, group_sizes)
@@ -370,10 +371,15 @@ def run_batch(
         out = _union_search(n, rows, node_budgets, group_sizes, *common)
         if out is not None:
             return out
-    return [
-        _search_graph(n, row_masks(row_key(rows, i), n), *common, budget)
-        for i, budget in enumerate(node_budgets)
-    ]
+    out = []
+    for end in itertools.accumulate(group_sizes):
+        for i in range(len(out), end):
+            out.append(_search_graph(n, row_masks(row_key(rows, i), n), *common,
+                                     node_budgets[i]))
+            if out[-1][0] and not find_all:
+                break
+        out += [None] * (end - len(out))  # the entries after the group's hit
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -532,14 +538,12 @@ def _union_search(
                     word = tuple(prefix)
                     for i in _members(hit):
                         witnesses.setdefault(i, []).append(word)
+                        if not find_all:  # drop every later entry of i's group
+                            end = group_end[bisect.bisect_right(group_end, i)]
+                            dropped |= (1 << end) - (2 << i)
                     if not find_all:
                         drops += 1
-                        live &= ~hit
-                        # drop the entries after each hit in its group
-                        for i in _members(hit):
-                            end = group_end[bisect.bisect_right(group_end, i)]
-                            dropped |= live & ((1 << end) - (2 << i))
-                        live &= ~dropped
+                        live &= ~(hit | dropped)
                         sub &= live
             if sub and rec(
                 forbidden | between_min[c],
@@ -590,30 +594,24 @@ def _add_tallies(planes: list[int], tally: dict[int, int], most: int) -> None:
     """Add each set's tally in tally to the per-index totals, then empty tally.
 
     The totals are bit-sliced: planes[p] is the set of indices whose total
-    has bit p. Adding t to every member of a set puts the set among plane
-    p's addends for each bit p of t, whole sets at a time instead of member
-    by member. Each plane's addends are then summed carry-save: a running
-    sum takes them two at a time through a full adder, whose carry joins
-    the next plane's addends. most bounds every total after the addition.
+    has bit p. Adding t to every member of a set adds the set into plane p
+    for each bit p of t, whole sets at a time instead of member by member,
+    each with a ripple carry into the planes above, as the compiled twin's
+    tally() adds 1. most bounds every total after the addition.
     """
     planes.extend([0] * (most.bit_length() - len(planes)))
-    addends = [[plane] for plane in planes]
     for graphs, times in tally.items():
-        for p in range(times.bit_length()):
-            if times >> p & 1:
-                addends[p].append(graphs)
-    for p, column in enumerate(addends):
-        if not len(column) & 1:
-            column.append(0)  # the addends after the first go in pairs
-        pairs = iter(column)
-        total = next(pairs)
-        for a, b in zip(pairs, pairs):
-            half = total ^ a
-            carry = (total & a) | (half & b)
-            if carry:
-                addends[p + 1].append(carry)
-            total = half ^ b
-        planes[p] = total
+        p = 0
+        while times:
+            if times & 1:
+                carry, q = graphs, p
+                while carry:
+                    plane = planes[q]
+                    planes[q] = plane ^ carry
+                    carry &= plane
+                    q += 1
+            times >>= 1
+            p += 1
     tally.clear()
 
 

@@ -22,10 +22,11 @@ run_batch is the one call: it answers for several graphs on the same n,
 entry for entry, from rows of ROW_BYTES bytes per graph (masks 0..MAX_N of
 16 bits, little-endian), the layout of the scan's memo keys, in one DFS
 over the union of their searches. The entries form groups of consecutive
-graphs: without find_all, an entry that has not found a witness when an
-earlier entry of its group finds one is dropped and returned as None. A
-scan decides its classes in rounds of run_batch calls, one group per
-class, so a class stops searching its later labelings at its first hit.
+graphs: without find_all, the entries of a group after its first entry
+with a witness are dropped and returned as None, on every path of both
+kernels. A scan decides its classes in rounds of run_batch calls, one
+group per class, so a class stops searching its later labelings at its
+first hit.
 run_search is run_batch over one row.
 """
 
@@ -103,8 +104,8 @@ def run_batch(
 ):
     """The active backend's run_batch: run_search over each graph of rows,
     in groups of group_sizes consecutive entries (default: each alone).
-    Without find_all, an entry still searching when an earlier entry of its
-    group finds a witness is dropped, and is None.
+    Without find_all, the entries of a group after its first entry with a
+    witness are dropped, and are None.
     """
     return _backend().run_batch(n, rows, min_copies, max_copies, forbid_132,
                                 find_all, node_budgets, group_sizes)

@@ -41,8 +41,8 @@ for the labeled graph its walk needs plus its next distinct labeled graphs
 not yet searched, 8 in all in its first round and 4 times as many in each
 round after (see _decide_classes), under its remaining budget, so the
 kernel shares word prefixes across many graphs. Each graph's asks form one
-group of the batch, in walk order, so the kernel stops searching them once
-one has a witness. A walk uses a result searched ahead of it only where the
+group of the batch, in walk order, and the kernel returns no result for
+those after the first with a witness, on any path. A walk uses a result searched ahead of it only where the
 serial walk would get the same result (see _walk), so every report is the
 serial one. search_fixed walks the identity labeling only,
 search_all_labelings every labeling of one graph, and scan_order every
@@ -57,6 +57,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import os
 from dataclasses import dataclass, replace
 from functools import lru_cache
@@ -93,10 +94,12 @@ GROWTH = 4
 BATCH_GRAPHS = 4096
 
 # Fewest graphs a round must ask for in all before it searches any ahead of
-# the walks. On the compiled kernel a union search of a few graphs costs
-# more than their searches apart (2 graphs about 2.5 times as much, 8 about
-# the same, 29 about half), so a single search asks only for the graph its
-# walk needs in its first round, and speculates from its second.
+# the walks, so a single search asks only for the graph its walk needs in
+# its first round, and speculates from its second. Both kernels need it: on
+# the compiled one a union of a few graphs costs more than their searches
+# apart (2 graphs about 2.5 times as much, 8 about the same, 29 about half),
+# and on the Python one, without it, search_all_labelings took 2.0 times as
+# long on cycle(5) and 1.75 times on path(7), though 0.92 times on star(6).
 ROUND_GRAPHS = 16
 
 # Largest order whose labelings read their keys off per-pair columns (see
@@ -113,10 +116,15 @@ class SearchConfig:
     node_budget: Optional[int] = None
 
     def __post_init__(self):
-        if not isinstance(self.max_copies, int) or self.max_copies not in (1, 2, 3):
+        # a bool is an int, and True would pass as 1
+        if type(self.max_copies) is bool or not isinstance(self.max_copies, int) \
+                or self.max_copies not in (1, 2, 3):
             raise ValueError("max_copies must be 1, 2 or 3")
+        if not isinstance(self.find_all, bool):
+            raise ValueError("find_all must be a bool")
         if self.node_budget is not None and (
-                not isinstance(self.node_budget, int) or self.node_budget < 1):
+                type(self.node_budget) is bool or not isinstance(self.node_budget, int)
+                or self.node_budget < 1):
             raise ValueError("node_budget must be an int >= 1")
 
 
@@ -310,8 +318,9 @@ def _decide_classes(
     class. Each class keeps its results in one dict, the walk's memo, and
     the walk uses a speculative result only where the serial walk would get
     the same one (see _walk), so every report is the serial one. Without
-    find_all, the kernel drops a class's entries after its first hit, and
-    returns None for them; the walk stops at or before that hit, having
+    find_all, the kernel drops a class's entries after its first entry with
+    a witness, and returns None for them, whether it searched them in one
+    union or one by one; the walk stops at or before that entry, having
     every result before it, so it never reads a dropped key and None is not
     stored. The walk and the lookahead are two cursors over the class's
     keys (_walk_keys); before it reads, the lookahead's cursor skips to the
@@ -562,6 +571,7 @@ def scan_order(
     rounds of its own, group 0 in this process and the others in k - 1
     child processes (see _decide_groups). The reports are the serial ones.
     """
+    workers = operator.index(workers)  # TypeError for a non-int
     if workers < 1:
         raise ValueError("workers must be >= 1")
     budget = cfg.node_budget if cfg.node_budget is not None else DEFAULT_SCAN_NODE_BUDGET

@@ -177,24 +177,15 @@ def by_order(graphs):
 BATCHES = by_order(BATTERY + [g for n in (2, 3, 4) for g in enumerate_graphs(n)])
 
 
-def dropped_entries(results, groups):
-    """The entries a run_batch without find_all drops, given each entry's
-    run_search result: those with no first witness before, in DFS order,
-    the earliest first witness of the entries before them in their group.
-    DFS order is tuple order: lexicographic, a prefix first.
-    """
-    out = set()
-    start = 0
-    for size in groups:
-        earliest = None
-        for i in range(start, start + size):
-            witnesses = results[i][0]
-            mine = witnesses[0] if witnesses else None
-            if earliest is not None and (mine is None or earliest < mine):
-                out.add(i)
-            if mine is not None and (earliest is None or mine < earliest):
-                earliest = mine
-        start += size
+def first_witness_cut(results, groups):
+    """What a run_batch without find_all returns, given each entry's
+    run_search result: every entry of a group after its first entry with a
+    witness is None, and every other entry is its own result."""
+    out = []
+    for end in itertools.accumulate(groups):
+        group = results[len(out):end]
+        hit = next((j for j, res in enumerate(group) if res[0]), len(group) - 1)
+        out += group[:hit + 1] + [None] * (len(group) - 1 - hit)
     return out
 
 
@@ -202,10 +193,9 @@ def dropped_entries(results, groups):
 def batch_agrees(compiled_kernel):
     """Check both backends' run_batch against per-graph run_search on both.
 
-    Every entry that is not None equals run_search's result. Only a batch
-    in groups without find_all drops entries: exactly dropped_entries when
-    the union search ends under the budgets, as it does with none, and
-    none when the batch falls back to one search per graph.
+    Without find_all, a batch in groups returns first_witness_cut of the
+    per-graph results, whatever the budgets, and every other batch returns
+    them all.
     """
     py = kernels.load_backend("python")
 
@@ -216,16 +206,9 @@ def batch_agrees(compiled_kernel):
         for backend in (py, compiled_kernel):
             expected = [run(backend, g, node_budget=b, **kw)
                         for g, b in zip(graphs, budgets)]
-            assert [res for res in got if res is not None] == \
-                [want for want, res in zip(expected, got) if res is not None], (
-                    backend.__name__, n, budgets, groups, kw)
-        dropped = {i for i, res in enumerate(got) if res is None}
-        if groups is None or kw.get("find_all", True):
-            assert not dropped
-        elif all(b is None for b in budgets):
-            assert dropped == dropped_entries(expected, groups)
-        else:
-            assert dropped in (set(), dropped_entries(expected, groups))
+            if groups is not None and not kw.get("find_all", True):
+                expected = first_witness_cut(expected, groups)
+            assert got == expected, (backend.__name__, n, budgets, groups, kw)
         return got
 
     return agree
@@ -272,9 +255,12 @@ def test_batch_drops_the_later_entries_of_a_group_after_a_hit(batch_agrees):
                     kw = dict(max_copies=maxc, find_all=find_all)
                     got = batch_agrees(n, graphs, [None] * count, groups, **kw)
                     drops += got.count(None)
-                    # over the smallest budget, one search per graph drops nothing
+                    # over the smallest budget, one search per graph drops
+                    # the same entries: the last one's budget cuts no witness
+                    # of an earlier one
                     budgets = [None] * (count - 1) + [1]
-                    assert None not in batch_agrees(n, graphs, budgets, groups, **kw)
+                    fallback = batch_agrees(n, graphs, budgets, groups, **kw)
+                    assert [res is None for res in fallback] == [res is None for res in got]
             batch_agrees(n, graphs, [None] * count, groups, min_copies=2,
                          max_copies=2, forbid_132=False, find_all=False)
     assert drops > 0
@@ -338,16 +324,18 @@ def test_batch_takes_one_dfs_under_the_budget_and_falls_back_over_it(
     assert batch(py, 5, graphs, budgets, find_all=False) == expected
     assert len(calls) == len(graphs)
     # in one group, the union drops the entries after the first hit; the
-    # fallback drops none
+    # fallback drops the same entries, and searches none of them
     one_group = [len(graphs)]
     del calls[:]
     got = batch(py, 5, graphs, [total] * len(graphs), one_group, find_all=False)
     assert calls == [] and None in got
     budgets = [None] * (len(graphs) - 1) + [1]
     expected = [run(py, g, find_all=False, node_budget=b) for g, b in zip(graphs, budgets)]
+    expected = first_witness_cut(expected, one_group)
+    assert [res is None for res in expected] == [res is None for res in got]
     del calls[:]
     assert batch(py, 5, graphs, budgets, one_group, find_all=False) == expected
-    assert len(calls) == len(graphs)
+    assert len(calls) == len(graphs) - expected.count(None)
     # the compiled run_batch falls back at the same budget, with the same results
     compiled = request.getfixturevalue("compiled_kernel")
     assert batch(compiled, 5, graphs, budgets, one_group, find_all=False) == expected
@@ -365,15 +353,16 @@ def test_batch_answers_duplicates_entry_by_entry(request):
         for find_all in (False, True):
             got = batch(backend, 5, [cycle(5)] * 3, [None] * 3, find_all=find_all)
             assert got == [run(py, cycle(5), find_all=find_all)] * 3
-        # equal graphs in one group hit at the same leaf, and all keep their
-        # results: no entry drops another that hits with it
+        # equal graphs in one group hit at the same leaf, and the first
+        # drops the others
         got = batch(backend, 5, [cycle(5)] * 3, [None] * 3, [3], find_all=False)
-        assert got == [run(py, cycle(5), find_all=False)] * 3
+        assert got == [run(py, cycle(5), find_all=False), None, None]
+        # entry 2 hits at entry 0's leaf, and entry 1 later; entry 0 drops both
         got = batch(backend, 5, [path(5), cycle(5), path(5)], [None] * 3, [3],
                     find_all=False)
         first = [run(py, g, find_all=False) for g in (path(5), cycle(5))]
         assert first[0][0][0] < first[1][0][0]
-        assert got == [first[0], None, first[0]]
+        assert got == [first[0], None, None]
         graphs = [wheel(5), prism(3), wheel(5), prism(3)]
         budgets = [None, None, None, 10**6]
         got = batch(backend, 6, graphs, budgets, find_all=False)
@@ -395,11 +384,10 @@ def test_union_tallies_fold_into_the_same_totals(bound, monkeypatch):
     # out of the union; each entry left must still see exactly its own
     # search, stopped at its first witness
     groups = cycled_groups(len(graphs), (2, 3, 1, 4))
-    expected = [run(py, g, find_all=False) for g in graphs]
-    dropped = dropped_entries(expected, groups)
-    assert len(dropped) > 5
+    expected = first_witness_cut([run(py, g, find_all=False) for g in graphs], groups)
+    assert expected.count(None) > 5
     got = batch(py, 5, graphs, [None] * len(graphs), groups, find_all=False)
-    assert got == [None if i in dropped else want for i, want in enumerate(expected)]
+    assert got == expected
     # _add_tallies itself, over random sets and weights in rounds of up to
     # 50 sets, so a plane takes many addends, against per-member sums
     rnd = random.Random(bound)
@@ -418,6 +406,68 @@ def test_union_tallies_fold_into_the_same_totals(bound, monkeypatch):
             py._add_tallies(planes, tally, most)
             assert tally == {}
             assert py._totals(planes, count) == sums
+
+
+def random_grouped_batch(rnd):
+    """A random run_batch call: n in 3..6, 2 to 40 graphs drawn with repeats
+    from a few classes of enumerate_graphs(n), in groups of random sizes,
+    max_copies 1..3 and find_all on or off. The budgets are all None, or one
+    per graph, some below the union's size; a search with find_all and
+    three copies has no budget above 3,000 nodes, since it can take
+    millions. Returns n, the graphs, the budgets, the groups and the
+    keywords of batch()."""
+    n = rnd.randint(3, 6)
+    kw = dict(max_copies=rnd.randint(1, 3), find_all=rnd.random() < 0.3)
+    classes = list(enumerate_graphs(n))
+    pool = rnd.sample(classes, rnd.randint(1, min(8, len(classes))))
+    graphs = [rnd.choice(pool) for _ in range(rnd.randint(2, 40))]
+    groups = []
+    while sum(groups) < len(graphs):
+        groups.append(rnd.randint(1, len(graphs) - sum(groups)))
+    costly = kw["find_all"] and (kw["max_copies"] == 3 or n == 6)
+    if not costly and rnd.random() < 0.4:
+        budgets = [None] * len(graphs)
+    else:
+        top = rnd.choice([50, 500, 3000])
+        budgets = [rnd.randint(1, top) for _ in graphs]
+    return n, graphs, budgets, groups, kw
+
+
+def test_random_batches_end_each_group_at_its_first_witness(monkeypatch, request):
+    # One answer per batch: on every layer, on the union and on the
+    # per-graph fallback alike, run_batch returns first_witness_cut of the
+    # per-graph run_search results without find_all, and those results
+    # with it.
+    py = kernels.load_backend("python")
+    rnd = random.Random(28)
+    cases = [random_grouped_batch(rnd) for _ in range(60)]
+    searched = {}
+
+    def alone(g, budget, kw):
+        key = (g.adjacency_masks(), budget, tuple(sorted(kw.items())))
+        if key not in searched:
+            searched[key] = run(py, g, node_budget=budget, **kw)
+        return searched[key]
+
+    expected = []
+    for n, graphs, budgets, groups, kw in cases:
+        want = [alone(g, b, kw) for g, b in zip(graphs, budgets)]
+        expected.append(want if kw["find_all"] else first_witness_cut(want, groups))
+    # the Python kernel's paths: True for a union, False for a fallback,
+    # each with whether the batch drops an entry
+    paths = set()
+    found = []
+    union_search = py._union_search
+    monkeypatch.setattr(py, "_union_search",
+                        lambda *args: found.append(union_search(*args)) or found[-1])
+    for layer in itertools.chain([kernels], python_then_compiled(request)):
+        for (n, graphs, budgets, groups, kw), want in zip(cases, expected):
+            del found[:]
+            got = batch(layer, n, graphs, budgets, groups, **kw)
+            assert got == want, (layer.__name__, n, budgets, groups, kw)
+            if layer is py and found:
+                paths.add((found[0] is not None, None in got))
+    assert paths == {(True, True), (True, False), (False, True), (False, False)}
 
 
 def test_batch_shape_keeps_bytes_rows():

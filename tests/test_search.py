@@ -67,7 +67,14 @@ def test_config_validation():
     for bad in (dict(max_copies=2.0), dict(node_budget=1.5), dict(node_budget=1000.0)):
         with pytest.raises(ValueError):
             SearchConfig(**bad)
+    # a bool is an int: True used to pass as 1 copy or a budget of 1 node,
+    # and any true find_all, "no" included, turned find_all on
+    for bad in (dict(max_copies=True), dict(node_budget=True), dict(node_budget=False),
+                dict(find_all="no"), dict(find_all=1), dict(find_all=None)):
+        with pytest.raises(ValueError):
+            SearchConfig(**bad)
     assert SearchConfig().max_copies == 2
+    assert SearchConfig(find_all=True).find_all is True
 
 
 # ------------------------------------------------------------- fixed search
@@ -539,6 +546,26 @@ def test_parallel_scan_starts_one_child_per_extra_group(monkeypatch):
     assert_no_children()
 
 
+def test_scan_workers_must_be_an_int(monkeypatch):
+    # workers=1.5 used to raise from range() after every class was
+    # enumerated, and workers=2.5 ran 2 groups on two CPUs; a non-int now
+    # raises TypeError before any class is enumerated
+    patch_cpus(monkeypatch, 2)
+    started = count_starts(monkeypatch)
+    enumerated = []
+    monkeypatch.setattr(search, "enumerate_graphs",
+                        lambda *args, **kw: enumerated.append(args) or [])
+    for bad in (1.5, 2.5, "2", None):
+        with pytest.raises(TypeError):
+            scan_order(4, workers=bad)
+    assert enumerated == [] and started == []
+    with pytest.raises(ValueError, match=r"^workers must be >= 1$"):
+        scan_order(4, workers=0)
+    assert enumerated == []
+    assert scan_order(4, workers=True) == []  # bool is an int: 1
+    assert_no_children()
+
+
 def test_parallel_scan_starts_at_most_one_process_per_cpu_and_class(monkeypatch):
     started = count_starts(monkeypatch)
     patch_cpus(monkeypatch, 3)
@@ -736,8 +763,9 @@ def test_scan_drops_only_graphs_its_walks_never_read(cfg, monkeypatch):
     # class's entry after its first hit comes back None, and nothing asks
     # for that labeled graph of that class again. Under a budget of 1000
     # nodes, both union searches pass the budget and fall back to one
-    # search per graph, and neither drops an entry. The expected reports
-    # come first: their run_search calls are one-row run_batch calls too.
+    # search per graph, which drops entries as the union does. The expected
+    # reports come first: their run_search calls are one-row run_batch
+    # calls too.
     expected = per_class_reports(5, cfg)
     class_of = scan_class_of(5)
     dropped = set()  # (class, masks)
@@ -756,7 +784,7 @@ def test_scan_drops_only_graphs_its_walks_never_read(cfg, monkeypatch):
 
     monkeypatch.setattr(kernels, "run_batch", counting_batch)
     got = scan_order(5, cfg, workers=1)
-    assert bool(dropped) == (cfg.node_budget is None)
+    assert dropped
     assert [dumps(report_to_json(rep)) for _, rep in got] == \
         [dumps(report_to_json(rep)) for _, rep in expected]
 
