@@ -14,19 +14,18 @@
    share one prefix step (blocked, repeats, push, child, pop) and differ
    only in their prunes, tallies and leaf tests. Its graph sets span
    several 64-bit words, and it falls back to one rec() per graph when the
-   union would pass the smallest budget. It reads the graphs as packed rows
-   through the buffer protocol, ROW_BYTES bytes each. Its results equal the
-   per-graph ones, entry for entry, except that without find_all the
-   entries of a group after its first entry with a witness come back as
-   None, on the union and on the fallback alike.
+   union would pass the smallest budget. Its results equal the per-graph
+   ones, entry for entry, except that without find_all the entries of a
+   group after its first entry with a witness come back as None, on the
+   union and on the fallback alike.
 
-   run_search is run_batch over one row: it checks only what a row cannot
-   express, in the order of _kernel_py.pack_row, packs the row and returns
-   run_batch's one entry. The module can be imported and called directly,
-   so run_batch checks by itself every argument, in the order of
-   _kernel_py.run_batch (its own argument parsing, then each entry as
-   _kernel_py.check_row does, down to rejecting a row that is not a graph)
-   and with the same messages. */
+   The checks before a call's first entry are the Python reference's, run
+   by calling it: run_batch takes its rows (as bytes, ROW_BYTES a graph),
+   budgets and group sizes from _kernel_py.batch_shape, and run_search
+   packs its row with _kernel_py.pack_row and returns run_batch's one
+   entry. This file checks each entry as it reads it, in the order and with
+   the messages of _kernel_py.check_row (read_letters with entry 0, then
+   read_budget and read_row), which also bounds every array index. */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -37,6 +36,8 @@
 #define MAX_N 15      /* letters 1..MAX_N; bit c of a mask is letter c */
 #define MAX_DEPTH 64  /* longest word: n * max_copies */
 #define ROW_BYTES (2 * (MAX_N + 1))  /* a run_batch row: masks 0..MAX_N */
+
+static PyObject *kernel_py;  /* rep132._kernel_py: batch_shape and pack_row */
 
 typedef unsigned int mask_t;
 
@@ -702,6 +703,45 @@ batch_free(Batch *b)
     Py_XDECREF(b->lists);
 }
 
+/* Reads _kernel_py.batch_shape's result, the rows as bytes and the budgets
+   and group sizes as lists, into *rows and *budgets (borrowed from shape),
+   b->count and b->group_end; -1 with an error set. batch_shape has checked
+   the shape, but every length that an index below depends on is checked
+   again here, so a shape that does not fit its rows raises instead of
+   reading out of bounds. */
+static int
+read_shape(Batch *b, PyObject *shape, PyObject **rows, PyObject **budgets)
+{
+    PyObject *sizes;
+    long long size;
+    if (!PyArg_ParseTuple(shape, "SO!O!:batch_shape", rows, &PyList_Type, budgets,
+                          &PyList_Type, &sizes))
+        return -1;
+    b->count = PyBytes_GET_SIZE(*rows) / ROW_BYTES;
+    b->group_end = PyMem_Malloc((size_t)(b->count + 1) * sizeof(Py_ssize_t));
+    if (b->group_end == NULL) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    Py_ssize_t start = 0, g = 0;
+    for (; g < PyList_GET_SIZE(sizes); g++) {
+        if (!clamped(PyList_GET_ITEM(sizes, g), &size))
+            return -1;
+        if (size < 1 || size > b->count - start)
+            break;
+        for (Py_ssize_t i = start; i < start + size; i++)
+            b->group_end[i] = start + size;
+        start += size;
+    }
+    if (g < PyList_GET_SIZE(sizes) || start != b->count
+        || PyList_GET_SIZE(*budgets) != b->count) {
+        PyErr_SetString(PyExc_SystemError,
+                        "_kernel_py.batch_shape returned a shape that does not fit its rows");
+        return -1;
+    }
+    return 0;
+}
+
 PyDoc_STRVAR(run_batch_doc,
 "run_batch(n, rows, min_copies, max_copies, forbid_132, find_all,\n"
 "          node_budgets, group_sizes=None)\n"
@@ -710,48 +750,8 @@ PyDoc_STRVAR(run_batch_doc,
 "little-endian) under its node budget, from one DFS over the union of the\n"
 "graphs' searches. Without find_all, the entries of a group after its first\n"
 "entry with a witness are dropped, and are None.\n\n"
-"Same contract as rep132._kernel_py.run_batch.");
-
-/* Reads group_sizes, None or sizes of at least 1 that add up to b->count,
-   into b->group_end, as _kernel_py.batch_shape checks them; -1 with an
-   error set. */
-static int
-read_groups(Batch *b, PyObject *sizes_obj)
-{
-    b->group_end = PyMem_Malloc((size_t)(b->count + 1) * sizeof(Py_ssize_t));
-    if (b->group_end == NULL) {
-        PyErr_NoMemory();
-        return -1;
-    }
-    if (sizes_obj == Py_None) {
-        for (Py_ssize_t i = 0; i < b->count; i++)
-            b->group_end[i] = i + 1;
-        return 0;
-    }
-    PyObject *sizes = PySequence_List(sizes_obj);
-    if (sizes == NULL)
-        return -1;
-    Py_ssize_t groups = PyList_GET_SIZE(sizes);
-    long long *size = PyMem_Malloc((size_t)(groups + 1) * sizeof *size);
-    int err = size == NULL ? (PyErr_NoMemory(), -1) : 0;
-    /* every size is an int before any is checked, as in batch_shape */
-    for (Py_ssize_t g = 0; !err && g < groups; g++)
-        err = clamped(PyList_GET_ITEM(sizes, g), &size[g]) ? 0 : -1;
-    Py_ssize_t start = 0, g = 0;
-    for (; !err && g < groups && 1 <= size[g] && size[g] <= b->count - start; g++) {
-        for (Py_ssize_t i = start; i < start + size[g]; i++)
-            b->group_end[i] = start + size[g];
-        start += size[g];
-    }
-    if (!err && (g < groups || start != b->count)) {
-        PyErr_Format(PyExc_ValueError,
-                     "need group sizes of at least 1 that add up to %zd graphs", b->count);
-        err = -1;
-    }
-    PyMem_Free(size);
-    Py_DECREF(sizes);
-    return err;
-}
+"Same contract as rep132._kernel_py.run_batch: its batch_shape checks the\n"
+"arguments before the first entry, then each entry is checked as it is read.");
 
 static PyObject *
 run_batch(PyObject *self, PyObject *args, PyObject *kwds)
@@ -760,37 +760,25 @@ run_batch(PyObject *self, PyObject *args, PyObject *kwds)
                              "forbid_132", "find_all", "node_budgets", "group_sizes",
                              NULL};
     long long n, min_copies, max_copies;
-    Py_buffer rows;
-    PyObject *budgets_obj, *sizes_obj = Py_None, *budgets = NULL;
-    PyObject *out = NULL;
+    PyObject *n_obj, *rows_obj, *min_obj, *max_obj, *budgets_obj, *sizes_obj = Py_None;
+    PyObject *shape, *rows = NULL, *budgets = NULL, *out = NULL;
+    const unsigned char *bytes;
     unsigned long long *limits = NULL;
     Batch b;
     (void)self;
 
     memset(&b, 0, sizeof b);
-    if (!PyArg_ParseTupleAndKeywords(args, kwds, "O&y*O&O&ppO|O:run_batch", kwlist,
-                                     clamped, &n, &rows, clamped, &min_copies,
-                                     clamped, &max_copies, &b.st.forbid_132,
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "OOOOppO|O:run_batch", kwlist, &n_obj,
+                                     &rows_obj, &min_obj, &max_obj, &b.st.forbid_132,
                                      &b.st.find_all, &budgets_obj, &sizes_obj))
         return NULL;
-    const unsigned char *bytes = rows.buf;
-    if (rows.len % ROW_BYTES) {
-        PyErr_Format(PyExc_ValueError, "need %d bytes per graph, got %zd bytes",
-                     ROW_BYTES, rows.len);
+    shape = PyObject_CallMethod(kernel_py, "batch_shape", "OOOOOO", n_obj, rows_obj,
+                                min_obj, max_obj, budgets_obj, sizes_obj);
+    if (shape == NULL || read_shape(&b, shape, &rows, &budgets) < 0
+        || !clamped(n_obj, &n) || !clamped(min_obj, &min_copies)
+        || !clamped(max_obj, &max_copies))
         goto done;
-    }
-    b.count = rows.len / ROW_BYTES;
-    budgets = PySequence_List(budgets_obj);
-    if (budgets == NULL)
-        goto done;
-    if (PyList_GET_SIZE(budgets) != b.count) {
-        PyErr_Format(PyExc_ValueError,
-                     "need one node budget per graph: %zd graphs, %zd budgets",
-                     b.count, PyList_GET_SIZE(budgets));
-        goto done;
-    }
-    if (read_groups(&b, sizes_obj) < 0)
-        goto done;
+    bytes = (const unsigned char *)PyBytes_AS_STRING(rows);
     b.words = (b.count + WORD_BITS - 1) / WORD_BITS;
     b.adjs = PyMem_Calloc((size_t)b.count * (MAX_N + 1) + 1, sizeof(mask_t));
     limits = PyMem_Calloc((size_t)b.count + 1, sizeof *limits);
@@ -835,57 +823,8 @@ run_batch(PyObject *self, PyObject *args, PyObject *kwds)
 done:
     batch_free(&b);
     PyMem_Free(limits);
-    Py_XDECREF(budgets);
-    PyBuffer_Release(&rows);
+    Py_XDECREF(shape);
     return out;
-}
-
-/* Reads mask v of adj into *mask, clamped; -1 with an error set. */
-static int
-read_mask(PyObject *adj, int v, long long *mask)
-{
-    PyObject *item = PySequence_GetItem(adj, v);
-    if (item == NULL)
-        return -1;
-    int ok = clamped(item, mask);
-    Py_DECREF(item);
-    return ok ? 0 : -1;
-}
-
-/* Packs run_search's masks 1..n into a run_batch row, after the checks of
-   _kernel_py.pack_row: n + 1 masks, ints 1..n with bits in 1..n, then an
-   int mask 0 that is empty. -1 with an error set. */
-static int
-pack_masks(const State *st, PyObject *adj, unsigned char *row)
-{
-    Py_ssize_t len = PySequence_Size(adj);
-    if (len < 0)
-        return -1;
-    if (len != st->n + 1) {
-        PyErr_Format(PyExc_ValueError, "need n + 1 = %d adjacency masks, got %zd",
-                     st->n + 1, len);
-        return -1;
-    }
-    long long mask;
-    for (int v = 1; v <= st->n; v++) {
-        if (read_mask(adj, v, &mask) < 0)
-            return -1;
-        /* a negative mask has every high bit set, as in Python */
-        if (mask & ~(long long)st->full) {
-            PyErr_Format(PyExc_ValueError, "adjacency mask %d has bits outside 1..%d",
-                         v, st->n);
-            return -1;
-        }
-        row[2 * v] = (unsigned char)mask;
-        row[2 * v + 1] = (unsigned char)(mask >> 8);
-    }
-    if (read_mask(adj, 0, &mask) < 0)
-        return -1;
-    if (mask) {
-        PyErr_SetString(PyExc_ValueError, "adjacency mask 0 must be empty");
-        return -1;
-    }
-    return 0;
 }
 
 PyDoc_STRVAR(run_search_doc,
@@ -893,33 +832,33 @@ PyDoc_STRVAR(run_search_doc,
 "           node_budget=None)\n"
 "--\n\n"
 "Returns (witnesses, nodes, words_tested, budget_exceeded): run_batch over\n"
-"the one row of adj's masks. Same contract as rep132._kernel_py.run_search.");
+"the one row that rep132._kernel_py.pack_row makes of adj's masks. Same\n"
+"contract as rep132._kernel_py.run_search.");
 
 static PyObject *
 run_search(PyObject *self, PyObject *args, PyObject *kwds)
 {
     static char *kwlist[] = {"n", "adj", "min_copies", "max_copies", "forbid_132",
                              "find_all", "node_budget", NULL};
-    long long n, min_copies, max_copies;
     int forbid_132, find_all;
-    PyObject *adj, *budget_obj = Py_None, *batch_args, *out, *res = NULL;
-    unsigned long long budget;
-    unsigned char row[ROW_BYTES] = {0};
-    State st;
+    PyObject *n, *adj, *min_copies, *max_copies, *budget = Py_None;
+    PyObject *row, *batch_args = NULL, *out = NULL, *res = NULL;
 
-    if (!PyArg_ParseTupleAndKeywords(args, kwds, "O&OO&O&pp|O:run_search", kwlist,
-                                     clamped, &n, &adj, clamped, &min_copies,
-                                     clamped, &max_copies, &forbid_132, &find_all,
-                                     &budget_obj)
-        || read_letters(&st, n, min_copies, max_copies) < 0
-        || read_budget(budget_obj, &budget) < 0 || pack_masks(&st, adj, row) < 0)
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "OOOOpp|O:run_search", kwlist, &n, &adj,
+                                     &min_copies, &max_copies, &forbid_132, &find_all,
+                                     &budget))
         return NULL;
-    batch_args = Py_BuildValue("(iy#iiNN[O])", st.n, row, (Py_ssize_t)ROW_BYTES,
-                               st.min_copies, st.max_copies, PyBool_FromLong(forbid_132),
-                               PyBool_FromLong(find_all), budget_obj);
-    out = batch_args == NULL ? NULL : run_batch(self, batch_args, NULL);
+    row = PyObject_CallMethod(kernel_py, "pack_row", "OOOOO", n, adj, min_copies,
+                              max_copies, budget);
+    if (row != NULL)
+        batch_args = Py_BuildValue("(OOOOOO[O])", n, row, min_copies, max_copies,
+                                   forbid_132 ? Py_True : Py_False,
+                                   find_all ? Py_True : Py_False, budget);
+    if (batch_args != NULL)
+        out = run_batch(self, batch_args, NULL);
     if (out != NULL)
         res = PySequence_GetItem(out, 0);
+    Py_XDECREF(row);
     Py_XDECREF(batch_args);
     Py_XDECREF(out);
     return res;
@@ -948,6 +887,8 @@ static struct PyModuleDef kernel_module = {
 PyMODINIT_FUNC
 PyInit__kernel(void)
 {
+    if (kernel_py == NULL && (kernel_py = PyImport_ImportModule("rep132._kernel_py")) == NULL)
+        return NULL;
     PyObject *module = PyModule_Create(&kernel_module);
     if (module != NULL && PyModule_AddIntConstant(module, "MAX_N", MAX_N) < 0) {
         Py_CLEAR(module);

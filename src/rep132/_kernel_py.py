@@ -2,12 +2,14 @@
 
 This is the reference implementation; rep132._kernel (_kernel.c) is a
 compiled twin with the same traversal order and statistics, byte for byte.
-Any change to the traversal here must be mirrored there (tests compare the
-two call by call), and so must pack_row, batch_shape and check_row, whose
-checks the twin makes in the same order and with the same messages. Both
-kernels, and rep132.kernels, which only picks one of them, reject what is
-not a graph: mask 0 not empty, a self-loop, or an edge in only one of its
-two masks.
+The rules that come before a call's first entry are stated here alone:
+the compiled run_batch calls batch_shape, and the compiled run_search calls
+pack_row, so both kernels run the same checks. Two things must be mirrored
+in the twin (tests compare the two call by call): the traversal, and
+check_row, whose checks of each entry the twin makes as it reads the entry,
+in the same order and with the same messages. Both kernels, and
+rep132.kernels, which only picks one of them, reject what is not a graph:
+mask 0 not empty, a self-loop, or an edge in only one of its two masks.
 
 The search walks words over {1..n}, each letter used min_copies..max_copies
 times, children in ascending letter order. A node is a successfully
@@ -84,9 +86,9 @@ TALLY_NODES = 512
 
 def pack_row(n, adj, min_copies, max_copies, node_budget) -> bytes:
     """run_search's masks as one run_batch row, after the checks that a row
-    cannot express, in the compiled twin's order and with its messages: n
-    and the copy counts, the budget, n + 1 masks, int masks 1..n with bits
-    in 1..n, then an int mask 0 that is empty. run_batch checks the rest.
+    cannot express: n and the copy counts, the budget, n + 1 masks, int
+    masks 1..n with bits in 1..n, then an int mask 0 that is empty.
+    run_batch checks the rest. Both kernels' run_search call this.
     """
     _check_search(n, min_copies, max_copies, node_budget)
     if len(adj) != n + 1:
@@ -130,7 +132,7 @@ def check_row(n, key, min_copies, max_copies, node_budget) -> None:
 
 
 def _check_search(n, min_copies, max_copies, node_budget) -> None:
-    # TypeError for a non-int, as the compiled twin's argument parsing gives
+    # TypeError for a non-int, with the message of Python's int conversion
     n, min_copies, max_copies = map(operator.index, (n, min_copies, max_copies))
     if not (1 <= n <= MAX_N):
         raise ValueError(f"n must be in 1..{MAX_N}")
@@ -275,10 +277,10 @@ def _search_graph(n, adj, min_copies, max_copies, forbid_132, find_all, node_bud
 
 def batch_shape(n, rows, min_copies, max_copies, node_budgets, group_sizes):
     """A run_batch call's rows as bytes, its budgets and its group sizes as
-    lists, after the checks that come before its entries', in the compiled
-    twin's order (its argument parsing): n, the rows object and the copy
-    counts, each of the right type (TypeError); then the rows' length, one
-    budget per row, and the group sizes.
+    lists, after the checks that come before its entries': n, the rows
+    object and the copy counts, each of the right type (TypeError); then
+    the rows' length, one budget per row, and the group sizes. Both
+    kernels' run_batch call this, so these rules are stated here alone.
     """
     operator.index(n)
     if not isinstance(rows, bytes):
@@ -321,8 +323,8 @@ def run_batch(
     and are None. So the results depend only on the per-graph searches,
     never on the union, the search order or the budgets.
 
-    The checks are batch_shape's, then check_row's on each entry, in the
-    compiled twin's order. Entry 0's checks cover n and the copy counts for
+    The checks are batch_shape's, then check_row's on each entry, which
+    the compiled twin makes in the same order. Entry 0's checks cover n and the copy counts for
     every entry, and a batch of one needs no more. A larger batch is checked
     once, in bulk, by its union search (_union_search); only a batch that
     fails there is checked entry by entry, so the error raised is the first

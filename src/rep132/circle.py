@@ -65,7 +65,7 @@ def intersection_graph(d: ChordDiagram) -> LabeledGraph:
     """
     alpha = set(d.endpoints)
     n = max(alpha, default=0)
-    if alpha != set(range(1, n + 1)):
+    if len(alpha) != n or min(alpha, default=1) < 1:
         raise ValueError("chord letters must be exactly 1..n")
     edges = []
     for x in range(1, n + 1):

@@ -36,7 +36,8 @@ class RootedTree:
             raise ValueError("tree needs at least one vertex")
         if not (1 <= root <= n):
             raise ValueError(f"root {root} out of range 1..{n}")
-        children: dict[int, list[int]] = {v: [] for v in range(1, n + 1)}
+        # nothing per vertex until the pair count bounds n by the input's size
+        children: dict[int, list[int]] = {}
         parent: dict[int, int] = {}
         for p, c in edges:
             if not (1 <= p <= n and 1 <= c <= n):
@@ -46,12 +47,12 @@ class RootedTree:
             if c in parent:
                 raise ValueError(f"vertex {c} has two parents")
             parent[c] = p
-            children[p].append(c)
+            children.setdefault(p, []).append(c)
         if len(parent) != n - 1:
             raise ValueError(f"a tree on {n} vertices needs {n - 1} parent-child pairs")
         self._n = n
         self._root = root
-        self._children = {v: tuple(cs) for v, cs in children.items()}
+        self._children = {v: tuple(children.get(v, ())) for v in range(1, n + 1)}
         self._parent = parent
 
         order: list[int] = []

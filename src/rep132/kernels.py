@@ -5,9 +5,10 @@ extension) and rep132._kernel_py (pure-Python reference). They implement
 the identical traversal — same witnesses, same node/test counts — and
 honour one contract: the same parameters, and the same checks in the same
 order with the same errors, down to rejecting a row that is not a graph
-(see _kernel_py.run_batch and check_row). So which one runs is purely a
-speed question, and this module only picks one: run_search and run_batch
-here are the chosen kernel's.
+(see _kernel_py.run_batch and check_row). The checks before a call's
+first entry are _kernel_py's batch_shape and pack_row, which both kernels
+call. So which one runs is purely a speed question, and this module only
+picks one: run_search and run_batch here are the chosen kernel's.
 
 The compiled kernel is preferred when it imports; set REP132_BACKEND=python
 or REP132_BACKEND=c to force a choice (forcing c raises ImportError if the
@@ -19,12 +20,12 @@ command, so a bad value fails every command alike. Both backends take
 letters 1..MAX_N.
 
 run_batch is the one call: it answers for several graphs on the same n,
-entry for entry, from rows of ROW_BYTES bytes per graph (masks 0..MAX_N of
-16 bits, little-endian), the layout of the scan's memo keys, in one DFS
-over the union of their searches. The entries form groups of consecutive
-graphs: without find_all, the entries of a group after its first entry
-with a witness are dropped and returned as None, on every path of both
-kernels. A scan decides its classes in rounds of run_batch calls, one
+entry for entry, from rows of ROW_BYTES bytes, one row a graph (masks
+0..MAX_N of 16 bits, little-endian), the layout of the scan's memo keys,
+in one DFS over the union of their searches. The entries form groups of
+consecutive graphs: without find_all, the entries of a group after its
+first entry with a witness are dropped and returned as None, on every path
+of both kernels. A scan decides its classes in rounds of run_batch calls, one
 group per class, so a class stops searching its later labelings at its
 first hit.
 run_search is run_batch over one row.

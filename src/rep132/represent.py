@@ -83,9 +83,11 @@ def graph_from_word(w: WordLike) -> LabeledGraph:
     """
     word = _as_word(w)
     alpha = word.alphabet()
-    n = max(alpha) if alpha else 0
-    if alpha != frozenset(range(1, n + 1)):
-        missing = sorted(set(range(1, n + 1)) - alpha)
+    n = max(alpha, default=0)
+    if len(alpha) != n:  # letters are >= 1, so only a gap can make them fewer
+        present = sorted(alpha)
+        missing = ", ".join(str(a + 1) if b - a == 2 else f"{a + 1}..{b - 1}"
+                            for a, b in zip([0] + present, present) if b - a > 1)
         raise ValueError(f"alphabet has gaps (missing {missing}); reduce the word first")
     nonalt = _nonalternating(word.letters, n)
     edges = [
@@ -106,7 +108,8 @@ def represents(w: WordLike, g: LabeledGraph) -> RepresentationCheck:
     """
     word = _as_word(w)
     n = g.n
-    if word.alphabet() != frozenset(range(1, n + 1)):
+    alpha = word.alphabet()
+    if len(alpha) != n or max(alpha, default=0) != n:  # letters are >= 1
         v = Violation(None, ALPHABET_MISMATCH)
         return RepresentationCheck(word, g, False, v)
     nonalt = _nonalternating(word.letters, n)

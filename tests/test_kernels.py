@@ -533,10 +533,12 @@ def test_batch_rejects_what_run_search_rejects(request):
             with pytest.raises(ValueError) as raised:
                 backend.run_batch(3, rows, 1, 2, True, False, [None] * 2, groups)
             messages.append(str(raised.value))
-        with pytest.raises(TypeError):
-            backend.run_batch(3, [good, good], 1, 2, True, False, [None] * 2)
-        with pytest.raises(TypeError):
-            backend.run_batch(3, rows, 1, 2, True, False, [None] * 2, [1.0, 1])
+        # rows that are not bytes-like, and a size that is not an int
+        for fault_rows, groups in (([good, good], None), ("ab" * 32, None),
+                                   (rows, [1.0, 1])):
+            with pytest.raises(TypeError) as raised:
+                backend.run_batch(3, fault_rows, 1, 2, True, False, [None] * 2, groups)
+            messages.append(str(raised.value))
         return tuple(messages)
 
     messages = set()
@@ -549,7 +551,35 @@ def test_batch_rejects_what_run_search_rejects(request):
         "adjacency mask 4 is past n = 3",
         "adjacency mask 15 is past n = 3",
         *["need group sizes of at least 1 that add up to 2 graphs"] * 6,
+        "memoryview: a bytes-like object is required, not 'list'",
+        "memoryview: a bytes-like object is required, not 'str'",
+        "'float' object cannot be interpreted as an integer",
     )
+
+
+def test_masks_as_a_mapping_give_one_outcome_on_every_layer(request):
+    # run_search reads adj by len() and adj[v], so a mapping from vertex to
+    # mask is as good as a sequence; every layer packs it the same way
+    k3 = dict(enumerate(complete(3).adjacency_masks()))
+    cases = [
+        {0: 0, 1: 0, 2: 0, 3: 0},
+        k3,
+        {**k3, 4: 0},                   # n + 2 masks
+        {1: k3[1], 2: k3[2], 3: k3[3], 5: 0},  # no mask 0
+    ]
+
+    def outcome(layer, adj):
+        try:
+            return layer.run_search(3, adj, 1, 2, True, False, None)
+        except (KeyError, ValueError, TypeError) as e:
+            return type(e).__name__, str(e)
+
+    outcomes = [[outcome(layer, adj) for adj in cases]
+                for layer in itertools.chain([kernels], python_then_compiled(request))]
+    assert outcomes[1:] == outcomes[:-1], outcomes
+    assert outcomes[0] == [
+        ([(1, 1, 2, 2, 3)], 5, 1, False), ([(1, 2, 3)], 3, 1, False),
+        ("ValueError", "need n + 1 = 4 adjacency masks, got 5"), ("KeyError", "0")]
 
 
 def test_non_int_counts_and_budgets_raise_one_type_error(request):
@@ -574,8 +604,8 @@ def test_non_int_counts_and_budgets_raise_one_type_error(request):
 
 
 # A float mask, mask 0 included, and a float n with no rows or with rows of
-# the wrong length: the compiled kernel's argument parsing raises its
-# TypeError before any other check, and so must every layer, through
+# the wrong length: pack_row and batch_shape raise the TypeError of an int
+# conversion before any other check, and every layer runs them, through
 # run_search and run_batch alike.
 FLOAT_CALLS = [
     ("run_search", (3, [0, 1.0, 0, 0], 1, 2, True, False, None)),
@@ -1031,6 +1061,59 @@ def test_compiled_batch_of_more_than_64_graphs_on_15_letters(request):
     assert out[:10] == ["c", "70", "True", "70", "0",
                         "c", "70", "True", "70", "70"], done.stdout
     assert out[10:] == ["True", "True", "True", "68"], done.stdout
+
+
+# The compiled kernel runs the Python kernel's batch_shape and pack_row
+# rather than its own copies: counted calls, and a patched batch_shape whose
+# shape does not fit its rows, which must raise rather than send the C code
+# past the end of an array. In a child process, as above.
+SHAPE_FROM_PYTHON = LOAD_PACKAGE + """
+from rep132 import _kernel_py
+compiled = kernels.load_backend("c")
+calls = []
+for name in ("batch_shape", "pack_row"):
+    def counted(*args, check=getattr(_kernel_py, name), name=name):
+        calls.append(name)
+        return check(*args)
+    setattr(_kernel_py, name, counted)
+k3 = [0, 0b1100, 0b1010, 0b0110]
+row = _kernel_py.pack_row(3, k3, 1, 2, None)
+del calls[:]
+compiled.run_search(3, k3, 1, 2, True, False, None)
+compiled.run_batch(3, row * 2, 1, 2, True, False, [None] * 2)
+print(*calls)
+for shape in [(row, [None], [2]), (row * 2, [None], [2]), (row * 2, [None] * 2, [1]),
+              (row * 2, [None] * 2, [3, -1]), (row, [None], [0, 1]),
+              (row, [None], [1, 1]), [row, [None], [1]], (bytearray(row), [None], [1])]:
+    _kernel_py.batch_shape = lambda *args, shape=shape: shape
+    try:
+        compiled.run_batch(3, row, 1, 2, True, False, [None])
+    except (SystemError, TypeError) as e:
+        print(type(e).__name__)
+"""
+
+
+def test_compiled_kernel_takes_its_argument_checks_from_the_python_kernel(request):
+    done = run_child(SHAPE_FROM_PYTHON, "c", request)
+    assert done.returncode == 0, (done.returncode, done.stderr)
+    lines = done.stdout.splitlines()
+    assert lines[0] == "pack_row batch_shape batch_shape"
+    assert lines[1:] == ["SystemError"] * 7 + ["TypeError"], done.stdout
+
+
+# The messages of the checks before a call's first entry: the Python kernel
+# states them, and no other source may restate them.
+STATED_ONCE = ["bytes per graph", "one node budget per graph",
+               "group sizes of at least 1", "adjacency masks, got"]
+
+
+def test_the_checks_before_the_first_entry_are_stated_once():
+    package = Path(kernels.__file__).resolve().parent
+    sources = sorted(package.glob("*.py")) + sorted(package.glob("*.c"))
+    assert package / "_kernel.c" in sources
+    found = {message: [path.name for path in sources if message in path.read_text()]
+             for message in STATED_ONCE}
+    assert found == {message: ["_kernel_py.py"] for message in STATED_ONCE}
 
 
 def test_kernel_calls_leave_no_cyclic_garbage():

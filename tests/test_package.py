@@ -126,3 +126,52 @@ def test_the_package_reads_one_documented_environment_variable():
     used = {name for path in sources for name in ENV_NAME.findall(path.read_text())}
     documented = set(ENV_NAME.findall((SRC.parent / "README.md").read_text()))
     assert used == documented == {"REP132_BACKEND"}
+
+
+# ------------------------------------------------------------------ memory
+
+# Inputs of a few bytes that name a vertex count of 10**10: each call must
+# answer from the input's size, not by building a set or a dict of n
+# entries, which took seconds and then raised MemoryError under this cap
+# (and would grow until the OOM killer stepped in without one).
+HUGE_N = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (700 << 20, 700 << 20))
+from rep132 import LabeledGraph, RootedTree, Word, graph_from_word, represents
+from rep132.circle import ChordDiagram, intersection_graph
+from rep132.cli import main
+graph_file, tree_file = sys.argv[1:]
+print(represents(Word("12"), LabeledGraph(10**10)).first_violation.reason)
+for call in (lambda: graph_from_word(Word("10000000000")),
+             lambda: RootedTree(10**10, 1, []),
+             lambda: intersection_graph(ChordDiagram((10**10, 10**10)))):
+    try:
+        call()
+    except ValueError as e:
+        print("ValueError:", e)
+print("exit", main(["check-word", "12", "--graph", graph_file]))
+print("exit", main(["represent", "tree", tree_file]))
+"""
+
+
+def test_a_huge_vertex_count_in_a_tiny_input_allocates_nothing_per_vertex(tmp_path):
+    graph_file, tree_file = tmp_path / "g.graph", tmp_path / "t.tree"
+    graph_file.write_text("n 10000000000\n")
+    tree_file.write_text("n 10000000000\nroot 1\n")
+    done = subprocess.run(
+        [sys.executable, "-c", HUGE_N, str(graph_file), str(tree_file)],
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert lines[:4] == [
+        "alphabet-mismatch",
+        "ValueError: alphabet has gaps (missing 1..9999999999); reduce the word first",
+        "ValueError: a tree on 10000000000 vertices needs 9999999999 parent-child pairs",
+        "ValueError: chord letters must be exactly 1..n",
+    ]
+    assert f"represents {graph_file}: no (alphabet-mismatch)" in lines
+    assert lines[-2:] == ["exit 0", "exit 2"]
+    assert done.stderr == (
+        "error: a tree on 10000000000 vertices needs 9999999999 parent-child pairs\n")
