@@ -19,13 +19,15 @@
    group after its first entry with a witness come back as None, on the
    union and on the fallback alike.
 
-   The checks before a call's first entry are the Python reference's, run
-   by calling it: run_batch takes its rows (as bytes, ROW_BYTES a graph),
-   budgets and group sizes from _kernel_py.batch_shape, and run_search
-   packs its row with _kernel_py.pack_row and returns run_batch's one
-   entry. This file checks each entry as it reads it, in the order and with
-   the messages of _kernel_py.check_row (read_letters with entry 0, then
-   read_budget and read_row), which also bounds every array index. */
+   Every check of a call is the Python reference's, run by calling it:
+   run_batch takes its rows (as bytes, ROW_BYTES a graph), budgets and
+   group sizes from _kernel_py.batch_shape, then has _kernel_py.check_rows
+   check every entry, and run_search packs its row with _kernel_py.pack_row
+   and returns run_batch's one entry. This file only reads what they have
+   checked. It checks again just what its arrays need (read_shape,
+   read_letters, read_budget), and raises SystemError if that fails; every
+   loop over letters or masks stops at n, so a row that is not a graph can
+   give a wrong answer but never reads out of bounds. */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -37,7 +39,7 @@
 #define MAX_DEPTH 64  /* longest word: n * max_copies */
 #define ROW_BYTES (2 * (MAX_N + 1))  /* a run_batch row: masks 0..MAX_N */
 
-static PyObject *kernel_py;  /* rep132._kernel_py: batch_shape and pack_row */
+static PyObject *kernel_py;  /* rep132._kernel_py: the checks of every call */
 
 typedef unsigned int mask_t;
 
@@ -218,65 +220,25 @@ clamped(PyObject *obj, void *out)
     return 1;
 }
 
-/* Reads one run_batch row, masks 0..MAX_N of 16 bits each, little-endian,
-   into st->adj and st->nonedge, as _kernel_py.check_row checks it: masks
-   in range, then a graph (mask 0 empty; per v, no self-loop, then each
-   u > v in v's mask iff v is in u's); -1 with an error set. */
+/* Raises SystemError for arguments that _kernel_py's checks have passed but
+   that this file's arrays cannot hold; returns -1. */
 static int
-read_row(State *st, const unsigned char *row)
+unfit(void)
 {
-    for (int v = 1; v <= MAX_N; v++) {
-        mask_t mask = row[2 * v] | (mask_t)row[2 * v + 1] << 8;
-        if (v <= st->n && (mask & ~st->full)) {
-            PyErr_Format(PyExc_ValueError, "adjacency mask %d has bits outside 1..%d",
-                         v, st->n);
-            return -1;
-        }
-        if (v > st->n && mask) {
-            PyErr_Format(PyExc_ValueError, "adjacency mask %d is past n = %d", v, st->n);
-            return -1;
-        }
-        if (v <= st->n) {
-            st->adj[v] = mask;
-            st->nonedge[v] = st->full & ~mask & ~((mask_t)1 << v);
-        }
-    }
-    if (row[0] | row[1]) {
-        PyErr_SetString(PyExc_ValueError, "adjacency mask 0 must be empty");
-        return -1;
-    }
-    for (int v = 1; v <= st->n; v++) {
-        if (st->adj[v] >> v & 1) {
-            PyErr_Format(PyExc_ValueError, "adjacency mask %d has a self-loop", v);
-            return -1;
-        }
-        for (int u = v + 1; u <= st->n; u++)
-            if ((st->adj[v] >> u & 1) != (st->adj[u] >> v & 1)) {
-                PyErr_Format(PyExc_ValueError, "adjacency masks %d and %d disagree",
-                             v, u);
-                return -1;
-            }
-    }
-    return 0;
+    PyErr_SetString(PyExc_SystemError,
+                    "_kernel_py passed arguments that the compiled kernel cannot hold");
+    return -1;
 }
 
-/* Checks n, min_copies and max_copies as _kernel_py.check_row does and
-   sets them, with full, in st; -1 with an error set. */
+/* Sets n, min_copies, max_copies and full in st, after the bounds that the
+   prefix and the masks need; -1 with an error set. */
 static int
 read_letters(State *st, long long n, long long min_copies, long long max_copies)
 {
-    if (n < 1 || n > MAX_N) {
-        PyErr_Format(PyExc_ValueError, "n must be in 1..%d", MAX_N);
-        return -1;
-    }
-    if (min_copies < 1 || min_copies > max_copies) {
-        PyErr_Format(PyExc_ValueError, "need 1 <= min_copies <= max_copies");
-        return -1;
-    }
-    if (max_copies > MAX_DEPTH / n) {  /* n * max_copies > MAX_DEPTH, unoverflowed */
-        PyErr_Format(PyExc_ValueError, "n * max_copies must be at most %d", MAX_DEPTH);
-        return -1;
-    }
+    /* max_copies > MAX_DEPTH / n: n * max_copies > MAX_DEPTH, unoverflowed */
+    if (n < 1 || n > MAX_N || min_copies < 1 || min_copies > max_copies
+        || max_copies > MAX_DEPTH / n)
+        return unfit();
     st->n = (int)n;
     st->min_copies = (int)min_copies;
     st->max_copies = (int)max_copies;
@@ -284,7 +246,7 @@ read_letters(State *st, long long n, long long min_copies, long long max_copies)
     return 0;
 }
 
-/* Reads a node budget, None or at least 0, into *budget (0 means
+/* Reads a node budget, None or an int of at least 0, into *budget (0 means
    unlimited); -1 with an error set. */
 static int
 read_budget(PyObject *obj, unsigned long long *budget)
@@ -292,10 +254,8 @@ read_budget(PyObject *obj, unsigned long long *budget)
     long long value = 0;
     if (obj != Py_None && !clamped(obj, &value))
         return -1;
-    if (value < 0) {
-        PyErr_Format(PyExc_ValueError, "node_budget must not be negative");
-        return -1;
-    }
+    if (value < 0)
+        return unfit();
     *budget = (unsigned long long)value;
     return 0;
 }
@@ -734,11 +694,8 @@ read_shape(Batch *b, PyObject *shape, PyObject **rows, PyObject **budgets)
         start += size;
     }
     if (g < PyList_GET_SIZE(sizes) || start != b->count
-        || PyList_GET_SIZE(*budgets) != b->count) {
-        PyErr_SetString(PyExc_SystemError,
-                        "_kernel_py.batch_shape returned a shape that does not fit its rows");
-        return -1;
-    }
+        || PyList_GET_SIZE(*budgets) != b->count)
+        return unfit();
     return 0;
 }
 
@@ -750,8 +707,8 @@ PyDoc_STRVAR(run_batch_doc,
 "little-endian) under its node budget, from one DFS over the union of the\n"
 "graphs' searches. Without find_all, the entries of a group after its first\n"
 "entry with a witness are dropped, and are None.\n\n"
-"Same contract as rep132._kernel_py.run_batch: its batch_shape checks the\n"
-"arguments before the first entry, then each entry is checked as it is read.");
+"Same contract as rep132._kernel_py.run_batch, with the same checks: its\n"
+"batch_shape, then its check_rows on every entry.");
 
 static PyObject *
 run_batch(PyObject *self, PyObject *args, PyObject *kwds)
@@ -761,7 +718,7 @@ run_batch(PyObject *self, PyObject *args, PyObject *kwds)
                              NULL};
     long long n, min_copies, max_copies;
     PyObject *n_obj, *rows_obj, *min_obj, *max_obj, *budgets_obj, *sizes_obj = Py_None;
-    PyObject *shape, *rows = NULL, *budgets = NULL, *out = NULL;
+    PyObject *shape, *checked = NULL, *rows = NULL, *budgets = NULL, *out = NULL;
     const unsigned char *bytes;
     unsigned long long *limits = NULL;
     Batch b;
@@ -774,8 +731,11 @@ run_batch(PyObject *self, PyObject *args, PyObject *kwds)
         return NULL;
     shape = PyObject_CallMethod(kernel_py, "batch_shape", "OOOOOO", n_obj, rows_obj,
                                 min_obj, max_obj, budgets_obj, sizes_obj);
-    if (shape == NULL || read_shape(&b, shape, &rows, &budgets) < 0
-        || !clamped(n_obj, &n) || !clamped(min_obj, &min_copies)
+    if (shape == NULL || read_shape(&b, shape, &rows, &budgets) < 0)
+        goto done;
+    checked = PyObject_CallMethod(kernel_py, "check_rows", "OOOOO", n_obj, rows, min_obj,
+                                  max_obj, budgets);
+    if (checked == NULL || !clamped(n_obj, &n) || !clamped(min_obj, &min_copies)
         || !clamped(max_obj, &max_copies))
         goto done;
     bytes = (const unsigned char *)PyBytes_AS_STRING(rows);
@@ -786,13 +746,14 @@ run_batch(PyObject *self, PyObject *args, PyObject *kwds)
         PyErr_NoMemory();
         goto done;
     }
-    /* every entry's checks, in _kernel_py.run_batch's order */
     for (Py_ssize_t i = 0; i < b.count; i++) {
         if ((i == 0 && read_letters(&b.st, n, min_copies, max_copies) < 0)
-            || read_budget(PyList_GET_ITEM(budgets, i), &limits[i]) < 0
-            || read_row(&b.st, bytes + i * ROW_BYTES) < 0)
+            || read_budget(PyList_GET_ITEM(budgets, i), &limits[i]) < 0)
             goto done;
-        memcpy(b.adjs + i * (MAX_N + 1), b.st.adj, sizeof b.st.adj);
+        /* masks 1..n of row i, 16 bits each, little-endian */
+        const unsigned char *row = bytes + i * ROW_BYTES;
+        for (int v = 1; v <= b.st.n; v++)
+            b.adjs[i * (MAX_N + 1) + v] = row[2 * v] | (mask_t)row[2 * v + 1] << 8;
         if (limits[i] && (!b.limit || limits[i] < b.limit))
             b.limit = limits[i];
     }
@@ -823,6 +784,7 @@ run_batch(PyObject *self, PyObject *args, PyObject *kwds)
 done:
     batch_free(&b);
     PyMem_Free(limits);
+    Py_XDECREF(checked);
     Py_XDECREF(shape);
     return out;
 }

@@ -2,14 +2,13 @@
 
 This is the reference implementation; rep132._kernel (_kernel.c) is a
 compiled twin with the same traversal order and statistics, byte for byte.
-The rules that come before a call's first entry are stated here alone:
-the compiled run_batch calls batch_shape, and the compiled run_search calls
-pack_row, so both kernels run the same checks. Two things must be mirrored
-in the twin (tests compare the two call by call): the traversal, and
-check_row, whose checks of each entry the twin makes as it reads the entry,
-in the same order and with the same messages. Both kernels, and
-rep132.kernels, which only picks one of them, reject what is not a graph:
-mask 0 not empty, a self-loop, or an edge in only one of its two masks.
+Every check of a call is stated here alone: the compiled run_batch calls
+batch_shape and then check_rows, and the compiled run_search calls
+pack_row, so both kernels run the same checks. One thing must be mirrored
+in the twin (tests compare the two call by call): the traversal. Both
+kernels, and rep132.kernels, which only picks one of them, reject what is
+not a graph: mask 0 not empty, a self-loop, or an edge in only one of its
+two masks.
 
 The search walks words over {1..n}, each letter used min_copies..max_copies
 times, children in ascending letter order. A node is a successfully
@@ -129,6 +128,47 @@ def check_row(n, key, min_copies, max_copies, node_budget) -> None:
         for u in range(v + 1, n + 1):
             if (masks[v] >> u & 1) != (masks[u] >> v & 1):
                 raise ValueError(f"adjacency masks {v} and {u} disagree")
+
+
+def check_rows(n, rows, min_copies, max_copies, node_budgets) -> None:
+    """check_row on every entry of a run_batch call, given batch_shape's rows
+    and budgets: the first faulty entry's error is raised. Both kernels'
+    run_batch call this. Entry 0's checks cover n and the copy counts for
+    every entry. A larger batch is then checked in bulk, and entry by entry
+    only if it fails there: every entry passes check_row if every budget is
+    None or an int of at least 0, no row sets a bit outside masks 1..n, bits
+    1..n, off the diagonal, and each pair's two bits are equal in every row.
+    """
+    if node_budgets:
+        check_row(n, row_key(rows, 0), min_copies, max_copies, node_budgets[0])
+    if len(node_budgets) < 2:
+        return
+    digits = _bit_digits()
+
+    def column(v, u):  # bit u of mask v in every row, as one byte a row
+        b = LANE * v + u
+        return rows[b >> 3::ROW_BYTES].translate(digits[b & 7])
+
+    full = (1 << (n + 1)) - 2
+    valid = sum((full & ~(1 << v)) << (LANE * v) for v in range(1, n + 1))
+    if (
+        all(b is None or (type(b) is int and b >= 0) for b in node_budgets)
+        and not int.from_bytes(rows, "little")
+        & ~int.from_bytes(valid.to_bytes(ROW_BYTES, "little") * len(node_budgets),
+                          "little")
+        and all(column(v, u) == column(u, v)
+                for v in range(1, n + 1) for u in range(v + 1, n + 1))
+    ):
+        return
+    for i, budget in enumerate(node_budgets):
+        check_row(n, row_key(rows, i), min_copies, max_copies, budget)
+
+
+@lru_cache(maxsize=None)
+def _bit_digits() -> tuple[bytes, ...]:
+    """digits[t]: a bytes.translate table taking each byte to b"1" if its bit
+    t is set, else b"0"."""
+    return tuple(bytes(b"01"[b >> t & 1] for b in range(256)) for t in range(8))
 
 
 def _check_search(n, min_copies, max_copies, node_budget) -> None:
@@ -323,12 +363,8 @@ def run_batch(
     and are None. So the results depend only on the per-graph searches,
     never on the union, the search order or the budgets.
 
-    The checks are batch_shape's, then check_row's on each entry, which
-    the compiled twin makes in the same order. Entry 0's checks cover n and the copy counts for
-    every entry, and a batch of one needs no more. A larger batch is checked
-    once, in bulk, by its union search (_union_search); only a batch that
-    fails there is checked entry by entry, so the error raised is the first
-    faulty entry's.
+    The checks are batch_shape's, then check_rows', which run check_row on
+    each entry; the compiled twin calls the same two.
 
     A prefix's state does not depend on the graph; only the edges prune,
     the exhausted prune and the leaf test do. So one DFS walks the union of
@@ -364,10 +400,7 @@ def run_batch(
     """
     rows, node_budgets, group_sizes = batch_shape(n, rows, min_copies, max_copies,
                                                   node_budgets, group_sizes)
-    if not node_budgets:
-        return []
-    # n and the copy counts hold for every entry, or this raises first
-    check_row(n, row_key(rows, 0), min_copies, max_copies, node_budgets[0])
+    check_rows(n, rows, min_copies, max_copies, node_budgets)
     common = (min_copies, max_copies, forbid_132, find_all)
     if len(node_budgets) > 1:
         out = _union_search(n, rows, node_budgets, group_sizes, *common)
@@ -384,19 +417,11 @@ def run_batch(
     return out
 
 
-@lru_cache(maxsize=None)
-def _bit_digits() -> tuple[bytes, ...]:
-    """digits[t]: a bytes.translate table taking each byte to b"1" if its bit
-    t is set, else b"0"."""
-    return tuple(bytes(b"01"[b >> t & 1] for b in range(256)) for t in range(8))
-
-
 def _union_search(
     n, rows, node_budgets, group_sizes, min_copies, max_copies, forbid_132, find_all
 ):
     """The batch's results from one DFS, or None if the union would pass the
-    smallest budget. Raises the first faulty entry's error if an entry past
-    entry 0, which run_batch has checked, fails check_row."""
+    smallest budget."""
     full, bit, shift, not_bit, clear, repeat, between, lanes, letters = _tables(n)
     count = len(rows) // ROW_BYTES
     everyone = (1 << count) - 1
@@ -421,20 +446,8 @@ def _union_search(
             if graphs != everyone:
                 any_nonedge[c] |= bit[y]
     # valid: the bits a graph on 1..n may set, in masks 1..n, bits 1..n, off
-    # the diagonal. Every entry passes check_row if every budget is None or
-    # an int of at least 0, no row sets a bit outside valid, and each pair's
-    # two bits agree in every row.
+    # the diagonal
     valid = sum(not_bit[c] << shift[c] for c in range(1, n + 1))
-    if not (
-        all(b is None or (type(b) is int and b >= 0) for b in node_budgets)
-        and not int.from_bytes(rows, "little")
-        & ~int.from_bytes(valid.to_bytes(ROW_BYTES, "little") * count, "little")
-        and all(with_edge[c][y] == with_edge[y][c]
-                for c in range(1, n + 1) for y in range(c + 1, n + 1))
-    ):
-        # find and raise the first faulty entry's error
-        for i, budget in enumerate(node_budgets):
-            check_row(n, row_key(rows, i), min_copies, max_copies, budget)
     limit = min((b for b in node_budgets if b), default=-1)
     # a row's target: its non-neighbour masks, packed as nonalt is.
     # targets[t]: the first entry whose target is t; twins[t]: the set of

@@ -81,11 +81,7 @@ def _print_report(report) -> None:
 
 
 def _cmd_check_word(args) -> int:
-    try:
-        word = Word(args.word)
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+    word = Word(args.word)
     pattern = BUILTIN_PATTERNS[args.pattern]
     print(f"word: {word}")
     print(f"length: {len(word)}")
@@ -108,11 +104,7 @@ def _cmd_check_word(args) -> int:
         g = graph_from_word(reduce_word(word))
         print(f"graph (of reduced word; alphabet is not 1..n): n={g.n} edges {_edges_str(g)}")
     if args.graph:
-        try:
-            target = _read_graph(args.graph)
-        except (OSError, ValueError) as e:
-            print(f"error: {e}", file=sys.stderr)
-            return 2
+        target = _read_graph(args.graph)
         check = represents(word, target)
         if check.verdict:
             print(f"represents {args.graph}: yes")
@@ -123,13 +115,18 @@ def _cmd_check_word(args) -> int:
     return 0
 
 
+def _printable(words: int, longest: int) -> None:
+    """Refuse an output past 10**6 letters, counted as its number of words
+    times its longest word, before it is built: past that, represent would
+    hold every word in memory and print for minutes, or run out of memory."""
+    if words * longest > 10**6:
+        raise ValueError("represent prints at most 10**6 letters (words times the longest "
+                         f"word); this needs at least {words * longest}")
+
+
 def _cmd_represent(args) -> int:
     if args.family == "tree":
-        try:
-            tree = formats.parse_tree_text(Path(args.file).read_text())
-        except (OSError, ValueError) as e:
-            print(f"error: {e}", file=sys.stderr)
-            return 2
+        tree = formats.parse_tree_text(Path(args.file).read_text())
         if tree.preorder() != tuple(range(1, tree.n + 1)):
             relabeled = preorder_label(tree)
             mapping = {old: new for new, old in enumerate(tree.preorder(), start=1)}
@@ -140,27 +137,30 @@ def _cmd_represent(args) -> int:
         print(tree_representant(tree))
         return 0
     if args.family == "path":
+        _printable(1, 2 * args.n - 1)
         print(path_representant(args.n))
         return 0
     if args.family == "cycle":
+        _printable(1, 2 * args.n - 2)
         print(cycle_representant(args.n))
         return 0
     # complete
     n = args.n
     if n < 1:
-        print("error: n must be >= 1", file=sys.stderr)
-        return 2
+        raise ValueError("n must be >= 1")
     if not args.enumerate:
         if args.length_bound is not None:
-            print("error: --length-bound needs --enumerate", file=sys.stderr)
-            return 2
+            raise ValueError("--length-bound needs --enumerate")
+        _printable(1, n)
         print(Word(range(1, n + 1)))
         return 0
-    try:
-        rep = kn_enumerate(n, length_bound=args.length_bound)
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+    bound = args.length_bound
+    if n <= 2 and bound is not None:  # B or 2 (B - 1) words of up to B letters
+        _printable(bound if n == 1 else 2 * (bound - 1), bound)
+    elif n > 2:  # kn_count(n) >= n words of up to n + 3 letters
+        _printable(n, n + 3)
+        _printable(kn_count(n), n + 3)
+    rep = kn_enumerate(n, length_bound=bound)
     if rep.by_case:
         for tag in CASE_TAGS:
             words = rep.by_case[tag]
@@ -176,11 +176,7 @@ def _cmd_represent(args) -> int:
 
 
 def _cmd_search(args) -> int:
-    try:
-        g = _read_graph(args.graphfile)
-    except (OSError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+    g = _read_graph(args.graphfile)
     cfg = SearchConfig(
         max_copies=args.max_copies,
         find_all=args.all,
@@ -237,11 +233,7 @@ def _cmd_scan(args) -> int:
 
 
 def _cmd_circle_witness(args) -> int:
-    try:
-        g = _read_graph(args.graphfile)
-    except (OSError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+    g = _read_graph(args.graphfile)
     diagram = circle_witness(g)
     if diagram is None:
         print("not a circle graph (no 2-uniform representant exists)")
@@ -266,7 +258,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph", metavar="FILE", help="also verify against this graph file")
     p.set_defaults(func=_cmd_check_word)
 
-    p = sub.add_parser("represent", help="constructive representants")
+    p = sub.add_parser(
+        "represent", help="constructive representants",
+        description="Print a constructive representant, or with complete --enumerate "
+                    "every one. The output is refused (exit 2) past 10**6 letters, "
+                    "counted as its number of words times its longest word: path and "
+                    "cycle take n up to 500,000, complete n up to 10**6, complete "
+                    "--enumerate n up to 10, and n <= 2 a --length-bound up to 1,000 "
+                    "(n = 1) or 707 (n = 2).")
     fam = p.add_subparsers(dest="family", required=True)
     t = fam.add_parser("tree", help="word for a rooted tree file")
     t.add_argument("file")
@@ -315,6 +314,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return 2
     try:
+        # every command's errors in its input or files, with one error line
         return args.func(args)
     except (OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)

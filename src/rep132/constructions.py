@@ -115,7 +115,9 @@ def tree_representant(t: RootedTree) -> Word:
         out.extend(cs)
         return out
 
-    return Word(build(t.root))
+    word = Word(build(t.root))
+    build = None  # build refers to itself: break the cycle
+    return word
 
 
 def path_representant(n: int) -> Word:
@@ -162,7 +164,10 @@ def av132_permutations(n: int) -> Iterator[Word]:
             yield from rec(prefix, used | 1 << c, nf, nm)
             prefix.pop()
 
-    yield from rec([], 0, 0, 0)
+    try:
+        yield from rec([], 0, 0, 0)
+    finally:
+        rec = None  # as in tree_representant, also if the caller stops early
 
 
 def kn_count(n: int) -> int:

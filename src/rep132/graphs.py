@@ -275,6 +275,7 @@ def _best_relabeling(n: int, adj: Sequence[int], best: int, first: bool) -> int:
         return False
 
     extend(0, 0, 0)
+    extend = None  # extend refers to itself: break the cycle
     return best
 
 
@@ -317,6 +318,7 @@ def automorphisms(g: LabeledGraph) -> list[Labeling]:
             used[image] = False
 
     extend()
+    extend = None  # as in _best_relabeling
     return found
 
 

@@ -5,10 +5,10 @@ extension) and rep132._kernel_py (pure-Python reference). They implement
 the identical traversal — same witnesses, same node/test counts — and
 honour one contract: the same parameters, and the same checks in the same
 order with the same errors, down to rejecting a row that is not a graph
-(see _kernel_py.run_batch and check_row). The checks before a call's
-first entry are _kernel_py's batch_shape and pack_row, which both kernels
-call. So which one runs is purely a speed question, and this module only
-picks one: run_search and run_batch here are the chosen kernel's.
+(see _kernel_py.run_batch and check_row). Every check is _kernel_py's
+batch_shape, check_rows or pack_row, which both kernels call. So which
+one runs is purely a speed question, and this module only picks one:
+run_search and run_batch here are the chosen kernel's.
 
 The compiled kernel is preferred when it imports; set REP132_BACKEND=python
 or REP132_BACKEND=c to force a choice (forcing c raises ImportError if the

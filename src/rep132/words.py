@@ -218,9 +218,9 @@ def contains_pattern(w: WordLike, p: Pattern) -> Optional[tuple[int, ...]]:
                 chosen.pop()
         return False
 
-    if extend(0):
-        return tuple(chosen)
-    return None
+    found = extend(0)
+    extend = None  # extend refers to itself: break the cycle
+    return tuple(chosen) if found else None
 
 
 def _cmp(a: int, b: int) -> int:

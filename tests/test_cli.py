@@ -157,6 +157,20 @@ def test_represent_complete_rejects_a_bound_it_cannot_use(argv, message, cli):
     assert cli("represent", "complete", *argv) == (2, "", message)
 
 
+@pytest.mark.parametrize("largest, argv", [
+    (500_000, "path {}"), (500_001, "cycle {}"), (10, "complete {} --enumerate"),
+    (1000, "complete 1 --enumerate --length-bound {}"),
+    (707, "complete 2 --enumerate --length-bound {}"),
+], ids=["path", "cycle", "enumerate", "bound-k1", "bound-k2"])
+def test_represent_prints_at_most_a_million_letters(largest, argv, cli):
+    # the largest n (or --length-bound) that the help text names is printed,
+    # and the next one is refused before anything is built
+    assert cli("represent", *argv.format(largest).split())[0] == 0
+    code, out, err = cli("represent", *argv.format(largest + 1).split())
+    assert (code, out) == (2, "")
+    assert err.startswith("error: represent prints at most 10**6 letters")
+
+
 def test_represent_tree(cli, tmp_path):
     path = tmp_path / "t.tree"
     path.write_text("n 3\nroot 1\n1 2\n2 3\n")

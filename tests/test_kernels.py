@@ -868,10 +868,10 @@ def test_input_validation():
 
 
 def test_batch_raises_the_first_faulty_entrys_error(request):
-    # The Python kernel checks a batch in bulk (the compiled kernel checks
-    # entry by entry) and checks entry by entry only a batch that fails, so
-    # on every layer the error is the Python run_search's on the first
-    # faulty entry, wherever it sits in a batch of any length
+    # Both kernels run _kernel_py.check_rows, which checks a batch in bulk
+    # and checks entry by entry only a batch that fails, so on every layer
+    # the error is the Python run_search's on the first faulty entry,
+    # wherever it sits in a batch of any length
     py = kernels.load_backend("python")
     good = complete(4).adjacency_masks()
     faults = [
@@ -939,9 +939,9 @@ def random_fault_batch(rnd):
 
 
 def test_bulk_batch_check_agrees_with_check_row(request):
-    # The Python kernel checks a batch of two or more rows in bulk, from its
-    # union search's per-pair graph sets and one AND of all rows; a batch
-    # must raise iff some entry fails check_row, with the first one's error.
+    # check_rows checks a batch of two or more rows in bulk, from each
+    # pair's two bit columns and one AND of all rows; a batch must raise
+    # iff some entry fails check_row, with the first one's error.
     # Budgets of 1 node keep the searches of the batches that pass short.
     py = kernels.load_backend("python")
     rnd = random.Random(26)
@@ -1063,15 +1063,18 @@ def test_compiled_batch_of_more_than_64_graphs_on_15_letters(request):
     assert out[10:] == ["True", "True", "True", "68"], done.stdout
 
 
-# The compiled kernel runs the Python kernel's batch_shape and pack_row
-# rather than its own copies: counted calls, and a patched batch_shape whose
-# shape does not fit its rows, which must raise rather than send the C code
-# past the end of an array. In a child process, as above.
+# The compiled kernel runs the Python kernel's batch_shape, check_rows and
+# pack_row rather than its own copies: counted calls; then a check_rows that
+# passes everything, after which the compiled kernel still refuses what its
+# arrays cannot hold and reads only masks 1..n of a row that is not a graph;
+# then a patched batch_shape whose shape does not fit its rows. Each must
+# raise, or give some answer, rather than send the C code past the end of
+# an array. In a child process, as above.
 SHAPE_FROM_PYTHON = LOAD_PACKAGE + """
 from rep132 import _kernel_py
 compiled = kernels.load_backend("c")
 calls = []
-for name in ("batch_shape", "pack_row"):
+for name in ("batch_shape", "check_rows", "pack_row"):
     def counted(*args, check=getattr(_kernel_py, name), name=name):
         calls.append(name)
         return check(*args)
@@ -1082,6 +1085,24 @@ del calls[:]
 compiled.run_search(3, k3, 1, 2, True, False, None)
 compiled.run_batch(3, row * 2, 1, 2, True, False, [None] * 2)
 print(*calls)
+_kernel_py.check_rows = lambda *args: None
+for n, min_copies, max_copies, budget in [(16, 1, 2, None), (3, 0, 2, None),
+                                          (13, 5, 5, None), (3, 1, 2, -1)]:
+    try:
+        compiled.run_batch(n, row, min_copies, max_copies, True, False, [budget])
+    except SystemError as e:
+        print(type(e).__name__)
+bad_rows = [
+    b"\\xff" * 32,                         # bits past n, masks past n, mask 0
+    _kernel_py.pack_row(3, [0, 0b1110, 0b1100, 0b1010], 1, 2, None),  # a self-loop
+    _kernel_py.pack_row(3, [0, 0b0100, 0, 0], 1, 2, None),   # 1-2 but not 2-1
+]
+for bad in bad_rows:
+    answers = [compiled.run_batch(3, rows, 1, 2, forbid, find_all, [budget] * count)
+               for rows, count in ((bad, 1), (bad + row, 2), (row + bad * 70, 71))
+               for forbid in (True, False) for find_all in (True, False)
+               for budget in (None, 5)]
+    print(len(answers))
 for shape in [(row, [None], [2]), (row * 2, [None], [2]), (row * 2, [None] * 2, [1]),
               (row * 2, [None] * 2, [3, -1]), (row, [None], [0, 1]),
               (row, [None], [1, 1]), [row, [None], [1]], (bytearray(row), [None], [1])]:
@@ -1097,14 +1118,21 @@ def test_compiled_kernel_takes_its_argument_checks_from_the_python_kernel(reques
     done = run_child(SHAPE_FROM_PYTHON, "c", request)
     assert done.returncode == 0, (done.returncode, done.stderr)
     lines = done.stdout.splitlines()
-    assert lines[0] == "pack_row batch_shape batch_shape"
-    assert lines[1:] == ["SystemError"] * 7 + ["TypeError"], done.stdout
+    assert lines[0] == "pack_row batch_shape check_rows batch_shape check_rows"
+    assert lines[1:5] == ["SystemError"] * 4, done.stdout
+    assert lines[5:8] == ["24"] * 3, done.stdout
+    assert lines[8:] == ["SystemError"] * 7 + ["TypeError"], done.stdout
 
 
-# The messages of the checks before a call's first entry: the Python kernel
-# states them, and no other source may restate them.
+# The messages of the kernels' checks, those before a call's first entry and
+# check_row's on each entry: the Python kernel states them, and no other
+# source may restate them. "n must be in" is left out: search.py states the
+# scan's own bound on n with it.
 STATED_ONCE = ["bytes per graph", "one node budget per graph",
-               "group sizes of at least 1", "adjacency masks, got"]
+               "group sizes of at least 1", "adjacency masks, got",
+               "has bits outside", "is past n", "must be empty", "has a self-loop",
+               "disagree", "min_copies <= max_copies", "max_copies must be at most",
+               "must not be negative"]
 
 
 def test_the_checks_before_the_first_entry_are_stated_once():

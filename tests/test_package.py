@@ -1,6 +1,7 @@
 """The package namespace: what `import rep132` binds, what it loads, and the
 environment it reads."""
 
+import gc
 import importlib
 import importlib.util
 import os
@@ -175,3 +176,55 @@ def test_a_huge_vertex_count_in_a_tiny_input_allocates_nothing_per_vertex(tmp_pa
     assert lines[-2:] == ["exit 0", "exit 2"]
     assert done.stderr == (
         "error: a tree on 10000000000 vertices needs 9999999999 parent-child pairs\n")
+
+
+# rep132 represent with an n whose word or words could not be printed: the
+# command refuses it at once, with exit 2 and one error line. path, cycle
+# and complete with n = 10**10 used to die with MemoryError under this cap
+# after seconds, and complete 40 --enumerate to run for minutes.
+REPRESENT_IN_A_CAP = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (700 << 20, 700 << 20))
+from rep132.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def test_represent_refuses_an_output_it_cannot_print():
+    for argv in (["path", "10000000000"], ["cycle", "10000000000"],
+                 ["complete", "10000000000"], ["complete", "40", "--enumerate"]):
+        done = subprocess.run(
+            [sys.executable, "-c", REPRESENT_IN_A_CAP, "represent", *argv],
+            env=dict(os.environ, PYTHONPATH=str(SRC)),
+            capture_output=True, text=True, timeout=60,
+        )
+        assert (done.returncode, done.stdout) == (2, ""), (argv, done.stderr)
+        assert done.stderr.startswith("error: represent prints at most 10**6 letters")
+        assert done.stderr.count("\n") == 1, (argv, done.stderr)
+
+
+def test_recursive_helpers_leave_no_cyclic_garbage():
+    # A closure that calls itself refers to itself through its own cell, so
+    # each call left a cycle for the collector (393 extend closures with
+    # their cells and lists after one scan_order(6)); each helper now breaks
+    # its cycle, as the kernels do.
+    from rep132 import (P132, RootedTree, Word, automorphisms, av132_permutations,
+                        canonical_form, contains_pattern, enumerate_graphs,
+                        tree_representant, wheel)
+
+    calls = [
+        lambda: canonical_form(wheel(5)),
+        lambda: automorphisms(wheel(5)),
+        lambda: list(enumerate_graphs(5)),
+        lambda: tree_representant(RootedTree(3, 1, [(1, 2), (1, 3)])),
+        lambda: list(av132_permutations(4)),
+        lambda: contains_pattern(Word("2413"), P132),
+    ]
+    gc.collect()
+    gc.disable()
+    try:
+        for i, call in enumerate(calls):
+            call()
+            assert gc.collect() == 0, i
+    finally:
+        gc.enable()
