@@ -1,5 +1,14 @@
 /* Compiled DFS kernel: exact twin of rep132._kernel_py (see its docstring).
 
+   This module holds a kernel's two traversals, with the Python
+   reference's arguments: _search_graph searches one row (rec() below), and
+   _union_search walks the union of a batch's searches (batch_rec()), or
+   returns None once the union would pass the smallest budget. Its init
+   sets run_batch and run_search to the pair that _kernel_py.driver makes
+   over these two, so every check of a call, the per-graph fallback past a
+   budget and the cut at each group's first witness are the reference's
+   own code.
+
    rec() has the same traversal and results as the Python reference's
    rec(), checked call by call: the same child order, the same three
    prunes, always on, the same node and word counts, budget rule and
@@ -9,25 +18,17 @@
    copied per node, since a memcpy of 16 words costs next to nothing in C.
    Any change to the traversal must be mirrored there.
 
-   run_batch walks the union of several graphs' searches as
-   _kernel_py.run_batch does (batch_rec() below). rec() and batch_rec()
-   share one prefix step (blocked, repeats, push, child, pop) and differ
-   only in their prunes, tallies and leaf tests. Its graph sets span
-   several 64-bit words, and it falls back to one rec() per graph when the
-   union would pass the smallest budget. Its results equal the per-graph
-   ones, entry for entry, except that without find_all the entries of a
-   group after its first entry with a witness come back as None, on the
-   union and on the fallback alike.
+   batch_rec() walks the union as _kernel_py._union_search does. rec() and
+   batch_rec() share one prefix step (blocked, repeats, push, child, pop)
+   and differ only in their prunes, tallies and leaf tests. Its graph sets
+   span several 64-bit words, and without find_all the entries of a group
+   after its first entry with a witness come back as None.
 
-   Every check of a call is the Python reference's, run by calling it:
-   run_batch takes its rows (as bytes, ROW_BYTES a graph), budgets and
-   group sizes from _kernel_py.batch_shape, then has _kernel_py.check_rows
-   check every entry, and run_search packs its row with _kernel_py.pack_row
-   and returns run_batch's one entry. This file only reads what they have
-   checked. It checks again just what its arrays need (read_shape,
-   read_letters, read_budget), and raises SystemError if that fails; every
-   loop over letters or masks stops at n, so a row that is not a graph can
-   give a wrong answer but never reads out of bounds. */
+   The traversals only read what the driver has checked. They check again
+   just what their arrays need (read_letters, read_budget, read_shape, a
+   row's length), and raise SystemError if that fails; every loop over
+   letters or masks stops at n, so a row that is not a graph can give a
+   wrong answer but never reads out of bounds. */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -38,8 +39,6 @@
 #define MAX_N 15      /* letters 1..MAX_N; bit c of a mask is letter c */
 #define MAX_DEPTH 64  /* longest word: n * max_copies */
 #define ROW_BYTES (2 * (MAX_N + 1))  /* a run_batch row: masks 0..MAX_N */
-
-static PyObject *kernel_py;  /* rep132._kernel_py: the checks of every call */
 
 typedef unsigned int mask_t;
 
@@ -230,11 +229,15 @@ unfit(void)
     return -1;
 }
 
-/* Sets n, min_copies, max_copies and full in st, after the bounds that the
-   prefix and the masks need; -1 with an error set. */
+/* Sets n, min_copies, max_copies and full in st from three ints, after
+   the bounds that the prefix and the masks need; -1 with an error set. */
 static int
-read_letters(State *st, long long n, long long min_copies, long long max_copies)
+read_letters(State *st, PyObject *n_obj, PyObject *min_obj, PyObject *max_obj)
 {
+    long long n, min_copies, max_copies;
+    if (!clamped(n_obj, &n) || !clamped(min_obj, &min_copies)
+        || !clamped(max_obj, &max_copies))
+        return -1;
     /* max_copies > MAX_DEPTH / n: n * max_copies > MAX_DEPTH, unoverflowed */
     if (n < 1 || n > MAX_N || min_copies < 1 || min_copies > max_copies
         || max_copies > MAX_DEPTH / n)
@@ -260,6 +263,15 @@ read_budget(PyObject *obj, unsigned long long *budget)
     return 0;
 }
 
+/* Reads masks 1..n of a row, 16 bits each, little-endian, into adj. */
+static void
+read_row(const char *row, int n, mask_t *adj)
+{
+    const unsigned char *bytes = (const unsigned char *)row;
+    for (int v = 1; v <= n; v++)
+        adj[v] = bytes[2 * v] | (mask_t)bytes[2 * v + 1] << 8;
+}
+
 /* Runs the search that st is set up for, from the empty prefix; returns
    (witnesses, nodes, words_tested, budget_exceeded) or NULL on error. */
 static PyObject *
@@ -282,10 +294,10 @@ search(State *st)
                          st->exceeded ? Py_True : Py_False);
 }
 
-/* ------------------------------------------------------------ run_batch
+/* -------------------------------------------------------- _union_search
 
    One DFS over the union of several graphs' search trees, as
-   _kernel_py.run_batch makes it. A graph set is a bitset over
+   _kernel_py._union_search makes it. A graph set is a bitset over
    the batch's entries, in 64-bit words; a node keeps only its nonzero
    words, as (word index, bits) parts in ascending index order, so a node
    costs what its own graphs cost rather than what the batch does. The
@@ -663,21 +675,16 @@ batch_free(Batch *b)
     Py_XDECREF(b->lists);
 }
 
-/* Reads _kernel_py.batch_shape's result, the rows as bytes and the budgets
-   and group sizes as lists, into *rows and *budgets (borrowed from shape),
-   b->count and b->group_end; -1 with an error set. batch_shape has checked
-   the shape, but every length that an index below depends on is checked
-   again here, so a shape that does not fit its rows raises instead of
-   reading out of bounds. */
+/* Reads a batch's shape, its rows as bytes and its budgets and group sizes
+   as lists, into b->count and b->group_end; -1 with an error set. The
+   driver has checked the shape, but every length that an index below
+   depends on is checked again here, so a shape that does not fit its rows
+   raises instead of reading out of bounds. */
 static int
-read_shape(Batch *b, PyObject *shape, PyObject **rows, PyObject **budgets)
+read_shape(Batch *b, PyObject *rows, PyObject *budgets, PyObject *sizes)
 {
-    PyObject *sizes;
     long long size;
-    if (!PyArg_ParseTuple(shape, "SO!O!:batch_shape", rows, &PyList_Type, budgets,
-                          &PyList_Type, &sizes))
-        return -1;
-    b->count = PyBytes_GET_SIZE(*rows) / ROW_BYTES;
+    b->count = PyBytes_GET_SIZE(rows) / ROW_BYTES;
     b->group_end = PyMem_Malloc((size_t)(b->count + 1) * sizeof(Py_ssize_t));
     if (b->group_end == NULL) {
         PyErr_NoMemory();
@@ -694,143 +701,73 @@ read_shape(Batch *b, PyObject *shape, PyObject **rows, PyObject **budgets)
         start += size;
     }
     if (g < PyList_GET_SIZE(sizes) || start != b->count
-        || PyList_GET_SIZE(*budgets) != b->count)
+        || PyList_GET_SIZE(budgets) != b->count || PyBytes_GET_SIZE(rows) % ROW_BYTES)
         return unfit();
     return 0;
 }
 
-PyDoc_STRVAR(run_batch_doc,
-"run_batch(n, rows, min_copies, max_copies, forbid_132, find_all,\n"
-"          node_budgets, group_sizes=None)\n"
-"--\n\n"
-"run_search for each graph of rows (32 bytes each, masks 0..15 of 16 bits,\n"
-"little-endian) under its node budget, from one DFS over the union of the\n"
-"graphs' searches. Without find_all, the entries of a group after its first\n"
-"entry with a witness are dropped, and are None.\n\n"
-"Same contract as rep132._kernel_py.run_batch, with the same checks: its\n"
-"batch_shape, then its check_rows on every entry.");
-
+/* _search_graph(n, row, min_copies, max_copies, forbid_132, find_all,
+   node_budget): the search of one row's graph. */
 static PyObject *
-run_batch(PyObject *self, PyObject *args, PyObject *kwds)
+search_graph(PyObject *self, PyObject *args)
 {
-    static char *kwlist[] = {"n", "rows", "min_copies", "max_copies",
-                             "forbid_132", "find_all", "node_budgets", "group_sizes",
-                             NULL};
-    long long n, min_copies, max_copies;
-    PyObject *n_obj, *rows_obj, *min_obj, *max_obj, *budgets_obj, *sizes_obj = Py_None;
-    PyObject *shape, *checked = NULL, *rows = NULL, *budgets = NULL, *out = NULL;
-    const unsigned char *bytes;
-    unsigned long long *limits = NULL;
+    PyObject *n, *row, *min_copies, *max_copies, *budget;
+    State st;
+    (void)self;
+
+    memset(&st, 0, sizeof st);
+    if (!PyArg_ParseTuple(args, "OSOOppO:_search_graph", &n, &row, &min_copies,
+                          &max_copies, &st.forbid_132, &st.find_all, &budget)
+        || read_letters(&st, n, min_copies, max_copies) < 0
+        || read_budget(budget, &st.budget) < 0
+        || (PyBytes_GET_SIZE(row) != ROW_BYTES && unfit() < 0))
+        return NULL;
+    read_row(PyBytes_AS_STRING(row), st.n, st.adj);
+    for (int c = 1; c <= st.n; c++)
+        st.nonedge[c] = st.full & ~st.adj[c] & ~((mask_t)1 << c);
+    return search(&st);
+}
+
+/* _union_search(n, rows, node_budgets, group_sizes, min_copies, max_copies,
+   forbid_132, find_all): the batch's results from one DFS over the union,
+   or None if the union would pass the smallest budget. */
+static PyObject *
+batch_search(PyObject *self, PyObject *args)
+{
+    unsigned long long budget;
+    PyObject *n, *rows, *budgets, *sizes, *min_copies, *max_copies, *out = NULL;
     Batch b;
     (void)self;
 
     memset(&b, 0, sizeof b);
-    if (!PyArg_ParseTupleAndKeywords(args, kwds, "OOOOppO|O:run_batch", kwlist, &n_obj,
-                                     &rows_obj, &min_obj, &max_obj, &b.st.forbid_132,
-                                     &b.st.find_all, &budgets_obj, &sizes_obj))
-        return NULL;
-    shape = PyObject_CallMethod(kernel_py, "batch_shape", "OOOOOO", n_obj, rows_obj,
-                                min_obj, max_obj, budgets_obj, sizes_obj);
-    if (shape == NULL || read_shape(&b, shape, &rows, &budgets) < 0)
+    if (!PyArg_ParseTuple(args, "OSO!O!OOpp:_union_search", &n, &rows, &PyList_Type,
+                          &budgets, &PyList_Type, &sizes, &min_copies, &max_copies,
+                          &b.st.forbid_132, &b.st.find_all)
+        || read_letters(&b.st, n, min_copies, max_copies) < 0
+        || read_shape(&b, rows, budgets, sizes) < 0)
         goto done;
-    checked = PyObject_CallMethod(kernel_py, "check_rows", "OOOOO", n_obj, rows, min_obj,
-                                  max_obj, budgets);
-    if (checked == NULL || !clamped(n_obj, &n) || !clamped(min_obj, &min_copies)
-        || !clamped(max_obj, &max_copies))
-        goto done;
-    bytes = (const unsigned char *)PyBytes_AS_STRING(rows);
     b.words = (b.count + WORD_BITS - 1) / WORD_BITS;
     b.adjs = PyMem_Calloc((size_t)b.count * (MAX_N + 1) + 1, sizeof(mask_t));
-    limits = PyMem_Calloc((size_t)b.count + 1, sizeof *limits);
-    if (b.adjs == NULL || limits == NULL) {
+    if (b.adjs == NULL) {
         PyErr_NoMemory();
         goto done;
     }
     for (Py_ssize_t i = 0; i < b.count; i++) {
-        if ((i == 0 && read_letters(&b.st, n, min_copies, max_copies) < 0)
-            || read_budget(PyList_GET_ITEM(budgets, i), &limits[i]) < 0)
+        if (read_budget(PyList_GET_ITEM(budgets, i), &budget) < 0)
             goto done;
-        /* masks 1..n of row i, 16 bits each, little-endian */
-        const unsigned char *row = bytes + i * ROW_BYTES;
-        for (int v = 1; v <= b.st.n; v++)
-            b.adjs[i * (MAX_N + 1) + v] = row[2 * v] | (mask_t)row[2 * v + 1] << 8;
-        if (limits[i] && (!b.limit || limits[i] < b.limit))
-            b.limit = limits[i];
+        if (budget && (!b.limit || budget < b.limit))
+            b.limit = budget;
+        read_row(PyBytes_AS_STRING(rows) + i * ROW_BYTES, b.st.n, b.adjs + i * (MAX_N + 1));
     }
-    if (b.count > 1) {
-        out = union_search(&b);
-        if (out != Py_None)
-            goto done;
-        Py_CLEAR(out);
-    }
-    /* one graph, or a union past the smallest budget: each graph alone */
-    out = PyList_New(b.count);
-    for (Py_ssize_t i = 0; out != NULL && i < b.count; i++) {
-        State st = b.st;
-        memcpy(st.adj, b.adjs + i * (MAX_N + 1), sizeof st.adj);
-        for (int c = 1; c <= st.n; c++)
-            st.nonedge[c] = st.full & ~st.adj[c] & ~((mask_t)1 << c);
-        st.budget = limits[i];
-        PyObject *res = search(&st);
-        if (res == NULL)
-            Py_CLEAR(out);
-        else
-            PyList_SET_ITEM(out, i, res);
-        /* without find_all, the entries of the group after a witness are None */
-        while (out != NULL && !st.find_all && PyList_GET_SIZE(st.witnesses)
-               && i + 1 < b.group_end[i])
-            PyList_SET_ITEM(out, ++i, Py_NewRef(Py_None));
-    }
+    out = union_search(&b);
 done:
     batch_free(&b);
-    PyMem_Free(limits);
-    Py_XDECREF(checked);
-    Py_XDECREF(shape);
     return out;
 }
 
-PyDoc_STRVAR(run_search_doc,
-"run_search(n, adj, min_copies, max_copies, forbid_132, find_all,\n"
-"           node_budget=None)\n"
-"--\n\n"
-"Returns (witnesses, nodes, words_tested, budget_exceeded): run_batch over\n"
-"the one row that rep132._kernel_py.pack_row makes of adj's masks. Same\n"
-"contract as rep132._kernel_py.run_search.");
-
-static PyObject *
-run_search(PyObject *self, PyObject *args, PyObject *kwds)
-{
-    static char *kwlist[] = {"n", "adj", "min_copies", "max_copies", "forbid_132",
-                             "find_all", "node_budget", NULL};
-    int forbid_132, find_all;
-    PyObject *n, *adj, *min_copies, *max_copies, *budget = Py_None;
-    PyObject *row, *batch_args = NULL, *out = NULL, *res = NULL;
-
-    if (!PyArg_ParseTupleAndKeywords(args, kwds, "OOOOpp|O:run_search", kwlist, &n, &adj,
-                                     &min_copies, &max_copies, &forbid_132, &find_all,
-                                     &budget))
-        return NULL;
-    row = PyObject_CallMethod(kernel_py, "pack_row", "OOOOO", n, adj, min_copies,
-                              max_copies, budget);
-    if (row != NULL)
-        batch_args = Py_BuildValue("(OOOOOO[O])", n, row, min_copies, max_copies,
-                                   forbid_132 ? Py_True : Py_False,
-                                   find_all ? Py_True : Py_False, budget);
-    if (batch_args != NULL)
-        out = run_batch(self, batch_args, NULL);
-    if (out != NULL)
-        res = PySequence_GetItem(out, 0);
-    Py_XDECREF(row);
-    Py_XDECREF(batch_args);
-    Py_XDECREF(out);
-    return res;
-}
-
 static PyMethodDef kernel_methods[] = {
-    {"run_search", (PyCFunction)(void (*)(void))run_search,
-     METH_VARARGS | METH_KEYWORDS, run_search_doc},
-    {"run_batch", (PyCFunction)(void (*)(void))run_batch,
-     METH_VARARGS | METH_KEYWORDS, run_batch_doc},
+    {"_search_graph", search_graph, METH_VARARGS, NULL},
+    {"_union_search", batch_search, METH_VARARGS, NULL},
     {NULL, NULL, 0, NULL},
 };
 
@@ -846,14 +783,24 @@ static struct PyModuleDef kernel_module = {
     NULL,
 };
 
+/* The module, with run_batch and run_search over its two traversals from
+   _kernel_py.driver. */
 PyMODINIT_FUNC
 PyInit__kernel(void)
 {
-    if (kernel_py == NULL && (kernel_py = PyImport_ImportModule("rep132._kernel_py")) == NULL)
+    PyObject *kernel_py = PyImport_ImportModule("rep132._kernel_py");
+    if (kernel_py == NULL)
         return NULL;
     PyObject *module = PyModule_Create(&kernel_module);
-    if (module != NULL && PyModule_AddIntConstant(module, "MAX_N", MAX_N) < 0) {
+    PyObject *pair = NULL, *run_batch, *run_search;
+    if (module != NULL)
+        pair = PyObject_CallMethod(kernel_py, "driver", "O", module);
+    if (pair == NULL || !PyArg_ParseTuple(pair, "OO", &run_batch, &run_search)
+        || PyModule_AddObjectRef(module, "run_batch", run_batch) < 0
+        || PyModule_AddObjectRef(module, "run_search", run_search) < 0
+        || PyModule_AddIntConstant(module, "MAX_N", MAX_N) < 0)
         Py_CLEAR(module);
-    }
+    Py_XDECREF(pair);
+    Py_DECREF(kernel_py);
     return module;
 }

@@ -2,13 +2,18 @@
 
 This is the reference implementation; rep132._kernel (_kernel.c) is a
 compiled twin with the same traversal order and statistics, byte for byte.
-Every check of a call is stated here alone: the compiled run_batch calls
-batch_shape and then check_rows, and the compiled run_search calls
-pack_row, so both kernels run the same checks. One thing must be mirrored
-in the twin (tests compare the two call by call): the traversal. Both
-kernels, and rep132.kernels, which only picks one of them, reject what is
-not a graph: mask 0 not empty, a self-loop, or an edge in only one of its
-two masks.
+Each backend module holds just two traversals, with one signature on both:
+_search_graph searches one row, and _union_search searches a batch, or
+returns None once the union would pass the smallest budget. Everything
+around them is stated here alone: driver(backend) gives the run_batch and
+run_search over a backend's two traversals, with every check of a call
+(batch_shape, check_rows, pack_row), the fallback past a budget and the
+cut at each group's first witness. This module binds them to its own
+traversals, and the compiled module's init binds the same two functions to
+its C ones. So what must be mirrored in the twin (tests compare the two
+call by call) is the traversals alone. Both kernels, and rep132.kernels,
+which only picks one of them, reject what is not a graph: mask 0 not
+empty, a self-loop, or an edge in only one of its two masks.
 
 The search walks words over {1..n}, each letter used min_copies..max_copies
 times, children in ascending letter order. A node is a successfully
@@ -58,8 +63,8 @@ The graphs come as packed rows, ROW_BYTES bytes each: mask v in bits
 above with edges in place of non-edges. They form groups of consecutive
 entries; without find_all, the entries of a group after its first entry
 with a witness come back as None, on every path. The compiled twin's
-run_batch walks the same union with the same child order, prunes, budget
-rule, drops and per-graph fallback, and gives the same results.
+_union_search walks the same union with the same child order, prunes,
+budget rule and drops, and gives the same results.
 """
 
 from __future__ import annotations
@@ -68,6 +73,7 @@ import bisect
 import collections
 import itertools
 import operator
+import sys
 from functools import lru_cache
 from typing import Optional, Sequence
 
@@ -87,7 +93,7 @@ def pack_row(n, adj, min_copies, max_copies, node_budget) -> bytes:
     """run_search's masks as one run_batch row, after the checks that a row
     cannot express: n and the copy counts, the budget, n + 1 masks, int
     masks 1..n with bits in 1..n, then an int mask 0 that is empty.
-    run_batch checks the rest. Both kernels' run_search call this.
+    run_batch checks the rest. run_search calls this, on both kernels.
     """
     _check_search(n, min_copies, max_copies, node_budget)
     if len(adj) != n + 1:
@@ -132,8 +138,8 @@ def check_row(n, key, min_copies, max_copies, node_budget) -> None:
 
 def check_rows(n, rows, min_copies, max_copies, node_budgets) -> None:
     """check_row on every entry of a run_batch call, given batch_shape's rows
-    and budgets: the first faulty entry's error is raised. Both kernels'
-    run_batch call this. Entry 0's checks cover n and the copy counts for
+    and budgets: the first faulty entry's error is raised. run_batch calls
+    this, on both kernels. Entry 0's checks cover n and the copy counts for
     every entry. A larger batch is then checked in bulk, and entry by entry
     only if it fails there: every entry passes check_row if every budget is
     None or an int of at least 0, no row sets a bit outside masks 1..n, bits
@@ -229,31 +235,10 @@ def _tables(n: int):
     return full, bit, shift, not_bit, clear, repeat, between, lanes, letters
 
 
-def run_search(
-    n: int,
-    adj: Sequence[int],
-    min_copies: int,
-    max_copies: int,
-    forbid_132: bool,
-    find_all: bool,
-    node_budget: Optional[int] = None,
-) -> tuple[list[tuple[int, ...]], int, int, bool]:
-    """Returns (witnesses, nodes, words_tested, budget_exceeded).
-
-    Witnesses appear in DFS order, which is lexicographic with prefixes
-    first, so the head of the list is the lexicographically least witness.
-    With find_all false the search stops at the first witness. A
-    node_budget of None or 0 means unlimited.
-
-    This is run_batch over the one row of adj's masks (see pack_row).
-    """
-    row = pack_row(n, adj, min_copies, max_copies, node_budget)
-    return run_batch(n, row, min_copies, max_copies, forbid_132, find_all, [node_budget])[0]
-
-
-def _search_graph(n, adj, min_copies, max_copies, forbid_132, find_all, node_budget):
-    """One graph's search, from its checked masks: run_batch's path for a
+def _search_graph(n, row, min_copies, max_copies, forbid_132, find_all, node_budget):
+    """One graph's search, from its checked row: run_batch's path for a
     batch of one and its fallback past a budget."""
+    adj = row_masks(row_key(row, 0), n)
     full, bit, shift, not_bit, clear, repeat, between, lanes, letters = _tables(n)
     nonedge = [full & ~adj[c] & ~bit[c] for c in range(n + 1)]
     target = 0
@@ -319,8 +304,8 @@ def batch_shape(n, rows, min_copies, max_copies, node_budgets, group_sizes):
     """A run_batch call's rows as bytes, its budgets and its group sizes as
     lists, after the checks that come before its entries': n, the rows
     object and the copy counts, each of the right type (TypeError); then
-    the rows' length, one budget per row, and the group sizes. Both
-    kernels' run_batch call this, so these rules are stated here alone.
+    the rows' length, one budget per row, and the group sizes. run_batch
+    calls this, on both kernels, so these rules are stated here alone.
     """
     operator.index(n)
     if not isinstance(rows, bytes):
@@ -342,29 +327,92 @@ def batch_shape(n, rows, min_copies, max_copies, node_budgets, group_sizes):
     return rows, node_budgets, sizes
 
 
-def run_batch(
-    n: int,
-    rows,
-    min_copies: int,
-    max_copies: int,
-    forbid_132: bool,
-    find_all: bool,
-    node_budgets: Sequence[Optional[int]],
-    group_sizes: Optional[Sequence[int]] = None,
-) -> list[Optional[tuple[list[tuple[int, ...]], int, int, bool]]]:
-    """run_search over several graphs on {1..n}, entry for entry.
+def driver(backend):
+    """The run_batch and run_search over backend's two traversals, which are
+    looked up on backend at each call. This module's own are the pair over
+    its traversals, and the compiled module's init sets the pair over its.
+    """
 
-    rows is a bytes-like object of ROW_BYTES bytes per graph: its masks
-    0..MAX_N, 16 bits each, little-endian (masks n+1..MAX_N empty). The
-    graphs form groups of group_sizes consecutive entries (default: each
-    entry alone). Entry i is run_search(n, masks of row i, ..., budget i),
-    with the same checks on every entry, except that without find_all the
-    entries of a group after its first entry with a witness are dropped,
-    and are None. So the results depend only on the per-graph searches,
-    never on the union, the search order or the budgets.
+    def run_search(
+        n: int,
+        adj: Sequence[int],
+        min_copies: int,
+        max_copies: int,
+        forbid_132: bool,
+        find_all: bool,
+        node_budget: Optional[int] = None,
+    ) -> tuple[list[tuple[int, ...]], int, int, bool]:
+        """Returns (witnesses, nodes, words_tested, budget_exceeded).
 
-    The checks are batch_shape's, then check_rows', which run check_row on
-    each entry; the compiled twin calls the same two.
+        Witnesses appear in DFS order, which is lexicographic with prefixes
+        first, so the head of the list is the lexicographically least
+        witness. With find_all false the search stops at the first witness.
+        A node_budget of None or 0 means unlimited.
+
+        This is run_batch over the one row of adj's masks (see pack_row).
+        """
+        row = pack_row(n, adj, min_copies, max_copies, node_budget)
+        return run_batch(n, row, min_copies, max_copies, forbid_132, find_all,
+                         [node_budget])[0]
+
+    def run_batch(
+        n: int,
+        rows,
+        min_copies: int,
+        max_copies: int,
+        forbid_132: bool,
+        find_all: bool,
+        node_budgets: Sequence[Optional[int]],
+        group_sizes: Optional[Sequence[int]] = None,
+    ) -> list[Optional[tuple[list[tuple[int, ...]], int, int, bool]]]:
+        """run_search over several graphs on {1..n}, entry for entry.
+
+        rows is a bytes-like object of ROW_BYTES bytes per graph: its masks
+        0..MAX_N, 16 bits each, little-endian (masks n+1..MAX_N empty). The
+        graphs form groups of group_sizes consecutive entries (default: each
+        entry alone). Entry i is run_search(n, masks of row i, ..., budget i),
+        with the same checks on every entry, except that without find_all the
+        entries of a group after its first entry with a witness are dropped,
+        and are None. So the results depend only on the per-graph searches,
+        never on the union, the search order or the budgets.
+
+        The checks are batch_shape's, then check_rows', which run check_row
+        on each entry. A batch of two or more entries is then searched in one
+        DFS over the union of the graphs' searches (backend._union_search).
+        A graph's search stays under its budget while the union's node count
+        does. When the union would pass the smallest budget, and for a batch
+        of one, each graph is searched alone (backend._search_graph), with
+        its own budget, up to each group's first witness without find_all.
+        """
+        rows, node_budgets, group_sizes = batch_shape(n, rows, min_copies, max_copies,
+                                                      node_budgets, group_sizes)
+        check_rows(n, rows, min_copies, max_copies, node_budgets)
+        common = (min_copies, max_copies, forbid_132, find_all)
+        if len(node_budgets) > 1:
+            out = backend._union_search(n, rows, node_budgets, group_sizes, *common)
+            if out is not None:
+                return out
+        out = []
+        for end in itertools.accumulate(group_sizes):
+            for i in range(len(out), end):
+                row = rows[ROW_BYTES * i:ROW_BYTES * (i + 1)]
+                out.append(backend._search_graph(n, row, *common, node_budgets[i]))
+                if out[-1][0] and not find_all:
+                    break
+            out += [None] * (end - len(out))  # the entries after the group's hit
+        return out
+
+    return run_batch, run_search
+
+
+run_batch, run_search = driver(sys.modules[__name__])
+
+
+def _union_search(
+    n, rows, node_budgets, group_sizes, min_copies, max_copies, forbid_132, find_all
+):
+    """The batch's results from one DFS over the union of the graphs'
+    searches, or None if the union would pass the smallest budget.
 
     A prefix's state does not depend on the graph; only the edges prune,
     the exhausted prune and the leaf test do. So one DFS walks the union of
@@ -392,36 +440,7 @@ def run_batch(
     first entry with a witness is never dropped, so it drops all the
     others after it. Taking graphs out of the union changes no other
     graph's search.
-
-    Budgets: a graph's search stays under its budget while the union's
-    node count does. When the union would pass the smallest budget, the
-    batch is searched again one graph at a time, each with its own budget,
-    up to each group's first witness without find_all.
     """
-    rows, node_budgets, group_sizes = batch_shape(n, rows, min_copies, max_copies,
-                                                  node_budgets, group_sizes)
-    check_rows(n, rows, min_copies, max_copies, node_budgets)
-    common = (min_copies, max_copies, forbid_132, find_all)
-    if len(node_budgets) > 1:
-        out = _union_search(n, rows, node_budgets, group_sizes, *common)
-        if out is not None:
-            return out
-    out = []
-    for end in itertools.accumulate(group_sizes):
-        for i in range(len(out), end):
-            out.append(_search_graph(n, row_masks(row_key(rows, i), n), *common,
-                                     node_budgets[i]))
-            if out[-1][0] and not find_all:
-                break
-        out += [None] * (end - len(out))  # the entries after the group's hit
-    return out
-
-
-def _union_search(
-    n, rows, node_budgets, group_sizes, min_copies, max_copies, forbid_132, find_all
-):
-    """The batch's results from one DFS, or None if the union would pass the
-    smallest budget."""
     full, bit, shift, not_bit, clear, repeat, between, lanes, letters = _tables(n)
     count = len(rows) // ROW_BYTES
     everyone = (1 << count) - 1

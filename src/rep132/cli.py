@@ -3,8 +3,9 @@
 Exit codes: 0 success (and: graph representable / circle witness found),
 2 usage or parse errors, 3 not representable as a complete decision / not a
 circle graph, 4 node budget exceeded before a decision, 5 not representable
-under a bounded search only (search --fixed or --max-copies 1), which does
-not settle the graph.
+under a bounded search only (search --fixed or --max-copies 1, or a graph
+past order 6, where the copy bound is unchecked), which does not settle the
+graph.
 
 scan --workers defaults to 1, which decides every class in this process.
 REP132_BACKEND picks the kernel (see rep132.kernels); an unknown value, or

@@ -14,7 +14,6 @@ formula in Catalan numbers; the two are asserted against each other.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 from typing import Iterator, Optional, Sequence
 
 from .words import Word, catalan
@@ -108,16 +107,20 @@ def tree_representant(t: RootedTree) -> Word:
     if t.preorder() != tuple(range(1, t.n + 1)):
         raise ValueError("tree is not pre-order labeled; apply preorder_label first")
 
-    def build(v: int) -> list[int]:
-        cs = t.children(v)
-        out = list(chain.from_iterable(build(c) for c in reversed(cs)))
-        out.append(v)
-        out.extend(cs)
-        return out
-
-    word = Word(build(t.root))
-    build = None  # build refers to itself: break the cycle
-    return word
+    # v's word is its children's words, last child first, then v and its
+    # children; an explicit stack, so a deep tree cannot overflow Python's
+    # recursion limit. ~v on the stack emits v and its children.
+    letters: list[int] = []
+    stack = [t.root]
+    while stack:
+        v = stack.pop()
+        if v < 0:
+            letters.append(~v)
+            letters.extend(t.children(~v))
+        else:
+            stack.append(~v)
+            stack.extend(t.children(v))  # popped last child first
+    return Word(letters)
 
 
 def path_representant(n: int) -> Word:

@@ -139,7 +139,8 @@ def report_to_json(report: SearchReport) -> dict:
     budget_exhausted, complete_decision}.
 
     complete_decision is SearchReport.is_complete_decision: true only for a
-    not-representable outcome that covers every labeling at max_copies >= 2.
+    not-representable outcome that covers every labeling at max_copies >= 2,
+    of a graph on at most 6 vertices.
     A report holds no timing: it must not depend on how the search was
     scheduled.
     """

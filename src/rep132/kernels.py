@@ -5,10 +5,13 @@ extension) and rep132._kernel_py (pure-Python reference). They implement
 the identical traversal — same witnesses, same node/test counts — and
 honour one contract: the same parameters, and the same checks in the same
 order with the same errors, down to rejecting a row that is not a graph
-(see _kernel_py.run_batch and check_row). Every check is _kernel_py's
-batch_shape, check_rows or pack_row, which both kernels call. So which
-one runs is purely a speed question, and this module only picks one:
-run_search and run_batch here are the chosen kernel's.
+(see _kernel_py.driver and check_row). Each kernel holds just two
+traversals, one search per graph and one over a batch's union; their
+run_batch and run_search are one pair of functions, _kernel_py.driver's,
+bound to each kernel's traversals, so every check, the fallback past a
+budget and the first-witness cut are written once. So which one runs is
+purely a speed question, and this module only picks one: run_search and
+run_batch here are the chosen kernel's.
 
 The compiled kernel is preferred when it imports; set REP132_BACKEND=python
 or REP132_BACKEND=c to force a choice (forcing c raises ImportError if the

@@ -11,10 +11,11 @@ with up to three copies of each letter leave exactly the same isomorphism
 classes not representable as words with up to two (tests/test_search.py).
 Reducing a word keeps avoidance and the represented graph up to consistent
 relabeling. So an exhaustive search over all labelings, with per-letter
-multiplicity capped at 2, decides the question through order 6; beyond
-that its negatives rest on the unproven bound. max_copies is configurable
-to 1 (permutation words only) or 3 (for experiments) but 2 is the decision
-default.
+multiplicity capped at 2, decides the question through order 6
+(COPY_BOUND_CHECKED_N); beyond that its negatives rest on the unproven
+bound, and its reports do not call them complete decisions. max_copies is
+configurable to 1 (permutation words only) or 3 (for experiments) but 2 is
+the decision default.
 
 search_fixed asks the question for the given labeling only; labels matter,
 so the two operations answer genuinely different questions.
@@ -79,6 +80,11 @@ NOT_REPRESENTABLE = "not-representable"
 BUDGET_EXCEEDED = "budget-exceeded"
 
 DEFAULT_SCAN_NODE_BUDGET = 10**9
+
+# Largest order through which the copy bound is machine-checked at class
+# level (tests/test_search.py, test_copy_bound_holds_at_class_level), so the
+# largest whose negatives are complete decisions.
+COPY_BOUND_CHECKED_N = 6
 
 # Graphs a class asks for in its first round, and their growth from one
 # round to the next: 8, 32, 128, ... Each round walks the shared top of the
@@ -161,14 +167,17 @@ class SearchReport:
     def is_complete_decision(self) -> bool:
         """Whether a not-representable outcome here settles the graph.
 
-        Requires every labeling searched to exhaustion at multiplicity >= 2;
-        a fixed-labeling or max_copies=1 run only rules out a subfamily of
-        words, and a budget-exceeded run rules out nothing.
+        Requires every labeling searched to exhaustion at multiplicity >= 2,
+        of a graph on at most COPY_BOUND_CHECKED_N vertices; a fixed-labeling
+        or max_copies=1 run only rules out a subfamily of words, past that
+        order the copy bound is unchecked, and a budget-exceeded run rules
+        out nothing.
         """
         return (
             self.outcome == NOT_REPRESENTABLE
             and self.config.max_copies >= 2
             and not self.fixed_labeling
+            and self.graph.n <= COPY_BOUND_CHECKED_N
         )
 
 

@@ -12,6 +12,7 @@ import pytest
 import rep132
 from conftest import LOAD_PACKAGE, run_child
 from rep132.cli import main
+from rep132.constructions import path_representant
 
 GOOD_STAR_TEXT = "n 4\n1 2\n1 3\n1 4\n"
 ODD_STAR_TEXT = "n 4\n1 4\n2 4\n3 4\n"
@@ -177,6 +178,14 @@ def test_represent_tree(cli, tmp_path):
     assert cli("represent", "tree", str(path)) == (0, "32312\n", "")
 
 
+def test_represent_tree_of_a_deep_path(cli, tmp_path):
+    # 3,000 levels: the word is built without recursion
+    path = tmp_path / "deep.tree"
+    path.write_text("n 3000\nroot 1\n" + "".join(f"{k} {k + 1}\n" for k in range(1, 3000)))
+    assert cli("represent", "tree", str(path)) == (
+        0, f"{path_representant(3000)}\n", "")
+
+
 def test_represent_tree_relabels_when_needed(cli, tmp_path):
     path = tmp_path / "crooked.tree"
     path.write_text("n 8\nroot 8\n8 7\n7 6\n7 5\n8 4\n8 2\n2 3\n2 1\n")
@@ -232,6 +241,17 @@ def test_search_not_representable(cli, graph_file):
         code, out, _ = cli("search", graph_file(WHEEL5_TEXT), *bounded)
         assert code == 5
         assert "outcome: not-representable\ncomplete decision: no\n" in out
+
+
+def test_search_past_order_six_is_marked_bounded(cli, graph_file, tmp_path):
+    # K4 and K4 apart on 8 vertices: not representable with two copies of
+    # each letter, but the copy bound is checked only through order 6
+    text = "n 8\n1 2\n1 3\n1 4\n2 3\n2 4\n3 4\n5 6\n5 7\n5 8\n6 7\n6 8\n7 8\n"
+    report = tmp_path / "report.json"
+    code, out, _ = cli("search", graph_file(text), "--json", str(report))
+    assert code == 5
+    assert "outcome: not-representable\ncomplete decision: no\n" in out
+    assert json.loads(report.read_text())["complete_decision"] is False
 
 
 def test_search_fixed_negative_is_marked_bounded(cli, graph_file, tmp_path):

@@ -73,6 +73,14 @@ def test_tree_representant_requires_preorder_labels():
     assert is_132_representant(w, LabeledGraph(4, fixed.edges()))
 
 
+def test_tree_representant_of_a_deep_path():
+    # The word is built with an explicit stack: a path of 3,000 vertices,
+    # far past Python's recursion limit, gets the path word, as small ones do.
+    for n in (1, 2, 5, 9, 3000):
+        t = RootedTree(n, 1, [(k, k + 1) for k in range(1, n)])
+        assert tree_representant(t) == path_representant(n), n
+
+
 def test_preorder_label_is_identity_on_preorder_trees():
     t = RootedTree(4, 1, [(1, 2), (2, 3), (1, 4)])
     assert preorder_label(t).edges() == t.edges()

@@ -303,48 +303,42 @@ def python_then_compiled(request):
 
 def test_batch_takes_one_dfs_under_the_budget_and_falls_back_over_it(
         monkeypatch, request):
+    # On each kernel, with its _search_graph counted: under the union's size
+    # the batch takes one DFS and no per-graph search; past the smallest
+    # budget it searches each entry alone, up to each group's first witness.
     py = kernels.load_backend("python")
     graphs = BATCHES[5]
     each = [run(py, g, find_all=False) for g in graphs]
-    calls = []
-    search_graph = py._search_graph
-
-    def counting(*args):
-        calls.append(args)
-        return search_graph(*args)
-
-    monkeypatch.setattr(py, "_search_graph", counting)
     total = sum(nodes for _, nodes, _, _ in each)
-    assert batch(py, 5, graphs, [total] * len(graphs), find_all=False) == each
-    assert calls == []
     smallest = max(nodes for _, nodes, _, _ in each) - 1
-    budgets = [None] * (len(graphs) - 1) + [smallest]
-    expected = [run(py, g, find_all=False, node_budget=b) for g, b in zip(graphs, budgets)]
-    del calls[:]
-    assert batch(py, 5, graphs, budgets, find_all=False) == expected
-    assert len(calls) == len(graphs)
-    # in one group, the union drops the entries after the first hit; the
-    # fallback drops the same entries, and searches none of them
+    over_smallest = [None] * (len(graphs) - 1) + [smallest]
+    cut = [run(py, g, find_all=False, node_budget=b) for g, b in zip(graphs, over_smallest)]
     one_group = [len(graphs)]
-    del calls[:]
-    got = batch(py, 5, graphs, [total] * len(graphs), one_group, find_all=False)
-    assert calls == [] and None in got
-    budgets = [None] * (len(graphs) - 1) + [1]
-    expected = [run(py, g, find_all=False, node_budget=b) for g, b in zip(graphs, budgets)]
-    expected = first_witness_cut(expected, one_group)
-    assert [res is None for res in expected] == [res is None for res in got]
-    del calls[:]
-    assert batch(py, 5, graphs, budgets, one_group, find_all=False) == expected
-    assert len(calls) == len(graphs) - expected.count(None)
-    # the compiled run_batch falls back at the same budget, with the same results
-    compiled = request.getfixturevalue("compiled_kernel")
-    assert batch(compiled, 5, graphs, budgets, one_group, find_all=False) == expected
-    assert batch(compiled, 5, graphs, [total] * len(graphs), one_group,
-                 find_all=False) == got
-    budgets = [None] * (len(graphs) - 1) + [smallest]
-    expected = [run(py, g, find_all=False, node_budget=b) for g, b in zip(graphs, budgets)]
-    assert batch(compiled, 5, graphs, budgets, find_all=False) == expected
-    assert batch(compiled, 5, graphs, [total] * len(graphs), find_all=False) == each
+    over_one = [None] * (len(graphs) - 1) + [1]
+    cut_group = first_witness_cut(
+        [run(py, g, find_all=False, node_budget=b) for g, b in zip(graphs, over_one)],
+        one_group)
+    for backend in python_then_compiled(request):
+        calls = []
+
+        def counting(*args, search_graph=backend._search_graph):
+            calls.append(args)
+            return search_graph(*args)
+
+        monkeypatch.setattr(backend, "_search_graph", counting)
+        assert batch(backend, 5, graphs, [total] * len(graphs), find_all=False) == each
+        assert calls == []
+        assert batch(backend, 5, graphs, over_smallest, find_all=False) == cut
+        assert len(calls) == len(graphs)
+        # in one group, the union drops the entries after the first hit; the
+        # fallback drops the same entries, and searches none of them
+        del calls[:]
+        got = batch(backend, 5, graphs, [total] * len(graphs), one_group, find_all=False)
+        assert calls == [] and None in got
+        assert got == first_witness_cut(each, one_group)
+        assert [res is None for res in cut_group] == [res is None for res in got]
+        assert batch(backend, 5, graphs, over_one, one_group, find_all=False) == cut_group
+        assert len(calls) == len(graphs) - cut_group.count(None)
 
 
 def test_batch_answers_duplicates_entry_by_entry(request):
@@ -1063,13 +1057,14 @@ def test_compiled_batch_of_more_than_64_graphs_on_15_letters(request):
     assert out[10:] == ["True", "True", "True", "68"], done.stdout
 
 
-# The compiled kernel runs the Python kernel's batch_shape, check_rows and
-# pack_row rather than its own copies: counted calls; then a check_rows that
-# passes everything, after which the compiled kernel still refuses what its
-# arrays cannot hold and reads only masks 1..n of a row that is not a graph;
-# then a patched batch_shape whose shape does not fit its rows. Each must
-# raise, or give some answer, rather than send the C code past the end of
-# an array. In a child process, as above.
+# The compiled kernel's run_search and run_batch are the Python driver's, so
+# they run the Python kernel's pack_row, batch_shape and check_rows: counted
+# calls. Then its two traversals, called directly, past every check: each
+# must raise for what its arrays cannot hold (misfit shapes, rows of the
+# wrong length or type, n = 16, min_copies = 0, n * max_copies > 64, a
+# negative budget), and read only masks 1..n of a row that is not a graph,
+# rather than send the C code past the end of an array. In a child process,
+# as above.
 SHAPE_FROM_PYTHON = LOAD_PACKAGE + """
 from rep132 import _kernel_py
 compiled = kernels.load_backend("c")
@@ -1085,32 +1080,41 @@ del calls[:]
 compiled.run_search(3, k3, 1, 2, True, False, None)
 compiled.run_batch(3, row * 2, 1, 2, True, False, [None] * 2)
 print(*calls)
-_kernel_py.check_rows = lambda *args: None
+search_graph, union_search = compiled._search_graph, compiled._union_search
+
+def refused(call, *args):
+    try:
+        call(*args)
+    except (SystemError, TypeError) as e:
+        return type(e).__name__
+    return "answered"
+
 for n, min_copies, max_copies, budget in [(16, 1, 2, None), (3, 0, 2, None),
                                           (13, 5, 5, None), (3, 1, 2, -1)]:
-    try:
-        compiled.run_batch(n, row, min_copies, max_copies, True, False, [budget])
-    except SystemError as e:
-        print(type(e).__name__)
+    print(refused(search_graph, n, row, min_copies, max_copies, True, False, budget),
+          refused(union_search, n, row * 2, [None, budget], [2], min_copies,
+                  max_copies, True, False))
+for bad in (row[:-1], row + b"x", bytearray(row)):
+    print(refused(search_graph, 3, bad, 1, 2, True, False, None))
+for rows, budgets, sizes in [(row, [None], [2]), (row * 2, [None], [2]),
+                             (row * 2, [None] * 2, [1]), (row * 2, [None] * 2, [3, -1]),
+                             (row, [None], [0, 1]), (row, [None], [1, 1]),
+                             (row[:-1], [None], [1]), (row * 2 + b"x", [None] * 2, [2]),
+                             (bytearray(row), [None], [1])]:
+    print(refused(union_search, 3, rows, budgets, sizes, 1, 2, True, False))
 bad_rows = [
     b"\\xff" * 32,                         # bits past n, masks past n, mask 0
     _kernel_py.pack_row(3, [0, 0b1110, 0b1100, 0b1010], 1, 2, None),  # a self-loop
     _kernel_py.pack_row(3, [0, 0b0100, 0, 0], 1, 2, None),   # 1-2 but not 2-1
 ]
+flags = [(forbid, find_all, budget) for forbid in (True, False)
+         for find_all in (True, False) for budget in (None, 5)]
 for bad in bad_rows:
-    answers = [compiled.run_batch(3, rows, 1, 2, forbid, find_all, [budget] * count)
-               for rows, count in ((bad, 1), (bad + row, 2), (row + bad * 70, 71))
-               for forbid in (True, False) for find_all in (True, False)
-               for budget in (None, 5)]
+    answers = [search_graph(3, bad, 1, 2, *flag) for flag in flags] + [
+        union_search(3, rows, [budget] * count, [1] * count, 1, 2, forbid, find_all)
+        for rows, count in ((bad + row, 2), (row + bad * 70, 71))
+        for forbid, find_all, budget in flags]
     print(len(answers))
-for shape in [(row, [None], [2]), (row * 2, [None], [2]), (row * 2, [None] * 2, [1]),
-              (row * 2, [None] * 2, [3, -1]), (row, [None], [0, 1]),
-              (row, [None], [1, 1]), [row, [None], [1]], (bytearray(row), [None], [1])]:
-    _kernel_py.batch_shape = lambda *args, shape=shape: shape
-    try:
-        compiled.run_batch(3, row, 1, 2, True, False, [None])
-    except (SystemError, TypeError) as e:
-        print(type(e).__name__)
 """
 
 
@@ -1119,9 +1123,25 @@ def test_compiled_kernel_takes_its_argument_checks_from_the_python_kernel(reques
     assert done.returncode == 0, (done.returncode, done.stderr)
     lines = done.stdout.splitlines()
     assert lines[0] == "pack_row batch_shape check_rows batch_shape check_rows"
-    assert lines[1:5] == ["SystemError"] * 4, done.stdout
-    assert lines[5:8] == ["24"] * 3, done.stdout
-    assert lines[8:] == ["SystemError"] * 7 + ["TypeError"], done.stdout
+    assert lines[1:5] == ["SystemError SystemError"] * 4, done.stdout
+    assert lines[5:8] == ["SystemError", "SystemError", "TypeError"], done.stdout
+    assert lines[8:17] == ["SystemError"] * 8 + ["TypeError"], done.stdout
+    assert lines[17:] == ["24"] * 3, done.stdout
+
+
+def test_one_driver_runs_both_kernels(request):
+    # run_batch and run_search are written once, in the Python kernel; the
+    # compiled module holds only its two traversals and binds the same two
+    # functions over them, so its source restates no check and no driver
+    py = kernels.load_backend("python")
+    compiled = request.getfixturevalue("compiled_kernel")
+    for name in ("run_batch", "run_search"):
+        assert getattr(compiled, name).__code__ is getattr(py, name).__code__, name
+    methods = [name for name, obj in vars(compiled).items() if inspect.isbuiltin(obj)]
+    assert sorted(methods) == ["_search_graph", "_union_search"]
+    source = (Path(kernels.__file__).resolve().parent / "_kernel.c").read_text()
+    for name in ("batch_shape", "check_rows", "pack_row"):
+        assert name not in source, name
 
 
 # The messages of the kernels' checks, those before a call's first entry and

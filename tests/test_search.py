@@ -865,7 +865,12 @@ def test_order_six_rounds_peak_under_a_megabyte(request):
     assert int(peak) <= 1_000_000
 
 
-@pytest.mark.parametrize("n, not_representable", [(4, 0), (5, 0), (6, 4)])
+# Each order, with its classes not representable, through which the copy
+# bound is checked below
+COPY_BOUND_ORDERS = [(4, 0), (5, 0), (6, 4)]
+
+
+@pytest.mark.parametrize("n, not_representable", COPY_BOUND_ORDERS)
 def test_copy_bound_holds_at_class_level(n, not_representable):
     # The decision rests on two copies per letter being enough (see the
     # rep132.search docstring): three copies leave the same classes
@@ -878,6 +883,12 @@ def test_copy_bound_holds_at_class_level(n, not_representable):
     two = negatives(SearchConfig())
     assert len(two) == not_representable
     assert negatives(SearchConfig(max_copies=3)) == two
+
+
+def test_complete_decisions_end_where_the_copy_bound_is_checked():
+    # a negative is a complete decision only through the order that the
+    # test above checks (test_cli: K4 and K4 apart, on 8 vertices, is not)
+    assert search.COPY_BOUND_CHECKED_N == max(n for n, _ in COPY_BOUND_ORDERS)
 
 
 # ------------------------------------------------------------------ reports
