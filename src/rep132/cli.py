@@ -204,26 +204,24 @@ def _cmd_scan(args) -> int:
         if report.witness is not None:
             line += f" (witness {report.witness})"
         print(line)
-    outcomes = [r.outcome for _, r in results]
-    print(
-        f"summary: {len(results)} classes, "
-        f"{outcomes.count(REPRESENTABLE)} representable, "
-        f"{outcomes.count(NOT_REPRESENTABLE)} not representable, "
-        f"{outcomes.count(BUDGET_EXCEEDED)} budget-exceeded"
-    )
     w5 = canonical_form(wheel(5)) if n == 6 else None
-    if n == 6:
-        non_rep = [g for g, r in results if r.outcome == NOT_REPRESENTABLE]
-        if non_rep == [w5]:
+    catalog = formats.catalog_to_json(n, results, wheel5_canonical=w5)
+    summary = catalog["summary"]
+    print(
+        f"summary: {summary['classes']} classes, "
+        f"{summary['representable']} representable, "
+        f"{summary['not_representable']} not representable, "
+        f"{summary['budget_exceeded']} budget-exceeded"
+    )
+    if w5 is not None:
+        if summary["wheel5_only_non_representable"]:
             print("wheel(5) is the only non-representable class found")
-        elif w5 in non_rep:
+        elif summary["wheel5_found_non_representable"]:
             print("wheel(5) is non-representable but not the only such class found")
         else:
             print("warning: wheel(5) was not among the non-representable classes")
     if args.json:
-        Path(args.json).write_text(
-            formats.dumps(formats.catalog_to_json(n, results, wheel5_canonical=w5))
-        )
+        Path(args.json).write_text(formats.dumps(catalog))
     if args.dot_dir:
         out = Path(args.dot_dir)
         out.mkdir(parents=True, exist_ok=True)

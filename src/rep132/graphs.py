@@ -16,6 +16,7 @@ search, one canonicity test per candidate; scans stop at n = 7.
 from __future__ import annotations
 
 import itertools
+import operator
 from functools import lru_cache
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -26,16 +27,21 @@ _MAX_ENUM_N = 7
 
 
 class LabeledGraph:
-    """Immutable simple graph with vertices exactly 1..n."""
+    """Immutable simple graph with vertices exactly 1..n.
+
+    n and every edge endpoint must be integers: 2.5 or an edge (1.5, 2)
+    raises TypeError.
+    """
 
     __slots__ = ("_n", "_edges")
 
     def __init__(self, n: int, edges: Iterable[Sequence[int]] = ()):
+        n = operator.index(n)
         if n < 0:
             raise ValueError("vertex count must be >= 0")
         norm = set()
         for e in edges:
-            u, v = e
+            u, v = map(operator.index, e)
             if u == v:
                 raise ValueError(f"loop at vertex {u}")
             if not (1 <= u <= n and 1 <= v <= n):

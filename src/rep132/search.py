@@ -33,19 +33,22 @@ a witness are cut short and never reported: the walk stops at that one.
 One driver decides every search (_decide_classes). Each graph has a walk
 (_walk), a generator over one dict of kernel results keyed by each labeled
 graph's packed adjacency masks; it yields each labeled graph that the dict
-holds no usable result for, with its remaining budget. The labelings are
-drawn lazily, so no list of n! labelings is built per graph; through order
-7 their keys are read off per-order tables of the edges' keys under every
-labeling (_walk_keys). The driver serves the walks of all its graphs in
-rounds of kernels.run_batch calls: in each round every undecided graph asks
-for the labeled graph its walk needs plus its next distinct labeled graphs
-not yet searched, 8 in all in its first round and 4 times as many in each
-round after (see _decide_classes), under its remaining budget, so the
-kernel shares word prefixes across many graphs. Each graph's asks form one
-group of the batch, in walk order, and the kernel returns no result for
-those after the first with a witness, on any path. A walk uses a result searched ahead of it only where the
-serial walk would get the same result (see _walk), so every report is the
-serial one. search_fixed walks the identity labeling only,
+holds no usable result for, with its remaining budget, and returns the
+graph's report, each witness in it checked. The labelings are drawn
+lazily, so no list of n! labelings is built per graph; through order 7
+their keys are read off per-order tables of the edges' keys under every
+labeling (_walk_keys). The driver keeps one record per undecided graph and
+serves the walks of all its graphs in rounds of kernels.run_batch calls:
+in each round every undecided graph asks for the labeled graph its walk
+needs plus its next distinct labeled graphs not yet searched, 8 in all in
+its first round and 4 times as many in each round after (see
+_decide_classes), under its remaining budget, so the kernel shares word
+prefixes across many graphs. Each call is built from one list of (graph,
+keys) pairs: each graph's asks form one group of the batch, in walk order,
+and the kernel returns no result for those after the first with a
+witness, on any path. A walk uses a result searched ahead of it only where
+the serial walk would get the same result (see _walk), so every report is
+the serial one. search_fixed walks the identity labeling only,
 search_all_labelings every labeling of one graph, and scan_order every
 labeling of every class of an order. A parallel scan_order splits the
 classes into k interleaved groups, classes[i::k], and decides group 0 in
@@ -251,31 +254,30 @@ def _walk_keys(g: LabeledGraph, fixed: bool) -> Iterator[int]:
     return map(sum, zip(*columns))
 
 
-def _walk(cfg: SearchConfig, keys: Iterator[tuple[Labeling, int]], results: dict):
-    """The serial labeling walk, as a generator.
+def _walk(g: LabeledGraph, cfg: SearchConfig, fixed: bool, results: dict):
+    """The serial labeling walk of a search of g, as a generator that
+    returns g's SearchReport.
 
-    keys yields each labeling in walk order with the key of its labeled
-    graph (see _keys). results maps a key to a kernel result. Each time
-    results holds none that serves the labeled graph 'key' under node
-    budget 'remaining', the walk yields (key, remaining, tried), tried being
-    the labelings walked before; the caller stores a result for key,
-    computed under a budget of at least 'remaining', and resumes the walk.
-    Returns (winner, entries, nodes, tested, labelings_tried, exhausted);
-    winner is (labeling, first witness tuple).
+    The walk visits the labelings of _labelings(g, fixed) in order, each
+    with the key of its labeled graph (_walk_keys). results maps a key to a
+    kernel result. Each time results holds none that serves the labeled
+    graph 'key' under node budget 'remaining', the walk yields (key,
+    remaining, tried), tried being the labelings walked before; the caller
+    stores a result for key, computed under a budget of at least
+    'remaining', and resumes the walk.
 
     The kernel is deterministic in (masks, flags, budget), so one result
     serves every labeling whose labeled graph repeats an earlier one, and a
     caller may store results ahead of the walk: speculative ones, searched
-    before the walk reaches them.
+    before the walk reaches them. Every witness reported is checked with
+    is_132_representant.
     """
     remaining = cfg.node_budget
-    nodes_sum = 0
-    tested_sum = 0
-    tried = 0
+    nodes = tested = tried = 0
     entries: list[tuple[Labeling, tuple[int, ...]]] = []
-    winner = None
+    witness = labeling = None
     exhausted = False
-    for sig, key in keys:
+    for sig, key in zip(_labelings(g, fixed), _walk_keys(g, fixed)):
         if remaining is not None and remaining <= 0:
             exhausted = True
             break
@@ -289,22 +291,40 @@ def _walk(cfg: SearchConfig, keys: Iterator[tuple[Labeling, int]], results: dict
         while res is None or (remaining is not None and res[1] > remaining):
             yield key, remaining, tried
             res = results[key]
-        wit, nodes, tested, exc = res
-        nodes_sum += nodes
-        tested_sum += tested
+        wit, used, words, cut = res
+        nodes += used
+        tested += words
         tried += 1
         if wit:
-            if winner is None:
-                winner = (sig, wit[0])
+            if labeling is None:
+                labeling, witness = sig, Word(wit[0])
             entries.extend((sig, w) for w in wit)
-        if exc:
+        if cut:
             exhausted = True
             break
         if remaining is not None:
-            remaining -= nodes
-        if winner is not None and not cfg.find_all:
+            remaining -= used
+        if labeling is not None and not cfg.find_all:
             break
-    return winner, entries, nodes_sum, tested_sum, tried, exhausted
+
+    if labeling is not None:
+        assert is_132_representant(witness, relabel(g, labeling)), (
+            f"unsound witness {witness} for labeling {labeling}"
+        )
+        outcome = REPRESENTABLE
+    elif exhausted:
+        outcome = BUDGET_EXCEEDED
+    else:
+        outcome = NOT_REPRESENTABLE
+    all_w = None
+    if cfg.find_all:
+        all_w = tuple((sig, Word(w)) for sig, w in entries)
+        for sig, word in all_w:
+            assert is_132_representant(word, relabel(g, sig)), (
+                f"unsound witness {word} for labeling {sig}"
+            )
+    return SearchReport(g, cfg, fixed, outcome, witness, labeling, all_w,
+                        SearchStats(nodes, tested, tried), exhausted)
 
 
 def _decide_classes(
@@ -321,152 +341,106 @@ def _decide_classes(
     ROUND_GRAPHS graphs in all asks only for the ones the walks need, so a
     single search speculates from its second round. Under a node budget it
     asks for none past the labelings that its remaining budget pays for at
-    the walk's mean nodes per labeling so far. A round goes to
-    kernels.run_batch in slices of whole classes, of about BATCH_GRAPHS
-    graphs each, as packed rows (the keys themselves) with one group per
-    class. Each class keeps its results in one dict, the walk's memo, and
-    the walk uses a speculative result only where the serial walk would get
-    the same one (see _walk), so every report is the serial one. Without
-    find_all, the kernel drops a class's entries after its first entry with
-    a witness, and returns None for them, whether it searched them in one
-    union or one by one; the walk stops at or before that entry, having
-    every result before it, so it never reads a dropped key and None is not
-    stored. The walk and the lookahead are two cursors over the class's
-    keys (_walk_keys); before it reads, the lookahead's cursor skips to the
-    labeling after the walk's, so no key read ahead is held. A class's walk
-    goes on as soon as its slice is back, and its walk and dict are dropped
-    when it is decided. n must be in 1..kernels.MAX_N, as the kernels' is:
-    past it a key would not fit in a row.
+    the walk's mean nodes per labeling so far.
+
+    Each undecided class has one record: its walk, its results dict (the
+    walk's memo), its lookahead cursor over its keys (_walk_keys), the
+    number of keys that cursor has read, and the walk's pending ask. Before
+    it reads, the cursor skips to the labeling after the walk's, so no key
+    read ahead is held. A round goes to kernels.run_batch in slices of
+    whole classes, of about BATCH_GRAPHS graphs each. A slice is one list
+    of (class, keys) pairs, keys being the class's asks in order; the
+    batch's packed rows (the keys themselves), budgets and groups, one
+    group per class, are read off it, and so is where each result goes
+    back. The walk uses a speculative result only where the serial walk
+    would get the same one (see _walk), so every report is the serial one.
+    Without find_all, the kernel drops a class's entries after its first
+    entry with a witness, and returns None for them, whether it searched
+    them in one union or one by one; the walk stops at or before that
+    entry, having every result before it, so it never reads a dropped key
+    and None is not stored. A class's walk goes on as soon as its slice is
+    back, and its record is dropped when it is decided. n must be in
+    1..kernels.MAX_N, as the kernels' is: past it a key would not fit in a
+    row.
     """
     if not 1 <= n <= kernels.MAX_N:
         raise ValueError(f"n must be in 1..{kernels.MAX_N}")
-    # class index -> (walk, results, lookahead cursor, keys the cursor has read)
-    undecided: dict[int, list] = {}
-    for i, h in enumerate(classes):
-        results: dict[int, tuple] = {}
-        walk = _walk(cfg, zip(_labelings(h, fixed), _walk_keys(h, fixed)), results)
-        undecided[i] = [walk, results, _walk_keys(h, fixed), 0]
     reports: list[Optional[SearchReport]] = [None] * len(classes)
-    requests: dict[int, tuple] = {}  # class index -> (key, remaining, tried)
-
-    # the entries of the next batch, one per list index: its key, its
-    # class's results and its budget
-    asked: list[int] = []
-    owners: list[dict] = []
-    budgets: list = []
-    asking: list[int] = []  # the classes in asked
-    sizes: list[int] = []  # per class in asking, its number of entries in asked
+    # class index -> [walk, results, lookahead cursor, keys the cursor has
+    # read, the walk's pending (key, remaining, tried)]
+    undecided: dict[int, list] = {}
 
     def advance(i: int) -> None:
+        record = undecided[i]
         try:
-            requests[i] = next(undecided[i][0])
+            record[4] = next(record[0])
         except StopIteration as done:
             del undecided[i]
-            requests.pop(i, None)
-            reports[i] = _assemble(classes[i], cfg, fixed, *done.value)
+            reports[i] = done.value
 
-    def flush() -> None:
-        if not asked:  # the slice ended exactly at the round's end
-            return
-        found = kernels.run_batch(
+    def flush(batch: list[tuple[int, dict]]) -> None:
+        found = iter(kernels.run_batch(
             n,
-            b"".join([key.to_bytes(kernels.ROW_BYTES, "little") for key in asked]),
+            b"".join([key.to_bytes(kernels.ROW_BYTES, "little")
+                      for _, keys in batch for key in keys]),
             1,
             cfg.max_copies,
             True,
             cfg.find_all,
-            budgets,
-            sizes,
-        )
-        # an entry dropped by an earlier hit of its class is None; the walk
-        # stops at or before that hit, so it never reads the dropped key
-        for results, key, result in zip(owners, asked, found):
-            if result is not None:
-                results[key] = result
-        for entries in (asked, owners, budgets, sizes):
-            entries.clear()
-        # a class decided here drops its results before the next batch
-        for i in asking:
-            advance(i)
-        asking.clear()
+            [undecided[i][4][1] for i, keys in batch for _ in keys],  # remaining
+            [len(keys) for _, keys in batch],
+        ))
+        for i, keys in batch:
+            results = undecided[i][1]
+            # an entry dropped by an earlier hit of its class is None; the
+            # walk stops at or before that hit, so it never reads the key.
+            # zip stops at the end of keys before it draws from found.
+            for key, result in zip(keys, found):
+                if result is not None:
+                    results[key] = result
+            advance(i)  # a class decided here drops its record
 
-    for i in range(len(classes)):
+    for i, h in enumerate(classes):
+        results: dict[int, tuple] = {}
+        walk = _walk(h, cfg, fixed, results)
+        undecided[i] = [walk, results, _walk_keys(h, fixed), 0, None]
         advance(i)
     width = FIRST_ASKS
-    while requests:
-        asks = width if width * len(requests) >= ROUND_GRAPHS else 1
-        for i in list(requests):
-            key, remaining, tried = requests[i]
-            state = undecided[i]
-            _, results, cursor, read = state
-            asked.append(key)
-            owners.append(results)
-            budgets.append(remaining)
-            asking.append(i)
-            sizes.append(1)
+    while undecided:
+        asks = width if width * len(undecided) >= ROUND_GRAPHS else 1
+        batch: list[tuple[int, dict]] = []  # this slice's (class, keys) pairs
+        size = 0
+        # indices, not records: a list of records would keep the classes
+        # decided in this round's earlier slices alive until its end
+        for i in list(undecided):
+            record = undecided[i]
+            _, results, cursor, read, (key, remaining, tried) = record
+            keys = {key: None}
             # the walk has read the keys of labelings 0..tried; the lookahead
             # reads on from labeling tried + 1
             if read <= tried:
                 skip = tried + 1 - read
                 next(itertools.islice(cursor, skip, skip), None)
                 read = tried + 1
-            taken = {key}
             spent = 0 if remaining is None else cfg.node_budget - remaining
             ahead = remaining * tried // spent - 1 if spent else math.inf
-            while len(taken) < asks and read - tried - 1 < ahead:
+            while len(keys) < asks and read - tried - 1 < ahead:
                 extra = next(cursor, None)
                 if extra is None:
                     break
                 read += 1
-                if extra not in results and extra not in taken:
-                    taken.add(extra)
-                    asked.append(extra)
-                    owners.append(results)
-                    budgets.append(remaining)
-                    sizes[-1] += 1
-            state[3] = read
-            if len(asked) >= BATCH_GRAPHS:
-                flush()
-        flush()
+                if extra not in results:
+                    keys[extra] = None
+            record[3] = read
+            batch.append((i, keys))
+            size += len(keys)
+            if size >= BATCH_GRAPHS:
+                flush(batch)
+                batch, size = [], 0
+        if batch:  # empty if the last slice ended exactly at the round's end
+            flush(batch)
         width = min(GROWTH * width, BATCH_GRAPHS)
     return reports
-
-
-def _assemble(
-    g: LabeledGraph,
-    cfg: SearchConfig,
-    fixed: bool,
-    winner,
-    entries,
-    nodes: int,
-    tested: int,
-    tried: int,
-    exhausted: bool,
-) -> SearchReport:
-    stats = SearchStats(nodes, tested, tried)
-    witness = None
-    labeling = None
-    if winner is not None:
-        labeling, wit = winner
-        witness = Word(wit)
-        assert is_132_representant(witness, relabel(g, labeling)), (
-            f"unsound witness {witness} for labeling {labeling}"
-        )
-        outcome = REPRESENTABLE
-    elif exhausted:
-        outcome = BUDGET_EXCEEDED
-    else:
-        outcome = NOT_REPRESENTABLE
-    all_w = None
-    if cfg.find_all:
-        all_w = tuple((sig, Word(w)) for sig, w in entries)
-        for sig, word in all_w:
-            assert is_132_representant(word, relabel(g, sig)), (
-                f"unsound witness {word} for labeling {sig}"
-            )
-    return SearchReport(
-        g, cfg, fixed, outcome, witness, labeling, all_w, stats, exhausted
-    )
 
 
 def search_fixed(g: LabeledGraph, cfg: SearchConfig = SearchConfig()) -> SearchReport:

@@ -17,6 +17,7 @@ accept both, plus a bare integer like "10" for a single letter >= 10.
 from __future__ import annotations
 
 import math
+import operator
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 WordLike = Union["Word", Sequence[int]]
@@ -26,7 +27,8 @@ class Word:
     """An immutable word of positive integer letters.
 
     Accepts an iterable of letters or a text form: Word("43212341"),
-    Word("10.2.10.1.2"), Word([4, 3, 2, 1]).
+    Word("10.2.10.1.2"), Word([4, 3, 2, 1]). A letter of an iterable that
+    is not an integer, such as 1.5 or "12", raises TypeError.
     """
 
     __slots__ = ("_letters",)
@@ -35,7 +37,7 @@ class Word:
         if isinstance(letters, str):
             self._letters = _parse_text(letters)
         else:
-            self._letters = tuple(int(x) for x in letters)
+            self._letters = tuple(map(operator.index, letters))
         for x in self._letters:
             if x < 1:
                 raise ValueError(f"letters must be >= 1, got {x}")

@@ -122,6 +122,11 @@ def test_graph_json_round_trip(g):
     assert graph_from_json(json.loads(dumps(graph_to_json(g)))) == g
 
 
+def test_graph_json_rejects_a_float_endpoint():
+    with pytest.raises(TypeError):
+        graph_from_json({"n": 3, "edges": [[1, 2.0]]})
+
+
 def test_report_json_representable():
     obj = report_to_json(search_all_labelings(cycle(5)))
     assert set(obj) == {"graph", "outcome", "witness", "labeling",

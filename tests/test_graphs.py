@@ -58,6 +58,11 @@ def test_graph_rejects_bad_edges():
         LabeledGraph(3, [(0, 2)])
     with pytest.raises(ValueError):
         LabeledGraph(3, [(2, 4)])
+    # not integers: refused where the graph is built, not by a later use
+    with pytest.raises(TypeError):
+        LabeledGraph(3, [(1.5, 2)])
+    with pytest.raises(TypeError):
+        LabeledGraph(2.5)
 
 
 def test_adjacency_masks():
@@ -127,6 +132,8 @@ def test_relabel_rejects_non_permutations():
         relabel(path(3), (1, 1, 2))
     with pytest.raises(ValueError):
         relabel(path(3), (1, 2))
+    with pytest.raises(TypeError):
+        relabel(path(3), (1.0, 2.0, 3.0))
 
 
 @settings(max_examples=60)

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import time
+import weakref
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
@@ -307,7 +308,19 @@ def reference_report(g, cfg):
             remaining -= used
         if winner is not None and not cfg.find_all:
             break
-    return search._assemble(g, cfg, False, winner, entries, nodes, tested, tried, exhausted)
+    labeling = witness = None
+    if winner is not None:
+        labeling, witness = winner[0], Word(winner[1])
+        outcome = REPRESENTABLE
+    elif exhausted:
+        outcome = BUDGET_EXCEEDED
+    else:
+        outcome = NOT_REPRESENTABLE
+    return SearchReport(
+        g, cfg, False, outcome, witness, labeling,
+        tuple((sig, Word(w)) for sig, w in entries) if cfg.find_all else None,
+        SearchStats(nodes, tested, tried), exhausted,
+    )
 
 
 def memoized_walk_calls(g, cfg):
@@ -839,6 +852,34 @@ def test_order_six_scan_takes_at_most_three_rounds(monkeypatch):
     monkeypatch.setattr(kernels, "run_batch", counting)
     assert len(scan_order(6)) == 122
     assert len(calls) <= 3
+
+
+def test_a_decided_class_is_dropped_before_the_next_slice(monkeypatch):
+    # slices of 16 graphs, so each round of an order-5 scan takes several
+    # kernel calls and classes are decided between the slices of a round
+    expected = scan_order(5)
+    monkeypatch.setattr(search, "BATCH_GRAPHS", 16)
+    walks, finished_alive = [], []
+    walk, run_batch = search._walk, kernels.run_batch
+
+    def tracked(*args):
+        gen = walk(*args)
+        walks.append(weakref.ref(gen))
+        return gen
+
+    def checking(*args):
+        alive = [w() for w in walks if w() is not None]
+        finished_alive.append(sum(gen.gi_frame is None for gen in alive))
+        return run_batch(*args)
+
+    monkeypatch.setattr(search, "_walk", tracked)
+    monkeypatch.setattr(kernels, "run_batch", checking)
+    assert scan_order(5) == expected
+    assert len(finished_alive) > 3
+    # a finished walk still alive is a decided class's record kept: its
+    # walk, its results and its lookahead cursor
+    assert finished_alive == [0] * len(finished_alive)
+    assert all(w() is None for w in walks)
 
 
 # The tracemalloc peak of the rounds of an order-6 scan on the Python

@@ -79,6 +79,13 @@ def test_word_rejects_nonpositive_letters():
         Word([-3])
 
 
+@pytest.mark.parametrize("letters", [[1.5], [2.9, 1], ["12"]])
+def test_word_rejects_letters_that_are_not_integers(letters):
+    # not truncated to 1 or 2, and "12" is not read as the letter 12
+    with pytest.raises(TypeError):
+        Word(letters)
+
+
 # ------------------------------------------------------------------ reduction
 
 
