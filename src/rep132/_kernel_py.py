@@ -144,6 +144,9 @@ def check_rows(n, rows, min_copies, max_copies, node_budgets) -> None:
     only if it fails there: every entry passes check_row if every budget is
     None or an int of at least 0, no row sets a bit outside masks 1..n, bits
     1..n, off the diagonal, and each pair's two bits are equal in every row.
+    The budgets are checked by their types and their least value, and the
+    bits that no row may set are looked for in the OR of all rows
+    (_rows_union), so no mask as long as the batch is built.
     """
     if node_budgets:
         check_row(n, row_key(rows, 0), min_copies, max_copies, node_budgets[0])
@@ -158,16 +161,27 @@ def check_rows(n, rows, min_copies, max_copies, node_budgets) -> None:
     full = (1 << (n + 1)) - 2
     valid = sum((full & ~(1 << v)) << (LANE * v) for v in range(1, n + 1))
     if (
-        all(b is None or (type(b) is int and b >= 0) for b in node_budgets)
-        and not int.from_bytes(rows, "little")
-        & ~int.from_bytes(valid.to_bytes(ROW_BYTES, "little") * len(node_budgets),
-                          "little")
+        {*map(type, node_budgets)} <= {int, type(None)}
+        and min(filter(None, node_budgets), default=0) >= 0
+        and not _rows_union(rows) & ~valid
         and all(column(v, u) == column(u, v)
                 for v in range(1, n + 1) for u in range(v + 1, n + 1))
     ):
         return
     for i, budget in enumerate(node_budgets):
         check_row(n, row_key(rows, i), min_copies, max_copies, budget)
+
+
+def _rows_union(rows: bytes) -> int:
+    """The OR of all rows, read as one int: the rows' int folded in halves,
+    its top half of whole rows ORed onto the rest, until one row is left."""
+    union = int.from_bytes(rows, "little")
+    count = len(rows) // ROW_BYTES
+    while count > 1:
+        bits = 8 * ROW_BYTES * (count // 2)
+        union = (union >> bits) | (union & ((1 << bits) - 1))
+        count -= count // 2
+    return union
 
 
 @lru_cache(maxsize=None)
@@ -649,11 +663,31 @@ def _add_tallies(planes: list[int], tally: dict[int, int], most: int) -> None:
     tally.clear()
 
 
+# _DIGIT_BITS[t]: a bytes.translate table taking the digit b"0" to byte 0
+# and b"1" to the byte with bit t set
+_DIGIT_BITS = tuple(bytes.maketrans(b"01", bytes([0, 1 << t])) for t in range(8))
+
+
 def _totals(planes: list[int], count: int) -> list[int]:
-    """Per index 0..count-1, its total in the bit-sliced planes."""
-    if not planes:
-        return [0] * count
-    # index i's total in binary is bit i of each plane, the top plane first;
-    # a plane written out in binary has index i at column count - 1 - i
-    columns = zip(*[format(plane, f"0{count}b") for plane in reversed(planes)])
-    return [int("".join(bits), 2) for bits in columns][::-1]
+    """Per index 0..count-1, its total in the bit-sliced planes.
+
+    Read out in bulk, eight planes at a time. Plane p written out in binary
+    has one digit per index, index i at column count - 1 - i. Each digit is
+    translated to a byte holding bit p % 8 when the digit is 1, and the
+    eight planes of one byte of the totals are ORed: that gives this byte of
+    every total, one per index. It is slice-assigned into 8-byte lanes, one
+    per index, in this machine's byte order, and one memoryview cast reads
+    the lanes out. A total fits its lane: it is at most the union's node
+    count.
+    """
+    lanes = bytearray(8 * count)
+    for low in range(0, len(planes), 8):
+        byte = 0
+        for t, plane in enumerate(planes[low:low + 8]):
+            digits = format(plane, f"0{count}b").encode()
+            byte |= int.from_bytes(digits.translate(_DIGIT_BITS[t]), "big")
+        at = low // 8 if sys.byteorder == "little" else 7 - low // 8
+        lanes[at::8] = byte.to_bytes(count, "big")
+    totals = memoryview(lanes).cast("Q").tolist()
+    totals.reverse()  # the lanes run from index count - 1 down to index 0
+    return totals

@@ -29,19 +29,24 @@ _MAX_ENUM_N = 7
 class LabeledGraph:
     """Immutable simple graph with vertices exactly 1..n.
 
-    n and every edge endpoint must be integers: 2.5 or an edge (1.5, 2)
-    raises TypeError.
+    n and every edge endpoint must be integers: 2.5, an edge (1.5, 2) or
+    an edge (True, 2) raises TypeError.
     """
 
     __slots__ = ("_n", "_edges")
 
     def __init__(self, n: int, edges: Iterable[Sequence[int]] = ()):
+        if type(n) is bool:  # a bool is an int: True would be 1
+            raise TypeError("a vertex count must be an integer, not a bool")
         n = operator.index(n)
         if n < 0:
             raise ValueError("vertex count must be >= 0")
         norm = set()
         for e in edges:
-            u, v = map(operator.index, e)
+            u, v = e
+            if type(u) is bool or type(v) is bool:
+                raise TypeError("an edge endpoint must be an integer, not a bool")
+            u, v = operator.index(u), operator.index(v)
             if u == v:
                 raise ValueError(f"loop at vertex {u}")
             if not (1 <= u <= n and 1 <= v <= n):

@@ -24,13 +24,12 @@ letters 1..MAX_N.
 
 run_batch is the one call: it answers for several graphs on the same n,
 entry for entry, from rows of ROW_BYTES bytes, one row a graph (masks
-0..MAX_N of 16 bits, little-endian), the layout of the scan's memo keys,
-in one DFS over the union of their searches. The entries form groups of
-consecutive graphs: without find_all, the entries of a group after its
-first entry with a witness are dropped and returned as None, on every path
-of both kernels. A scan decides its classes in rounds of run_batch calls, one
-group per class, so a class stops searching its later labelings at its
-first hit.
+0..MAX_N of 16 bits, little-endian), in one DFS over the union of their
+searches. The entries form groups of consecutive graphs: without find_all,
+the entries of a group after its first entry with a witness are dropped and
+returned as None, on every path of both kernels. A scan decides its classes
+in rounds of run_batch calls, one group per class, so a class stops
+searching its later labelings at its first hit.
 run_search is run_batch over one row.
 """
 

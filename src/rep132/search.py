@@ -32,23 +32,25 @@ a witness are cut short and never reported: the walk stops at that one.
 
 One driver decides every search (_decide_classes). Each graph has a walk
 (_walk), a generator over one dict of kernel results keyed by each labeled
-graph's packed adjacency masks; it yields each labeled graph that the dict
-holds no usable result for, with its remaining budget, and returns the
-graph's report, each witness in it checked. The labelings are drawn
-lazily, so no list of n! labelings is built per graph; through order 7
-their keys are read off per-order tables of the edges' keys under every
-labeling (_walk_keys). The driver keeps one record per undecided graph and
-serves the walks of all its graphs in rounds of kernels.run_batch calls:
-in each round every undecided graph asks for the labeled graph its walk
-needs plus its next distinct labeled graphs not yet searched, 8 in all in
-its first round and 4 times as many in each round after (see
-_decide_classes), under its remaining budget, so the kernel shares word
-prefixes across many graphs. Each call is built from one list of (graph,
-keys) pairs: each graph's asks form one group of the batch, in walk order,
-and the kernel returns no result for those after the first with a
-witness, on any path. A walk uses a result searched ahead of it only where
-the serial walk would get the same result (see _walk), so every report is
-the serial one. search_fixed walks the identity labeling only,
+graph's edge bitset (see rep132._keys); it yields each labeled graph that
+the dict holds no usable result for, with its remaining budget, and
+returns the graph's report, each witness in it checked. The labelings are
+drawn lazily, and their keys a block at a time (_keys.Keys), through order
+7 the (n - 1)! labelings that share sigma[0] in one big-int sum. The walk
+and the lookahead read the same blocks, so each key is computed once, and
+a graph holds only the blocks from its walk's on; the kernel's rows are
+built from the keys (_keys.rows). The driver keeps one record per
+undecided graph and serves the walks of all its graphs in rounds of
+kernels.run_batch calls: in each round every undecided graph asks for the
+labeled graph its walk needs plus its next distinct labeled graphs not yet
+searched, 8 in all in its first round and 4 times as many in each round
+after (see _decide_classes), under its remaining budget, so the kernel
+shares word prefixes across many graphs. Each call is built from one list
+of (graph, keys) pairs: each graph's asks form one group of the batch, in
+walk order, and the kernel returns no result for those after the first
+with a witness, on any path. A walk uses a result searched ahead of it
+only where the serial walk would get the same result (see _walk), so every
+report is the serial one. search_fixed walks the identity labeling only,
 search_all_labelings every labeling of one graph, and scan_order every
 labeling of every class of an order. A parallel scan_order splits the
 classes into k interleaved groups, classes[i::k], and decides group 0 in
@@ -64,10 +66,9 @@ import math
 import operator
 import os
 from dataclasses import dataclass, replace
-from functools import lru_cache
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
-from . import kernels
+from . import _keys, kernels
 from .graphs import (
     LabeledGraph,
     Labeling,
@@ -110,12 +111,6 @@ BATCH_GRAPHS = 4096
 # and on the Python one, without it, search_all_labelings took 2.0 times as
 # long on cycle(5) and 1.75 times on path(7), though 0.92 times on star(6).
 ROUND_GRAPHS = 16
-
-# Largest order whose labelings read their keys off per-pair columns (see
-# _columns), built at the first search of that order: n! * C(n, 2) entries,
-# 105,840 at n = 7, the largest order scan_order runs. Above it only single
-# searches run, where the kernel dwarfs the cost of the keys.
-COLUMNS_MAX_N = 7
 
 
 @dataclass(frozen=True)
@@ -196,70 +191,13 @@ def _labelings(g: LabeledGraph, fixed: bool) -> Iterable[Labeling]:
     return itertools.permutations(range(1, g.n + 1))
 
 
-@lru_cache(maxsize=None)
-def _pair_keys(n: int) -> list[list[int]]:
-    """pair[a][b]: the packed masks of the one edge {a+1, b+1}."""
-    return [
-        [(1 << (16 * a + b)) | (1 << (16 * b + a)) for b in range(1, n + 1)]
-        for a in range(1, n + 1)
-    ]
-
-
-def _keys(adj: Sequence[int], sigmas: Iterable[Labeling]) -> Iterator[int]:
-    """The key of relabel(g, sigma) for each sigma, in order.
-
-    adj is g's adjacency masks. A labeled graph's key is its adjacency
-    masks packed into one int, mask v in bits 16v..16v+15: a small memo
-    key. It is the sum of its edges' keys, so no relabeled graph is built.
-    """
-    n = len(adj) - 1
-    pair = _pair_keys(n)
-    edges = [(u - 1, v - 1) for u in range(1, n + 1) for v in range(u + 1, n + 1)
-             if adj[u] >> v & 1]
-    for sig in sigmas:
-        yield sum([pair[sig[u] - 1][sig[v] - 1] for u, v in edges])
-
-
-@lru_cache(maxsize=None)
-def _columns(n: int) -> list[list[int]]:
-    """Per vertex pair {u, v}, u < v, in itertools.combinations order: the
-    key of the edge {sigma[u], sigma[v]} under each labeling sigma of 1..n,
-    in walk order.
-
-    A labeled graph's key is the sum of its edges' keys, so the keys of
-    every labeling of g are the sums, position by position, of the columns
-    of g's edges (_walk_keys). At n = 7 the columns hold 21 * 5040 entries.
-    """
-    pair = _pair_keys(n)
-    sigmas = list(itertools.permutations(range(n)))
-    return [[pair[s[u]][s[v]] for s in sigmas]
-            for u, v in itertools.combinations(range(n), 2)]
-
-
-def _walk_keys(g: LabeledGraph, fixed: bool) -> Iterator[int]:
-    """A new cursor over the keys (see _keys) of the labeled graphs that a
-    search of g walks, one per labeling of _labelings(g, fixed).
-
-    Up to COLUMNS_MAX_N, all labelings of g read their keys off the columns
-    of g's edges; beyond it, and for the one labeling of a fixed search,
-    each key is summed from its edges.
-    """
-    adj = g.adjacency_masks()
-    if fixed or g.n > COLUMNS_MAX_N:
-        return _keys(adj, _labelings(g, fixed))
-    pairs = itertools.combinations(range(1, g.n + 1), 2)
-    columns = [col for (u, v), col in zip(pairs, _columns(g.n)) if adj[u] >> v & 1]
-    if not columns:  # zip() of no columns is empty, not n! empty sums
-        return itertools.repeat(0, math.factorial(g.n))
-    return map(sum, zip(*columns))
-
-
-def _walk(g: LabeledGraph, cfg: SearchConfig, fixed: bool, results: dict):
+def _walk(g: LabeledGraph, cfg: SearchConfig, fixed: bool, results: dict,
+          keys: _keys.Keys):
     """The serial labeling walk of a search of g, as a generator that
     returns g's SearchReport.
 
     The walk visits the labelings of _labelings(g, fixed) in order, each
-    with the key of its labeled graph (_walk_keys). results maps a key to a
+    with the key of its labeled graph, read off keys. results maps a key to a
     kernel result. Each time results holds none that serves the labeled
     graph 'key' under node budget 'remaining', the walk yields (key,
     remaining, tried), tried being the labelings walked before; the caller
@@ -270,14 +208,14 @@ def _walk(g: LabeledGraph, cfg: SearchConfig, fixed: bool, results: dict):
     serves every labeling whose labeled graph repeats an earlier one, and a
     caller may store results ahead of the walk: speculative ones, searched
     before the walk reaches them. Every witness reported is checked with
-    is_132_representant.
+    is_132_representant, and an unsound one raises RuntimeError.
     """
     remaining = cfg.node_budget
     nodes = tested = tried = 0
     entries: list[tuple[Labeling, tuple[int, ...]]] = []
     witness = labeling = None
     exhausted = False
-    for sig, key in zip(_labelings(g, fixed), _walk_keys(g, fixed)):
+    for sig, key in zip(_labelings(g, fixed), itertools.chain.from_iterable(keys)):
         if remaining is not None and remaining <= 0:
             exhausted = True
             break
@@ -308,9 +246,7 @@ def _walk(g: LabeledGraph, cfg: SearchConfig, fixed: bool, results: dict):
             break
 
     if labeling is not None:
-        assert is_132_representant(witness, relabel(g, labeling)), (
-            f"unsound witness {witness} for labeling {labeling}"
-        )
+        _check_witness(g, labeling, witness)
         outcome = REPRESENTABLE
     elif exhausted:
         outcome = BUDGET_EXCEEDED
@@ -320,11 +256,16 @@ def _walk(g: LabeledGraph, cfg: SearchConfig, fixed: bool, results: dict):
     if cfg.find_all:
         all_w = tuple((sig, Word(w)) for sig, w in entries)
         for sig, word in all_w:
-            assert is_132_representant(word, relabel(g, sig)), (
-                f"unsound witness {word} for labeling {sig}"
-            )
+            _check_witness(g, sig, word)
     return SearchReport(g, cfg, fixed, outcome, witness, labeling, all_w,
                         SearchStats(nodes, tested, tried), exhausted)
+
+
+def _check_witness(g: LabeledGraph, sigma: Labeling, word: Word) -> None:
+    """Raise RuntimeError unless word is a 132-representant of relabel(g,
+    sigma): a check that holds under python -O too."""
+    if not is_132_representant(word, relabel(g, sigma)):
+        raise RuntimeError(f"unsound witness {word} for labeling {sigma}")
 
 
 def _decide_classes(
@@ -344,30 +285,33 @@ def _decide_classes(
     the walk's mean nodes per labeling so far.
 
     Each undecided class has one record: its walk, its results dict (the
-    walk's memo), its lookahead cursor over its keys (_walk_keys), the
-    number of keys that cursor has read, and the walk's pending ask. Before
-    it reads, the cursor skips to the labeling after the walk's, so no key
-    read ahead is held. A round goes to kernels.run_batch in slices of
-    whole classes, of about BATCH_GRAPHS graphs each. A slice is one list
-    of (class, keys) pairs, keys being the class's asks in order; the
-    batch's packed rows (the keys themselves), budgets and groups, one
-    group per class, are read off it, and so is where each result goes
-    back. The walk uses a speculative result only where the serial walk
-    would get the same one (see _walk), so every report is the serial one.
-    Without find_all, the kernel drops a class's entries after its first
-    entry with a witness, and returns None for them, whether it searched
-    them in one union or one by one; the walk stops at or before that
-    entry, having every result before it, so it never reads a dropped key
-    and None is not stored. A class's walk goes on as soon as its slice is
-    back, and its record is dropped when it is decided. n must be in
-    1..kernels.MAX_N, as the kernels' is: past it a key would not fit in a
-    row.
+    walk's memo), its keys (_keys.Keys, which the walk reads too), the
+    number of labelings its lookahead has read, and the walk's pending ask.
+    The lookahead reads on from the labeling after the walk's, or after the
+    last one it read if that is further, and takes its asks off the key
+    blocks a slice at a time, a slice being as many keys as it still asks
+    for: each key read gives at most one ask, so the asks end with the last
+    key read, exactly where reading key by key would stop. A round goes to
+    kernels.run_batch in slices of whole classes, of about BATCH_GRAPHS
+    graphs each. A slice is one list of (class, keys) pairs, keys being the
+    class's asks in order; the batch's packed rows (built from the keys,
+    _keys.rows), budgets and groups, one group per class, are read off it,
+    and so is where each result goes back. The walk uses a speculative
+    result only where the serial walk would get the same one (see _walk), so
+    every report is the serial one. Without find_all, the kernel drops a
+    class's entries after its first entry with a witness, and returns None
+    for them, whether it searched them in one union or one by one; the walk
+    stops at or before that entry, having every result before it, so it
+    never reads a dropped key and None is not stored. A class's walk goes on
+    as soon as its slice is back, and its record is dropped when it is
+    decided. n must be in 1..kernels.MAX_N, as the kernels' is: past it a
+    key would not fit in a row.
     """
     if not 1 <= n <= kernels.MAX_N:
         raise ValueError(f"n must be in 1..{kernels.MAX_N}")
     reports: list[Optional[SearchReport]] = [None] * len(classes)
-    # class index -> [walk, results, lookahead cursor, keys the cursor has
-    # read, the walk's pending (key, remaining, tried)]
+    # class index -> [walk, results, keys, labelings the lookahead has read,
+    # the walk's pending (key, remaining, tried)]
     undecided: dict[int, list] = {}
 
     def advance(i: int) -> None:
@@ -381,8 +325,7 @@ def _decide_classes(
     def flush(batch: list[tuple[int, dict]]) -> None:
         found = iter(kernels.run_batch(
             n,
-            b"".join([key.to_bytes(kernels.ROW_BYTES, "little")
-                      for _, keys in batch for key in keys]),
+            _keys.rows(n, [key for _, keys in batch for key in keys]),
             1,
             cfg.max_copies,
             True,
@@ -402,8 +345,8 @@ def _decide_classes(
 
     for i, h in enumerate(classes):
         results: dict[int, tuple] = {}
-        walk = _walk(h, cfg, fixed, results)
-        undecided[i] = [walk, results, _walk_keys(h, fixed), 0, None]
+        source = _keys.Keys(h, fixed)
+        undecided[i] = [_walk(h, cfg, fixed, results, source), results, source, 0, None]
         advance(i)
     width = FIRST_ASKS
     while undecided:
@@ -414,23 +357,25 @@ def _decide_classes(
         # decided in this round's earlier slices alive until its end
         for i in list(undecided):
             record = undecided[i]
-            _, results, cursor, read, (key, remaining, tried) = record
+            _, results, source, read, (key, remaining, tried) = record
             keys = {key: None}
             # the walk has read the keys of labelings 0..tried; the lookahead
-            # reads on from labeling tried + 1
-            if read <= tried:
-                skip = tried + 1 - read
-                next(itertools.islice(cursor, skip, skip), None)
-                read = tried + 1
+            # reads on from labeling tried + 1, and under a node budget stops
+            # before labeling stop, past what the budget left pays for
+            read = max(read, tried + 1)
             spent = 0 if remaining is None else cfg.node_budget - remaining
-            ahead = remaining * tried // spent - 1 if spent else math.inf
-            while len(keys) < asks and read - tried - 1 < ahead:
-                extra = next(cursor, None)
-                if extra is None:
+            stop = tried + remaining * tried // spent if spent else math.inf
+            span = source.size
+            while len(keys) < asks and read < stop:
+                b, start = divmod(read, span)
+                block = source.block(b)
+                if block is None:
                     break
-                read += 1
-                if extra not in results:
-                    keys[extra] = None
+                end = min(span, start + asks - len(keys), stop - b * span)
+                keys.update(zip(itertools.filterfalse(results.__contains__,
+                                                      block[start:end]),
+                                itertools.repeat(None)))
+                read = b * span + end
             record[3] = read
             batch.append((i, keys))
             size += len(keys)
@@ -554,6 +499,8 @@ def scan_order(
     rounds of its own, group 0 in this process and the others in k - 1
     child processes (see _decide_groups). The reports are the serial ones.
     """
+    if type(workers) is bool:  # a bool is an int: True would be 1
+        raise TypeError("workers must be an integer, not a bool")
     workers = operator.index(workers)  # TypeError for a non-int
     if workers < 1:
         raise ValueError("workers must be >= 1")

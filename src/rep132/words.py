@@ -28,7 +28,7 @@ class Word:
 
     Accepts an iterable of letters or a text form: Word("43212341"),
     Word("10.2.10.1.2"), Word([4, 3, 2, 1]). A letter of an iterable that
-    is not an integer, such as 1.5 or "12", raises TypeError.
+    is not an integer, such as 1.5, "12" or True, raises TypeError.
     """
 
     __slots__ = ("_letters",)
@@ -37,6 +37,9 @@ class Word:
         if isinstance(letters, str):
             self._letters = _parse_text(letters)
         else:
+            letters = tuple(letters)
+            if bool in map(type, letters):  # a bool is an int: True would be 1
+                raise TypeError("a letter must be an integer, not a bool")
             self._letters = tuple(map(operator.index, letters))
         for x in self._letters:
             if x < 1:

@@ -65,6 +65,18 @@ def test_graph_rejects_bad_edges():
         LabeledGraph(2.5)
 
 
+@pytest.mark.parametrize("n, edges", [
+    (2, [(True, 2)]),
+    (3, [(1, 2), (3, True)]),
+    (True, []),
+])
+def test_graph_rejects_bools(n, edges):
+    # a bool is an int, so LabeledGraph(2, [(True, 2)]) used to have the
+    # edge {1, 2}
+    with pytest.raises(TypeError, match="not a bool"):
+        LabeledGraph(n, edges)
+
+
 def test_adjacency_masks():
     g = LabeledGraph(3, [(1, 2), (2, 3)])
     masks = g.adjacency_masks()

@@ -402,6 +402,21 @@ def test_union_tallies_fold_into_the_same_totals(bound, monkeypatch):
             assert py._totals(planes, count) == sums
 
 
+def test_totals_read_out_every_index_in_bulk():
+    # _totals reads bit-sliced planes out eight planes at a time; on random
+    # planes each index's total must be the naive sum of its bits
+    py = kernels.load_backend("python")
+    rnd = random.Random(34)
+    for _ in range(200):
+        count = rnd.randint(1, 300)
+        planes = [rnd.getrandbits(count) for _ in range(rnd.randint(0, 40))]
+        assert py._totals(planes, count) == [
+            sum((plane >> i & 1) << p for p, plane in enumerate(planes))
+            for i in range(count)]
+    # a count of ones in 64 planes, the most a lane holds
+    assert py._totals([(1 << 9) - 1] * 64, 9) == [(1 << 64) - 1] * 9
+
+
 def random_grouped_batch(rnd):
     """A random run_batch call: n in 3..6, 2 to 40 graphs drawn with repeats
     from a few classes of enumerate_graphs(n), in groups of random sizes,

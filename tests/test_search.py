@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import os
+import random
 import subprocess
 import sys
 import time
@@ -14,13 +15,14 @@ from pathlib import Path
 import pytest
 
 from conftest import LOAD_PACKAGE, brute_representants, run_child, unpack_rows
-from rep132 import kernels, search
+from rep132 import _keys, kernels, search
 from rep132.formats import catalog_to_json, dumps, report_to_json
 from rep132.graphs import (
     LabeledGraph,
     automorphisms,
     complete,
     cycle,
+    edge_bitset,
     enumerate_graphs,
     prism,
     relabel,
@@ -169,33 +171,58 @@ def test_labeling_generators():
 
 
 def packed(masks):
-    """A labeled graph's key: its adjacency masks, mask v in bits 16v..16v+15."""
+    """A labeled graph's row: its adjacency masks, mask v in bits 16v..16v+15."""
     return sum(mask << (16 * v) for v, mask in enumerate(masks))
 
 
-def test_column_keys_equal_per_labeling_keys(monkeypatch):
-    # Through order 7 a search reads its keys off per-order columns; they
-    # must be the keys _keys sums labeling by labeling, in walk order.
-    for n in range(1, 7):
-        for h in enumerate_graphs(n):
-            expected = list(search._keys(h.adjacency_masks(), walked_labelings(n)))
-            assert list(search._walk_keys(h, False)) == expected, h
-            if n <= 4:
-                assert expected == [packed(relabel(h, sig).adjacency_masks())
-                                    for sig in walked_labelings(n)]
-    # an edgeless graph has no column to sum, and still n! keys
-    assert list(search._walk_keys(LabeledGraph(4, []), False)) == [0] * 24
-    assert list(search._walk_keys(LabeledGraph(1, []), False)) == [0]
-    g = wheel(6)
-    assert list(search._walk_keys(g, False)) == \
-        list(search._keys(g.adjacency_masks(), walked_labelings(7)))
-    # past the columns' largest order, each key is summed from the edges
-    g = LabeledGraph(search.COLUMNS_MAX_N + 1, [(1, 2), (2, 3), (3, 8)])
-    assert list(itertools.islice(search._walk_keys(g, False), 50)) == \
-        list(search._keys(g.adjacency_masks(),
-                          itertools.islice(walked_labelings(g.n), 50)))
+def walk_keys(g, fixed=False):
+    """The keys a search of g reads, in walk order, block after block."""
+    return itertools.chain.from_iterable(_keys.Keys(g, fixed))
+
+
+def test_walk_keys_are_edge_bitsets_and_give_the_rows(monkeypatch):
+    # A search keys each labeled graph by its edge bitset, summed for a
+    # block of labelings at a time through order 7 and edge by edge past
+    # it. Each key must be edge_bitset(relabel(g, sigma)), in walk order,
+    # and the row the kernel gets for it relabel(g, sigma)'s packed masks.
+    rnd = random.Random(34)
+
+    def seeded(n, count):
+        pairs = list(itertools.combinations(range(1, n + 1), 2))
+        return [LabeledGraph(n, [p for p in pairs if rnd.random() < 0.5])
+                for _ in range(count)]
+
+    cases = [g for n in range(1, 6) for g in enumerate_graphs(n)]
+    cases += seeded(6, 6) + seeded(7, 2) + [wheel(6)] + seeded(8, 2)
+    for g in cases:  # every labeling through order 7, the first 5040 past it
+        sigmas = list(itertools.islice(itertools.permutations(range(1, g.n + 1)), 5040))
+        keys = list(itertools.islice(walk_keys(g), 5040))
+        relabeled = [relabel(g, sig) for sig in sigmas]
+        assert keys == [edge_bitset(h) for h in relabeled], g
+        assert _keys.rows(g.n, keys) == b"".join(
+            packed(h.adjacency_masks()).to_bytes(kernels.ROW_BYTES, "little")
+            for h in relabeled), g
+    # a search of order 7 or less reads n! keys, an edgeless graph's too,
+    # all of them 0
+    assert len(list(walk_keys(wheel(6)))) == 5040
+    assert list(walk_keys(LabeledGraph(4, []))) == [0] * 24
+    assert list(walk_keys(LabeledGraph(1, []))) == [0]
+    # past order 7 every key is its own block, summed from the edges
+    g = seeded(9, 1)[0]
+    assert _keys.Keys(g, False).size == 1
+    assert list(itertools.islice(walk_keys(g), 50)) == [
+        edge_bitset(relabel(g, sig)) for sig in itertools.islice(
+            itertools.permutations(range(1, 10)), 50)]
+    # the lookahead reads blocks ahead of the walk, and the walk lets each
+    # block go once it has read past it
+    keys = _keys.Keys(wheel(5), False)
+    assert list(keys.block(2)) == list(itertools.islice(walk_keys(wheel(5)), 240, 360))
+    for b, block in enumerate(keys):
+        assert keys._first == b and len(block) == 120
+        assert len(keys._held) == max(1, 3 - b)
+    assert b == 5 and keys._held == [] and keys.block(6) is None
     # a fixed search asks for the graph as given, and only for it
-    assert list(search._walk_keys(ODD_STAR, True)) == [packed(ODD_STAR.adjacency_masks())]
+    assert list(walk_keys(ODD_STAR, True)) == [edge_bitset(ODD_STAR)]
     rows = []
     run_batch = kernels.run_batch
 
@@ -561,21 +588,22 @@ def test_parallel_scan_starts_one_child_per_extra_group(monkeypatch):
 
 def test_scan_workers_must_be_an_int(monkeypatch):
     # workers=1.5 used to raise from range() after every class was
-    # enumerated, and workers=2.5 ran 2 groups on two CPUs; a non-int now
-    # raises TypeError before any class is enumerated
+    # enumerated, workers=2.5 ran 2 groups on two CPUs, and workers=True
+    # ran one; a non-int, a bool included, now raises TypeError before any
+    # class is enumerated
     patch_cpus(monkeypatch, 2)
     started = count_starts(monkeypatch)
     enumerated = []
     monkeypatch.setattr(search, "enumerate_graphs",
                         lambda *args, **kw: enumerated.append(args) or [])
-    for bad in (1.5, 2.5, "2", None):
+    for bad in (1.5, 2.5, "2", None, True, False):
         with pytest.raises(TypeError):
             scan_order(4, workers=bad)
     assert enumerated == [] and started == []
     with pytest.raises(ValueError, match=r"^workers must be >= 1$"):
         scan_order(4, workers=0)
     assert enumerated == []
-    assert scan_order(4, workers=True) == []  # bool is an int: 1
+    assert scan_order(4, workers=1) == []
     assert_no_children()
 
 
@@ -877,7 +905,7 @@ def test_a_decided_class_is_dropped_before_the_next_slice(monkeypatch):
     assert scan_order(5) == expected
     assert len(finished_alive) > 3
     # a finished walk still alive is a decided class's record kept: its
-    # walk, its results and its lookahead cursor
+    # walk, its results and its keys
     assert finished_alive == [0] * len(finished_alive)
     assert all(w() is None for w in walks)
 
@@ -942,6 +970,39 @@ def test_witnesses_always_verified():
         rep = search_all_labelings(g)
         assert rep.outcome == REPRESENTABLE
         assert is_132_representant(rep.witness, relabel(g, rep.labeling))
+
+
+# A search in a child process run with python -O, every witness check
+# failing: each search must raise, not report an unchecked witness.
+UNSOUND_WITNESSES = LOAD_PACKAGE + """
+from rep132 import search
+from rep132.graphs import cycle
+search.is_132_representant = lambda word, g: False
+print("debug" if __debug__ else "optimized")
+for decide, cfg in ((search.search_fixed, search.SearchConfig()),
+                    (search.search_all_labelings, search.SearchConfig()),
+                    (search.search_all_labelings, search.SearchConfig(find_all=True))):
+    try:
+        decide(cycle(5), cfg)
+    except RuntimeError as e:
+        print(e)
+    else:
+        print("unchecked")
+"""
+
+
+def test_witness_checks_hold_under_optimize():
+    package = Path(kernels.__file__).parent
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", UNSOUND_WITNESSES, str(package), str(package)],
+        env=dict(os.environ, REP132_BACKEND="python"),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert lines[0] == "optimized"
+    assert len(lines) == 4
+    assert all(line.startswith("unsound witness ") for line in lines[1:]), lines
 
 
 def test_report_shape():

@@ -86,6 +86,14 @@ def test_word_rejects_letters_that_are_not_integers(letters):
         Word(letters)
 
 
+@pytest.mark.parametrize("letters", [[True, 2], [2, 1, False], iter([1, True])])
+def test_word_rejects_bool_letters(letters):
+    # a bool is an int, so True used to be the letter 1: Word([True, 2])
+    # printed 12
+    with pytest.raises(TypeError, match="not a bool"):
+        Word(letters)
+
+
 # ------------------------------------------------------------------ reduction
 
 
