@@ -24,11 +24,14 @@
    span several 64-bit words, and without find_all the entries of a group
    after its first entry with a witness come back as None.
 
-   The traversals only read what the driver has checked. They check again
-   just what their arrays need (read_letters, read_budget, read_shape, a
-   row's length), and raise SystemError if that fails; every loop over
-   letters or masks stops at n, so a row that is not a graph can give a
-   wrong answer but never reads out of bounds. */
+   Rows come only from the driver: run_batch takes each graph as its key,
+   its edge bitset, checks the keys and packs them into these rows, mask v
+   in bits 16v..16v+15 of ROW_BYTES little-endian bytes. So the traversals
+   only read what the driver has checked. They check again just what their
+   arrays need (read_letters, read_budget, read_shape, a row's length), and
+   raise SystemError if that fails; every loop over letters or masks stops
+   at n, so a row that is not a graph, which only a direct call can pass,
+   can give a wrong answer but never reads out of bounds. */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -38,7 +41,7 @@
 
 #define MAX_N 15      /* letters 1..MAX_N; bit c of a mask is letter c */
 #define MAX_DEPTH 64  /* longest word: n * max_copies */
-#define ROW_BYTES (2 * (MAX_N + 1))  /* a run_batch row: masks 0..MAX_N */
+#define ROW_BYTES (2 * (MAX_N + 1))  /* a traversal's row: masks 0..MAX_N */
 
 typedef unsigned int mask_t;
 

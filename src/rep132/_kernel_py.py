@@ -7,13 +7,12 @@ _search_graph searches one row, and _union_search searches a batch, or
 returns None once the union would pass the smallest budget. Everything
 around them is stated here alone: driver(backend) gives the run_batch and
 run_search over a backend's two traversals, with every check of a call
-(batch_shape, check_rows, pack_row), the fallback past a budget and the
-cut at each group's first witness. This module binds them to its own
-traversals, and the compiled module's init binds the same two functions to
-its C ones. So what must be mirrored in the twin (tests compare the two
-call by call) is the traversals alone. Both kernels, and rep132.kernels,
-which only picks one of them, reject what is not a graph: mask 0 not
-empty, a self-loop, or an edge in only one of its two masks.
+(batch_shape, check_keys, masks_key), the building of the traversals' rows
+from the keys (_rows), the fallback past a budget and the cut at each
+group's first witness. This module binds them to its own traversals, and
+the compiled module's init binds the same two functions to its C ones. So
+what must be mirrored in the twin (tests compare the two call by call) is
+the traversals alone.
 
 The search walks words over {1..n}, each letter used min_copies..max_copies
 times, children in ascending letter order. A node is a successfully
@@ -58,13 +57,17 @@ the leaf test needs no check for one.
 
 run_batch answers for several graphs on the same letters in one DFS over
 the union of their search trees; run_search is run_batch over one graph.
-The graphs come as packed rows, ROW_BYTES bytes each: mask v in bits
-16v..16v+15 of the row read as a little-endian int, the lanes of target
-above with edges in place of non-edges. They form groups of consecutive
-entries; without find_all, the entries of a group after its first entry
-with a witness come back as None, on every path. The compiled twin's
-_union_search walks the same union with the same child order, prunes,
-budget rule and drops, and gives the same results.
+The graphs come as keys, their edge bitsets (graphs.edge_bitset), and any
+int in 0 .. 2 ** C(n, 2) - 1 is one, so no entry of run_batch can be a
+non-graph; run_search's masks can spell one, and masks_key rejects it: mask
+0 not empty, a self-loop, or an edge in only one of its two masks. The
+traversals take packed rows, which only the driver builds, ROW_BYTES bytes
+each: mask v in bits 16v..16v+15 of the row read as a little-endian int,
+the lanes of target above with edges in place of non-edges. The graphs
+form groups of consecutive entries; without find_all, the entries of a
+group after its first entry with a witness come back as None, on every
+path. The compiled twin's _union_search walks the same union with the same
+child order, prunes, budget rule and drops, and gives the same results.
 """
 
 from __future__ import annotations
@@ -77,10 +80,12 @@ import sys
 from functools import lru_cache
 from typing import Optional, Sequence
 
+from .graphs import _pair_tables
+
 MAX_N = 15
 MAX_DEPTH = 64  # longest word, n * max_copies: the compiled twin's prefix array
 LANE = 16  # bits per letter in the packed seen_since and nonalt; MAX_N < LANE
-ROW_BYTES = 2 * (MAX_N + 1)  # a run_batch row: masks 0..MAX_N, one lane each
+ROW_BYTES = 2 * (MAX_N + 1)  # a traversal's row: masks 0..MAX_N, one lane each
 # Union nodes between two folds of a union search's tallies into the
 # per-graph totals: each node's graph set, an int of one bit per graph of
 # the batch, is held until the next fold, so this bounds the tallies'
@@ -89,109 +94,7 @@ ROW_BYTES = 2 * (MAX_N + 1)  # a run_batch row: masks 0..MAX_N, one lane each
 TALLY_NODES = 512
 
 
-def pack_row(n, adj, min_copies, max_copies, node_budget) -> bytes:
-    """run_search's masks as one run_batch row, after the checks that a row
-    cannot express: n and the copy counts, the budget, n + 1 masks, int
-    masks 1..n with bits in 1..n, then an int mask 0 that is empty.
-    run_batch checks the rest. run_search calls this, on both kernels.
-    """
-    _check_search(n, min_copies, max_copies, node_budget)
-    if len(adj) != n + 1:
-        raise ValueError(f"need n + 1 = {n + 1} adjacency masks, got {len(adj)}")
-    full = (1 << (n + 1)) - 2  # bits 1..n
-    key = 0
-    for v in range(1, n + 1):
-        mask = operator.index(adj[v])
-        if mask & ~full:
-            raise ValueError(f"adjacency mask {v} has bits outside 1..{n}")
-        key |= mask << (LANE * v)
-    if operator.index(adj[0]):
-        raise ValueError("adjacency mask 0 must be empty")
-    return key.to_bytes(ROW_BYTES, "little")
-
-
-def check_row(n, key, min_copies, max_copies, node_budget) -> None:
-    """The checks of one run_batch entry, its row read as the int key.
-
-    Mask v sits in bits 16v..16v+15 of key. Masks 1..n must hold no bits
-    outside 1..n, and masks n+1..MAX_N must be empty. Then the row must be
-    a graph: mask 0 empty, then for each v no self-loop and, for each u > v,
-    edge {v, u} in both masks or in neither.
-    """
-    _check_search(n, min_copies, max_copies, node_budget)
-    full = (1 << (n + 1)) - 2
-    masks = row_masks(key, MAX_N)
-    for v in range(1, MAX_N + 1):
-        if v <= n and masks[v] & ~full:
-            raise ValueError(f"adjacency mask {v} has bits outside 1..{n}")
-        if v > n and masks[v]:
-            raise ValueError(f"adjacency mask {v} is past n = {n}")
-    if masks[0]:
-        raise ValueError("adjacency mask 0 must be empty")
-    for v in range(1, n + 1):
-        if masks[v] >> v & 1:
-            raise ValueError(f"adjacency mask {v} has a self-loop")
-        for u in range(v + 1, n + 1):
-            if (masks[v] >> u & 1) != (masks[u] >> v & 1):
-                raise ValueError(f"adjacency masks {v} and {u} disagree")
-
-
-def check_rows(n, rows, min_copies, max_copies, node_budgets) -> None:
-    """check_row on every entry of a run_batch call, given batch_shape's rows
-    and budgets: the first faulty entry's error is raised. run_batch calls
-    this, on both kernels. Entry 0's checks cover n and the copy counts for
-    every entry. A larger batch is then checked in bulk, and entry by entry
-    only if it fails there: every entry passes check_row if every budget is
-    None or an int of at least 0, no row sets a bit outside masks 1..n, bits
-    1..n, off the diagonal, and each pair's two bits are equal in every row.
-    The budgets are checked by their types and their least value, and the
-    bits that no row may set are looked for in the OR of all rows
-    (_rows_union), so no mask as long as the batch is built.
-    """
-    if node_budgets:
-        check_row(n, row_key(rows, 0), min_copies, max_copies, node_budgets[0])
-    if len(node_budgets) < 2:
-        return
-    digits = _bit_digits()
-
-    def column(v, u):  # bit u of mask v in every row, as one byte a row
-        b = LANE * v + u
-        return rows[b >> 3::ROW_BYTES].translate(digits[b & 7])
-
-    full = (1 << (n + 1)) - 2
-    valid = sum((full & ~(1 << v)) << (LANE * v) for v in range(1, n + 1))
-    if (
-        {*map(type, node_budgets)} <= {int, type(None)}
-        and min(filter(None, node_budgets), default=0) >= 0
-        and not _rows_union(rows) & ~valid
-        and all(column(v, u) == column(u, v)
-                for v in range(1, n + 1) for u in range(v + 1, n + 1))
-    ):
-        return
-    for i, budget in enumerate(node_budgets):
-        check_row(n, row_key(rows, i), min_copies, max_copies, budget)
-
-
-def _rows_union(rows: bytes) -> int:
-    """The OR of all rows, read as one int: the rows' int folded in halves,
-    its top half of whole rows ORed onto the rest, until one row is left."""
-    union = int.from_bytes(rows, "little")
-    count = len(rows) // ROW_BYTES
-    while count > 1:
-        bits = 8 * ROW_BYTES * (count // 2)
-        union = (union >> bits) | (union & ((1 << bits) - 1))
-        count -= count // 2
-    return union
-
-
-@lru_cache(maxsize=None)
-def _bit_digits() -> tuple[bytes, ...]:
-    """digits[t]: a bytes.translate table taking each byte to b"1" if its bit
-    t is set, else b"0"."""
-    return tuple(bytes(b"01"[b >> t & 1] for b in range(256)) for t in range(8))
-
-
-def _check_search(n, min_copies, max_copies, node_budget) -> None:
+def _check_search(n, min_copies, max_copies) -> None:
     # TypeError for a non-int, with the message of Python's int conversion
     n, min_copies, max_copies = map(operator.index, (n, min_copies, max_copies))
     if not (1 <= n <= MAX_N):
@@ -200,18 +103,102 @@ def _check_search(n, min_copies, max_copies, node_budget) -> None:
         raise ValueError("need 1 <= min_copies <= max_copies")
     if n * max_copies > MAX_DEPTH:
         raise ValueError(f"n * max_copies must be at most {MAX_DEPTH}")
+
+
+def _check_budget(node_budget) -> None:
     if node_budget is not None and operator.index(node_budget) < 0:
         raise ValueError("node_budget must not be negative")
 
 
-def row_key(rows: bytes, i: int) -> int:
-    """Row i of a run_batch's rows, read as one int: mask v in bits 16v..16v+15."""
-    return int.from_bytes(rows[ROW_BYTES * i:ROW_BYTES * (i + 1)], "little")
+def masks_key(n, adj, min_copies, max_copies, node_budget) -> int:
+    """run_search's masks as one run_batch key, their edge bitset, after
+    the checks of what masks can spell and a key cannot: n and the copy
+    counts, the budget, n + 1 masks, int masks 1..n with bits in 1..n, an
+    int mask 0 that is empty, then a graph: for each v no self-loop and,
+    for each u > v, the edge {v, u} in both masks or in neither.
+    run_search calls this, on both kernels.
+    """
+    _check_search(n, min_copies, max_copies)
+    _check_budget(node_budget)
+    if len(adj) != n + 1:
+        raise ValueError(f"need n + 1 = {n + 1} adjacency masks, got {len(adj)}")
+    full = (1 << (n + 1)) - 2  # bits 1..n
+    masks = [0]
+    for v in range(1, n + 1):
+        masks.append(operator.index(adj[v]))
+        if masks[v] & ~full:
+            raise ValueError(f"adjacency mask {v} has bits outside 1..{n}")
+    if operator.index(adj[0]):
+        raise ValueError("adjacency mask 0 must be empty")
+    bit = _pair_tables(n)[0]
+    key = 0
+    for v in range(1, n + 1):
+        if masks[v] >> v & 1:
+            raise ValueError(f"adjacency mask {v} has a self-loop")
+        for u in range(v + 1, n + 1):
+            if (masks[v] >> u & 1) != (masks[u] >> v & 1):
+                raise ValueError(f"adjacency masks {v} and {u} disagree")
+            if masks[v] >> u & 1:
+                key |= bit[v][u]
+    return key
 
 
-def row_masks(key: int, n: int) -> tuple[int, ...]:
-    """The adjacency masks 0..n of the row read as the int key."""
-    return tuple(key >> (LANE * v) & 0xFFFF for v in range(n + 1))
+def check_keys(n, keys, min_copies, max_copies, node_budgets) -> None:
+    """The checks of the entries of a nonempty run_batch call, given
+    batch_shape's keys and budgets, the first faulty entry's error raised:
+    n and the copy counts, which hold for every entry, then each entry's
+    budget, None or an int of at least 0, and its key, an int (not a bool)
+    in 0 .. 2 ** C(n, 2) - 1. run_batch calls this, on both kernels. Every
+    such key is the edge bitset of a graph on 1..n, so no entry can be a
+    non-graph.
+    """
+    _check_search(n, min_copies, max_copies)
+    end = 1 << n * (n - 1) // 2
+    for key, budget in zip(keys, node_budgets):
+        _check_budget(budget)
+        if type(key) is not int:
+            raise TypeError(f"a key must be an int, not {type(key).__name__}")
+        if not 0 <= key < end:
+            raise ValueError(f"a key must be in 0..{end - 1} at n = {n}")
+
+
+@lru_cache(maxsize=None)
+def _row_tables(n: int) -> list[list[bytes]]:
+    """tables[j][x]: the row (ROW_BYTES bytes, mask v in bits 16v..16v+15)
+    of the graph on 1..n whose key is x << 8j: one table per byte of a key
+    at order n, 2 tables of at most 256 rows at n = 6 and 3 at n = 7."""
+    bit = _pair_tables(n)[0]
+    masks = {}  # bit p of a key -> the row of its one edge
+    for a, b in itertools.combinations(range(1, n + 1), 2):
+        masks[bit[a][b].bit_length() - 1] = (1 << (LANE * a + b)) | (1 << (LANE * b + a))
+    tables = []
+    for low in range(0, len(masks), 8):
+        table = [0]
+        for p in range(low, min(low + 8, len(masks))):
+            table += [row | masks[p] for row in table]
+        tables.append([row.to_bytes(ROW_BYTES, "little") for row in table])
+    return tables
+
+
+def _rows(n: int, keys: list[int]) -> bytes:
+    """The rows of the graphs on 1..n with these checked keys, in order, as
+    the traversals take them: each byte of every key looked up in its table
+    (_row_tables), a table at a time, and the rows ORed."""
+    tables = _row_tables(n)
+    width = len(tables)
+    packed = b"".join([key.to_bytes(width, "little") for key in keys])
+    total = 0
+    for j, table in enumerate(tables):
+        total |= int.from_bytes(b"".join(map(table.__getitem__, packed[j::width])),
+                                "little")
+    return total.to_bytes(ROW_BYTES * len(keys), "little")
+
+
+@lru_cache(maxsize=None)
+def _bit_digits() -> tuple[bytes, ...]:
+    """digits[t]: a bytes.translate table taking each byte to b"1" if its bit
+    t is set, else b"0"."""
+    return tuple(bytes(b"01"[b >> t & 1] for b in range(256)) for t in range(8))
 
 
 @lru_cache(maxsize=None)
@@ -252,7 +239,8 @@ def _tables(n: int):
 def _search_graph(n, row, min_copies, max_copies, forbid_132, find_all, node_budget):
     """One graph's search, from its checked row: run_batch's path for a
     batch of one and its fallback past a budget."""
-    adj = row_masks(row_key(row, 0), n)
+    packed = int.from_bytes(row, "little")
+    adj = [packed >> (LANE * c) & 0xFFFF for c in range(n + 1)]
     full, bit, shift, not_bit, clear, repeat, between, lanes, letters = _tables(n)
     nonedge = [full & ~adj[c] & ~bit[c] for c in range(n + 1)]
     target = 0
@@ -314,31 +302,28 @@ def _search_graph(n, row, min_copies, max_copies, forbid_132, find_all, node_bud
     return witnesses, nodes, tested, exceeded
 
 
-def batch_shape(n, rows, min_copies, max_copies, node_budgets, group_sizes):
-    """A run_batch call's rows as bytes, its budgets and its group sizes as
-    lists, after the checks that come before its entries': n, the rows
-    object and the copy counts, each of the right type (TypeError); then
-    the rows' length, one budget per row, and the group sizes. run_batch
-    calls this, on both kernels, so these rules are stated here alone.
+def batch_shape(n, keys, min_copies, max_copies, node_budgets, group_sizes):
+    """A run_batch call's keys, budgets and group sizes as lists, after the
+    checks that come before its entries': n and the copy counts ints, and
+    keys iterable (TypeError); then one budget per key, and the group
+    sizes. run_batch calls this, on both kernels, so these rules are
+    stated here alone.
     """
     operator.index(n)
-    if not isinstance(rows, bytes):
-        rows = memoryview(rows).cast("B").tobytes()
+    keys = list(keys)
     operator.index(min_copies)
     operator.index(max_copies)
-    if len(rows) % ROW_BYTES:
-        raise ValueError(f"need {ROW_BYTES} bytes per graph, got {len(rows)} bytes")
-    count = len(rows) // ROW_BYTES
+    count = len(keys)
     node_budgets = list(node_budgets)
     if len(node_budgets) != count:
         raise ValueError(f"need one node budget per graph: {count} graphs, "
                          f"{len(node_budgets)} budgets")
     if group_sizes is None:
-        return rows, node_budgets, [1] * count
+        return keys, node_budgets, [1] * count
     sizes = [operator.index(size) for size in group_sizes]
     if min(sizes, default=1) < 1 or sum(sizes) != count:
         raise ValueError(f"need group sizes of at least 1 that add up to {count} graphs")
-    return rows, node_budgets, sizes
+    return keys, node_budgets, sizes
 
 
 def driver(backend):
@@ -363,15 +348,15 @@ def driver(backend):
         witness. With find_all false the search stops at the first witness.
         A node_budget of None or 0 means unlimited.
 
-        This is run_batch over the one row of adj's masks (see pack_row).
+        This is run_batch over the one key of adj's masks (see masks_key).
         """
-        row = pack_row(n, adj, min_copies, max_copies, node_budget)
-        return run_batch(n, row, min_copies, max_copies, forbid_132, find_all,
+        key = masks_key(n, adj, min_copies, max_copies, node_budget)
+        return run_batch(n, [key], min_copies, max_copies, forbid_132, find_all,
                          [node_budget])[0]
 
     def run_batch(
         n: int,
-        rows,
+        keys: Sequence[int],
         min_copies: int,
         max_copies: int,
         forbid_132: bool,
@@ -381,28 +366,33 @@ def driver(backend):
     ) -> list[Optional[tuple[list[tuple[int, ...]], int, int, bool]]]:
         """run_search over several graphs on {1..n}, entry for entry.
 
-        rows is a bytes-like object of ROW_BYTES bytes per graph: its masks
-        0..MAX_N, 16 bits each, little-endian (masks n+1..MAX_N empty). The
-        graphs form groups of group_sizes consecutive entries (default: each
-        entry alone). Entry i is run_search(n, masks of row i, ..., budget i),
-        with the same checks on every entry, except that without find_all the
-        entries of a group after its first entry with a witness are dropped,
-        and are None. So the results depend only on the per-graph searches,
-        never on the union, the search order or the budgets.
+        keys holds one key per graph, its edge bitset (graphs.edge_bitset):
+        an int with bit C(n, 2) - 1 - i set for the i-th vertex pair of
+        itertools.combinations order that is an edge. The graphs form
+        groups of group_sizes consecutive entries (default: each entry
+        alone). Entry i is run_search over the masks of key i with budget
+        i, except that without find_all the entries of a group after its
+        first entry with a witness are dropped, and are None. So the
+        results depend only on the per-graph searches, never on the union,
+        the search order or the budgets.
 
-        The checks are batch_shape's, then check_rows', which run check_row
-        on each entry. A batch of two or more entries is then searched in one
-        DFS over the union of the graphs' searches (backend._union_search).
-        A graph's search stays under its budget while the union's node count
-        does. When the union would pass the smallest budget, and for a batch
-        of one, each graph is searched alone (backend._search_graph), with
-        its own budget, up to each group's first witness without find_all.
+        The checks are batch_shape's, then check_keys'. The keys are then
+        turned into the traversals' rows (_rows), and a batch of two or
+        more entries is searched in one DFS over the union of the graphs'
+        searches (backend._union_search). A graph's search stays under its
+        budget while the union's node count does. When the union would pass
+        the smallest budget, and for a batch of one, each graph is searched
+        alone (backend._search_graph), with its own budget, up to each
+        group's first witness without find_all.
         """
-        rows, node_budgets, group_sizes = batch_shape(n, rows, min_copies, max_copies,
+        keys, node_budgets, group_sizes = batch_shape(n, keys, min_copies, max_copies,
                                                       node_budgets, group_sizes)
-        check_rows(n, rows, min_copies, max_copies, node_budgets)
+        if not keys:
+            return []
+        check_keys(n, keys, min_copies, max_copies, node_budgets)
+        rows = _rows(n, keys)
         common = (min_copies, max_copies, forbid_132, find_all)
-        if len(node_budgets) > 1:
+        if len(keys) > 1:
             out = backend._union_search(n, rows, node_budgets, group_sizes, *common)
             if out is not None:
                 return out
@@ -488,7 +478,8 @@ def _union_search(
     targets: dict[int, int] = {}
     twins: dict[int, int] = {}
     for i in range(count):
-        target = valid & ~row_key(rows, i)
+        row = rows[ROW_BYTES * i:ROW_BYTES * (i + 1)]
+        target = valid & ~int.from_bytes(row, "little")
         first = targets.setdefault(target, i)
         if first != i:
             twins[target] = twins.get(target, 1 << first) | 1 << i

@@ -1,14 +1,13 @@
-"""The keys of labeled graphs in a search's walk, and the kernel rows built
-from them.
+"""The keys of labeled graphs in a search's walk.
 
 A labeled graph's key is its edge bitset (graphs.edge_bitset): bit
 C(n, 2) - 1 - i for the i-th vertex pair in itertools.combinations order,
-below 2^21 through order 7. It is the sum of its edges' keys. A search
-walks its labelings in blocks (Keys): through order 7 a block is the
-(n - 1)! labelings that share sigma[0], and its keys are one big-int sum
-of per-pair columns that hold every labeling's bit of that pair in a lane
-of its own (_columns), read out at once. rows builds run_batch's packed
-rows from keys, a key byte at a time, through small per-order tables.
+below 2^21 through order 7, read off graphs' one pair table. It is the sum
+of its edges' keys, and it is what kernels.run_batch takes for the graph.
+A search walks its labelings in blocks (Keys): through order 7 a block is
+the (n - 1)! labelings that share sigma[0], and its keys are one big-int
+sum of per-pair columns that hold every labeling's bit of that pair in a
+lane of its own (_columns), read out at once.
 """
 
 from __future__ import annotations
@@ -19,8 +18,7 @@ import sys
 from functools import lru_cache
 from typing import Iterable, Iterator, Optional, Sequence
 
-from . import kernels
-from .graphs import LabeledGraph, Labeling, edge_bitset
+from .graphs import LabeledGraph, Labeling, _pair_tables, edge_bitset
 
 # Largest order whose labelings read their keys off per-pair columns (see
 # _columns), built at the first search of that order: n blocks of C(n, 2)
@@ -30,28 +28,16 @@ from .graphs import LabeledGraph, Labeling, edge_bitset
 COLUMNS_MAX_N = 7
 
 
-@lru_cache(maxsize=None)
-def _pair_keys(n: int) -> list[list[int]]:
-    """pair[a][b]: the key of the one edge {a+1, b+1}, its edge bitset: bit
-    C(n, 2) - 1 - i for the i-th pair of itertools.combinations order, as in
-    graphs.edge_bitset."""
-    top = n * (n - 1) // 2 - 1
-    pair = [[0] * n for _ in range(n)]
-    for i, (a, b) in enumerate(itertools.combinations(range(n), 2)):
-        pair[a][b] = pair[b][a] = 1 << (top - i)
-    return pair
-
-
 def _labeling_keys(adj: Sequence[int], sigmas: Iterable[Labeling]) -> Iterator[int]:
     """The key of relabel(g, sigma) for each sigma, in order, adj being g's
     adjacency masks: each the sum of its edges' keys, so no relabeled graph
     is built."""
     n = len(adj) - 1
-    pair = _pair_keys(n)
+    bit = _pair_tables(n)[0]
     edges = [(u - 1, v - 1) for u in range(1, n + 1) for v in range(u + 1, n + 1)
              if adj[u] >> v & 1]
     for sig in sigmas:
-        yield sum([pair[sig[u] - 1][sig[v] - 1] for u, v in edges])
+        yield sum([bit[sig[u]][sig[v]] for u, v in edges])
 
 
 @lru_cache(maxsize=None)
@@ -77,14 +63,14 @@ def _columns(n: int) -> list[list[int]]:
     out in one go (Keys). At n = 7: 7 blocks of 21 columns of 720 lanes of
     32 bits, 423 KB.
     """
-    pair = _pair_keys(n)
+    bit = _pair_tables(n)[0]
     _, width = _lanes(n)
-    sigmas = itertools.permutations(range(n))
+    sigmas = itertools.permutations(range(1, n + 1))
     blocks = []
     for _ in range(n):
         block = list(itertools.islice(sigmas, math.factorial(n - 1)))
         blocks.append([
-            int.from_bytes(b"".join([pair[s[u]][s[v]].to_bytes(width, sys.byteorder)
+            int.from_bytes(b"".join([bit[s[u]][s[v]].to_bytes(width, sys.byteorder)
                                      for s in block]), sys.byteorder)
             for u, v in itertools.combinations(range(n), 2)])
     return blocks
@@ -161,37 +147,3 @@ class Keys:
         if block is None:
             raise StopIteration
         return block
-
-
-@lru_cache(maxsize=None)
-def _row_tables(n: int) -> list[list[bytes]]:
-    """tables[j][x]: the packed row (kernels.ROW_BYTES bytes, mask v in bits
-    16v..16v+15) of the edges whose keys are the bits of x << 8j: one table
-    per byte of a key at order n, 2 tables of at most 256 rows at n = 6 and
-    3 at n = 7."""
-    pair = _pair_keys(n)
-    masks = {}  # bit p of a key -> the packed masks of its edge
-    for a, b in itertools.combinations(range(1, n + 1), 2):
-        p = pair[a - 1][b - 1].bit_length() - 1
-        masks[p] = (1 << (16 * a + b)) | (1 << (16 * b + a))
-    tables = []
-    for low in range(0, len(masks), 8):
-        table = [0]
-        for p in range(low, min(low + 8, len(masks))):
-            table += [row | masks[p] for row in table]
-        tables.append([row.to_bytes(kernels.ROW_BYTES, "little") for row in table])
-    return tables
-
-
-def rows(n: int, keys: Sequence[int]) -> bytes:
-    """The packed rows of the labeled graphs on 1..n with these keys, in
-    order, as kernels.run_batch takes them: each byte of every key looked up
-    in its table (_row_tables), a table at a time, and the rows ORed."""
-    tables = _row_tables(n)
-    width = len(tables)
-    packed = b"".join([key.to_bytes(width, "little") for key in keys])
-    total = 0
-    for j, table in enumerate(tables):
-        total |= int.from_bytes(b"".join(map(table.__getitem__, packed[j::width])),
-                                "little")
-    return total.to_bytes(kernels.ROW_BYTES * len(keys), "little")

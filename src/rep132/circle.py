@@ -99,5 +99,6 @@ def circle_witness(g: LabeledGraph) -> Optional[ChordDiagram]:
     if not witnesses:
         return None
     diagram = ChordDiagram(witnesses[0])
-    assert graph_from_word(diagram.word()) == g, "unsound circle witness"
+    if graph_from_word(diagram.word()) != g:
+        raise RuntimeError(f"unsound circle witness {diagram.word()}")
     return diagram

@@ -216,12 +216,14 @@ def graph_from_bitset(n: int, bits: int) -> LabeledGraph:
 
 @lru_cache(maxsize=None)
 def _pair_tables(n: int):
-    """bit[b][a]: the edge bitset's bit of pair (a, b), a < b; low[d]: the
-    pairs (a, b) with d < a; head[d][i][r]: the pairs (i, d+1..d+r)."""
+    """bit[a][b] = bit[b][a]: the edge bitset's bit of the pair {a, b}, the
+    one table of that bit order, which the search's keys and the kernel's
+    rows read too; low[d]: the pairs (a, b) with d < a; head[d][i][r]: the
+    pairs (i, d+1..d+r)."""
     top = n * (n - 1) // 2 - 1
     bit = [[0] * (n + 1) for _ in range(n + 1)]
     for a, b in itertools.combinations(range(1, n + 1), 2):
-        bit[b][a] = 1 << (top - _pair_rank(a, b, n))
+        bit[a][b] = bit[b][a] = 1 << (top - _pair_rank(a, b, n))
     low = [sum(bit[b][a] for a, b in itertools.combinations(range(d + 1, n + 1), 2))
            for d in range(n + 1)]
     head = [[[0] * (n + 1) for _ in range(n + 1)] for _ in range(n + 1)]

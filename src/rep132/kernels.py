@@ -4,9 +4,8 @@ The package ships two interchangeable DFS kernels: rep132._kernel (compiled
 extension) and rep132._kernel_py (pure-Python reference). They implement
 the identical traversal — same witnesses, same node/test counts — and
 honour one contract: the same parameters, and the same checks in the same
-order with the same errors, down to rejecting a row that is not a graph
-(see _kernel_py.driver and check_row). Each kernel holds just two
-traversals, one search per graph and one over a batch's union; their
+order with the same errors (see _kernel_py.driver). Each kernel holds just
+two traversals, one search per graph and one over a batch's union; their
 run_batch and run_search are one pair of functions, _kernel_py.driver's,
 bound to each kernel's traversals, so every check, the fallback past a
 budget and the first-witness cut are written once. So which one runs is
@@ -23,14 +22,16 @@ command, so a bad value fails every command alike. Both backends take
 letters 1..MAX_N.
 
 run_batch is the one call: it answers for several graphs on the same n,
-entry for entry, from rows of ROW_BYTES bytes, one row a graph (masks
-0..MAX_N of 16 bits, little-endian), in one DFS over the union of their
-searches. The entries form groups of consecutive graphs: without find_all,
-the entries of a group after its first entry with a witness are dropped and
-returned as None, on every path of both kernels. A scan decides its classes
-in rounds of run_batch calls, one group per class, so a class stops
-searching its later labelings at its first hit.
-run_search is run_batch over one row.
+entry for entry, each given by its key, its edge bitset
+(graphs.edge_bitset: an int in 0 .. 2 ** C(n, 2) - 1, bit C(n, 2) - 1 - i
+for the i-th vertex pair of itertools.combinations order), in one DFS over
+the union of their searches. Every such key is a graph. The entries form
+groups of consecutive graphs: without find_all, the entries of a group
+after its first entry with a witness are dropped and returned as None, on
+every path of both kernels. A scan decides its classes in rounds of
+run_batch calls, one group per class, so a class stops searching its later
+labelings at its first hit. run_search is run_batch over the key of one
+graph's adjacency masks, which it checks are a graph.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ import os
 from functools import lru_cache
 from typing import Optional, Sequence
 
-from ._kernel_py import MAX_DEPTH, MAX_N, ROW_BYTES
+from ._kernel_py import MAX_DEPTH, MAX_N
 
 
 def load_backend(name: str):
@@ -97,7 +98,7 @@ def run_search(
 
 def run_batch(
     n: int,
-    rows,
+    keys: Sequence[int],
     min_copies: int,
     max_copies: int,
     forbid_132: bool,
@@ -105,12 +106,12 @@ def run_batch(
     node_budgets: Sequence[Optional[int]],
     group_sizes: Optional[Sequence[int]] = None,
 ):
-    """The active backend's run_batch: run_search over each graph of rows,
-    in groups of group_sizes consecutive entries (default: each alone).
-    Without find_all, the entries of a group after its first entry with a
-    witness are dropped, and are None.
+    """The active backend's run_batch: run_search over the graph of each
+    key, in groups of group_sizes consecutive entries (default: each
+    alone). Without find_all, the entries of a group after its first entry
+    with a witness are dropped, and are None.
     """
-    return _backend().run_batch(n, rows, min_copies, max_copies, forbid_132,
+    return _backend().run_batch(n, keys, min_copies, max_copies, forbid_132,
                                 find_all, node_budgets, group_sizes)
 
 

@@ -38,8 +38,8 @@ returns the graph's report, each witness in it checked. The labelings are
 drawn lazily, and their keys a block at a time (_keys.Keys), through order
 7 the (n - 1)! labelings that share sigma[0] in one big-int sum. The walk
 and the lookahead read the same blocks, so each key is computed once, and
-a graph holds only the blocks from its walk's on; the kernel's rows are
-built from the keys (_keys.rows). The driver keeps one record per
+a graph holds only the blocks from its walk's on; the kernel takes the
+keys themselves (kernels.run_batch). The driver keeps one record per
 undecided graph and serves the walks of all its graphs in rounds of
 kernels.run_batch calls: in each round every undecided graph asks for the
 labeled graph its walk needs plus its next distinct labeled graphs not yet
@@ -294,18 +294,17 @@ def _decide_classes(
     key read, exactly where reading key by key would stop. A round goes to
     kernels.run_batch in slices of whole classes, of about BATCH_GRAPHS
     graphs each. A slice is one list of (class, keys) pairs, keys being the
-    class's asks in order; the batch's packed rows (built from the keys,
-    _keys.rows), budgets and groups, one group per class, are read off it,
-    and so is where each result goes back. The walk uses a speculative
-    result only where the serial walk would get the same one (see _walk), so
-    every report is the serial one. Without find_all, the kernel drops a
-    class's entries after its first entry with a witness, and returns None
-    for them, whether it searched them in one union or one by one; the walk
-    stops at or before that entry, having every result before it, so it
-    never reads a dropped key and None is not stored. A class's walk goes on
-    as soon as its slice is back, and its record is dropped when it is
-    decided. n must be in 1..kernels.MAX_N, as the kernels' is: past it a
-    key would not fit in a row.
+    class's asks in order; the batch's keys, budgets and groups, one group
+    per class, are read off it, and so is where each result goes back. The
+    walk uses a speculative result only where the serial walk would get the
+    same one (see _walk), so every report is the serial one. Without
+    find_all, the kernel drops a class's entries after its first entry with
+    a witness, and returns None for them, whether it searched them in one
+    union or one by one; the walk stops at or before that entry, having
+    every result before it, so it never reads a dropped key and None is not
+    stored. A class's walk goes on as soon as its slice is back, and its
+    record is dropped when it is decided. n must be in 1..kernels.MAX_N, as
+    the kernels' is, checked before any key is built.
     """
     if not 1 <= n <= kernels.MAX_N:
         raise ValueError(f"n must be in 1..{kernels.MAX_N}")
@@ -325,7 +324,7 @@ def _decide_classes(
     def flush(batch: list[tuple[int, dict]]) -> None:
         found = iter(kernels.run_batch(
             n,
-            _keys.rows(n, [key for _, keys in batch for key in keys]),
+            [key for _, keys in batch for key in keys],
             1,
             cfg.max_copies,
             True,

@@ -83,24 +83,6 @@ def brute_representants(g, min_copies=1, max_copies=2, forbid_132=True):
     return list(buckets.get(frozenset(map(tuple, g.edge_list())), []))
 
 
-def pack_rows(masks_list):
-    """The rows a run_batch takes for these graphs' adjacency masks: 32
-    little-endian bytes per graph, mask v in bits 16v..16v+15."""
-    return b"".join(
-        sum(mask << (16 * v) for v, mask in enumerate(adj)).to_bytes(32, "little")
-        for adj in masks_list
-    )
-
-
-def unpack_rows(rows, n):
-    """The adjacency masks 0..n of each graph in a run_batch's rows."""
-    rows = bytes(rows)
-    return [
-        tuple(int.from_bytes(rows[i + 2 * v:i + 2 * v + 2], "little") for v in range(n + 1))
-        for i in range(0, len(rows), 32)
-    ]
-
-
 @pytest.fixture
 def write_graph(tmp_path):
     """Write a GraphFile for a LabeledGraph and return its path."""

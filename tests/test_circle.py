@@ -1,11 +1,16 @@
 """Chord diagrams, crossing graphs, and 2-uniform witnesses."""
 
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import brute_edges
+from conftest import LOAD_PACKAGE, brute_edges
+from rep132 import circle
 from rep132.circle import (
     ChordDiagram,
     chords_from_word,
@@ -132,3 +137,32 @@ def test_circle_witness_exhaustive_against_brute_force():
             target = {tuple(e) for e in g.edge_list()}
             brute = any(brute_edges(w) == target for w in two_uniform_words(g.n))
             assert (circle_witness(g) is not None) == brute
+
+
+# circle_witness in a child process run with python -O, its witness check
+# failing: it must raise, not return an unchecked diagram.
+UNSOUND_DIAGRAM = LOAD_PACKAGE + """
+from rep132 import circle
+from rep132.graphs import LabeledGraph, cycle
+circle.graph_from_word = lambda word: LabeledGraph(5, [])
+print("debug" if __debug__ else "optimized")
+try:
+    circle.circle_witness(cycle(5))
+except RuntimeError as e:
+    print(e)
+else:
+    print("unchecked")
+"""
+
+
+def test_circle_witness_check_holds_under_optimize():
+    package = Path(circle.__file__).parent
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", UNSOUND_DIAGRAM, str(package), str(package)],
+        env=dict(os.environ, REP132_BACKEND="python"),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[0] == "optimized"
+    assert done.stdout.splitlines()[1:] == [
+        f"unsound circle witness {circle_witness(cycle(5)).word()}"]

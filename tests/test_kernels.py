@@ -16,7 +16,6 @@ from conftest import (
     LOAD_PACKAGE,
     brute_buckets,
     c_compiler,
-    pack_rows,
     run_child,
 )
 from rep132 import kernels
@@ -24,6 +23,7 @@ from rep132.graphs import (
     LabeledGraph,
     complete,
     cycle,
+    edge_bitset,
     enumerate_graphs,
     path,
     prism,
@@ -159,7 +159,7 @@ def batch(backend, n, graphs, budgets, groups=None, **kw):
     args = dict(min_copies=1, max_copies=2, forbid_132=True, find_all=True)
     args.update(kw)
     return backend.run_batch(
-        n, pack_rows(g.adjacency_masks() for g in graphs), args["min_copies"],
+        n, [edge_bitset(g) for g in graphs], args["min_copies"],
         args["max_copies"], args["forbid_132"], args["find_all"], budgets, groups,
     )
 
@@ -479,15 +479,6 @@ def test_random_batches_end_each_group_at_its_first_witness(monkeypatch, request
     assert paths == {(True, True), (True, False), (False, True), (False, False)}
 
 
-def test_batch_shape_keeps_bytes_rows():
-    # rows that are bytes already go to the kernel as they are, not copied
-    py = kernels.load_backend("python")
-    rows = pack_rows([complete(3).adjacency_masks()])
-    assert py.batch_shape(3, rows, 1, 2, [None], None)[0] is rows
-    copied = py.batch_shape(3, bytearray(rows), 1, 2, [None], None)[0]
-    assert type(copied) is bytes and copied == rows
-
-
 def test_empty_batch(request):
     # n and the copy counts are checked with the first entry, so an empty
     # batch checks only their types, on every layer, whatever n is
@@ -498,70 +489,63 @@ def test_empty_batch(request):
 
 
 def test_batch_rejects_what_run_search_rejects(request):
-    good = complete(3).adjacency_masks()
-    # what every layer rejects, kernels and both backends alike, arguments
-    # and then rows that are not graphs; a row holds 16 masks, so a batch
-    # cannot have the wrong number of masks
+    # what every layer rejects, kernels and both backends alike: each
+    # argument that run_search rejects, with the same error from run_batch
+    # whether the faulty entry is its first or its second
     invalid = [
         (0, [0], 1, 2, None),
-        (16, [0] * 16, 1, 2, None),
+        (16, [0] * 17, 1, 2, None),
         (3, [0] * 4, 0, 2, None),
         (13, [0] * 14, 5, 5, None),
         (3, [0] * 4, 1, 2, -5),
-        (3, [0, 1 << 4, 0, 0], 1, 2, None),
     ]
+    # masks can spell what is not a graph, which no key can; run_search
+    # refuses it on every layer
     not_graphs = [
-        (3, [1 << 1, 0, 0, 0], 1, 2, None),       # mask 0 is not a vertex
-        (3, [0, 1 << 1, 0, 0], 1, 2, None),       # self-loop
-        (3, [0, 1 << 2, 0, 0], 1, 2, None),       # 1-2 but not 2-1
+        ([1 << 1, 0, 0, 0], "adjacency mask 0 must be empty"),
+        ([0, 1 << 4, 0, 0], "adjacency mask 1 has bits outside 1..3"),
+        ([0, 1, 0, 0], "adjacency mask 1 has bits outside 1..3"),
+        ([0, 1 << 1, 0, 0], "adjacency mask 1 has a self-loop"),
+        ([0, 1 << 2, 0, 0], "adjacency masks 1 and 2 disagree"),
     ]
 
-    def rejects_alike(backend, cases):
-        for n, adj, min_copies, max_copies, budget in cases:
+    def rejects_alike(backend):
+        for n, adj, min_copies, max_copies, budget in invalid:
             with pytest.raises(ValueError) as single:
                 backend.run_search(n, adj, min_copies, max_copies, True, False, budget)
-            masks = [good, adj] if n == 3 else [adj]
-            with pytest.raises(ValueError) as batched:
-                backend.run_batch(n, pack_rows(masks), min_copies, max_copies, True,
-                                  False, [None] + [budget] if n == 3 else [budget])
-            assert str(batched.value) == str(single.value)
-        # what only a batch can get wrong: its shape, a mask past n, groups
-        rows = pack_rows([good, good])
-        faults = [
-            (rows, [None]),
-            (rows[:-1], [None, None]),
-            (rows + pack_rows([[0, 0, 0, 0, 1 << 1]]), [None] * 3),
-            (rows + pack_rows([[0] * 15 + [1 << 1]]), [None] * 3),
-        ]
+            for budgets in ([budget, None], [None, budget]):
+                with pytest.raises(ValueError) as batched:
+                    backend.run_batch(n, [0, 0], min_copies, max_copies, True, False,
+                                      budgets)
+                assert str(batched.value) == str(single.value)
+        for adj, message in not_graphs:
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                backend.run_search(3, adj, 1, 2, True, False, None)
+        # what only a batch can get wrong: its budgets, groups and keys
+        keys = [edge_bitset(complete(3))] * 2
         messages = []
-        for fault_rows, budgets in faults:
-            with pytest.raises(ValueError) as raised:
-                backend.run_batch(3, fault_rows, 1, 2, True, False, budgets)
-            messages.append(str(raised.value))
+        with pytest.raises(ValueError) as raised:
+            backend.run_batch(3, keys, 1, 2, True, False, [None])
+        messages.append(str(raised.value))
         for groups in ([1], [3], [2, 0], [0, 2], [1, 1, 1], [-1, 3]):
             with pytest.raises(ValueError) as raised:
-                backend.run_batch(3, rows, 1, 2, True, False, [None] * 2, groups)
+                backend.run_batch(3, keys, 1, 2, True, False, [None] * 2, groups)
             messages.append(str(raised.value))
-        # rows that are not bytes-like, and a size that is not an int
-        for fault_rows, groups in (([good, good], None), ("ab" * 32, None),
-                                   (rows, [1.0, 1])):
+        # keys that are not a sequence, and a size that is not an int
+        for fault_keys, groups in ((7, None), (keys, [1.0, 1])):
             with pytest.raises(TypeError) as raised:
-                backend.run_batch(3, fault_rows, 1, 2, True, False, [None] * 2, groups)
+                backend.run_batch(3, fault_keys, 1, 2, True, False, [None] * 2, groups)
             messages.append(str(raised.value))
         return tuple(messages)
 
     messages = set()
     for layer in itertools.chain([kernels], python_then_compiled(request)):
-        messages.add(rejects_alike(layer, invalid + not_graphs))
+        messages.add(rejects_alike(layer))
     assert len(messages) == 1, messages
     assert messages.pop() == (
         "need one node budget per graph: 2 graphs, 1 budgets",
-        "need 32 bytes per graph, got 63 bytes",
-        "adjacency mask 4 is past n = 3",
-        "adjacency mask 15 is past n = 3",
         *["need group sizes of at least 1 that add up to 2 graphs"] * 6,
-        "memoryview: a bytes-like object is required, not 'list'",
-        "memoryview: a bytes-like object is required, not 'str'",
+        "'int' object is not iterable",
         "'float' object cannot be interpreted as an integer",
     )
 
@@ -596,7 +580,7 @@ def test_non_int_counts_and_budgets_raise_one_type_error(request):
     # search with one never ended; every entry point now raises the
     # compiled kernel's TypeError for a float n, copy count or budget.
     masks = complete(3).adjacency_masks()
-    rows = pack_rows([masks, masks])
+    keys = [edge_bitset(complete(3))] * 2
     cases = [(3.0, 1, 2, None), (3, 1.0, 2, None), (3, 1, 2.0, None), (3, 1, 2, 1.5)]
     messages = set()
     for backend in itertools.chain([kernels], python_then_compiled(request)):
@@ -606,21 +590,21 @@ def test_non_int_counts_and_budgets_raise_one_type_error(request):
             messages.add(str(single.value))
             for budgets in ([budget, None], [None, budget]):
                 with pytest.raises(TypeError) as batched:
-                    backend.run_batch(n, rows, min_copies, max_copies, True, False,
+                    backend.run_batch(n, keys, min_copies, max_copies, True, False,
                                       budgets)
                 messages.add(str(batched.value))
     assert messages == {"'float' object cannot be interpreted as an integer"}
 
 
-# A float mask, mask 0 included, and a float n with no rows or with rows of
-# the wrong length: pack_row and batch_shape raise the TypeError of an int
+# A float mask, mask 0 included, and a float n with no keys or with a
+# budget missing: masks_key and batch_shape raise the TypeError of an int
 # conversion before any other check, and every layer runs them, through
 # run_search and run_batch alike.
 FLOAT_CALLS = [
     ("run_search", (3, [0, 1.0, 0, 0], 1, 2, True, False, None)),
     ("run_search", (3, [0.0, 0, 0, 0], 1, 2, True, False, None)),
-    ("run_batch", (3.0, b"", 1, 2, True, False, [])),
-    ("run_batch", (3.0, b"x", 1, 2, True, False, [None])),
+    ("run_batch", (3.0, [], 1, 2, True, False, [])),
+    ("run_batch", (3.0, [0], 1, 2, True, False, [])),
 ]
 FLOAT_MESSAGE = "'float' object cannot be interpreted as an integer"
 FLOAT_THROUGH_KERNELS = LOAD_PACKAGE + f"""
@@ -646,44 +630,46 @@ def test_float_masks_and_n_raise_the_compiled_kernels_type_error(backend, reques
         assert str(raised.value) == FLOAT_MESSAGE, (name, args)
 
 
-def test_run_search_is_a_one_row_run_batch(request):
-    # The contract on every layer: run_search(n, adj, ..., b) is
-    # run_batch(n, adj's row, ..., [b])[0], searches and errors alike.
+def test_run_search_is_a_one_key_run_batch(request):
+    # The contract on every layer: run_search(n, g's masks, ..., b) is
+    # run_batch(n, [edge_bitset(g)], ..., [b])[0], searches and errors alike.
     rnd = random.Random(18)
     small = [g for n in range(1, 5) for g in labeled_graphs(n)]
     pairs = {n: list(itertools.combinations(range(1, n + 1), 2)) for n in (5, 6, 7)}
     larger = [LabeledGraph(n, [p for p in pairs[n] if rnd.random() < 0.5])
               for n in (5, 6, 7) for _ in range(3)]
+    # pair (1, 2) is the top bit of a key on 15 letters, (14, 15) its lowest
+    top = [LabeledGraph(15, [(1, 2)]), LabeledGraph(15, [(1, 2), (14, 15)]), complete(15)]
     cutting = 7
     every = [(b, forbid, find_all) for b in (None, 0, cutting)
              for forbid in (True, False) for find_all in (True, False)]
     # unbudgeted searches of 5..7 letters stay short with the pattern prune
     # and the first witness
-    cheap = [(None, True, False), (0, True, False)] + [
-        (cutting, forbid, find_all) for forbid in (True, False)
-        for find_all in (True, False)]
-    bad = [(complete(3), 0, 2), (complete(3), 3, 2),
-           (LabeledGraph(kernels.MAX_N + 1, []), 1, 2)]
+    budgeted = [(cutting, forbid, find_all) for forbid in (True, False)
+                for find_all in (True, False)]
+    cheap = [(None, True, False), (0, True, False)] + budgeted
+    bad = [(complete(3), 0, 2, None), (complete(3), 3, 2, None), (complete(3), 1, 2, -1),
+           (LabeledGraph(kernels.MAX_N + 1, []), 1, 2, None)]
     first = {}  # each search's result on the first layer
     for layer in itertools.chain([kernels], python_then_compiled(request)):
-        for graphs, cases in ((small, every), (larger, cheap)):
+        for graphs, cases in ((small, every), (larger, cheap), (top, budgeted)):
             for g in graphs:
-                adj = g.adjacency_masks()
+                adj, key = g.adjacency_masks(), edge_bitset(g)
                 for budget, forbid, find_all in cases:
                     single = layer.run_search(g.n, adj, 1, 2, forbid, find_all, budget)
-                    assert layer.run_batch(g.n, pack_rows([adj]), 1, 2, forbid,
-                                           find_all, [budget]) == [single], (
+                    assert layer.run_batch(g.n, [key], 1, 2, forbid, find_all,
+                                           [budget]) == [single], (
                         layer.__name__, g.n, g.edge_list(), budget, forbid, find_all)
-                    key = (g.n, adj, budget, forbid, find_all)
-                    assert first.setdefault(key, single) == single, layer.__name__
+                    assert first.setdefault((g.n, key, budget, forbid, find_all),
+                                            single) == single, layer.__name__
         # test_input_validation's bad inputs, with the same error from both calls
-        for g, min_copies, max_copies in bad:
-            adj = g.adjacency_masks()
+        for g, min_copies, max_copies, budget in bad:
             with pytest.raises(ValueError) as single:
-                layer.run_search(g.n, adj, min_copies, max_copies, True, True, None)
+                layer.run_search(g.n, g.adjacency_masks(), min_copies, max_copies, True,
+                                 True, budget)
             with pytest.raises(ValueError) as batched:
-                layer.run_batch(g.n, pack_rows([adj]), min_copies, max_copies, True,
-                                True, [None])
+                layer.run_batch(g.n, [edge_bitset(g)], min_copies, max_copies, True,
+                                True, [budget])
             assert str(batched.value) == str(single.value), (layer.__name__, g.n)
     assert any(res[3] for res in first.values())
 
@@ -714,16 +700,15 @@ def test_python_kernel_at_the_top_lane():
                                               14, 15, 14])
 
 
-# Counts the calls of the two check helpers, pack_row (run_search's checks
-# of what a row cannot express) and batch_shape (run_batch's checks before
-# its entries), in a child process whose kernels module selected the
-# pure-Python backend: kernels only forwards to the kernel, so a call
-# through kernels makes each check once, as a direct call on the kernel
-# does.
+# Counts the calls of the two check helpers, masks_key (run_search's checks
+# of its masks) and batch_shape (run_batch's checks before its entries), in
+# a child process whose kernels module selected the pure-Python backend:
+# kernels only forwards to the kernel, so a call through kernels makes each
+# check once, as a direct call on the kernel does.
 COUNT_CHECKS = """
 from collections import Counter
 from rep132 import _kernel_py, kernels
-from rep132.graphs import complete
+from rep132.graphs import complete, edge_bitset
 calls = Counter()
 def counting(name):
     check = getattr(_kernel_py, name)
@@ -732,17 +717,16 @@ def counting(name):
         return check(*args)
     setattr(kernels, name, counted)
     setattr(_kernel_py, name, counted)
-counting("pack_row")
+counting("masks_key")
 counting("batch_shape")
 g = complete(4)
 for find_all in (False, True):
     kernels.run_search(g.n, g.adjacency_masks(), 1, 2, True, find_all, None)
-print(kernels.backend_name(), calls["pack_row"], calls["batch_shape"])
-row = sum(m << 16 * v for v, m in enumerate(g.adjacency_masks())).to_bytes(32, "little")
-kernels.run_batch(g.n, row, 1, 2, True, False, [None])
-print(calls["pack_row"], calls["batch_shape"])
+print(kernels.backend_name(), calls["masks_key"], calls["batch_shape"])
+kernels.run_batch(g.n, [edge_bitset(g)], 1, 2, True, False, [None])
+print(calls["masks_key"], calls["batch_shape"])
 _kernel_py.run_search(g.n, g.adjacency_masks(), 1, 2, True, False, None)
-print(calls["pack_row"], calls["batch_shape"])
+print(calls["masks_key"], calls["batch_shape"])
 """
 
 
@@ -877,108 +861,83 @@ def test_input_validation():
 
 
 def test_batch_raises_the_first_faulty_entrys_error(request):
-    # Both kernels run _kernel_py.check_rows, which checks a batch in bulk
-    # and checks entry by entry only a batch that fails, so on every layer
-    # the error is the Python run_search's on the first faulty entry,
-    # wherever it sits in a batch of any length
-    py = kernels.load_backend("python")
-    good = complete(4).adjacency_masks()
+    # A key must be an int, not a bool, in 0 .. 2 ** C(n, 2) - 1, and a
+    # budget None or an int of at least 0; an entry's budget is checked
+    # before its key. On every layer a batch raises its first faulty
+    # entry's error, wherever it sits in a batch of any length.
+    good = edge_bitset(complete(4))
+    outside = "a key must be in 0..63 at n = 4"
     faults = [
-        ([0, 1 << 2, 0, 0, 0], None),             # 1-2 but not 2-1
-        ([0, (1 << 1) | (1 << 2), 1 << 1, 0, 0], None),  # self-loop on 1
-        ([0, 1 << 2, 1 << 2, 0, 0], None),        # 1-2 but not 2-1, self-loop on 2
-        ([0, 1 << 5, 0, 0, 0], None),             # bit outside 1..n
-        ([1 << 1, 1, 0, 0, 0], None),             # mask 0 is not a vertex
-        ([0, 0, 0, 0, 0, 1 << 1], None),          # a mask past n
-        ([0] * 15 + [1 << 15], None),             # the top lane of a row
-        (good, -1),                               # negative budget
+        (True, None, TypeError, "a key must be an int, not bool"),
+        (1.0, None, TypeError, "a key must be an int, not float"),
+        (-1, None, ValueError, outside),
+        (64, None, ValueError, outside),
+        (1 << 100, None, ValueError, outside),
+        (good, -1, ValueError, "node_budget must not be negative"),
+        (good, 1.5, TypeError, "'float' object cannot be interpreted as an integer"),
+        (64, -1, ValueError, "node_budget must not be negative"),
     ]
-
-    def message(adj, budget):
-        if len(adj) > 5:
-            return f"adjacency mask {len(adj) - 1} is past n = 4"
-        with pytest.raises(ValueError) as single:
-            py.run_search(4, adj, 1, 2, True, False, budget)
-        return str(single.value)
-
-    # a row with two faults gets the first in check_row's order, which
-    # checks each pair as it reaches it: 1-2 disagrees before 2's self-loop
-    assert message(*faults[2]) == "adjacency masks 1 and 2 disagree"
-    expected = {i: message(*fault) for i, fault in enumerate(faults)}
     for layer in itertools.chain([kernels], python_then_compiled(request)):
-        for (i, (adj, budget)), (later, later_budget) in itertools.product(
-                enumerate(faults), faults):
+        for (key, budget, kind, message), (later, later_budget, _, _) in itertools.product(
+                faults, faults):
             for at in (0, 1, 70, 255, 261):
-                masks = [good] * at + [adj] + [good] * 3 + [later] + [good]
+                keys = [good] * at + [key] + [good] * 3 + [later] + [good]
                 budgets = [None] * at + [budget] + [None] * 3 + [later_budget, None]
-                with pytest.raises(ValueError) as batched:
-                    layer.run_batch(4, pack_rows(masks), 1, 2, True, False, budgets)
-                assert str(batched.value) == expected[i], (layer.__name__, i, at)
+                with pytest.raises(kind) as raised:
+                    layer.run_batch(4, keys, 1, 2, True, False, budgets)
+                assert str(raised.value) == message, (layer.__name__, key, budget, at)
+        # one vertex has one graph, whose key is 0
+        assert layer.run_batch(1, [0], 1, 2, True, False, [None]) == [
+            layer.run_search(1, [0, 0], 1, 2, True, False, None)]
+        with pytest.raises(ValueError, match=r"^a key must be in 0\.\.0 at n = 1$"):
+            layer.run_batch(1, [0, 1], 1, 2, True, False, [None] * 2)
 
 
-def random_fault_batch(rnd):
-    """A random batch of graphs on 1..n for n in 2..7, 2 to 300 rows, with
-    at most one fault at a random entry: an asymmetric pair, a self-loop, a
-    bit outside 1..n, a bit in a mask past n, or a nonzero mask 0. Returns
-    n, masks 0..15 of each row, the fault and its entry."""
-    n = rnd.randint(2, 7)
-    batch_masks = []
-    for _ in range(rnd.randint(2, 300)):
-        masks = [0] * 16
-        for u, v in itertools.combinations(range(1, n + 1), 2):
-            if rnd.random() < 0.5:
-                masks[u] |= 1 << v
-                masks[v] |= 1 << u
-        batch_masks.append(masks)
-    fault = rnd.choice(["none", "asymmetric", "self-loop", "outside", "past n", "mask 0"])
-    at = rnd.randrange(len(batch_masks))
-    masks = batch_masks[at]
-    v = rnd.randint(1, n)
-    if fault == "asymmetric":
-        masks[v] ^= 1 << rnd.choice([u for u in range(1, n + 1) if u != v])
-    elif fault == "self-loop":
-        masks[v] |= 1 << v
-    elif fault == "outside":
-        masks[v] |= 1 << rnd.choice([0, *range(n + 1, 16)])
-    elif fault == "past n":
-        masks[rnd.randint(n + 1, 15)] |= 1 << rnd.randint(0, 15)
-    elif fault == "mask 0":
-        masks[0] |= 1 << rnd.randint(0, 15)
-    return n, batch_masks, fault, at
+def random_key_batch(rnd):
+    """A random run_batch of 1 to 300 keys of graphs on 1..n, n in 1..7,
+    each with a budget of 1, with at most one fault at a random entry: a
+    bool, a float, a negative key, a key of 2 ** C(n, 2) or more, or a
+    negative budget. Returns n, the keys, the budgets, the fault and its
+    entry."""
+    n = rnd.randint(1, 7)
+    end = 1 << n * (n - 1) // 2
+    keys = [rnd.randrange(end) for _ in range(rnd.randint(1, 300))]
+    budgets = [1] * len(keys)
+    fault = rnd.choice(["none", "bool", "float", "negative", "too large", "budget"])
+    at = rnd.randrange(len(keys))
+    if fault == "bool":
+        keys[at] = rnd.choice([False, True])
+    elif fault == "float":
+        keys[at] = float(keys[at])
+    elif fault == "negative":
+        keys[at] = -rnd.randint(1, end)
+    elif fault == "too large":
+        keys[at] = end + rnd.choice([0, 1, rnd.getrandbits(70)])
+    elif fault == "budget":
+        budgets[at] = -rnd.randint(1, 100)
+    return n, keys, budgets, fault, at
 
 
-def test_bulk_batch_check_agrees_with_check_row(request):
-    # check_rows checks a batch of two or more rows in bulk, from each
-    # pair's two bit columns and one AND of all rows; a batch must raise
-    # iff some entry fails check_row, with the first one's error.
-    # Budgets of 1 node keep the searches of the batches that pass short.
-    py = kernels.load_backend("python")
+def test_random_key_batches_raise_the_first_faulty_entrys_error(request):
+    # Every int in 0 .. 2 ** C(n, 2) - 1 is the key of a graph, so a batch
+    # of them is searched; a batch with a faulty entry raises what that
+    # entry raises in a batch of its own. Budgets of 1 node keep the
+    # searches short.
     rnd = random.Random(26)
-    cases = [random_fault_batch(rnd) for _ in range(100)]
-    # each kind of fault sits past entry 0, which is checked before the
-    # bulk check, in some batch
-    assert len({fault for _, _, fault, at in cases if at > 0 and fault != "none"}) == 5
-
-    def first_error(n, batch_masks):
-        for masks in batch_masks:
-            try:
-                py.check_row(n, sum(m << 16 * v for v, m in enumerate(masks)), 1, 2, 1)
-            except ValueError as e:
-                return str(e)
-        return None
-
-    expected = [first_error(n, batch_masks) for n, batch_masks, _, _ in cases]
+    cases = [random_key_batch(rnd) for _ in range(100)]
+    # each kind of fault sits past entry 0 in some batch
+    assert len({fault for *_, fault, at in cases if at > 0 and fault != "none"}) == 5
     for layer in itertools.chain([kernels], python_then_compiled(request)):
-        for (n, batch_masks, _, _), error in zip(cases, expected):
-            rows = pack_rows(batch_masks)
-            budgets = [1] * len(batch_masks)
-            if error is None:
-                got = layer.run_batch(n, rows, 1, 2, True, False, budgets)
-                assert len(got) == len(batch_masks), (layer.__name__, n)
+        for n, keys, budgets, fault, at in cases:
+            if fault == "none":
+                got = layer.run_batch(n, keys, 1, 2, True, False, budgets)
+                assert len(got) == len(keys), (layer.__name__, n)
                 continue
-            with pytest.raises(ValueError) as raised:
-                layer.run_batch(n, rows, 1, 2, True, False, budgets)
-            assert str(raised.value) == error, (layer.__name__, n)
+            with pytest.raises((TypeError, ValueError)) as alone:
+                layer.run_batch(n, keys[at:at + 1], 1, 2, True, False, budgets[at:at + 1])
+            with pytest.raises(alone.type) as raised:
+                layer.run_batch(n, keys, 1, 2, True, False, budgets)
+            assert str(raised.value) == str(alone.value), (layer.__name__, n, fault)
 
 
 @pytest.mark.parametrize("adj", [
@@ -1042,23 +1001,22 @@ def test_overlong_word_raises_instead_of_crashing(backend, request):
 # as the Python kernel does. In a child process, as above, so that a memory
 # fault fails this test instead of killing pytest.
 WIDE_BATCH = LOAD_PACKAGE + """
-from rep132.graphs import LabeledGraph
+from rep132.graphs import LabeledGraph, edge_bitset
 pairs = [(u, v) for u in range(1, 16) for v in range(u + 1, 16)]
-masks = [LabeledGraph(15, [p]).adjacency_masks() for p in pairs[-70:]]
-rows = b"".join(sum(m << 16 * v for v, m in enumerate(adj)).to_bytes(32, "little")
-                for adj in masks)
+graphs = [LabeledGraph(15, [p]) for p in pairs[-70:]]
+masks = [g.adjacency_masks() for g in graphs]
+keys = [edge_bitset(g) for g in graphs]
 for find_all, budgets in ((False, [None] * 69 + [10**6]), (True, [3000] * 70)):
-    got = kernels.run_batch(15, rows, 1, 2, True, find_all, budgets)
+    got = kernels.run_batch(15, keys, 1, 2, True, find_all, budgets)
     want = [kernels.run_search(15, m, 1, 2, True, find_all, b)
             for m, b in zip(masks, budgets)]
     print(kernels.backend_name(), len(got), got == want,
           sum(bool(w) for w, _, _, _ in got), sum(cut for _, _, _, cut in got))
 # reversed, each group's first entry has its earliest witness
-rows = b"".join(rows[i:i + 32] for i in range(len(rows) - 32, -1, -32))
 want = [kernels.run_search(15, m, 1, 2, True, False, None) for m in masks[::-1]]
-got = kernels.run_batch(15, rows, 1, 2, True, False, [None] * 70, [60, 10])
-py = kernels.load_backend("python").run_batch(15, rows, 1, 2, True, False, [None] * 70,
-                                              [60, 10])
+got = kernels.run_batch(15, keys[::-1], 1, 2, True, False, [None] * 70, [60, 10])
+py = kernels.load_backend("python").run_batch(15, keys[::-1], 1, 2, True, False,
+                                              [None] * 70, [60, 10])
 print(got == py, got[0] == want[0], got[60] == want[60], got.count(None))
 """
 
@@ -1073,8 +1031,9 @@ def test_compiled_batch_of_more_than_64_graphs_on_15_letters(request):
 
 
 # The compiled kernel's run_search and run_batch are the Python driver's, so
-# they run the Python kernel's pack_row, batch_shape and check_rows: counted
-# calls. Then its two traversals, called directly, past every check: each
+# they run the Python kernel's masks_key, batch_shape and check_keys:
+# counted calls. Then its two traversals, called directly, past every
+# check, with rows packed here as the driver packs them: each
 # must raise for what its arrays cannot hold (misfit shapes, rows of the
 # wrong length or type, n = 16, min_copies = 0, n * max_copies > 64, a
 # negative budget), and read only masks 1..n of a row that is not a graph,
@@ -1084,16 +1043,19 @@ SHAPE_FROM_PYTHON = LOAD_PACKAGE + """
 from rep132 import _kernel_py
 compiled = kernels.load_backend("c")
 calls = []
-for name in ("batch_shape", "check_rows", "pack_row"):
+for name in ("batch_shape", "check_keys", "masks_key"):
     def counted(*args, check=getattr(_kernel_py, name), name=name):
         calls.append(name)
         return check(*args)
     setattr(_kernel_py, name, counted)
+
+def packed(masks):
+    return sum(m << 16 * v for v, m in enumerate(masks)).to_bytes(32, "little")
+
 k3 = [0, 0b1100, 0b1010, 0b0110]
-row = _kernel_py.pack_row(3, k3, 1, 2, None)
-del calls[:]
+row = packed(k3)
 compiled.run_search(3, k3, 1, 2, True, False, None)
-compiled.run_batch(3, row * 2, 1, 2, True, False, [None] * 2)
+compiled.run_batch(3, [7, 7], 1, 2, True, False, [None] * 2)
 print(*calls)
 search_graph, union_search = compiled._search_graph, compiled._union_search
 
@@ -1119,8 +1081,8 @@ for rows, budgets, sizes in [(row, [None], [2]), (row * 2, [None], [2]),
     print(refused(union_search, 3, rows, budgets, sizes, 1, 2, True, False))
 bad_rows = [
     b"\\xff" * 32,                         # bits past n, masks past n, mask 0
-    _kernel_py.pack_row(3, [0, 0b1110, 0b1100, 0b1010], 1, 2, None),  # a self-loop
-    _kernel_py.pack_row(3, [0, 0b0100, 0, 0], 1, 2, None),   # 1-2 but not 2-1
+    packed([0, 0b1110, 0b1100, 0b1010]),   # a self-loop
+    packed([0, 0b0100, 0, 0]),             # 1-2 but not 2-1
 ]
 flags = [(forbid, find_all, budget) for forbid in (True, False)
          for find_all in (True, False) for budget in (None, 5)]
@@ -1137,7 +1099,7 @@ def test_compiled_kernel_takes_its_argument_checks_from_the_python_kernel(reques
     done = run_child(SHAPE_FROM_PYTHON, "c", request)
     assert done.returncode == 0, (done.returncode, done.stderr)
     lines = done.stdout.splitlines()
-    assert lines[0] == "pack_row batch_shape check_rows batch_shape check_rows"
+    assert lines[0] == "masks_key batch_shape check_keys batch_shape check_keys"
     assert lines[1:5] == ["SystemError SystemError"] * 4, done.stdout
     assert lines[5:8] == ["SystemError", "SystemError", "TypeError"], done.stdout
     assert lines[8:17] == ["SystemError"] * 8 + ["TypeError"], done.stdout
@@ -1155,18 +1117,18 @@ def test_one_driver_runs_both_kernels(request):
     methods = [name for name, obj in vars(compiled).items() if inspect.isbuiltin(obj)]
     assert sorted(methods) == ["_search_graph", "_union_search"]
     source = (Path(kernels.__file__).resolve().parent / "_kernel.c").read_text()
-    for name in ("batch_shape", "check_rows", "pack_row"):
+    for name in ("batch_shape", "check_keys", "masks_key"):
         assert name not in source, name
 
 
-# The messages of the kernels' checks, those before a call's first entry and
-# check_row's on each entry: the Python kernel states them, and no other
-# source may restate them. "n must be in" is left out: search.py states the
-# scan's own bound on n with it.
-STATED_ONCE = ["bytes per graph", "one node budget per graph",
-               "group sizes of at least 1", "adjacency masks, got",
-               "has bits outside", "is past n", "must be empty", "has a self-loop",
-               "disagree", "min_copies <= max_copies", "max_copies must be at most",
+# The messages of the kernels' checks, those before a call's first entry,
+# check_keys' on each entry and masks_key's on run_search's masks: the
+# Python kernel states them, and no other source may restate them. "n must
+# be in" is left out: search.py states the scan's own bound on n with it.
+STATED_ONCE = ["one node budget per graph", "group sizes of at least 1",
+               "a key must be an int", "a key must be in", "adjacency masks, got",
+               "has bits outside", "must be empty", "has a self-loop", "disagree",
+               "min_copies <= max_copies", "max_copies must be at most",
                "must not be negative"]
 
 
@@ -1179,17 +1141,28 @@ def test_the_checks_before_the_first_entry_are_stated_once():
     assert found == {message: ["_kernel_py.py"] for message in STATED_ONCE}
 
 
+def test_only_the_kernels_know_the_row_format():
+    # run_batch takes keys; the packed rows of the traversals are built by
+    # the Python kernel's driver and read by the two traversals, so no other
+    # source names the row size
+    package = Path(kernels.__file__).resolve().parent
+    sources = [*package.rglob("*.py"), *package.rglob("*.c")]
+    assert len(sources) > 10
+    assert sorted(path.name for path in sources if "ROW_BYTES" in path.read_text()) == [
+        "_kernel.c", "_kernel_py.py"]
+    assert not hasattr(kernels, "ROW_BYTES")
+
+
 def test_kernel_calls_leave_no_cyclic_garbage():
     # A kernel call's tables go when it returns, not at the next collection.
     py = kernels.load_backend("python")
     graphs = [wheel(5), prism(3), cycle(6)]
-    masks = [g.adjacency_masks() for g in graphs]
-    rows = pack_rows(masks)
+    keys = [edge_bitset(g) for g in graphs]
     calls = [
-        lambda: py.run_search(6, masks[0], 1, 2, True, False, None),
-        lambda: py.run_batch(6, rows, 1, 2, True, False, [None] * 3, [3]),
-        lambda: kernels.run_search(6, masks[2], 1, 2, True, True, None),
-        lambda: kernels.run_batch(6, rows, 1, 2, True, True, [None] * 3),
+        lambda: py.run_search(6, graphs[0].adjacency_masks(), 1, 2, True, False, None),
+        lambda: py.run_batch(6, keys, 1, 2, True, False, [None] * 3, [3]),
+        lambda: kernels.run_search(6, graphs[2].adjacency_masks(), 1, 2, True, True, None),
+        lambda: kernels.run_batch(6, keys, 1, 2, True, True, [None] * 3),
     ]
     gc.collect()
     gc.disable()

@@ -14,8 +14,8 @@ from pathlib import Path
 
 import pytest
 
-from conftest import LOAD_PACKAGE, brute_representants, run_child, unpack_rows
-from rep132 import _keys, kernels, search
+from conftest import LOAD_PACKAGE, brute_representants, run_child
+from rep132 import _kernel_py, _keys, kernels, search
 from rep132.formats import catalog_to_json, dumps, report_to_json
 from rep132.graphs import (
     LabeledGraph,
@@ -170,11 +170,6 @@ def test_labeling_generators():
     assert list(search._labelings(cycle(4), True)) == [(1, 2, 3, 4)]
 
 
-def packed(masks):
-    """A labeled graph's row: its adjacency masks, mask v in bits 16v..16v+15."""
-    return sum(mask << (16 * v) for v, mask in enumerate(masks))
-
-
 def walk_keys(g, fixed=False):
     """The keys a search of g reads, in walk order, block after block."""
     return itertools.chain.from_iterable(_keys.Keys(g, fixed))
@@ -184,7 +179,8 @@ def test_walk_keys_are_edge_bitsets_and_give_the_rows(monkeypatch):
     # A search keys each labeled graph by its edge bitset, summed for a
     # block of labelings at a time through order 7 and edge by edge past
     # it. Each key must be edge_bitset(relabel(g, sigma)), in walk order,
-    # and the row the kernel gets for it relabel(g, sigma)'s packed masks.
+    # and the row the kernel's driver packs for it relabel(g, sigma)'s
+    # masks, mask v in bits 16v..16v+15.
     rnd = random.Random(34)
 
     def seeded(n, count):
@@ -199,8 +195,8 @@ def test_walk_keys_are_edge_bitsets_and_give_the_rows(monkeypatch):
         keys = list(itertools.islice(walk_keys(g), 5040))
         relabeled = [relabel(g, sig) for sig in sigmas]
         assert keys == [edge_bitset(h) for h in relabeled], g
-        assert _keys.rows(g.n, keys) == b"".join(
-            packed(h.adjacency_masks()).to_bytes(kernels.ROW_BYTES, "little")
+        assert _kernel_py._rows(g.n, keys) == b"".join(
+            sum(m << 16 * v for v, m in enumerate(h.adjacency_masks())).to_bytes(32, "little")
             for h in relabeled), g
     # a search of order 7 or less reads n! keys, an edgeless graph's too,
     # all of them 0
@@ -223,16 +219,16 @@ def test_walk_keys_are_edge_bitsets_and_give_the_rows(monkeypatch):
     assert b == 5 and keys._held == [] and keys.block(6) is None
     # a fixed search asks for the graph as given, and only for it
     assert list(walk_keys(ODD_STAR, True)) == [edge_bitset(ODD_STAR)]
-    rows = []
+    asked = []
     run_batch = kernels.run_batch
 
-    def counting(n, batch, *args):
-        rows.extend(unpack_rows(batch, n))
-        return run_batch(n, batch, *args)
+    def counting(n, keys, *args):
+        asked.extend(keys)
+        return run_batch(n, keys, *args)
 
     monkeypatch.setattr(kernels, "run_batch", counting)
     search_fixed(ODD_STAR)
-    assert rows == [ODD_STAR.adjacency_masks()]
+    assert asked == [edge_bitset(ODD_STAR)]
 
 
 @pytest.mark.parametrize("g", [LabeledGraph(16, [(15, 16)]), LabeledGraph(20, [(1, 20)])])
@@ -363,10 +359,11 @@ def memoized_walk_calls(g, cfg):
         if remaining is not None and remaining <= 0:
             break
         h = relabel(g, sig)
-        res = memo.get(h.adjacency_masks())
+        key = edge_bitset(h)
+        res = memo.get(key)
         if res is None or (remaining is not None and res[1] > remaining):
-            calls.append((h.adjacency_masks(), remaining))
-            res = memo[h.adjacency_masks()] = kernel_result(h, cfg, remaining)
+            calls.append((key, remaining))
+            res = memo[key] = kernel_result(h, cfg, remaining)
         wit, used, _, cut = res
         if cut:
             break
@@ -409,15 +406,15 @@ def test_kernel_runs_once_per_distinct_labeled_graph(monkeypatch):
     for g, distinct, nodes in ((wheel(5), 72, 691310), (prism(3), 60, 715488)):
         batched = []
 
-        def counting(n, rows, *args):
-            batched.extend(unpack_rows(rows, n))
-            return run_batch(n, rows, *args)
+        def counting(n, keys, *args):
+            batched.extend(keys)
+            return run_batch(n, keys, *args)
 
         monkeypatch.setattr(kernels, "run_batch", counting)
         rep = search_all_labelings(g)
         assert len(batched) == len(set(batched)) == 720 // len(automorphisms(g))
         assert len(batched) == distinct
-        assert set(batched) == {relabel(g, sig).adjacency_masks()
+        assert set(batched) == {edge_bitset(relabel(g, sig))
                                 for sig in walked_labelings(6)}
         assert rep.stats.nodes == nodes
         assert rep.stats.labelings_tried == 720
@@ -754,47 +751,48 @@ def test_scan_batches_exactly_the_per_class_kernel_calls(cfg, monkeypatch):
     rounds = []
     run_batch = kernels.run_batch
 
-    def counting_batch(n, rows, *args):
-        rounds.append(list(zip(unpack_rows(rows, n), args[4])))
-        return run_batch(n, rows, *args)
+    def counting_batch(n, keys, *args):
+        rounds.append(list(zip(keys, args[4])))
+        return run_batch(n, keys, *args)
 
     monkeypatch.setattr(kernels, "run_batch", counting_batch)
     scan_order(5, cfg, workers=1)
     batched = [pair for batch in rounds for pair in batch]
-    assert not Counter(m for m, _ in searched) - Counter(m for m, _ in batched)
-    for masks, budget in searched:
-        assert any(m == masks and b >= budget for m, b in batched)
+    assert not Counter(k for k, _ in searched) - Counter(k for k, _ in batched)
+    for key, budget in searched:
+        assert any(k == key and b >= budget for k, b in batched)
     # the first round asks for 8 distinct labeled graphs of each of the 23
     # classes, or for all that a class has
     assert len(rounds[0]) == 174
 
     class_of = scan_class_of(5)
     searched = set(searched)
-    done = {}  # (class, masks) -> budget it was last searched under
+    done = {}  # (class, key) -> budget it was last searched under
     for batch in rounds:
         by_class = {}
-        for masks, budget in batch:
-            by_class.setdefault(class_of[masks], []).append((masks, budget))
+        for key, budget in batch:
+            by_class.setdefault(class_of[key], []).append((key, budget))
         for i, entries in by_class.items():
             budgets = {b for _, b in entries}
             assert len(budgets) == 1, entries
             (budget,) = budgets
-            masks = [m for m, _ in entries]
-            assert len(set(masks)) == len(masks)
+            keys = [k for k, _ in entries]
+            assert len(set(keys)) == len(keys)
             # the entry the walk needs is one of the per-class calls
             assert any(pair in searched for pair in entries)
-            again = [m for m in masks if (i, m) in done]
+            again = [k for k in keys if (i, k) in done]
             # only the walk's own entry may repeat a graph: a rerun under
             # a smaller budget, which the earlier result did not fit
             assert len(again) <= 1
-            for m in again:
-                assert (m, budget) in searched and done[i, m] > budget
-            done.update({(i, m): budget for m in masks})
+            for k in again:
+                assert (k, budget) in searched and done[i, k] > budget
+            done.update({(i, k): budget for k in keys})
 
 
 def scan_class_of(n):
-    """The index in scan order of the class of each labeled graph on n vertices."""
-    return {relabel(h, sig).adjacency_masks(): i
+    """The index in scan order of the class of each labeled graph on n
+    vertices, by the graph's key."""
+    return {edge_bitset(relabel(h, sig)): i
             for i, h in enumerate(scan_classes(n)) for sig in walked_labelings(n)}
 
 
@@ -805,22 +803,22 @@ def test_scan_drops_only_graphs_its_walks_never_read(cfg, monkeypatch):
     # for that labeled graph of that class again. Under a budget of 1000
     # nodes, both union searches pass the budget and fall back to one
     # search per graph, which drops entries as the union does. The expected
-    # reports come first: their run_search calls are one-row run_batch
+    # reports come first: their run_search calls are one-key run_batch
     # calls too.
     expected = per_class_reports(5, cfg)
     class_of = scan_class_of(5)
-    dropped = set()  # (class, masks)
+    dropped = set()  # (class, key)
     run_batch = kernels.run_batch
 
-    def counting_batch(n, rows, *args):
-        entries = unpack_rows(rows, n)
-        classes = [class_of[m] for m in entries]
+    def counting_batch(n, keys, *args):
+        entries = list(keys)
+        classes = [class_of[k] for k in entries]
         runs = [(i, len(list(run))) for i, run in itertools.groupby(classes)]
         assert len({i for i, _ in runs}) == len(runs)
         assert list(args[5]) == [size for _, size in runs]
         assert not dropped & set(zip(classes, entries))
-        found = run_batch(n, rows, *args)
-        dropped.update((i, m) for i, m, res in zip(classes, entries, found) if res is None)
+        found = run_batch(n, keys, *args)
+        dropped.update((i, k) for i, k, res in zip(classes, entries, found) if res is None)
         return found
 
     monkeypatch.setattr(kernels, "run_batch", counting_batch)
@@ -837,9 +835,9 @@ def test_scan_sends_no_empty_kernel_call(monkeypatch):
     run_batch = kernels.run_batch
     sizes = []
 
-    def counting_batch(n, rows, *args):
-        sizes.append(len(rows) // kernels.ROW_BYTES)
-        return run_batch(n, rows, *args)
+    def counting_batch(n, keys, *args):
+        sizes.append(len(keys))
+        return run_batch(n, keys, *args)
 
     monkeypatch.setattr(search, "BATCH_GRAPHS", 174)
     monkeypatch.setattr(kernels, "run_batch", counting_batch)
@@ -873,9 +871,9 @@ def test_order_six_scan_takes_at_most_three_rounds(monkeypatch):
     calls = []
     run_batch = kernels.run_batch
 
-    def counting(n, rows, *args):
-        calls.append(len(rows) // kernels.ROW_BYTES)
-        return run_batch(n, rows, *args)
+    def counting(n, keys, *args):
+        calls.append(len(keys))
+        return run_batch(n, keys, *args)
 
     monkeypatch.setattr(kernels, "run_batch", counting)
     assert len(scan_order(6)) == 122
