@@ -3,11 +3,11 @@
    This module holds a kernel's two traversals, with the Python
    reference's arguments: _search_graph searches one row (rec() below), and
    _union_search walks the union of a batch's searches (batch_rec()), or
-   returns None once the union would pass the smallest budget. Its init
-   sets run_batch and run_search to the pair that _kernel_py.driver makes
-   over these two, so every check of a call, the per-graph fallback past a
-   budget and the cut at each group's first witness are the reference's
-   own code.
+   returns None once the union would pass its one budget, the batch's
+   smallest. Its init sets run_batch and run_search to the pair that
+   _kernel_py.driver makes over these two, so every check of a call, the
+   per-graph fallback past a budget and the cut at each group's first
+   witness are the reference's own code.
 
    rec() has the same traversal and results as the Python reference's
    rec(), checked call by call: the same child order, the same three
@@ -25,13 +25,14 @@
    after its first entry with a witness come back as None.
 
    Rows come only from the driver: run_batch takes each graph as its key,
-   its edge bitset, checks the keys and packs them into these rows, mask v
-   in bits 16v..16v+15 of ROW_BYTES little-endian bytes. So the traversals
-   only read what the driver has checked. They check again just what their
-   arrays need (read_letters, read_budget, read_shape, a row's length), and
-   raise SystemError if that fails; every loop over letters or masks stops
-   at n, so a row that is not a graph, which only a direct call can pass,
-   can give a wrong answer but never reads out of bounds. */
+   its edge bitset, checks that the keys are distinct and packs them into
+   these rows, mask v in bits 16v..16v+15 of ROW_BYTES little-endian bytes.
+   So the traversals only read what the driver has checked. They check
+   again just what their arrays need (read_letters, read_budget,
+   read_shape, a row's length), and raise SystemError if that fails; every
+   loop over letters or masks stops at n, so a row that is not a graph or
+   a repeated row, which only a direct call can pass, can give a wrong
+   answer but never reads out of bounds. */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -319,17 +320,15 @@ typedef struct {
 typedef struct {
     State st;  /* the search's flags and its per-prefix state */
     Py_ssize_t count, words;
-    unsigned long long limit;  /* the smallest nonzero budget; 0: none */
+    unsigned long long limit;  /* the union's node budget; 0: none */
     int aborted;
     mask_t any_edge[MAX_N + 1];     /* per letter, the union of the graphs' */
     mask_t any_nonedge[MAX_N + 1];  /* (non-)neighbour masks */
-    mask_t *adjs;        /* adjs[i * (MAX_N + 1) + c]: graph i's neighbours of c */
-    mask_t *nonedges;    /* likewise its non-neighbours */
+    mask_t *nonedges;    /* [i * (MAX_N + 1) + c]: graph i's non-neighbours of c */
     Py_ssize_t *group_end;  /* group_end[i]: one past the last entry of i's group */
     word_t *with_edge;   /* with_edge[(c * (MAX_N + 1) + y) * words + j] */
     Py_ssize_t *table;   /* open addressing by target; a graph index or -1 */
     size_t table_mask;
-    Py_ssize_t *next_same;  /* the next graph with the same target, or -1 */
     word_t *live;        /* graphs still searching */
     word_t *dropped;     /* graphs dropped by an earlier hit in their group */
     unsigned long long kills;  /* times graphs were taken out of live */
@@ -348,7 +347,8 @@ target_hash(const mask_t *masks, int n)
     return (size_t)(h ^ h >> 29);
 }
 
-/* The first graph whose non-neighbour masks equal masks, or -1. */
+/* The graph whose non-neighbour masks equal masks, or -1: the driver's rows
+   are distinct, and so are their targets, but two can share a slot. */
 static Py_ssize_t
 find_target(const Batch *b, const mask_t *masks)
 {
@@ -459,35 +459,28 @@ drop_range(Batch *b, Py_ssize_t from, Py_ssize_t to)
     }
 }
 
-/* Gives the current prefix, a finished word, to every graph of set whose
-   target it hits. Without find_all, each of those graphs leaves live and
-   drops every later graph of its group, hit or not; then they all leave
-   set. Returns the new number of parts of set, or -1 on a Python error. */
+/* Gives the current prefix, a finished word, to the graph of set whose
+   target it hits, if there is one. Without find_all, that graph leaves
+   live and set, and drops every later graph of its group, hit or not.
+   Returns the new number of parts of set, or -1 on a Python error. */
 static Py_ssize_t
 leaf(Batch *b, Part *set, Py_ssize_t len)
 {
     State *st = &b->st;
-    Py_ssize_t first = find_target(b, st->nonalt);
-    if (first < 0)
+    Py_ssize_t i = find_target(b, st->nonalt);
+    if (i < 0 || !holds(set, len, i))
         return len;
-    PyObject *word = NULL;
-    for (Py_ssize_t i = first; i >= 0; i = b->next_same[i]) {
-        if (!holds(set, len, i))
-            continue;
-        if (word == NULL && (word = prefix_word(st)) == NULL)
-            return -1;
-        if (PyList_Append(PyList_GET_ITEM(b->lists, i), word) < 0) {
-            Py_DECREF(word);
-            return -1;
-        }
-        if (!st->find_all) {
-            b->live[i / WORD_BITS] &= ~((word_t)1 << (i % WORD_BITS));
-            drop_range(b, i + 1, b->group_end[i]);
-            b->kills++;
-        }
-    }
+    PyObject *word = prefix_word(st);
+    int err = word == NULL ? -1 : PyList_Append(PyList_GET_ITEM(b->lists, i), word);
     Py_XDECREF(word);
-    return st->find_all ? len : keep_live(b, set, len);
+    if (err < 0)
+        return -1;
+    if (st->find_all)
+        return len;
+    b->live[i / WORD_BITS] &= ~((word_t)1 << (i % WORD_BITS));
+    drop_range(b, i + 1, b->group_end[i]);
+    b->kills++;
+    return keep_live(b, set, len);
 }
 
 /* rec() over the union: alive holds the graphs whose own search visits
@@ -556,9 +549,9 @@ totals(const Batch *b, const word_t *planes, unsigned long long *out)
                 out[j * WORD_BITS + __builtin_ctzll(w)] += 1ULL << q;
 }
 
-/* Fills the batch's tables from b->adjs; -1 with an error set. */
+/* Fills the batch's tables from its rows; -1 with an error set. */
 static int
-batch_tables(Batch *b)
+batch_tables(Batch *b, const char *rows)
 {
     const int n = b->st.n;
     const Py_ssize_t words = b->words;
@@ -570,22 +563,21 @@ batch_tables(Batch *b)
     b->with_edge = PyMem_Calloc((size_t)(MAX_N + 1) * (MAX_N + 1) * words,
                                 sizeof(word_t));
     b->table = PyMem_Malloc(size * sizeof(Py_ssize_t));
-    b->next_same = PyMem_Malloc((size_t)b->count * sizeof(Py_ssize_t));
     b->live = PyMem_Calloc((size_t)words, sizeof(word_t));
     b->dropped = PyMem_Calloc((size_t)words, sizeof(word_t));
     b->node_planes = PyMem_Calloc((size_t)words * PLANES, sizeof(word_t));
     b->leaf_planes = PyMem_Calloc((size_t)words * PLANES, sizeof(word_t));
     b->stack = PyMem_Malloc((size_t)(n * b->st.max_copies + 1) * words * sizeof(Part));
-    if (!b->nonedges || !b->with_edge || !b->table || !b->next_same || !b->live
-        || !b->dropped || !b->node_planes || !b->leaf_planes || !b->stack) {
+    if (!b->nonedges || !b->with_edge || !b->table || !b->live || !b->dropped
+        || !b->node_planes || !b->leaf_planes || !b->stack) {
         PyErr_NoMemory();
         return -1;
     }
     for (size_t slot = 0; slot < size; slot++)
         b->table[slot] = -1;
-    /* in descending order, so each chain of equal targets ascends */
-    for (Py_ssize_t i = b->count - 1; i >= 0; i--) {
-        const mask_t *adj = b->adjs + i * (MAX_N + 1);
+    for (Py_ssize_t i = 0; i < b->count; i++) {
+        mask_t adj[MAX_N + 1];
+        read_row(rows + i * ROW_BYTES, n, adj);
         mask_t *nonedge = b->nonedges + i * (MAX_N + 1);
         word_t bit = (word_t)1 << (i % WORD_BITS);
         for (int c = 1; c <= n; c++) {
@@ -599,21 +591,19 @@ batch_tables(Batch *b)
         }
         b->live[i / WORD_BITS] |= bit;
         size_t slot = target_hash(nonedge, n) & b->table_mask;
-        while (b->table[slot] >= 0 && memcmp(b->nonedges + b->table[slot] * (MAX_N + 1)
-                                             + 1, nonedge + 1, n * sizeof(mask_t)))
+        while (b->table[slot] >= 0)  /* the targets are distinct */
             slot = (slot + 1) & b->table_mask;
-        b->next_same[i] = b->table[slot];
         b->table[slot] = i;
     }
     return 0;
 }
 
-/* The batch's results from one DFS over the union; Py_None if the union
-   would pass the smallest budget; NULL on error. */
+/* The batch's results from one DFS over the union of its rows' searches;
+   Py_None if the union would pass its budget; NULL on error. */
 static PyObject *
-union_search(Batch *b)
+union_search(Batch *b, const char *rows)
 {
-    if (batch_tables(b) < 0)
+    if (batch_tables(b, rows) < 0)
         return NULL;
     b->lists = PyList_New(b->count);
     if (b->lists == NULL)
@@ -664,12 +654,10 @@ done:
 static void
 batch_free(Batch *b)
 {
-    PyMem_Free(b->adjs);
     PyMem_Free(b->group_end);
     PyMem_Free(b->nonedges);
     PyMem_Free(b->with_edge);
     PyMem_Free(b->table);
-    PyMem_Free(b->next_same);
     PyMem_Free(b->live);
     PyMem_Free(b->dropped);
     PyMem_Free(b->node_planes);
@@ -678,13 +666,13 @@ batch_free(Batch *b)
     Py_XDECREF(b->lists);
 }
 
-/* Reads a batch's shape, its rows as bytes and its budgets and group sizes
-   as lists, into b->count and b->group_end; -1 with an error set. The
-   driver has checked the shape, but every length that an index below
-   depends on is checked again here, so a shape that does not fit its rows
-   raises instead of reading out of bounds. */
+/* Reads a batch's shape, its rows as bytes and its group sizes as a list,
+   into b->count and b->group_end; -1 with an error set. The driver has
+   checked the shape, but every length that an index below depends on is
+   checked again here, so a shape that does not fit its rows raises
+   instead of reading out of bounds; repeated rows stay in bounds. */
 static int
-read_shape(Batch *b, PyObject *rows, PyObject *budgets, PyObject *sizes)
+read_shape(Batch *b, PyObject *rows, PyObject *sizes)
 {
     long long size;
     b->count = PyBytes_GET_SIZE(rows) / ROW_BYTES;
@@ -704,7 +692,7 @@ read_shape(Batch *b, PyObject *rows, PyObject *budgets, PyObject *sizes)
         start += size;
     }
     if (g < PyList_GET_SIZE(sizes) || start != b->count
-        || PyList_GET_SIZE(budgets) != b->count || PyBytes_GET_SIZE(rows) % ROW_BYTES)
+        || PyBytes_GET_SIZE(rows) % ROW_BYTES)
         return unfit();
     return 0;
 }
@@ -731,38 +719,26 @@ search_graph(PyObject *self, PyObject *args)
     return search(&st);
 }
 
-/* _union_search(n, rows, node_budgets, group_sizes, min_copies, max_copies,
+/* _union_search(n, rows, node_budget, group_sizes, min_copies, max_copies,
    forbid_132, find_all): the batch's results from one DFS over the union,
-   or None if the union would pass the smallest budget. */
+   or None if the union would pass node_budget. */
 static PyObject *
 batch_search(PyObject *self, PyObject *args)
 {
-    unsigned long long budget;
-    PyObject *n, *rows, *budgets, *sizes, *min_copies, *max_copies, *out = NULL;
+    PyObject *n, *rows, *budget, *sizes, *min_copies, *max_copies, *out = NULL;
     Batch b;
     (void)self;
 
     memset(&b, 0, sizeof b);
-    if (!PyArg_ParseTuple(args, "OSO!O!OOpp:_union_search", &n, &rows, &PyList_Type,
-                          &budgets, &PyList_Type, &sizes, &min_copies, &max_copies,
+    if (!PyArg_ParseTuple(args, "OSOO!OOpp:_union_search", &n, &rows, &budget,
+                          &PyList_Type, &sizes, &min_copies, &max_copies,
                           &b.st.forbid_132, &b.st.find_all)
         || read_letters(&b.st, n, min_copies, max_copies) < 0
-        || read_shape(&b, rows, budgets, sizes) < 0)
+        || read_budget(budget, &b.limit) < 0
+        || read_shape(&b, rows, sizes) < 0)
         goto done;
     b.words = (b.count + WORD_BITS - 1) / WORD_BITS;
-    b.adjs = PyMem_Calloc((size_t)b.count * (MAX_N + 1) + 1, sizeof(mask_t));
-    if (b.adjs == NULL) {
-        PyErr_NoMemory();
-        goto done;
-    }
-    for (Py_ssize_t i = 0; i < b.count; i++) {
-        if (read_budget(PyList_GET_ITEM(budgets, i), &budget) < 0)
-            goto done;
-        if (budget && (!b.limit || budget < b.limit))
-            b.limit = budget;
-        read_row(PyBytes_AS_STRING(rows) + i * ROW_BYTES, b.st.n, b.adjs + i * (MAX_N + 1));
-    }
-    out = union_search(&b);
+    out = union_search(&b, PyBytes_AS_STRING(rows));
 done:
     batch_free(&b);
     return out;

@@ -3,16 +3,16 @@
 This is the reference implementation; rep132._kernel (_kernel.c) is a
 compiled twin with the same traversal order and statistics, byte for byte.
 Each backend module holds just two traversals, with one signature on both:
-_search_graph searches one row, and _union_search searches a batch, or
-returns None once the union would pass the smallest budget. Everything
-around them is stated here alone: driver(backend) gives the run_batch and
-run_search over a backend's two traversals, with every check of a call
-(batch_shape, check_keys, masks_key), the building of the traversals' rows
-from the keys (_rows), the fallback past a budget and the cut at each
-group's first witness. This module binds them to its own traversals, and
-the compiled module's init binds the same two functions to its C ones. So
-what must be mirrored in the twin (tests compare the two call by call) is
-the traversals alone.
+_search_graph searches one row, and _union_search searches a batch of
+distinct rows, or returns None once the union would pass the batch's
+smallest budget. Everything around them is stated here alone:
+driver(backend) gives the run_batch and run_search over a backend's two
+traversals, with every check of a call (batch_shape, check_keys,
+masks_key), the building of the traversals' rows from the keys (_rows), the
+fallback past a budget and the cut at each group's first witness. This
+module binds them to its own traversals, and the compiled module's init
+binds the same two functions to its C ones. So what must be mirrored in the
+twin (tests compare the two call by call) is the traversals alone.
 
 The search walks words over {1..n}, each letter used min_copies..max_copies
 times, children in ascending letter order. A node is a successfully
@@ -60,14 +60,15 @@ the union of their search trees; run_search is run_batch over one graph.
 The graphs come as keys, their edge bitsets (graphs.edge_bitset), and any
 int in 0 .. 2 ** C(n, 2) - 1 is one, so no entry of run_batch can be a
 non-graph; run_search's masks can spell one, and masks_key rejects it: mask
-0 not empty, a self-loop, or an edge in only one of its two masks. The
-traversals take packed rows, which only the driver builds, ROW_BYTES bytes
-each: mask v in bits 16v..16v+15 of the row read as a little-endian int,
-the lanes of target above with edges in place of non-edges. The graphs
-form groups of consecutive entries; without find_all, the entries of a
-group after its first entry with a witness come back as None, on every
-path. The compiled twin's _union_search walks the same union with the same
-child order, prunes, budget rule and drops, and gives the same results.
+0 not empty, a self-loop, or an edge in only one of its two masks. A
+batch's keys are distinct, so each graph is one entry. The traversals take
+packed rows, which only the driver builds, ROW_BYTES bytes each: mask v in
+bits 16v..16v+15 of the row read as a little-endian int, the lanes of
+target above with edges in place of non-edges. The graphs form groups of
+consecutive entries; without find_all, the entries of a group after its
+first entry with a witness come back as None, on every path. The compiled
+twin's _union_search walks the same union with the same child order,
+prunes, budget rule and drops, and gives the same results.
 """
 
 from __future__ import annotations
@@ -94,9 +95,15 @@ ROW_BYTES = 2 * (MAX_N + 1)  # a traversal's row: masks 0..MAX_N, one lane each
 TALLY_NODES = 512
 
 
+def _index(value) -> int:
+    """An n, copy count, budget or group size as an int, else TypeError."""
+    if type(value) is bool:  # a bool is an int: True would be 1
+        raise TypeError("a count, budget or group size must be an int, not bool")
+    return operator.index(value)
+
+
 def _check_search(n, min_copies, max_copies) -> None:
-    # TypeError for a non-int, with the message of Python's int conversion
-    n, min_copies, max_copies = map(operator.index, (n, min_copies, max_copies))
+    n, min_copies, max_copies = map(_index, (n, min_copies, max_copies))
     if not (1 <= n <= MAX_N):
         raise ValueError(f"n must be in 1..{MAX_N}")
     if not (1 <= min_copies <= max_copies):
@@ -106,7 +113,7 @@ def _check_search(n, min_copies, max_copies) -> None:
 
 
 def _check_budget(node_budget) -> None:
-    if node_budget is not None and operator.index(node_budget) < 0:
+    if node_budget is not None and _index(node_budget) < 0:
         raise ValueError("node_budget must not be negative")
 
 
@@ -148,7 +155,8 @@ def check_keys(n, keys, min_copies, max_copies, node_budgets) -> None:
     batch_shape's keys and budgets, the first faulty entry's error raised:
     n and the copy counts, which hold for every entry, then each entry's
     budget, None or an int of at least 0, and its key, an int (not a bool)
-    in 0 .. 2 ** C(n, 2) - 1. run_batch calls this, on both kernels. Every
+    in 0 .. 2 ** C(n, 2) - 1; last, that no key repeats, so each graph of
+    the batch is one entry. run_batch calls this, on both kernels. Every
     such key is the edge bitset of a graph on 1..n, so no entry can be a
     non-graph.
     """
@@ -160,6 +168,8 @@ def check_keys(n, keys, min_copies, max_copies, node_budgets) -> None:
             raise TypeError(f"a key must be an int, not {type(key).__name__}")
         if not 0 <= key < end:
             raise ValueError(f"a key must be in 0..{end - 1} at n = {n}")
+    if len(set(keys)) != len(keys):
+        raise ValueError("a batch's keys must be distinct")
 
 
 @lru_cache(maxsize=None)
@@ -304,15 +314,17 @@ def _search_graph(n, row, min_copies, max_copies, forbid_132, find_all, node_bud
 
 def batch_shape(n, keys, min_copies, max_copies, node_budgets, group_sizes):
     """A run_batch call's keys, budgets and group sizes as lists, after the
-    checks that come before its entries': n and the copy counts ints, and
-    keys iterable (TypeError); then one budget per key, and the group
-    sizes. run_batch calls this, on both kernels, so these rules are
-    stated here alone.
+    checks that come before its entries': n and the copy counts ints, not
+    bools, and keys iterable but not bytes-like (TypeError); then one
+    budget per key, and the group sizes. run_batch calls this, on both
+    kernels, so these rules are stated here alone.
     """
-    operator.index(n)
+    _index(n)
+    if isinstance(keys, (bytes, bytearray, memoryview)):
+        raise TypeError(f"keys must be ints, not {type(keys).__name__}")
     keys = list(keys)
-    operator.index(min_copies)
-    operator.index(max_copies)
+    _index(min_copies)
+    _index(max_copies)
     count = len(keys)
     node_budgets = list(node_budgets)
     if len(node_budgets) != count:
@@ -320,7 +332,7 @@ def batch_shape(n, keys, min_copies, max_copies, node_budgets, group_sizes):
                          f"{len(node_budgets)} budgets")
     if group_sizes is None:
         return keys, node_budgets, [1] * count
-    sizes = [operator.index(size) for size in group_sizes]
+    sizes = [_index(size) for size in group_sizes]
     if min(sizes, default=1) < 1 or sum(sizes) != count:
         raise ValueError(f"need group sizes of at least 1 that add up to {count} graphs")
     return keys, node_budgets, sizes
@@ -366,23 +378,23 @@ def driver(backend):
     ) -> list[Optional[tuple[list[tuple[int, ...]], int, int, bool]]]:
         """run_search over several graphs on {1..n}, entry for entry.
 
-        keys holds one key per graph, its edge bitset (graphs.edge_bitset):
-        an int with bit C(n, 2) - 1 - i set for the i-th vertex pair of
-        itertools.combinations order that is an edge. The graphs form
-        groups of group_sizes consecutive entries (default: each entry
-        alone). Entry i is run_search over the masks of key i with budget
-        i, except that without find_all the entries of a group after its
-        first entry with a witness are dropped, and are None. So the
-        results depend only on the per-graph searches, never on the union,
-        the search order or the budgets.
+        keys holds one key per graph, its edge bitset (graphs.edge_bitset): an
+        int with bit C(n, 2) - 1 - i set for the i-th vertex pair of
+        itertools.combinations order that is an edge. The keys are distinct, so
+        each graph is one entry. The graphs form groups of group_sizes
+        consecutive entries (default: each entry alone). Entry i is run_search
+        over the masks of key i with budget i, except that without find_all the
+        entries of a group after its first entry with a witness are dropped, and
+        are None. So the results depend only on the per-graph searches, never on
+        the union, the search order or the budgets.
 
-        The checks are batch_shape's, then check_keys'. The keys are then
-        turned into the traversals' rows (_rows), and a batch of two or
-        more entries is searched in one DFS over the union of the graphs'
-        searches (backend._union_search). A graph's search stays under its
-        budget while the union's node count does. When the union would pass
-        the smallest budget, and for a batch of one, each graph is searched
-        alone (backend._search_graph), with its own budget, up to each
+        The checks are batch_shape's, then check_keys'. The keys are then turned
+        into the traversals' rows (_rows), and a batch of two or more entries is
+        searched in one DFS over the union of the graphs' searches
+        (backend._union_search), under the smallest nonzero budget: a graph's
+        search stays under its own while the union's node count stays under that
+        one. When the union would pass it, and for a batch of one, each graph is
+        searched alone (backend._search_graph), with its own budget, up to each
         group's first witness without find_all.
         """
         keys, node_budgets, group_sizes = batch_shape(n, keys, min_copies, max_copies,
@@ -393,7 +405,8 @@ def driver(backend):
         rows = _rows(n, keys)
         common = (min_copies, max_copies, forbid_132, find_all)
         if len(keys) > 1:
-            out = backend._union_search(n, rows, node_budgets, group_sizes, *common)
+            node_budget = min(filter(None, node_budgets), default=None)
+            out = backend._union_search(n, rows, node_budget, group_sizes, *common)
             if out is not None:
                 return out
         out = []
@@ -413,10 +426,11 @@ run_batch, run_search = driver(sys.modules[__name__])
 
 
 def _union_search(
-    n, rows, node_budgets, group_sizes, min_copies, max_copies, forbid_132, find_all
+    n, rows, node_budget, group_sizes, min_copies, max_copies, forbid_132, find_all
 ):
     """The batch's results from one DFS over the union of the graphs'
-    searches, or None if the union would pass the smallest budget.
+    searches, or None if the union would pass node_budget (None or 0: no
+    limit), which the driver sets to the batch's smallest.
 
     A prefix's state does not depend on the graph; only the edges prune,
     the exhausted prune and the leaf test do. So one DFS walks the union of
@@ -427,17 +441,17 @@ def _union_search(
     edge, read off the rows in bulk), less those that found their witness
     or were dropped when find_all is false; a child whose set is empty is
     no node. The leaf test looks up the packed nonalt in a dict from packed
-    target to the first entry that has it, and to the set of all entries
-    that have it for a target that several share. Each graph's nodes and
-    words tested are the number of union nodes and leaves whose set holds
-    it, so each graph sees exactly its own search. A node is a leaf iff
-    every letter has its min_copies, so the union files each node's set
-    once, as an interior node's or as a leaf's; a graph's words tested are
-    its leaf total, and its nodes its interior total plus its leaf total.
-    Every TALLY_NODES nodes, and at the end, each list of sets is counted
-    (collections.Counter) and the counts are added into bit-sliced
-    per-graph totals (_add_tallies), so the tallies' memory stays bounded.
-    Witness lists are kept only for the entries that hit.
+    target to the one entry that has it: the rows are distinct, and so are
+    their targets. Each graph's nodes and words tested are the number of
+    union nodes and leaves whose set holds it, so each graph sees exactly
+    its own search. A node is a leaf iff every letter has its min_copies,
+    so the union files each node's set once, as an interior node's or as a
+    leaf's; a graph's words tested are its leaf total, and its nodes its
+    interior total plus its leaf total. Every TALLY_NODES nodes, and at the
+    end, each list of sets is counted (collections.Counter) and the counts
+    are added into bit-sliced per-graph totals (_add_tallies), so the
+    tallies' memory stays bounded. Witness lists are kept only for the
+    entries that hit.
 
     Without find_all, a hit takes its entry out of the union and drops
     every later entry of its group, hit already or not, as None. A group's
@@ -471,18 +485,11 @@ def _union_search(
     # valid: the bits a graph on 1..n may set, in masks 1..n, bits 1..n, off
     # the diagonal
     valid = sum(not_bit[c] << shift[c] for c in range(1, n + 1))
-    limit = min((b for b in node_budgets if b), default=-1)
-    # a row's target: its non-neighbour masks, packed as nonalt is.
-    # targets[t]: the first entry whose target is t; twins[t]: the set of
-    # all entries with target t, for the targets that more than one has.
-    targets: dict[int, int] = {}
-    twins: dict[int, int] = {}
-    for i in range(count):
-        row = rows[ROW_BYTES * i:ROW_BYTES * (i + 1)]
-        target = valid & ~int.from_bytes(row, "little")
-        first = targets.setdefault(target, i)
-        if first != i:
-            twins[target] = twins.get(target, 1 << first) | 1 << i
+    limit = node_budget or -1  # nodes never reaches -1
+    # targets[t]: the entry whose target is t, its non-neighbour masks
+    # packed as nonalt is
+    targets = {valid & ~int.from_bytes(rows[at:at + ROW_BYTES], "little"): i
+               for i, at in enumerate(range(0, len(rows), ROW_BYTES))}
     # group_end[g]: one past the last entry of group g, in entry order
     group_end = list(itertools.accumulate(group_sizes))
     # kept_by_edge[c][mask]: the graphs with no edge from c into mask, which
@@ -569,20 +576,14 @@ def _union_search(
                 inner_sets.append(sub)
             else:
                 leaf_sets.append(sub)
-                hit = 0
-                first = targets.get(ch_na)
-                if first is not None:
-                    hit = sub & (twins[ch_na] if ch_na in twins else 1 << first)
-                if hit:
-                    word = tuple(prefix)
-                    for i in _members(hit):
-                        witnesses.setdefault(i, []).append(word)
-                        if not find_all:  # drop every later entry of i's group
-                            end = group_end[bisect.bisect_right(group_end, i)]
-                            dropped |= (1 << end) - (2 << i)
-                    if not find_all:
+                i = targets.get(ch_na)
+                if i is not None and sub >> i & 1:
+                    witnesses.setdefault(i, []).append(tuple(prefix))
+                    if not find_all:  # drop i and every later entry of its group
+                        end = group_end[bisect.bisect_right(group_end, i)]
+                        dropped |= (1 << end) - (2 << i)
                         drops += 1
-                        live &= ~(hit | dropped)
+                        live &= ~((1 << i) | dropped)
                         sub &= live
             if sub and rec(
                 forbidden | between_min[c],
@@ -607,7 +608,7 @@ def _union_search(
     rec = None  # as in _search_graph
     # free the search's tables before the results are built, which is when
     # a round's memory peaks
-    del targets, twins, with_edge, without_edge, kept_by_edge, kept_by_nonedge
+    del targets, with_edge, without_edge, kept_by_edge, kept_by_nonedge
     if aborted:
         return None
     fold()
@@ -619,14 +620,6 @@ def _union_search(
               False)
         for i in range(count)
     ]
-
-
-def _members(graphs: int):
-    """The indices of a graph set's bits, ascending."""
-    while graphs:
-        low = graphs & -graphs
-        yield low.bit_length() - 1
-        graphs ^= low
 
 
 def _add_tallies(planes: list[int], tally: dict[int, int], most: int) -> None:

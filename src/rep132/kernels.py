@@ -25,13 +25,14 @@ run_batch is the one call: it answers for several graphs on the same n,
 entry for entry, each given by its key, its edge bitset
 (graphs.edge_bitset: an int in 0 .. 2 ** C(n, 2) - 1, bit C(n, 2) - 1 - i
 for the i-th vertex pair of itertools.combinations order), in one DFS over
-the union of their searches. Every such key is a graph. The entries form
-groups of consecutive graphs: without find_all, the entries of a group
-after its first entry with a witness are dropped and returned as None, on
-every path of both kernels. A scan decides its classes in rounds of
-run_batch calls, one group per class, so a class stops searching its later
-labelings at its first hit. run_search is run_batch over the key of one
-graph's adjacency masks, which it checks are a graph.
+the union of their searches, under the batch's smallest budget. Every such
+key is a graph, and a batch's keys are distinct. The entries form groups of
+consecutive graphs: without find_all, the entries of a group after its
+first entry with a witness are dropped and returned as None, on every path
+of both kernels. A scan decides its classes in rounds of run_batch calls,
+one group per class, so a class stops searching its later labelings at its
+first hit. run_search is run_batch over the key of one graph's adjacency
+masks, which it checks are a graph.
 """
 
 from __future__ import annotations
@@ -107,9 +108,9 @@ def run_batch(
     group_sizes: Optional[Sequence[int]] = None,
 ):
     """The active backend's run_batch: run_search over the graph of each
-    key, in groups of group_sizes consecutive entries (default: each
-    alone). Without find_all, the entries of a group after its first entry
-    with a witness are dropped, and are None.
+    key, the keys distinct, in groups of group_sizes consecutive entries
+    (default: each alone). Without find_all, the entries of a group after
+    its first entry with a witness are dropped, and are None.
     """
     return _backend().run_batch(n, keys, min_copies, max_copies, forbid_132,
                                 find_all, node_budgets, group_sizes)

@@ -25,6 +25,7 @@ from rep132.graphs import (
     cycle,
     edge_bitset,
     enumerate_graphs,
+    graph_from_bitset,
     path,
     prism,
     star,
@@ -165,8 +166,10 @@ def batch(backend, n, graphs, budgets, groups=None, **kw):
 
 
 def by_order(graphs):
+    """The graphs by order, each labeled graph once, in first-seen order:
+    a batch's keys are distinct."""
     out = {}
-    for g in graphs:
+    for g in dict.fromkeys(graphs):
         out.setdefault(g.n, []).append(g)
     return out
 
@@ -341,27 +344,55 @@ def test_batch_takes_one_dfs_under_the_budget_and_falls_back_over_it(
         assert len(calls) == len(graphs) - cut_group.count(None)
 
 
-def test_batch_answers_duplicates_entry_by_entry(request):
+REPEATED_KEY = "a batch's keys must be distinct"
+
+
+def test_batch_refuses_a_repeated_key(request):
+    # A batch's keys are distinct, so each graph is one entry and each
+    # target of the union names one entry. On every layer a repeated key
+    # raises one error, with find_all on and off, within a group and across
+    # groups; the per-entry checks come first, so a later faulty entry
+    # raises its own error.
+    c5, p5, e5 = (edge_bitset(g) for g in (cycle(5), path(5), LabeledGraph(5)))
+    repeats = [([c5, c5], [2]), ([c5, p5, c5], None), ([c5, c5, p5], [2, 1]),
+               ([c5, p5, e5, p5], [2, 2]), ([p5, c5, e5, c5], [1, 2, 1])]
     py = kernels.load_backend("python")
+    for layer in itertools.chain([kernels], python_then_compiled(request)):
+        for keys, groups in repeats:
+            for find_all in (False, True):
+                with pytest.raises(ValueError) as raised:
+                    layer.run_batch(5, keys, 1, 2, True, find_all, [None] * len(keys),
+                                    groups)
+                assert str(raised.value) == REPEATED_KEY, (layer.__name__, keys, groups)
+                # the same batch, each key once, is searched
+                distinct = list(dict.fromkeys(keys))
+                assert layer.run_batch(5, distinct, 1, 2, True, find_all,
+                                       [None] * len(distinct)) == [
+                    run(py, graph_from_bitset(5, key), find_all=find_all)
+                    for key in distinct], layer.__name__
+        for fault, budget, message in ((1 << 10, None, "a key must be in 0..1023 at n = 5"),
+                                       (-1, None, "a key must be in 0..1023 at n = 5"),
+                                       (p5, -1, "node_budget must not be negative")):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                layer.run_batch(5, [c5, c5, fault], 1, 2, True, False, [None, None, budget])
+
+
+def test_union_of_every_labeled_graph_on_five_vertices(request):
+    # 1,024 distinct targets fill the compiled kernel's open-addressing
+    # table and the Python kernel's dict. In groups of sizes cycling
+    # through 1..7, each entry is its own run_search on each kernel, and
+    # without find_all each group is cut at its first witness.
+    graphs = list(labeled_graphs(5))
+    assert len(graphs) == 1024
+    groups = cycled_groups(len(graphs), range(1, 8))
     for backend in python_then_compiled(request):
         for find_all in (False, True):
-            got = batch(backend, 5, [cycle(5)] * 3, [None] * 3, find_all=find_all)
-            assert got == [run(py, cycle(5), find_all=find_all)] * 3
-        # equal graphs in one group hit at the same leaf, and the first
-        # drops the others
-        got = batch(backend, 5, [cycle(5)] * 3, [None] * 3, [3], find_all=False)
-        assert got == [run(py, cycle(5), find_all=False), None, None]
-        # entry 2 hits at entry 0's leaf, and entry 1 later; entry 0 drops both
-        got = batch(backend, 5, [path(5), cycle(5), path(5)], [None] * 3, [3],
-                    find_all=False)
-        first = [run(py, g, find_all=False) for g in (path(5), cycle(5))]
-        assert first[0][0][0] < first[1][0][0]
-        assert got == [first[0], None, None]
-        graphs = [wheel(5), prism(3), wheel(5), prism(3)]
-        budgets = [None, None, None, 10**6]
-        got = batch(backend, 6, graphs, budgets, find_all=False)
-        assert got == [run(py, g, find_all=False, node_budget=b)
-                       for g, b in zip(graphs, budgets)]
+            each = [run(backend, g, find_all=find_all) for g in graphs]
+            want = each if find_all else first_witness_cut(each, groups)
+            got = batch(backend, 5, graphs, [None] * len(graphs), groups,
+                        find_all=find_all)
+            assert got == want, (backend.__name__, find_all)
+            assert find_all or got.count(None) > 100
 
 
 @pytest.mark.parametrize("bound", [1, 2, 7])
@@ -418,18 +449,18 @@ def test_totals_read_out_every_index_in_bulk():
 
 
 def random_grouped_batch(rnd):
-    """A random run_batch call: n in 3..6, 2 to 40 graphs drawn with repeats
-    from a few classes of enumerate_graphs(n), in groups of random sizes,
-    max_copies 1..3 and find_all on or off. The budgets are all None, or one
-    per graph, some below the union's size; a search with find_all and
-    three copies has no budget above 3,000 nodes, since it can take
-    millions. Returns n, the graphs, the budgets, the groups and the
+    """A random run_batch call: n in 3..6, 2 to 40 distinct labeled graphs
+    on 1..n, their keys drawn without replacement, in groups of random
+    sizes, max_copies 1..3 and find_all on or off. The budgets are all
+    None, or one per graph, some below the union's size; a search with
+    find_all and three copies has no budget above 3,000 nodes, since it can
+    take millions. Returns n, the graphs, the budgets, the groups and the
     keywords of batch()."""
     n = rnd.randint(3, 6)
     kw = dict(max_copies=rnd.randint(1, 3), find_all=rnd.random() < 0.3)
-    classes = list(enumerate_graphs(n))
-    pool = rnd.sample(classes, rnd.randint(1, min(8, len(classes))))
-    graphs = [rnd.choice(pool) for _ in range(rnd.randint(2, 40))]
+    end = 1 << n * (n - 1) // 2
+    keys = rnd.sample(range(end), rnd.randint(2, min(40, end)))
+    graphs = [graph_from_bitset(n, key) for key in keys]
     groups = []
     while sum(groups) < len(graphs):
         groups.append(rnd.randint(1, len(graphs) - sum(groups)))
@@ -531,8 +562,11 @@ def test_batch_rejects_what_run_search_rejects(request):
             with pytest.raises(ValueError) as raised:
                 backend.run_batch(3, keys, 1, 2, True, False, [None] * 2, groups)
             messages.append(str(raised.value))
-        # keys that are not a sequence, and a size that is not an int
-        for fault_keys, groups in ((7, None), (keys, [1.0, 1])):
+        # keys that are not a sequence, bytes-like keys, whose bytes would
+        # read as keys, and a size that is not an int
+        for fault_keys, groups in ((7, None), (b"\x07\x06", None),
+                                   (bytearray(b"\x07\x06"), None),
+                                   (memoryview(b"\x07\x06"), None), (keys, [1.0, 1])):
             with pytest.raises(TypeError) as raised:
                 backend.run_batch(3, fault_keys, 1, 2, True, False, [None] * 2, groups)
             messages.append(str(raised.value))
@@ -546,6 +580,9 @@ def test_batch_rejects_what_run_search_rejects(request):
         "need one node budget per graph: 2 graphs, 1 budgets",
         *["need group sizes of at least 1 that add up to 2 graphs"] * 6,
         "'int' object is not iterable",
+        "keys must be ints, not bytes",
+        "keys must be ints, not bytearray",
+        "keys must be ints, not memoryview",
         "'float' object cannot be interpreted as an integer",
     )
 
@@ -578,22 +615,32 @@ def test_masks_as_a_mapping_give_one_outcome_on_every_layer(request):
 def test_non_int_counts_and_budgets_raise_one_type_error(request):
     # The Python kernel used to run with a float budget and ignore it, so a
     # search with one never ended; every entry point now raises the
-    # compiled kernel's TypeError for a float n, copy count or budget.
+    # compiled kernel's TypeError for a float n, copy count or budget. A
+    # bool is an int, and True used to run as 1: a bool n, copy count,
+    # budget or group size raises one TypeError of its own.
     masks = complete(3).adjacency_masks()
-    keys = [edge_bitset(complete(3))] * 2
-    cases = [(3.0, 1, 2, None), (3, 1.0, 2, None), (3, 1, 2.0, None), (3, 1, 2, 1.5)]
-    messages = set()
-    for backend in itertools.chain([kernels], python_then_compiled(request)):
-        for n, min_copies, max_copies, budget in cases:
-            with pytest.raises(TypeError) as single:
-                backend.run_search(n, masks, min_copies, max_copies, True, False, budget)
-            messages.add(str(single.value))
-            for budgets in ([budget, None], [None, budget]):
-                with pytest.raises(TypeError) as batched:
-                    backend.run_batch(n, keys, min_copies, max_copies, True, False,
-                                      budgets)
-                messages.add(str(batched.value))
-    assert messages == {"'float' object cannot be interpreted as an integer"}
+    keys = [edge_bitset(complete(3)), edge_bitset(path(3))]
+    for wrong, message in ((1.5, "'float' object cannot be interpreted as an integer"),
+                           (True, "a count, budget or group size must be an int, not bool")):
+        cases = [(wrong, 1, 2, None), (3, wrong, 2, None), (3, 1, wrong, None),
+                 (3, 1, 2, wrong)]
+        messages = set()
+        for backend in itertools.chain([kernels], python_then_compiled(request)):
+            for n, min_copies, max_copies, budget in cases:
+                with pytest.raises(TypeError) as single:
+                    backend.run_search(n, masks, min_copies, max_copies, True, False,
+                                       budget)
+                messages.add(str(single.value))
+                for budgets in ([budget, None], [None, budget]):
+                    with pytest.raises(TypeError) as batched:
+                        backend.run_batch(n, keys, min_copies, max_copies, True, False,
+                                          budgets)
+                    messages.add(str(batched.value))
+            for groups in ([wrong, 1], [1, wrong]):
+                with pytest.raises(TypeError) as raised:
+                    backend.run_batch(3, keys, 1, 2, True, False, [None] * 2, groups)
+                messages.add(str(raised.value))
+        assert messages == {message}
 
 
 # A float mask, mask 0 included, and a float n with no keys or with a
@@ -894,14 +941,14 @@ def test_batch_raises_the_first_faulty_entrys_error(request):
 
 
 def random_key_batch(rnd):
-    """A random run_batch of 1 to 300 keys of graphs on 1..n, n in 1..7,
-    each with a budget of 1, with at most one fault at a random entry: a
+    """A random run_batch of 1 to 300 distinct keys of graphs on 1..n, n in
+    1..7, each with a budget of 1, with at most one fault at a random entry: a
     bool, a float, a negative key, a key of 2 ** C(n, 2) or more, or a
     negative budget. Returns n, the keys, the budgets, the fault and its
     entry."""
     n = rnd.randint(1, 7)
     end = 1 << n * (n - 1) // 2
-    keys = [rnd.randrange(end) for _ in range(rnd.randint(1, 300))]
+    keys = rnd.sample(range(end), rnd.randint(1, min(300, end)))
     budgets = [1] * len(keys)
     fault = rnd.choice(["none", "bool", "float", "negative", "too large", "budget"])
     at = rnd.randrange(len(keys))
@@ -1036,9 +1083,10 @@ def test_compiled_batch_of_more_than_64_graphs_on_15_letters(request):
 # check, with rows packed here as the driver packs them: each
 # must raise for what its arrays cannot hold (misfit shapes, rows of the
 # wrong length or type, n = 16, min_copies = 0, n * max_copies > 64, a
-# negative budget), and read only masks 1..n of a row that is not a graph,
-# rather than send the C code past the end of an array. In a child process,
-# as above.
+# negative budget, a list of budgets for the union's one), and read only
+# masks 1..n of a row that is not a graph, and stay in bounds on repeated
+# rows, which the driver never passes, rather than send the C code past
+# the end of an array. In a child process, as above.
 SHAPE_FROM_PYTHON = LOAD_PACKAGE + """
 from rep132 import _kernel_py
 compiled = kernels.load_backend("c")
@@ -1054,8 +1102,9 @@ def packed(masks):
 
 k3 = [0, 0b1100, 0b1010, 0b0110]
 row = packed(k3)
+pair = row + packed([0] * 4)
 compiled.run_search(3, k3, 1, 2, True, False, None)
-compiled.run_batch(3, [7, 7], 1, 2, True, False, [None] * 2)
+compiled.run_batch(3, [7, 6], 1, 2, True, False, [None] * 2)
 print(*calls)
 search_graph, union_search = compiled._search_graph, compiled._union_search
 
@@ -1069,16 +1118,15 @@ def refused(call, *args):
 for n, min_copies, max_copies, budget in [(16, 1, 2, None), (3, 0, 2, None),
                                           (13, 5, 5, None), (3, 1, 2, -1)]:
     print(refused(search_graph, n, row, min_copies, max_copies, True, False, budget),
-          refused(union_search, n, row * 2, [None, budget], [2], min_copies,
-                  max_copies, True, False))
+          refused(union_search, n, pair, budget, [2], min_copies, max_copies, True,
+                  False))
 for bad in (row[:-1], row + b"x", bytearray(row)):
     print(refused(search_graph, 3, bad, 1, 2, True, False, None))
-for rows, budgets, sizes in [(row, [None], [2]), (row * 2, [None], [2]),
-                             (row * 2, [None] * 2, [1]), (row * 2, [None] * 2, [3, -1]),
-                             (row, [None], [0, 1]), (row, [None], [1, 1]),
-                             (row[:-1], [None], [1]), (row * 2 + b"x", [None] * 2, [2]),
-                             (bytearray(row), [None], [1])]:
-    print(refused(union_search, 3, rows, budgets, sizes, 1, 2, True, False))
+for rows, budget, sizes in [(row, None, [2]), (pair, None, [1]), (pair, None, [3, -1]),
+                            (row, None, [0, 1]), (row, None, [1, 1]), (row[:-1], None, [1]),
+                            (pair + b"x", None, [2]), (bytearray(row), None, [1]),
+                            (pair, [None] * 2, [2])]:
+    print(refused(union_search, 3, rows, budget, sizes, 1, 2, True, False))
 bad_rows = [
     b"\\xff" * 32,                         # bits past n, masks past n, mask 0
     packed([0, 0b1110, 0b1100, 0b1010]),   # a self-loop
@@ -1088,8 +1136,8 @@ flags = [(forbid, find_all, budget) for forbid in (True, False)
          for find_all in (True, False) for budget in (None, 5)]
 for bad in bad_rows:
     answers = [search_graph(3, bad, 1, 2, *flag) for flag in flags] + [
-        union_search(3, rows, [budget] * count, [1] * count, 1, 2, forbid, find_all)
-        for rows, count in ((bad + row, 2), (row + bad * 70, 71))
+        union_search(3, rows, budget, [1] * count, 1, 2, forbid, find_all)
+        for rows, count in ((bad + row, 2), (row + bad * 70, 71), (row * 3, 3))
         for forbid, find_all, budget in flags]
     print(len(answers))
 """
@@ -1102,8 +1150,8 @@ def test_compiled_kernel_takes_its_argument_checks_from_the_python_kernel(reques
     assert lines[0] == "masks_key batch_shape check_keys batch_shape check_keys"
     assert lines[1:5] == ["SystemError SystemError"] * 4, done.stdout
     assert lines[5:8] == ["SystemError", "SystemError", "TypeError"], done.stdout
-    assert lines[8:17] == ["SystemError"] * 8 + ["TypeError"], done.stdout
-    assert lines[17:] == ["24"] * 3, done.stdout
+    assert lines[8:17] == ["SystemError"] * 7 + ["TypeError"] * 2, done.stdout
+    assert lines[17:] == ["32"] * 3, done.stdout
 
 
 def test_one_driver_runs_both_kernels(request):
@@ -1126,8 +1174,9 @@ def test_one_driver_runs_both_kernels(request):
 # Python kernel states them, and no other source may restate them. "n must
 # be in" is left out: search.py states the scan's own bound on n with it.
 STATED_ONCE = ["one node budget per graph", "group sizes of at least 1",
-               "a key must be an int", "a key must be in", "adjacency masks, got",
-               "has bits outside", "must be empty", "has a self-loop", "disagree",
+               "a key must be an int", "a key must be in", REPEATED_KEY,
+               "keys must be ints, not", "must be an int, not bool",
+               "adjacency masks, got", "has bits outside", "must be empty", "has a self-loop", "disagree",
                "min_copies <= max_copies", "max_copies must be at most",
                "must not be negative"]
 
