@@ -2,12 +2,12 @@
 
 A labeled graph's key is its edge bitset (graphs.edge_bitset): bit
 C(n, 2) - 1 - i for the i-th vertex pair in itertools.combinations order,
-below 2^21 through order 7, read off graphs' one pair table. It is the sum
-of its edges' keys, and it is what kernels.run_batch takes for the graph.
-A search walks its labelings in blocks (Keys): through order 7 a block is
-the (n - 1)! labelings that share sigma[0], and its keys are one big-int
-sum of per-pair columns that hold every labeling's bit of that pair in a
-lane of its own (_columns), read out at once.
+read off graphs' one pair table. It is the sum of its edges' keys, and it
+is what kernels.run_batch takes for the graph. A search reads its keys
+from one sequence that grows as far as it is read (Keys): through order 7
+a block of (n - 1)! labelings at a time, one big-int sum of per-pair
+columns that hold every labeling's bit of that pair in a lane of its own
+(_columns); past it a key at a time.
 """
 
 from __future__ import annotations
@@ -16,15 +16,16 @@ import itertools
 import math
 import sys
 from functools import lru_cache
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .graphs import LabeledGraph, Labeling, _pair_tables, edge_bitset
 
 # Largest order whose labelings read their keys off per-pair columns (see
-# _columns), built at the first search of that order: n blocks of C(n, 2)
-# columns, one lane per labeling, 423 KB at n = 7, the largest order
-# scan_order runs, where a key's 21 bits still fit a 32-bit lane. Above it
-# only single searches run, where the kernel dwarfs the cost of the keys.
+# _columns), built at the first search of that order: 423 KB at n = 7, the
+# largest order scan_order runs. Above it each key is summed from its edges
+# when read (_labeling_keys): 0.04 s for all 40,320 of wheel(7) at n = 8 on
+# a 2-core x86_64 machine under Python 3.11, where the columns took 0.11 s
+# and 4.5 MB to build. They pay only over many searches of one order.
 COLUMNS_MAX_N = 7
 
 
@@ -44,7 +45,7 @@ def _labeling_keys(adj: Sequence[int], sigmas: Iterable[Labeling]) -> Iterator[i
 def _lanes(n: int) -> tuple[str, int]:
     """The memoryview format of a key block at order n <= COLUMNS_MAX_N (see
     _columns), and its item size in bytes: 16-bit lanes hold a key's C(n, 2)
-    bits up to n = 6, and 32-bit ones at n = 7."""
+    bits up to n = 6, and 32-bit ones its 21 bits at n = 7."""
     code = "H" if n <= 6 else "I"
     return code, memoryview(b"").cast(code).itemsize
 
@@ -79,71 +80,66 @@ def _columns(n: int) -> list[list[int]]:
 class Keys:
     """The keys of the labeled graphs that a search of g walks, one per
     labeling in walk order (the identity only if fixed, else every labeling
-    in itertools.permutations order), in blocks of size labelings.
+    in itertools.permutations order), as one sequence that grows as far as
+    it is read: keys[i], and keys[i:j] for 0 <= i <= j, cut at the last
+    labeling. The walk reads it by index and the lookahead in slices ahead
+    of the walk, so each key is computed once, and held from then on.
 
-    Up to COLUMNS_MAX_N, block b holds the (n - 1)! labelings with
-    sigma[0] = b + 1, one sum of the columns of g's edges (_columns) read
-    as a memoryview of lanes. A fixed search's one block is its one key;
-    beyond COLUMNS_MAX_N each key, a block of its own, is summed from its
-    edges (_labeling_keys). The walk and its lookahead read the same
-    blocks, so each key is computed once: the walk iterates over the blocks
-    (iter(keys)), and the lookahead reads blocks ahead of it (block). Only
-    the blocks from the walk's own on are held, and no generator, so a
-    search waiting for its next round holds little more than one block.
+    Up to COLUMNS_MAX_N it grows a block at a time, the (n - 1)! labelings
+    that share sigma[0], in one bytes-backed memoryview of lanes (_summed);
+    beyond it by exactly the keys read (_labeling_keys). A fixed search's
+    sequence is its one key. Nothing it holds refers back to it, so
+    reference counting alone frees it.
     """
 
-    __slots__ = ("size", "_n", "_edges", "_source", "_first", "_held", "_walking")
+    __slots__ = ("_computed", "_rest")
 
     def __init__(self, g: LabeledGraph, fixed: bool):
-        self._n = g.n
-        self._edges: list[int] = []  # the column of each edge of g
-        self._source: Optional[Iterator[Sequence[int]]] = None
+        # _rest gives the keys after _computed: up to COLUMNS_MAX_N each
+        # time a longer view of them, beyond it the next keys
         if fixed:
-            self._source, self.size = iter([[edge_bitset(g)]]), 1
+            self._computed, self._rest = [edge_bitset(g)], iter(())
         elif g.n > COLUMNS_MAX_N:
             sigmas = itertools.permutations(range(1, g.n + 1))
-            keys = _labeling_keys(g.adjacency_masks(), sigmas)
-            self._source, self.size = ([key] for key in keys), 1
+            self._computed, self._rest = [], _labeling_keys(g.adjacency_masks(), sigmas)
         else:
-            adj = g.adjacency_masks()
-            pairs = itertools.combinations(range(1, g.n + 1), 2)
-            self._edges = [i for i, (u, v) in enumerate(pairs) if adj[u] >> v & 1]
-            self.size = math.factorial(g.n - 1)
-        self._first = 0  # the block that _held starts with
-        self._held: list[Sequence[int]] = []
-        self._walking = False  # whether the walk has taken block _first
+            self._computed, self._rest = (), _summed(g)
 
-    def block(self, b: int) -> Optional[Sequence[int]]:
-        """Block b, b at least the walk's, or None past the last block."""
-        held = self._held
-        while self._first + len(held) <= b:
-            if self._source is not None:
-                block = next(self._source, None)
-            else:
-                block = self._summed(self._first + len(held))
-            if block is None:
-                return None
-            held.append(block)
-        return held[b - self._first]
+    def __getitem__(self, index):
+        # the walk reads a key at a time, nearly always one computed already
+        if isinstance(index, slice):
+            self._grow(index.stop)
+        else:
+            try:
+                return self._computed[index]
+            except IndexError:
+                self._grow(index + 1)
+        return self._computed[index]
 
-    def _summed(self, b: int) -> Optional[Sequence[int]]:
-        blocks = _columns(self._n)
-        if b == len(blocks):
-            return None
-        code, width = _lanes(self._n)
-        total = sum([blocks[b][i] for i in self._edges])
-        return memoryview(total.to_bytes(self.size * width, sys.byteorder)).cast(code)
+    def _grow(self, end: int) -> None:
+        """Compute the keys before key end, as far as there are keys."""
+        if isinstance(self._computed, list):
+            more = max(0, end - len(self._computed))
+            self._computed.extend(itertools.islice(self._rest, more))
+            return
+        while len(self._computed) < end:
+            longer = next(self._rest, None)
+            if longer is None:
+                break
+            self._computed = longer
 
-    def __iter__(self):
-        return self
 
-    def __next__(self) -> Sequence[int]:
-        """The walk's next block; the one it has read is let go."""
-        if self._walking:
-            del self._held[0]
-            self._first += 1
-        self._walking = True
-        block = self.block(self._first)
-        if block is None:
-            raise StopIteration
-        return block
+def _summed(g: LabeledGraph) -> Iterator[memoryview]:
+    """The keys of the labelings of g, n <= COLUMNS_MAX_N, in _lanes(n)'s
+    lanes of one bytes object, a block longer each time: each block one sum
+    of the columns of g's edges (_columns)."""
+    n = g.n
+    adj = g.adjacency_masks()
+    pairs = itertools.combinations(range(1, n + 1), 2)
+    edges = [i for i, (u, v) in enumerate(pairs) if adj[u] >> v & 1]
+    code, width = _lanes(n)
+    keys = b""
+    for columns in _columns(n):
+        keys += sum([columns[i] for i in edges]).to_bytes(
+            math.factorial(n - 1) * width, sys.byteorder)
+        yield memoryview(keys).cast(code)

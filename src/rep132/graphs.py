@@ -208,7 +208,13 @@ def edge_bitset(g: LabeledGraph) -> int:
 
 
 def graph_from_bitset(n: int, bits: int) -> LabeledGraph:
+    """The graph on 1..n with edge bitset bits (edge_bitset), an int, not a
+    bool, in 0 .. 2**C(n, 2) - 1: TypeError for a non-int, else ValueError."""
+    if type(bits) is not int:
+        raise TypeError(f"bits must be an int, not {type(bits).__name__}")
     top = n * (n - 1) // 2 - 1
+    if bits < 0 or bits.bit_length() > top + 1:
+        raise ValueError(f"bits must be in 0 .. 2**{top + 1} - 1 at n = {n}")
     pairs = itertools.combinations(range(1, n + 1), 2)
     edges = [(a, b) for a, b in pairs if bits >> (top - _pair_rank(a, b, n)) & 1]
     return LabeledGraph(n, edges)

@@ -35,11 +35,10 @@ One driver decides every search (_decide_classes). Each graph has a walk
 graph's edge bitset (see rep132._keys); it yields each labeled graph that
 the dict holds no usable result for, with its remaining budget, and
 returns the graph's report, each witness in it checked. The labelings are
-drawn lazily, and their keys a block at a time (_keys.Keys), through order
-7 the (n - 1)! labelings that share sigma[0] in one big-int sum. The walk
-and the lookahead read the same blocks, so each key is computed once, and
-a graph holds only the blocks from its walk's on; the kernel takes the
-keys themselves (kernels.run_batch). The driver keeps one record per
+drawn lazily, and their keys come from one sequence per graph that grows
+as far as it is read (_keys.Keys), by index for the walk and in slices for
+the lookahead, so each key is computed once; the kernel takes the keys
+themselves (kernels.run_batch). The driver keeps one record per
 undecided graph and serves the walks of all its graphs in rounds of
 kernels.run_batch calls: in each round every undecided graph asks for the
 labeled graph its walk needs plus its next distinct labeled graphs not yet
@@ -215,10 +214,11 @@ def _walk(g: LabeledGraph, cfg: SearchConfig, fixed: bool, results: dict,
     entries: list[tuple[Labeling, tuple[int, ...]]] = []
     witness = labeling = None
     exhausted = False
-    for sig, key in zip(_labelings(g, fixed), itertools.chain.from_iterable(keys)):
+    for sig in _labelings(g, fixed):
         if remaining is not None and remaining <= 0:
             exhausted = True
             break
+        key = keys[tried]
         res = results.get(key)
         # A stored result came from a budget of at least 'remaining', which
         # only shrinks along the walk. If that budget did not cut it, it is
@@ -288,10 +288,10 @@ def _decide_classes(
     walk's memo), its keys (_keys.Keys, which the walk reads too), the
     number of labelings its lookahead has read, and the walk's pending ask.
     The lookahead reads on from the labeling after the walk's, or after the
-    last one it read if that is further, and takes its asks off the key
-    blocks a slice at a time, a slice being as many keys as it still asks
-    for: each key read gives at most one ask, so the asks end with the last
-    key read, exactly where reading key by key would stop. A round goes to
+    last one it read if that is further, and takes its asks off the keys a
+    slice at a time, a slice being as many keys as it still asks for: each
+    key read gives at most one ask, so the asks end with the last key read,
+    exactly where reading key by key would stop. A round goes to
     kernels.run_batch in slices of whole classes, of about BATCH_GRAPHS
     graphs each. A slice is one list of (class, keys) pairs, keys being the
     class's asks in order; the batch's keys, budgets and groups, one group
@@ -364,17 +364,13 @@ def _decide_classes(
             read = max(read, tried + 1)
             spent = 0 if remaining is None else cfg.node_budget - remaining
             stop = tried + remaining * tried // spent if spent else math.inf
-            span = source.size
             while len(keys) < asks and read < stop:
-                b, start = divmod(read, span)
-                block = source.block(b)
-                if block is None:
+                ahead = source[read:min(read + asks - len(keys), stop)]
+                if not ahead:  # past the last labeling
                     break
-                end = min(span, start + asks - len(keys), stop - b * span)
-                keys.update(zip(itertools.filterfalse(results.__contains__,
-                                                      block[start:end]),
+                keys.update(zip(itertools.filterfalse(results.__contains__, ahead),
                                 itertools.repeat(None)))
-                read = b * span + end
+                read += len(ahead)
             record[3] = read
             batch.append((i, keys))
             size += len(keys)

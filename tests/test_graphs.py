@@ -249,6 +249,20 @@ def test_bitset_round_trip(g):
     assert graph_from_bitset(g.n, edge_bitset(g)) == g
 
 
+def test_graph_from_bitset_refuses_bits_of_no_pair():
+    # bits is a key as kernels.run_batch takes it: an int, not a bool, in
+    # 0 .. 2**C(n, 2) - 1. -1 once gave K3 and 1 << 10 the empty graph.
+    assert graph_from_bitset(3, 7) == complete(3)
+    assert graph_from_bitset(3, 0) == LabeledGraph(3, [])
+    assert graph_from_bitset(1, 0) == LabeledGraph(1, [])
+    for n, bits in ((3, -1), (3, 8), (3, 1 << 10), (1, 1), (0, 1), (4, -(1 << 6))):
+        with pytest.raises(ValueError, match=r"bits must be in 0 \.\. 2\*\*"):
+            graph_from_bitset(n, bits)
+    for bits in (True, False, 1.0, "7", None, b"\x07"):
+        with pytest.raises(TypeError, match="bits must be an int"):
+            graph_from_bitset(3, bits)
+
+
 # -------------------------------------------------------------- enumeration
 
 

@@ -207,10 +207,13 @@ def test_recursive_helpers_leave_no_cyclic_garbage():
     # A closure that calls itself refers to itself through its own cell, so
     # each call left a cycle for the collector (393 extend closures with
     # their cells and lists after one scan_order(6)); each helper now breaks
-    # its cycle, as the kernels do.
-    from rep132 import (P132, RootedTree, Word, automorphisms, av132_permutations,
-                        canonical_form, contains_pattern, enumerate_graphs,
-                        tree_representant, wheel)
+    # its cycle, as the kernels do. A search's keys (_keys.Keys), its walk
+    # and its records must be freed by reference counting alone too, at
+    # orders where keys come in blocks and past them.
+    from rep132 import (P132, RootedTree, SearchConfig, Word, _keys, automorphisms,
+                        av132_permutations, canonical_form, contains_pattern,
+                        cycle, enumerate_graphs, scan_order, search_all_labelings,
+                        search_fixed, tree_representant, wheel)
 
     calls = [
         lambda: canonical_form(wheel(5)),
@@ -219,12 +222,27 @@ def test_recursive_helpers_leave_no_cyclic_garbage():
         lambda: tree_representant(RootedTree(3, 1, [(1, 2), (1, 3)])),
         lambda: list(av132_permutations(4)),
         lambda: contains_pattern(Word("2413"), P132),
+        lambda: search_fixed(wheel(5)),
+        lambda: search_all_labelings(wheel(5)),
+        lambda: search_all_labelings(cycle(8)),
+        lambda: search_all_labelings(wheel(7), SearchConfig(node_budget=10**5)),
+        lambda: scan_order(5),
     ]
+    here = os.path.dirname(rep132.__file__)
+
+    def search_state():
+        # gc.collect() frees a cycle through a generator but may count 0 for
+        # it (CPython 3.11), so look for a finished search's objects alive
+        return [o for o in gc.get_objects() if type(o) is _keys.Keys
+                or type(o).__name__ == "generator"
+                and os.path.dirname(o.gi_code.co_filename) == here]
+
     gc.collect()
     gc.disable()
     try:
         for i, call in enumerate(calls):
             call()
+            assert search_state() == [], i
             assert gc.collect() == 0, i
     finally:
         gc.enable()

@@ -1,6 +1,7 @@
 """Fixed- and all-labelings search, determinism, the copy bound, scans."""
 
 import dataclasses
+import hashlib
 import itertools
 import os
 import random
@@ -24,6 +25,7 @@ from rep132.graphs import (
     cycle,
     edge_bitset,
     enumerate_graphs,
+    path,
     prism,
     relabel,
     star,
@@ -171,8 +173,9 @@ def test_labeling_generators():
 
 
 def walk_keys(g, fixed=False):
-    """The keys a search of g reads, in walk order, block after block."""
-    return itertools.chain.from_iterable(_keys.Keys(g, fixed))
+    """The keys a search of g reads, in walk order: Keys read by index until
+    it raises IndexError."""
+    return iter(_keys.Keys(g, fixed))
 
 
 def test_walk_keys_are_edge_bitsets_and_give_the_rows(monkeypatch):
@@ -203,20 +206,28 @@ def test_walk_keys_are_edge_bitsets_and_give_the_rows(monkeypatch):
     assert len(list(walk_keys(wheel(6)))) == 5040
     assert list(walk_keys(LabeledGraph(4, []))) == [0] * 24
     assert list(walk_keys(LabeledGraph(1, []))) == [0]
-    # past order 7 every key is its own block, summed from the edges
-    g = seeded(9, 1)[0]
-    assert _keys.Keys(g, False).size == 1
-    assert list(itertools.islice(walk_keys(g), 50)) == [
-        edge_bitset(relabel(g, sig)) for sig in itertools.islice(
-            itertools.permutations(range(1, 10)), 50)]
-    # the lookahead reads blocks ahead of the walk, and the walk lets each
-    # block go once it has read past it
+    # through order 7 the sequence grows by whole blocks of the (n - 1)!
+    # labelings that share sigma[0], as far as a read reaches and no further
+    every = list(walk_keys(wheel(5)))
     keys = _keys.Keys(wheel(5), False)
-    assert list(keys.block(2)) == list(itertools.islice(walk_keys(wheel(5)), 240, 360))
-    for b, block in enumerate(keys):
-        assert keys._first == b and len(block) == 120
-        assert len(keys._held) == max(1, 3 - b)
-    assert b == 5 and keys._held == [] and keys.block(6) is None
+    for index, held in ((0, 120), (119, 120), (120, 240), (3, 240)):
+        assert keys[index] == every[index] and len(keys._computed) == held, index
+    for start, stop, held in ((250, 300, 360), (300, 480, 480), (700, 800, 720),
+                              (720, 730, 720)):
+        assert list(keys[start:stop]) == every[start:stop], start
+        assert len(keys._computed) == held, start
+    with pytest.raises(IndexError):
+        keys[720]
+    # past order 7 it grows by exactly the keys read, summed from the edges
+    g = seeded(9, 1)[0]
+    first = [edge_bitset(relabel(g, sig)) for sig in itertools.islice(
+        itertools.permutations(range(1, 10)), 60)]
+    keys = _keys.Keys(g, False)
+    assert keys._computed == []
+    assert keys[0] == first[0] and len(keys._computed) == 1
+    assert list(keys[10:60]) == first[10:] and len(keys._computed) == 60
+    assert keys[3] == first[3] and list(keys[:5]) == first[:5]
+    assert len(keys._computed) == 60
     # a fixed search asks for the graph as given, and only for it
     assert list(walk_keys(ODD_STAR, True)) == [edge_bitset(ODD_STAR)]
     asked = []
@@ -462,6 +473,46 @@ def test_budgeted_search_draws_labelings_lazily(request):
     done = run_child(LAZY_LABELINGS, "python", request)
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == [BUDGET_EXCEEDED, "1"]
+
+
+# Order-8 searches end to end, past the order through which keys come in
+# blocks: K4 and K4 apart, and wheel(7) with and without a node budget
+K4_K4 = LabeledGraph(8, [p for part in ((1, 2, 3, 4), (5, 6, 7, 8))
+                         for p in itertools.combinations(part, 2)])
+ORDER_EIGHT_SEARCHES = [
+    (wheel(7), None, NOT_REPRESENTABLE, SearchStats(711_040_708, 144_669_028, 40_320)),
+    (K4_K4, None, NOT_REPRESENTABLE, SearchStats(767_015_424, 160_038_144, 40_320)),
+    (wheel(7), 10**6, BUDGET_EXCEEDED, SearchStats(1_000_000, 189_463, 62)),
+]
+
+
+@pytest.mark.parametrize("g, budget, outcome, stats", ORDER_EIGHT_SEARCHES,
+                         ids=["wheel7", "k4_k4", "wheel7_budget_1e6"])
+def test_order_eight_searches_walk_every_labeling_they_need(g, budget, outcome, stats):
+    rep = search_all_labelings(g, SearchConfig(node_budget=budget))
+    assert (rep.outcome, rep.stats) == (outcome, stats)
+    assert rep.witness is None and not rep.is_complete_decision
+
+
+def test_a_search_past_order_seven_sums_only_the_keys_it_reads(monkeypatch):
+    # each of these is decided at its first labeling, the identity, whose
+    # key is the only one summed: its first round asks for one graph.
+    # (path(12) would do too, but its one search takes 10 s on the Python
+    # kernel; complete(12)'s takes 12 nodes.)
+    drawn = []
+    labeling_keys = _keys._labeling_keys
+
+    def counting(adj, sigmas):
+        for key in labeling_keys(adj, sigmas):
+            drawn.append(key)
+            yield key
+
+    monkeypatch.setattr(_keys, "_labeling_keys", counting)
+    for g in (path(9), cycle(9), complete(12)):
+        drawn.clear()
+        rep = search_all_labelings(g)
+        assert (rep.outcome, rep.stats.labelings_tried) == (REPRESENTABLE, 1), g
+        assert drawn == [edge_bitset(g)], g
 
 
 # The JSON report of every single-graph search below, on the backend the
@@ -878,6 +929,27 @@ def test_order_six_scan_takes_at_most_three_rounds(monkeypatch):
     monkeypatch.setattr(kernels, "run_batch", counting)
     assert len(scan_order(6)) == 122
     assert len(calls) <= 3
+
+
+def test_order_six_scan_makes_the_pinned_kernel_calls(monkeypatch):
+    # Every argument of every kernels.run_batch call of an order-6 scan, as
+    # recorded when the keys came in blocks behind a sliding window. A
+    # change to the speculation schedule re-pins this digest and says why.
+    calls = []
+    run_batch = kernels.run_batch
+
+    def recording(n, keys, min_copies, max_copies, forbid_132, find_all,
+                  node_budgets, group_sizes):
+        calls.append((n, list(keys), min_copies, max_copies, forbid_132, find_all,
+                      list(node_budgets), list(group_sizes)))
+        return run_batch(n, keys, min_copies, max_copies, forbid_132, find_all,
+                         node_budgets, group_sizes)
+
+    monkeypatch.setattr(kernels, "run_batch", recording)
+    scan_order(6)
+    assert len(calls) == 3
+    assert hashlib.sha256(repr(calls).encode()).hexdigest() == \
+        "1de12f5bd3fdba6e1eecfd32c049fa97cbac0e30ed9236e8895621ffd7d360f0"
 
 
 def test_a_decided_class_is_dropped_before_the_next_slice(monkeypatch):
