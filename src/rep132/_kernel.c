@@ -1,13 +1,15 @@
 /* Compiled DFS kernel: exact twin of rep132._kernel_py (see its docstring).
+   The kernel contract, run_batch and run_search, is stated in
+   rep132.kernels.
 
    This module holds a kernel's two traversals, with the Python
    reference's arguments: _search_graph searches one row (rec() below), and
    _union_search walks the union of a batch's searches (batch_rec()), or
-   returns None once the union would pass its one budget, the batch's
-   smallest. Its init sets run_batch and run_search to the pair that
-   _kernel_py.driver makes over these two, so every check of a call, the
-   per-graph fallback past a budget and the cut at each group's first
-   witness are the reference's own code.
+   returns None once the union would pass its one budget. Its init sets
+   run_batch and run_search to the pair that _kernel_py.driver makes over
+   these two, so every check of a call, the per-graph fallback past a
+   budget and the cut at each group's first witness are the reference's
+   own code.
 
    rec() has the same traversal and results as the Python reference's
    rec(), checked call by call: the same child order, the same three
@@ -24,11 +26,10 @@
    span several 64-bit words, and without find_all the entries of a group
    after its first entry with a witness come back as None.
 
-   Rows come only from the driver: run_batch takes each graph as its key,
-   its edge bitset, checks that the keys are distinct and packs them into
-   these rows, mask v in bits 16v..16v+15 of ROW_BYTES little-endian bytes.
-   So the traversals only read what the driver has checked. They check
-   again just what their arrays need (read_letters, read_budget,
+   Rows come only from the driver, which checks the keys and packs them
+   into these rows, mask v in bits 16v..16v+15 of ROW_BYTES little-endian
+   bytes. So the traversals only read what the driver has checked. They
+   check again just what their arrays need (read_letters, read_budget,
    read_shape, a row's length), and raise SystemError if that fails; every
    loop over letters or masks stops at n, so a row that is not a graph or
    a repeated row, which only a direct call can pass, can give a wrong

@@ -2,17 +2,18 @@
 
 This is the reference implementation; rep132._kernel (_kernel.c) is a
 compiled twin with the same traversal order and statistics, byte for byte.
-Each backend module holds just two traversals, with one signature on both:
-_search_graph searches one row, and _union_search searches a batch of
-distinct rows, or returns None once the union would pass the batch's
-smallest budget. Everything around them is stated here alone:
-driver(backend) gives the run_batch and run_search over a backend's two
-traversals, with every check of a call (batch_shape, check_keys,
-masks_key), the building of the traversals' rows from the keys (_rows), the
-fallback past a budget and the cut at each group's first witness. This
-module binds them to its own traversals, and the compiled module's init
-binds the same two functions to its C ones. So what must be mirrored in the
-twin (tests compare the two call by call) is the traversals alone.
+The kernel contract, run_batch and run_search with their checks in order,
+is stated in rep132.kernels and implemented here alone: driver(backend)
+gives the pair over a backend's two traversals, with every check of a call
+(batch_shape, check_keys, masks_key), the building of the traversals' rows
+from the keys (_rows), the fallback past a budget and the cut at each
+group's first witness. Each backend module holds just the two traversals,
+with one signature on both: _search_graph searches one row, and
+_union_search searches a batch of distinct rows, or returns None once the
+union would pass its one budget. This module binds the driver to its own
+traversals, and the compiled module's init binds it to its C ones. So what
+must be mirrored in the twin (tests compare the two call by call) is the
+traversals alone.
 
 The search walks words over {1..n}, each letter used min_copies..max_copies
 times, children in ascending letter order. A node is a successfully
@@ -55,20 +56,12 @@ Prunes, always on, each cutting only subtrees that hold no witness:
 With forbid_132, the pattern prune builds no word that contains a 132, so
 the leaf test needs no check for one.
 
-run_batch answers for several graphs on the same letters in one DFS over
-the union of their search trees; run_search is run_batch over one graph.
-The graphs come as keys, their edge bitsets (graphs.edge_bitset), and any
-int in 0 .. 2 ** C(n, 2) - 1 is one, so no entry of run_batch can be a
-non-graph; run_search's masks can spell one, and masks_key rejects it: mask
-0 not empty, a self-loop, or an edge in only one of its two masks. A
-batch's keys are distinct, so each graph is one entry. The traversals take
-packed rows, which only the driver builds, ROW_BYTES bytes each: mask v in
-bits 16v..16v+15 of the row read as a little-endian int, the lanes of
-target above with edges in place of non-edges. The graphs form groups of
-consecutive entries; without find_all, the entries of a group after its
-first entry with a witness come back as None, on every path. The compiled
-twin's _union_search walks the same union with the same child order,
-prunes, budget rule and drops, and gives the same results.
+The traversals take packed rows, which only the driver builds from the
+keys, ROW_BYTES bytes each: mask v in bits 16v..16v+15 of the row read as
+a little-endian int, the lanes of target above with edges in place of
+non-edges. The compiled twin's _union_search walks the same union with the
+same child order, prunes, budget rule and drops, and gives the same
+results.
 """
 
 from __future__ import annotations
@@ -119,12 +112,7 @@ def _check_budget(node_budget) -> None:
 
 def masks_key(n, adj, min_copies, max_copies, node_budget) -> int:
     """run_search's masks as one run_batch key, their edge bitset, after
-    the checks of what masks can spell and a key cannot: n and the copy
-    counts, the budget, n + 1 masks, int masks 1..n with bits in 1..n, an
-    int mask 0 that is empty, then a graph: for each v no self-loop and,
-    for each u > v, the edge {v, u} in both masks or in neither.
-    run_search calls this, on both kernels.
-    """
+    run_search's checks (see rep132.kernels), on both kernels."""
     _check_search(n, min_copies, max_copies)
     _check_budget(node_budget)
     if len(adj) != n + 1:
@@ -150,24 +138,21 @@ def masks_key(n, adj, min_copies, max_copies, node_budget) -> int:
     return key
 
 
-def check_keys(n, keys, min_copies, max_copies, node_budgets) -> None:
-    """The checks of the entries of a nonempty run_batch call, given
-    batch_shape's keys and budgets, the first faulty entry's error raised:
-    n and the copy counts, which hold for every entry, then each entry's
-    budget, None or an int of at least 0, and its key, an int (not a bool)
-    in 0 .. 2 ** C(n, 2) - 1; last, that no key repeats, so each graph of
-    the batch is one entry. run_batch calls this, on both kernels. Every
-    such key is the edge bitset of a graph on 1..n, so no entry can be a
-    non-graph.
-    """
+def check_keys(n, keys, min_copies, max_copies, node_budgets, group_sizes) -> None:
+    """The checks of a nonempty run_batch call's entries, on batch_shape's
+    lists, on both kernels: n and the copy counts, then group by group its
+    budget and its keys, then that no key repeats (see rep132.kernels)."""
     _check_search(n, min_copies, max_copies)
     end = 1 << n * (n - 1) // 2
-    for key, budget in zip(keys, node_budgets):
+    at = 0
+    for budget, size in zip(node_budgets, group_sizes):
         _check_budget(budget)
-        if type(key) is not int:
-            raise TypeError(f"a key must be an int, not {type(key).__name__}")
-        if not 0 <= key < end:
-            raise ValueError(f"a key must be in 0..{end - 1} at n = {n}")
+        for key in keys[at:at + size]:
+            if type(key) is not int:
+                raise TypeError(f"a key must be an int, not {type(key).__name__}")
+            if not 0 <= key < end:
+                raise ValueError(f"a key must be in 0..{end - 1} at n = {n}")
+        at += size
     if len(set(keys)) != len(keys):
         raise ValueError("a batch's keys must be distinct")
 
@@ -314,11 +299,8 @@ def _search_graph(n, row, min_copies, max_copies, forbid_132, find_all, node_bud
 
 def batch_shape(n, keys, min_copies, max_copies, node_budgets, group_sizes):
     """A run_batch call's keys, budgets and group sizes as lists, after the
-    checks that come before its entries': n and the copy counts ints, not
-    bools, and keys iterable but not bytes-like (TypeError); then one
-    budget per key, and the group sizes. run_batch calls this, on both
-    kernels, so these rules are stated here alone.
-    """
+    checks before its entries', on both kernels: the types, the group sizes
+    and one budget per group (see rep132.kernels)."""
     _index(n)
     if isinstance(keys, (bytes, bytearray, memoryview)):
         raise TypeError(f"keys must be ints, not {type(keys).__name__}")
@@ -326,15 +308,16 @@ def batch_shape(n, keys, min_copies, max_copies, node_budgets, group_sizes):
     _index(min_copies)
     _index(max_copies)
     count = len(keys)
-    node_budgets = list(node_budgets)
-    if len(node_budgets) != count:
-        raise ValueError(f"need one node budget per graph: {count} graphs, "
-                         f"{len(node_budgets)} budgets")
     if group_sizes is None:
-        return keys, node_budgets, [1] * count
-    sizes = [_index(size) for size in group_sizes]
-    if min(sizes, default=1) < 1 or sum(sizes) != count:
-        raise ValueError(f"need group sizes of at least 1 that add up to {count} graphs")
+        sizes = [1] * count
+    else:
+        sizes = [_index(size) for size in group_sizes]
+        if min(sizes, default=1) < 1 or sum(sizes) != count:
+            raise ValueError(f"need group sizes of at least 1 that add up to {count} graphs")
+    node_budgets = list(node_budgets)
+    if len(node_budgets) != len(sizes):
+        raise ValueError(f"need one node budget per group: {len(sizes)} groups, "
+                         f"{len(node_budgets)} budgets")
     return keys, node_budgets, sizes
 
 
@@ -353,15 +336,8 @@ def driver(backend):
         find_all: bool,
         node_budget: Optional[int] = None,
     ) -> tuple[list[tuple[int, ...]], int, int, bool]:
-        """Returns (witnesses, nodes, words_tested, budget_exceeded).
-
-        Witnesses appear in DFS order, which is lexicographic with prefixes
-        first, so the head of the list is the lexicographically least
-        witness. With find_all false the search stops at the first witness.
-        A node_budget of None or 0 means unlimited.
-
-        This is run_batch over the one key of adj's masks (see masks_key).
-        """
+        """(witnesses, nodes, words_tested, budget_exceeded) of the graph of
+        adj's masks: run_batch over their one key (see masks_key)."""
         key = masks_key(n, adj, min_copies, max_copies, node_budget)
         return run_batch(n, [key], min_copies, max_copies, forbid_132, find_all,
                          [node_budget])[0]
@@ -376,32 +352,17 @@ def driver(backend):
         node_budgets: Sequence[Optional[int]],
         group_sizes: Optional[Sequence[int]] = None,
     ) -> list[Optional[tuple[list[tuple[int, ...]], int, int, bool]]]:
-        """run_search over several graphs on {1..n}, entry for entry.
-
-        keys holds one key per graph, its edge bitset (graphs.edge_bitset): an
-        int with bit C(n, 2) - 1 - i set for the i-th vertex pair of
-        itertools.combinations order that is an edge. The keys are distinct, so
-        each graph is one entry. The graphs form groups of group_sizes
-        consecutive entries (default: each entry alone). Entry i is run_search
-        over the masks of key i with budget i, except that without find_all the
-        entries of a group after its first entry with a witness are dropped, and
-        are None. So the results depend only on the per-graph searches, never on
-        the union, the search order or the budgets.
-
-        The checks are batch_shape's, then check_keys'. The keys are then turned
-        into the traversals' rows (_rows), and a batch of two or more entries is
-        searched in one DFS over the union of the graphs' searches
-        (backend._union_search), under the smallest nonzero budget: a graph's
-        search stays under its own while the union's node count stays under that
-        one. When the union would pass it, and for a batch of one, each graph is
-        searched alone (backend._search_graph), with its own budget, up to each
-        group's first witness without find_all.
-        """
+        """run_search over the graph of each key, one node budget per group
+        (see rep132.kernels): batch_shape's and check_keys' checks, the rows
+        (_rows), then one backend._union_search under the smallest nonzero
+        group budget, or, for a batch of one or past that budget, one
+        backend._search_graph per graph under its group's budget, up to each
+        group's first witness without find_all."""
         keys, node_budgets, group_sizes = batch_shape(n, keys, min_copies, max_copies,
                                                       node_budgets, group_sizes)
         if not keys:
             return []
-        check_keys(n, keys, min_copies, max_copies, node_budgets)
+        check_keys(n, keys, min_copies, max_copies, node_budgets, group_sizes)
         rows = _rows(n, keys)
         common = (min_copies, max_copies, forbid_132, find_all)
         if len(keys) > 1:
@@ -410,10 +371,10 @@ def driver(backend):
             if out is not None:
                 return out
         out = []
-        for end in itertools.accumulate(group_sizes):
+        for budget, end in zip(node_budgets, itertools.accumulate(group_sizes)):
             for i in range(len(out), end):
                 row = rows[ROW_BYTES * i:ROW_BYTES * (i + 1)]
-                out.append(backend._search_graph(n, row, *common, node_budgets[i]))
+                out.append(backend._search_graph(n, row, *common, budget))
                 if out[-1][0] and not find_all:
                     break
             out += [None] * (end - len(out))  # the entries after the group's hit
@@ -430,7 +391,7 @@ def _union_search(
 ):
     """The batch's results from one DFS over the union of the graphs'
     searches, or None if the union would pass node_budget (None or 0: no
-    limit), which the driver sets to the batch's smallest.
+    limit), which the driver sets to the smallest nonzero group budget.
 
     A prefix's state does not depend on the graph; only the edges prune,
     the exhausted prune and the leaf test do. So one DFS walks the union of

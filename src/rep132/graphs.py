@@ -16,7 +16,9 @@ search, one canonicity test per candidate; scans stop at n = 7.
 from __future__ import annotations
 
 import itertools
+import math
 import operator
+import re
 from functools import lru_cache
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -75,7 +77,7 @@ class LabeledGraph:
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         _check_vertex(self, v)
-        return tuple(sorted(u for u in self.vertices() if self.has_edge(u, v)))
+        return tuple(sorted(u + w - v for u, w in self._edges if v in (u, w)))
 
     def adjacency_masks(self) -> tuple[int, ...]:
         """masks[v] has bit u set iff {u,v} is an edge; masks[0] unused."""
@@ -105,7 +107,7 @@ def _check_vertex(g: LabeledGraph, v: int) -> None:
 def degree(g: LabeledGraph, v: int) -> int:
     """Number of edges incident with v."""
     _check_vertex(g, v)
-    return sum(1 for u in g.vertices() if g.has_edge(u, v))
+    return sum(v in e for e in g.edges)
 
 
 # ---------------------------------------------------------------------------
@@ -215,9 +217,24 @@ def graph_from_bitset(n: int, bits: int) -> LabeledGraph:
     top = n * (n - 1) // 2 - 1
     if bits < 0 or bits.bit_length() > top + 1:
         raise ValueError(f"bits must be in 0 .. 2**{top + 1} - 1 at n = {n}")
-    pairs = itertools.combinations(range(1, n + 1), 2)
-    edges = [(a, b) for a, b in pairs if bits >> (top - _pair_rank(a, b, n)) & 1]
-    return LabeledGraph(n, edges)
+    # digit i of bits in binary, top bit first, is the pair of rank skip + i
+    digits = format(bits, "b")
+    skip = top + 1 - len(digits)
+    return LabeledGraph(n, [_rank_pair(skip + one.start(), n)
+                            for one in re.finditer("1", digits)])
+
+
+def _rank_pair(r: int, n: int) -> tuple[int, int]:
+    """The pair (a, b), a < b, of rank r in lexicographic pair order: the
+    inverse of _pair_rank."""
+    # pairs (a, .) start at rank m * (d - m) // 2, m = a - 1, d = 2n - 1; the
+    # root of m * (d - m) = 2r, rounded down, is the last row to start at or
+    # before r, or one past it where isqrt rounds the root down
+    d = 2 * n - 1
+    m = (d - math.isqrt(d * d - 8 * r)) // 2
+    if m * (d - m) // 2 > r:
+        m -= 1
+    return m + 1, m + 2 + r - m * (d - m) // 2
 
 
 @lru_cache(maxsize=None)
@@ -375,19 +392,24 @@ def _enumerate_graphs(n: int, isolate_free: bool) -> Iterator[LabeledGraph]:
 
 
 def components(g: LabeledGraph) -> list[tuple[int, ...]]:
-    """Vertex sets of connected components, each sorted, ordered by minimum."""
-    remaining = set(g.vertices())
-    out = []
-    while remaining:
-        root = min(remaining)
-        comp = {root}
-        frontier = [root]
-        while frontier:
-            v = frontier.pop()
-            for u in g.neighbors(v):
-                if u in remaining and u not in comp:
-                    comp.add(u)
-                    frontier.append(u)
-        remaining -= comp
-        out.append(tuple(sorted(comp)))
-    return out
+    """Vertex sets of connected components, each sorted, ordered by minimum,
+    in O(n + edges)."""
+    nbrs: list[list[int]] = [[] for _ in range(g.n + 1)]
+    for u, v in g.edges:
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    comp = [-1] * (g.n + 1)  # v's component, numbered in order of least vertex
+    count = 0
+    for root in g.vertices():
+        if comp[root] < 0:
+            comp[root], frontier = count, [root]
+            while frontier:
+                for u in nbrs[frontier.pop()]:
+                    if comp[u] < 0:
+                        comp[u] = count
+                        frontier.append(u)
+            count += 1
+    out: list[list[int]] = [[] for _ in range(count)]
+    for v in g.vertices():
+        out[comp[v]].append(v)
+    return list(map(tuple, out))

@@ -32,30 +32,21 @@ a witness are cut short and never reported: the walk stops at that one.
 
 One driver decides every search (_decide_classes). Each graph has a walk
 (_walk), a generator over one dict of kernel results keyed by each labeled
-graph's edge bitset (see rep132._keys); it yields each labeled graph that
-the dict holds no usable result for, with its remaining budget, and
-returns the graph's report, each witness in it checked. The labelings are
-drawn lazily, and their keys come from one sequence per graph that grows
-as far as it is read (_keys.Keys), by index for the walk and in slices for
-the lookahead, so each key is computed once; the kernel takes the keys
-themselves (kernels.run_batch). The driver keeps one record per
-undecided graph and serves the walks of all its graphs in rounds of
-kernels.run_batch calls: in each round every undecided graph asks for the
-labeled graph its walk needs plus its next distinct labeled graphs not yet
-searched, 8 in all in its first round and 4 times as many in each round
-after (see _decide_classes), under its remaining budget, so the kernel
-shares word prefixes across many graphs. Each call is built from one list
-of (graph, keys) pairs: each graph's asks form one group of the batch, in
-walk order, and the kernel returns no result for those after the first
-with a witness, on any path. A walk uses a result searched ahead of it
+graph's edge bitset (see rep132._keys, whose one growing sequence per
+graph computes each key once); it yields each labeled graph that the dict
+holds no usable result for, with its remaining budget, and returns the
+graph's report, each witness in it checked. The driver serves the walks of
+all its graphs in rounds of kernels.run_batch calls, each graph's asks one
+group under its remaining budget: the labeled graph its walk needs plus
+its next distinct ones not yet searched, so the kernel shares word
+prefixes across many graphs. A walk uses a result searched ahead of it
 only where the serial walk would get the same result (see _walk), so every
 report is the serial one. search_fixed walks the identity labeling only,
 search_all_labelings every labeling of one graph, and scan_order every
-labeling of every class of an order. A parallel scan_order splits the
-classes into k interleaved groups, classes[i::k], and decides group 0 in
-its own process while k - 1 child processes decide the others, each in
-rounds of its own and each sending its reports back over a pipe; the
-reports stay in scan order, so serial and parallel outputs are identical.
+labeling of every class of an order. A parallel scan_order decides the
+interleaved groups classes[i::k], group 0 in its own process and the
+others in k - 1 child processes, each sending its reports back over a
+pipe, in scan order, so serial and parallel outputs are identical.
 """
 
 from __future__ import annotations
@@ -101,15 +92,6 @@ GROWTH = 4
 # kernels.run_batch call. Past a few thousand graphs a batch shares little
 # more, while its requests and results take memory per graph.
 BATCH_GRAPHS = 4096
-
-# Fewest graphs a round must ask for in all before it searches any ahead of
-# the walks, so a single search asks only for the graph its walk needs in
-# its first round, and speculates from its second. Both kernels need it: on
-# the compiled one a union of a few graphs costs more than their searches
-# apart (2 graphs about 2.5 times as much, 8 about the same, 29 about half),
-# and on the Python one, without it, search_all_labelings took 2.0 times as
-# long on cycle(5) and 1.75 times on path(7), though 0.92 times on star(6).
-ROUND_GRAPHS = 16
 
 
 @dataclass(frozen=True)
@@ -278,11 +260,11 @@ def _decide_classes(
     undecided class asks for up to FIRST_ASKS * GROWTH**r graphs under its
     remaining budget: the one its walk needs, then its next distinct
     labeled graphs, in walk order, that it has not searched yet, and never
-    more than BATCH_GRAPHS. A round that would ask for fewer than
-    ROUND_GRAPHS graphs in all asks only for the ones the walks need, so a
-    single search speculates from its second round. Under a node budget it
-    asks for none past the labelings that its remaining budget pays for at
-    the walk's mean nodes per labeling so far.
+    more than BATCH_GRAPHS, except that a lone class's first round asks
+    only for the graph its walk needs, so a single search speculates from
+    its second round. Under a node budget it asks for none past the
+    labelings that its remaining budget pays for at the walk's mean nodes
+    per labeling so far.
 
     Each undecided class has one record: its walk, its results dict (the
     walk's memo), its keys (_keys.Keys, which the walk reads too), the
@@ -294,17 +276,18 @@ def _decide_classes(
     exactly where reading key by key would stop. A round goes to
     kernels.run_batch in slices of whole classes, of about BATCH_GRAPHS
     graphs each. A slice is one list of (class, keys) pairs, keys being the
-    class's asks in order; the batch's keys, budgets and groups, one group
-    per class, are read off it, and so is where each result goes back. The
-    walk uses a speculative result only where the serial walk would get the
-    same one (see _walk), so every report is the serial one. Without
-    find_all, the kernel drops a class's entries after its first entry with
-    a witness, and returns None for them, whether it searched them in one
-    union or one by one; the walk stops at or before that entry, having
-    every result before it, so it never reads a dropped key and None is not
-    stored. A class's walk goes on as soon as its slice is back, and its
-    record is dropped when it is decided. n must be in 1..kernels.MAX_N, as
-    the kernels' is, checked before any key is built.
+    class's asks in order; the batch's keys, its groups and their budgets,
+    one group per class under the class's remaining budget, are read off
+    it, and so is where each result goes back. The walk uses a speculative
+    result only where the serial walk would get the same one (see _walk),
+    so every report is the serial one. Without find_all, the kernel drops a
+    class's entries after its first entry with a witness, and returns None
+    for them, whether it searched them in one union or one by one; the walk
+    stops at or before that entry, having every result before it, so it
+    never reads a dropped key and None is not stored. A class's walk goes
+    on as soon as its slice is back, and its record is dropped when it is
+    decided. n must be in 1..kernels.MAX_N, as the kernels' is, checked
+    before any key is built.
     """
     if not 1 <= n <= kernels.MAX_N:
         raise ValueError(f"n must be in 1..{kernels.MAX_N}")
@@ -329,7 +312,7 @@ def _decide_classes(
             cfg.max_copies,
             True,
             cfg.find_all,
-            [undecided[i][4][1] for i, keys in batch for _ in keys],  # remaining
+            [undecided[i][4][1] for i, _ in batch],  # each class's remaining
             [len(keys) for _, keys in batch],
         ))
         for i, keys in batch:
@@ -349,7 +332,11 @@ def _decide_classes(
         advance(i)
     width = FIRST_ASKS
     while undecided:
-        asks = width if width * len(undecided) >= ROUND_GRAPHS else 1
+        # a lone class's first round asks only for its walk's graph: on C a
+        # union of 2 graphs costs about 2.5 times their searches apart, and
+        # on Python, speculating from the first round made
+        # search_all_labelings 2.0 times as slow on cycle(5), 1.75 on path(7)
+        asks = 1 if width == FIRST_ASKS and len(undecided) == 1 else width
         batch: list[tuple[int, dict]] = []  # this slice's (class, keys) pairs
         size = 0
         # indices, not records: a list of records would keep the classes

@@ -2,6 +2,10 @@
 
 import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -263,6 +267,19 @@ def test_graph_from_bitset_refuses_bits_of_no_pair():
             graph_from_bitset(3, bits)
 
 
+def test_graph_from_bitset_decodes_every_pair():
+    # graph_from_bitset decodes each set bit to its pair; every single-edge
+    # graph up to 30 vertices, and the lowest pairs of larger ones, whose
+    # keys are small, come back as they went in
+    for n in range(2, 31):
+        for pair in itertools.combinations(range(1, n + 1), 2):
+            g = LabeledGraph(n, [pair])
+            assert graph_from_bitset(n, edge_bitset(g)) == g
+    for n in (100, 10**4, 10**9):
+        g = LabeledGraph(n, [(n - 3, n - 1), (n - 2, n - 1), (n - 2, n), (n - 1, n)])
+        assert graph_from_bitset(n, edge_bitset(g)) == g
+
+
 # -------------------------------------------------------------- enumeration
 
 
@@ -402,3 +419,59 @@ def test_components():
     comps = components(g)
     assert [sorted(c) for c in comps] == [[1, 2], [3], [4, 5]]
     assert components(complete(3)) == [(1, 2, 3)]
+    assert components(LabeledGraph(0)) == []
+
+
+@settings(max_examples=80)
+@given(st.composite(lambda draw: random_graph(draw, max_n=12))())
+def test_neighbors_degree_and_components_match_their_definitions(g):
+    # against has_edge, vertex by vertex, and components grown by has_edge
+    # from each vertex not yet reached, in order
+    for v in g.vertices():
+        nbrs = tuple(u for u in g.vertices() if g.has_edge(u, v))
+        assert g.neighbors(v) == nbrs
+        assert degree(g, v) == len(nbrs)
+    want, reached = [], set()
+    for v in g.vertices():
+        comp = {v} - reached
+        while comp:
+            grown = comp | {u for u in g.vertices() for w in comp if g.has_edge(u, w)}
+            if grown == comp:
+                want.append(tuple(sorted(comp)))
+                reached |= comp
+                break
+            comp = grown
+    assert components(g) == want
+
+
+# The graph helpers at n = 10**5, in a child process with a timeout, so a
+# helper that walks every vertex or vertex pair again fails this test
+# instead of hanging the suite: graph_from_bitset decodes the set bits
+# only, neighbors and degree read the edge set, and components is
+# O(n + edges). Each took seconds at n = 2,000 or 3,000 when it walked the
+# vertices or pairs.
+LARGE_GRAPHS = """
+import sys
+sys.path.insert(0, sys.argv[1])
+from rep132.graphs import LabeledGraph, components, degree, edge_bitset, graph_from_bitset, path
+n = 10**5
+assert graph_from_bitset(n, 0) == LabeledGraph(n)
+low = LabeledGraph(n, [(n - 2, n), (n - 1, n)])
+assert graph_from_bitset(n, edge_bitset(low)) == low
+assert graph_from_bitset(n, 0b101) == LabeledGraph(n, [(n - 2, n - 1), (n - 1, n)])
+far = LabeledGraph(10**7, [(1, 2), (2, 10**7)])
+assert degree(far, 2) == 2 and far.neighbors(2) == (1, 10**7) and degree(far, 5) == 0
+assert components(LabeledGraph(n)) == [(v,) for v in range(1, n + 1)]
+assert components(path(n)) == [tuple(range(1, n + 1))]
+halves = LabeledGraph(n, [(v, v + 2) for v in range(1, n - 1)])
+assert components(halves) == [tuple(range(1, n + 1, 2)), tuple(range(2, n + 1, 2))]
+print("ok")
+"""
+
+
+def test_graph_helpers_scale_with_the_edges():
+    src = Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run([sys.executable, "-c", LARGE_GRAPHS, str(src)],
+                          env=dict(os.environ), capture_output=True, text=True,
+                          timeout=30)
+    assert (done.returncode, done.stdout) == (0, "ok\n"), done.stderr

@@ -8,6 +8,7 @@ import os
 import random
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -165,6 +166,14 @@ def batch(backend, n, graphs, budgets, groups=None, **kw):
     )
 
 
+def entry_budgets(budgets, groups):
+    """Each entry's budget, given run_batch's budgets: its group's, or its
+    own when groups is None."""
+    if groups is None:
+        return list(budgets)
+    return [budget for budget, size in zip(budgets, groups) for _ in range(size)]
+
+
 def by_order(graphs):
     """The graphs by order, each labeled graph once, in first-seen order:
     a batch's keys are distinct."""
@@ -196,9 +205,10 @@ def first_witness_cut(results, groups):
 def batch_agrees(compiled_kernel):
     """Check both backends' run_batch against per-graph run_search on both.
 
+    budgets holds one budget per group, or per graph when groups is None.
     Without find_all, a batch in groups returns first_witness_cut of the
-    per-graph results, whatever the budgets, and every other batch returns
-    them all.
+    per-graph results, each under its group's budget, and every other batch
+    returns them all.
     """
     py = kernels.load_backend("python")
 
@@ -208,7 +218,7 @@ def batch_agrees(compiled_kernel):
             n, budgets, groups, kw)
         for backend in (py, compiled_kernel):
             expected = [run(backend, g, node_budget=b, **kw)
-                        for g, b in zip(graphs, budgets)]
+                        for g, b in zip(graphs, entry_budgets(budgets, groups))]
             if groups is not None and not kw.get("find_all", True):
                 expected = first_witness_cut(expected, groups)
             assert got == expected, (backend.__name__, n, budgets, groups, kw)
@@ -256,15 +266,15 @@ def test_batch_drops_the_later_entries_of_a_group_after_a_hit(batch_agrees):
             for maxc in (1, 2):
                 for find_all in (False, True):
                     kw = dict(max_copies=maxc, find_all=find_all)
-                    got = batch_agrees(n, graphs, [None] * count, groups, **kw)
+                    got = batch_agrees(n, graphs, [None] * len(groups), groups, **kw)
                     drops += got.count(None)
-                    # over the smallest budget, one search per graph drops
-                    # the same entries: the last one's budget cuts no witness
-                    # of an earlier one
-                    budgets = [None] * (count - 1) + [1]
-                    fallback = batch_agrees(n, graphs, budgets, groups, **kw)
-                    assert [res is None for res in fallback] == [res is None for res in got]
-            batch_agrees(n, graphs, [None] * count, groups, min_copies=2,
+                    # the last group's budget at the most its searches take,
+                    # which the union may pass: one search per graph drops
+                    # the same entries, with the same results
+                    last = [res[1] for res in got[count - groups[-1]:] if res is not None]
+                    budgets = [None] * (len(groups) - 1) + [max(last)]
+                    assert batch_agrees(n, graphs, budgets, groups, **kw) == got
+            batch_agrees(n, graphs, [None] * len(groups), groups, min_copies=2,
                          max_copies=2, forbid_132=False, find_all=False)
     assert drops > 0
 
@@ -277,7 +287,7 @@ def test_batch_of_every_order_six_class(batch_agrees):
     assert sum(bool(w) for w, _, _, _ in got) < 122
     batch_agrees(6, graphs, [None] * 122, max_copies=1)
     # groups across the 64-bit words of graph bits
-    got = batch_agrees(6, graphs, [None] * 122, [60, 10, 52], find_all=False)
+    got = batch_agrees(6, graphs, [None] * 3, [60, 10, 52], find_all=False)
     assert got[:60].count(None) > 0 and got[60:70].count(None) > 0
 
 
@@ -317,10 +327,11 @@ def test_batch_takes_one_dfs_under_the_budget_and_falls_back_over_it(
     over_smallest = [None] * (len(graphs) - 1) + [smallest]
     cut = [run(py, g, find_all=False, node_budget=b) for g, b in zip(graphs, over_smallest)]
     one_group = [len(graphs)]
-    over_one = [None] * (len(graphs) - 1) + [1]
+    # the group's budget: the most its searches take up to its first hit
+    hit = next(i for i, res in enumerate(each) if res[0])
+    over_one = [max(nodes for _, nodes, _, _ in each[:hit + 1])]
     cut_group = first_witness_cut(
-        [run(py, g, find_all=False, node_budget=b) for g, b in zip(graphs, over_one)],
-        one_group)
+        [run(py, g, find_all=False, node_budget=over_one[0]) for g in graphs], one_group)
     for backend in python_then_compiled(request):
         calls = []
 
@@ -336,7 +347,7 @@ def test_batch_takes_one_dfs_under_the_budget_and_falls_back_over_it(
         # in one group, the union drops the entries after the first hit; the
         # fallback drops the same entries, and searches none of them
         del calls[:]
-        got = batch(backend, 5, graphs, [total] * len(graphs), one_group, find_all=False)
+        got = batch(backend, 5, graphs, [total], one_group, find_all=False)
         assert calls == [] and None in got
         assert got == first_witness_cut(each, one_group)
         assert [res is None for res in cut_group] == [res is None for res in got]
@@ -361,8 +372,8 @@ def test_batch_refuses_a_repeated_key(request):
         for keys, groups in repeats:
             for find_all in (False, True):
                 with pytest.raises(ValueError) as raised:
-                    layer.run_batch(5, keys, 1, 2, True, find_all, [None] * len(keys),
-                                    groups)
+                    layer.run_batch(5, keys, 1, 2, True, find_all,
+                                    [None] * len(groups or keys), groups)
                 assert str(raised.value) == REPEATED_KEY, (layer.__name__, keys, groups)
                 # the same batch, each key once, is searched
                 distinct = list(dict.fromkeys(keys))
@@ -389,7 +400,7 @@ def test_union_of_every_labeled_graph_on_five_vertices(request):
         for find_all in (False, True):
             each = [run(backend, g, find_all=find_all) for g in graphs]
             want = each if find_all else first_witness_cut(each, groups)
-            got = batch(backend, 5, graphs, [None] * len(graphs), groups,
+            got = batch(backend, 5, graphs, [None] * len(groups), groups,
                         find_all=find_all)
             assert got == want, (backend.__name__, find_all)
             assert find_all or got.count(None) > 100
@@ -411,7 +422,7 @@ def test_union_tallies_fold_into_the_same_totals(bound, monkeypatch):
     groups = cycled_groups(len(graphs), (2, 3, 1, 4))
     expected = first_witness_cut([run(py, g, find_all=False) for g in graphs], groups)
     assert expected.count(None) > 5
-    got = batch(py, 5, graphs, [None] * len(graphs), groups, find_all=False)
+    got = batch(py, 5, graphs, [None] * len(groups), groups, find_all=False)
     assert got == expected
     # _add_tallies itself, over random sets and weights in rounds of up to
     # 50 sets, so a plane takes many addends, against per-member sums
@@ -451,11 +462,11 @@ def test_totals_read_out_every_index_in_bulk():
 def random_grouped_batch(rnd):
     """A random run_batch call: n in 3..6, 2 to 40 distinct labeled graphs
     on 1..n, their keys drawn without replacement, in groups of random
-    sizes, max_copies 1..3 and find_all on or off. The budgets are all
-    None, or one per graph, some below the union's size; a search with
-    find_all and three copies has no budget above 3,000 nodes, since it can
-    take millions. Returns n, the graphs, the budgets, the groups and the
-    keywords of batch()."""
+    sizes, max_copies 1..3 and find_all on or off. The budgets, one per
+    group, are all None, or random, some below the union's size; a search
+    with find_all and three copies has no budget above 3,000 nodes, since it
+    can take millions. Returns n, the graphs, the budgets, the groups and
+    the keywords of batch()."""
     n = rnd.randint(3, 6)
     kw = dict(max_copies=rnd.randint(1, 3), find_all=rnd.random() < 0.3)
     end = 1 << n * (n - 1) // 2
@@ -466,10 +477,10 @@ def random_grouped_batch(rnd):
         groups.append(rnd.randint(1, len(graphs) - sum(groups)))
     costly = kw["find_all"] and (kw["max_copies"] == 3 or n == 6)
     if not costly and rnd.random() < 0.4:
-        budgets = [None] * len(graphs)
+        budgets = [None] * len(groups)
     else:
         top = rnd.choice([50, 500, 3000])
-        budgets = [rnd.randint(1, top) for _ in graphs]
+        budgets = [rnd.randint(1, top) for _ in groups]
     return n, graphs, budgets, groups, kw
 
 
@@ -477,7 +488,7 @@ def test_random_batches_end_each_group_at_its_first_witness(monkeypatch, request
     # One answer per batch: on every layer, on the union and on the
     # per-graph fallback alike, run_batch returns first_witness_cut of the
     # per-graph run_search results without find_all, and those results
-    # with it.
+    # with it, each graph searched under its group's budget.
     py = kernels.load_backend("python")
     rnd = random.Random(28)
     cases = [random_grouped_batch(rnd) for _ in range(60)]
@@ -491,7 +502,7 @@ def test_random_batches_end_each_group_at_its_first_witness(monkeypatch, request
 
     expected = []
     for n, graphs, budgets, groups, kw in cases:
-        want = [alone(g, b, kw) for g, b in zip(graphs, budgets)]
+        want = [alone(g, b, kw) for g, b in zip(graphs, entry_budgets(budgets, groups))]
         expected.append(want if kw["find_all"] else first_witness_cut(want, groups))
     # the Python kernel's paths: True for a union, False for a fallback,
     # each with whether the batch drops an entry
@@ -555,9 +566,11 @@ def test_batch_rejects_what_run_search_rejects(request):
         # what only a batch can get wrong: its budgets, groups and keys
         keys = [edge_bitset(complete(3))] * 2
         messages = []
-        with pytest.raises(ValueError) as raised:
-            backend.run_batch(3, keys, 1, 2, True, False, [None])
-        messages.append(str(raised.value))
+        for budgets, groups in (([None], None), ([None] * 2, [2]), ([None], [1, 1]),
+                                ([None] * 3, [1, 1])):
+            with pytest.raises(ValueError) as raised:
+                backend.run_batch(3, keys, 1, 2, True, False, budgets, groups)
+            messages.append(str(raised.value))
         for groups in ([1], [3], [2, 0], [0, 2], [1, 1, 1], [-1, 3]):
             with pytest.raises(ValueError) as raised:
                 backend.run_batch(3, keys, 1, 2, True, False, [None] * 2, groups)
@@ -577,7 +590,10 @@ def test_batch_rejects_what_run_search_rejects(request):
         messages.add(rejects_alike(layer))
     assert len(messages) == 1, messages
     assert messages.pop() == (
-        "need one node budget per graph: 2 graphs, 1 budgets",
+        "need one node budget per group: 2 groups, 1 budgets",
+        "need one node budget per group: 1 groups, 2 budgets",
+        "need one node budget per group: 2 groups, 1 budgets",
+        "need one node budget per group: 2 groups, 3 budgets",
         *["need group sizes of at least 1 that add up to 2 graphs"] * 6,
         "'int' object is not iterable",
         "keys must be ints, not bytes",
@@ -940,6 +956,25 @@ def test_batch_raises_the_first_faulty_entrys_error(request):
             layer.run_batch(1, [0, 1], 1, 2, True, False, [None] * 2)
 
 
+def test_a_group_budget_is_checked_before_its_keys(request):
+    # check_keys goes group by group: a group's budget, then its keys. So
+    # a bad budget is raised before a bad key in its own group, and after
+    # one in an earlier group, on every layer.
+    good, bad = edge_bitset(complete(4)), 64
+    negative, outside = "node_budget must not be negative", "a key must be in 0..63 at n = 4"
+    cases = [
+        ([good, bad, good], [1, 2], [None, -1], negative),
+        ([good, good, bad], [1, 2], [None, -1], negative),
+        ([bad, good, good], [1, 2], [None, -1], outside),
+        ([good, bad, good], [2, 1], [None, -1], outside),
+        ([bad, good, good], [3], [-1], negative),
+    ]
+    for layer in itertools.chain([kernels], python_then_compiled(request)):
+        for keys, groups, budgets, message in cases:
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                layer.run_batch(4, keys, 1, 2, True, False, budgets, groups)
+
+
 def random_key_batch(rnd):
     """A random run_batch of 1 to 300 distinct keys of graphs on 1..n, n in
     1..7, each with a budget of 1, with at most one fault at a random entry: a
@@ -1061,9 +1096,9 @@ for find_all, budgets in ((False, [None] * 69 + [10**6]), (True, [3000] * 70)):
           sum(bool(w) for w, _, _, _ in got), sum(cut for _, _, _, cut in got))
 # reversed, each group's first entry has its earliest witness
 want = [kernels.run_search(15, m, 1, 2, True, False, None) for m in masks[::-1]]
-got = kernels.run_batch(15, keys[::-1], 1, 2, True, False, [None] * 70, [60, 10])
+got = kernels.run_batch(15, keys[::-1], 1, 2, True, False, [None] * 2, [60, 10])
 py = kernels.load_backend("python").run_batch(15, keys[::-1], 1, 2, True, False,
-                                              [None] * 70, [60, 10])
+                                              [None] * 2, [60, 10])
 print(got == py, got[0] == want[0], got[60] == want[60], got.count(None))
 """
 
@@ -1173,7 +1208,7 @@ def test_one_driver_runs_both_kernels(request):
 # check_keys' on each entry and masks_key's on run_search's masks: the
 # Python kernel states them, and no other source may restate them. "n must
 # be in" is left out: search.py states the scan's own bound on n with it.
-STATED_ONCE = ["one node budget per graph", "group sizes of at least 1",
+STATED_ONCE = ["one node budget per group", "group sizes of at least 1",
                "a key must be an int", "a key must be in", REPEATED_KEY,
                "keys must be ints, not", "must be an int, not bool",
                "adjacency masks, got", "has bits outside", "must be empty", "has a self-loop", "disagree",
@@ -1204,21 +1239,36 @@ def test_only_the_kernels_know_the_row_format():
 
 def test_kernel_calls_leave_no_cyclic_garbage():
     # A kernel call's tables go when it returns, not at the next collection.
+    # gc.collect() frees a cycle through a generator but may count 0 for it
+    # (CPython 3.11), so also look for what a finished call made alive: a
+    # generator of the package, or a function of the Python kernel, such as
+    # a traversal's rec, that was not there before the calls.
     py = kernels.load_backend("python")
     graphs = [wheel(5), prism(3), cycle(6)]
     keys = [edge_bitset(g) for g in graphs]
     calls = [
         lambda: py.run_search(6, graphs[0].adjacency_masks(), 1, 2, True, False, None),
-        lambda: py.run_batch(6, keys, 1, 2, True, False, [None] * 3, [3]),
+        lambda: py.run_batch(6, keys, 1, 2, True, False, [None], [3]),
+        lambda: py.run_batch(6, keys, 1, 2, True, False, [1], [3]),
         lambda: kernels.run_search(6, graphs[2].adjacency_masks(), 1, 2, True, True, None),
         lambda: kernels.run_batch(6, keys, 1, 2, True, True, [None] * 3),
     ]
+    package = os.path.dirname(py.__file__)
+
+    def call_state():
+        return [o for o in gc.get_objects()
+                if type(o) is types.GeneratorType
+                and os.path.dirname(o.gi_code.co_filename) == package
+                or type(o) is types.FunctionType and o.__code__.co_filename == py.__file__]
+
     gc.collect()
     gc.disable()
     try:
-        for call in calls:
+        before = call_state()  # the module's functions and the drivers' closures
+        for i, call in enumerate(calls):
             call()
-            assert gc.collect() == 0
+            assert [o for o in call_state() if not any(o is b for b in before)] == [], i
+            assert gc.collect() == 0, i
     finally:
         gc.enable()
 

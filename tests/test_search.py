@@ -796,14 +796,15 @@ def test_scan_batches_exactly_the_per_class_kernel_calls(cfg, monkeypatch):
     # a larger budget serves where it fits. Beyond them come only
     # speculative entries: in each round, a class's other entries are
     # distinct labeled graphs of that class not searched before, under the
-    # budget of the entry its walk needs.
+    # budget of the entry its walk needs, its group's one budget.
     searched = [call for h in scan_classes(5)
                 for call in memoized_walk_calls(h, scan_config(cfg))]
     rounds = []
     run_batch = kernels.run_batch
 
     def counting_batch(n, keys, *args):
-        rounds.append(list(zip(keys, args[4])))
+        budgets = [b for b, size in zip(args[4], args[5]) for _ in range(size)]
+        rounds.append(list(zip(keys, budgets)))
         return run_batch(n, keys, *args)
 
     monkeypatch.setattr(kernels, "run_batch", counting_batch)
@@ -931,10 +932,35 @@ def test_order_six_scan_takes_at_most_three_rounds(monkeypatch):
     assert len(calls) <= 3
 
 
+def test_the_first_round_asks_for_one_graph_only_when_its_class_is_alone(monkeypatch):
+    # A lone search asks for the one graph its walk needs in its first
+    # round, and speculates from its second; with two classes, each asks
+    # for 8 in the first round, and for 32 in the second. Each class is one
+    # group, under one budget.
+    calls = []
+    run_batch = kernels.run_batch
+
+    def recording(n, keys, min_copies, max_copies, forbid_132, find_all,
+                  node_budgets, group_sizes):
+        calls.append((list(group_sizes), list(node_budgets)))
+        return run_batch(n, keys, min_copies, max_copies, forbid_132, find_all,
+                         node_budgets, group_sizes)
+
+    monkeypatch.setattr(kernels, "run_batch", recording)
+    search_all_labelings(wheel(5))
+    assert calls[0] == ([1], [None]) and calls[1][0] == [32]
+    del calls[:]
+    search._decide_classes(6, [wheel(5), prism(3)], SearchConfig(node_budget=10**6))
+    assert calls[0] == ([8, 8], [10**6] * 2)
+    assert calls[1][0] == [32, 32] and all(b < 10**6 for b in calls[1][1])
+
+
 def test_order_six_scan_makes_the_pinned_kernel_calls(monkeypatch):
     # Every argument of every kernels.run_batch call of an order-6 scan, as
-    # recorded when the keys came in blocks behind a sliding window. A
-    # change to the speculation schedule re-pins this digest and says why.
+    # recorded when run_batch came to take one budget per group: the keys
+    # and groups are those recorded when the keys came in blocks behind a
+    # sliding window. A change to the speculation schedule re-pins this
+    # digest and says why.
     calls = []
     run_batch = kernels.run_batch
 
@@ -949,7 +975,7 @@ def test_order_six_scan_makes_the_pinned_kernel_calls(monkeypatch):
     scan_order(6)
     assert len(calls) == 3
     assert hashlib.sha256(repr(calls).encode()).hexdigest() == \
-        "1de12f5bd3fdba6e1eecfd32c049fa97cbac0e30ed9236e8895621ffd7d360f0"
+        "5c49a803fe0bf8a21100001f447179c2a7aa57c6301701fd1d220665ddbb9a95"
 
 
 def test_a_decided_class_is_dropped_before_the_next_slice(monkeypatch):
