@@ -575,8 +575,9 @@ def _union_search(
     fold()
     inner_counts = _totals(inner_planes, count)
     leaf_counts = _totals(leaf_planes, count)
+    drop = format(dropped, f"0{count}b")[::-1]  # entry i's bit of dropped at i
     return [
-        None if dropped >> i & 1
+        None if drop[i] == "1"
         else (witnesses.get(i, []), inner_counts[i] + leaf_counts[i], leaf_counts[i],
               False)
         for i in range(count)

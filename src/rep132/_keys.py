@@ -7,7 +7,8 @@ is what kernels.run_batch takes for the graph. A search reads its keys
 from one sequence that grows as far as it is read (Keys): through order 7
 a block of (n - 1)! labelings at a time, one big-int sum of per-pair
 columns that hold every labeling's bit of that pair in a lane of its own
-(_columns); past it a key at a time.
+(graphs._columns, which orderly generation reads too); past it a key at a
+time.
 """
 
 from __future__ import annotations
@@ -15,17 +16,17 @@ from __future__ import annotations
 import itertools
 import math
 import sys
-from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
-from .graphs import LabeledGraph, Labeling, _pair_tables, edge_bitset
+from .graphs import LabeledGraph, Labeling, _columns, _lanes, _pair_tables, edge_bitset
 
 # Largest order whose labelings read their keys off per-pair columns (see
-# _columns), built at the first search of that order: 423 KB at n = 7, the
-# largest order scan_order runs. Above it each key is summed from its edges
-# when read (_labeling_keys): 0.04 s for all 40,320 of wheel(7) at n = 8 on
-# a 2-core x86_64 machine under Python 3.11, where the columns took 0.11 s
-# and 4.5 MB to build. They pay only over many searches of one order.
+# graphs._columns), built at the first search or class enumeration of that
+# order: 423 KB at n = 7, the largest order scan_order runs. Above it each
+# key is summed from its edges when read (_labeling_keys): 0.04 s for all
+# 40,320 of wheel(7) at n = 8 on a 2-core x86_64 machine under Python 3.11,
+# where the columns took 0.11 s and 4.5 MB to build. They pay only over
+# many searches of one order.
 COLUMNS_MAX_N = 7
 
 
@@ -39,42 +40,6 @@ def _labeling_keys(adj: Sequence[int], sigmas: Iterable[Labeling]) -> Iterator[i
              if adj[u] >> v & 1]
     for sig in sigmas:
         yield sum([bit[sig[u]][sig[v]] for u, v in edges])
-
-
-@lru_cache(maxsize=None)
-def _lanes(n: int) -> tuple[str, int]:
-    """The memoryview format of a key block at order n <= COLUMNS_MAX_N (see
-    _columns), and its item size in bytes: 16-bit lanes hold a key's C(n, 2)
-    bits up to n = 6, and 32-bit ones its 21 bits at n = 7."""
-    code = "H" if n <= 6 else "I"
-    return code, memoryview(b"").cast(code).itemsize
-
-
-@lru_cache(maxsize=None)
-def _columns(n: int) -> list[list[int]]:
-    """Per block of labelings of 1..n, the (n - 1)! that share sigma[0], in
-    walk order; then per vertex pair {u, v}, u < v, in combinations order:
-    the key of the edge {sigma[u], sigma[v]} under each labeling sigma of
-    the block, packed into one int, the j-th labeling's in lane j (lanes of
-    _lanes(n)'s width, in this machine's byte order).
-
-    A labeled graph's key is the sum of its edges' keys, and no lane of a
-    sum of distinct edges' columns carries into the next, so the keys of a
-    block of labelings of g are one sum of the columns of g's edges, read
-    out in one go (Keys). At n = 7: 7 blocks of 21 columns of 720 lanes of
-    32 bits, 423 KB.
-    """
-    bit = _pair_tables(n)[0]
-    _, width = _lanes(n)
-    sigmas = itertools.permutations(range(1, n + 1))
-    blocks = []
-    for _ in range(n):
-        block = list(itertools.islice(sigmas, math.factorial(n - 1)))
-        blocks.append([
-            int.from_bytes(b"".join([bit[s[u]][s[v]].to_bytes(width, sys.byteorder)
-                                     for s in block]), sys.byteorder)
-            for u, v in itertools.combinations(range(n), 2)])
-    return blocks
 
 
 class Keys:
@@ -132,7 +97,7 @@ class Keys:
 def _summed(g: LabeledGraph) -> Iterator[memoryview]:
     """The keys of the labelings of g, n <= COLUMNS_MAX_N, in _lanes(n)'s
     lanes of one bytes object, a block longer each time: each block one sum
-    of the columns of g's edges (_columns)."""
+    of the columns of g's edges (graphs._columns)."""
     n = g.n
     adj = g.adjacency_masks()
     pairs = itertools.combinations(range(1, n + 1), 2)

@@ -9,8 +9,10 @@ A Labeling is a tuple sigma of length n, sigma[v-1] = new label of old
 vertex v; it must be a permutation of 1..n.
 
 Canonical forms are found by one pruned search over labelings, good enough
-for n <= 10. Isomorphism-free enumeration is orderly generation over that
-search, one canonicity test per candidate; scans stop at n = 7.
+for n <= 10. Isomorphism-free enumeration is orderly generation; it tests
+each candidate against every labeling at once, a block of (n - 1)! at a
+time, on packed per-pair columns (_columns) that the search's keys
+(rep132._keys) read too; scans stop at n = 7.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import itertools
 import math
 import operator
 import re
+import sys
 from functools import lru_cache
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -256,23 +259,71 @@ def _pair_tables(n: int):
     return bit, low, head
 
 
-def _best_relabeling(n: int, adj: Sequence[int], best: int, first: bool) -> int:
-    """The largest edge bitset of a relabeling of adj (adjacency masks), or
-    best if none beats it; with first, the first one found that beats it.
+@lru_cache(maxsize=None)
+def _lanes(n: int) -> tuple[str, int]:
+    """The memoryview format of a lane of _columns(n), and its item size in
+    bytes: 16-bit lanes up to n = 6, 32-bit ones above.
+
+    A lane holds a key's C(n, 2) bits plus a spare top bit, which the
+    canonicity test of _enumerate_graphs reads (see _lane_tables): 15 bits
+    in 16 at n = 6, 21 and 28 bits in 32 at n = 7 and 8. An order whose
+    C(n, 2) reaches the lane width, n >= 9, raises ValueError.
+    """
+    code = "H" if n <= 6 else "I"
+    width = memoryview(b"").cast(code).itemsize
+    if n * (n - 1) // 2 >= 8 * width:
+        raise ValueError(f"a key of order {n} leaves no spare top bit in a "
+                         f"{8 * width}-bit lane")
+    return code, width
+
+
+@lru_cache(maxsize=None)
+def _columns(n: int) -> list[list[int]]:
+    """Per block of labelings of 1..n, the (n - 1)! that share sigma[0], in
+    itertools.permutations order; then per vertex pair {u, v}, u < v, in
+    combinations order: the edge bitset bit of {sigma[u], sigma[v]} under
+    each labeling sigma of the block, packed into one int, the j-th
+    labeling's in lane j (lanes of _lanes(n)'s width, in this machine's
+    byte order).
+
+    The edge bitset of relabel(g, sigma) is the sum of its edges' bits, and
+    no lane of a sum of distinct edges' columns carries into the next, so
+    the bitsets of a block of relabelings of g are one sum of the columns
+    of g's edges: the keys a search reads (rep132._keys) and the canonicity
+    test of orderly generation (_lane_tables). At n = 7: 7 blocks of 21
+    columns of 720 lanes of 32 bits, 423 KB; at n = 8, 4.5 MB.
+    """
+    _, width = _lanes(n)
+    bit = _pair_tables(n)[0]
+    sigmas = itertools.permutations(range(1, n + 1))
+    blocks = []
+    for _ in range(n):
+        block = list(itertools.islice(sigmas, math.factorial(n - 1)))
+        blocks.append([
+            int.from_bytes(b"".join([bit[s[u]][s[v]].to_bytes(width, sys.byteorder)
+                                     for s in block]), sys.byteorder)
+            for u, v in itertools.combinations(range(n), 2)])
+    return blocks
+
+
+def _best_relabeling(n: int, adj: Sequence[int]) -> int:
+    """The largest edge bitset of a relabeling of adj (adjacency masks).
 
     Labels go to vertices in order: label 1 to a max-degree vertex, labels
     2..d+1 to its neighborhood (the largest first row is 1^d 0^...). A
-    partial labeling is cut when it cannot beat best even if each labeled
-    vertex's unlabeled neighbors take the next labels and all else is edges.
-    A label skips a vertex that is a twin of one it was tried on (the same
-    neighbors, apart from each other): swapping the two is an automorphism
-    that fixes every placed label, so both give the same bitsets.
+    partial labeling is cut when it cannot beat the best bitset found so far
+    even if each labeled vertex's unlabeled neighbors take the next labels
+    and all else is edges. A label skips a vertex that is a twin of one it
+    was tried on (the same neighbors, apart from each other): swapping the
+    two is an automorphism that fixes every placed label, so both give the
+    same bitsets.
     """
     bit, low, head = _pair_tables(n)
     degs = [m.bit_count() for m in adj]
     maxdeg = max(degs)
     if maxdeg == 0:
-        return max(best, 0)
+        return 0
+    best = -1
     # old vertex -> new label (0 while unplaced), new label -> old vertex
     label, order = [0] * (n + 1), [0] * (n + 1)
     nbrs = [[u for u in range(1, n + 1) if m >> u & 1] for m in adj]
@@ -283,16 +334,16 @@ def _best_relabeling(n: int, adj: Sequence[int], best: int, first: bool) -> int:
             twins[u] |= 1 << v
             twins[v] |= 1 << u
 
-    def extend(d: int, placed: int, bits: int) -> bool:
+    def extend(d: int, placed: int, bits: int) -> None:
         nonlocal best
         bound = bits | low[d]
         for i in range(1, d + 1):
             bound |= head[d][i][(adj[order[i]] & ~placed).bit_count()]
         if bound <= best:
-            return False
+            return
         if d == n:
             best = bits
-            return first
+            return
         col = bit[d + 1]
         tried = 0
         for v in tops if d == 0 else nbrs[order[1]] if d <= maxdeg else range(1, n + 1):
@@ -305,10 +356,8 @@ def _best_relabeling(n: int, adj: Sequence[int], best: int, first: bool) -> int:
                 m ^= one
                 nb |= col[label[one.bit_length() - 1]]
             label[v], order[d + 1] = d + 1, v
-            if extend(d + 1, placed | 1 << v, nb):
-                return True
+            extend(d + 1, placed | 1 << v, nb)
             label[v] = 0
-        return False
 
     extend(0, 0, 0)
     extend = None  # extend refers to itself: break the cycle
@@ -324,7 +373,7 @@ def canonical_form(g: LabeledGraph) -> LabeledGraph:
     n = g.n
     if n > _MAX_CANON_N:
         raise ValueError(f"canonical_form supports n <= {_MAX_CANON_N}, got {n}")
-    return graph_from_bitset(n, _best_relabeling(n, g.adjacency_masks(), -1, False))
+    return graph_from_bitset(n, _best_relabeling(n, g.adjacency_masks()))
 
 
 def automorphisms(g: LabeledGraph) -> list[Labeling]:
@@ -365,8 +414,12 @@ def enumerate_graphs(n: int, isolate_free: bool = False) -> Iterator[LabeledGrap
     orderly generation (Read, 1978): clearing the lowest set bit of a
     canonical edge bitset leaves a canonical one, so each class is found
     once, as a canonical graph plus an edge below its lowest set bit that
-    no relabeling beats. n is capped at 7, the largest order a scan can
-    finish; memory is one level of classes of equal edge count.
+    no relabeling beats. Each such candidate is tested a block of (n - 1)!
+    labelings at a time, one packed-lane comparison per block
+    (_lane_tables). n is capped at 7, the largest order a scan can finish.
+    The first graph comes once the whole tree of canonical graphs has been
+    walked, depth first; memory is the lane tables, one path of block sums
+    and every class's edge bitset.
     """
     if not (1 <= n <= _MAX_ENUM_N):
         raise ValueError(f"enumerate_graphs supports 1 <= n <= {_MAX_ENUM_N}, got {n}")
@@ -374,21 +427,76 @@ def enumerate_graphs(n: int, isolate_free: bool = False) -> Iterator[LabeledGrap
 
 
 def _enumerate_graphs(n: int, isolate_free: bool) -> Iterator[LabeledGraph]:
-    pairs = list(itertools.combinations(range(1, n + 1), 2))[::-1]  # by bit
-    level = [(0, [0] * (n + 1))]  # canonical (bitset, adjacency masks)
-    while level:
-        for bits, adj in sorted(level, reverse=True):
-            if not isolate_free or all(adj[1:]):
+    """enumerate_graphs without its cap on n, which _lanes sets at 8.
+
+    Walks the tree of canonical graphs depth first (each child a canonical
+    graph plus one edge below its lowest set bit, found by _children) and
+    files each bitset under its edge count; then yields each edge count's
+    bitsets in descending order, as graphs. The walk holds one path of block
+    sums, about 4.5 MB at its deepest at n = 8, where _columns(8) and the
+    offsets of _lane_tables take 4.5 MB each.
+    """
+    empty, offsets, high = _lane_tables(n)
+    levels: list[list[int]] = [[] for _ in range(n * (n - 1) // 2 + 1)]
+
+    def walk(bits: int, sums: list[int]) -> None:
+        levels[bits.bit_count()].append(bits)
+        for child, child_sums in _children(bits, sums, offsets, high):
+            walk(child, child_sums)
+
+    walk(0, empty)
+    walk = None  # as in _best_relabeling
+    bit = _pair_tables(n)[0]
+    stars = [sum(bit[v]) for v in range(1, n + 1)]  # each vertex's pairs
+    for level in levels:
+        for bits in sorted(level, reverse=True):
+            if not isolate_free or all(bits & star for star in stars):
                 yield graph_from_bitset(n, bits)
-        children = []
-        for bits, adj in level:
-            for pos in range((bits & -bits).bit_length() - 1 if bits else len(pairs)):
-                (a, b), child, masks = pairs[pos], bits | 1 << pos, adj[:]
-                masks[a] |= 1 << b
-                masks[b] |= 1 << a
-                if _best_relabeling(n, masks, child, True) == child:
-                    children.append((child, masks))
-        level = children
+
+
+def _lane_tables(n: int) -> tuple[list[int], list[list[int]], int]:
+    """The tables of the packed-lane canonicity test at order n: the empty
+    graph's block sums, the offsets and the mask high.
+
+    Lanes are _columns(n)'s, L bits each; top is 2^(L - 1) - 1 and ones the
+    int with 1 in every lane. A graph with edge bitset bits has, per block
+    b of labelings, the block sum P_b: the sum of its edges' columns plus
+    (top - bits) * ones, so the lane of labeling sigma holds
+    key_sigma + top - bits, key_sigma being the bitset of the relabeling.
+    It lies in 0 .. 2^L - 1, as _lanes leaves the top bit spare, so the
+    lanes do not carry, and its top bit is set iff key_sigma > bits: iff
+    sigma beats the graph. high has the top bit of every lane. Adding pair
+    bit 1 << pos adds that pair's column and takes ones << pos off each
+    lane; offsets[b][pos] is the two in one int, so the child's P_b is
+    P_b + offsets[b][pos].
+    """
+    _, width = _lanes(n)
+    top_bit = 8 * width - 1
+    ones = int.from_bytes((1).to_bytes(width, sys.byteorder) * math.factorial(n - 1),
+                          sys.byteorder)
+    offsets = [[col - (ones << pos) for pos, col in enumerate(reversed(block))]
+               for block in _columns(n)]
+    return [((1 << top_bit) - 1) * ones] * n, offsets, ones << top_bit
+
+
+def _children(bits: int, sums: Sequence[int], offsets: Sequence[Sequence[int]],
+              high: int) -> Iterator[tuple[int, list[int]]]:
+    """The canonical children of the canonical graph with edge bitset bits
+    and block sums sums (see _lane_tables), each with its own block sums.
+
+    A candidate adds one pair below bits' lowest set bit. It is canonical
+    iff no block's sum has a lane with its top bit set; the blocks are
+    tested in order, and the first with such a lane rejects it.
+    """
+    for pos in range((bits & -bits).bit_length() - 1 if bits else len(offsets[0])):
+        child = []
+        for s, block in zip(sums, offsets):
+            s += block[pos]
+            if s & high:
+                break
+            child.append(s)
+        else:
+            yield bits | 1 << pos, child
 
 
 def components(g: LabeledGraph) -> list[tuple[int, ...]]:

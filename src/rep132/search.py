@@ -64,10 +64,9 @@ from .graphs import (
     Labeling,
     enumerate_graphs,
     identity_labeling,
-    relabel,
 )
-from .represent import is_132_representant
-from .words import Word
+from .represent import _nonalternating
+from .words import Word, has_132
 
 REPRESENTABLE = "representable"
 NOT_REPRESENTABLE = "not-representable"
@@ -188,8 +187,8 @@ def _walk(g: LabeledGraph, cfg: SearchConfig, fixed: bool, results: dict,
     The kernel is deterministic in (masks, flags, budget), so one result
     serves every labeling whose labeled graph repeats an earlier one, and a
     caller may store results ahead of the walk: speculative ones, searched
-    before the walk reaches them. Every witness reported is checked with
-    is_132_representant, and an unsound one raises RuntimeError.
+    before the walk reaches them. Every witness reported is checked on g's
+    masks (_check_witness), and an unsound one raises RuntimeError.
     """
     remaining = cfg.node_budget
     nodes = tested = tried = 0
@@ -245,8 +244,28 @@ def _walk(g: LabeledGraph, cfg: SearchConfig, fixed: bool, results: dict,
 
 def _check_witness(g: LabeledGraph, sigma: Labeling, word: Word) -> None:
     """Raise RuntimeError unless word is a 132-representant of relabel(g,
-    sigma): a check that holds under python -O too."""
-    if not is_132_representant(word, relabel(g, sigma)):
+    sigma): a check that holds under python -O too.
+
+    It reads only g, sigma and word, never a key or a kernel result. sigma
+    must be a labeling, and word must avoid 132 and use exactly the letters
+    1..n. The adjacency masks of relabel(g, sigma), built from g's edges
+    without building that graph, must then be the complements of
+    represent._nonalternating's masks of word.
+    """
+    n = g.n
+    sound = (sorted(sigma) == list(range(1, n + 1))
+             and word.alphabet() == frozenset(range(1, n + 1))
+             and not has_132(word))
+    if sound:
+        adj = [0] * (n + 1)
+        for u, v in g.edges:
+            a, b = sigma[u - 1], sigma[v - 1]
+            adj[a] |= 1 << b
+            adj[b] |= 1 << a
+        nonalt = _nonalternating(word.letters, n)
+        every = (1 << n + 1) - 2  # bits 1..n
+        sound = all(adj[x] ^ nonalt[x] == every ^ 1 << x for x in range(1, n + 1))
+    if not sound:
         raise RuntimeError(f"unsound witness {word} for labeling {sigma}")
 
 

@@ -12,7 +12,11 @@ from hypothesis import given, settings, strategies as st
 
 from rep132.graphs import (
     LabeledGraph,
+    _children,
+    _columns,
     _enumerate_graphs,
+    _lane_tables,
+    _lanes,
     automorphisms,
     canonical_form,
     complete,
@@ -401,14 +405,58 @@ def test_enumerate_graphs_matches_the_graph_atlas():
 def test_orderly_generation_reaches_order_eight():
     # enumerate_graphs stops at 7, the largest order a scan can finish; the
     # generator itself finds the 12,346 classes on 8 vertices, 11,302 of
-    # them isolate-free (OEIS A000088, A002494). It yields a level of
-    # classes before it builds the next, so a generator that repeats
-    # classes stops here at the first level past the count
+    # them isolate-free (OEIS A000088, A002494). A generator that repeats
+    # classes stops here one past the count
     total = free = 0
     for g in itertools.islice(_enumerate_graphs(8, isolate_free=False), 12347):
         total += 1
         free += all(degree(g, v) for v in g.vertices())
     assert (total, free) == (12346, 11302)
+
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_lane_test_accepts_a_candidate_iff_it_is_canonical(n):
+    # Every orderly candidate: each canonical graph plus one pair below its
+    # lowest set bit. The lane test (_children) must accept exactly those
+    # that canonical_form, the independent pruned search, keeps as they are,
+    # and give each the block sums that _lane_tables defines for it
+    size = n * (n - 1) // 2
+    empty, offsets, high = _lane_tables(n)
+    columns = _columns(n)
+    _, width = _lanes(n)
+    ones = int.from_bytes((1).to_bytes(width, sys.byteorder) * math.factorial(n - 1),
+                          sys.byteorder)
+    top = (1 << 8 * width - 1) - 1
+    walked, candidates, stack = [], 0, [(0, empty)]
+    while stack:
+        bits, sums = stack.pop()
+        walked.append(bits)
+        accepted = dict(_children(bits, sums, offsets, high))
+        low = (bits & -bits).bit_length() - 1 if bits else size
+        kids = [bits | 1 << pos for pos in range(low)]
+        candidates += len(kids)
+        assert set(accepted) == {
+            c for c in kids if edge_bitset(canonical_form(graph_from_bitset(n, c))) == c}
+        for child, child_sums in accepted.items():
+            edges = [size - 1 - pos for pos in range(size) if child >> pos & 1]
+            assert child_sums == [sum(block[i] for i in edges) + (top - child) * ones
+                                  for block in columns]
+        stack.extend(accepted.items())
+    assert sorted(walked) == sorted(edge_bitset(g) for g in enumerate_graphs(n))
+    assert candidates == [0, 1, 6, 24, 91, 393][n - 1]
+
+
+def test_lanes_keep_a_spare_top_bit_or_raise():
+    # the lane test reads each lane's top bit, so a key must leave it free
+    for n in range(1, 9):
+        _, width = _lanes(n)
+        assert n * (n - 1) // 2 < 8 * width
+    for n in (9, 10, 12):
+        with pytest.raises(ValueError, match="spare top bit"):
+            _lanes(n)
+        with pytest.raises(ValueError, match="spare top bit"):
+            next(_enumerate_graphs(n, False))
 
 
 # -------------------------------------------------------------- components

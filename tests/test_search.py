@@ -1073,7 +1073,7 @@ def test_witnesses_always_verified():
 UNSOUND_WITNESSES = LOAD_PACKAGE + """
 from rep132 import search
 from rep132.graphs import cycle
-search.is_132_representant = lambda word, g: False
+search.has_132 = lambda word: True
 print("debug" if __debug__ else "optimized")
 for decide, cfg in ((search.search_fixed, search.SearchConfig()),
                     (search.search_all_labelings, search.SearchConfig()),
@@ -1099,6 +1099,52 @@ def test_witness_checks_hold_under_optimize():
     assert lines[0] == "optimized"
     assert len(lines) == 4
     assert all(line.startswith("unsound witness ") for line in lines[1:]), lines
+
+
+
+def test_witness_check_agrees_with_is_132_representant():
+    # _check_witness reads g's masks and the word alone; it must accept
+    # exactly what the representation check of the relabeled graph accepts
+    rng = random.Random(7)
+    cases = 0
+    for n in range(1, 5):
+        pairs = list(itertools.combinations(range(1, n + 1), 2))
+        sigmas = list(itertools.permutations(range(1, n + 1)))
+        for mask in range(1 << len(pairs)):
+            g = LabeledGraph(n, [p for i, p in enumerate(pairs) if mask >> i & 1])
+            for sigma in rng.sample(sigmas, min(3, len(sigmas))):
+                found = search_fixed(relabel(g, sigma)).witness
+                words = [Word(rng.choices(range(1, n + 2), k=rng.randint(1, 2 * n + 1)))
+                         for _ in range(4)]
+                for word in ([found] if found else []) + words:
+                    expect = is_132_representant(word, relabel(g, sigma))
+                    try:
+                        search._check_witness(g, sigma, word)
+                    except RuntimeError as e:
+                        assert not expect and str(e).startswith("unsound witness "), e
+                    else:
+                        assert expect
+                    cases += 1
+    assert cases > 1000
+    search._check_witness(complete(3), (1, 2, 3), Word("123"))
+    for g, sigma, word in ((complete(3), (1, 2, 3), Word("132")),  # a 132
+                           (complete(3), (1, 2, 2), Word("123")),  # no labeling
+                           (complete(3), (1, 2, 3), Word("124")),  # a letter past n
+                           (complete(3), (1, 2, 3), Word("12")),  # a letter missing
+                           (cycle(4), (1, 2, 3, 4), Word("1234"))):  # K4's word
+        with pytest.raises(RuntimeError, match="unsound witness"):
+            search._check_witness(g, sigma, word)
+
+
+def test_witness_check_catches_a_wrong_key(monkeypatch):
+    # a kernel asked about the wrong graph answers with a word that
+    # represents that graph: the check, which reads no key, must refuse it
+    run_batch = kernels.run_batch
+    monkeypatch.setattr(kernels, "run_batch", lambda n, keys, *rest: run_batch(
+        n, [key ^ 1 for key in keys], *rest))
+    for decide in (search_fixed, search_all_labelings):
+        with pytest.raises(RuntimeError, match="unsound witness"):
+            decide(cycle(5))
 
 
 def test_report_shape():
