@@ -7,7 +7,10 @@ under a bounded search only (search --fixed or --max-copies 1, or a graph
 past order 6, where the copy bound is unchecked), which does not settle the
 graph.
 
-scan --workers defaults to 1, which decides every class in this process.
+scan --workers defaults to 1, which decides every class in this process. A
+larger value starts child processes only for a scan whose first round spans
+more than one kernel batch, such as order 7; order 6 and below run in this
+process whatever it says (see search.scan_order).
 REP132_BACKEND picks the kernel (see rep132.kernels); an unknown value, or
 c without the compiled extension, exits 2 before any command runs.
 """

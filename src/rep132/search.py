@@ -43,10 +43,12 @@ prefixes across many graphs. A walk uses a result searched ahead of it
 only where the serial walk would get the same result (see _walk), so every
 report is the serial one. search_fixed walks the identity labeling only,
 search_all_labelings every labeling of one graph, and scan_order every
-labeling of every class of an order. A parallel scan_order decides the
-interleaved groups classes[i::k], group 0 in its own process and the
-others in k - 1 child processes, each sending its reports back over a
-pipe, in scan order, so serial and parallel outputs are identical.
+labeling of every class of an order. A parallel scan_order whose first
+round spans more than one kernel batch (an order-7 scan, not an order-6
+one) decides the interleaved groups classes[i::k], group 0 in its own
+process and the others in k - 1 child processes, each sending its reports
+back over a pipe, in scan order, so serial and parallel outputs are
+identical.
 """
 
 from __future__ import annotations
@@ -481,6 +483,26 @@ def _decide_groups(n: int, graphs: list[LabeledGraph], cfg: SearchConfig,
     return reports
 
 
+def _groups(count: int, workers: int) -> int:
+    """How many interleaved groups a scan of count classes runs in, asked
+    for workers of them: 1 if its first round fits in one kernels.run_batch
+    call (count * FIRST_ASKS <= BATCH_GRAPHS), else the least of workers,
+    count and the CPUs this process may use.
+
+    A round that fits in one call is one union search, and each interleaved
+    group's own union walks most of the whole one's nodes, so splitting it
+    costs more CPU than it saves time. A larger first round is many
+    separate batches already, and its groups cost no extra CPU.
+    """
+    if count * FIRST_ASKS <= BATCH_GRAPHS:
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return min(workers, count, cpus)
+
+
 def scan_order(
     n: int,
     cfg: SearchConfig = SearchConfig(),
@@ -494,11 +516,14 @@ def scan_order(
     nodes); budget exhaustion marks that graph and the scan continues.
     Classes come in enumerate_graphs' order: by edge count, then edge
     list. The classes are decided together in rounds of one batched kernel
-    call (see _decide_classes). With workers > 1 the scan runs in k groups,
-    k being the least of workers, the number of classes and the CPUs this
-    process may use: k interleaved groups, classes[i::k], each decided in
-    rounds of its own, group 0 in this process and the others in k - 1
-    child processes (see _decide_groups). The reports are the serial ones.
+    call (see _decide_classes). With workers > 1, a scan whose first round
+    spans more than one kernel batch runs in k groups, k being the least of
+    workers, the number of classes and the CPUs this process may use (see
+    _groups): k interleaved groups, classes[i::k], each decided in rounds of
+    its own, group 0 in this process and the others in k - 1 child
+    processes (see _decide_groups). A smaller scan, order 6's 122 classes
+    among them, is decided in this process whatever workers says. The
+    reports are the serial ones.
     """
     if type(workers) is bool:  # a bool is an int: True would be 1
         raise TypeError("workers must be an integer, not a bool")
@@ -508,11 +533,7 @@ def scan_order(
     budget = cfg.node_budget if cfg.node_budget is not None else DEFAULT_SCAN_NODE_BUDGET
     cfg = replace(cfg, node_budget=budget)
     graphs = list(enumerate_graphs(n, isolate_free=True))
-    if hasattr(os, "sched_getaffinity"):
-        cpus = len(os.sched_getaffinity(0))
-    else:
-        cpus = os.cpu_count() or 1
-    k = min(workers, len(graphs), cpus)
+    k = _groups(len(graphs), workers)
     if k > 1:
         return list(zip(graphs, _decide_groups(n, graphs, cfg, k)))
     return list(zip(graphs, _decide_classes(n, graphs, cfg)))

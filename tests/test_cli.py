@@ -414,35 +414,45 @@ def test_scan_order_six_reports_are_the_pinned_bytes(backend, request):
                                    pinned["json_sha256"]]
 
 
-# The order-7 scan's report bytes on the compiled kernel: the byte count and
-# sha256 of its text, then of its JSON file. About 6 s on C, so it is marked
-# slow and left out of the default run; run it with `pytest -m slow`.
+# The order-7 scan's report bytes on the compiled kernel, with WORKERS
+# workers on two CPUs: the backend and the number of child processes
+# started, then the byte count and sha256 of its text and of its JSON file.
+# About 6 s on C, so it is marked slow and left out of the default run; run
+# it with `pytest -m slow`.
 SCAN7_DIGESTS = LOAD_PACKAGE + """
 import contextlib, hashlib, io, os, tempfile
-from rep132 import cli
+os.sched_getaffinity = lambda pid: {0, 1}
+from rep132 import cli, search
+started = []
+start_group = search._start_group
+search._start_group = lambda *args: started.append(1) or start_group(*args)
 with tempfile.TemporaryDirectory() as tmp:
     catalog = os.path.join(tmp, "scan7.json")
     text = io.StringIO()
     with contextlib.redirect_stdout(text):
-        code = cli.main(["scan", "--order", "7", "--json", catalog])
+        code = cli.main(["scan", "--order", "7", "--json", catalog,
+                         "--workers", str(WORKERS)])
     assert code == 0, code
     out = text.getvalue().encode()
     with open(catalog, "rb") as f:
         catalog = f.read()
-print(kernels.backend_name())
+print(kernels.backend_name(), len(started))
 for data in (out, catalog):
     print(len(data), hashlib.sha256(data).hexdigest())
 """
 
 
 @pytest.mark.slow
-def test_scan_order_seven_reports_are_the_pinned_bytes(request):
+@pytest.mark.parametrize("workers", [1, 2])
+def test_scan_order_seven_reports_are_the_pinned_bytes(workers, request):
     # 888 classes, 119 of them not representable; any change to the search
-    # machinery must leave these bytes as they are
-    done = run_child(SCAN7_DIGESTS, "c", request)
+    # machinery must leave these bytes as they are. Order 7's first round
+    # spans many kernel batches, so with two workers one child decides
+    # every other class: the fork path end to end.
+    done = run_child(f"WORKERS = {workers}\n" + SCAN7_DIGESTS, "c", request)
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == [
-        "c",
+        "c", str(workers - 1),
         "90314", "9d80a1264c4bea6804399a3bc350ec7e59fc7f53710cc588eba168f0492a4302",
         "778515", "54382b7668125ab73ddec4cd9ae6a4c2408d082ddcbb798ca4d7fcfefb455aef",
     ]

@@ -91,6 +91,7 @@ print(" ".join(m for m in ("concurrent.futures", "multiprocessing", "dataclasses
 import os
 os.sched_getaffinity = lambda pid: {0, 1}  # two groups on any machine
 from rep132 import formats, search
+search.BATCH_GRAPHS = 4 * search.FIRST_ASKS  # order 4 then forks (7 classes)
 serial = search.scan_order(4, workers=1)
 parallel = search.scan_order(4, workers=2)
 print(formats.dumps(formats.catalog_to_json(4, parallel))

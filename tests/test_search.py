@@ -591,6 +591,13 @@ def count_starts(monkeypatch):
     return started
 
 
+def split_small_scans(monkeypatch):
+    """Make scan_order split an order-4 or order-5 scan into groups, as it
+    does order 7's: with 32-graph kernel batches, their first rounds (7 and
+    23 classes, FIRST_ASKS graphs each) span more than one batch."""
+    monkeypatch.setattr(search, "BATCH_GRAPHS", 4 * search.FIRST_ASKS)
+
+
 def assert_no_children():
     # every child process has been joined: none left running or unreaped
     with pytest.raises(ChildProcessError):
@@ -603,6 +610,7 @@ def assert_no_children():
 ])
 def test_parallel_scan_reports_are_byte_identical(cfg, monkeypatch):
     patch_cpus(monkeypatch, 3)
+    split_small_scans(monkeypatch)
     started = count_starts(monkeypatch)
     serial = scan_order(5, cfg, workers=1)
     if cfg.node_budget is not None:
@@ -617,6 +625,7 @@ def test_parallel_scan_reports_are_byte_identical(cfg, monkeypatch):
 
 def test_parallel_scan_starts_one_child_per_extra_group(monkeypatch):
     patch_cpus(monkeypatch, 3)
+    split_small_scans(monkeypatch)
     started = count_starts(monkeypatch)
     assert len(scan_order(5, workers=2)) == 23
     assert len(started) == 1
@@ -658,6 +667,7 @@ def test_scan_workers_must_be_an_int(monkeypatch):
 def test_parallel_scan_starts_at_most_one_process_per_cpu_and_class(monkeypatch):
     started = count_starts(monkeypatch)
     patch_cpus(monkeypatch, 3)
+    split_small_scans(monkeypatch)
     scan_order(5, workers=1000)  # 23 classes, 3 CPUs: 3 groups
     assert len(started) == 2
     scan_order(2, workers=1000)  # one class: no child
@@ -672,6 +682,40 @@ def test_parallel_scan_starts_at_most_one_process_per_cpu_and_class(monkeypatch)
     scan_order(4, workers=1000)
     assert len(started) == 3
     assert_no_children()
+
+
+ORDER_SIX_WITH_TWO_WORKERS = """
+import os, sys
+os.sched_getaffinity = lambda pid: {0, 1}
+from rep132 import search
+search.scan_order(6, workers=2)
+print("multiprocessing" in sys.modules)
+"""
+
+
+def test_a_scan_whose_first_round_is_one_batch_starts_no_child(monkeypatch):
+    # order 6's first round, 122 classes of FIRST_ASKS graphs each, is one
+    # kernel batch; each interleaved half's union would walk most of the
+    # whole one's nodes, so two workers decide it in this process
+    patch_cpus(monkeypatch, 2)
+    started = count_starts(monkeypatch)
+    serial = scan_order(6, workers=1)
+    parallel = scan_order(6, workers=2)
+    assert started == []
+    assert dumps(catalog_to_json(6, parallel)) == dumps(catalog_to_json(6, serial))
+    # order 7's 888 classes span many batches, so they still split, one
+    # group per worker and CPU; the decision reads only the class count
+    assert search._groups(len(serial), 2) == 1
+    for workers in (1, 2, 3, 1000):
+        assert search._groups(888, workers) == min(workers, 2)
+    assert_no_children()
+    # a fresh process that runs it never loads multiprocessing
+    env = {k: v for k, v in os.environ.items() if not k.startswith("REP132_")}
+    env["PYTHONPATH"] = str(Path(search.__file__).resolve().parent.parent)
+    done = subprocess.run([sys.executable, "-c", ORDER_SIX_WITH_TWO_WORKERS],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "False\n"
 
 
 def decide_or(parent_does, child_does):
@@ -702,6 +746,7 @@ needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 @needs_fork
 def test_a_childs_exception_is_raised_in_the_parent(monkeypatch):
     patch_cpus(monkeypatch, 2)
+    split_small_scans(monkeypatch)
     monkeypatch.setattr(search, "_decide_classes", decide_or(
         None, fail(LookupError("no such labeling 7"))))
     with pytest.raises(LookupError, match=r"^no such labeling 7$"):
@@ -712,6 +757,7 @@ def test_a_childs_exception_is_raised_in_the_parent(monkeypatch):
 @needs_fork
 def test_a_child_that_ends_without_reports_is_an_error(monkeypatch):
     patch_cpus(monkeypatch, 2)
+    split_small_scans(monkeypatch)
     monkeypatch.setattr(search, "_decide_classes", decide_or(
         None, lambda: os._exit(3)))
     with pytest.raises(RuntimeError, match=r"exit code 3\b"):
@@ -723,6 +769,7 @@ def test_a_child_that_ends_without_reports_is_an_error(monkeypatch):
 def test_the_parents_exception_stops_every_child(monkeypatch):
     # the children would take a minute; the parent's error ends them at once
     patch_cpus(monkeypatch, 3)
+    split_small_scans(monkeypatch)
     monkeypatch.setattr(search, "_decide_classes", decide_or(
         fail(ArithmeticError("parent group failed")), lambda: time.sleep(60)))
     t0 = time.monotonic()
@@ -736,6 +783,7 @@ PARALLEL_AFTER_BUFFERED_OUTPUT = """
 import os, sys
 os.sched_getaffinity = lambda pid: {0, 1}
 from rep132 import search
+search.BATCH_GRAPHS = 4 * search.FIRST_ASKS  # order 4 then forks (7 classes)
 sys.stdout.write("before the scan;")  # held in the buffer: stdout is a pipe
 search.scan_order(4, workers=2)
 sys.stdout.write(" after it\\n")
@@ -778,7 +826,10 @@ def per_class_reports(n, cfg):
 
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("cfg", SCAN_CONFIGS, ids=SCAN_IDS)
-def test_scan_rounds_report_what_per_class_searches_do(cfg, workers):
+def test_scan_rounds_report_what_per_class_searches_do(cfg, workers, monkeypatch):
+    if workers > 1:
+        patch_cpus(monkeypatch, workers)
+        split_small_scans(monkeypatch)
     expected = per_class_reports(5, cfg)
     got = scan_order(5, cfg, workers=workers)
     assert [g for g, _ in got] == [g for g, _ in expected]
@@ -915,6 +966,34 @@ def test_scan_order_six_summary():
                             if p not in ((1, 2), (3, 4), (5, 6))])
     assert canonical_form(k33) in nonrep
     assert canonical_form(octa) in nonrep
+
+
+def representable_keys(backend, n):
+    """The labeled graphs on n vertices with a witness: the keys for which
+    one run_batch over every key, each its own group and unbudgeted, finds
+    one."""
+    keys = range(2 ** (n * (n - 1) // 2))
+    found = backend.run_batch(n, keys, 1, 2, True, False, [None] * len(keys))
+    return {key for key, (witnesses, *_) in zip(keys, found) if witnesses}
+
+
+def test_one_union_over_every_key_agrees_with_the_scan(request):
+    # The words side of the question, with no labeling walk: one union
+    # search over all 2 ** C(n, 2) labeled graphs of order n. Its counts of
+    # labeled graphs with a witness, and the order-6 classes none of whose
+    # labelings has one, must be what the per-class scan decides.
+    labeled = [1, 2, 8, 64, 779]
+    python = kernels.load_backend("python")
+    assert [len(representable_keys(python, n)) for n in range(1, 6)] == labeled
+    hits = representable_keys(python, 6)
+    assert len(hits) == 9865
+    none_hit = [h for h in enumerate_graphs(6, isolate_free=True)
+                if hits.isdisjoint(edge_bitset(relabel(h, sigma))
+                                   for sigma in walked_labelings(6))]
+    assert none_hit == [g for g, rep in scan_order(6) if rep.outcome == NOT_REPRESENTABLE]
+    # last, as it skips where the compiled kernel cannot be built
+    compiled = request.getfixturevalue("compiled_kernel")
+    assert [len(representable_keys(compiled, n)) for n in range(1, 6)] == labeled
 
 
 def test_order_six_scan_takes_at_most_three_rounds(monkeypatch):
