@@ -52,6 +52,7 @@ def _nonalternating(letters: Sequence[int], n: int) -> list[int]:
     One pass: since holds n + 1 lanes of n + 1 bits, lane c the letters
     seen since c's last copy. A copy of c after its first puts two c's next
     to each other in the projection onto {c, y} for every y outside lane c.
+    Then each pair found is mirrored once, visiting only the masks' set bits.
     """
     width = n + 1
     lane = (1 << width) - 1
@@ -66,11 +67,14 @@ def _nonalternating(letters: Sequence[int], n: int) -> list[int]:
             masks[c] |= lane & ~(since >> sh | bit | 1)
         occurred |= bit
         since = (since | every << c) & ~(lane << sh)
+    mirrored = [0] * (n + 1)  # mirrored[y]: the x < y already mirrored into y
     for x in range(1, n + 1):  # a repeat of either letter breaks the pair
-        for y in range(x + 1, n + 1):
-            if (masks[x] >> y | masks[y] >> x) & 1:
-                masks[x] |= 1 << y
-                masks[y] |= 1 << x
+        bit, todo = 1 << x, masks[x] & ~mirrored[x]
+        while todo:
+            y = (todo & -todo).bit_length() - 1
+            masks[y] |= bit
+            mirrored[y] |= bit
+            todo &= todo - 1
     return masks
 
 

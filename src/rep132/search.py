@@ -35,15 +35,17 @@ One driver decides every search (_decide_classes). Each graph has a walk
 graph's edge bitset (see rep132._keys, whose one growing sequence per
 graph computes each key once); it yields each labeled graph that the dict
 holds no usable result for, with its remaining budget, and returns the
-graph's report, each witness in it checked. The driver serves the walks of
-all its graphs in rounds of kernels.run_batch calls, each graph's asks one
-group under its remaining budget: the labeled graph its walk needs plus
-its next distinct ones not yet searched, so the kernel shares word
-prefixes across many graphs. A walk uses a result searched ahead of it
-only where the serial walk would get the same result (see _walk), so every
-report is the serial one. search_fixed walks the identity labeling only,
-search_all_labelings every labeling of one graph, and scan_order every
-labeling of every class of an order. A parallel scan_order whose first
+graph's report, each witness in it checked by
+represent.is_132_representant on the relabeled graph. The driver serves
+the walks of all its graphs in rounds of kernels.run_batch calls, each
+graph's asks one group under its remaining budget: the labeled graph its
+walk needs plus its next distinct ones not yet searched, so the kernel
+shares word prefixes across many graphs. A walk uses a result searched
+ahead of it only where the serial walk would get the same result (see
+_walk), so every report is the serial one. search_fixed walks the
+identity labeling only, search_all_labelings every labeling of one graph,
+and scan_order every labeling of every class of an order, each class
+under the caller's config unchanged. A parallel scan_order whose first
 round spans more than one kernel batch (an order-7 scan, not an order-6
 one) decides the interleaved groups classes[i::k], group 0 in its own
 process and the others in k - 1 child processes, each sending its reports
@@ -57,7 +59,7 @@ import itertools
 import math
 import operator
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from . import _keys, kernels
@@ -66,15 +68,14 @@ from .graphs import (
     Labeling,
     enumerate_graphs,
     identity_labeling,
+    relabel,
 )
-from .represent import _nonalternating
-from .words import Word, has_132
+from .represent import is_132_representant
+from .words import Word
 
 REPRESENTABLE = "representable"
 NOT_REPRESENTABLE = "not-representable"
 BUDGET_EXCEEDED = "budget-exceeded"
-
-DEFAULT_SCAN_NODE_BUDGET = 10**9
 
 # Largest order through which the copy bound is machine-checked at class
 # level (tests/test_search.py, test_copy_bound_holds_at_class_level), so the
@@ -189,8 +190,9 @@ def _walk(g: LabeledGraph, cfg: SearchConfig, fixed: bool, results: dict,
     The kernel is deterministic in (masks, flags, budget), so one result
     serves every labeling whose labeled graph repeats an earlier one, and a
     caller may store results ahead of the walk: speculative ones, searched
-    before the walk reaches them. Every witness reported is checked on g's
-    masks (_check_witness), and an unsound one raises RuntimeError.
+    before the walk reaches them. Every witness reported is checked against
+    relabel(g, sigma) (_check_witness), and an unsound one raises
+    RuntimeError.
     """
     remaining = cfg.node_budget
     nodes = tested = tried = 0
@@ -246,27 +248,16 @@ def _walk(g: LabeledGraph, cfg: SearchConfig, fixed: bool, results: dict,
 
 def _check_witness(g: LabeledGraph, sigma: Labeling, word: Word) -> None:
     """Raise RuntimeError unless word is a 132-representant of relabel(g,
-    sigma): a check that holds under python -O too.
+    sigma) (represent.is_132_representant): a check that holds under
+    python -O too.
 
-    It reads only g, sigma and word, never a key or a kernel result. sigma
-    must be a labeling, and word must avoid 132 and use exactly the letters
-    1..n. The adjacency masks of relabel(g, sigma), built from g's edges
-    without building that graph, must then be the complements of
-    represent._nonalternating's masks of word.
+    It reads only g, sigma and word, never a key or a kernel result. A
+    sigma that relabel refuses makes the witness unsound as well.
     """
-    n = g.n
-    sound = (sorted(sigma) == list(range(1, n + 1))
-             and word.alphabet() == frozenset(range(1, n + 1))
-             and not has_132(word))
-    if sound:
-        adj = [0] * (n + 1)
-        for u, v in g.edges:
-            a, b = sigma[u - 1], sigma[v - 1]
-            adj[a] |= 1 << b
-            adj[b] |= 1 << a
-        nonalt = _nonalternating(word.letters, n)
-        every = (1 << n + 1) - 2  # bits 1..n
-        sound = all(adj[x] ^ nonalt[x] == every ^ 1 << x for x in range(1, n + 1))
+    try:
+        sound = is_132_representant(word, relabel(g, sigma))
+    except ValueError:
+        sound = False
     if not sound:
         raise RuntimeError(f"unsound witness {word} for labeling {sigma}")
 
@@ -512,8 +503,9 @@ def scan_order(
 
     Isolated vertices never affect representability (the fresh-letter
     prefix construction adds them to any representant), so only isolate-free
-    classes are scanned. Each graph gets its own node budget (default 10^9
-    nodes); budget exhaustion marks that graph and the scan continues.
+    classes are scanned. Each class is searched under cfg as
+    search_all_labelings(h, cfg) searches it, with its own node budget if
+    cfg has one; budget exhaustion marks that class and the scan continues.
     Classes come in enumerate_graphs' order: by edge count, then edge
     list. The classes are decided together in rounds of one batched kernel
     call (see _decide_classes). With workers > 1, a scan whose first round
@@ -530,8 +522,6 @@ def scan_order(
     workers = operator.index(workers)  # TypeError for a non-int
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    budget = cfg.node_budget if cfg.node_budget is not None else DEFAULT_SCAN_NODE_BUDGET
-    cfg = replace(cfg, node_budget=budget)
     graphs = list(enumerate_graphs(n, isolate_free=True))
     k = _groups(len(graphs), workers)
     if k > 1:

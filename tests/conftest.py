@@ -113,9 +113,10 @@ def compiled_kernel(tmp_path_factory):
     """The compiled kernel module, built into a temporary directory if needed.
 
     The build runs setup.py build_ext outside the source tree, so neither the
-    checkout nor the default backend of later runs changes. The built package
-    directory is appended to rep132.__path__, and the module is then loaded
-    through kernels.load_backend like any installed one.
+    checkout nor the default backend of later runs changes. It adds -Wall
+    -Wextra -Werror to CFLAGS, so any compiler warning fails it. The built
+    package directory is appended to rep132.__path__, and the module is then
+    loaded through kernels.load_backend like any installed one.
     """
     import rep132
     from rep132 import kernels
@@ -126,10 +127,12 @@ def compiled_kernel(tmp_path_factory):
         pass
     c_compiler()
     out = tmp_path_factory.mktemp("kernel-build")
+    cflags = os.environ.get("CFLAGS", "") + " -Wall -Wextra -Werror"
     build = subprocess.run(
         [sys.executable, "setup.py", "build_ext",
          "--build-lib", str(out / "lib"), "--build-temp", str(out / "temp")],
         cwd=Path(__file__).resolve().parent.parent, capture_output=True, text=True,
+        env=dict(os.environ, CFLAGS=cflags),
     )
     assert build.returncode == 0, build.stdout + build.stderr
     rep132.__path__.append(str(out / "lib" / "rep132"))

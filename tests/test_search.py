@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import itertools
+import math
 import os
 import random
 import subprocess
@@ -34,7 +35,6 @@ from rep132.graphs import (
 from rep132.represent import is_132_representant
 from rep132.search import (
     BUDGET_EXCEEDED,
-    DEFAULT_SCAN_NODE_BUDGET,
     NOT_REPRESENTABLE,
     REPRESENTABLE,
     SearchConfig,
@@ -565,10 +565,14 @@ def test_scan_orders_by_edge_count():
     assert sizes == sorted(sizes)
 
 
-def test_scan_applies_default_budget():
-    entries = scan_order(3)
-    for _, rep in entries:
-        assert rep.config.node_budget == DEFAULT_SCAN_NODE_BUDGET
+def test_scan_passes_its_config_through():
+    # a scan's report of a class is the single search's, config included:
+    # the scan adds no node budget of its own
+    for cfg in (SearchConfig(), SearchConfig(node_budget=1000),
+                SearchConfig(max_copies=1, find_all=True)):
+        for g, rep in scan_order(4, cfg):
+            assert rep.config == cfg
+            assert rep == search_all_labelings(g, cfg)
 
 
 def patch_cpus(monkeypatch, count):
@@ -814,13 +818,8 @@ def scan_classes(n):
                   key=lambda h: (len(h.edges), h.edge_list()))
 
 
-def scan_config(cfg):
-    return replace(cfg, node_budget=cfg.node_budget or DEFAULT_SCAN_NODE_BUDGET)
-
-
 def per_class_reports(n, cfg):
     """What scan_order(n, cfg) reports, class by class by reference_report."""
-    cfg = scan_config(cfg)
     return [(h, reference_report(h, cfg)) for h in scan_classes(n)]
 
 
@@ -849,7 +848,7 @@ def test_scan_batches_exactly_the_per_class_kernel_calls(cfg, monkeypatch):
     # distinct labeled graphs of that class not searched before, under the
     # budget of the entry its walk needs, its group's one budget.
     searched = [call for h in scan_classes(5)
-                for call in memoized_walk_calls(h, scan_config(cfg))]
+                for call in memoized_walk_calls(h, cfg)]
     rounds = []
     run_batch = kernels.run_batch
 
@@ -862,8 +861,12 @@ def test_scan_batches_exactly_the_per_class_kernel_calls(cfg, monkeypatch):
     scan_order(5, cfg, workers=1)
     batched = [pair for batch in rounds for pair in batch]
     assert not Counter(k for k, _ in searched) - Counter(k for k, _ in batched)
+
+    def limit(budget):  # a None budget is no limit
+        return math.inf if budget is None else budget
+
     for key, budget in searched:
-        assert any(k == key and b >= budget for k, b in batched)
+        assert any(k == key and limit(b) >= limit(budget) for k, b in batched)
     # the first round asks for 8 distinct labeled graphs of each of the 23
     # classes, or for all that a class has
     assert len(rounds[0]) == 174
@@ -888,7 +891,7 @@ def test_scan_batches_exactly_the_per_class_kernel_calls(cfg, monkeypatch):
             # a smaller budget, which the earlier result did not fit
             assert len(again) <= 1
             for k in again:
-                assert (k, budget) in searched and done[i, k] > budget
+                assert (k, budget) in searched and limit(done[i, k]) > limit(budget)
             done.update({(i, k): budget for k in keys})
 
 
@@ -1051,10 +1054,14 @@ def test_order_six_scan_makes_the_pinned_kernel_calls(monkeypatch):
                          node_budgets, group_sizes)
 
     monkeypatch.setattr(kernels, "run_batch", recording)
-    scan_order(6)
+    scan_order(6, SearchConfig(node_budget=10**9))
     assert len(calls) == 3
     assert hashlib.sha256(repr(calls).encode()).hexdigest() == \
         "5c49a803fe0bf8a21100001f447179c2a7aa57c6301701fd1d220665ddbb9a95"
+    # a scan with no budget makes the same calls, every group unbudgeted
+    budgeted, calls[:] = calls[:], []
+    scan_order(6)
+    assert calls == [call[:6] + ([None] * len(call[6]),) + call[7:] for call in budgeted]
 
 
 def test_a_decided_class_is_dropped_before_the_next_slice(monkeypatch):
@@ -1091,9 +1098,9 @@ def test_a_decided_class_is_dropped_before_the_next_slice(monkeypatch):
 SCAN_MEMORY = LOAD_PACKAGE + """
 import tracemalloc
 from rep132.graphs import enumerate_graphs
-from rep132.search import DEFAULT_SCAN_NODE_BUDGET, SearchConfig, _decide_classes
+from rep132.search import SearchConfig, _decide_classes
 classes = list(enumerate_graphs(6, isolate_free=True))
-cfg = SearchConfig(node_budget=DEFAULT_SCAN_NODE_BUDGET)
+cfg = SearchConfig()
 _decide_classes(6, classes, cfg)
 tracemalloc.start()
 _decide_classes(6, classes, cfg)
@@ -1152,7 +1159,7 @@ def test_witnesses_always_verified():
 UNSOUND_WITNESSES = LOAD_PACKAGE + """
 from rep132 import search
 from rep132.graphs import cycle
-search.has_132 = lambda word: True
+search.is_132_representant = lambda word, g: False
 print("debug" if __debug__ else "optimized")
 for decide, cfg in ((search.search_fixed, search.SearchConfig()),
                     (search.search_all_labelings, search.SearchConfig()),
