@@ -9,7 +9,7 @@ Graph file:            Tree file:
 Edge lines require u < v and no duplicates. DOT output lists every vertex
 (so isolated vertices survive a round trip) and carries the witness word in
 a comment. Reports carry no timing at all, so serial and parallel runs
-of the same search are byte-identical.
+of the same search are byte-identical. The writers name no graph family.
 """
 
 from __future__ import annotations
@@ -20,8 +20,8 @@ from typing import Optional
 
 from .constructions import RootedTree
 from .graphs import LabeledGraph
-from .search import SearchReport
-from .words import Word
+from .search import BUDGET_EXCEEDED, NOT_REPRESENTABLE, REPRESENTABLE, SearchReport
+from .words import Word, is_k_uniform
 
 
 def _content_lines(text: str) -> list[str]:
@@ -140,7 +140,7 @@ def report_to_json(report: SearchReport) -> dict:
 
     complete_decision is SearchReport.is_complete_decision: true only for a
     not-representable outcome that covers every labeling at max_copies >= 2,
-    of a graph on at most 6 vertices.
+    of a graph on at most search.COPY_BOUND_CHECKED_N vertices.
     A report holds no timing: it must not depend on how the search was
     scheduled.
     """
@@ -172,31 +172,22 @@ def catalog_entry_to_json(g: LabeledGraph, report: SearchReport) -> dict:
         entry["labeling"] = list(report.labeling)
         entry["witness"] = str(word)
         entry["word_length"] = len(word)
-        entry["two_uniform"] = all(word.letters.count(x) == 2 for x in word.alphabet())
+        entry["two_uniform"] = is_k_uniform(word, 2)
     return entry
 
 
-def catalog_to_json(
-    n: int,
-    results: list[tuple[LabeledGraph, SearchReport]],
-    wheel5_canonical: Optional[LabeledGraph] = None,
-) -> dict:
+def catalog_to_json(n: int, results: list[tuple[LabeledGraph, SearchReport]]) -> dict:
+    """Schema: {order, summary, entries}, one entry per class. The summary holds
+    the class count and one count per outcome; a caller may append its own."""
     outcomes = [r.outcome for _, r in results]
-    summary: dict = {
-        "classes": len(results),
-        "representable": outcomes.count("representable"),
-        "not_representable": outcomes.count("not-representable"),
-        "budget_exceeded": outcomes.count("budget-exceeded"),
-    }
-    if wheel5_canonical is not None:
-        non_rep = [g for g, r in results if r.outcome == "not-representable"]
-        summary["wheel5_found_non_representable"] = any(
-            g == wheel5_canonical for g in non_rep
-        )
-        summary["wheel5_only_non_representable"] = non_rep == [wheel5_canonical]
     return {
         "order": n,
-        "summary": summary,
+        "summary": {
+            "classes": len(results),
+            "representable": outcomes.count(REPRESENTABLE),
+            "not_representable": outcomes.count(NOT_REPRESENTABLE),
+            "budget_exceeded": outcomes.count(BUDGET_EXCEEDED),
+        },
         "entries": [catalog_entry_to_json(g, r) for g, r in results],
     }
 

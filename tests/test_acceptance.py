@@ -13,12 +13,14 @@ expected value; see the ledger in the repository notes for the write-up.
 """
 
 import itertools
+import json
 import random
 import time
 from collections import Counter
 
 import pytest
 
+from rep132 import cli
 from rep132.circle import ChordDiagram, circle_witness, intersection_graph
 from rep132.constructions import (
     RootedTree,
@@ -29,8 +31,7 @@ from rep132.constructions import (
     preorder_label,
     tree_representant,
 )
-from rep132.formats import catalog_to_json
-from rep132.graphs import LabeledGraph, canonical_form, complete, cycle, path, prism, wheel
+from rep132.graphs import LabeledGraph, complete, cycle, path, prism, wheel
 from rep132.represent import graph_from_word, is_132_representant, represents
 from rep132.search import SearchConfig, scan_order, search_all_labelings, search_fixed
 from rep132.words import Word, has_132, occurrences
@@ -215,13 +216,14 @@ def test_08_occurrence_bounds_and_chord_equality_hold_everywhere():
     assert time.perf_counter() - start < 300.0
 
 
-def test_09_order_six_scan_answers_the_wheel_question():
+def test_09_order_six_scan_answers_the_wheel_question(tmp_path):
     start = time.perf_counter()
-    entries = scan_order(6)
-    catalog = catalog_to_json(6, entries, wheel5_canonical=canonical_form(wheel(5)))
+    out = tmp_path / "scan6.json"
+    assert cli.main(["scan", "--order", "6", "--json", str(out)]) == 0
+    catalog = json.loads(out.read_text())
     summary = catalog["summary"]
 
-    assert summary["classes"] == len(entries) == 122
+    assert summary["classes"] == len(catalog["entries"]) == 122
     assert summary["budget_exceeded"] <= 0.05 * summary["classes"]
     assert summary["wheel5_found_non_representable"] is True
     # research answer: the wheel is NOT alone — prism(3), K_{3,3}, and the

@@ -373,14 +373,34 @@ def test_scan_artifacts(cli, tmp_path):
     assert "// witness: 12313" in text
 
 
-def test_scan_order_six_flags_wheel(cli):
-    code, out, _ = cli("scan", "--order", "6")
+def test_scan_order_six_flags_wheel(cli, tmp_path):
+    catalog = tmp_path / "scan6.json"
+    code, out, _ = cli("scan", "--order", "6", "--json", str(catalog))
     assert code == 0
     lines = out.splitlines()
     assert ("summary: 122 classes, 118 representable, 4 not representable, "
             "0 budget-exceeded") in lines
     assert lines[-1] == ("wheel(5) is non-representable but not the only "
                          "such class found")
+    # the JSON summary carries the same answer after the four generic counts
+    summary = json.loads(catalog.read_text())["summary"]
+    assert list(summary) == ["classes", "representable", "not_representable",
+                             "budget_exceeded", "wheel5_found_non_representable",
+                             "wheel5_only_non_representable"]
+    assert summary["wheel5_found_non_representable"] is True
+    assert summary["wheel5_only_non_representable"] is False
+    assert summary["not_representable"] == 4
+
+
+def test_only_the_cli_knows_the_wheel_question():
+    # the catalog writer is generic; the one question about a named graph,
+    # whether wheel(5) is the only non-representable class of order 6, is
+    # asked and reported by `rep132 scan` alone
+    package = Path(rep132.__file__).resolve().parent
+    sources = {path.name: path.read_text() for path in package.glob("*.py")}
+    assert len(sources) > 10
+    assert [name for name, text in sources.items()
+            if "wheel5_" in text or "wheel(5)" in text] == ["cli.py"]
 
 
 # The order-6 scan's report bytes, on the backend the child process selects:
@@ -414,11 +434,12 @@ def test_scan_order_six_reports_are_the_pinned_bytes(backend, request):
                                    pinned["json_sha256"]]
 
 
-# The order-7 scan's report bytes on the compiled kernel, with WORKERS
-# workers on two CPUs: the backend and the number of child processes
-# started, then the byte count and sha256 of its text and of its JSON file.
-# About 6 s on C, so it is marked slow and left out of the default run; run
-# it with `pytest -m slow`.
+# The order-7 scan's report bytes on the backend the child process selects,
+# with WORKERS workers on two CPUs: the backend and the number of child
+# processes started, then the byte count and sha256 of its text and of its
+# JSON file. The Python cases take about half a minute and the C cases
+# about 15 s, so they are marked slow and left out of the default run; run
+# them with `pytest -m slow`.
 SCAN7_DIGESTS = LOAD_PACKAGE + """
 import contextlib, hashlib, io, os, tempfile
 os.sched_getaffinity = lambda pid: {0, 1}
@@ -444,15 +465,16 @@ for data in (out, catalog):
 
 @pytest.mark.slow
 @pytest.mark.parametrize("workers", [1, 2])
-def test_scan_order_seven_reports_are_the_pinned_bytes(workers, request):
+@pytest.mark.parametrize("backend", ["python", "c"])
+def test_scan_order_seven_reports_are_the_pinned_bytes(backend, workers, request):
     # 888 classes, 119 of them not representable; any change to the search
-    # machinery must leave these bytes as they are. Order 7's first round
-    # spans many kernel batches, so with two workers one child decides
-    # every other class: the fork path end to end.
-    done = run_child(f"WORKERS = {workers}\n" + SCAN7_DIGESTS, "c", request)
+    # machinery must leave these bytes as they are, on either kernel. Order
+    # 7's first round spans many kernel batches, so with two workers one
+    # child decides every other class: the fork path end to end.
+    done = run_child(f"WORKERS = {workers}\n" + SCAN7_DIGESTS, backend, request)
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == [
-        "c", str(workers - 1),
+        backend, str(workers - 1),
         "90314", "9d80a1264c4bea6804399a3bc350ec7e59fc7f53710cc588eba168f0492a4302",
         "778515", "54382b7668125ab73ddec4cd9ae6a4c2408d082ddcbb798ca4d7fcfefb455aef",
     ]

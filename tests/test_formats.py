@@ -21,7 +21,13 @@ from rep132.formats import (
     report_to_json,
 )
 from rep132.graphs import LabeledGraph, canonical_form, cycle, star, wheel
-from rep132.search import SearchConfig, scan_order, search_all_labelings, search_fixed
+from rep132.search import (
+    NOT_REPRESENTABLE,
+    SearchConfig,
+    scan_order,
+    search_all_labelings,
+    search_fixed,
+)
 from rep132.words import Word
 
 
@@ -170,6 +176,8 @@ def test_catalog_json_summary():
     assert cat["summary"]["representable"] == 7
     assert cat["summary"]["not_representable"] == 0
     assert cat["summary"]["budget_exceeded"] == 0
+    # the writer is generic: no question about a particular graph
+    assert not [key for key in cat["summary"] if key.startswith("wheel5_")]
     entry = cat["entries"][1]
     assert entry["outcome"] == "representable"
     assert "witness" in entry and "labeling" in entry
@@ -178,10 +186,15 @@ def test_catalog_json_summary():
 
 
 def test_catalog_json_wheel_flags():
-    entries = scan_order(6)
-    cat = catalog_to_json(6, entries, wheel5_canonical=canonical_form(wheel(5)))
-    assert cat["summary"]["wheel5_found_non_representable"] is True
-    assert cat["summary"]["wheel5_only_non_representable"] is False
+    # the generic order-6 catalog holds the answer that `rep132 scan` reads
+    # its two wheel(5) flags from: wheel(5)'s class is not representable,
+    # and it is not the only such class
+    cat = catalog_to_json(6, scan_order(6))
+    w5 = canonical_form(wheel(5))
+    non_rep = [graph_from_json(e["graph"]) for e in cat["entries"]
+               if e["outcome"] == NOT_REPRESENTABLE]
+    assert w5 in non_rep
+    assert non_rep != [w5]
     assert cat["summary"]["not_representable"] == 4
 
 

@@ -1,6 +1,7 @@
 """The package namespace: what `import rep132` binds, what it loads, and the
 environment it reads."""
 
+import doctest
 import gc
 import importlib
 import importlib.util
@@ -128,6 +129,19 @@ def test_the_package_reads_one_documented_environment_variable():
     used = {name for path in sources for name in ENV_NAME.findall(path.read_text())}
     documented = set(ENV_NAME.findall((SRC.parent / "README.md").read_text()))
     assert used == documented == {"REP132_BACKEND"}
+
+
+def test_readme_library_quickstart_runs_as_documented():
+    # the README's one python block is a doctest session: a drift of the
+    # documented API fails here, not in a reader's terminal
+    readme = (SRC.parent / "README.md").read_text()
+    blocks = re.findall(r"^```python\n(.*?)^```", readme, re.M | re.S)
+    assert len(blocks) == 1
+    test = doctest.DocTestParser().get_doctest(blocks[0], {}, "README", "README.md", 0)
+    report = []
+    runner = doctest.DocTestRunner()
+    runner.run(test, out=report.append)
+    assert runner.summarize(verbose=False) == (0, 9), "".join(report)
 
 
 # ------------------------------------------------------------------ memory
