@@ -307,7 +307,8 @@ search(State *st)
    words, as (word index, bits) parts in ascending index order, so a node
    costs what its own graphs cost rather than what the batch does. The
    parts of the nodes on the path sit on one stack, each node's right
-   after its parent's, which they never outnumber. */
+   after its parent's, which they never outnumber. Each node's set is
+   tallied once, as an interior node's or as a leaf's, as in the twin. */
 
 typedef unsigned long long word_t;
 #define WORD_BITS 64
@@ -327,14 +328,14 @@ typedef struct {
     mask_t any_nonedge[MAX_N + 1];  /* (non-)neighbour masks */
     mask_t *nonedges;    /* [i * (MAX_N + 1) + c]: graph i's non-neighbours of c */
     Py_ssize_t *group_end;  /* group_end[i]: one past the last entry of i's group */
-    word_t *with_edge;   /* with_edge[(c * (MAX_N + 1) + y) * words + j] */
+    word_t *with_edge;   /* [(c * (MAX_N + 1) + y) * words + j]: graphs with {c, y} */
     Py_ssize_t *table;   /* open addressing by target; a graph index or -1 */
     size_t table_mask;
     word_t *live;        /* graphs still searching */
     word_t *dropped;     /* graphs dropped by an earlier hit in their group */
     unsigned long long kills;  /* times graphs were taken out of live */
-    word_t *node_planes;  /* bit-sliced tallies: planes[j * PLANES + q] holds */
-    word_t *leaf_planes;  /* bit q of the totals of word j's graphs */
+    word_t *inner_planes;  /* bit-sliced tallies of interior nodes and of */
+    word_t *leaf_planes;   /* leaves: [j * PLANES + q], bit q of word j's totals */
     Part *stack;
     PyObject *lists;  /* the graphs' witness lists */
 } Batch;
@@ -513,13 +514,12 @@ batch_rec(Batch *b, Part *alive, Py_ssize_t len, mask_t forbidden, int cur_min,
             return 1;
         }
         st->nodes++;
-        tally(b->node_planes, sub, sublen);
 
         push(st, c, bad, &old);
         Frame ch = child(st, c, forbidden, cur_min, exhausted, deficient);
         int stop = 0;
+        tally(ch.deficient ? b->inner_planes : b->leaf_planes, sub, sublen);
         if (ch.deficient == 0) {
-            tally(b->leaf_planes, sub, sublen);
             sublen = leaf(b, sub, sublen);
             if (sublen < 0)
                 return -1;
@@ -566,11 +566,11 @@ batch_tables(Batch *b, const char *rows)
     b->table = PyMem_Malloc(size * sizeof(Py_ssize_t));
     b->live = PyMem_Calloc((size_t)words, sizeof(word_t));
     b->dropped = PyMem_Calloc((size_t)words, sizeof(word_t));
-    b->node_planes = PyMem_Calloc((size_t)words * PLANES, sizeof(word_t));
+    b->inner_planes = PyMem_Calloc((size_t)words * PLANES, sizeof(word_t));
     b->leaf_planes = PyMem_Calloc((size_t)words * PLANES, sizeof(word_t));
     b->stack = PyMem_Malloc((size_t)(n * b->st.max_copies + 1) * words * sizeof(Part));
     if (!b->nonedges || !b->with_edge || !b->table || !b->live || !b->dropped
-        || !b->node_planes || !b->leaf_planes || !b->stack) {
+        || !b->inner_planes || !b->leaf_planes || !b->stack) {
         PyErr_NoMemory();
         return -1;
     }
@@ -599,8 +599,9 @@ batch_tables(Batch *b, const char *rows)
     return 0;
 }
 
-/* The batch's results from one DFS over the union of its rows' searches;
-   Py_None if the union would pass its budget; NULL on error. */
+/* The batch's results from one DFS over the union of its rows' searches,
+   a graph's nodes its interior plus its leaf tally; Py_None if the union
+   would pass its budget; NULL on error. */
 static PyObject *
 union_search(Batch *b, const char *rows)
 {
@@ -624,30 +625,30 @@ union_search(Batch *b, const char *rows)
         return NULL;
     if (b->aborted)
         Py_RETURN_NONE;
-    unsigned long long *nodes = PyMem_Calloc((size_t)b->words * WORD_BITS,
-                                             sizeof *nodes);
+    unsigned long long *inner = PyMem_Calloc((size_t)b->words * WORD_BITS,
+                                             sizeof *inner);
     unsigned long long *tested = PyMem_Calloc((size_t)b->words * WORD_BITS,
                                               sizeof *tested);
     PyObject *out = NULL;
-    if (nodes == NULL || tested == NULL) {
+    if (inner == NULL || tested == NULL) {
         PyErr_NoMemory();
         goto done;
     }
-    totals(b, b->node_planes, nodes);
+    totals(b, b->inner_planes, inner);
     totals(b, b->leaf_planes, tested);
     out = PyList_New(b->count);
     for (Py_ssize_t i = 0; out != NULL && i < b->count; i++) {
         PyObject *res = b->dropped[i / WORD_BITS] >> (i % WORD_BITS) & 1
             ? Py_NewRef(Py_None)
-            : Py_BuildValue("(OKKO)", PyList_GET_ITEM(b->lists, i), nodes[i],
-                            tested[i], Py_False);
+            : Py_BuildValue("(OKKO)", PyList_GET_ITEM(b->lists, i),
+                            inner[i] + tested[i], tested[i], Py_False);
         if (res == NULL)
             Py_CLEAR(out);
         else
             PyList_SET_ITEM(out, i, res);
     }
 done:
-    PyMem_Free(nodes);
+    PyMem_Free(inner);
     PyMem_Free(tested);
     return out;
 }
@@ -661,7 +662,7 @@ batch_free(Batch *b)
     PyMem_Free(b->table);
     PyMem_Free(b->live);
     PyMem_Free(b->dropped);
-    PyMem_Free(b->node_planes);
+    PyMem_Free(b->inner_planes);
     PyMem_Free(b->leaf_planes);
     PyMem_Free(b->stack);
     Py_XDECREF(b->lists);

@@ -71,7 +71,7 @@ import collections
 import itertools
 import operator
 import sys
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Optional, Sequence
 
 from .graphs import _pair_tables
@@ -398,21 +398,23 @@ def _union_search(
     the graphs' search trees, in the same child order, and each node
     carries the set of graphs whose own search visits it, as an int with
     bit i for entry i. A child's set is its parent's, less the graphs the
-    two prunes cut there (per-pair sets of the graphs with and without the
-    edge, read off the rows in bulk), less those that found their witness
-    or were dropped when find_all is false; a child whose set is empty is
-    no node. The leaf test looks up the packed nonalt in a dict from packed
-    target to the one entry that has it: the rows are distinct, and so are
-    their targets. Each graph's nodes and words tested are the number of
-    union nodes and leaves whose set holds it, so each graph sees exactly
-    its own search. A node is a leaf iff every letter has its min_copies,
-    so the union files each node's set once, as an interior node's or as a
-    leaf's; a graph's words tested are its leaf total, and its nodes its
-    interior total plus its leaf total. Every TALLY_NODES nodes, and at the
-    end, each list of sets is counted (collections.Counter) and the counts
-    are added into bit-sliced per-graph totals (_add_tallies), so the
-    tallies' memory stays bounded. Witness lists are kept only for the
-    entries that hit.
+    two prunes cut there, less those that found their witness or were
+    dropped when find_all is false; a child whose set is empty is no node.
+    The prunes read one set per vertex pair, the graphs with that edge (read
+    off the rows in bulk): the edges prune keeps the graphs outside their
+    union, the exhausted prune those in their intersection, as narrow() in
+    the compiled twin. The leaf test looks up the packed nonalt in a dict
+    from packed target to the one entry that has it: the rows are distinct,
+    and so are their targets. Each graph's nodes and words tested are the
+    number of union nodes and leaves whose set holds it, so each graph sees
+    exactly its own search. A node is a leaf iff every letter has its
+    min_copies, so in both twins each node's set is tallied once, as an
+    interior node's or as a leaf's; a graph's words tested are its leaf
+    total, and its nodes its interior total plus its leaf total. Every
+    TALLY_NODES nodes, and at the end, each list of sets is counted
+    (collections.Counter) and the counts are added into bit-sliced
+    per-graph totals (_add_tallies), so the tallies' memory stays bounded.
+    Witness lists are kept only for the entries that hit.
 
     Without find_all, a hit takes its entry out of the union and drops
     every later entry of its group, hit already or not, as None. A group's
@@ -424,25 +426,18 @@ def _union_search(
     count = len(rows) // ROW_BYTES
     everyone = (1 << count) - 1
     digits = _bit_digits()
-    # with_edge[c][y] / without_edge[c][y]: the graphs that have / lack {c, y}.
-    # Bit y of mask c is bit 16c + y of a row: its byte, one per graph, read
-    # as binary digits, graph 0 last.
+    # with_edge[c][y]: the graphs that have {c, y}, one set per vertex pair,
+    # so with_edge[c][y] is with_edge[y][c]. Bit y of mask c is bit 16c + y
+    # of a row: its byte, one per graph, read as binary digits, graph 0 last.
     with_edge = [[0] * (n + 1) for _ in range(n + 1)]
-    without_edge = [[0] * (n + 1) for _ in range(n + 1)]
-    any_edge = [0] * (n + 1)
-    any_nonedge = [0] * (n + 1)
-    for c in range(1, n + 1):
-        for y in range(1, n + 1):
-            if y == c:
-                continue
-            b = LANE * c + y
-            graphs = int(rows[b >> 3::ROW_BYTES].translate(digits[b & 7])[::-1], 2)
-            with_edge[c][y] = graphs
-            without_edge[c][y] = everyone & ~graphs
-            if graphs:
-                any_edge[c] |= bit[y]
-            if graphs != everyone:
-                any_nonedge[c] |= bit[y]
+    for c, y in itertools.combinations(range(1, n + 1), 2):
+        b = LANE * c + y
+        with_edge[c][y] = with_edge[y][c] = int(
+            rows[b >> 3::ROW_BYTES].translate(digits[b & 7])[::-1], 2)
+    # any_edge[c] / any_nonedge[c]: the y with {c, y} in some graph / not in some
+    any_edge = [sum(bit[y] for y in range(1, n + 1) if graphs[y]) for graphs in with_edge]
+    any_nonedge = [sum(bit[y] for y in range(1, n + 1) if y != c and graphs[y] != everyone)
+                   for c, graphs in enumerate(with_edge)]
     # valid: the bits a graph on 1..n may set, in masks 1..n, bits 1..n, off
     # the diagonal
     valid = sum(not_bit[c] << shift[c] for c in range(1, n + 1))
@@ -454,16 +449,14 @@ def _union_search(
     # group_end[g]: one past the last entry of group g, in entry order
     group_end = list(itertools.accumulate(group_sizes))
     # kept_by_edge[c][mask]: the graphs with no edge from c into mask, which
-    # the edges prune keeps; kept_by_nonedge[c][mask]: those with no
-    # non-edge from c into mask, which the exhausted prune keeps
+    # the edges prune keeps; kept_by_nonedge[c][mask]: those with every
+    # edge from c into mask, which the exhausted prune keeps
     kept_by_edge = [{} for _ in range(n + 1)]
     kept_by_nonedge = [{} for _ in range(n + 1)]
 
-    def graphs_kept(cache, by_letter, mask):
-        cut = 0
-        for y in letters[mask]:
-            cut |= by_letter[y]
-        cache[mask] = kept = everyone & ~cut
+    def graphs_kept(cache, by_letter, mask, merge, flip):
+        sets = map(by_letter.__getitem__, letters[mask])
+        cache[mask] = kept = flip ^ reduce(merge, sets)
         return kept
 
     last_copy = max_copies - 1
@@ -508,7 +501,9 @@ def _union_search(
             if cut:
                 cache = kept_by_edge[c]
                 kept = cache.get(cut)
-                sub &= graphs_kept(cache, with_edge[c], cut) if kept is None else kept
+                if kept is None:
+                    kept = graphs_kept(cache, with_edge[c], cut, operator.or_, everyone)
+                sub &= kept
                 if not sub:
                     continue
             if k == last_copy:
@@ -516,7 +511,9 @@ def _union_search(
                 if cut:
                     cache = kept_by_nonedge[c]
                     kept = cache.get(cut)
-                    sub &= graphs_kept(cache, without_edge[c], cut) if kept is None else kept
+                    if kept is None:
+                        kept = graphs_kept(cache, with_edge[c], cut, operator.and_, 0)
+                    sub &= kept
                     if not sub:
                         continue
             if nodes == stop:
@@ -569,7 +566,7 @@ def _union_search(
     rec = None  # as in _search_graph
     # free the search's tables before the results are built, which is when
     # a round's memory peaks
-    del targets, with_edge, without_edge, kept_by_edge, kept_by_nonedge
+    del targets, with_edge, kept_by_edge, kept_by_nonedge
     if aborted:
         return None
     fold()

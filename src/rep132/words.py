@@ -204,6 +204,9 @@ def contains_pattern(w: WordLike, p: Pattern) -> Optional[tuple[int, ...]]:
     if k > _MAX_PATTERN_LEN:
         raise ValueError(f"patterns longer than {_MAX_PATTERN_LEN} are not supported")
     letters = _letters_of(w)
+    avoids = _AVOIDS.get(pat)
+    if avoids is not None and avoids(letters):
+        return None  # a built-in pattern's one-pass test: no backtracking
     n = len(letters)
     chosen: list[int] = []
 
@@ -255,6 +258,28 @@ def has_132(w: WordLike) -> bool:
         if cur_min is None or c < cur_min:
             cur_min = c
     return False
+
+
+def _avoids_123(letters: Sequence[int]) -> bool:
+    """One-pass 123 test: low is the prefix minimum, and top the smallest
+    letter that follows a smaller one; a letter above top completes a 123."""
+    low = top = math.inf
+    for c in letters:
+        if c > top:
+            return False
+        if c > low:
+            top = c
+        else:
+            low = c
+    return True
+
+
+# One-pass avoidance tests of the built-in patterns, by pattern letters
+_AVOIDS = {
+    P132.letters: lambda letters: not has_132(letters),
+    P123.letters: _avoids_123,
+    P21.letters: lambda letters: all(map(operator.le, letters, letters[1:])),
+}
 
 
 def catalan(n: int) -> int:

@@ -40,6 +40,19 @@ def brute_has_132(seq):
     return False
 
 
+def brute_first_occurrence(seq, pattern):
+    """The lexicographically first tuple of positions of seq whose letters
+    compare pairwise as pattern's do, or None."""
+    def sign(a, b):
+        return (a > b) - (a < b)
+
+    for positions in itertools.combinations(range(len(seq)), len(pattern)):
+        if all(sign(seq[positions[i]], seq[positions[j]]) == sign(pattern[i], pattern[j])
+               for i, j in itertools.combinations(range(len(pattern)), 2)):
+            return positions
+    return None
+
+
 def brute_edges(seq):
     """Edge set of the graph the word represents (letters taken as-is)."""
     letters = sorted(set(seq))

@@ -67,6 +67,17 @@ def test_check_word_with_pattern(cli):
     assert "graph (of reduced word; alphabet is not 1..n): n=3 edges 1-3 2-3" in out
 
 
+def test_check_word_answers_at_once_on_a_long_avoider():
+    # the increasing word of 500 letters avoids 132; a backtracking search
+    # over it took tens of seconds, so the command runs under a time limit
+    word = ".".join(map(str, range(1, 501)))
+    env = dict(os.environ, PYTHONPATH=str(Path(rep132.__file__).parent.parent))
+    done = subprocess.run([sys.executable, "-m", "rep132.cli", "check-word", word],
+                          env=env, capture_output=True, text=True, timeout=10)
+    assert done.returncode == 0, done.stderr
+    assert "pattern 132: avoided" in done.stdout
+
+
 def test_check_word_single_letter(cli):
     code, out, _ = cli("check-word", "1")
     assert code == 0

@@ -1064,6 +1064,43 @@ def test_order_six_scan_makes_the_pinned_kernel_calls(monkeypatch):
     assert calls == [call[:6] + ([None] * len(call[6]),) + call[7:] for call in budgeted]
 
 
+# Scans whose every kernels.run_batch call and its result are pinned below:
+# a budget small enough that unions abort and fall back to per-graph
+# searches, find_all, and the default order-6 scan.
+PINNED_BATCH_SCANS = [
+    (5, SearchConfig(node_budget=1000),
+     "8abfa7131537ed87195698f66ce814ec958893fb4e791509376d62a9dcdc4994"),
+    (5, SearchConfig(find_all=True),
+     "2d5aa2fa08726dc2a8575b438a5eb51607827ffe681ee95b77e11305ed76fd64"),
+    (6, SearchConfig(),
+     "18fe5ed8e9e0e5e820122935d37151e28d916dbf1dc85e0679123379f93f295f"),
+]
+
+
+@pytest.mark.parametrize("backend", ["python", "c"])
+def test_scans_get_the_pinned_batch_results(backend, request, monkeypatch):
+    # Each call's arguments and its entries (witnesses, nodes, words tested,
+    # budget exceeded, or None), digested per scan, so a change to either
+    # kernel's per-graph tallies fails here and not only when the twins
+    # disagree.
+    module = (kernels.load_backend("python") if backend == "python"
+              else request.getfixturevalue("compiled_kernel"))
+    calls = []
+
+    def recording(n, keys, min_copies, max_copies, forbid_132, find_all,
+                  node_budgets, group_sizes=None):
+        call = (n, list(keys), min_copies, max_copies, forbid_132, find_all,
+                list(node_budgets), None if group_sizes is None else list(group_sizes))
+        calls.append((call, module.run_batch(*call)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(kernels, "run_batch", recording)
+    for n, cfg, digest in PINNED_BATCH_SCANS:
+        del calls[:]
+        scan_order(n, cfg)
+        assert hashlib.sha256(repr(calls).encode()).hexdigest() == digest, (n, cfg)
+
+
 def test_a_decided_class_is_dropped_before_the_next_slice(monkeypatch):
     # slices of 16 graphs, so each round of an order-5 scan takes several
     # kernel calls and classes are decided between the slices of a round
@@ -1114,6 +1151,28 @@ def test_order_six_rounds_peak_under_a_megabyte(request):
     backend, peak = done.stdout.split()
     assert backend == "python"
     assert int(peak) <= 1_000_000
+
+
+# Each order-7 class's fingerprint, in scan order: its edges, outcome,
+# witness, nodes, words tested and labelings tried. The pinned report bytes
+# carry no node counts, so this is what pins the tallies at order 7.
+SCAN7_STATS = LOAD_PACKAGE + """
+import hashlib
+from rep132.search import scan_order
+prints = [(g.edge_list(), rep.outcome, str(rep.witness), rep.stats.nodes,
+           rep.stats.words_tested, rep.stats.labelings_tried)
+          for g, rep in scan_order(7)]
+print(kernels.backend_name(), len(prints), hashlib.sha256(repr(prints).encode()).hexdigest())
+"""
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("backend", ["python", "c"])
+def test_order_seven_stats_are_pinned(backend, request):
+    done = run_child(SCAN7_STATS, backend, request)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == [
+        backend, "888", "02e49ebbdd9b9b7744964750ba95cb05e90b62c5194968241d1df52e630874cc"]
 
 
 # Each order, with its classes not representable, through which the copy

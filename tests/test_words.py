@@ -1,11 +1,14 @@
 """Words, reduction, alternation, and pattern containment."""
 
 import itertools
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import brute_alternates, brute_has_132
+from conftest import brute_alternates, brute_first_occurrence, brute_has_132
 from rep132.words import (
     BUILTIN_PATTERNS,
     P21,
@@ -189,6 +192,37 @@ def test_contains_pattern_repeated_letters_never_match():
     # pattern letters are distinct values; equal word letters cannot embed
     assert contains_pattern(Word("1122"), P21) is None
     assert contains_pattern(Word("11"), P21) is None
+
+
+@given(st.lists(st.integers(min_value=1, max_value=5), max_size=9),
+       st.sampled_from(sorted(BUILTIN_PATTERNS)))
+def test_contains_pattern_matches_brute_force(letters, name):
+    # the one-pass early exit and the backtracking give the same answer
+    pattern = BUILTIN_PATTERNS[name]
+    assert contains_pattern(Word(letters), pattern) == \
+        brute_first_occurrence(letters, pattern.letters)
+
+
+# contains_pattern on the increasing word of 20,000 letters, which avoids
+# 132 and 21 and starts with a 123, in a child process under a time limit:
+# a backtracking search over it would take hours
+LONG_AVOIDER = """
+import sys, time
+sys.path.insert(0, sys.argv[1])
+from rep132.words import P21, P123, P132, Word, contains_pattern
+word = Word(range(1, 20_001))
+start = time.perf_counter()
+found = [contains_pattern(word, p) for p in (P132, P123, P21)]
+print(found, time.perf_counter() - start < 1)
+"""
+
+
+def test_contains_pattern_returns_at_once_on_long_avoiders():
+    src = Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run([sys.executable, "-c", LONG_AVOIDER, str(src)],
+                          capture_output=True, text=True, timeout=30)
+    assert (done.returncode, done.stdout) == (0, "[None, (0, 1, 2), None] True\n"), \
+        done.stderr
 
 
 def test_has_132_examples():
